@@ -98,14 +98,7 @@ def _cmd_simulate(args) -> int:
     root = np.random.SeedSequence(config.seed)
     pop_ss, rep_ss = root.spawn(2)
     population, pop_totals = sim.generate_population(config, np.random.default_rng(pop_ss))
-    rng = np.random.default_rng(rep_ss)
-    idx = rng.choice(population.n_records, size=config.sample_size, replace=False)
-    truth = sim._sample_rows(population, idx)
-    totals = {
-        name: float(truth.values[:, truth.column_index(name)].sum())
-        for name in ("x1", "x2")
-    }
-    masked = sim.apply_mcar(truth, config, rng)
+    truth, masked, totals = sim.draw_sample(population, config, np.random.default_rng(rep_ss))
 
     cio.write_dataset(population, out / "population.csv")
     cio.write_dataset(truth, out / "sample.csv")

@@ -372,10 +372,24 @@ def violation_matrix(
     A, b, is_eq = system_matrices(system, columns)
     X = np.asarray(values, dtype=float)
     resid = X @ A.T + b
-    used = [j for j, name in enumerate(columns) if name in set().union(*[e.coeffs for e in system.edits])] if system.edits else []
+    referenced = {v for edit in system.edits for v in edit.coeffs}
+    used = [j for j, name in enumerate(columns) if name in referenced]
     if used:
         scale = np.maximum(1.0, np.abs(X[:, used]).max(axis=1))
     else:
         scale = np.ones(X.shape[0])
     margin = tol * scale[:, None]
     return np.where(is_eq[None, :], np.abs(resid) > margin, resid < -margin)
+
+
+def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edit constants with each record's known values folded in.
+
+    ``X`` holds one record per row over the columns of ``A`` (from
+    :func:`system_matrices`), NaN where a value is unknown.  Returns the
+    reduced constants ``b + A x_known`` and their gross magnitudes
+    ``|b| + |A| |x_known|`` (records x edits), the same numbers
+    :func:`reduce_system` folds and checks one record at a time.
+    """
+    X0 = np.where(np.isnan(X), 0.0, X)
+    return X0 @ A.T + b, np.abs(X0) @ np.abs(A).T + np.abs(b)

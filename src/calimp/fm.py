@@ -6,16 +6,23 @@ every lower/upper bound pair on the eliminated variable), and the result
 is read off as an admissible interval for the target cell.  Every value
 inside the interval extends to a full assignment satisfying the original
 system, which :func:`back_substitute` reconstructs.
+
+:func:`compile_interval` performs the same derivation once for every
+record sharing an unknown-variable pattern and evaluates it with array
+operations; the per-record functions remain for record-pair systems and
+as its reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
+
+import numpy as np
 
 from .edits import COEFF_EPS, DEFAULT_TOL, Edit, EditKind, ReducedSystem
-from .errors import InfeasibleSystemError
+from .errors import InfeasibleRecordError, InfeasibleSystemError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -425,3 +432,272 @@ def resolve_companions(
             known[var] = value
             resolved[var] = value
     return resolved
+
+
+# ---------------------------------------------------------------------------
+# Compiled derivation for all records sharing one unknown-variable pattern
+
+class _Row:
+    """A derived row: its coefficients over the unknowns and the alternative
+    combinations of the original edits giving its constant.
+
+    Parallel rows share one signature; :func:`_dedupe` keeps the tighter of
+    them per record, which depends on the record's constants, so a compiled
+    row keeps every distinct combination and the record-wise extreme is
+    taken when bounds are read off.
+    """
+
+    __slots__ = ("coeffs", "combs", "kind")
+
+    def __init__(self, coeffs: dict[str, float], combs: np.ndarray, kind: EditKind):
+        self.coeffs = coeffs
+        self.combs = combs
+        self.kind = kind
+
+
+def _merge_parallel(rows: list[_Row]) -> list[_Row]:
+    """Compiled counterpart of :func:`_dedupe`: normalize, then pool the
+    combinations of rows with one coefficient signature."""
+    out: list[_Row] = []
+    by_signature: dict[tuple, int] = {}
+    for row in rows:
+        m = max(abs(c) for c in row.coeffs.values())
+        coeffs = row.coeffs if m == 1.0 else {v: c / m for v, c in row.coeffs.items()}
+        combs = row.combs if m == 1.0 else row.combs / m
+        sig = tuple(sorted((v, round(c, 12)) for v, c in coeffs.items()))
+        if sig in by_signature:
+            k = by_signature[sig]
+            out[k].combs = np.concatenate([out[k].combs, combs])
+        else:
+            by_signature[sig] = len(out)
+            out.append(_Row(coeffs, combs, EditKind.INEQUALITY))
+    for row in out:
+        if len(row.combs) > 1:
+            # Keyed like _dedupe's signatures; adding 0.0 folds -0.0 into 0.0.
+            distinct: dict[bytes, np.ndarray] = {}
+            for comb in row.combs:
+                distinct.setdefault((np.round(comb, 12) + 0.0).tobytes(), comb)
+            row.combs = np.array(list(distinct.values()))
+    return out
+
+
+def _violated(const: np.ndarray, gross: np.ndarray, is_eq: np.ndarray, tol: float) -> np.ndarray:
+    bound = tol * np.maximum(1.0, gross)
+    return np.where(is_eq, np.abs(const) > bound, const < -bound)
+
+
+@dataclass(frozen=True)
+class CompiledInterval:
+    """:func:`admissible_interval` for every record with one unknown pattern.
+
+    Every symbolic choice of the derivation -- equality pivots, the
+    projection pairings, coefficient cleaning, duplicate signatures and
+    the elimination order -- depends only on which variables are unknown.
+    Compiling replays them once and keeps each derived row as a
+    combination of the original edits (one column per edit; equality
+    columns may carry either sign, inequality columns are nonnegative).
+    A record's derived constants are then those combinations applied to
+    its reduced constants ``d``, the edit constants with its known values
+    folded in (:func:`calimp.edits.reduced_constants`).
+    """
+
+    target: str
+    edits: tuple[Edit, ...]
+    #: Edits with no unknown variable (each record's reduction check) and
+    #: which of them are equalities.
+    known: np.ndarray
+    known_eq: np.ndarray
+    #: Target coefficient and edit combination of each bound row.
+    bound_coef: np.ndarray
+    bound_comb: np.ndarray
+    #: Derived rows left without variables, with their equality flag and
+    #: the message raised when a record violates one.
+    check_comb: np.ndarray
+    check_eq: np.ndarray
+    check_reason: tuple[str, ...]
+    #: Equality-forced companions as an affine map of the target value and
+    #: the reduced constants: ``value = target_coef * x + comb . d``.
+    companion_vars: tuple[str, ...]
+    companion_target: np.ndarray
+    companion_comb: np.ndarray
+
+    def _derive(self, D: np.ndarray, G: np.ndarray, tol: float):
+        known_bad = _violated(D[:, self.known], G[:, self.known], self.known_eq, tol)
+        check_bad = _violated(D @ self.check_comb.T, G @ np.abs(self.check_comb).T, self.check_eq, tol)
+        bounds = -(D @ self.bound_comb.T) / self.bound_coef
+        lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
+        upper = np.min(bounds, axis=1, where=self.bound_coef < 0, initial=POS_INF)
+        crossed = np.flatnonzero(lower > upper)
+        lo, hi = lower[crossed], upper[crossed]
+        snap = lo - hi <= tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        lower[crossed[snap]] = upper[crossed[snap]] = 0.5 * (lo[snap] + hi[snap])
+        empty = np.zeros(D.shape[0], dtype=bool)
+        empty[crossed[~snap]] = True
+        return known_bad, check_bad, bounds, lower, upper, empty
+
+    def evaluate(self, D: np.ndarray, G: np.ndarray, tol: float = DEFAULT_TOL):
+        """Bounds for records with reduced constants ``D`` and gross
+        magnitudes ``G`` (records x edits), plus a flag per record for
+        which the per-record derivation raises (see :meth:`infeasibility`)."""
+        known_bad, check_bad, _, lower, upper, empty = self._derive(D, G, tol)
+        return lower, upper, known_bad.any(axis=1) | check_bad.any(axis=1) | empty
+
+    def infeasibility(self, d: np.ndarray, g: np.ndarray, tol: float = DEFAULT_TOL, record: int | None = None):
+        """The error the per-record derivation raises for one flagged record:
+        the first violated fully known edit, else the first violated
+        derived constant row, else the empty interval."""
+        known_bad, check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :], tol)
+        prefix = "" if record is None else f"record {record}, variable {self.target!r}: "
+        if known_bad.any():
+            k = int(self.known[np.argmax(known_bad[0])])
+            return InfeasibleRecordError(
+                f"{prefix}record{'' if record is None else ' ' + str(record)} violates edit {k} "
+                f"before imputation (residual {float(d[k]):.6g})",
+                record=record,
+                edit_index=k,
+                witness=self.edits[k],
+            )
+        if check_bad.any():
+            q = int(np.argmax(check_bad[0]))
+            const = float(d @ self.check_comb[q])
+            return InfeasibleSystemError(
+                prefix + self.check_reason[q].format(residual=const, negated=-const),
+                witness=self._support(self.check_comb[q]),
+            )
+        lo_row = int(np.argmax(np.where(self.bound_coef > 0, bounds[0], NEG_INF)))
+        hi_row = int(np.argmin(np.where(self.bound_coef < 0, bounds[0], POS_INF)))
+        return InfeasibleSystemError(
+            f"{prefix}no admissible value for {self.target}: requires >= {lower[0]:.6g} "
+            f"and <= {upper[0]:.6g}",
+            witness=(self._support(self.bound_comb[lo_row]), self._support(self.bound_comb[hi_row])),
+        )
+
+    def _support(self, comb: np.ndarray) -> tuple[Edit, ...]:
+        return tuple(self.edits[k] for k in np.flatnonzero(comb))
+
+    def companions(self, values: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Companion values (records x ``companion_vars``) once the target
+        holds ``values``; what :func:`resolve_companions` returns per record."""
+        return values[:, None] * self.companion_target + D @ self.companion_comb.T
+
+
+def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: str) -> CompiledInterval:
+    """Compile :func:`admissible_interval` and :func:`resolve_companions`
+    for records whose unknown variables are ``unknown``.
+
+    ``edits`` is the full system; the known variables' values enter only
+    through the reduced constants at evaluation time.
+    """
+    edits = tuple(edits)
+    n = len(edits)
+    unknown = set(unknown)
+    eye = np.eye(n)
+    work: list[_Row] = []
+    known: list[int] = []
+    for k, edit in enumerate(edits):
+        free = {v: c for v, c in edit.coeffs.items() if v in unknown}
+        if free:
+            work.append(_Row(free, eye[k], edit.kind))
+        else:
+            known.append(k)
+    checks: list[tuple[np.ndarray, bool, str]] = []
+
+    # Equalities, as in eliminate_equalities (each row has one combination).
+    stack: list[tuple[str, dict[str, float], np.ndarray]] = []
+    while True:
+        eq_pos = next((i for i, r in enumerate(work) if r.kind is EditKind.EQUALITY), None)
+        if eq_pos is None:
+            break
+        eq = work.pop(eq_pos)
+        candidates = [(v, c) for v, c in eq.coeffs.items() if v != target]
+        if not candidates:
+            c = eq.coeffs[target]
+            work.insert(eq_pos, _Row(dict(eq.coeffs), eq.combs, EditKind.INEQUALITY))
+            work.insert(eq_pos + 1, _Row({target: -c}, -eq.combs, EditKind.INEQUALITY))
+            continue
+        pivot, cp = min(candidates, key=lambda item: (-abs(item[1]), item[0]))
+        expr = {v: -c / cp for v, c in eq.coeffs.items() if v != pivot}
+        expr_comb = -eq.combs / cp
+        replaced: list[_Row] = []
+        for other in work:
+            if pivot not in other.coeffs:
+                replaced.append(other)
+                continue
+            co = other.coeffs[pivot]
+            coeffs = {v: c for v, c in other.coeffs.items() if v != pivot}
+            for v, c in expr.items():
+                coeffs[v] = coeffs.get(v, 0.0) + co * c
+            coeffs = _clean_coeffs(coeffs)
+            comb = other.combs + co * expr_comb
+            if coeffs:
+                replaced.append(_Row(coeffs, comb, other.kind))
+            else:
+                reason = f"substituting {pivot} makes edit infeasible (residual {{residual:.6g}})"
+                checks.append((comb, other.kind is EditKind.EQUALITY, reason))
+        work = replaced
+        stack.append((pivot, expr, expr_comb))
+
+    # Projection, as in fourier_motzkin_eliminate on the merged rows.
+    for row in work:
+        row.combs = row.combs[None, :]
+    rows = _merge_parallel(work)
+    while True:
+        var = _elimination_order(rows, target)
+        if var is None:
+            break
+        lowers = [r for r in rows if r.coeffs.get(var, 0.0) > 0]
+        uppers = [r for r in rows if r.coeffs.get(var, 0.0) < 0]
+        out = [r for r in rows if r.coeffs.get(var, 0.0) == 0]
+        for lo in lowers:
+            cl = lo.coeffs[var]
+            for up in uppers:
+                cu = up.coeffs[var]
+                m_lo, m_up = -cu, cl
+                coeffs: dict[str, float] = {}
+                for v, c in lo.coeffs.items():
+                    if v != var:
+                        coeffs[v] = coeffs.get(v, 0.0) + m_lo * c
+                for v, c in up.coeffs.items():
+                    if v != var:
+                        coeffs[v] = coeffs.get(v, 0.0) + m_up * c
+                combs = (m_lo * lo.combs[:, None, :] + m_up * up.combs[None, :, :]).reshape(-1, n)
+                coeffs = _clean_coeffs(coeffs)
+                if coeffs:
+                    out.append(_Row(coeffs, combs, EditKind.INEQUALITY))
+                    continue
+                reason = f"eliminating {var} derives the contradiction 0 >= {{negated:.6g}}"
+                checks.extend((comb, False, reason) for comb in combs)
+        rows = _merge_parallel(out)
+
+    bound_coef = [row.coeffs[target] for row in rows for _ in row.combs]
+    bound_comb = [comb for row in rows for comb in row.combs]
+
+    # Companions, as in resolve_companions with only the target assigned:
+    # each resolved value is affine in the target value and the constants.
+    affine: dict[str, tuple[float, np.ndarray]] = {target: (1.0, np.zeros(n))}
+    companions: list[str] = []
+    for var, expr, expr_comb in reversed(stack):
+        if var in affine or not all(v in affine for v in expr):
+            continue
+        coef = math.fsum(c * affine[v][0] for v, c in expr.items())
+        comb = expr_comb + sum((c * affine[v][1] for v, c in expr.items()), np.zeros(n))
+        affine[var] = (coef, comb)
+        companions.append(var)
+
+    def matrix(combs: list) -> np.ndarray:
+        return np.array(combs, dtype=float).reshape(len(combs), n)
+
+    return CompiledInterval(
+        target=target,
+        edits=edits,
+        known=np.array(known, dtype=int),
+        known_eq=np.array([edits[k].kind is EditKind.EQUALITY for k in known], dtype=bool),
+        bound_coef=np.array(bound_coef, dtype=float),
+        bound_comb=matrix(bound_comb),
+        check_comb=matrix([c for c, _, _ in checks]),
+        check_eq=np.array([e for _, e, _ in checks], dtype=bool),
+        check_reason=tuple(r for _, _, r in checks),
+        companion_vars=tuple(companions),
+        companion_target=np.array([affine[v][0] for v in companions], dtype=float),
+        companion_comb=matrix([affine[v][1] for v in companions]),
+    )

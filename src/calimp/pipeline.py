@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import adjust, fm, regression, residuals
-from .edits import DEFAULT_TOL, EditKind, EditSystem, reduce_system, violation_matrix
+from .edits import DEFAULT_TOL, EditKind, EditSystem, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
     InfeasibleRecordError,
@@ -198,13 +198,82 @@ def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mi
             names = names[:-1]
 
 
-def _interval_stats(intervals: list[fm.Interval]) -> dict:
-    return {
-        "count": len(intervals),
-        "degenerate": sum(1 for iv in intervals if iv.is_point()),
-        "bounded": sum(1 for iv in intervals if iv.is_bounded()),
-        "unbounded": sum(1 for iv in intervals if not iv.is_bounded()),
-    }
+@dataclass
+class _TargetIntervals:
+    """Admissible intervals of one target for the records missing it, and
+    the compiled derivation of each unknown-pattern group of those records
+    (positions into ``rows``, the derivation, the reduced constants)."""
+
+    rows: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    groups: list[tuple[np.ndarray, fm.CompiledInterval, np.ndarray]]
+
+    def stats(self) -> dict:
+        bounded = int(np.count_nonzero(np.isfinite(self.lower) & np.isfinite(self.upper)))
+        return {
+            "count": int(self.lower.size),
+            "degenerate": int(np.count_nonzero(self.lower == self.upper)),
+            "bounded": bounded,
+            "unbounded": int(self.lower.size) - bounded,
+            "patterns": len(self.groups),
+        }
+
+    def write_companions(self, current: np.ndarray, final: np.ndarray, col_idx: Mapping[str, int]) -> int:
+        """Write the values the balance edits force once the target holds
+        ``final``; returns the number of cells written."""
+        written = 0
+        for pos, compiled, D in self.groups:
+            if compiled.companion_vars:
+                cols = [col_idx[v] for v in compiled.companion_vars]
+                values = compiled.companions(final[pos], D)
+                current[np.ix_(self.rows[pos], cols)] = values
+                written += values.size
+        return written
+
+
+class _PatternCompiler:
+    """Interval derivations compiled once per (unknown pattern, target).
+
+    Records missing the target are grouped by which edit variables they
+    still lack; each group's bounds, feasibility checks and companions are
+    then array expressions over its records (see :class:`fm.CompiledInterval`).
+    The cache lives for one :func:`impute` call.
+    """
+
+    def __init__(self, edits: EditSystem, columns: Sequence[str], tol: float):
+        self.edits = edits
+        self.cols = [columns.index(v) for v in edits.variables]
+        self.A, self.b, _ = system_matrices(edits, edits.variables)
+        self.tol = tol
+        self.cache: dict[tuple[bytes, str], fm.CompiledInterval] = {}
+
+    def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
+        X = current[np.ix_(rows, self.cols)]
+        patterns, inverse = np.unique(np.isnan(X), axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+        lower = np.empty(rows.size)
+        upper = np.empty(rows.size)
+        groups = []
+        first_bad = None
+        for pattern, pos in zip(patterns, members):
+            key = (pattern.tobytes(), target)
+            compiled = self.cache.get(key)
+            if compiled is None:
+                unknown = [v for v, missing in zip(self.edits.variables, pattern) if missing]
+                compiled = self.cache[key] = fm.compile_interval(self.edits.edits, unknown, target)
+            D, G = reduced_constants(self.A, self.b, X[pos])
+            lower[pos], upper[pos], bad = compiled.evaluate(D, G, self.tol)
+            if bad.any():
+                j = int(np.argmax(bad))
+                if first_bad is None or pos[j] < first_bad[0]:
+                    first_bad = (pos[j], compiled, D[j], G[j])
+            groups.append((pos, compiled, D))
+        if first_bad is not None:
+            p, compiled, d, g = first_bad
+            raise compiled.infeasibility(d, g, self.tol, record=int(rows[p]))
+        return _TargetIntervals(rows, lower, upper, groups)
 
 
 def impute(
@@ -242,7 +311,7 @@ def impute(
 
     current = data.values.copy()
     col_idx = {name: j for j, name in enumerate(data.columns)}
-    edit_vars = [v for v in edits.variables]
+    compiler = _PatternCompiler(edits, data.columns, config.edit_tol)
     imputed_so_far: list[str] = []
 
     for rnd in range(1, config.rounds + 1):
@@ -252,24 +321,7 @@ def impute(
             if rows.size == 0:
                 continue
             current[rows, t] = np.nan
-
-            intervals: list[fm.Interval] = []
-            records: list[fm.EliminationRecord] = []
-            for i in rows:
-                row_state = {
-                    v: float(current[i, col_idx[v]])
-                    for v in edit_vars
-                    if not math.isnan(current[i, col_idx[v]])
-                }
-                try:
-                    reduced = reduce_system(edits, row_state, tol=config.edit_tol, origin=int(i))
-                    interval, rec = fm.admissible_interval(reduced, target, tol=config.edit_tol)
-                except InfeasibleSystemError as err:
-                    raise InfeasibleSystemError(
-                        f"record {i}, variable {target!r}: {err}", witness=err.witness
-                    ) from err
-                intervals.append(interval)
-                records.append(rec)
+            derived = compiler.intervals(current, rows, target)
 
             if rnd == 1 and config.predictors is not None and target in config.predictors:
                 pred_names = list(config.predictors[target])
@@ -335,8 +387,7 @@ def impute(
                     }
                     base_sigma = math.sqrt(fit.residual_variance)
 
-            lower = np.array([iv.lower for iv in intervals])
-            upper = np.array([iv.upper for iv in intervals])
+            lower, upper = derived.lower, derived.upper
             residual_diag = None
             if config.method == "upma":
                 final = np.clip(predictions, lower, upper)
@@ -361,14 +412,15 @@ def impute(
                     fm.Interval(lo - p, hi - p)
                     for lo, hi, p in zip(lower, upper, predictions)
                 ]
-                rngs = [
-                    residuals.cell_rng(config.seed * 1_000_003 + rnd, t, int(i))
-                    for i in rows
-                ]
+                stream_seed = config.seed * 1_000_003 + rnd
+
+                def cell_stream(k: int) -> np.random.Generator:
+                    return residuals.cell_rng(stream_seed, t, int(rows[k]))
+
                 data_scale = max(1.0, float(np.sum(np.abs(w_mis * predictions))))
                 try:
                     drawn, residual_diag = residuals.benchmarked_residuals(
-                        base_sigma, res_intervals, w_mis, rngs,
+                        base_sigma, res_intervals, w_mis, cell_stream,
                         feasibility_scale=data_scale,
                     )
                 except InfeasibleSystemError as err:
@@ -382,14 +434,7 @@ def impute(
                 }
 
             current[rows, t] = final
-            companions = 0
-            for value, i, rec in zip(final, rows, records):
-                resolved = fm.resolve_companions(rec, {target: float(value)})
-                for var, val in resolved.items():
-                    j = col_idx[var]
-                    if math.isnan(current[i, j]):
-                        current[i, j] = val
-                        companions += 1
+            companions = derived.write_companions(current, final, col_idx)
 
             if target not in imputed_so_far:
                 imputed_so_far.append(target)
@@ -401,7 +446,7 @@ def impute(
                     "predictors": used_names,
                     "dropped_predictors": dropped,
                     "fit": fit_diag,
-                    "intervals": _interval_stats(intervals),
+                    "intervals": derived.stats(),
                     "adjustment": adjustment_diag,
                     "residuals": residual_diag,
                     "companions_written": companions,

@@ -35,6 +35,12 @@ def cell_rng(seed: int, variable_index: int, record_index: int) -> np.random.Gen
     return np.random.default_rng([seed, variable_index, record_index])
 
 
+def uses_stream(sigma: float, interval: Interval) -> bool:
+    """Whether :func:`draw_ar_residual` reads its generator for this cell;
+    it does not for a zero sigma or a point interval."""
+    return sigma != 0.0 and not interval.is_point()
+
+
 def draw_ar_residual(
     sigma: float,
     interval: Interval,
@@ -84,22 +90,29 @@ def benchmarked_residuals(
 ) -> tuple[np.ndarray, dict]:
     """Interval-respecting residual vector with weighted sum exactly zero.
 
-    ``rng`` is either one generator (cells drawn in order) or one generator
-    per cell for stream-per-cell reproducibility.  Returns the vector and a
-    small dict of sampling statistics.
+    ``rng`` is one generator (cells drawn in order), one generator per
+    cell, or a function from a cell's position to its generator, called
+    only for cells whose draw reads a stream (see :func:`uses_stream`), so
+    stream-per-cell reproducibility costs nothing for the other cells.
+    Returns the vector and a small dict of sampling statistics.
     """
     m = len(intervals)
     if m == 0:
         return np.zeros(0), {"attempts": 0, "fallbacks": 0}
-    rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * m
-    if len(rngs) != m:
-        raise ValueError(f"expected {m} generators, got {len(rngs)}")
+    if callable(rng):
+        stream = rng
+    else:
+        rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * m
+        if len(rngs) != m:
+            raise ValueError(f"expected {m} generators, got {len(rngs)}")
+        stream = rngs.__getitem__
 
     draws = np.empty(m)
     attempts = 0
     fallbacks = 0
     for i, interval in enumerate(intervals):
-        d = draw_ar_residual(sigma, interval, rngs[i], max_attempts=max_attempts)
+        cell_stream = stream(i) if uses_stream(sigma, interval) else None
+        d = draw_ar_residual(sigma, interval, cell_stream, max_attempts=max_attempts)
         draws[i] = d.value
         attempts += d.attempts
         fallbacks += int(d.fallback_used)

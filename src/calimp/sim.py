@@ -219,33 +219,42 @@ def generate_population(
 
 
 def apply_mcar(data: DataMatrix, config: StudyConfig, rng: np.random.Generator) -> DataMatrix:
-    """Blank x1 in a fixed fraction of rows, x2 in half of those, and x2 in
-    a fraction of the rows untouched by the first draw.  P stays observed."""
+    """Blank x1 in a fixed fraction of rows, x2 in a fraction of those, and
+    x2 in a fraction of the rows untouched by the first draw.  P stays
+    observed."""
     out = data.copy()
     r = out.n_records
     j1 = out.column_index("x1")
     j2 = out.column_index("x2")
     n1 = int(config.rate_x1 * r)
     first = rng.choice(r, size=n1, replace=False) if n1 else np.empty(0, dtype=int)
-    half = rng.choice(first, size=n1 // 2, replace=False) if n1 // 2 else np.empty(0, dtype=int)
+    n_within = int(config.rate_x2_within * n1)
+    within = rng.choice(first, size=n_within, replace=False) if n_within else np.empty(0, dtype=int)
     remaining = np.setdiff1d(np.arange(r), first, assume_unique=False)
     n_extra = int(config.rate_x2_extra * remaining.size)
     extra = rng.choice(remaining, size=n_extra, replace=False) if n_extra else np.empty(0, dtype=int)
 
     out.mask[first, j1] = True
-    out.mask[half, j2] = True
+    out.mask[within, j2] = True
     out.mask[extra, j2] = True
     out.values[out.mask] = np.nan
     return out
 
 
-def _sample_rows(population: DataMatrix, idx: np.ndarray) -> DataMatrix:
-    return DataMatrix(
+def draw_sample(
+    population: DataMatrix, config: StudyConfig, rng: np.random.Generator
+) -> tuple[DataMatrix, DataMatrix, dict[str, float]]:
+    """One replication's sample: the true rows drawn without replacement,
+    the same rows after :func:`apply_mcar`, and the true x1 and x2 totals."""
+    idx = rng.choice(population.n_records, size=config.sample_size, replace=False)
+    truth = DataMatrix(
         values=population.values[idx].copy(),
         mask=population.mask[idx].copy(),
         columns=population.columns,
         weights=population.weights[idx].copy(),
     )
+    totals = {name: float(truth.values[:, truth.column_index(name)].sum()) for name in ("x1", "x2")}
+    return truth, apply_mcar(truth, config, rng), totals
 
 
 def _moment_row(data: DataMatrix) -> dict[str, float]:
@@ -285,13 +294,7 @@ def run_replication(
     seed: int,
 ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, dict[str, float]]]]:
     """One sample: draw, mask, impute with every configured method, score."""
-    idx = rng.choice(population.n_records, size=config.sample_size, replace=False)
-    truth = _sample_rows(population, idx)
-    totals = {
-        "x1": float(truth.values[:, truth.column_index("x1")].sum()),
-        "x2": float(truth.values[:, truth.column_index("x2")].sum()),
-    }
-    masked = apply_mcar(truth, config, rng)
+    truth, masked, totals = draw_sample(population, config, rng)
     edits = study_edits()
 
     moment_rows = {"original": _moment_row(truth)}

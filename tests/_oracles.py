@@ -9,9 +9,13 @@ construction guarantee rather than an assumption.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from calimp.edits import Edit, EditKind, EditSystem
+from calimp import fm
+from calimp.edits import Edit, EditKind, EditSystem, reduce_system
+from calimp.errors import InfeasibleSystemError
 from calimp.pipeline import DataMatrix
 
 
@@ -55,9 +59,11 @@ class GridOracle:
         self.at = at
         self.margin = margin
 
-    def relaxed(self, value: float) -> bool:
+    def relaxed(self, value: float, slack: float = 0.0) -> bool:
+        """``slack`` widens every margin, for intervals computed in an
+        order whose rounding may put an endpoint an ulp outside."""
         resid = self.base + value * self.at
-        return bool(np.any(np.all(resid >= -self.margin, axis=1)))
+        return bool(np.any(np.all(resid >= -self.margin - slack, axis=1)))
 
     def strict(self, value: float) -> bool:
         resid = self.base + value * self.at
@@ -165,3 +171,65 @@ def random_imputation_instance(rng: np.random.Generator, max_records: int = 500,
     data = DataMatrix(values=values, mask=mask, columns=tuple(names), weights=weights)
     truth = base
     return data, system, totals, truth
+
+
+class PerRecordIntervals:
+    """The per-record interval derivation that ``impute`` compiles per pattern.
+
+    Each record missing the target is reduced with ``reduce_system``, gets
+    its interval from ``fm.admissible_interval`` and later its companions
+    from ``fm.resolve_companions``, one record at a time.  It has the
+    interface of ``pipeline._PatternCompiler``, so a test can substitute it
+    and compare whole imputations.
+    """
+
+    def __init__(self, edits: EditSystem, columns, tol: float):
+        self.edits = edits
+        self.col_idx = {name: j for j, name in enumerate(columns)}
+        self.tol = tol
+
+    def intervals(self, current, rows, target):
+        intervals, records = [], []
+        for i in rows:
+            row_state = {
+                v: float(current[i, self.col_idx[v]])
+                for v in self.edits.variables
+                if not math.isnan(current[i, self.col_idx[v]])
+            }
+            try:
+                reduced = reduce_system(self.edits, row_state, tol=self.tol, origin=int(i))
+                interval, rec = fm.admissible_interval(reduced, target, tol=self.tol)
+            except InfeasibleSystemError as err:
+                raise InfeasibleSystemError(
+                    f"record {i}, variable {target!r}: {err}", witness=err.witness
+                ) from err
+            intervals.append(interval)
+            records.append(rec)
+        return _PerRecordResult(rows, intervals, records)
+
+
+class _PerRecordResult:
+    def __init__(self, rows, intervals, records):
+        self.rows = rows
+        self.records = records
+        self.lower = np.array([iv.lower for iv in intervals])
+        self.upper = np.array([iv.upper for iv in intervals])
+
+    def stats(self) -> dict:
+        bounded = int(np.count_nonzero(np.isfinite(self.lower) & np.isfinite(self.upper)))
+        return {
+            "count": int(self.lower.size),
+            "degenerate": int(np.count_nonzero(self.lower == self.upper)),
+            "bounded": bounded,
+            "unbounded": int(self.lower.size) - bounded,
+        }
+
+    def write_companions(self, current, final, col_idx) -> int:
+        written = 0
+        for value, i, rec in zip(final, self.rows, self.records):
+            for var, val in fm.resolve_companions(rec, {rec.target: float(value)}).items():
+                j = col_idx[var]
+                if math.isnan(current[i, j]):
+                    current[i, j] = val
+                    written += 1
+        return written

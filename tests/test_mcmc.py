@@ -238,3 +238,19 @@ class TestMcmcRefine:
         )
         assert [row["iteration"] for row in trace] == [10, 20, 30, 40]
         assert np.array_equal(out.values, values)  # every cell is pinned
+
+    def test_point_interval_pinned_by_large_constants(self):
+        # x2 ~ 0.3 is pinned by x1 and P ~ 3.4e3; the stored x2 meets the
+        # balance edit to the validator's tolerance (1e-9 of the record's
+        # largest value) but misses the point interval by 5e-8 absolute.
+        edits = parse_edit_rules("x1 + x2 = P\nx1 >= x2\nP >= 3*x2\nx1 >= 0\nx2 >= 0\nP >= 0\n")
+        x1 = np.array([3400.0, 3391.5, 2000.0, 2500.0])
+        x2 = np.array([0.24, 0.31, 300.0, 400.0])
+        values = np.column_stack([x1, x2, x1 + x2])
+        values[:2, 1] += 5e-8
+        mask = np.zeros_like(values, dtype=bool)
+        mask[:2, 1] = True
+        data = DataMatrix(values, mask, ("x1", "x2", "P"))
+        out, trace = mcmc_refine(data, edits, None, McmcConfig(iterations=20, seed=0))
+        assert trace[-1]["accepted"] == 20
+        assert not violation_matrix(edits, out.values, out.columns, tol=1e-12).any()

@@ -6,7 +6,7 @@ import pytest
 from calimp.adjust import AdjustmentProblem, qp_reference_solve
 from calimp.errors import CalimpError
 from calimp.fm import Interval
-from calimp.residuals import benchmarked_residuals, cell_rng, draw_ar_residual
+from calimp.residuals import benchmarked_residuals, cell_rng, draw_ar_residual, uses_stream
 
 INF = math.inf
 
@@ -112,3 +112,25 @@ class TestBenchmarkedResiduals:
         out2, stats2 = benchmarked_residuals(1.0, intervals, None, [cell_rng(5, 2, i) for i in range(6)])
         assert out1.tobytes() == out2.tobytes()
         assert stats1 == stats2
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_lazy_streams_match_eager_construction(self, sigma):
+        # Streams built on demand give the same bytes as one stream built
+        # per cell up front, and only cells with a real draw build one.
+        intervals = [Interval(-2.0, 2.0), Interval(0.5, 0.5), Interval(-1.0, INF), Interval(0.0, 0.0), Interval(-3.0, 1.0)]
+        if sigma == 0.0:
+            intervals = [iv for iv in intervals if iv.contains(0.0)]
+        weights = np.linspace(1.0, 2.0, len(intervals))
+        eager = [cell_rng(5, 2, 10 + i) for i in range(len(intervals))]
+        built = []
+
+        def stream(i):
+            built.append(i)
+            return cell_rng(5, 2, 10 + i)
+
+        out1, stats1 = benchmarked_residuals(sigma, intervals, weights, eager)
+        out2, stats2 = benchmarked_residuals(sigma, intervals, weights, stream)
+        assert out1.tobytes() == out2.tobytes()
+        assert stats1 == stats2
+        assert built == [i for i, iv in enumerate(intervals) if uses_stream(sigma, iv)]
+        assert len(built) == (0 if sigma == 0.0 else 3)

@@ -5,6 +5,7 @@ from calimp.edits import violation_matrix
 from calimp.sim import (
     StudyConfig,
     apply_mcar,
+    draw_sample,
     generate_population,
     run_study,
     study_edits,
@@ -68,6 +69,14 @@ class TestApplyMcar:
         assert extra == 8  # 10% of the 80 rows outside the first draw
         assert masked.mask[:, jp].sum() == 0
 
+    def test_within_rate_is_honoured(self):
+        config = StudyConfig(population_size=100, sample_size=50, rate_x2_within=0.25)
+        data, _ = generate_population(config, np.random.default_rng(4))
+        masked = apply_mcar(data, config, np.random.default_rng(5))
+        first = np.flatnonzero(masked.mask[:, masked.column_index("x1")])
+        assert first.size == 20
+        assert masked.mask[first, masked.column_index("x2")].sum() == 5
+
     def test_zero_rates_leave_mask_empty(self):
         config = StudyConfig(population_size=60, sample_size=30, rate_x1=0.0, rate_x2_extra=0.0)
         data, _ = generate_population(config, np.random.default_rng(6))
@@ -80,6 +89,23 @@ class TestApplyMcar:
         m1 = apply_mcar(data, config, np.random.default_rng(9))
         m2 = apply_mcar(data, config, np.random.default_rng(9))
         assert np.array_equal(m1.mask, m2.mask)
+
+
+class TestDrawSample:
+    def test_same_draws_as_sampling_then_masking(self):
+        config = StudyConfig(population_size=300, sample_size=60)
+        population, _ = generate_population(config, np.random.default_rng(1))
+        truth, masked, totals = draw_sample(population, config, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        idx = rng.choice(population.n_records, size=config.sample_size, replace=False)
+        assert np.array_equal(truth.values, population.values[idx])
+        expected = apply_mcar(truth, config, rng)
+        assert np.array_equal(masked.mask, expected.mask)
+        assert np.array_equal(masked.values, expected.values, equal_nan=True)
+        assert totals == {
+            "x1": float(population.values[idx, 0].sum()),
+            "x2": float(population.values[idx, 1].sum()),
+        }
 
 
 class TestRunStudy:
