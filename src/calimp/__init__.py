@@ -13,7 +13,6 @@ from .edits import (
 )
 from .errors import (
     CalimpError,
-    ConvergenceError,
     DataFormatError,
     EditSyntaxError,
     InfeasibleAdjustmentError,

@@ -8,12 +8,14 @@ preserved).  With unit weights this is the classic least-squares
 zero-sum adjustment; the weighted form keeps a weighted total fixed and
 reduces to the unweighted one when all weights are equal.
 
-``zero_sum_interval_adjust`` solves it with the simple alternating scheme
-(shift everything by a common offset, re-clip to the boxes, update the
-offset from the weighted mean) whose fixed point matches the KKT
-conditions.  ``qp_reference_solve`` solves the same program independently
-by enumerating active sets in closed form; it exists as a test oracle for
-small problems.
+By KKT the optimum is ``a_i = clip(lam, l_i - x_i, u_i - x_i)``, with
+``lam`` the root of the nondecreasing piecewise-linear weighted sum of
+those clips (a continuous quadratic knapsack; Helgason, Kennington & Lall
+1980).  ``zero_sum_interval_adjust`` solves it exactly in O(m log m): it
+sorts the bounds, finds the segment between breakpoints holding the root
+and solves for ``lam`` there in closed form.  ``qp_reference_solve``
+solves the same program by enumerating active sets; it exists as a test
+oracle for small problems.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleAdjustmentError
+from .errors import InfeasibleAdjustmentError
 
-DEFAULT_ADJUST_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
 ORACLE_MAX_SIZE = 12
 
 
@@ -100,44 +100,56 @@ def _check_feasible(
 
 def zero_sum_interval_adjust(
     problem: AdjustmentProblem,
-    tol: float = DEFAULT_ADJUST_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     target_sum: float | None = None,
     feasibility_scale: float = 1.0,
 ) -> np.ndarray:
-    """Adjustment vector from the alternating clip/re-center scheme.
+    """Adjustment vector from the exact breakpoint solve.
 
     By default the adjusted values keep the weighted sum of the
     predictions; pass ``target_sum`` to aim the weighted sum of the
     adjusted values somewhere else instead (used when re-centering drawn
-    residuals to zero).  Iteration stops once the largest per-cell change
-    drops below ``tol``.
+    residuals to zero).
     """
     T = _shifted_target(problem, target_sum)
     T = _check_feasible(problem, T, tol=1e-9, feasibility_scale=feasibility_scale)
     w = problem.weights
     lo = problem.lower - problem.predictions
     hi = problem.upper - problem.predictions
-    W = float(np.sum(w))
 
-    b = np.zeros(problem.size)
-    b_bar = 0.0
-    delta = np.inf
-    for _ in range(max_iter):
-        b_new = np.clip(0.0, lo + b_bar, hi + b_bar)
-        b_bar_new = float((np.sum(w * b_new) - T) / W)
-        delta = max(float(np.max(np.abs(b_new - b))), abs(b_bar_new - b_bar))
-        b, b_bar = b_new, b_bar_new
-        if delta < tol:
-            # At the fixed point a = b - b_bar satisfies the weighted sum
-            # exactly; the final clip only shaves float dust off the box.
-            return np.clip(b - b_bar, lo, hi)
-    raise ConvergenceError(
-        f"adjustment did not converge within {max_iter} iterations "
-        f"(last change {delta:.3g})",
-        last_iterate=b - b_bar,
-        residual=delta,
-    )
+    # g(lam) = sum w*clip(lam, lo, hi): sum(w*lo) over finite lo, lam times
+    # the weight with lo = -inf, and a ramp of slope +w at each finite lo
+    # and -w at each finite hi.  Evaluate it at every breakpoint.
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    breaks = np.concatenate([lo[has_lo], hi[has_hi]])
+    ramps = np.concatenate([w[has_lo], -w[has_hi]])
+    order = np.argsort(breaks)
+    breaks, ramps = breaks[order], ramps[order]
+    slope = np.sum(w[~has_lo]) + np.cumsum(ramps)
+    g = np.sum(w[has_lo] * lo[has_lo]) + breaks * slope - np.cumsum(ramps * breaks)
+
+    # Between the breakpoints where g first reaches T the cells at a bound
+    # are fixed, so lam follows in closed form; on a flat piece every cell
+    # is at a bound and any lam on it gives the same answer.
+    j = int(np.searchsorted(g, T))
+    left = breaks[j - 1] if j > 0 else -np.inf
+    right = breaks[j] if j < breaks.size else np.inf
+    at_lower = lo >= right
+    at_upper = (hi <= left) & ~at_lower
+    free_mass = float(np.sum(w[~(at_lower | at_upper)]))
+    pinned = np.sum(w[at_lower] * lo[at_lower]) + np.sum(w[at_upper] * hi[at_upper])
+    lam = (T - pinned) / free_mass if free_mass > 0 else 0.0
+    return np.clip(np.clip(lam, left, right), lo, hi)
+
+
+def adjustment_stats(problem: AdjustmentProblem, adjustment: np.ndarray) -> dict:
+    """``lambda``, the common adjustment of the cells inside their interval
+    (``None`` when every cell sits at a bound), and the counts of cells at
+    their lower and upper bound (a point interval counts at both)."""
+    at_lower = adjustment == problem.lower - problem.predictions
+    at_upper = adjustment == problem.upper - problem.predictions
+    free = adjustment[~(at_lower | at_upper)]
+    return {"lambda": float(free[0]) if free.size else None,
+            "at_lower": int(np.sum(at_lower)), "at_upper": int(np.sum(at_upper))}
 
 
 @lru_cache(maxsize=None)

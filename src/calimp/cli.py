@@ -19,7 +19,6 @@ from . import metrics, sim
 from .edits import parse_edit_rules
 from .errors import (
     CalimpError,
-    ConvergenceError,
     DataFormatError,
     EditSyntaxError,
     InfeasibleSystemError,
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleSystemError, ConvergenceError) as err:
+    except InfeasibleSystemError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (DataFormatError, EditSyntaxError, CalimpError, ValueError, OSError) as err:

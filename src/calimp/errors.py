@@ -47,13 +47,9 @@ class InfeasibleAdjustmentError(InfeasibleSystemError):
     """The zero-sum / interval adjustment problem has no feasible point."""
 
 
+# Raised by nothing in calimp; kept because perfbench/workloads.py imports it.
 class ConvergenceError(CalimpError):
     """An iterative solver did not converge within its iteration budget."""
-
-    def __init__(self, message: str, last_iterate=None, residual: float | None = None):
-        self.last_iterate = last_iterate
-        self.residual = residual
-        super().__init__(message)
 
 
 class RankDeficiencyError(CalimpError):

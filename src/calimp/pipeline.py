@@ -103,8 +103,6 @@ class ImputationConfig:
     variable_order: Sequence[str] | None = None
     edit_tol: float = DEFAULT_TOL
     total_rtol: float = 1e-8
-    adjust_tol: float = 1e-10
-    adjust_max_iter: int = 10_000
     log_scale: bool = False
 
     def __post_init__(self):
@@ -395,9 +393,7 @@ def impute(
             elif config.method == "bpma":
                 problem = adjust.AdjustmentProblem(predictions, lower, upper, w_mis)
                 try:
-                    a = adjust.zero_sum_interval_adjust(
-                        problem, tol=config.adjust_tol, max_iter=config.adjust_max_iter
-                    )
+                    a = adjust.zero_sum_interval_adjust(problem)
                 except InfeasibleSystemError as err:
                     raise InfeasibleSystemError(
                         f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
@@ -406,6 +402,7 @@ def impute(
                 adjustment_diag = {
                     "max_abs": float(np.max(np.abs(a))) if a.size else 0.0,
                     "weighted_sum": float(np.sum(w_mis * a)),
+                    **adjust.adjustment_stats(problem, a),
                 }
             else:  # bpmr
                 res_intervals = [

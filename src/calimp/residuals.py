@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import truncnorm
 
-from .adjust import AdjustmentProblem, zero_sum_interval_adjust
+from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from .errors import CalimpError
 from .fm import Interval
 
@@ -94,11 +94,10 @@ def benchmarked_residuals(
     cell, or a function from a cell's position to its generator, called
     only for cells whose draw reads a stream (see :func:`uses_stream`), so
     stream-per-cell reproducibility costs nothing for the other cells.
-    Returns the vector and a small dict of sampling statistics.
+    Returns the vector and a small dict of sampling statistics, with the
+    re-centering's :func:`~calimp.adjust.adjustment_stats` merged in.
     """
     m = len(intervals)
-    if m == 0:
-        return np.zeros(0), {"attempts": 0, "fallbacks": 0}
     if callable(rng):
         stream = rng
     else:
@@ -126,4 +125,5 @@ def benchmarked_residuals(
     adjustment = zero_sum_interval_adjust(
         problem, target_sum=0.0, feasibility_scale=feasibility_scale
     )
-    return draws + adjustment, {"attempts": attempts, "fallbacks": fallbacks}
+    stats = {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}
+    return draws + adjustment, stats

@@ -141,7 +141,7 @@ def test_criterion_05_qp_oracle_equivalence():
         ref = qp_reference_solve(problem)
         worst = max(worst, float(np.linalg.norm(a - ref)))
         assert np.linalg.norm(a - ref) <= 1e-6
-    report(5, "iterative adjustment matches the active-set oracle on 500 problems",
+    report(5, "exact adjustment matches the active-set oracle on 500 problems",
            f"worst gap {worst:.2e}")
 
 

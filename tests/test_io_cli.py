@@ -10,6 +10,8 @@ from calimp.cli import main
 from calimp.errors import DataFormatError
 from calimp.pipeline import DataMatrix
 
+from test_pipeline import pinned_balance_data
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -180,6 +182,19 @@ class TestCli:
         out = cio.read_dataset(tmp_path / "mc.csv")
         totals = cio.read_totals(tmp_path / "totals.txt")
         assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
+
+    def test_impute_bpma_with_nearly_all_cells_pinned(self, tmp_path):
+        data, rules, totals = pinned_balance_data(np.random.default_rng(12))
+        cio.write_dataset(data, tmp_path / "data.csv", missing_from_mask=True)
+        cio.write_totals(totals, tmp_path / "totals.txt")
+        (tmp_path / "rules.edits").write_text(rules)
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"),
+            "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"),
+            "--method", "bpma", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 0
 
     def test_data_error_exit_code(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(4))

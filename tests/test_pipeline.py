@@ -35,6 +35,27 @@ def make_data(values, mask, columns, weights=None):
     return DataMatrix(values=values, mask=mask, columns=columns, weights=weights)
 
 
+def pinned_balance_data(rng):
+    """``x1 + x2 = x3`` pins x1 in all but one of its missing cells.
+
+    x1 is missing alone in 1,000 records, x2 alone in 1,001 and both in one
+    record, so x1 is imputed first and its bpma adjustment has a single
+    free cell among 1,001.  Returns the data, the edits text and the totals.
+    """
+    pinned = 1000
+    n = 2 * pinned + 40
+    x1 = rng.uniform(10.0, 50.0, size=n)
+    x2 = rng.uniform(10.0, 50.0, size=n)
+    truth = np.column_stack([x1, x2, x1 + x2])
+    mask = np.zeros_like(truth, dtype=bool)
+    mask[: pinned + 1, 0] = True
+    mask[pinned:2 * pinned + 2, 1] = True
+    values = truth.copy()
+    values[mask] = np.nan
+    totals = {"x1": float(x1.sum()), "x2": float(x2.sum())}
+    return DataMatrix(values, mask, ("x1", "x2", "x3")), "x1 + x2 = x3\nx1 >= 0\nx2 >= 0\n", totals
+
+
 def consistent_three_var_sample(rng, r=120):
     x2 = rng.uniform(0.0, 40.0, size=r)
     slack = rng.uniform(0.0, 60.0, size=r)
@@ -161,6 +182,12 @@ class TestBenchmarkedMethods:
             assert float(out.values[:, j].sum()) == pytest.approx(totals[col], rel=1e-8)
         assert np.array_equal(out.values[~mask], truth[~mask])
         assert len(diagnostics) == 4  # two rounds, two variables
+        solver_keys = {"lambda", "at_lower", "at_upper"}
+        for row in diagnostics:
+            if method == "bpma":
+                assert set(row["adjustment"]) == {"max_abs", "weighted_sum"} | solver_keys
+            else:
+                assert set(row["residuals"]) == {"attempts", "fallbacks"} | solver_keys
 
     def test_bpma_deterministic_and_bpmr_seeded(self):
         edits = parse_edit_rules(THREE_VAR_RULES)
@@ -184,6 +211,18 @@ class TestBenchmarkedMethods:
         r3, _ = impute(data, edits, totals, ImputationConfig("bpmr", seed=2))
         assert r1.values.tobytes() == r2.values.tobytes()
         assert r1.values.tobytes() != r3.values.tobytes()
+
+    def test_bpma_with_nearly_all_cells_pinned(self):
+        data, rules, totals = pinned_balance_data(np.random.default_rng(12))
+        edits = parse_edit_rules(rules)
+        out, diagnostics = impute(data, edits, totals, ImputationConfig("bpma"))
+        assert not violation_matrix(edits, out.values, out.columns, tol=1e-9).any()
+        for j, name in enumerate(("x1", "x2")):
+            assert abs(float(out.values[:, j].sum()) - totals[name]) <= 1e-8 * abs(totals[name])
+        first = diagnostics[0]
+        assert first["variable"] == "x1"
+        assert first["adjustment"]["at_lower"] == first["adjustment"]["at_upper"] == 1000
+        assert first["adjustment"]["lambda"] is not None
 
     def test_random_instances_calibrate(self):
         rng = np.random.default_rng(6)
