@@ -283,20 +283,13 @@ def format_edit_rules(system: EditSystem) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation and reduction
 
-def row_scale(row: Mapping[str, float]) -> float:
-    """Magnitude used for relative edit tolerances: max(1, max |x_j|)."""
-    if not row:
-        return 1.0
-    return max(1.0, max(abs(v) for v in row.values()))
-
-
 def check_record(system: EditSystem, row: Mapping[str, float], tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of the edits violated by a fully-assigned record."""
     missing = [v for v in system.variables if v not in row]
     if missing:
         raise ValueError(f"row is missing value(s) for {missing}")
-    scale = row_scale({v: row[v] for v in system.variables})
-    return [k for k, edit in enumerate(system.edits) if not edit.is_satisfied(row, tol, scale)]
+    values = np.array([[row[v] for v in system.variables]], dtype=float)
+    return np.flatnonzero(violation_matrix(system, values, system.variables, tol)[0]).tolist()
 
 
 def reduce_system(
@@ -362,24 +355,33 @@ def system_matrices(system: EditSystem, columns: Sequence[str]) -> tuple[np.ndar
     return A, b, is_eq
 
 
+def violated(resid: np.ndarray, is_eq: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Whether residuals ``a.x + b`` break their edits: ``|r| > margin`` for
+    equalities, ``r < -margin`` for inequalities (arguments broadcast)."""
+    return np.where(is_eq, np.abs(resid) > margin, resid < -margin)
+
+
 def violation_matrix(
     system: EditSystem,
     values: np.ndarray,
     columns: Sequence[str],
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Boolean (records x edits) matrix of violations for complete data."""
+    """Boolean (records x edits) matrix of violated edits.
+
+    NaN marks an unknown value: an edit is checked only for the records
+    that know all of its variables.  The margin is ``tol * max(1, max
+    |x_j|)`` over the record's known values of the variables some edit
+    references.
+    """
     A, b, is_eq = system_matrices(system, columns)
     X = np.asarray(values, dtype=float)
-    resid = X @ A.T + b
-    referenced = {v for edit in system.edits for v in edit.coeffs}
-    used = [j for j, name in enumerate(columns) if name in referenced]
-    if used:
-        scale = np.maximum(1.0, np.abs(X[:, used]).max(axis=1))
-    else:
-        scale = np.ones(X.shape[0])
-    margin = tol * scale[:, None]
-    return np.where(is_eq[None, :], np.abs(resid) > margin, resid < -margin)
+    if np.isnan(X).any():
+        # Zeros keep unknowns out of the scale; the mask drops their edits.
+        unknown = np.isnan(X)
+        return violation_matrix(system, np.where(unknown, 0.0, X), columns, tol) & ~(unknown @ (A != 0).T)
+    scale = np.abs(X[:, np.any(A != 0, axis=0)]).max(axis=1, initial=1.0)
+    return violated(X @ A.T + b, is_eq, tol * scale[:, None])
 
 
 def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

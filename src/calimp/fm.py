@@ -21,7 +21,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .edits import COEFF_EPS, DEFAULT_TOL, Edit, EditKind, ReducedSystem
+from .edits import COEFF_EPS, DEFAULT_TOL, Edit, EditKind, ReducedSystem, violated
 from .errors import InfeasibleRecordError, InfeasibleSystemError
 
 NEG_INF = float("-inf")
@@ -481,11 +481,6 @@ def _merge_parallel(rows: list[_Row]) -> list[_Row]:
     return out
 
 
-def _violated(const: np.ndarray, gross: np.ndarray, is_eq: np.ndarray, tol: float) -> np.ndarray:
-    bound = tol * np.maximum(1.0, gross)
-    return np.where(is_eq, np.abs(const) > bound, const < -bound)
-
-
 @dataclass(frozen=True)
 class CompiledInterval:
     """:func:`admissible_interval` for every record with one unknown pattern.
@@ -522,8 +517,9 @@ class CompiledInterval:
     companion_comb: np.ndarray
 
     def _derive(self, D: np.ndarray, G: np.ndarray, tol: float):
-        known_bad = _violated(D[:, self.known], G[:, self.known], self.known_eq, tol)
-        check_bad = _violated(D @ self.check_comb.T, G @ np.abs(self.check_comb).T, self.check_eq, tol)
+        check_gross = G @ np.abs(self.check_comb).T
+        known_bad = violated(D[:, self.known], self.known_eq, tol * np.maximum(1.0, G[:, self.known]))
+        check_bad = violated(D @ self.check_comb.T, self.check_eq, tol * np.maximum(1.0, check_gross))
         bounds = -(D @ self.bound_comb.T) / self.bound_coef
         lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
         upper = np.min(bounds, axis=1, where=self.bound_coef < 0, initial=POS_INF)

@@ -20,9 +20,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fm, metrics
-from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, violation_matrix
+from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
-from .pipeline import DataMatrix, Totals
+from .pipeline import DataMatrix, Totals, validate
 from .residuals import draw_ar_residual
 
 MAX_PAIR_PROPOSALS = 1_000_000
@@ -39,8 +39,6 @@ class McmcConfig:
     # balance, which degenerates the posterior; fully observed predictors
     # avoid that trap.
     predictors: Mapping[str, Sequence[str]] | None = None
-    edit_tol: float = DEFAULT_TOL
-    total_rtol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ def mcmc_refine(
         config = McmcConfig()
     if not data.is_complete():
         raise ValueError("refinement expects fully imputed data")
-    _validate_state(data, edits, totals, config)
+    validate(data.values, data, edits, totals)
 
     n_imputed = int(data.mask.sum())
     iterations = config.iterations if config.iterations is not None else 20 * n_imputed
@@ -263,16 +261,14 @@ def mcmc_refine(
         s, t, var = select_pair(state, rng)
         j = state.column_index(var)
         try:
-            system, cells = pair_constraint_system(
-                state, edits, totals, s, t, colsums=colsums, tol=config.edit_tol
-            )
+            system, cells = pair_constraint_system(state, edits, totals, s, t, colsums=colsums)
             target = f"s.{var}"
-            interval, record = fm.admissible_interval(system, target, tol=config.edit_tol)
+            interval, record = fm.admissible_interval(system, target)
             current = float(state.values[s, j])
             # The edits hold to tol times each record's largest magnitude, so
             # a cell pinned by large constants may miss its point interval
             # by that much; measure the miss on the same scale.
-            slack = config.edit_tol * max(1.0, float(np.abs(state.values[[s, t]]).max()))
+            slack = DEFAULT_TOL * max(1.0, float(np.abs(state.values[[s, t]]).max()))
             if not interval.lower - slack <= current <= interval.upper + slack:
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "
@@ -286,9 +282,7 @@ def mcmc_refine(
                 rec, col = cells[name]
                 return iv.clamp(float(state.values[rec, col]))
 
-            completion = fm.back_substitute(
-                record, {target: value}, value_rule=retain_rule, tol=config.edit_tol
-            )
+            completion = fm.back_substitute(record, {target: value}, value_rule=retain_rule)
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
             fallbacks += 1
@@ -303,7 +297,7 @@ def mcmc_refine(
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             colsums = state.weights @ state.values
-            _validate_state(state, edits, totals, config)
+            validate(state.values, state, edits, totals)
             trace.append(
                 _checkpoint_row(
                     state,
@@ -313,18 +307,3 @@ def mcmc_refine(
                 )
             )
     return state, trace
-
-
-def _validate_state(data: DataMatrix, edits: EditSystem, totals: Totals | None, config: McmcConfig) -> None:
-    if edits.edits:
-        bad = violation_matrix(edits, data.values, data.columns, tol=config.edit_tol)
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
-            raise CalimpError(f"record {int(i)} violates edit {int(k)}")
-    if totals:
-        for j, name in enumerate(data.columns):
-            if name in totals:
-                got = float(data.weights @ data.values[:, j])
-                want = float(totals[name])
-                if abs(got - want) > config.total_rtol * max(1.0, abs(want)):
-                    raise CalimpError(f"column {name!r} sums to {got!r}, total is {want!r}")

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import adjust, fm, regression, residuals
-from .edits import DEFAULT_TOL, EditKind, EditSystem, reduced_constants, system_matrices, violation_matrix
+from .edits import EditSystem, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
     InfeasibleRecordError,
@@ -38,6 +38,9 @@ METHODS = ("upma", "bpma", "bpmr")
 
 #: Map column name -> known (weighted) total.
 Totals = Mapping[str, float]
+
+#: Relative tolerance to which a weighted column sum must reproduce its total.
+TOTAL_RTOL = 1e-8
 
 
 @dataclass
@@ -101,8 +104,6 @@ class ImputationConfig:
     predictors: Mapping[str, Sequence[str]] | None = None
     seed: int = 0
     variable_order: Sequence[str] | None = None
-    edit_tol: float = DEFAULT_TOL
-    total_rtol: float = 1e-8
     log_scale: bool = False
 
     def __post_init__(self):
@@ -128,33 +129,6 @@ def variable_order(data: DataMatrix, config: ImputationConfig) -> list[str]:
     if omitted:
         raise ValueError(f"variable order omits column(s) with missing values: {omitted}")
     return explicit
-
-
-def _precheck_observed(data: DataMatrix, edits: EditSystem, tol: float) -> None:
-    """The observed parts of every record must already satisfy the edits."""
-    col_idx = {name: j for j, name in enumerate(data.columns)}
-    X = data.values
-    for k, edit in enumerate(edits.edits):
-        idx = [col_idx[v] for v in edit.coeffs]
-        sub = X[:, idx]
-        complete = ~np.isnan(sub).any(axis=1)
-        if not complete.any():
-            continue
-        coeffs = np.array([edit.coeffs[v] for v in edit.coeffs])
-        resid = sub[complete] @ coeffs + edit.constant
-        scale = np.maximum(1.0, np.abs(sub[complete]).max(axis=1))
-        if edit.kind is EditKind.EQUALITY:
-            bad = np.abs(resid) > tol * scale
-        else:
-            bad = resid < -tol * scale
-        if bad.any():
-            rec = int(np.flatnonzero(complete)[np.argmax(bad)])
-            raise InfeasibleRecordError(
-                f"record {rec} violates edit {k} on its observed values "
-                f"(residual {float(resid[np.argmax(bad)]):.6g})",
-                record=rec,
-                edit_index=k,
-            )
 
 
 def _auto_round1_predictors(data: DataMatrix, target: str, imputed_so_far: list[str]) -> list[str]:
@@ -239,11 +213,10 @@ class _PatternCompiler:
     The cache lives for one :func:`impute` call.
     """
 
-    def __init__(self, edits: EditSystem, columns: Sequence[str], tol: float):
+    def __init__(self, edits: EditSystem, columns: Sequence[str]):
         self.edits = edits
         self.cols = [columns.index(v) for v in edits.variables]
         self.A, self.b, _ = system_matrices(edits, edits.variables)
-        self.tol = tol
         self.cache: dict[tuple[bytes, str], fm.CompiledInterval] = {}
 
     def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
@@ -262,7 +235,7 @@ class _PatternCompiler:
                 unknown = [v for v, missing in zip(self.edits.variables, pattern) if missing]
                 compiled = self.cache[key] = fm.compile_interval(self.edits.edits, unknown, target)
             D, G = reduced_constants(self.A, self.b, X[pos])
-            lower[pos], upper[pos], bad = compiled.evaluate(D, G, self.tol)
+            lower[pos], upper[pos], bad = compiled.evaluate(D, G)
             if bad.any():
                 j = int(np.argmax(bad))
                 if first_bad is None or pos[j] < first_bad[0]:
@@ -270,7 +243,7 @@ class _PatternCompiler:
             groups.append((pos, compiled, D))
         if first_bad is not None:
             p, compiled, d, g = first_bad
-            raise compiled.infeasibility(d, g, self.tol, record=int(rows[p]))
+            raise compiled.infeasibility(d, g, record=int(rows[p]))
         return _TargetIntervals(rows, lower, upper, groups)
 
 
@@ -282,9 +255,12 @@ def impute(
 ) -> tuple[DataMatrix, list[dict]]:
     """Impute every missing cell; returns the completed data and diagnostics.
 
-    The result satisfies every edit (relative tolerance ``edit_tol``); the
-    benchmarked methods additionally reproduce the given column totals to
-    ``total_rtol``.  ``upma`` and ``bpma`` are deterministic, ``bpmr`` is
+    The observed values must already satisfy the edits, else
+    :class:`InfeasibleRecordError` names the first violating record.  The
+    result satisfies every edit (relative tolerance ``edits.DEFAULT_TOL``,
+    see :func:`calimp.edits.violation_matrix`); the benchmarked methods
+    additionally reproduce the totals of the imputed columns to
+    ``TOTAL_RTOL``.  ``upma`` and ``bpma`` are deterministic, ``bpmr`` is
     deterministic given the seed.
     """
     if config is None:
@@ -300,7 +276,17 @@ def impute(
         without = [name for name in missing_cols if name not in totals]
         if without:
             raise ValueError(f"totals missing for column(s) with missing values: {without}")
-    _precheck_observed(data, edits, config.edit_tol)
+    bad = violation_matrix(edits, data.values, data.columns)
+    if bad.any():
+        i, k = np.argwhere(bad)[0].tolist()
+        edit = edits.edits[k]
+        resid = edit.residual(dict(zip(data.columns, data.values[i])))
+        raise InfeasibleRecordError(
+            f"record {i} violates edit {k} on its observed values (residual {resid:.6g})",
+            record=i,
+            edit_index=k,
+            witness=edit,
+        )
 
     order = variable_order(data, config)
     diagnostics: list[dict] = []
@@ -309,7 +295,7 @@ def impute(
 
     current = data.values.copy()
     col_idx = {name: j for j, name in enumerate(data.columns)}
-    compiler = _PatternCompiler(edits, data.columns, config.edit_tol)
+    compiler = _PatternCompiler(edits, data.columns)
     imputed_so_far: list[str] = []
 
     for rnd in range(1, config.rounds + 1):
@@ -458,7 +444,7 @@ def impute(
     observed = ~data.mask
     if not np.array_equal(current[observed], data.values[observed]):
         raise CalimpError("internal error: an observed cell was modified")
-    _validate_result(current, data, edits, totals if benchmarked else None, config)
+    validate(current, data, edits, {name: totals[name] for name in missing_cols} if benchmarked else None)
     return DataMatrix(current, data.mask.copy(), data.columns, data.weights.copy()), diagnostics
 
 
@@ -495,20 +481,17 @@ def _log_scale_step(y, X_obs, X_mis, w_obs, w_mis, pred_names, benchmarked, tota
     return predictions, fit_diag, used_names, dropped
 
 
-def _validate_result(current, data, edits, totals, config) -> None:
-    if edits.edits:
-        bad = violation_matrix(edits, current, data.columns, tol=config.edit_tol)
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
-            raise CalimpError(
-                f"internal error: imputed record {int(i)} violates edit {int(k)}"
-            )
-    if totals is not None:
-        for j, name in enumerate(data.columns):
-            if name in totals and data.mask[:, j].any():
-                got = float(np.sum(data.weights * current[:, j]))
-                want = float(totals[name])
-                if abs(got - want) > config.total_rtol * max(1.0, abs(want)):
-                    raise CalimpError(
-                        f"internal error: column {name!r} sums to {got!r}, needs {want!r}"
-                    )
+def validate(values: np.ndarray, data: DataMatrix, edits: EditSystem, totals: Totals | None) -> None:
+    """Raise :class:`CalimpError` unless every record of ``values`` (laid
+    out like ``data``) satisfies the edits and every total that names a
+    column of ``data`` is reproduced to ``TOTAL_RTOL``."""
+    bad = violation_matrix(edits, values, data.columns)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise CalimpError(f"record {int(i)} violates edit {int(k)}")
+    for j, name in enumerate(data.columns):
+        if totals and name in totals:
+            got = float(data.weights @ values[:, j])
+            want = float(totals[name])
+            if abs(got - want) > TOTAL_RTOL * max(1.0, abs(want)):
+                raise CalimpError(f"column {name!r} sums to {got!r}, total is {want!r}")

@@ -79,9 +79,12 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 def _blame_collinear_column(Z: np.ndarray, names: Sequence[str]) -> str:
     """First column that adds nothing to the column space of its predecessors."""
+    rank = np.linalg.matrix_rank(Z[:, :1])
     for j in range(1, Z.shape[1]):
-        if np.linalg.matrix_rank(Z[:, : j + 1]) <= np.linalg.matrix_rank(Z[:, :j]):
-            return names[j - 1] if j >= 1 else "intercept"
+        longer = np.linalg.matrix_rank(Z[:, : j + 1])
+        if longer <= rank:
+            return names[j - 1]
+        rank = longer
     return names[-1]
 
 

@@ -183,10 +183,9 @@ class PerRecordIntervals:
     and compare whole imputations.
     """
 
-    def __init__(self, edits: EditSystem, columns, tol: float):
+    def __init__(self, edits: EditSystem, columns):
         self.edits = edits
         self.col_idx = {name: j for j, name in enumerate(columns)}
-        self.tol = tol
 
     def intervals(self, current, rows, target):
         intervals, records = [], []
@@ -197,8 +196,8 @@ class PerRecordIntervals:
                 if not math.isnan(current[i, self.col_idx[v]])
             }
             try:
-                reduced = reduce_system(self.edits, row_state, tol=self.tol, origin=int(i))
-                interval, rec = fm.admissible_interval(reduced, target, tol=self.tol)
+                reduced = reduce_system(self.edits, row_state, origin=int(i))
+                interval, rec = fm.admissible_interval(reduced, target)
             except InfeasibleSystemError as err:
                 raise InfeasibleSystemError(
                     f"record {i}, variable {target!r}: {err}", witness=err.witness

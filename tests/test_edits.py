@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calimp.edits import (
+    DEFAULT_TOL,
     Edit,
     EditKind,
+    EditSystem,
     check_record,
     format_edit_rules,
     parse_edit_rules,
@@ -242,3 +244,56 @@ def test_violation_matrix_matches_check_record():
     for i in range(rows.shape[0]):
         row = dict(zip(["x1", "x2", "x3"], rows[i]))
         assert sorted(np.flatnonzero(flags[i])) == check_record(system, row)
+
+    # ``z`` is listed but no edit references it, so it does not widen the
+    # margin: a >= b is broken by 1e-7 at scale 1 + 1e-7, not 1e6.
+    listed = EditSystem((Edit({"a": 1.0, "b": -1.0}, 0.0, EditKind.INEQUALITY),), ("a", "b", "z"))
+    rows = np.array([[1.0, 1.0 + 1e-7, 1e6], [1.0, 1.0, 1e6]])
+    flags = violation_matrix(listed, rows, listed.variables)
+    assert flags[:, 0].tolist() == [True, False]
+    for i in range(rows.shape[0]):
+        row = dict(zip(listed.variables, rows[i]))
+        assert check_record(listed, row) == np.flatnonzero(flags[i]).tolist()
+
+
+@st.composite
+def partially_observed(draw):
+    """A system whose edits may leave a listed variable unreferenced, and a
+    matrix over a permutation of its variables with NaN for unknown values.
+
+    Values are small integers or 1e6 and edit constants carry an offset of
+    0, 1e-11 or 1e-7, so every residual sits far from its margin and the
+    brute force decides the same way whatever the summation order.
+    """
+    names = [f"v{j}" for j in range(draw(st.integers(2, 4)))]
+    edits = []
+    for _ in range(draw(st.integers(1, 4))):
+        used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        coeffs = {v: float(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))) for v in used}
+        const = draw(st.integers(-5, 5)) + draw(st.sampled_from([0.0, 1e-11, -1e-11, 1e-7, -1e-7]))
+        kind = draw(st.sampled_from([EditKind.EQUALITY, EditKind.INEQUALITY]))
+        edits.append(Edit(coeffs, const, kind))
+    system = EditSystem(tuple(edits), tuple(names))
+    columns = draw(st.permutations(names))
+    cell = st.one_of(st.integers(-5, 5).map(float), st.just(1e6), st.just(-1e6), st.just(math.nan))
+    rows = draw(st.lists(st.lists(cell, min_size=len(names), max_size=len(names)), min_size=1, max_size=6))
+    return system, columns, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partially_observed())
+def test_violation_matrix_matches_brute_force(instance):
+    system, columns, X = instance
+    flags = violation_matrix(system, X, columns)
+    referenced = {v for edit in system.edits for v in edit.coeffs}
+    for i in range(X.shape[0]):
+        row = {name: X[i, j] for j, name in enumerate(columns) if not math.isnan(X[i, j])}
+        scale = max([1.0] + [abs(x) for v, x in row.items() if v in referenced])
+        for k, edit in enumerate(system.edits):
+            if any(v not in row for v in edit.coeffs):
+                expected = False
+            else:
+                r = edit.residual(row)
+                margin = DEFAULT_TOL * scale
+                expected = abs(r) > margin if edit.kind is EditKind.EQUALITY else r < -margin
+            assert flags[i, k] == expected, (i, k)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleRecordError
 from calimp.pipeline import DataMatrix, ImputationConfig, impute, variable_order
@@ -155,6 +156,38 @@ class TestImputeBasics:
         data = DataMatrix(values, np.zeros_like(values, dtype=bool), ("x1", "x2", "x3"))
         with pytest.raises(InfeasibleRecordError):
             impute(data, edits, None, ImputationConfig("upma"))
+
+    def test_first_violation_in_row_order_is_the_witness(self, tmp_path):
+        # Record 1 breaks edits 1 and 2, record 2 breaks edit 0; record 0
+        # lacks x1, so only x3 >= 3*x2 is checked there, and it holds.
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        values = [[0.0, 5.0, 15.0], [4.0, 5.0, 9.0], [1.0, 5.0, 7.0]]
+        data = make_data(values, [[True, False, False], [False] * 3, [False] * 3], ("x1", "x2", "x3"))
+        with pytest.raises(InfeasibleRecordError, match=r"record 1 violates edit 1 .*\(residual -1\)") as info:
+            impute(data, edits, None, ImputationConfig("upma"))
+        assert (info.value.record, info.value.edit_index, info.value.witness) == (1, 1, edits.edits[1])
+
+        (tmp_path / "rules.edits").write_text(THREE_VAR_RULES)
+        (tmp_path / "data.csv").write_text("x1,x2,x3\nNA,5,15\n4,5,9\n1,5,7\n")
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"), "--edits", str(tmp_path / "rules.edits"),
+            "--method", "upma", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 3
+
+    def test_observed_record_is_checked_on_the_row_scale(self):
+        # a >= b misses by 1e-7, beyond 1e-9 of the edit's own magnitudes
+        # but within 1e-9 of the record's largest value, 1e6.
+        edits = parse_edit_rules("a >= b\nc >= 0\n")
+        rng = np.random.default_rng(5)
+        b = rng.uniform(1.0, 10.0, size=8)
+        values = np.column_stack([b + rng.uniform(0.0, 5.0, size=8), b, rng.uniform(1.0, 50.0, size=8)])
+        values[0] = [1.0, 1.0 + 1e-7, 1e6]
+        mask = np.zeros_like(values, dtype=bool)
+        mask[[3, 5], 0] = True
+        out, _ = impute(make_data(values, mask, ("a", "b", "c")), edits, None, ImputationConfig("upma"))
+        assert np.array_equal(out.values[~mask], values[~mask])
+        assert not violation_matrix(edits, out.values, out.columns).any()
 
 
 class TestBenchmarkedMethods:

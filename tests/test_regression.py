@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calimp.errors import InsufficientDataError, RankDeficiencyError
+from calimp.pipeline import _fit_with_fallback
 from calimp.regression import (
     fit_benchmarked,
     fit_ols,
@@ -47,6 +48,26 @@ class TestFitOls:
         with pytest.raises(RankDeficiencyError) as info:
             fit_ols(y, X, names=["a", "b", "total"])
         assert info.value.column == "total"
+
+    def test_constant_and_dependent_columns_dropped_in_order(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=30)
+        b = rng.normal(size=30)
+        X = np.column_stack([a, np.full(30, 5.0), b, a + b])
+        y = rng.normal(size=30)
+        ranked = []
+
+        def matrix_rank(M, *args, **kwargs):
+            ranked.append(M.shape[1])
+            return real_rank(M, *args, **kwargs)
+
+        real_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        fit, names, dropped = _fit_with_fallback(y, X, None, ["a", "k", "b", "total"], False, X[:2], 0.0, None)
+        assert dropped == ["k", "total"]
+        assert names == ["a", "b"] and fit.slopes.size == 2
+        # Each prefix of the (intercept + predictors) design is ranked once.
+        assert ranked == [1, 2, 3, 1, 2, 3, 4]
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
