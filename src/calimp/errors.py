@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class CalimpError(Exception):
     """Base class for every error raised by this package."""
@@ -53,10 +55,15 @@ class ConvergenceError(CalimpError):
 
 
 class RankDeficiencyError(CalimpError):
-    """The regression design matrix is rank deficient."""
+    """The regression design matrix is rank deficient.
 
-    def __init__(self, message: str, column: str | None = None):
-        self.column = column
+    ``columns`` names every dependent design column, in design order, when
+    they are known; ``column`` is the first of them.
+    """
+
+    def __init__(self, message: str, columns: Sequence[str] = ()):
+        self.columns = tuple(columns)
+        self.column = self.columns[0] if self.columns else None
         super().__init__(message)
 
 

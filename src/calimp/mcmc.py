@@ -9,13 +9,20 @@ truncated posterior predictive distribution inside its admissible
 interval, and the remaining unknowns are repaired through the equality
 structure (keeping their current values wherever the constraints leave
 slack).  Edits and totals therefore hold after every step.
+
+No step does work proportional to the record count: the pair comes from
+per-column index arrays built once, and each posterior is drawn from
+sufficient statistics (an augmented Gram matrix per target) that a step
+updates for the two records it moved; checkpoints rebuild them.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +32,15 @@ from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, R
 from .pipeline import DataMatrix, Totals, validate
 from .residuals import draw_ar_residual
 
-MAX_PAIR_PROPOSALS = 1_000_000
+#: Relative rounding floor of a Gram-form pivot.  A pivot is a Schur
+#: complement of the Gram matrix, a difference of sums of n squares, so it
+#: carries an absolute error of many ulps of its diagonal entry (yᵀy for
+#: the target): on the study's exact x2 = P - x1 model the rss comes out
+#: anywhere within ±700 ulps of yᵀy, where lstsq finds 1e-25 of it.  A
+#: pivot at or below ``GRAM_RTOL`` times its diagonal is therefore zero: a
+#: design column in the span of its predecessors, or a target the
+#: predictors fit exactly (rss taken as 0).
+GRAM_RTOL = 2**14 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -41,8 +56,7 @@ class McmcConfig:
     predictors: Mapping[str, Sequence[str]] | None = None
 
 
-@dataclass(frozen=True)
-class PosteriorModel:
+class PosteriorModel(NamedTuple):
     """One draw from the regression posterior for a target cell.
 
     ``coefficients`` and ``variance`` are the drawn parameter values under
@@ -56,29 +70,56 @@ class PosteriorModel:
     predictive_variance: float
 
 
-def select_pair(data: DataMatrix, rng: np.random.Generator) -> tuple[int, int, str]:
-    """Two records sharing an imputed variable, uniform over all such
-    (unordered pair, variable) combinations via rejection sampling.
+@dataclass(frozen=True)
+class PairIndex:
+    """The imputed rows of each column and the cumulative pair counts
+    ``n_j (n_j - 1)`` over the columns; the mask never changes in a chain."""
 
-    Which record of the pair is returned first (and so gets the fresh
-    draw) is a fair coin from the same stream.
+    rows: tuple[list[int], ...]
+    cumulative: tuple[int, ...]
+
+    @classmethod
+    def build(cls, mask: np.ndarray) -> PairIndex:
+        rows = tuple(np.flatnonzero(mask[:, j]).tolist() for j in range(mask.shape[1]))
+        cumulative = tuple(itertools.accumulate(len(r) * (len(r) - 1) for r in rows))
+        if not cumulative or cumulative[-1] == 0:
+            raise CalimpError("no two records share an imputed variable")
+        return cls(rows, cumulative)
+
+
+def _uniform_below(rng: np.random.Generator, n: int) -> int:
+    """Exactly uniform integer in [0, n) from raw 64-bit draws, rejecting
+    the incomplete block at the top; about a fifth of the cost of one
+    scalar ``rng.integers`` draw."""
+    limit = 2**64 - 2**64 % n
+    while True:
+        raw = rng.bit_generator.random_raw()
+        if raw < limit:
+            return raw % n
+
+
+def select_pair(
+    data: DataMatrix, rng: np.random.Generator, index: PairIndex | None = None
+) -> tuple[int, int, str]:
+    """Two distinct records sharing an imputed variable, uniform over all
+    such (ordered pair, variable) combinations, in O(1).
+
+    One integer draw numbers all combinations column by column: its
+    column j has probability ∝ n_j (n_j - 1), its number of ordered pairs,
+    and its offset within that column is the ordered pair (a, b) of imputed
+    rows, b skipping a.  The first record returned gets the fresh draw.
+    ``index`` is built from the mask when not given.
     """
-    mask = data.mask
-    eligible_cols = [j for j in range(mask.shape[1]) if int(mask[:, j].sum()) >= 2]
-    if not eligible_cols:
-        raise CalimpError("no two records share an imputed variable")
-    r = data.n_records
-    for _ in range(MAX_PAIR_PROPOSALS):
-        s = int(rng.integers(r))
-        t = int(rng.integers(r))
-        if s == t:
-            continue
-        j = eligible_cols[int(rng.integers(len(eligible_cols)))]
-        if mask[s, j] and mask[t, j]:
-            if int(rng.integers(2)):
-                s, t = t, s
-            return s, t, data.columns[j]
-    raise CalimpError("pair selection failed to find an eligible pair")  # pragma: no cover
+    if index is None:
+        index = PairIndex.build(data.mask)
+    cumulative = index.cumulative
+    k = _uniform_below(rng, cumulative[-1])
+    j = bisect.bisect_right(cumulative, k)
+    rows = index.rows[j]
+    a, b = divmod(k - (cumulative[j - 1] if j else 0), len(rows) - 1)
+    if b >= a:
+        b += 1
+    return rows[a], rows[b], data.columns[j]
 
 
 def pair_constraint_system(
@@ -135,45 +176,132 @@ def pair_constraint_system(
     return ReducedSystem(tuple(out)), cells
 
 
+def _augment(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with a leading column of ones."""
+    out = np.ones((rows.shape[0], rows.shape[1] + 1))
+    out[:, 1:] = rows
+    return out
+
+
+def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Augmented Gram matrix AᵀA of A = [1, values[:, columns]]; the last
+    column is the target, the others its predictors."""
+    A = _augment(values[:, list(columns)])
+    return A.T @ A
+
+
+def gram_factor(gram: np.ndarray, target: str) -> tuple[list[list[float]], list[float], float]:
+    """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]].
+
+    Returns the lower factor L of ZᵀZ = LLᵀ (as rows), l = L⁻¹Zᵀy and
+    rss = yᵀy - lᵀl, so the least-squares coefficients are L⁻ᵀl.  A design
+    pivot at or below :data:`GRAM_RTOL` of its diagonal raises
+    :class:`RankDeficiencyError`; an rss below that floor is an exact fit
+    and comes back as 0.  Plain Python: on a block this small numpy's call
+    overhead exceeds the arithmetic.
+    """
+    G = gram.tolist()
+    m = len(G) - 1
+    L: list[list[float]] = []
+    for i, g in enumerate(G):
+        row: list[float] = []
+        for k, lk in enumerate(L):
+            acc = g[k]
+            for q in range(k):
+                acc -= row[q] * lk[q]
+            row.append(acc / lk[k])
+        pivot = g[i]
+        for v in row:
+            pivot -= v * v
+        if not pivot > GRAM_RTOL * g[i]:
+            if i < m:
+                raise RankDeficiencyError(f"posterior fit for {target!r} is rank deficient")
+            pivot = 0.0
+        if i < m:
+            row.append(math.sqrt(pivot))
+            L.append(row)
+    return L, row, pivot
+
+
 def posterior_model(
     data: DataMatrix,
     target: str,
     predictor_names: Sequence[str],
     record: int,
     rng: np.random.Generator,
+    gram: np.ndarray | None = None,
 ) -> PosteriorModel:
-    """Parameter draw under the standard noninformative prior, refitted on
-    the current (complete) data, and the implied predictive law for the
-    target cell of ``record``."""
-    t = data.column_index(target)
+    """Parameter draw under the standard noninformative prior for the
+    regression of ``target`` on ``predictor_names`` over the current
+    (complete) data, and the implied predictive law for the target cell of
+    ``record``.
+
+    The fit comes from ``gram``, the augmented Gram matrix of
+    ``[1, predictors, target]`` over all records (built from ``data`` when
+    not given), so its cost is O(p²) in the parameter count p.  With the
+    factor of :func:`gram_factor`, σ² = rss / χ²(n - p) and
+    β = L⁻ᵀ(l + σε); an exact fit (rss 0) draws nothing and returns the
+    least-squares coefficients with zero variance.
+    """
     pred_idx = [data.column_index(p) for p in predictor_names]
-    y = data.values[:, t]
-    Z = np.concatenate([np.ones((data.n_records, 1)), data.values[:, pred_idx]], axis=1)
-    n, p1 = Z.shape
-    df = n - p1
-    if df <= 0:
+    n, p1 = len(data.values), len(pred_idx) + 1
+    if n <= p1:
         raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
-    coef, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
-    if rank < p1:
-        raise RankDeficiencyError(
-            f"posterior fit for {target!r} is rank deficient", column=None
-        )
-    rss = float(np.sum((y - Z @ coef) ** 2))
-    sigma2 = rss / float(rng.chisquare(df)) if rss > 0 else 0.0
+    if gram is None:
+        gram = gram_matrix(data.values, [*pred_idx, data.column_index(target)])
+    L, l, rss = gram_factor(gram, target)
+    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
     if sigma2 > 0:
-        cov = sigma2 * np.linalg.inv(Z.T @ Z)
-        cov = 0.5 * (cov + cov.T)
-        L = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p1 * np.eye(p1))
-        beta = coef + L @ rng.standard_normal(p1)
-    else:
-        beta = coef
-    z_row = np.concatenate([[1.0], data.values[record, pred_idx]])
-    return PosteriorModel(
-        coefficients=beta,
-        variance=sigma2,
-        predictive_mean=float(z_row @ beta),
-        predictive_variance=sigma2,
-    )
+        sigma = math.sqrt(sigma2)
+        l = [v + sigma * e for v, e in zip(l, rng.standard_normal(p1).tolist())]
+    beta = l  # overwritten from the last entry down: β = L⁻ᵀ l
+    for i in range(p1 - 1, -1, -1):
+        acc = l[i]
+        for k in range(i + 1, p1):
+            acc -= L[k][i] * beta[k]
+        beta[i] = acc / L[i][i]
+    row = data.values[record].tolist()
+    mean = beta[0]
+    for c, b in zip(pred_idx, beta[1:]):
+        mean += row[c] * b
+    return PosteriorModel(np.array(beta), sigma2, mean, sigma2)
+
+
+class PosteriorStats:
+    """Sufficient statistics of every posterior model in a chain: per
+    target column, the augmented Gram matrix of ``[1, predictors, target]``.
+
+    A step that moves cells replaces the old rows of its two records by
+    their new rows (a rank-one downdate and update each) in the models that
+    read a changed column; :meth:`rebuild` recomputes everything from the
+    values, which bounds the rounding the updates accumulate.
+    """
+
+    def __init__(self, values: np.ndarray, design: Mapping[int, Sequence[int]]):
+        # design: target column -> its predictor columns then itself
+        self.columns = {j: list(cols) for j, cols in design.items()}
+        self.readers: dict[int, list[int]] = {}
+        for j, cols in self.columns.items():
+            for c in cols:
+                self.readers.setdefault(c, []).append(j)
+        # Each model's block of the Gram matrix of [1, all columns].
+        self.blocks = {j: np.ix_([0, *(c + 1 for c in cols)], [0, *(c + 1 for c in cols)])
+                       for j, cols in self.columns.items()}
+        self.rebuild(values)
+
+    def rebuild(self, values: np.ndarray) -> None:
+        self.gram = {j: gram_matrix(values, cols) for j, cols in self.columns.items()}
+
+    def move(self, old_rows: np.ndarray, new_rows: np.ndarray, changed: set[int]) -> None:
+        """Swap ``old_rows`` for ``new_rows`` (all columns of the moved
+        records) in every model that reads a column in ``changed``."""
+        models = {j for c in changed for j in self.readers.get(c, ())}
+        if not models:
+            return
+        old, new = _augment(old_rows), _augment(new_rows)
+        delta = new.T @ new - old.T @ old
+        for j in models:
+            self.gram[j] += delta[self.blocks[j]]
 
 
 def draw_truncated_posterior(
@@ -194,18 +322,19 @@ def draw_truncated_posterior(
     return model.predictive_mean + draw.value
 
 
-def _checkpoint_row(data: DataMatrix, iteration: int, previous: dict, stats: dict) -> dict:
+def _checkpoint_row(data: DataMatrix, iteration: int, previous: dict, counts: dict) -> dict:
     per_variable = {}
     for j, name in enumerate(data.columns):
         cells = data.values[data.mask[:, j], j]
         if cells.size == 0:
             continue
-        entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells))}
+        entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells)), **counts[name]}
         if name in previous:
             entry["ks_vs_prev"] = metrics.ks_statistic(previous[name], cells)
         per_variable[name] = entry
         previous[name] = cells.copy()
-    return {"iteration": iteration, "per_variable": per_variable, **stats}
+    totals = {key: sum(c[key] for c in counts.values()) for key in ("accepted", "fallbacks")}
+    return {"iteration": iteration, "per_variable": per_variable, **totals}
 
 
 def mcmc_refine(
@@ -253,12 +382,17 @@ def mcmc_refine(
         else:
             fallback = [c for c in observed_cols if c != name]
             predictors[name] = fallback or [c for c in state.columns if c != name]
+    index = PairIndex.build(state.mask)
+    targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
+    stats = PosteriorStats(
+        state.values,
+        {j: [state.column_index(p) for p in predictors[state.columns[j]]] + [j] for j in targets},
+    )
     previous_cells: dict[str, np.ndarray] = {}
-    fallbacks = 0
-    accepted = 0
+    counts = {name: {"accepted": 0, "fallbacks": 0} for name in state.columns}
 
     for iteration in range(1, iterations + 1):
-        s, t, var = select_pair(state, rng)
+        s, t, var = select_pair(state, rng, index)
         j = state.column_index(var)
         try:
             system, cells = pair_constraint_system(state, edits, totals, s, t, colsums=colsums)
@@ -275,7 +409,7 @@ def mcmc_refine(
                     f"variable {var!r} fell outside its admissible interval "
                     f"[{interval.lower}, {interval.upper}]"
                 )
-            model = posterior_model(state, var, predictors[var], s, rng)
+            model = posterior_model(state, var, predictors[var], s, rng, stats.gram[j])
             value = draw_truncated_posterior(model, interval, rng)
 
             def retain_rule(name: str, iv: fm.Interval) -> float:
@@ -285,25 +419,24 @@ def mcmc_refine(
             completion = fm.back_substitute(record, {target: value}, value_rule=retain_rule)
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
-            fallbacks += 1
+            counts[var]["fallbacks"] += 1
         else:
+            old_rows = state.values[[s, t]]
+            changed = set()
             for name, val in completion.items():
                 rec, col = cells[name]
                 delta = val - float(state.values[rec, col])
                 if delta != 0.0:
                     colsums[col] += state.weights[rec] * delta
                     state.values[rec, col] = val
-            accepted += 1
+                    changed.add(col)
+            if changed:
+                stats.move(old_rows, state.values[[s, t]], changed)
+            counts[var]["accepted"] += 1
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             colsums = state.weights @ state.values
+            stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
-            trace.append(
-                _checkpoint_row(
-                    state,
-                    iteration,
-                    previous_cells,
-                    {"accepted": accepted, "fallbacks": fallbacks},
-                )
-            )
+            trace.append(_checkpoint_row(state, iteration, previous_cells, counts))
     return state, trace

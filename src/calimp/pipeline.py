@@ -141,7 +141,10 @@ def _auto_round1_predictors(data: DataMatrix, target: str, imputed_so_far: list[
 
 
 def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mis):
-    """Fit, dropping collinear or surplus predictors until the design works."""
+    """Fit, dropping collinear or surplus predictors until the design works.
+
+    A rank-deficient fit names every dependent predictor at once, so the
+    refit after dropping them normally succeeds."""
     names = list(predictor_names)
     dropped: list[str] = []
     while True:
@@ -154,13 +157,13 @@ def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mi
             ols = regression.fit_ols(y, X, weights=w, names=names)
             return ols, names, dropped
         except RankDeficiencyError as err:
-            if err.column not in names:
+            if not err.columns or not set(err.columns) <= set(names):
                 raise
-            dropped.append(err.column)
-            keep = [j for j, n in enumerate(names) if n != err.column]
+            dropped.extend(err.columns)
+            keep = [j for j, n in enumerate(names) if n not in err.columns]
             X = X[:, keep]
             X_mis = X_mis[:, keep]
-            names = [n for n in names if n != err.column]
+            names = [names[j] for j in keep]
         except InsufficientDataError:
             if not names:
                 raise

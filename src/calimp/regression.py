@@ -77,15 +77,22 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _blame_collinear_column(Z: np.ndarray, names: Sequence[str]) -> str:
-    """First column that adds nothing to the column space of its predecessors."""
+def _dependent_columns(Z: np.ndarray, names: Sequence[str]) -> list[str]:
+    """Every predictor that adds nothing to the column space of the columns
+    kept before it, in order; each column is ranked once.  Column 0 of
+    ``Z`` is the intercept.  A design ``lstsq`` calls deficient although no
+    column is dependent here blames the last predictor."""
+    kept = [0]
     rank = np.linalg.matrix_rank(Z[:, :1])
+    dependent = []
     for j in range(1, Z.shape[1]):
-        longer = np.linalg.matrix_rank(Z[:, : j + 1])
+        longer = np.linalg.matrix_rank(Z[:, kept + [j]])
         if longer <= rank:
-            return names[j - 1]
-        rank = longer
-    return names[-1]
+            dependent.append(names[j - 1])
+        else:
+            kept.append(j)
+            rank = longer
+    return dependent or [names[-1]]
 
 
 def fit_ols(
@@ -98,7 +105,7 @@ def fit_ols(
 
     ``weights`` default to ones (plain OLS).  The residual variance uses
     the usual ``n - p - 1`` denominator.  Rank-deficient designs raise
-    :class:`RankDeficiencyError` naming the offending column.
+    :class:`RankDeficiencyError` naming every dependent column.
     """
     y = np.asarray(y_obs, dtype=float).ravel()
     X = _as_matrix(X_obs, n_rows=y.shape[0])
@@ -117,11 +124,11 @@ def fit_ols(
     t = y * sw
     coef, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
     if rank < p + 1:
-        column = _blame_collinear_column(Z, names)
+        columns = _dependent_columns(Z, names)
         raise RankDeficiencyError(
-            f"design matrix is rank deficient; column {column!r} is collinear "
-            "with the preceding columns",
-            column=column,
+            f"design matrix is rank deficient; column(s) {columns} are collinear "
+            "with the columns before them",
+            columns=columns,
         )
     fitted = Z @ coef
     rss = float(np.sum((t - fitted) ** 2))

@@ -15,7 +15,7 @@ import numpy as np
 
 from calimp import fm
 from calimp.edits import Edit, EditKind, EditSystem, reduce_system
-from calimp.errors import InfeasibleSystemError
+from calimp.errors import InfeasibleSystemError, RankDeficiencyError
 from calimp.pipeline import DataMatrix
 
 
@@ -232,3 +232,36 @@ class _PerRecordResult:
                     current[i, j] = val
                     written += 1
         return written
+
+
+def lstsq_posterior_fit(values: np.ndarray, target: int, predictors) -> tuple[np.ndarray, float, bool]:
+    """Least squares of column ``target`` on an intercept and the
+    ``predictors`` columns by ``lstsq`` on the full design: coefficients,
+    residual sum of squares, and whether the design has full rank."""
+    y = values[:, target]
+    Z = np.concatenate([np.ones((values.shape[0], 1)), values[:, list(predictors)]], axis=1)
+    coef, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
+    rss = float(np.sum((y - Z @ coef) ** 2))
+    return coef, rss, rank == Z.shape[1]
+
+
+def lstsq_posterior_model(data: DataMatrix, target: str, predictor_names, record: int, rng: np.random.Generator):
+    """The posterior draw refitted from scratch: ``lstsq`` on the current
+    data, then β from a Cholesky factor of σ²(ZᵀZ)⁻¹.  Returns the drawn
+    coefficients, σ² and the predictive mean; raises on a rank-deficient
+    design like ``mcmc.posterior_model``."""
+    pred_idx = [data.column_index(p) for p in predictor_names]
+    coef, rss, full_rank = lstsq_posterior_fit(data.values, data.column_index(target), pred_idx)
+    n, p1 = data.n_records, len(pred_idx) + 1
+    if not full_rank:
+        raise RankDeficiencyError(f"posterior fit for {target!r} is rank deficient")
+    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
+    beta = coef
+    if sigma2 > 0:
+        Z = np.concatenate([np.ones((n, 1)), data.values[:, pred_idx]], axis=1)
+        cov = sigma2 * np.linalg.inv(Z.T @ Z)
+        cov = 0.5 * (cov + cov.T)
+        L = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p1 * np.eye(p1))
+        beta = coef + L @ rng.standard_normal(p1)
+    z_row = np.concatenate([[1.0], data.values[record, pred_idx]])
+    return beta, sigma2, float(z_row @ beta)

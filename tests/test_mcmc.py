@@ -1,19 +1,33 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import stats
 
+from calimp import mcmc
 from calimp.edits import parse_edit_rules, violation_matrix
-from calimp.errors import CalimpError
+from calimp.errors import CalimpError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
 from calimp.mcmc import (
+    GRAM_RTOL,
     McmcConfig,
+    PairIndex,
     PosteriorModel,
+    PosteriorStats,
     draw_truncated_posterior,
+    gram_factor,
+    gram_matrix,
     mcmc_refine,
     pair_constraint_system,
     posterior_model,
     select_pair,
 )
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
+
+from _oracles import lstsq_posterior_fit, lstsq_posterior_model
+
+seeds = st.integers(0, 2**32 - 1)
 
 FIVE_VAR_RULES = "x1 + x2 + x3 + x4 = x5\n" + "\n".join(f"x{j} >= 0" for j in range(1, 6))
 
@@ -63,6 +77,45 @@ def three_var_study_data(rng, r=400):
     return pre, edits, totals
 
 
+def five_var_data(rng, r=120):
+    """Criterion 09's balance system, bpma-imputed, default predictors."""
+    x1, x2, x3, x4 = (rng.uniform(0.0, hi, size=r) for hi in (60.0, 50.0, 40.0, 80.0))
+    truth = np.column_stack([x1, x2, x3, x4, x1 + x2 + x3 + x4])
+    mask = np.zeros_like(truth, dtype=bool)
+    rows = rng.choice(r, size=r // 3, replace=False)
+    mask[rows[: r // 5], 0] = True
+    mask[rows[r // 10 :], 3] = True
+    mask[rows[r // 20 : r // 4], 4] = True
+    totals = {f"x{j + 1}": float(truth[:, j].sum()) for j in range(5)}
+    values = np.where(mask, np.nan, truth)
+    edits = parse_edit_rules(FIVE_VAR_RULES)
+    pre, _ = impute(DataMatrix(values, mask, ("x1", "x2", "x3", "x4", "x5")), edits, totals, ImputationConfig("bpma"))
+    return pre, edits, totals
+
+
+def gram_fit(gram):
+    """Least-squares coefficients L⁻ᵀl and rss from :func:`gram_factor`."""
+    L, l, rss = gram_factor(gram, "y")
+    lower = np.zeros((len(l), len(l)))
+    for i, row in enumerate(L):
+        lower[i, : i + 1] = row
+    return np.linalg.solve(lower.T, np.array(l)), rss
+
+
+def assert_matches_oracle(gram, values, target, predictors):
+    """The Gram-form fit agrees with ``lstsq`` on ``values``: the same rank
+    verdict, coefficients to 1e-8 and rss to 1e-8 relative (an exact fit
+    reads 0, where lstsq leaves rounding residue far below the floor)."""
+    coef_o, rss_o, full_rank = lstsq_posterior_fit(values, target, predictors)
+    if not full_rank:
+        with pytest.raises(RankDeficiencyError):
+            gram_fit(gram)
+        return
+    coef, rss = gram_fit(gram)
+    assert np.linalg.norm(coef - coef_o) <= 1e-8 * np.linalg.norm(coef_o)
+    assert abs(rss - rss_o) <= 1e-8 * rss_o + GRAM_RTOL * gram[-1, -1]
+
+
 class TestSelectPair:
     def test_unique_candidate(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -93,6 +146,42 @@ class TestSelectPair:
         assert len(counts) == 4
         freqs = np.array(sorted(counts.values())) / 8000
         assert np.all(np.abs(freqs - 0.25) < 0.03)
+
+    def test_sparse_mask_pair_found_quickly(self):
+        # Two imputed cells among 20,000 records: a rejection sampler over
+        # all record pairs almost never hits them.
+        r = 20_000
+        mask = np.zeros((r, 2), dtype=bool)
+        mask[[123, 17_456], 1] = True
+        data = DataMatrix(np.ones((r, 2)), mask, ("a", "b"))
+        rng = np.random.default_rng(0)
+        t0 = time.perf_counter()
+        draws = {select_pair(data, rng) for _ in range(200)}
+        assert time.perf_counter() - t0 < 1.0
+        assert draws == {(123, 17_456, "b"), (17_456, 123, "b")}
+
+    def test_chi_square_over_unordered_pairs_and_order_fairness(self):
+        # Columns with 4, 3 and 2 imputed rows: 6 + 3 + 1 unordered
+        # (pair, variable) combinations, each equally likely.
+        mask = np.zeros((6, 3), dtype=bool)
+        mask[[0, 1, 2, 3], 0] = True
+        mask[[1, 4, 5], 1] = True
+        mask[[0, 5], 2] = True
+        data = DataMatrix(np.zeros((6, 3)), mask, ("a", "b", "c"))
+        index = PairIndex.build(mask)
+        rng = np.random.default_rng(5)
+        counts: dict = {}
+        first_lower = 0
+        draws = 20_000
+        for _ in range(draws):
+            s, t, var = select_pair(data, rng, index)
+            assert s != t and mask[s, data.column_index(var)] and mask[t, data.column_index(var)]
+            key = (frozenset((s, t)), var)
+            counts[key] = counts.get(key, 0) + 1
+            first_lower += s < t
+        assert len(counts) == 10
+        assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+        assert stats.binomtest(first_lower, draws).pvalue > 1e-3
 
     def test_example_pair_is_eligible(self):
         data, _, _ = pair_example_data()
@@ -164,6 +253,124 @@ class TestDrawTruncatedPosterior:
         assert model.predictive_mean == pytest.approx(y[0], abs=1e-8)
 
 
+class TestPosteriorOracle:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seeds, st.sampled_from(["noisy", "exact_fit", "collinear"]))
+    def test_gram_posterior_matches_lstsq(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(12, 300))
+        p = int(rng.integers(1, 5))
+        # Integer predictors keep exactly collinear designs exact.
+        X = rng.integers(-20, 21, size=(n, p)).astype(float)
+        if kind == "collinear":
+            X[:, -1] = 7.0 if p == 1 else X[:, :-1] @ rng.integers(-3, 4, size=p - 1) + 2.0
+        coef = rng.normal(scale=5.0, size=p + 1)
+        y = coef[0] + X @ coef[1:]
+        if kind != "exact_fit":
+            y += rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
+        values = np.column_stack([X, y])
+        gram = gram_matrix(values, [*range(p), p])
+        assert_matches_oracle(gram, values, p, range(p))
+
+        names = tuple(f"x{j}" for j in range(p)) + ("y",)
+        data = DataMatrix(values, np.zeros(values.shape, dtype=bool), names)
+        record = int(rng.integers(n))
+        try:
+            _, sigma2_o, _ = lstsq_posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
+        except RankDeficiencyError:
+            with pytest.raises(RankDeficiencyError):
+                posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
+            return
+        model = posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
+        if kind == "exact_fit":
+            assert model.variance == 0.0
+        else:  # the same chi-square draw scales the same rss
+            assert model.variance == pytest.approx(sigma2_o, rel=1e-8)
+        # β = coef + σ C⁻ᵀε with ZᵀZ = CCᵀ, ε the stream's normals after the
+        # chi-square draw; an exact fit draws nothing.
+        coef_o = lstsq_posterior_fit(values, p, range(p))[0]
+        want = coef_o
+        if model.variance > 0:
+            stream = np.random.default_rng(seed)
+            stream.chisquare(n - p - 1)
+            Z = np.column_stack([np.ones(n), X])
+            C = np.linalg.cholesky(Z.T @ Z)
+            want = coef_o + np.sqrt(model.variance) * np.linalg.solve(C.T, stream.standard_normal(p + 1))
+        assert np.linalg.norm(model.coefficients - want) <= 1e-8 * np.linalg.norm(want)
+        assert model.predictive_mean == pytest.approx(want[0] + X[record] @ want[1:], rel=1e-8, abs=1e-8)
+
+    def test_coefficient_draws_have_the_posterior_covariance(self):
+        rng = np.random.default_rng(12)
+        n = 60
+        X = rng.normal(size=(n, 2)) + [3.0, -1.0]
+        y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=n)
+        data = DataMatrix(np.column_stack([y, X]), np.zeros((n, 3), dtype=bool), ("y", "a", "b"))
+        gram = gram_matrix(data.values, [1, 2, 0])
+        coef, _ = gram_fit(gram)
+        Z = np.column_stack([np.ones(n), X])
+        C = np.linalg.cholesky(Z.T @ Z)
+        # Cᵀ(β - coef)/σ is standard normal when cov(β) = σ²(ZᵀZ)⁻¹.
+        white = []
+        for _ in range(4000):
+            model = posterior_model(data, "y", ["a", "b"], 0, rng, gram)
+            white.append(C.T @ (model.coefficients - coef) / np.sqrt(model.variance))
+        assert np.abs(np.cov(np.array(white).T) - np.eye(3)).max() < 0.12
+        assert np.abs(np.mean(white, axis=0)).max() < 0.1
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seeds, st.sampled_from(["study", "five"]))
+    def test_maintained_statistics_match_a_fresh_fit_along_chains(self, seed, system):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(60, 200))
+        if system == "study":
+            pre, edits, totals = three_var_study_data(rng, r=r)
+            predictors = {"x1": ["P"], "x2": ["P", "x1"]}  # x2 = P - x1: an exact fit
+        else:
+            pre, edits, totals = five_var_data(rng, r=r)
+            predictors = None
+        checked = {"steps": 0, "checkpoints": 0}
+        real_posterior, real_rebuild = mcmc.posterior_model, PosteriorStats.rebuild
+
+        def checked_posterior(data, target, names, record, rng_, gram=None):
+            if rng.random() < 0.2:
+                cols = [data.column_index(v) for v in names]
+                assert_matches_oracle(gram, data.values, data.column_index(target), cols)
+                checked["steps"] += 1
+            return real_posterior(data, target, names, record, rng_, gram)
+
+        def checked_rebuild(stats_, values):
+            if hasattr(stats_, "gram"):  # a checkpoint, not the first build
+                for j, cols in stats_.columns.items():
+                    assert_matches_oracle(stats_.gram[j], values, j, cols[:-1])
+                checked["checkpoints"] += 1
+            real_rebuild(stats_, values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "posterior_model", checked_posterior)
+            patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
+            mcmc_refine(
+                pre, edits, totals,
+                McmcConfig(iterations=600, checkpoint_every=int(rng.integers(50, 300)),
+                           seed=int(rng.integers(1000)), predictors=predictors),
+            )
+        assert checked["steps"] > 0 and checked["checkpoints"] >= 2
+
+    def test_collinear_predictors_stop_the_chain(self):
+        # a + b = c: regressing d on a, b and c is rank deficient, for the
+        # lstsq oracle and for the maintained statistics alike.
+        rng = np.random.default_rng(3)
+        r = 40
+        a, b = rng.uniform(1, 10, r), rng.uniform(1, 10, r)
+        values = np.column_stack([a, b, a + b, rng.uniform(1, 10, r)])
+        mask = np.zeros_like(values, dtype=bool)
+        mask[:10, 3] = True
+        data = DataMatrix(values, mask, ("a", "b", "c", "d"))
+        edits = parse_edit_rules("a + b = c\na >= 0\nb >= 0\nc >= 0\nd >= 0\n")
+        assert not lstsq_posterior_fit(values, 3, [0, 1, 2])[2]
+        with pytest.raises(RankDeficiencyError):
+            mcmc_refine(data, edits, None, McmcConfig(iterations=5, predictors={"d": ["a", "b", "c"]}))
+
+
 class TestMcmcRefine:
     def test_zero_iterations_is_noop(self):
         data, edits, totals = pair_example_data()
@@ -197,6 +404,12 @@ class TestMcmcRefine:
                 assert got == pytest.approx(totals[name], rel=1e-8)
         assert len(trace) == 10
         assert trace[-1]["accepted"] > 0
+        for row in trace:
+            per_var = row["per_variable"]
+            assert set(per_var) == {"x1", "x2"}
+            for key in ("accepted", "fallbacks"):
+                assert sum(entry[key] for entry in per_var.values()) == row[key]
+            assert row["accepted"] + row["fallbacks"] == row["iteration"]
         # observed cells untouched
         assert np.array_equal(refined.values[~pre.mask], pre.values[~pre.mask])
 

@@ -66,8 +66,9 @@ class TestFitOls:
         fit, names, dropped = _fit_with_fallback(y, X, None, ["a", "k", "b", "total"], False, X[:2], 0.0, None)
         assert dropped == ["k", "total"]
         assert names == ["a", "b"] and fit.slopes.size == 2
-        # Each prefix of the (intercept + predictors) design is ranked once.
-        assert ranked == [1, 2, 3, 1, 2, 3, 4]
+        # One pass ranks each candidate once against the columns kept
+        # before it: intercept, a, k (dropped), b, total (dropped).
+        assert ranked == [1, 2, 3, 3, 4]
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
