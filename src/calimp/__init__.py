@@ -1,6 +1,6 @@
 """Imputation of numerical survey data under linear edits and known totals."""
 
-from .adjust import AdjustmentProblem, qp_reference_solve, zero_sum_interval_adjust
+from .adjust import AdjustmentProblem, zero_sum_interval_adjust
 from .edits import (
     Edit,
     EditKind,

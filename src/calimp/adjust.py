@@ -13,21 +13,16 @@ By KKT the optimum is ``a_i = clip(lam, l_i - x_i, u_i - x_i)``, with
 those clips (a continuous quadratic knapsack; Helgason, Kennington & Lall
 1980).  ``zero_sum_interval_adjust`` solves it exactly in O(m log m): it
 sorts the bounds, finds the segment between breakpoints holding the root
-and solves for ``lam`` there in closed form.  ``qp_reference_solve``
-solves the same program by enumerating active sets; it exists as a test
-oracle for small problems.
+and solves for ``lam`` there in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleAdjustmentError
-
-ORACLE_MAX_SIZE = 12
 
 
 @dataclass(frozen=True)
@@ -150,74 +145,3 @@ def adjustment_stats(problem: AdjustmentProblem, adjustment: np.ndarray) -> dict
     free = adjustment[~(at_lower | at_upper)]
     return {"lambda": float(free[0]) if free.size else None,
             "at_lower": int(np.sum(at_lower)), "at_upper": int(np.sum(at_upper))}
-
-
-@lru_cache(maxsize=None)
-def _assignments(m: int) -> np.ndarray:
-    """All {free, at-lower, at-upper} codes for m cells, as an (3**m, m) array."""
-    codes = np.zeros((3**m, m), dtype=np.int8)
-    for j in range(m):
-        block = 3 ** (m - 1 - j)
-        codes[:, j] = (np.arange(3**m) // block) % 3
-    return codes
-
-
-def qp_reference_solve(
-    problem: AdjustmentProblem,
-    target_sum: float | None = None,
-    tol: float = 1e-9,
-    feasibility_scale: float = 1.0,
-) -> np.ndarray:
-    """Independent solution by exhaustive active-set enumeration.
-
-    Each cell is assumed free, at its lower bound, or at its upper bound;
-    the equality-constrained minimizer over the free cells is a single
-    common offset, and the first assignment passing primal and dual
-    feasibility is the optimum.  Only intended for small test problems.
-    """
-    m = problem.size
-    if m > ORACLE_MAX_SIZE:
-        raise ValueError(f"reference solver handles at most {ORACLE_MAX_SIZE} cells, got {m}")
-    T = _shifted_target(problem, target_sum)
-    T = _check_feasible(problem, T, tol=1e-9, feasibility_scale=feasibility_scale)
-    w = problem.weights
-    lo = problem.lower - problem.predictions
-    hi = problem.upper - problem.predictions
-
-    codes = _assignments(m)
-    valid = ~np.any(((codes == 1) & np.isneginf(lo)) | ((codes == 2) & np.isposinf(hi)), axis=1)
-    codes = codes[valid]
-
-    at_lo = codes == 1
-    at_hi = codes == 2
-    free = codes == 0
-    wlo = np.where(np.isneginf(lo), 0.0, w * lo)
-    whi = np.where(np.isposinf(hi), 0.0, w * hi)
-    fixed_sum = at_lo @ wlo + at_hi @ whi
-    free_mass = free @ w
-
-    scale = max(1.0, float(np.max(np.abs(np.where(np.isfinite(lo), lo, 0.0)))),
-                float(np.max(np.abs(np.where(np.isfinite(hi), hi, 0.0)))), abs(T))
-    eps = tol * scale
-
-    has_free = free_mass > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(has_free, (T - fixed_sum) / np.where(has_free, free_mass, 1.0), 0.0)
-    # All-pinned assignments: the sum must already match, and some offset
-    # must dually separate the two bound groups.
-    lam_floor = np.max(np.where(at_hi, hi[None, :], -np.inf), axis=1)
-    lam_ceil = np.min(np.where(at_lo, lo[None, :], np.inf), axis=1)
-    pinned_ok = (~has_free) & (np.abs(fixed_sum - T) <= eps) & (lam_floor <= lam_ceil + eps)
-    lam = np.where(pinned_ok, np.clip(0.0, lam_floor, np.maximum(lam_floor, lam_ceil)), lam)
-
-    ok_primal = np.all(~free | ((lam[:, None] >= lo[None, :] - eps) & (lam[:, None] <= hi[None, :] + eps)), axis=1)
-    ok_dual = np.all(~at_lo | (lo[None, :] >= lam[:, None] - eps), axis=1) & np.all(
-        ~at_hi | (hi[None, :] <= lam[:, None] + eps), axis=1
-    )
-    ok = ok_primal & ok_dual & (has_free | pinned_ok)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        raise InfeasibleAdjustmentError("active-set enumeration found no feasible optimum")
-    k = int(hits[0])
-    code = codes[k]
-    return np.where(code == 1, lo, np.where(code == 2, hi, lam[k]))

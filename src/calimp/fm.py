@@ -50,14 +50,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lower == self.upper
 
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-    def midpoint(self) -> float:
-        if not self.is_bounded():
-            raise ValueError("midpoint of an unbounded interval")
-        return 0.5 * (self.lower + self.upper)
-
 
 UNBOUNDED = Interval(NEG_INF, POS_INF)
 

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import fm, metrics
+from . import fm, metrics, regression
 from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
 from .pipeline import DataMatrix, Totals, validate
@@ -52,7 +52,8 @@ class McmcConfig:
     # other columns when nothing is fully observed).  With balance edits,
     # "all other columns" is an exact identity for every member of the
     # balance, which degenerates the posterior; fully observed predictors
-    # avoid that trap.
+    # avoid that trap.  A default set whose design is rank deficient on
+    # the input loses its dependent columns (the rule of ``fit_ols``).
     predictors: Mapping[str, Sequence[str]] | None = None
 
 
@@ -318,6 +319,8 @@ def draw_truncated_posterior(
         if not shifted.contains(0.0):
             return float(interval.clamp(model.predictive_mean))
         return model.predictive_mean
+    if shifted.is_point():  # a narrow interval far from the mean
+        return model.predictive_mean + shifted.lower
     draw = draw_ar_residual(sigma, shifted, rng)
     return model.predictive_mean + draw.value
 
@@ -380,8 +383,12 @@ def mcmc_refine(
         if config.predictors is not None and name in config.predictors:
             predictors[name] = list(config.predictors[name])
         else:
-            fallback = [c for c in observed_cols if c != name]
-            predictors[name] = fallback or [c for c in state.columns if c != name]
+            names = [c for c in observed_cols if c != name] or [c for c in state.columns if c != name]
+            design = _augment(state.values[:, [state.column_index(c) for c in names]])
+            if np.linalg.matrix_rank(design) < design.shape[1]:
+                dependent = regression._dependent_columns(design, names)
+                names = [c for c in names if c not in dependent]
+            predictors[name] = names
     index = PairIndex.build(state.mask)
     targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
     stats = PosteriorStats(

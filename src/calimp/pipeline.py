@@ -394,10 +394,6 @@ def impute(
                     **adjust.adjustment_stats(problem, a),
                 }
             else:  # bpmr
-                res_intervals = [
-                    fm.Interval(lo - p, hi - p)
-                    for lo, hi, p in zip(lower, upper, predictions)
-                ]
                 stream_seed = config.seed * 1_000_003 + rnd
 
                 def cell_stream(k: int) -> np.random.Generator:
@@ -406,7 +402,7 @@ def impute(
                 data_scale = max(1.0, float(np.sum(np.abs(w_mis * predictions))))
                 try:
                     drawn, residual_diag = residuals.benchmarked_residuals(
-                        base_sigma, res_intervals, w_mis, cell_stream,
+                        base_sigma, lower - predictions, upper - predictions, w_mis, cell_stream,
                         feasibility_scale=data_scale,
                     )
                 except InfeasibleSystemError as err:

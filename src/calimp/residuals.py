@@ -11,12 +11,13 @@ cell inside its interval while its weighted sum becomes exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.stats import truncnorm
 
 from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
+from .edits import DEFAULT_TOL
 from .errors import CalimpError
 from .fm import Interval
 
@@ -35,37 +36,20 @@ def cell_rng(seed: int, variable_index: int, record_index: int) -> np.random.Gen
     return np.random.default_rng([seed, variable_index, record_index])
 
 
-def uses_stream(sigma: float, interval: Interval) -> bool:
-    """Whether :func:`draw_ar_residual` reads its generator for this cell;
-    it does not for a zero sigma or a point interval."""
-    return sigma != 0.0 and not interval.is_point()
+def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator) -> ResidualDraw:
+    """One normal residual truncated to ``interval``, for ``sigma > 0`` and
+    an interval that is not a point (callers settle those cases without a
+    stream).
 
-
-def draw_ar_residual(
-    sigma: float,
-    interval: Interval,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> ResidualDraw:
-    """One normal residual truncated to ``interval``.
-
-    Plain rejection against N(0, sigma^2) up to ``max_attempts`` proposals;
-    afterwards the value is drawn by inverting the truncated CDF instead,
-    which preserves the distribution exactly.
+    Plain rejection against N(0, sigma^2) up to ``DEFAULT_MAX_ATTEMPTS``
+    proposals; afterwards the value is drawn by inverting the truncated CDF
+    instead, which preserves the distribution exactly.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     lo, hi = interval.lower, interval.upper
-    if sigma == 0.0:
-        if not interval.contains(0.0):
-            raise CalimpError(
-                f"zero residual variance but 0 is outside the residual interval [{lo}, {hi}]"
-            )
-        return ResidualDraw(0.0, 0, False)
-    if interval.is_point():
-        return ResidualDraw(lo, 0, False)
+    if not sigma > 0.0 or interval.is_point():
+        raise ValueError(f"needs sigma > 0 and a non-point interval, got {sigma} and [{lo}, {hi}]")
 
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
         x = float(rng.normal(0.0, sigma))
         if lo <= x <= hi:
             return ResidualDraw(x, attempt, False)
@@ -77,49 +61,55 @@ def draw_ar_residual(
     if not np.isfinite(x) or not (lo <= x <= hi):
         # Numerically degenerate far-tail interval: land on the closer side.
         x = float(min(max(0.0 if lo <= 0.0 <= hi else (lo if abs(lo) < abs(hi) else hi), lo), hi))
-    return ResidualDraw(x, max_attempts, True)
+    return ResidualDraw(x, DEFAULT_MAX_ATTEMPTS, True)
 
 
 def benchmarked_residuals(
     sigma: float,
-    intervals: Sequence[Interval],
+    lower,
+    upper,
     weights,
-    rng,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    stream: Callable[[int], np.random.Generator],
     feasibility_scale: float = 1.0,
 ) -> tuple[np.ndarray, dict]:
     """Interval-respecting residual vector with weighted sum exactly zero.
 
-    ``rng`` is one generator (cells drawn in order), one generator per
-    cell, or a function from a cell's position to its generator, called
-    only for cells whose draw reads a stream (see :func:`uses_stream`), so
-    stream-per-cell reproducibility costs nothing for the other cells.
-    Returns the vector and a small dict of sampling statistics, with the
+    Cell ``i`` may take residuals in ``[lower[i], upper[i]]``.  With
+    ``sigma == 0`` every draw is 0, which each interval must contain (to
+    the slack of :meth:`~calimp.fm.Interval.contains`); otherwise a point
+    interval's draw is its value, and only the remaining cells draw, in
+    position order, each from the generator ``stream(i)``.  Returns the
+    vector and a small dict of sampling statistics, with the
     re-centering's :func:`~calimp.adjust.adjustment_stats` merged in.
     """
-    m = len(intervals)
-    if callable(rng):
-        stream = rng
-    else:
-        rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng] * m
-        if len(rngs) != m:
-            raise ValueError(f"expected {m} generators, got {len(rngs)}")
-        stream = rngs.__getitem__
-
-    draws = np.empty(m)
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     attempts = 0
     fallbacks = 0
-    for i, interval in enumerate(intervals):
-        cell_stream = stream(i) if uses_stream(sigma, interval) else None
-        d = draw_ar_residual(sigma, interval, cell_stream, max_attempts=max_attempts)
-        draws[i] = d.value
-        attempts += d.attempts
-        fallbacks += int(d.fallback_used)
+    if sigma == 0.0:
+        ends = np.abs(np.stack([lower, upper]))
+        slack = DEFAULT_TOL * np.maximum(1.0, np.where(np.isfinite(ends), ends, 0.0).max(axis=0))
+        outside = (lower - slack > 0.0) | (upper + slack < 0.0)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise CalimpError(
+                f"zero residual variance but 0 is outside the residual interval [{lower[i]}, {upper[i]}]"
+            )
+        draws = np.zeros(lower.size)
+    else:
+        draws = lower.copy()
+        for i in np.flatnonzero(lower != upper).tolist():
+            d = draw_ar_residual(sigma, Interval(float(lower[i]), float(upper[i])), stream(i))
+            draws[i] = d.value
+            attempts += d.attempts
+            fallbacks += int(d.fallback_used)
 
     problem = AdjustmentProblem(
         predictions=draws,
-        lower=np.array([iv.lower for iv in intervals]),
-        upper=np.array([iv.upper for iv in intervals]),
+        lower=lower,
+        upper=upper,
         weights=None if weights is None else np.asarray(weights, dtype=float),
     )
     adjustment = zero_sum_interval_adjust(

@@ -2,21 +2,33 @@
 
 These deliberately avoid the library's own elimination/solver code paths:
 feasibility is decided by complete lattice enumeration, regression
-calibration by solving the augmented normal equations directly, and
-random imputation instances are built truth-first so feasibility is a
-construction guarantee rather than an assumption.
+calibration by solving the augmented normal equations directly, the
+zero-sum adjustment by active-set enumeration, bpmr residuals cell by
+cell, and random imputation instances are built truth-first so
+feasibility is a construction guarantee rather than an assumption.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from calimp import fm
+from calimp.adjust import (
+    AdjustmentProblem,
+    _check_feasible,
+    _shifted_target,
+    adjustment_stats,
+    zero_sum_interval_adjust,
+)
 from calimp.edits import Edit, EditKind, EditSystem, reduce_system
-from calimp.errors import InfeasibleSystemError, RankDeficiencyError
+from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.pipeline import DataMatrix
+from calimp.residuals import draw_ar_residual
+
+ORACLE_MAX_SIZE = 12
 
 
 class GridOracle:
@@ -265,3 +277,106 @@ def lstsq_posterior_model(data: DataMatrix, target: str, predictor_names, record
         beta = coef + L @ rng.standard_normal(p1)
     z_row = np.concatenate([[1.0], data.values[record, pred_idx]])
     return beta, sigma2, float(z_row @ beta)
+
+
+@lru_cache(maxsize=None)
+def _assignments(m: int) -> np.ndarray:
+    """All {free, at-lower, at-upper} codes for m cells, as an (3**m, m) array."""
+    codes = np.zeros((3**m, m), dtype=np.int8)
+    for j in range(m):
+        block = 3 ** (m - 1 - j)
+        codes[:, j] = (np.arange(3**m) // block) % 3
+    return codes
+
+
+def qp_reference_solve(
+    problem: AdjustmentProblem,
+    target_sum: float | None = None,
+    tol: float = 1e-9,
+    feasibility_scale: float = 1.0,
+) -> np.ndarray:
+    """Independent solution by exhaustive active-set enumeration.
+
+    Each cell is assumed free, at its lower bound, or at its upper bound;
+    the equality-constrained minimizer over the free cells is a single
+    common offset, and the first assignment passing primal and dual
+    feasibility is the optimum.  Only intended for small test problems.
+    """
+    m = problem.size
+    if m > ORACLE_MAX_SIZE:
+        raise ValueError(f"reference solver handles at most {ORACLE_MAX_SIZE} cells, got {m}")
+    T = _shifted_target(problem, target_sum)
+    T = _check_feasible(problem, T, tol=1e-9, feasibility_scale=feasibility_scale)
+    w = problem.weights
+    lo = problem.lower - problem.predictions
+    hi = problem.upper - problem.predictions
+
+    codes = _assignments(m)
+    valid = ~np.any(((codes == 1) & np.isneginf(lo)) | ((codes == 2) & np.isposinf(hi)), axis=1)
+    codes = codes[valid]
+
+    at_lo = codes == 1
+    at_hi = codes == 2
+    free = codes == 0
+    wlo = np.where(np.isneginf(lo), 0.0, w * lo)
+    whi = np.where(np.isposinf(hi), 0.0, w * hi)
+    fixed_sum = at_lo @ wlo + at_hi @ whi
+    free_mass = free @ w
+
+    scale = max(1.0, float(np.max(np.abs(np.where(np.isfinite(lo), lo, 0.0)))),
+                float(np.max(np.abs(np.where(np.isfinite(hi), hi, 0.0)))), abs(T))
+    eps = tol * scale
+
+    has_free = free_mass > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(has_free, (T - fixed_sum) / np.where(has_free, free_mass, 1.0), 0.0)
+    # All-pinned assignments: the sum must already match, and some offset
+    # must dually separate the two bound groups.
+    lam_floor = np.max(np.where(at_hi, hi[None, :], -np.inf), axis=1)
+    lam_ceil = np.min(np.where(at_lo, lo[None, :], np.inf), axis=1)
+    pinned_ok = (~has_free) & (np.abs(fixed_sum - T) <= eps) & (lam_floor <= lam_ceil + eps)
+    lam = np.where(pinned_ok, np.clip(0.0, lam_floor, np.maximum(lam_floor, lam_ceil)), lam)
+
+    ok_primal = np.all(~free | ((lam[:, None] >= lo[None, :] - eps) & (lam[:, None] <= hi[None, :] + eps)), axis=1)
+    ok_dual = np.all(~at_lo | (lo[None, :] >= lam[:, None] - eps), axis=1) & np.all(
+        ~at_hi | (hi[None, :] <= lam[:, None] + eps), axis=1
+    )
+    ok = ok_primal & ok_dual & (has_free | pinned_ok)
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        raise InfeasibleAdjustmentError("active-set enumeration found no feasible optimum")
+    k = int(hits[0])
+    code = codes[k]
+    return np.where(code == 1, lo, np.where(code == 2, hi, lam[k]))
+
+
+def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_scale=1.0):
+    """Residuals cell by cell: one ``fm.Interval`` and one generator per
+    cell, a zero draw for zero sigma (0 must lie in the interval), the
+    point's value for a point interval, else one truncated draw; then the
+    same zero-sum re-centering as :func:`calimp.residuals.benchmarked_residuals`."""
+    draws = np.empty(len(intervals))
+    attempts = fallbacks = 0
+    for i, (interval, rng) in enumerate(zip(intervals, rngs)):
+        if sigma == 0.0:
+            if not interval.contains(0.0):
+                raise CalimpError(
+                    f"zero residual variance but 0 is outside the residual interval "
+                    f"[{interval.lower}, {interval.upper}]"
+                )
+            draws[i] = 0.0
+        elif interval.is_point():
+            draws[i] = interval.lower
+        else:
+            d = draw_ar_residual(sigma, interval, rng)
+            draws[i] = d.value
+            attempts += d.attempts
+            fallbacks += int(d.fallback_used)
+    problem = AdjustmentProblem(
+        draws,
+        np.array([iv.lower for iv in intervals]),
+        np.array([iv.upper for iv in intervals]),
+        weights,
+    )
+    adjustment = zero_sum_interval_adjust(problem, target_sum=0.0, feasibility_scale=feasibility_scale)
+    return draws + adjustment, {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from calimp.adjust import AdjustmentProblem, qp_reference_solve, zero_sum_interval_adjust
+from calimp.adjust import AdjustmentProblem, zero_sum_interval_adjust
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleSystemError
 from calimp.fm import Interval, admissible_interval, back_substitute
@@ -22,7 +22,7 @@ from calimp.sim import StudyConfig, run_study
 from calimp import io as cio
 from calimp.cli import main as cli_main
 
-from _oracles import GridOracle, random_imputation_instance, random_inequality_system
+from _oracles import GridOracle, qp_reference_solve, random_imputation_instance, random_inequality_system
 from test_adjust import random_feasible_problem
 
 EXAMPLE_1_RULES = """\

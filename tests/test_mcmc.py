@@ -372,6 +372,31 @@ class TestPosteriorOracle:
 
 
 class TestMcmcRefine:
+    def test_default_predictors_drop_dependent_columns(self):
+        # No column is fully observed, so every target's default predictors
+        # are all the other columns, which the two balance edits make
+        # collinear; the chain keeps only the independent ones.
+        rng = np.random.default_rng(11)
+        r = 300
+        c1, c2 = np.round(rng.lognormal(4.0, 0.8, r)), np.round(rng.lognormal(3.5, 1.0, r))
+        profit = np.round(rng.lognormal(3.0, 1.0, r))
+        columns = ("turnover", "profit", "costs", "c1", "c2")
+        truth = np.column_stack([profit + c1 + c2, profit, c1 + c2, c1, c2])
+        mask = np.zeros(truth.shape, dtype=bool)
+        for j in range(len(columns)):
+            mask[rng.choice(r, r // 10, replace=False), j] = True
+        edits = parse_edit_rules(
+            "turnover = profit + costs\ncosts = c1 + c2\n" + "\n".join(f"{c} >= 0" for c in columns)
+        )
+        totals = {c: float(truth[:, j].sum()) for j, c in enumerate(columns)}
+        data = DataMatrix(truth.copy(), mask, columns)
+        refined, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=2000, seed=1))
+        assert trace[-1]["accepted"] + trace[-1]["fallbacks"] == 2000
+        assert not violation_matrix(edits, refined.values, columns).any()
+        for j, name in enumerate(columns):
+            assert float(refined.values[:, j].sum()) == pytest.approx(totals[name], rel=1e-8)
+        assert np.array_equal(refined.values[~mask], truth[~mask])
+
     def test_zero_iterations_is_noop(self):
         data, edits, totals = pair_example_data()
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=0))

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp.adjust import AdjustmentProblem, qp_reference_solve
+from calimp.adjust import AdjustmentProblem
 from calimp.errors import CalimpError
 from calimp.fm import Interval
-from calimp.residuals import benchmarked_residuals, cell_rng, draw_ar_residual, uses_stream
+from calimp.residuals import DEFAULT_MAX_ATTEMPTS, benchmarked_residuals, cell_rng, draw_ar_residual
+
+from _oracles import per_cell_benchmarked_residuals, qp_reference_solve
 
 INF = math.inf
+
+
+def no_stream(i):
+    raise AssertionError(f"cell {i} asked for a stream")
 
 
 class TestDrawArResidual:
@@ -18,17 +25,31 @@ class TestDrawArResidual:
         assert draw.attempts == 1
         assert not draw.fallback_used
 
+    @pytest.mark.parametrize("sigma, interval", [(0.0, Interval(-1.0, 1.0)), (2.0, Interval(0.75, 0.75)), (-1.0, Interval(-1.0, 1.0))])
+    def test_zero_sigma_and_point_interval_are_refused(self, sigma, interval):
+        with pytest.raises(ValueError):
+            draw_ar_residual(sigma, interval, np.random.default_rng(0))
+
+    # Zero sigma and point intervals never reach draw_ar_residual:
+    # benchmarked_residuals settles them without reading a stream.
     def test_degenerate_sigma_with_zero_inside(self):
-        draw = draw_ar_residual(0.0, Interval(-1.0, 1.0), np.random.default_rng(0))
-        assert draw.value == 0.0
+        out, stats = benchmarked_residuals(0.0, [-1.0, -2.0], [1.0, 3.0], None, no_stream)
+        assert out.tolist() == [0.0, 0.0]
+        assert stats["attempts"] == 0
 
     def test_degenerate_sigma_with_zero_outside_raises(self):
-        with pytest.raises(CalimpError):
-            draw_ar_residual(0.0, Interval(1.0, 2.0), np.random.default_rng(0))
+        with pytest.raises(CalimpError, match=r"outside the residual interval \[1.0, 2.0\]"):
+            benchmarked_residuals(0.0, [-1.0, 1.0], [1.0, 2.0], None, no_stream)
+
+    def test_degenerate_sigma_allows_the_contains_slack(self):
+        # 0 misses [1e-10, 1] by less than the 1e-9 slack of Interval.contains.
+        out, _ = benchmarked_residuals(0.0, [1e-10, -1.0], [1.0, 1.0], None, no_stream)
+        assert np.all(np.isfinite(out))
 
     def test_point_interval_is_returned_directly(self):
-        draw = draw_ar_residual(2.0, Interval(0.75, 0.75), np.random.default_rng(0))
-        assert draw.value == 0.75
+        out, stats = benchmarked_residuals(2.0, [0.75, -0.75], [0.75, -0.75], None, no_stream)
+        assert out.tolist() == [0.75, -0.75]
+        assert stats["attempts"] == 0
 
     def test_half_normal_mean(self):
         rng = np.random.default_rng(2024)
@@ -44,6 +65,7 @@ class TestDrawArResidual:
         rng = np.random.default_rng(5)
         draw = draw_ar_residual(1.0, Interval(9.0, 10.0), rng)
         assert draw.fallback_used
+        assert draw.attempts == DEFAULT_MAX_ATTEMPTS
         assert 9.0 <= draw.value <= 10.0
 
     def test_fallback_preserves_truncated_law(self):
@@ -66,25 +88,24 @@ class TestDrawArResidual:
 
 class TestBenchmarkedResiduals:
     def test_unconstrained_projection_subtracts_weighted_mean(self):
+        # One generator shared by every cell: the cells draw from it in order.
         rng = np.random.default_rng(1)
-        intervals = [Interval(-INF, INF)] * 4
         w = np.array([1.0, 2.0, 3.0, 4.0])
         probe = np.random.default_rng(1)
-        raw = np.array([draw_ar_residual(1.5, intervals[i], probe).value for i in range(4)])
-        out, _ = benchmarked_residuals(1.5, intervals, w, rng)
+        raw = np.array([draw_ar_residual(1.5, Interval(-INF, INF), probe).value for _ in range(4)])
+        out, _ = benchmarked_residuals(1.5, np.full(4, -INF), np.full(4, INF), w, lambda i: rng)
         assert np.allclose(out, raw - np.sum(w * raw) / np.sum(w), atol=1e-12)
 
     def test_single_cell_forced_to_zero(self):
-        out, _ = benchmarked_residuals(1.0, [Interval(-2.0, 2.0)], None, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        out, _ = benchmarked_residuals(1.0, [-2.0], [2.0], None, lambda i: rng)
         assert np.allclose(out, [0.0], atol=1e-12)
 
     def test_matches_adjustment_oracle(self):
-        rng = np.random.default_rng(3)
-        intervals = [Interval(-1.0, 1.0)] * 3
         rngs = [cell_rng(123, 0, i) for i in range(3)]
         probe = [cell_rng(123, 0, i) for i in range(3)]
-        raw = np.array([draw_ar_residual(5.0, intervals[i], probe[i]).value for i in range(3)])
-        out, _ = benchmarked_residuals(5.0, intervals, None, rngs)
+        raw = np.array([draw_ar_residual(5.0, Interval(-1.0, 1.0), probe[i]).value for i in range(3)])
+        out, _ = benchmarked_residuals(5.0, np.full(3, -1.0), np.full(3, 1.0), None, rngs.__getitem__)
         ref = raw + qp_reference_solve(
             AdjustmentProblem(raw, np.full(3, -1.0), np.full(3, 1.0)), target_sum=0.0
         )
@@ -97,19 +118,19 @@ class TestBenchmarkedResiduals:
         # freedom, so the output variance sits near sigma^2 * (1 - 1/m).
         rng = np.random.default_rng(8)
         m, sigma, reps = 5, 1.0, 10_000
-        intervals = [Interval(-10 * sigma, 10 * sigma)] * m
+        lower, upper = np.full(m, -10 * sigma), np.full(m, 10 * sigma)
         pooled = []
         for _ in range(reps):
-            out, _ = benchmarked_residuals(sigma, intervals, None, rng)
+            out, _ = benchmarked_residuals(sigma, lower, upper, None, lambda i: rng)
             pooled.extend(out.tolist())
         var = float(np.var(pooled))
         target = sigma**2 * (1 - 1 / m)
         assert abs(var - target) < 0.1 * target
 
     def test_bitwise_reproducibility(self):
-        intervals = [Interval(-2.0, 2.0)] * 6
-        out1, stats1 = benchmarked_residuals(1.0, intervals, None, [cell_rng(5, 2, i) for i in range(6)])
-        out2, stats2 = benchmarked_residuals(1.0, intervals, None, [cell_rng(5, 2, i) for i in range(6)])
+        lower, upper = np.full(6, -2.0), np.full(6, 2.0)
+        out1, stats1 = benchmarked_residuals(1.0, lower, upper, None, lambda i: cell_rng(5, 2, i))
+        out2, stats2 = benchmarked_residuals(1.0, lower, upper, None, lambda i: cell_rng(5, 2, i))
         assert out1.tobytes() == out2.tobytes()
         assert stats1 == stats2
 
@@ -128,9 +149,63 @@ class TestBenchmarkedResiduals:
             built.append(i)
             return cell_rng(5, 2, 10 + i)
 
-        out1, stats1 = benchmarked_residuals(sigma, intervals, weights, eager)
-        out2, stats2 = benchmarked_residuals(sigma, intervals, weights, stream)
+        out1, stats1 = per_cell_benchmarked_residuals(sigma, intervals, weights, eager)
+        out2, stats2 = benchmarked_residuals(
+            sigma, [iv.lower for iv in intervals], [iv.upper for iv in intervals], weights, stream
+        )
         assert out1.tobytes() == out2.tobytes()
         assert stats1 == stats2
-        assert built == [i for i, iv in enumerate(intervals) if uses_stream(sigma, iv)]
+        assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
         assert len(built) == (0 if sigma == 0.0 else 3)
+
+
+KINDS = ("point", "bounded", "lower", "upper", "unbounded")
+
+
+@st.composite
+def residual_problems(draw):
+    """Residual bounds around a point of weighted sum zero, so the
+    re-centering is feasible; with ``zero`` the point is 0, and ``scale``
+    puts the bounds near the 1e-9 slack of the zero-sigma check."""
+    m = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=m, max_size=m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sigma = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.3, 1.0, 40.0]))
+    weighted = draw(st.booleans())
+    zero = draw(st.booleans())
+    scale = draw(st.sampled_from([1e-9, 1.0, 50.0]))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 3.0, m) if weighted else np.ones(m)
+    center = np.zeros(m) if zero else rng.normal(0.0, scale, m)
+    center -= np.sum(w * center) / np.sum(w) if m else 0.0
+    below, above = rng.exponential(scale, (2, m))
+    lower = np.array([c if k == "point" else (-INF if k in ("upper", "unbounded") else c - b)
+                      for k, c, b in zip(kinds, center, below)])
+    upper = np.array([c if k == "point" else (INF if k in ("lower", "unbounded") else c + a)
+                      for k, c, a in zip(kinds, center, above)])
+    return sigma, lower, upper, (w if weighted else None), seed
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(residual_problems())
+def test_array_residuals_match_per_cell_oracle(problem):
+    sigma, lower, upper, weights, seed = problem
+    intervals = [Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
+    built = []
+
+    def stream(i):
+        built.append(i)
+        return cell_rng(seed, 3, i)
+
+    try:
+        want = per_cell_benchmarked_residuals(sigma, intervals, weights, [cell_rng(seed, 3, i) for i in range(len(intervals))])
+    except CalimpError as err:
+        with pytest.raises(type(err)) as got:
+            benchmarked_residuals(sigma, lower, upper, weights, stream)
+        assert str(got.value) == str(err)
+        assert sigma == 0.0 and not all(iv.contains(0.0) for iv in intervals)
+        return
+    out, stats = benchmarked_residuals(sigma, lower, upper, weights, stream)
+    assert out.tobytes() == want[0].tobytes()
+    assert stats == want[1]
+    assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
