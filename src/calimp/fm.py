@@ -7,14 +7,16 @@ is read off as an admissible interval for the target cell.  Every value
 inside the interval extends to a full assignment satisfying the original
 system, which :func:`back_substitute` reconstructs.
 
-:func:`compile_interval` performs the same derivation once for every
-record sharing an unknown-variable pattern and evaluates it with array
-operations; the per-record functions remain for record-pair systems and
-as its reference.
+:func:`compile_interval` performs the same derivation, back-substitution
+included, once for every record sharing an unknown-variable pattern; it is
+evaluated with array operations over many records or in plain Python for
+one (the refinement chain's record pairs).  The per-record functions
+remain as its reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
@@ -507,6 +509,17 @@ class CompiledInterval:
     companion_vars: tuple[str, ...]
     companion_target: np.ndarray
     companion_comb: np.ndarray
+    #: The compiled :func:`back_substitute`.  ``slices`` holds, per
+    #: projected variable in elimination order, its one-dimensional slice:
+    #: one (coefficient, other terms) entry per row of the system it was
+    #: projected from that involves it, whose constant is the matching row
+    #: of ``slice_comb``.  ``substitutions`` holds each equality pivot and
+    #: its expression in the variables left, whose constant is the matching
+    #: row of ``substitution_comb``.
+    slices: tuple[tuple[str, tuple[tuple[float, tuple[tuple[str, float], ...]], ...]], ...]
+    slice_comb: np.ndarray
+    substitutions: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
+    substitution_comb: np.ndarray
 
     def _derive(self, D: np.ndarray, G: np.ndarray, tol: float):
         check_gross = G @ np.abs(self.check_comb).T
@@ -568,10 +581,110 @@ class CompiledInterval:
         holds ``values``; what :func:`resolve_companions` returns per record."""
         return values[:, None] * self.companion_target + D @ self.companion_comb.T
 
+    # One record at a time, in plain Python: for a single record numpy's
+    # call overhead exceeds the arithmetic of a system this small.
+
+    def record_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The combinations one record's :meth:`record_interval` and
+        :meth:`complete` read: applied to its reduced constants ``d`` they
+        give the fully known edits' constants, the check rows, the bound
+        rows, the slice rows and the substitution constants, in that order;
+        the second matrix, applied to its gross magnitudes, gives the
+        tolerance scale of the known edits and check rows."""
+        known = np.eye(len(self.edits))[self.known]
+        values = np.vstack([known, self.check_comb, self.bound_comb, self.slice_comb, self.substitution_comb])
+        return values, np.abs(np.vstack([known, self.check_comb]))
+
+    @functools.cached_property
+    def _layout(self):
+        nk, nc, nb = len(self.known), len(self.check_eq), len(self.bound_coef)
+        slices, at = [], nk + nc + nb
+        for var, entries in self.slices:
+            slices.append((var, [(at + i, c, others) for i, (c, others) in enumerate(entries)]))
+            at += len(entries)
+        substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
+        return (
+            self.known_eq.tolist() + self.check_eq.tolist(),
+            self.bound_coef.tolist(),
+            slices[::-1],
+            substitutions[::-1],
+        )
+
+    def record_interval(self, y: Sequence[float], g: Sequence[float], tol: float = DEFAULT_TOL) -> Interval:
+        """:func:`admissible_interval` of one record from ``y`` and ``g``,
+        the two products of :meth:`record_rows` with its constants: the
+        interval, or :class:`InfeasibleSystemError` where it raises."""
+        is_eq, bound_coef, _, _ = self._layout
+        nk = len(self.known)
+        for i, eq in enumerate(is_eq):
+            r, margin = y[i], tol * max(1.0, g[i])
+            if abs(r) > margin if eq else r < -margin:
+                if i < nk:
+                    k = int(self.known[i])
+                    raise InfeasibleSystemError(
+                        f"edit {k} fails on the known values (residual {r:.6g})", witness=self.edits[k]
+                    )
+                q = i - nk
+                raise InfeasibleSystemError(
+                    self.check_reason[q].format(residual=r, negated=-r), witness=self._support(self.check_comb[q])
+                )
+        lower, upper = NEG_INF, POS_INF
+        for c, v in zip(bound_coef, y[len(is_eq):]):
+            bound = -v / c
+            if c > 0:
+                if bound > lower:
+                    lower = bound
+            elif bound < upper:
+                upper = bound
+        return Interval(*_snap(lower, upper, tol, f"no admissible value for {self.target}"))
+
+    def complete(
+        self, value: float, y: Sequence[float], current: Mapping[str, float], tol: float = DEFAULT_TOL
+    ) -> dict[str, float]:
+        """:func:`back_substitute` of one record with the target at
+        ``value`` and the rule that keeps each variable's ``current`` value,
+        clamped into its slice.  ``y`` is as for :meth:`record_interval`.
+        Variables no edit constrains are left out, as there."""
+        _, _, slices, substitutions = self._layout
+        values = {self.target: value}
+        for var, entries in slices:
+            lower, upper = NEG_INF, POS_INF
+            for at, c, others in entries:
+                rest = y[at]
+                for v, cv in others:
+                    rest += cv * values[v]
+                bound = -rest / c
+                if c > 0:
+                    if bound > lower:
+                        lower = bound
+                elif bound < upper:
+                    upper = bound
+            lower, upper = _snap(lower, upper, tol, f"back-substitution range for {var} is empty")
+            values[var] = min(max(current[var], lower), upper)
+        for var, expr, at in substitutions:
+            acc = y[at]
+            for v, c in expr:
+                if v not in values:
+                    values[v] = current[v]
+                acc += c * values[v]
+            values.setdefault(var, acc)
+        return values
+
+
+def _snap(lower: float, upper: float, tol: float, what: str) -> tuple[float, float]:
+    """Bounds crossed by no more than rounding meet at their midpoint; a
+    wider crossing is infeasible."""
+    if lower > upper:
+        if lower - upper > tol * max(1.0, abs(lower), abs(upper)):
+            raise InfeasibleSystemError(f"{what}: requires >= {lower:.6g} and <= {upper:.6g}")
+        lower = upper = 0.5 * (lower + upper)
+    return lower, upper
+
 
 def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: str) -> CompiledInterval:
-    """Compile :func:`admissible_interval` and :func:`resolve_companions`
-    for records whose unknown variables are ``unknown``.
+    """Compile :func:`admissible_interval`, :func:`resolve_companions` and
+    :func:`back_substitute` for records whose unknown variables are
+    ``unknown``.
 
     ``edits`` is the full system; the known variables' values enter only
     through the reduced constants at evaluation time.
@@ -629,12 +742,22 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
     for row in work:
         row.combs = row.combs[None, :]
     rows = _merge_parallel(work)
+    slices: list[tuple[str, tuple]] = []
+    slice_comb: list[np.ndarray] = []
     while True:
         var = _elimination_order(rows, target)
         if var is None:
             break
         lowers = [r for r in rows if r.coeffs.get(var, 0.0) > 0]
         uppers = [r for r in rows if r.coeffs.get(var, 0.0) < 0]
+        # var's one-dimensional slice, as back_substitute reads it off the
+        # system var is projected from.
+        entries = []
+        for r in lowers + uppers:
+            others = tuple((v, c) for v, c in r.coeffs.items() if v != var)
+            entries.extend((r.coeffs[var], others) for _ in r.combs)
+            slice_comb.extend(r.combs)
+        slices.append((var, tuple(entries)))
         out = [r for r in rows if r.coeffs.get(var, 0.0) == 0]
         for lo in lowers:
             cl = lo.coeffs[var]
@@ -688,4 +811,8 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
         companion_vars=tuple(companions),
         companion_target=np.array([affine[v][0] for v in companions], dtype=float),
         companion_comb=matrix([affine[v][1] for v in companions]),
+        slices=tuple(slices),
+        slice_comb=matrix(slice_comb),
+        substitutions=tuple((var, tuple(expr.items())) for var, expr, _ in stack),
+        substitution_comb=matrix([expr_comb for _, _, expr_comb in stack]),
     )

@@ -1,14 +1,16 @@
 """Pair-swap refinement of a fully imputed, fully consistent data set.
 
 Each step picks two records sharing an imputed variable, treats all their
-imputed cells as unknowns again, and rebuilds the constraints those cells
+imputed cells as unknowns again, and takes the constraints those cells
 must satisfy: the records' reduced edits plus, per variable with a known
 total, the requirement that the pair's imputed values absorb exactly what
 the rest of the column leaves over.  One cell is re-drawn from a
 truncated posterior predictive distribution inside its admissible
 interval, and the remaining unknowns are repaired through the equality
 structure (keeping their current values wherever the constraints leave
-slack).  Edits and totals therefore hold after every step.
+slack).  Edits and totals therefore hold after every step.  The
+derivation is compiled once per pair shape (:class:`PairSystems`), so a
+step only evaluates it on the pair's constants.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, and each posterior is drawn from
@@ -27,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import fm, metrics, regression
-from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system
+from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
 from .pipeline import DataMatrix, Totals, validate
 from .residuals import draw_ar_residual
@@ -175,6 +177,217 @@ def pair_constraint_system(
                 pinned = remainder - w_s * float(data.values[s, j])
                 out.append(Edit({f"t.{name}": w_t}, -pinned, EditKind.EQUALITY))
     return ReducedSystem(tuple(out)), cells
+
+
+def _bits(mask: int) -> list[int]:
+    """The column indices set in a bit mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _KeySystem(NamedTuple):
+    """A key's compiled pair system.  ``W`` maps the step vector
+    ``[z, |z|]`` to the derivation's rows ``y`` (the first ``n``) and their
+    gross magnitudes ``g``; ``unknowns`` names each unknown with its record
+    (0 for s, 1 for t) and column."""
+
+    compiled: fm.CompiledInterval
+    W: np.ndarray
+    n: int
+    unknowns: tuple[tuple[str, int, int], ...]
+
+
+class _Plan(NamedTuple):
+    """What one (target, pattern of s, pattern of t) needs beyond its key:
+    the coupled columns, each record's pinned columns, the edits each
+    record's completion is checked against, and the imputed columns."""
+
+    system: _KeySystem
+    coupled: list[int]
+    pinned_s: list[int]
+    pinned_t: list[int]
+    check_s: list[tuple[float, list[tuple[int, float]], bool]]
+    check_t: list[tuple[float, list[tuple[int, float]], bool]]
+    imputed_s: list[int]
+    imputed_t: list[int]
+
+
+class PairSystems:
+    """The constraint systems of a chain's record pairs, compiled once per
+    key; a step evaluates its key's system with one matrix product and
+    plain-Python loops over its few rows.
+
+    The system is :func:`pair_constraint_system`'s, with the totals'
+    equalities solved first.  A column imputed in both records that
+    carries a total (the coupled columns, V_T) keeps one unknown ``s.v``;
+    its partner is ``t.v = (R_v - w_s s.v) / w_t``, where R_v is what the
+    rest of the column leaves the pair.  A column imputed in one record
+    only and carrying a total is pinned by it and becomes a constant.
+    Record t's rows are scaled by ``w_t / w_s > 0`` and its imputed
+    columns without a total are rescaled by the same factor, so every
+    coefficient is an edit coefficient and weights, values and totals
+    enter only through the constants.  The key is therefore (target, V_T,
+    s's imputed columns without a total, t's imputed columns without a
+    total).  ``compiled`` and ``hits`` count the steps that compiled their
+    key's system and those that found it.
+    """
+
+    def __init__(self, data: DataMatrix, edits: EditSystem, totals: Totals | None):
+        self.columns = data.columns
+        self.edits = edits
+        self.A, self.b, is_eq = system_matrices(edits, data.columns)
+        self.rows = [
+            (float(self.b[k]), [(int(c), float(self.A[k, c])) for c in np.flatnonzero(self.A[k])], bool(is_eq[k]))
+            for k in range(len(self.b))
+        ]
+        self.touches = [sum(1 << c for c, _ in terms) for _, terms, _ in self.rows]
+        totals = totals or {}
+        self.total = [float(totals[name]) if name in totals else None for name in data.columns]
+        self.with_total = sum(1 << j for j, t in enumerate(self.total) if t is not None)
+        bit = [1 << j for j in range(len(data.columns))]
+        self.pattern = [sum(b for b, m in zip(bit, row) if m) for row in data.mask.tolist()]
+        self.weights = data.weights.tolist()
+        self.plans: dict[tuple[int, int, int], _Plan] = {}
+        self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
+        self.compiled = 0
+        self.hits = 0
+
+    def _compile(self, j: int, coupled: int, free_s: int, free_t: int) -> _KeySystem:
+        names, A = self.columns, self.A
+        K, p = A.shape
+        rows = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, 0.0, e.kind) for e in self.edits.edits]
+        for e in self.edits.edits:
+            coeffs = {}
+            for v, c in e.coeffs.items():
+                if coupled >> names.index(v) & 1:
+                    coeffs[f"s.{v}"] = -c
+                else:
+                    coeffs[f"t.{v}"] = c
+            rows.append(Edit(coeffs, 0.0, e.kind))
+        unknowns = tuple(
+            [(f"s.{names[c]}", 0, c) for c in _bits(coupled | free_s)] + [(f"t.{names[c]}", 1, c) for c in _bits(free_t)]
+        )
+        compiled = fm.compile_interval(rows, [name for name, _, _ in unknowns], f"s.{names[j]}")
+        # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s],
+        # pinned columns holding their pinned values.
+        in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
+        in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
+        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
+        M = np.zeros((2 * K, 3 * p + 2))
+        M[:K, :p] = np.where(in_s, 0.0, A)
+        M[:K, 3 * p] = self.b
+        M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
+        M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
+        M[K:, 3 * p + 1] = self.b
+        values, gross = compiled.record_rows()
+        n, width = len(values), 3 * p + 2
+        W = np.zeros((n + len(gross), 2 * width))
+        W[:n, :width] = values @ M
+        W[n:, width:] = gross @ np.abs(M)
+        return _KeySystem(compiled, W, n, unknowns)
+
+    def _plan(self, j: int, ps: int, pt: int) -> _Plan:
+        with_total = self.with_total
+        coupled = ps & pt & with_total
+        key = (j, coupled, ps & ~with_total, pt & ~with_total)
+        system = self.systems.get(key)
+        if system is None:
+            system = self.systems[key] = self._compile(*key)
+            self.compiled += 1
+        else:
+            self.hits += 1
+        return _Plan(
+            system,
+            _bits(coupled),
+            _bits(ps & ~pt & with_total),
+            _bits(pt & ~ps & with_total),
+            [row for row, touches in zip(self.rows, self.touches) if touches & ps],
+            [row for row, touches in zip(self.rows, self.touches) if touches & pt],
+            _bits(ps),
+            _bits(pt),
+        )
+
+    def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
+        """The system of records ``s`` and ``t`` re-drawing column ``j`` of
+        ``s``, at the current ``values`` and weighted column sums: its
+        interval, or :class:`InfeasibleSystemError` where the derivation
+        finds the system infeasible."""
+        key = (j, self.pattern[s], self.pattern[t])
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = self._plan(*key)
+        else:
+            self.hits += 1
+        return PairStep(plan, self.total, values[s].tolist(), values[t].tolist(), self.weights[s], self.weights[t], colsums)
+
+
+class PairStep:
+    """One step's pair system: its constants, the target's interval, and
+    :meth:`complete`.  ``old`` holds the two records' current rows and
+    ``rows`` the same rows with pinned cells at their pinned values."""
+
+    def __init__(self, plan: _Plan, total: list[float | None], row_s: list[float], row_t: list[float],
+                 w_s: float, w_t: float, colsums: list[float]):
+        self.plan, self.w_s, self.w_t = plan, w_s, w_t
+        self.old = (row_s, row_t)
+        xs, xt = list(row_s), list(row_t)
+        self.shares = {}
+        for c in plan.coupled:
+            self.shares[c] = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
+        for c in plan.pinned_s:
+            xs[c] = (total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c]) - w_t * row_t[c]) / w_s
+        for c in plan.pinned_t:
+            xt[c] = (total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c]) - w_s * row_s[c]) / w_t
+        self.rows = (xs, xt)
+        self.ratio = ratio = w_t / w_s
+        p = len(xs)
+        z = xs + [ratio * v for v in xt] + [0.0] * p + [1.0, ratio]
+        for c, share in self.shares.items():
+            z[2 * p + c] = share / w_s
+        system = plan.system
+        out = (system.W @ np.array(z + [abs(v) for v in z])).tolist()
+        self.y = out[: system.n]
+        self.interval = system.compiled.record_interval(self.y, out[system.n :])
+
+    def complete(self, value: float) -> tuple[list[float], list[float]]:
+        """Both records' rows once the target holds ``value``: the other
+        unknowns keep their current values clamped into their slices (in
+        reverse elimination order), the rest follow through the equalities,
+        the coupled partners and pinned cells through the totals.  A
+        completion that misses an edit of either record or a pair total
+        by more than :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
+        plan, system, ratio = self.plan, self.plan.system, self.ratio
+        xs, xt = self.rows
+        current = {name: xs[c] if role == 0 else ratio * xt[c] for name, role, c in system.unknowns}
+        solved = system.compiled.complete(value, self.y, current)
+        new_s, new_t = list(xs), list(xt)
+        for name, role, c in system.unknowns:
+            if name in solved:
+                v = solved[name]
+                if role == 0:
+                    new_s[c] = v
+                elif v != current[name]:  # a kept value stays bit for bit
+                    new_t[c] = v / ratio
+        for c in plan.coupled:
+            new_t[c] = (self.shares[c] - self.w_s * new_s[c]) / self.w_t
+        scale = max([1.0, *(abs(new_s[c]) for c in plan.imputed_s), *(abs(new_t[c]) for c in plan.imputed_t)])
+        margin = DEFAULT_TOL * scale
+        for checks, row in ((plan.check_s, new_s), (plan.check_t, new_t)):
+            for b, terms, eq in checks:
+                r = b
+                for c, a in terms:
+                    r += a * row[c]
+                if abs(r) > margin if eq else r < -margin:
+                    raise InfeasibleSystemError(f"completed pair violates an edit (residual {r:.6g})")
+        for c in plan.coupled:  # pinned cells meet their totals by construction
+            r = self.w_s * new_s[c] + self.w_t * new_t[c] - self.shares[c]
+            if abs(r) > margin:
+                raise InfeasibleSystemError(f"completed pair misses a column total (residual {r:.6g})")
+        return new_s, new_t
 
 
 def _augment(rows: np.ndarray) -> np.ndarray:
@@ -325,19 +538,27 @@ def draw_truncated_posterior(
     return model.predictive_mean + draw.value
 
 
-def _checkpoint_row(data: DataMatrix, iteration: int, previous: dict, counts: dict) -> dict:
+def _checkpoint_row(
+    data: DataMatrix, iteration: int, previous: dict, counts: dict, abs_moves: dict, systems: PairSystems
+) -> dict:
     per_variable = {}
     for j, name in enumerate(data.columns):
         cells = data.values[data.mask[:, j], j]
         if cells.size == 0:
             continue
         entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells)), **counts[name]}
+        entry["mean_abs_move"] = abs_moves[name] / counts[name]["accepted"] if counts[name]["accepted"] else 0.0
         if name in previous:
             entry["ks_vs_prev"] = metrics.ks_statistic(previous[name], cells)
         per_variable[name] = entry
         previous[name] = cells.copy()
     totals = {key: sum(c[key] for c in counts.values()) for key in ("accepted", "fallbacks")}
-    return {"iteration": iteration, "per_variable": per_variable, **totals}
+    return {
+        "iteration": iteration,
+        "per_variable": per_variable,
+        **totals,
+        "pair_systems": {"compiled": systems.compiled, "hits": systems.hits},
+    }
 
 
 def mcmc_refine(
@@ -374,7 +595,7 @@ def mcmc_refine(
         return state, trace
 
     rng = np.random.default_rng(config.seed)
-    colsums = state.weights @ state.values
+    colsums = (state.weights @ state.values).tolist()
     observed_cols = [
         name for j, name in enumerate(state.columns) if not state.mask[:, j].any()
     ]
@@ -395,21 +616,24 @@ def mcmc_refine(
         state.values,
         {j: [state.column_index(p) for p in predictors[state.columns[j]]] + [j] for j in targets},
     )
+    systems = PairSystems(state, edits, totals)
+    weights = systems.weights
     previous_cells: dict[str, np.ndarray] = {}
-    counts = {name: {"accepted": 0, "fallbacks": 0} for name in state.columns}
+    counts = {name: {"accepted": 0, "fallbacks": 0, "moved": 0} for name in state.columns}
+    abs_moves = dict.fromkeys(state.columns, 0.0)
 
     for iteration in range(1, iterations + 1):
         s, t, var = select_pair(state, rng, index)
         j = state.column_index(var)
         try:
-            system, cells = pair_constraint_system(state, edits, totals, s, t, colsums=colsums)
-            target = f"s.{var}"
-            interval, record = fm.admissible_interval(system, target)
-            current = float(state.values[s, j])
+            pair = systems.pair(state.values, colsums, s, t, j)
+            interval = pair.interval
+            row_s, row_t = pair.old
+            current = row_s[j]
             # The edits hold to tol times each record's largest magnitude, so
             # a cell pinned by large constants may miss its point interval
             # by that much; measure the miss on the same scale.
-            slack = DEFAULT_TOL * max(1.0, float(np.abs(state.values[[s, t]]).max()))
+            slack = DEFAULT_TOL * max(1.0, *map(abs, row_s), *map(abs, row_t))
             if not interval.lower - slack <= current <= interval.upper + slack:
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "
@@ -418,32 +642,34 @@ def mcmc_refine(
                 )
             model = posterior_model(state, var, predictors[var], s, rng, stats.gram[j])
             value = draw_truncated_posterior(model, interval, rng)
-
-            def retain_rule(name: str, iv: fm.Interval) -> float:
-                rec, col = cells[name]
-                return iv.clamp(float(state.values[rec, col]))
-
-            completion = fm.back_substitute(record, {target: value}, value_rule=retain_rule)
+            new_rows = pair.complete(value)
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
             counts[var]["fallbacks"] += 1
         else:
             old_rows = state.values[[s, t]]
             changed = set()
-            for name, val in completion.items():
-                rec, col = cells[name]
-                delta = val - float(state.values[rec, col])
-                if delta != 0.0:
-                    colsums[col] += state.weights[rec] * delta
-                    state.values[rec, col] = val
-                    changed.add(col)
+            for rec, old, new, cols in zip((s, t), pair.old, new_rows, (pair.plan.imputed_s, pair.plan.imputed_t)):
+                for col in cols:
+                    delta = new[col] - old[col]
+                    if delta != 0.0:
+                        colsums[col] += weights[rec] * delta
+                        state.values[rec, col] = new[col]
+                        changed.add(col)
             if changed:
                 stats.move(old_rows, state.values[[s, t]], changed)
             counts[var]["accepted"] += 1
+            move = abs(new_rows[0][j] - current)
+            if move:
+                counts[var]["moved"] += 1
+                abs_moves[var] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
-            colsums = state.weights @ state.values
+            colsums = (state.weights @ state.values).tolist()
             stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
-            trace.append(_checkpoint_row(state, iteration, previous_cells, counts))
+            row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, systems)
+            if not trace:
+                row["predictors"] = {state.columns[j]: predictors[state.columns[j]] for j in targets}
+            trace.append(row)
     return state, trace

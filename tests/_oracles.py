@@ -4,7 +4,8 @@ These deliberately avoid the library's own elimination/solver code paths:
 feasibility is decided by complete lattice enumeration, regression
 calibration by solving the augmented normal equations directly, the
 zero-sum adjustment by active-set enumeration, bpmr residuals cell by
-cell, and random imputation instances are built truth-first so
+cell, the refinement chain's pair step by the per-record derivation, and
+random imputation instances are built truth-first so
 feasibility is a construction guarantee rather than an assumption.
 """
 
@@ -25,6 +26,7 @@ from calimp.adjust import (
 )
 from calimp.edits import Edit, EditKind, EditSystem, reduce_system
 from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
+from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
 from calimp.residuals import draw_ar_residual
 
@@ -380,3 +382,118 @@ def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_
     )
     adjustment = zero_sum_interval_adjust(problem, target_sum=0.0, feasibility_scale=feasibility_scale)
     return draws + adjustment, {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}
+
+
+def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
+    """One chain step the per-record way, as ``mcmc_refine`` took it before
+    pair systems were compiled: ``pair_constraint_system``, then
+    ``fm.admissible_interval`` for ``s.<var>``, then ``fm.back_substitute``
+    keeping each other unknown's current value clamped into its range.
+
+    The target takes ``value``.  Returns the interval, both records' new rows, and whether the equalities alone
+    force every unknown once the target is set; ``None`` where a stage
+    raises :class:`InfeasibleSystemError` (the chain's fallback).
+    """
+    try:
+        system, cells = pair_constraint_system(data, edits, totals, s, t, colsums=colsums)
+        target = f"s.{var}"
+        interval, record = fm.admissible_interval(system, target)
+        completion = fm.back_substitute(
+            record, {target: value}, value_rule=lambda name, iv: iv.clamp(float(data.values[cells[name]]))
+        )
+    except InfeasibleSystemError:
+        return None
+    rows = data.values[[s, t]].copy()
+    for name, v in completion.items():
+        rec, col = cells[name]
+        rows[0 if rec == s else 1, col] = v
+    resolved = set(fm.resolve_companions(record, {target: value})) | {target}
+    return interval, rows, resolved >= set(system.variables())
+
+
+def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums):
+    """``pair_constraint_system`` with its total equalities solved first,
+    built edit by edit in dict form.
+
+    A column imputed in both records with a total keeps one unknown
+    ``s.v``, and record t's edits read ``t.v = (R_v - w_s s.v) / w_t``; a
+    column imputed in one record with a total is pinned.  Record t's
+    reduced edits are scaled by ``w_t / w_s`` and its unknowns without a
+    total stand for ``w_t / w_s`` times its cells.  Returns the system,
+    the shares ``R_v`` by column, and both records' rows with the pinned
+    cells set.
+    """
+    totals = totals or {}
+    w_s, w_t = float(data.weights[s]), float(data.weights[t])
+    rows = data.values[[s, t]].copy()
+    shares = {}
+    for j, name in enumerate(data.columns):
+        in_s, in_t = bool(data.mask[s, j]), bool(data.mask[t, j])
+        if name not in totals or not (in_s or in_t):
+            continue
+        x_s, x_t = float(data.values[s, j]), float(data.values[t, j])
+        remainder = float(totals[name]) - (float(colsums[j]) - w_s * x_s - w_t * x_t)
+        if in_s and in_t:
+            shares[name] = remainder
+        elif in_s:
+            rows[0, j] = (remainder - w_t * x_t) / w_s
+        else:
+            rows[1, j] = (remainder - w_s * x_s) / w_t
+
+    def reduced(k: int):
+        rec = (s, t)[k]
+        known = {
+            name: float(rows[k, j])
+            for j, name in enumerate(data.columns)
+            if not data.mask[rec, j] or (name in totals and name not in shares)
+        }
+        return reduce_system(edits, known, origin=rec).edits
+
+    out = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, e.constant, e.kind) for e in reduced(0)]
+    ratio = w_t / w_s
+    for e in reduced(1):
+        coeffs, const = {}, ratio * e.constant
+        for v, c in e.coeffs.items():
+            if v in shares:
+                coeffs[f"s.{v}"] = -c
+                const += c * shares[v] / w_s
+            else:
+                coeffs[f"t.{v}"] = c
+        out.append(Edit(coeffs, const, e.kind))
+    return out, shares, rows
+
+
+def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
+    """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
+    and ``fm.back_substitute`` with the same keep-current rule, the coupled
+    partners and pinned cells then following from the totals.  Returns the
+    interval and both new rows, or ``None`` where a stage raises
+    :class:`InfeasibleSystemError`."""
+    try:
+        system, shares, rows = coupled_pair_system(data, edits, totals, s, t, colsums)
+        target = f"s.{var}"
+        interval, record = fm.admissible_interval(system, target)
+        w_s, w_t = float(data.weights[s]), float(data.weights[t])
+        ratio = w_t / w_s
+
+        def current(name):
+            role, v = name.split(".", 1)
+            j = data.column_index(v)
+            return rows[0, j] if role == "s" else ratio * rows[1, j]
+
+        completion = fm.back_substitute(
+            record, {target: value}, value_rule=lambda name, iv: iv.clamp(current(name))
+        )
+    except InfeasibleSystemError:
+        return None
+    for name, v in completion.items():
+        role, col = name.split(".", 1)
+        j = data.column_index(col)
+        if role == "s":
+            rows[0, j] = v
+        elif v != current(name):
+            rows[1, j] = v / ratio
+    for name, share in shares.items():
+        j = data.column_index(name)
+        rows[1, j] = (share - w_s * rows[0, j]) / w_t
+    return interval, rows

@@ -396,6 +396,63 @@ class TestMcmcRefine:
         for j, name in enumerate(columns):
             assert float(refined.values[:, j].sum()) == pytest.approx(totals[name], rel=1e-8)
         assert np.array_equal(refined.values[~mask], truth[~mask])
+        # The trace names what each target kept: one member of each balance
+        # goes (the last dependent column of the design).
+        assert trace[0]["predictors"] == {
+            "turnover": ["profit", "costs", "c1"],
+            "profit": ["turnover", "costs", "c1"],
+            "costs": ["turnover", "profit", "c1"],
+            "c1": ["turnover", "profit", "c2"],
+            "c2": ["turnover", "profit", "c1"],
+        }
+        assert all("predictors" not in row for row in trace[1:])
+        for row in trace:
+            systems = row["pair_systems"]
+            assert systems["compiled"] + systems["hits"] == row["accepted"] + row["fallbacks"]
+            assert 0 < systems["compiled"] < 50
+        # Every target is an exact function of its kept predictors, so
+        # σ² = 0 and the chain holds its values: steps are accepted, yet the
+        # re-drawn cells move by rounding at most.
+        for name, entry in trace[-1]["per_variable"].items():
+            assert entry["accepted"] > 300
+            assert entry["moved"] <= 5
+            assert entry["mean_abs_move"] <= 1e-12 * float(np.abs(truth).max())
+
+    def test_moved_matches_an_independent_count(self):
+        rng = np.random.default_rng(8)
+        pre, edits, totals = three_var_study_data(rng, r=120)
+        steps, states, pairs = 60, [], []
+        real_select, real_validate = mcmc.select_pair, mcmc.validate
+
+        def recording_select(*args):
+            pairs.append(real_select(*args))
+            return pairs[-1]
+
+        def snapshotting_validate(values, *args):
+            states.append(values.copy())
+            real_validate(values, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "select_pair", recording_select)
+            patch.setattr(mcmc, "validate", snapshotting_validate)
+            _, trace = mcmc_refine(
+                pre, edits, totals,
+                McmcConfig(iterations=steps, checkpoint_every=1, seed=4,
+                           predictors={"x1": ["P"], "x2": ["P", "x1"]}),
+            )
+        assert len(states) == steps + 1  # the input, then every step
+        moved = {"x1": 0, "x2": 0}
+        total_move = {"x1": 0.0, "x2": 0.0}
+        for (s, _, var), before, after in zip(pairs, states, states[1:]):
+            j = pre.column_index(var)
+            if after[s, j] != before[s, j]:
+                moved[var] += 1
+                total_move[var] += abs(after[s, j] - before[s, j])
+        last = trace[-1]["per_variable"]
+        assert sum(moved.values()) > 10
+        for var in ("x1", "x2"):
+            assert last[var]["moved"] == moved[var]
+            assert last[var]["mean_abs_move"] == pytest.approx(total_move[var] / last[var]["accepted"], rel=1e-12)
 
     def test_zero_iterations_is_noop(self):
         data, edits, totals = pair_example_data()
