@@ -610,24 +610,15 @@ class CompiledInterval:
             substitutions[::-1],
         )
 
-    def record_interval(self, y: Sequence[float], g: Sequence[float], tol: float = DEFAULT_TOL) -> Interval:
+    def record_interval(self, y: Sequence[float], g: Sequence[float]) -> Interval:
         """:func:`admissible_interval` of one record from ``y`` and ``g``,
         the two products of :meth:`record_rows` with its constants: the
-        interval, or :class:`InfeasibleSystemError` where it raises."""
+        interval, or a bare :class:`InfeasibleSystemError` where it raises."""
         is_eq, bound_coef, _, _ = self._layout
-        nk = len(self.known)
-        for i, eq in enumerate(is_eq):
-            r, margin = y[i], tol * max(1.0, g[i])
+        for r, gross, eq in zip(y, g, is_eq):
+            margin = DEFAULT_TOL * max(1.0, gross)
             if abs(r) > margin if eq else r < -margin:
-                if i < nk:
-                    k = int(self.known[i])
-                    raise InfeasibleSystemError(
-                        f"edit {k} fails on the known values (residual {r:.6g})", witness=self.edits[k]
-                    )
-                q = i - nk
-                raise InfeasibleSystemError(
-                    self.check_reason[q].format(residual=r, negated=-r), witness=self._support(self.check_comb[q])
-                )
+                raise InfeasibleSystemError(f"no admissible value for {self.target}")
         lower, upper = NEG_INF, POS_INF
         for c, v in zip(bound_coef, y[len(is_eq):]):
             bound = -v / c
@@ -636,11 +627,9 @@ class CompiledInterval:
                     lower = bound
             elif bound < upper:
                 upper = bound
-        return Interval(*_snap(lower, upper, tol, f"no admissible value for {self.target}"))
+        return Interval(*_snap(lower, upper))
 
-    def complete(
-        self, value: float, y: Sequence[float], current: Mapping[str, float], tol: float = DEFAULT_TOL
-    ) -> dict[str, float]:
+    def complete(self, value: float, y: Sequence[float], current: Mapping[str, float]) -> dict[str, float]:
         """:func:`back_substitute` of one record with the target at
         ``value`` and the rule that keeps each variable's ``current`` value,
         clamped into its slice.  ``y`` is as for :meth:`record_interval`.
@@ -659,7 +648,7 @@ class CompiledInterval:
                         lower = bound
                 elif bound < upper:
                     upper = bound
-            lower, upper = _snap(lower, upper, tol, f"back-substitution range for {var} is empty")
+            lower, upper = _snap(lower, upper)
             values[var] = min(max(current[var], lower), upper)
         for var, expr, at in substitutions:
             acc = y[at]
@@ -671,12 +660,12 @@ class CompiledInterval:
         return values
 
 
-def _snap(lower: float, upper: float, tol: float, what: str) -> tuple[float, float]:
+def _snap(lower: float, upper: float) -> tuple[float, float]:
     """Bounds crossed by no more than rounding meet at their midpoint; a
     wider crossing is infeasible."""
     if lower > upper:
-        if lower - upper > tol * max(1.0, abs(lower), abs(upper)):
-            raise InfeasibleSystemError(f"{what}: requires >= {lower:.6g} and <= {upper:.6g}")
+        if lower - upper > DEFAULT_TOL * max(1.0, abs(lower), abs(upper)):
+            raise InfeasibleSystemError(f"empty range: requires >= {lower:.6g} and <= {upper:.6g}")
         lower = upper = 0.5 * (lower + upper)
     return lower, upper
 

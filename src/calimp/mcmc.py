@@ -201,21 +201,6 @@ class _KeySystem(NamedTuple):
     unknowns: tuple[tuple[str, int, int], ...]
 
 
-class _Plan(NamedTuple):
-    """What one (target, pattern of s, pattern of t) needs beyond its key:
-    the coupled columns, each record's pinned columns, the edits each
-    record's completion is checked against, and the imputed columns."""
-
-    system: _KeySystem
-    coupled: list[int]
-    pinned_s: list[int]
-    pinned_t: list[int]
-    check_s: list[tuple[float, list[tuple[int, float]], bool]]
-    check_t: list[tuple[float, list[tuple[int, float]], bool]]
-    imputed_s: list[int]
-    imputed_t: list[int]
-
-
 class PairSystems:
     """The constraint systems of a chain's record pairs, compiled once per
     key; a step evaluates its key's system with one matrix product and
@@ -250,8 +235,13 @@ class PairSystems:
         self.with_total = sum(1 << j for j, t in enumerate(self.total) if t is not None)
         bit = [1 << j for j in range(len(data.columns))]
         self.pattern = [sum(b for b, m in zip(bit, row) if m) for row in data.mask.tolist()]
+        # Per imputed pattern: its columns and the edits a completion is
+        # checked against, those that read one of them.
+        self.imputed = {
+            mask: (_bits(mask), [row for row, touches in zip(self.rows, self.touches) if touches & mask])
+            for mask in set(self.pattern)
+        }
         self.weights = data.weights.tolist()
-        self.plans: dict[tuple[int, int, int], _Plan] = {}
         self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
         self.compiled = 0
         self.hits = 0
@@ -290,65 +280,52 @@ class PairSystems:
         W[n:, width:] = gross @ np.abs(M)
         return _KeySystem(compiled, W, n, unknowns)
 
-    def _plan(self, j: int, ps: int, pt: int) -> _Plan:
-        with_total = self.with_total
-        coupled = ps & pt & with_total
-        key = (j, coupled, ps & ~with_total, pt & ~with_total)
+    def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
+        """The system of records ``s`` and ``t`` re-drawing column ``j`` of
+        ``s``, at the current ``values`` and weighted column sums: its
+        interval, or :class:`InfeasibleSystemError` where the derivation
+        finds the system infeasible."""
+        ps, pt, with_total = self.pattern[s], self.pattern[t], self.with_total
+        key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
         system = self.systems.get(key)
         if system is None:
             system = self.systems[key] = self._compile(*key)
             self.compiled += 1
         else:
             self.hits += 1
-        return _Plan(
-            system,
-            _bits(coupled),
-            _bits(ps & ~pt & with_total),
-            _bits(pt & ~ps & with_total),
-            [row for row, touches in zip(self.rows, self.touches) if touches & ps],
-            [row for row, touches in zip(self.rows, self.touches) if touches & pt],
-            _bits(ps),
-            _bits(pt),
-        )
-
-    def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
-        """The system of records ``s`` and ``t`` re-drawing column ``j`` of
-        ``s``, at the current ``values`` and weighted column sums: its
-        interval, or :class:`InfeasibleSystemError` where the derivation
-        finds the system infeasible."""
-        key = (j, self.pattern[s], self.pattern[t])
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = self.plans[key] = self._plan(*key)
-        else:
-            self.hits += 1
-        return PairStep(plan, self.total, values[s].tolist(), values[t].tolist(), self.weights[s], self.weights[t], colsums)
+        return PairStep(self, system, values, colsums, s, t)
 
 
 class PairStep:
     """One step's pair system: its constants, the target's interval, and
     :meth:`complete`.  ``old`` holds the two records' current rows and
-    ``rows`` the same rows with pinned cells at their pinned values."""
+    ``rows`` the same rows with pinned cells at their pinned values;
+    ``imputed`` holds each record's imputed columns."""
 
-    def __init__(self, plan: _Plan, total: list[float | None], row_s: list[float], row_t: list[float],
-                 w_s: float, w_t: float, colsums: list[float]):
-        self.plan, self.w_s, self.w_t = plan, w_s, w_t
-        self.old = (row_s, row_t)
+    def __init__(self, systems: PairSystems, system: _KeySystem, values: np.ndarray, colsums: list[float],
+                 s: int, t: int):
+        ps, pt, with_total, total = systems.pattern[s], systems.pattern[t], systems.with_total, systems.total
+        self.system = system
+        self.w_s, self.w_t = w_s, w_t = systems.weights[s], systems.weights[t]
+        self.old = row_s, row_t = values[s].tolist(), values[t].tolist()
+        (imputed_s, checks_s), (imputed_t, checks_t) = systems.imputed[ps], systems.imputed[pt]
+        self.imputed, self.checks = (imputed_s, imputed_t), (checks_s, checks_t)
         xs, xt = list(row_s), list(row_t)
-        self.shares = {}
-        for c in plan.coupled:
-            self.shares[c] = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
-        for c in plan.pinned_s:
-            xs[c] = (total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c]) - w_t * row_t[c]) / w_s
-        for c in plan.pinned_t:
-            xt[c] = (total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c]) - w_s * row_s[c]) / w_t
+        self.shares = shares = {}
+        for c in _bits(ps & pt & with_total):
+            shares[c] = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
+        for c in _bits((ps ^ pt) & with_total):  # pinned by their totals
+            rest = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
+            if ps >> c & 1:
+                xs[c] = (rest - w_t * row_t[c]) / w_s
+            else:
+                xt[c] = (rest - w_s * row_s[c]) / w_t
         self.rows = (xs, xt)
         self.ratio = ratio = w_t / w_s
         p = len(xs)
         z = xs + [ratio * v for v in xt] + [0.0] * p + [1.0, ratio]
-        for c, share in self.shares.items():
+        for c, share in shares.items():
             z[2 * p + c] = share / w_s
-        system = plan.system
         out = (system.W @ np.array(z + [abs(v) for v in z])).tolist()
         self.y = out[: system.n]
         self.interval = system.compiled.record_interval(self.y, out[system.n :])
@@ -360,7 +337,7 @@ class PairStep:
         the coupled partners and pinned cells through the totals.  A
         completion that misses an edit of either record or a pair total
         by more than :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
-        plan, system, ratio = self.plan, self.plan.system, self.ratio
+        system, ratio = self.system, self.ratio
         xs, xt = self.rows
         current = {name: xs[c] if role == 0 else ratio * xt[c] for name, role, c in system.unknowns}
         solved = system.compiled.complete(value, self.y, current)
@@ -372,19 +349,21 @@ class PairStep:
                     new_s[c] = v
                 elif v != current[name]:  # a kept value stays bit for bit
                     new_t[c] = v / ratio
-        for c in plan.coupled:
-            new_t[c] = (self.shares[c] - self.w_s * new_s[c]) / self.w_t
-        scale = max([1.0, *(abs(new_s[c]) for c in plan.imputed_s), *(abs(new_t[c]) for c in plan.imputed_t)])
-        margin = DEFAULT_TOL * scale
-        for checks, row in ((plan.check_s, new_s), (plan.check_t, new_t)):
+        for c, share in self.shares.items():
+            new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
+        # Each record's margin is that of violation_matrix: its largest
+        # magnitude, observed cells included, as they enter every sum.
+        margins = [DEFAULT_TOL * max(1.0, *map(abs, row)) for row in (new_s, new_t)]
+        for checks, row, margin in zip(self.checks, (new_s, new_t), margins):
             for b, terms, eq in checks:
                 r = b
                 for c, a in terms:
                     r += a * row[c]
                 if abs(r) > margin if eq else r < -margin:
                     raise InfeasibleSystemError(f"completed pair violates an edit (residual {r:.6g})")
-        for c in plan.coupled:  # pinned cells meet their totals by construction
-            r = self.w_s * new_s[c] + self.w_t * new_t[c] - self.shares[c]
+        margin = max(margins)
+        for c, share in self.shares.items():  # pinned cells meet their totals by construction
+            r = self.w_s * new_s[c] + self.w_t * new_t[c] - share
             if abs(r) > margin:
                 raise InfeasibleSystemError(f"completed pair misses a column total (residual {r:.6g})")
         return new_s, new_t
@@ -649,7 +628,7 @@ def mcmc_refine(
         else:
             old_rows = state.values[[s, t]]
             changed = set()
-            for rec, old, new, cols in zip((s, t), pair.old, new_rows, (pair.plan.imputed_s, pair.plan.imputed_t)):
+            for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
                 for col in cols:
                     delta = new[col] - old[col]
                     if delta != 0.0:

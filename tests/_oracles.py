@@ -390,7 +390,9 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
     ``fm.admissible_interval`` for ``s.<var>``, then ``fm.back_substitute``
     keeping each other unknown's current value clamped into its range.
 
-    The target takes ``value``.  Returns the interval, both records' new rows, and whether the equalities alone
+    The target takes ``value``, clamped into this interval (a value drawn
+    from another derivation's interval may miss it by rounding).  Returns
+    the interval, both records' new rows, and whether the equalities alone
     force every unknown once the target is set; ``None`` where a stage
     raises :class:`InfeasibleSystemError` (the chain's fallback).
     """
@@ -399,7 +401,9 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
         target = f"s.{var}"
         interval, record = fm.admissible_interval(system, target)
         completion = fm.back_substitute(
-            record, {target: value}, value_rule=lambda name, iv: iv.clamp(float(data.values[cells[name]]))
+            record,
+            {target: interval.clamp(value)},
+            value_rule=lambda name, iv: iv.clamp(float(data.values[cells[name]])),
         )
     except InfeasibleSystemError:
         return None
@@ -465,10 +469,10 @@ def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: 
 
 def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
     """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
-    and ``fm.back_substitute`` with the same keep-current rule, the coupled
-    partners and pinned cells then following from the totals.  Returns the
-    interval and both new rows, or ``None`` where a stage raises
-    :class:`InfeasibleSystemError`."""
+    and ``fm.back_substitute`` with ``value`` clamped and the keep-current
+    rule as in :func:`pair_step`, the coupled partners and pinned cells then
+    following from the totals.  Returns the interval and both new rows, or
+    ``None`` where a stage raises :class:`InfeasibleSystemError`."""
     try:
         system, shares, rows = coupled_pair_system(data, edits, totals, s, t, colsums)
         target = f"s.{var}"
@@ -482,7 +486,7 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
             return rows[0, j] if role == "s" else ratio * rows[1, j]
 
         completion = fm.back_substitute(
-            record, {target: value}, value_rule=lambda name, iv: iv.clamp(current(name))
+            record, {target: interval.clamp(value)}, value_rule=lambda name, iv: iv.clamp(current(name))
         )
     except InfeasibleSystemError:
         return None

@@ -93,7 +93,36 @@ def partial_totals_case(rng, r):
     return survey_case(rng, r, with_totals=("goods", "turnover", "staff", "profit"))
 
 
-CASES = {"study": study_case, "five": five_case, "survey": survey_case, "partial": partial_totals_case}
+def large_case(rng, r, small=("other",), with_totals=tuple(c for c in SURVEY_COLUMNS if c != "other")):
+    """Survey records of about 1e10 whose ``small`` cells, the imputed ones,
+    are non-integers below 100; ``materials`` takes up the rest of
+    ``costs``.  Their edit's sums round by about 1e-6, more than
+    ``DEFAULT_TOL`` times the cells.  By default ``other`` alone is imputed
+    and has no total, so its edit pins it."""
+    truth, edits = survey_truth(rng, 2 * r)
+    col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
+    truth = truth * 1.7e7 + rng.uniform(0.0, 1.0, truth.shape)
+    truth[:, col["turnover"]] = truth[:, col["goods"]] + truth[:, col["services"]]
+    rest = truth[:, col["costs"]]
+    for name in small:
+        truth[:, col[name]] = rng.uniform(0.0, 100.0, len(truth))
+        rest = rest - truth[:, col[name]]
+    truth[:, col["materials"]] = rest
+    truth[:, col["costs"]] = truth[:, col["staff"]] + truth[:, col["materials"]] + truth[:, col["other"]]
+    truth[:, col["profit"]] = truth[:, col["turnover"]] - truth[:, col["costs"]]
+    truth = truth[~violation_matrix(edits, truth, SURVEY_COLUMNS).any(axis=1)][:r]
+    mask = np.zeros(truth.shape, dtype=bool)
+    mask[np.ix_(rng.random(r) < 0.4, [col[name] for name in small])] = True
+    return truth, mask, SURVEY_COLUMNS, edits, with_totals
+
+
+CASES = {
+    "study": study_case,
+    "five": five_case,
+    "survey": survey_case,
+    "partial": partial_totals_case,
+    "large": large_case,
+}
 
 
 def build(kind, rng, weighted, r=60):
@@ -146,13 +175,14 @@ def check_step(state, edits, totals, s, t, var, colsums, interval, value, new):
     return forced
 
 
-def walk(data, edits, totals, rng, steps):
-    """Compare every step of a random walk with both oracles; returns the
-    counts of fallbacks and of steps with unknowns left free."""
+def walk(data, edits, totals, rng, steps, oracles=True):
+    """Compare every step of a random walk with both oracles (unless
+    ``oracles`` is false); returns the counts of fallbacks, of steps with
+    unknowns left free and of steps that moved a cell."""
     state = data.copy()
     systems = PairSystems(state, edits, totals)
     index = PairIndex.build(state.mask)
-    seen = {"steps": 0, "fallbacks": 0, "free": 0}
+    seen = {"steps": 0, "fallbacks": 0, "free": 0, "moved": 0}
     for _ in range(steps):
         s, t, var = select_pair(state, rng, index)
         j = state.column_index(var)
@@ -164,11 +194,12 @@ def walk(data, edits, totals, rng, steps):
             interval, new = step.interval, np.array(step.complete(value))
         except InfeasibleSystemError:
             interval, value, new = None, float(rows[0, j]), None
-        forced = check_step(state, edits, totals, s, t, var, colsums, interval, value, new)
+        if oracles:
+            seen["free"] += not check_step(state, edits, totals, s, t, var, colsums, interval, value, new)
         seen["steps"] += 1
         seen["fallbacks"] += new is None
-        seen["free"] += not forced
         if new is not None:
+            seen["moved"] += not np.array_equal(new, rows)
             state.values[[s, t]] = new
     assert not violation_matrix(edits, state.values, state.columns).any()
     for j, name in enumerate(state.columns):
@@ -230,6 +261,21 @@ def test_chain_steps_match_the_per_record_step(kind):
         patch.setattr(PairSystems, "pair", checked_pair)
         _, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
     assert len(checked) == trace[-1]["accepted"] > 250
+
+
+def test_small_cells_beside_large_observed_values_move():
+    # Two small cells share the costs balance with values near 1e10, whose
+    # sums round by more than DEFAULT_TOL times the cells.  The completion
+    # check measures each record on its largest magnitude, as validate
+    # does, so no step falls back on that rounding.  (The per-record step
+    # checks on the imputed cells' magnitude and gives up on some of them.)
+    rng = np.random.default_rng(5)
+    truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
+    weights = rng.uniform(0.5, 4.0, 60)
+    totals = {name: float(weights @ truth[:, j]) for j, name in enumerate(columns)}
+    seen, _ = walk(DataMatrix(truth, mask, columns, weights), edits, totals, rng, steps=200, oracles=False)
+    assert seen["fallbacks"] == 0
+    assert seen["moved"] > 150
 
 
 def test_free_unknowns_are_exercised_with_unequal_weights():
