@@ -48,9 +48,6 @@ class Edit:
         if not self.coeffs:
             raise ValueError("an edit needs at least one nonzero coefficient")
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self.coeffs)
-
     def residual(self, row: Mapping[str, float]) -> float:
         """``a.x + b`` at the given full assignment."""
         return math.fsum(c * row[v] for v, c in self.coeffs.items()) + self.constant
@@ -60,11 +57,6 @@ class Edit:
         if self.kind is EditKind.EQUALITY:
             return abs(r) <= tol * scale
         return r >= -tol * scale
-
-    def scaled(self, factor: float) -> "Edit":
-        if factor <= 0:
-            raise ValueError("edits may only be rescaled by a positive factor")
-        return Edit({v: c * factor for v, c in self.coeffs.items()}, self.constant * factor, self.kind)
 
 
 @dataclass(frozen=True)

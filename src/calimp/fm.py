@@ -66,9 +66,6 @@ class LinExpr:
     def evaluate(self, values: Mapping[str, float]) -> float:
         return math.fsum(c * values[v] for v, c in self.coeffs.items()) + self.const
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self.coeffs)
-
 
 #: One equality elimination: the removed variable and its expression in the
 #: variables still present at that point.
@@ -521,33 +518,33 @@ class CompiledInterval:
     substitutions: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
     substitution_comb: np.ndarray
 
-    def _derive(self, D: np.ndarray, G: np.ndarray, tol: float):
+    def _derive(self, D: np.ndarray, G: np.ndarray):
         check_gross = G @ np.abs(self.check_comb).T
-        known_bad = violated(D[:, self.known], self.known_eq, tol * np.maximum(1.0, G[:, self.known]))
-        check_bad = violated(D @ self.check_comb.T, self.check_eq, tol * np.maximum(1.0, check_gross))
+        known_bad = violated(D[:, self.known], self.known_eq, DEFAULT_TOL * np.maximum(1.0, G[:, self.known]))
+        check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.maximum(1.0, check_gross))
         bounds = -(D @ self.bound_comb.T) / self.bound_coef
         lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
         upper = np.min(bounds, axis=1, where=self.bound_coef < 0, initial=POS_INF)
         crossed = np.flatnonzero(lower > upper)
         lo, hi = lower[crossed], upper[crossed]
-        snap = lo - hi <= tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        snap = lo - hi <= DEFAULT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lower[crossed[snap]] = upper[crossed[snap]] = 0.5 * (lo[snap] + hi[snap])
         empty = np.zeros(D.shape[0], dtype=bool)
         empty[crossed[~snap]] = True
         return known_bad, check_bad, bounds, lower, upper, empty
 
-    def evaluate(self, D: np.ndarray, G: np.ndarray, tol: float = DEFAULT_TOL):
+    def evaluate(self, D: np.ndarray, G: np.ndarray):
         """Bounds for records with reduced constants ``D`` and gross
         magnitudes ``G`` (records x edits), plus a flag per record for
         which the per-record derivation raises (see :meth:`infeasibility`)."""
-        known_bad, check_bad, _, lower, upper, empty = self._derive(D, G, tol)
+        known_bad, check_bad, _, lower, upper, empty = self._derive(D, G)
         return lower, upper, known_bad.any(axis=1) | check_bad.any(axis=1) | empty
 
-    def infeasibility(self, d: np.ndarray, g: np.ndarray, tol: float = DEFAULT_TOL, record: int | None = None):
+    def infeasibility(self, d: np.ndarray, g: np.ndarray, record: int | None = None):
         """The error the per-record derivation raises for one flagged record:
         the first violated fully known edit, else the first violated
         derived constant row, else the empty interval."""
-        known_bad, check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :], tol)
+        known_bad, check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :])
         prefix = "" if record is None else f"record {record}, variable {self.target!r}: "
         if known_bad.any():
             k = int(self.known[np.argmax(known_bad[0])])

@@ -30,7 +30,6 @@ from .errors import (
     CalimpError,
     InfeasibleRecordError,
     InfeasibleSystemError,
-    InsufficientDataError,
     RankDeficiencyError,
 )
 
@@ -141,36 +140,79 @@ def _auto_round1_predictors(data: DataMatrix, target: str, imputed_so_far: list[
 
 
 def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mis):
-    """Fit, dropping collinear or surplus predictors until the design works.
+    """Fit, dropping surplus and then dependent predictors; returns the fit
+    and the predictor names kept and dropped.
 
-    A rank-deficient fit names every dependent predictor at once, so the
-    refit after dropping them normally succeeds."""
-    names = list(predictor_names)
-    dropped: list[str] = []
-    while True:
-        try:
-            if benchmarked:
-                bfit = regression.fit_benchmarked(
-                    y, X, X_mis, total, weights_obs=w, weights_mis=w_mis, names=names
-                )
-                return bfit, names, dropped
-            ols = regression.fit_ols(y, X, weights=w, names=names)
-            return ols, names, dropped
-        except RankDeficiencyError as err:
-            if not err.columns or not set(err.columns) <= set(names):
-                raise
-            dropped.extend(err.columns)
-            keep = [j for j, n in enumerate(names) if n not in err.columns]
-            X = X[:, keep]
-            X_mis = X_mis[:, keep]
-            names = [names[j] for j in keep]
-        except InsufficientDataError:
-            if not names:
-                raise
-            dropped.append(names[-1])
-            X = X[:, :-1]
-            X_mis = X_mis[:, :-1]
-            names = names[:-1]
+    A fit needs more observations than predictors plus the intercept, so
+    the trailing predictors beyond ``n - 2`` are dropped first, last first.
+    A rank-deficient fit names every dependent predictor at once; those are
+    dropped and the fit is made once more, and any error of that second
+    fit propagates."""
+    p_max = max(len(y) - 2, 0)
+    names, dropped = list(predictor_names[:p_max]), list(predictor_names[p_max:])[::-1]
+    X, X_mis = X[:, :p_max], X_mis[:, :p_max]
+
+    def fit(names, X, X_mis):
+        if benchmarked:
+            return regression.fit_benchmarked(
+                y, X, X_mis, total, weights_obs=w, weights_mis=w_mis, names=names
+            )
+        return regression.fit_ols(y, X, weights=w, names=names)
+
+    try:
+        return fit(names, X, X_mis), names, dropped
+    except RankDeficiencyError as err:
+        keep = [j for j, name in enumerate(names) if name not in err.columns]
+        names = [names[j] for j in keep]
+        return fit(names, X[:, keep], X_mis[:, keep]), names, dropped + list(err.columns)
+
+
+def _fit_diagnostics(fit: regression.RegressionFit, **extra) -> dict:
+    return {
+        "intercept": fit.intercept,
+        "slopes": [float(s) for s in fit.slopes],
+        "residual_variance": fit.residual_variance,
+        "n_obs": fit.n_obs,
+        **extra,
+    }
+
+
+def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
+    """Predictions for the missing rows of one target, with the ``fit``
+    diagnostics and the predictor names used and dropped.
+
+    ``total`` (``None`` unless benchmarked) calibrates the predictions to
+    the column total: through a second intercept for the missing rows on
+    the linear scale, through a multiplier replacing ``exp(intercept)`` on
+    the log scale."""
+    if log_scale:
+        if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
+            raise ValueError("log-scale imputation requires strictly positive data")
+        if not (np.allclose(w_obs, w_obs[0]) and np.allclose(w_mis, w_obs[0])):
+            raise ValueError("log-scale imputation supports equal weights only")
+        missing_total = None if total is None else float(total - np.sum(w_obs * y))
+        y, X_obs, X_mis, w_obs = np.log(y), np.log(X_obs), np.log(X_mis), None
+    benchmarked = total is not None and not log_scale
+    fit, used_names, dropped = _fit_with_fallback(
+        y, X_obs, w_obs, pred_names, benchmarked, X_mis, total, w_mis
+    )
+    X_mis = X_mis[:, [pred_names.index(n) for n in used_names]]
+    if benchmarked:
+        predictions = regression.predict_missing(fit, X_mis)
+        fit_diag = _fit_diagnostics(
+            fit.base, missing_intercept=fit.missing_intercept, missing_sum_target=fit.missing_sum_target
+        )
+    elif not log_scale:
+        predictions = fit.predict(X_mis)
+        fit_diag = _fit_diagnostics(fit)
+    elif total is None:
+        predictions = np.exp(fit.predict(X_mis))
+        fit_diag = _fit_diagnostics(fit, scale="log")
+    else:
+        c = regression.log_benchmark_correction(fit, X_mis, missing_total)
+        predictions = c * (np.exp(X_mis @ fit.slopes) if fit.slopes.size else np.ones(X_mis.shape[0]))
+        fit_diag = _fit_diagnostics(fit, scale="log", log_correction=c)
+    return predictions, fit_diag, used_names, dropped
 
 
 @dataclass
@@ -334,85 +376,44 @@ def impute(
                 raise ValueError(
                     f"predictor(s) {incomplete} for target {target!r} are not complete yet"
                 )
-            y = current[obs, t]
-            w_obs = data.weights[obs]
             w_mis = data.weights[rows]
-
-            if config.log_scale:
-                fit_out = _log_scale_step(
-                    y, fit_rows, mis_rows, w_obs, w_mis, pred_names, benchmarked,
-                    None if totals is None else float(totals[target]),
-                )
-                predictions, fit_diag, used_names, dropped = fit_out
-                base_sigma = 0.0
-            else:
-                total = float(totals[target]) if benchmarked else 0.0
-                fit, used_names, dropped = _fit_with_fallback(
-                    y, fit_rows, w_obs, pred_names, benchmarked, mis_rows, total, w_mis
-                )
-                if benchmarked:
-                    used_idx = [pred_names.index(n) for n in used_names]
-                    predictions = regression.predict_missing(fit, mis_rows[:, used_idx])
-                    base = fit.base
-                    fit_diag = {
-                        "intercept": base.intercept,
-                        "slopes": [float(s) for s in base.slopes],
-                        "residual_variance": base.residual_variance,
-                        "n_obs": base.n_obs,
-                        "missing_intercept": fit.missing_intercept,
-                        "missing_sum_target": fit.missing_sum_target,
-                    }
-                    base_sigma = math.sqrt(base.residual_variance)
-                else:
-                    used_idx = [pred_names.index(n) for n in used_names]
-                    predictions = fit.predict(mis_rows[:, used_idx])
-                    fit_diag = {
-                        "intercept": fit.intercept,
-                        "slopes": [float(s) for s in fit.slopes],
-                        "residual_variance": fit.residual_variance,
-                        "n_obs": fit.n_obs,
-                    }
-                    base_sigma = math.sqrt(fit.residual_variance)
+            predictions, fit_diag, used_names, dropped = _predict(
+                current[obs, t], fit_rows, mis_rows, data.weights[obs], w_mis, pred_names,
+                float(totals[target]) if benchmarked else None, config.log_scale,
+            )
 
             lower, upper = derived.lower, derived.upper
             residual_diag = None
             if config.method == "upma":
                 final = np.clip(predictions, lower, upper)
                 adjustment_diag = {"clipped": int(np.sum(final != predictions))}
-            elif config.method == "bpma":
-                problem = adjust.AdjustmentProblem(predictions, lower, upper, w_mis)
+            else:
                 try:
-                    a = adjust.zero_sum_interval_adjust(problem)
+                    if config.method == "bpma":
+                        problem = adjust.AdjustmentProblem(predictions, lower, upper, w_mis)
+                        shift = adjust.zero_sum_interval_adjust(problem)
+                        solver_diag = adjust.adjustment_stats(problem, shift)
+                    else:  # bpmr
+                        stream_seed = config.seed * 1_000_003 + rnd
+
+                        def cell_stream(k: int) -> np.random.Generator:
+                            return residuals.cell_rng(stream_seed, t, int(rows[k]))
+
+                        shift, residual_diag = residuals.benchmarked_residuals(
+                            math.sqrt(fit_diag["residual_variance"]),
+                            lower - predictions, upper - predictions, w_mis, cell_stream,
+                            feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
+                        )
+                        solver_diag = {}
                 except InfeasibleSystemError as err:
                     raise InfeasibleSystemError(
                         f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
                     ) from err
-                final = predictions + a
+                final = predictions + shift
                 adjustment_diag = {
-                    "max_abs": float(np.max(np.abs(a))) if a.size else 0.0,
-                    "weighted_sum": float(np.sum(w_mis * a)),
-                    **adjust.adjustment_stats(problem, a),
-                }
-            else:  # bpmr
-                stream_seed = config.seed * 1_000_003 + rnd
-
-                def cell_stream(k: int) -> np.random.Generator:
-                    return residuals.cell_rng(stream_seed, t, int(rows[k]))
-
-                data_scale = max(1.0, float(np.sum(np.abs(w_mis * predictions))))
-                try:
-                    drawn, residual_diag = residuals.benchmarked_residuals(
-                        base_sigma, lower - predictions, upper - predictions, w_mis, cell_stream,
-                        feasibility_scale=data_scale,
-                    )
-                except InfeasibleSystemError as err:
-                    raise InfeasibleSystemError(
-                        f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
-                    ) from err
-                final = predictions + drawn
-                adjustment_diag = {
-                    "max_abs": float(np.max(np.abs(drawn))) if drawn.size else 0.0,
-                    "weighted_sum": float(np.sum(w_mis * drawn)),
+                    "max_abs": float(np.max(np.abs(shift))) if shift.size else 0.0,
+                    "weighted_sum": float(np.sum(w_mis * shift)),
+                    **solver_diag,
                 }
 
             current[rows, t] = final
@@ -445,39 +446,6 @@ def impute(
         raise CalimpError("internal error: an observed cell was modified")
     validate(current, data, edits, {name: totals[name] for name in missing_cols} if benchmarked else None)
     return DataMatrix(current, data.mask.copy(), data.columns, data.weights.copy()), diagnostics
-
-
-def _log_scale_step(y, X_obs, X_mis, w_obs, w_mis, pred_names, benchmarked, total):
-    """Log-scale predictive means; benchmarked fits use the multiplicative
-    correction so the original-scale prediction sum hits the column total."""
-    if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
-        raise ValueError("log-scale imputation requires strictly positive data")
-    if not (np.allclose(w_obs, w_obs[0]) and np.allclose(w_mis, w_obs[0])):
-        raise ValueError("log-scale imputation supports equal weights only")
-    z = np.log(y)
-    Z_obs = np.log(X_obs) if X_obs.size else X_obs
-    Z_mis = np.log(X_mis) if X_mis.size else X_mis
-    fit, used_names, dropped = _fit_with_fallback(
-        z, Z_obs, None, pred_names, False, Z_mis, 0.0, None
-    )
-    used_idx = [pred_names.index(n) for n in used_names]
-    Zm = Z_mis[:, used_idx]
-    fit_diag = {
-        "intercept": fit.intercept,
-        "slopes": [float(s) for s in fit.slopes],
-        "residual_variance": fit.residual_variance,
-        "n_obs": fit.n_obs,
-        "scale": "log",
-    }
-    if benchmarked:
-        missing_total = float(total - np.sum(w_obs * y))
-        c = regression.log_benchmark_correction(fit, Zm, missing_total)
-        shape = np.exp(Zm @ fit.slopes) if fit.slopes.size else np.ones(Zm.shape[0])
-        predictions = c * shape
-        fit_diag["log_correction"] = c
-    else:
-        predictions = np.exp(fit.predict(Zm))
-    return predictions, fit_diag, used_names, dropped
 
 
 def validate(values: np.ndarray, data: DataMatrix, edits: EditSystem, totals: Totals | None) -> None:

@@ -272,3 +272,76 @@ class TestCli:
             "--method", "bpma", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 2
+
+
+FIT_KEYS = ["intercept", "slopes", "residual_variance", "n_obs"]
+CALIBRATED = ["missing_intercept", "missing_sum_target"]
+ADJUSTED = ["max_abs", "weighted_sum", "lambda", "at_lower", "at_upper"]
+CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "mean_abs_move"]
+
+
+def layout(row):
+    """A diagnostics row's keys in order, each with the keys of its nested
+    object (``None`` where the value is not an object)."""
+    return [(key, list(value) if isinstance(value, dict) else None) for key, value in row.items()]
+
+
+def impute_layout(fit_extra, adjustment, residuals=None):
+    return [
+        ("round", None), ("variable", None), ("n_missing", None), ("predictors", None),
+        ("dropped_predictors", None), ("fit", FIT_KEYS + fit_extra),
+        ("intervals", ["count", "degenerate", "bounded", "unbounded", "patterns"]),
+        ("adjustment", adjustment), ("residuals", residuals), ("companions_written", None),
+    ]
+
+
+IMPUTE_LAYOUTS = {
+    "upma": (["--method", "upma"], impute_layout([], ["clipped"])),
+    "bpma": (["--method", "bpma"], impute_layout(CALIBRATED, ADJUSTED)),
+    "bpmr": (
+        ["--method", "bpmr"],
+        impute_layout(CALIBRATED, ["max_abs", "weighted_sum"], ["attempts", "fallbacks", "lambda", "at_lower", "at_upper"]),
+    ),
+    "log-upma": (["--method", "upma", "--log-scale"], impute_layout(["scale"], ["clipped"])),
+    "log-bpma": (["--method", "bpma", "--log-scale"], impute_layout(["scale", "log_correction"], ADJUSTED)),
+}
+
+
+def diagnostics_rows(tmp_path, flags):
+    small_files(tmp_path, np.random.default_rng(2))
+    code = main([
+        "impute", "--data", str(tmp_path / "data.csv"),
+        "--edits", str(tmp_path / "rules.edits"),
+        "--totals", str(tmp_path / "totals.txt"),
+        "--seed", "3", "--out", str(tmp_path / "out.csv"), *flags,
+    ])
+    assert code == 0
+    return [json.loads(line) for line in (tmp_path / "out.csv.diag.jsonl").read_text().splitlines()]
+
+
+class TestDiagnosticsSchema:
+    @pytest.mark.parametrize("kind", sorted(IMPUTE_LAYOUTS))
+    def test_impute_rows(self, tmp_path, kind):
+        flags, expected = IMPUTE_LAYOUTS[kind]
+        rows = diagnostics_rows(tmp_path, flags)
+        assert [(row["round"], row["variable"]) for row in rows] == [(1, "x2"), (1, "x1"), (2, "x2"), (2, "x1")]
+        for row in rows:
+            assert layout(row) == expected
+
+    def test_mcmc_rows(self, tmp_path):
+        rows = diagnostics_rows(tmp_path, ["--method", "mcmc", "--iterations", "40"])
+        note, pre, chain = rows[0], rows[1:5], rows[5:]
+        assert list(note) == ["note"]
+        for row in pre:
+            assert layout(row) == IMPUTE_LAYOUTS["bpma"][1]
+        assert len(chain) >= 2
+        checkpoint = [
+            ("iteration", None), ("per_variable", ["x1", "x2"]), ("accepted", None),
+            ("fallbacks", None), ("pair_systems", ["compiled", "hits"]),
+        ]
+        assert layout(chain[0]) == checkpoint + [("predictors", ["x1", "x2"])]
+        for k, row in enumerate(chain):
+            if k:
+                assert layout(row) == checkpoint
+            for entry in row["per_variable"].values():
+                assert list(entry) == CHAIN_VARIABLE_KEYS + ([] if k == 0 else ["ks_vs_prev"])

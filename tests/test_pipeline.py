@@ -336,6 +336,20 @@ class TestLogScale:
         for col, j in (("net", 0), ("tax", 1)):
             assert float(out.values[:, j].sum()) == pytest.approx(totals[col], rel=1e-8)
 
+    def test_upma_log_scale_ignores_totals(self):
+        # upma calibrates nothing, so totals that leave out its targets do
+        # not matter, on the log scale as on the linear one.
+        edits = parse_edit_rules(INCOME_RULES)
+        rng = np.random.default_rng(10)
+        truth = self._income_data(rng, r=60)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[rng.choice(60, size=12, replace=False), 0] = True
+        data = make_data(truth, mask, ("net", "tax", "gross"))
+        config = ImputationConfig("upma", log_scale=True)
+        plain, _ = impute(data, edits, None, config)
+        with_totals, _ = impute(data, edits, {"tax": 1.0}, config)
+        assert with_totals.values.tobytes() == plain.values.tobytes()
+
     def test_log_scale_rejects_nonpositive_data(self):
         edits = parse_edit_rules("a >= 0\nb >= 0")
         values = np.array([[0.0, 1.0], [2.0, np.nan], [3.0, 4.0], [1.0, 2.0]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calimp import regression
 from calimp.errors import InsufficientDataError, RankDeficiencyError
 from calimp.pipeline import _fit_with_fallback
 from calimp.regression import (
@@ -69,6 +70,46 @@ class TestFitOls:
         # One pass ranks each candidate once against the columns kept
         # before it: intercept, a, k (dropped), b, total (dropped).
         assert ranked == [1, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize("benchmarked", [False, True])
+    def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch, benchmarked):
+        # Six observations leave room for four predictors: the trailing
+        # "e" and "d" go first, last first; then the constant "k" is
+        # dependent on the intercept.
+        rng = np.random.default_rng(3)
+        a, b, c = rng.normal(size=(3, 6))
+        X = np.column_stack([a, np.full(6, 2.0), b, c, a - b, b + c])
+        y = rng.normal(size=6)
+        fitted = []
+        name = "fit_benchmarked" if benchmarked else "fit_ols"
+        real = getattr(regression, name)
+
+        def counted(*args, **kwargs):
+            fitted.append(kwargs["names"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regression, name, counted)
+        fit, names, dropped = _fit_with_fallback(
+            y, X, None, ["a", "k", "b", "c", "d", "e"], benchmarked, rng.normal(size=(3, 6)), 10.0, None
+        )
+        assert dropped == ["e", "d", "k"]
+        assert names == ["a", "b", "c"]
+        assert fitted == [["a", "k", "b", "c"], ["a", "b", "c"]]
+        assert (fit.base if benchmarked else fit).slopes.size == 3
+
+    def test_too_few_observations_fail_in_one_fit(self, monkeypatch):
+        fitted = []
+        real = regression.fit_ols
+
+        def counted(*args, **kwargs):
+            fitted.append(kwargs["names"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "fit_ols", counted)
+        X = np.ones((1, 3))
+        with pytest.raises(InsufficientDataError):
+            _fit_with_fallback(np.ones(1), X, None, ["a", "b", "c"], False, X, 0.0, None)
+        assert fitted == [[]]
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
