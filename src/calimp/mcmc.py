@@ -14,8 +14,9 @@ step only evaluates it on the pair's constants.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, and each posterior is drawn from
-sufficient statistics (an augmented Gram matrix per target) that a step
-updates for the two records it moved; checkpoints rebuild them.
+sufficient statistics (one augmented Gram matrix over the columns the
+models read, as nested lists) that a step updates in plain Python for the
+two records it moved; checkpoints rebuild them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -67,7 +69,7 @@ class PosteriorModel(NamedTuple):
     cell is normal with the stored mean and variance.
     """
 
-    coefficients: np.ndarray
+    coefficients: list[float]
     variance: float
     predictive_mean: float
     predictive_variance: float
@@ -383,17 +385,20 @@ def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return A.T @ A
 
 
-def gram_factor(gram: np.ndarray, target: str) -> tuple[list[list[float]], list[float], float]:
-    """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]].
+def gram_factor(
+    gram: np.ndarray | Sequence[Sequence[float]], target: str
+) -> tuple[list[list[float]], list[float], float]:
+    """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]],
+    given as an array or as rows of floats.
 
     Returns the lower factor L of ZᵀZ = LLᵀ (as rows), l = L⁻¹Zᵀy and
     rss = yᵀy - lᵀl, so the least-squares coefficients are L⁻ᵀl.  A design
     pivot at or below :data:`GRAM_RTOL` of its diagonal raises
     :class:`RankDeficiencyError`; an rss below that floor is an exact fit
     and comes back as 0.  Plain Python: on a block this small numpy's call
-    overhead exceeds the arithmetic.
+    overhead exceeds the arithmetic.  Only the lower triangle is read.
     """
-    G = gram.tolist()
+    G = gram.tolist() if isinstance(gram, np.ndarray) else gram
     m = len(G) - 1
     L: list[list[float]] = []
     for i, g in enumerate(G):
@@ -422,7 +427,8 @@ def posterior_model(
     predictor_names: Sequence[str],
     record: int,
     rng: np.random.Generator,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray | Sequence[Sequence[float]] | None = None,
+    row: Sequence[float] | None = None,
 ) -> PosteriorModel:
     """Parameter draw under the standard noninformative prior for the
     regression of ``target`` on ``predictor_names`` over the current
@@ -430,11 +436,13 @@ def posterior_model(
     ``record``.
 
     The fit comes from ``gram``, the augmented Gram matrix of
-    ``[1, predictors, target]`` over all records (built from ``data`` when
-    not given), so its cost is O(p²) in the parameter count p.  With the
-    factor of :func:`gram_factor`, σ² = rss / χ²(n - p) and
-    β = L⁻ᵀ(l + σε); an exact fit (rss 0) draws nothing and returns the
-    least-squares coefficients with zero variance.
+    ``[1, predictors, target]`` over all records, as an array or as rows
+    of floats (built from ``data`` when not given), so its cost is O(p²) in
+    the parameter count p.  ``row`` is the record's row of values when the
+    caller holds it (read from ``data`` otherwise).  With the factor of
+    :func:`gram_factor`, σ² = rss / χ²(n - p) and β = L⁻ᵀ(l + σε); an
+    exact fit (rss 0) draws nothing and returns the least-squares
+    coefficients with zero variance.
     """
     pred_idx = [data.column_index(p) for p in predictor_names]
     n, p1 = len(data.values), len(pred_idx) + 1
@@ -453,48 +461,60 @@ def posterior_model(
         for k in range(i + 1, p1):
             acc -= L[k][i] * beta[k]
         beta[i] = acc / L[i][i]
-    row = data.values[record].tolist()
+    if row is None:
+        row = data.values[record].tolist()
     mean = beta[0]
     for c, b in zip(pred_idx, beta[1:]):
         mean += row[c] * b
-    return PosteriorModel(np.array(beta), sigma2, mean, sigma2)
+    return PosteriorModel(beta, sigma2, mean, sigma2)
 
 
 class PosteriorStats:
-    """Sufficient statistics of every posterior model in a chain: per
-    target column, the augmented Gram matrix of ``[1, predictors, target]``.
+    """Sufficient statistics of every posterior model in a chain: one
+    augmented Gram matrix over ``[1, every column some model reads]``, as
+    nested lists.  Model j reads its block ``[1, predictors, target]``
+    through ``index[j]``, a getter of the block's rows and columns fixed at
+    build time.
 
     A step that moves cells replaces the old rows of its two records by
-    their new rows (a rank-one downdate and update each) in the models that
-    read a changed column; :meth:`rebuild` recomputes everything from the
-    values, which bounds the rounding the updates accumulate.
+    their new rows (a rank-one downdate and update each) in plain Python;
+    :meth:`rebuild` recomputes the matrix from the values, which bounds the
+    rounding the updates accumulate.
     """
 
     def __init__(self, values: np.ndarray, design: Mapping[int, Sequence[int]]):
         # design: target column -> its predictor columns then itself
         self.columns = {j: list(cols) for j, cols in design.items()}
-        self.readers: dict[int, list[int]] = {}
-        for j, cols in self.columns.items():
-            for c in cols:
-                self.readers.setdefault(c, []).append(j)
-        # Each model's block of the Gram matrix of [1, all columns].
-        self.blocks = {j: np.ix_([0, *(c + 1 for c in cols)], [0, *(c + 1 for c in cols)])
-                       for j, cols in self.columns.items()}
+        self.read = sorted({c for cols in self.columns.values() for c in cols})
+        position = {c: k + 1 for k, c in enumerate(self.read)}
+        # A block has at least two indices (1 and the target), so its getter
+        # returns a tuple of rows and, from each row, a tuple of entries.
+        self.index = {j: operator.itemgetter(0, *(position[c] for c in cols)) for j, cols in self.columns.items()}
         self.rebuild(values)
 
     def rebuild(self, values: np.ndarray) -> None:
-        self.gram = {j: gram_matrix(values, cols) for j, cols in self.columns.items()}
+        self.gram = gram_matrix(values, self.read).tolist()
 
-    def move(self, old_rows: np.ndarray, new_rows: np.ndarray, changed: set[int]) -> None:
-        """Swap ``old_rows`` for ``new_rows`` (all columns of the moved
-        records) in every model that reads a column in ``changed``."""
-        models = {j for c in changed for j in self.readers.get(c, ())}
-        if not models:
+    def block(self, j: int) -> list[tuple[float, ...]]:
+        """Model j's augmented Gram matrix of ``[1, predictors, target]``."""
+        index = self.index[j]
+        return [index(row) for row in index(self.gram)]
+
+    def move(self, old_rows: Sequence[list[float]], new_rows: Sequence[list[float]]) -> None:
+        """Swap ``old_rows`` for ``new_rows`` (both records' full rows, as
+        lists): each entry of the upper triangle takes the two rows' change
+        and is mirrored into the lower.  Nothing happens unless a read
+        column changed."""
+        read, gram = self.read, self.gram
+        (old_s, old_t), (new_s, new_t) = old_rows, new_rows
+        old_s, old_t = [1.0, *map(old_s.__getitem__, read)], [1.0, *map(old_t.__getitem__, read)]
+        new_s, new_t = [1.0, *map(new_s.__getitem__, read)], [1.0, *map(new_t.__getitem__, read)]
+        if new_s == old_s and new_t == old_t:
             return
-        old, new = _augment(old_rows), _augment(new_rows)
-        delta = new.T @ new - old.T @ old
-        for j in models:
-            self.gram[j] += delta[self.blocks[j]]
+        for i, (g, a, b, c, d) in enumerate(zip(gram, new_s, new_t, old_s, old_t)):
+            for k in range(i, len(g)):
+                g[k] += (a * new_s[k] + b * new_t[k]) - (c * old_s[k] + d * old_t[k])
+                gram[k][i] = g[k]
 
 
 def draw_truncated_posterior(
@@ -578,8 +598,11 @@ def mcmc_refine(
     observed_cols = [
         name for j, name in enumerate(state.columns) if not state.mask[:, j].any()
     ]
+    index = PairIndex.build(state.mask)
+    # Only columns with two imputed rows are ever re-drawn.
+    targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
     predictors = {}
-    for name in state.columns:
+    for name in (state.columns[j] for j in targets):
         if config.predictors is not None and name in config.predictors:
             predictors[name] = list(config.predictors[name])
         else:
@@ -589,8 +612,6 @@ def mcmc_refine(
                 dependent = regression._dependent_columns(design, names)
                 names = [c for c in names if c not in dependent]
             predictors[name] = names
-    index = PairIndex.build(state.mask)
-    targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
     stats = PosteriorStats(
         state.values,
         {j: [state.column_index(p) for p in predictors[state.columns[j]]] + [j] for j in targets},
@@ -619,24 +640,20 @@ def mcmc_refine(
                     f"variable {var!r} fell outside its admissible interval "
                     f"[{interval.lower}, {interval.upper}]"
                 )
-            model = posterior_model(state, var, predictors[var], s, rng, stats.gram[j])
+            model = posterior_model(state, var, predictors[var], s, rng, stats.block(j), row_s)
             value = draw_truncated_posterior(model, interval, rng)
             new_rows = pair.complete(value)
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
             counts[var]["fallbacks"] += 1
         else:
-            old_rows = state.values[[s, t]]
-            changed = set()
             for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
                 for col in cols:
                     delta = new[col] - old[col]
                     if delta != 0.0:
                         colsums[col] += weights[rec] * delta
                         state.values[rec, col] = new[col]
-                        changed.add(col)
-            if changed:
-                stats.move(old_rows, state.values[[s, t]], changed)
+            stats.move(pair.old, new_rows)
             counts[var]["accepted"] += 1
             move = abs(new_rows[0][j] - current)
             if move:

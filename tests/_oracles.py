@@ -11,6 +11,7 @@ feasibility is a construction guarantee rather than an assumption.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -24,7 +25,7 @@ from calimp.adjust import (
     adjustment_stats,
     zero_sum_interval_adjust,
 )
-from calimp.edits import Edit, EditKind, EditSystem, reduce_system
+from calimp.edits import DEFAULT_TOL, Edit, EditKind, EditSystem, reduce_system, system_matrices, violation_matrix
 from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
@@ -384,11 +385,36 @@ def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_
     return draws + adjustment, {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}
 
 
+def _complete(record: fm.EliminationRecord, assigned, value_rule) -> dict[str, float]:
+    """``fm.back_substitute`` without its own check of the pair system,
+    which measures every residual on the unknowns' magnitudes only; a pair
+    step checks the completed records with :func:`_check_completed_pair`."""
+    return fm.back_substitute(dataclasses.replace(record, system=()), assigned, value_rule=value_rule)
+
+
+def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums, rows) -> None:
+    """Raise :class:`InfeasibleSystemError` unless both completed ``rows``
+    meet every edit on ``violation_matrix``'s margin, each record's largest
+    magnitude over the edit variables, observed cells included, and the
+    pair meets each column total it touches on the larger of the two."""
+    if violation_matrix(edits, rows, data.columns).any():
+        raise InfeasibleSystemError("completed pair violates an edit")
+    referenced = np.any(system_matrices(edits, data.columns)[0] != 0, axis=0)
+    margin = DEFAULT_TOL * max(1.0, float(np.abs(rows[:, referenced]).max(initial=0.0)))
+    w_s, w_t = float(data.weights[s]), float(data.weights[t])
+    for j, name in enumerate(data.columns):
+        if name in (totals or {}) and (data.mask[s, j] or data.mask[t, j]):
+            share = float(totals[name]) - (float(colsums[j]) - w_s * data.values[s, j] - w_t * data.values[t, j])
+            if abs(w_s * rows[0, j] + w_t * rows[1, j] - share) > margin:
+                raise InfeasibleSystemError("completed pair misses a column total")
+
+
 def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
     """One chain step the per-record way, as ``mcmc_refine`` took it before
     pair systems were compiled: ``pair_constraint_system``, then
     ``fm.admissible_interval`` for ``s.<var>``, then ``fm.back_substitute``
-    keeping each other unknown's current value clamped into its range.
+    keeping each other unknown's current value clamped into its range, the
+    completed records checked as :func:`_check_completed_pair` does.
 
     The target takes ``value``, clamped into this interval (a value drawn
     from another derivation's interval may miss it by rounding).  Returns
@@ -400,17 +426,18 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
         system, cells = pair_constraint_system(data, edits, totals, s, t, colsums=colsums)
         target = f"s.{var}"
         interval, record = fm.admissible_interval(system, target)
-        completion = fm.back_substitute(
+        completion = _complete(
             record,
             {target: interval.clamp(value)},
             value_rule=lambda name, iv: iv.clamp(float(data.values[cells[name]])),
         )
+        rows = data.values[[s, t]].copy()
+        for name, v in completion.items():
+            rec, col = cells[name]
+            rows[0 if rec == s else 1, col] = v
+        _check_completed_pair(data, edits, totals, s, t, colsums, rows)
     except InfeasibleSystemError:
         return None
-    rows = data.values[[s, t]].copy()
-    for name, v in completion.items():
-        rec, col = cells[name]
-        rows[0 if rec == s else 1, col] = v
     resolved = set(fm.resolve_companions(record, {target: value})) | {target}
     return interval, rows, resolved >= set(system.variables())
 
@@ -471,8 +498,9 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
     """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
     and ``fm.back_substitute`` with ``value`` clamped and the keep-current
     rule as in :func:`pair_step`, the coupled partners and pinned cells then
-    following from the totals.  Returns the interval and both new rows, or
-    ``None`` where a stage raises :class:`InfeasibleSystemError`."""
+    following from the totals, and the same check of the completed records.
+    Returns the interval and both new rows, or ``None`` where a stage
+    raises :class:`InfeasibleSystemError`."""
     try:
         system, shares, rows = coupled_pair_system(data, edits, totals, s, t, colsums)
         target = f"s.{var}"
@@ -485,19 +513,20 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
             j = data.column_index(v)
             return rows[0, j] if role == "s" else ratio * rows[1, j]
 
-        completion = fm.back_substitute(
+        completion = _complete(
             record, {target: interval.clamp(value)}, value_rule=lambda name, iv: iv.clamp(current(name))
         )
+        for name, v in completion.items():
+            role, col = name.split(".", 1)
+            j = data.column_index(col)
+            if role == "s":
+                rows[0, j] = v
+            elif v != current(name):
+                rows[1, j] = v / ratio
+        for name, share in shares.items():
+            j = data.column_index(name)
+            rows[1, j] = (share - w_s * rows[0, j]) / w_t
+        _check_completed_pair(data, edits, totals, s, t, colsums, rows)
     except InfeasibleSystemError:
         return None
-    for name, v in completion.items():
-        role, col = name.split(".", 1)
-        j = data.column_index(col)
-        if role == "s":
-            rows[0, j] = v
-        elif v != current(name):
-            rows[1, j] = v / ratio
-    for name, share in shares.items():
-        j = data.column_index(name)
-        rows[1, j] = (share - w_s * rows[0, j]) / w_t
     return interval, rows

@@ -113,7 +113,7 @@ def assert_matches_oracle(gram, values, target, predictors):
         return
     coef, rss = gram_fit(gram)
     assert np.linalg.norm(coef - coef_o) <= 1e-8 * np.linalg.norm(coef_o)
-    assert abs(rss - rss_o) <= 1e-8 * rss_o + GRAM_RTOL * gram[-1, -1]
+    assert abs(rss - rss_o) <= 1e-8 * rss_o + GRAM_RTOL * gram[-1][-1]
 
 
 class TestSelectPair:
@@ -331,17 +331,20 @@ class TestPosteriorOracle:
         checked = {"steps": 0, "checkpoints": 0}
         real_posterior, real_rebuild = mcmc.posterior_model, PosteriorStats.rebuild
 
-        def checked_posterior(data, target, names, record, rng_, gram=None):
+        def checked_posterior(data, target, names, record, rng_, gram=None, row=None):
+            # The chain passes its model's block of the one list-form Gram
+            # and the record's row as it holds it.
+            assert isinstance(gram, list) and row == data.values[record].tolist()
             if rng.random() < 0.2:
                 cols = [data.column_index(v) for v in names]
                 assert_matches_oracle(gram, data.values, data.column_index(target), cols)
                 checked["steps"] += 1
-            return real_posterior(data, target, names, record, rng_, gram)
+            return real_posterior(data, target, names, record, rng_, gram, row)
 
         def checked_rebuild(stats_, values):
             if hasattr(stats_, "gram"):  # a checkpoint, not the first build
                 for j, cols in stats_.columns.items():
-                    assert_matches_oracle(stats_.gram[j], values, j, cols[:-1])
+                    assert_matches_oracle(stats_.block(j), values, j, cols[:-1])
                 checked["checkpoints"] += 1
             real_rebuild(stats_, values)
 
@@ -354,6 +357,49 @@ class TestPosteriorOracle:
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
         assert checked["steps"] > 0 and checked["checkpoints"] >= 2
+
+    @pytest.mark.parametrize("system", ["study", "five_unread"])
+    def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
+        # One run of moves with no checkpoint before the last step: each
+        # model's block of the one Gram must still be the Gram of its
+        # columns on the current values.
+        rng = np.random.default_rng(23)
+        if system == "study":
+            pre, edits, totals = three_var_study_data(rng, r=150)
+            predictors, unread = {"x1": ["P"], "x2": ["P", "x1"]}, None
+        else:
+            # x2 is imputed in one record and has no total: it is re-drawn
+            # never and read by no model (nothing else is fully observed but
+            # x3), yet it moves with its record through the balance.
+            pre, edits, totals = five_var_data(rng, r=150)
+            record = int(np.flatnonzero(pre.mask[:, 0])[0])
+            mask = pre.mask.copy()
+            mask[record, 1] = True
+            pre = DataMatrix(pre.values, mask, pre.columns)
+            del totals["x2"]
+            predictors, unread = None, 1
+        seen = []
+        real_rebuild = PosteriorStats.rebuild
+
+        def checked_rebuild(stats_, values):
+            if hasattr(stats_, "gram"):  # the one checkpoint, after the last step
+                assert unread not in stats_.read
+                for j, cols in stats_.columns.items():
+                    fresh = gram_matrix(values, cols)
+                    assert np.all(np.abs(np.array(stats_.block(j)) - fresh) <= GRAM_RTOL * np.abs(fresh))
+                seen.append(values.copy())
+            real_rebuild(stats_, values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
+            refined, trace = mcmc_refine(
+                pre, edits, totals,
+                McmcConfig(iterations=800, checkpoint_every=801, seed=4, predictors=predictors),
+            )
+        assert len(seen) == 1 and len(trace) == 1
+        assert sum(entry["moved"] for entry in trace[0]["per_variable"].values()) > 100
+        if unread is not None:
+            assert refined.values[record, unread] != pre.values[record, unread]
 
     def test_collinear_predictors_stop_the_chain(self):
         # a + b = c: regressing d on a, b and c is rank deficient, for the

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from calimp import fm
 from calimp.edits import parse_edit_rules, violation_matrix
 from calimp.errors import InfeasibleSystemError
-from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
+from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, pair_constraint_system, select_pair
 from calimp.pipeline import DataMatrix
 
 from _oracles import coupled_pair_step, pair_step
@@ -267,8 +268,10 @@ def test_small_cells_beside_large_observed_values_move():
     # Two small cells share the costs balance with values near 1e10, whose
     # sums round by more than DEFAULT_TOL times the cells.  The completion
     # check measures each record on its largest magnitude, as validate
-    # does, so no step falls back on that rounding.  (The per-record step
-    # checks on the imputed cells' magnitude and gives up on some of them.)
+    # does, so no step falls back on that rounding.  (The per-record
+    # derivation gives up on about half of these steps: its equality
+    # elimination checks the constant rows it derives on the magnitude of
+    # the reduced constants, which have lost the observed values.)
     rng = np.random.default_rng(5)
     truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
     weights = rng.uniform(0.5, 4.0, 60)
@@ -276,6 +279,44 @@ def test_small_cells_beside_large_observed_values_move():
     seen, _ = walk(DataMatrix(truth, mask, columns, weights), edits, totals, rng, steps=200, oracles=False)
     assert seen["fallbacks"] == 0
     assert seen["moved"] > 150
+
+
+def test_per_record_completion_is_checked_on_each_record_magnitude():
+    # The walk above with equal weights, compared with the per-record step
+    # wherever its derivation finds an interval.  Its completion is checked
+    # as the compiled one is, each record on its largest magnitude; on the
+    # unknowns' magnitude alone it fell back on a few of these steps.
+    rng = np.random.default_rng(0)
+    truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
+    totals = {name: float(truth[:, j].sum()) for j, name in enumerate(columns)}
+    state = DataMatrix(truth.copy(), mask, columns)
+    systems, index = PairSystems(state, edits, totals), PairIndex.build(mask)
+    compared = 0
+    for _ in range(200):
+        s, t, var = select_pair(state, rng, index)
+        j = state.column_index(var)
+        colsums = (state.weights @ state.values).tolist()
+        step = systems.pair(state.values, colsums, s, t, j)
+        value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
+        new = np.array(step.complete(value))
+        system, _ = pair_constraint_system(state, edits, totals, s, t, colsums=colsums)
+        try:
+            fm.admissible_interval(system, f"s.{var}")
+        except InfeasibleSystemError:
+            pass
+        else:
+            full = pair_step(state, edits, totals, s, t, var, colsums, value)
+            assert full is not None
+            interval, rows, forced = full
+            scale = scale_of(state.values[[s, t]])
+            assert_close(step.interval.lower, interval.lower, scale)
+            assert_close(step.interval.upper, interval.upper, scale)
+            assert forced
+            for got, want in zip(new.ravel(), rows.ravel()):
+                assert_close(got, want, scale)
+            compared += 1
+        state.values[[s, t]] = new
+    assert compared > 80
 
 
 def test_free_unknowns_are_exercised_with_unequal_weights():
