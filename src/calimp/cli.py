@@ -79,13 +79,16 @@ def _study_config(path: str | None) -> sim.StudyConfig:
     for key, value in raw.items():
         if key not in fields:
             raise DataFormatError(f"unknown study setting {key!r}")
-        ftype = fields[key].type
+        ftype = str(fields[key].type)
         if key == "methods":
             kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif "int" in str(ftype):
-            kwargs[key] = int(value) if value.lower() != "none" else None
+        elif value.lower() == "none" and "None" in ftype:
+            kwargs[key] = None
         else:
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = int(value) if "int" in ftype else float(value)
+            except ValueError:
+                raise DataFormatError(f"bad value {value!r} for study setting {key!r}") from None
     return sim.StudyConfig(**kwargs)
 
 

@@ -10,13 +10,15 @@ system, which :func:`back_substitute` reconstructs.
 :func:`compile_interval` performs the same derivation, back-substitution
 included, once for every record sharing an unknown-variable pattern; it is
 evaluated with array operations over many records or in plain Python for
-one (the refinement chain's record pairs).  The per-record functions
-remain as its reference.
+one (the refinement chain's record pairs).  It computes on coefficient
+lists over the unknowns sorted by name; the per-record functions, on the
+``{name: coefficient}`` form of edits, remain its reference.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
@@ -427,48 +429,42 @@ def resolve_companions(
 
 # ---------------------------------------------------------------------------
 # Compiled derivation for all records sharing one unknown-variable pattern
+#
+# A derived row is a pair: its coefficients, one per unknown in name order,
+# and the alternative combinations of the original edits giving its
+# constant (rows of an array).  Parallel rows share one signature;
+# _dedupe keeps the tighter of them per record, which depends on the
+# record's constants, so a compiled row keeps every distinct combination
+# and the record-wise extreme is taken when bounds are read off.
 
-class _Row:
-    """A derived row: its coefficients over the unknowns and the alternative
-    combinations of the original edits giving its constant.
-
-    Parallel rows share one signature; :func:`_dedupe` keeps the tighter of
-    them per record, which depends on the record's constants, so a compiled
-    row keeps every distinct combination and the record-wise extreme is
-    taken when bounds are read off.
-    """
-
-    __slots__ = ("coeffs", "combs", "kind")
-
-    def __init__(self, coeffs: dict[str, float], combs: np.ndarray, kind: EditKind):
-        self.coeffs = coeffs
-        self.combs = combs
-        self.kind = kind
+def _cleaned(coeffs: list[float]) -> list[float]:
+    """:func:`_clean_coeffs` on a coefficient list: negligible entries become 0."""
+    floor = COEFF_EPS * max(1.0, max(map(abs, coeffs)))
+    return [c if abs(c) > floor else 0.0 for c in coeffs]
 
 
-def _merge_parallel(rows: list[_Row]) -> list[_Row]:
+def _merge_parallel(rows: list[tuple[list[float], np.ndarray]]) -> list[tuple[list[float], np.ndarray]]:
     """Compiled counterpart of :func:`_dedupe`: normalize, then pool the
-    combinations of rows with one coefficient signature."""
-    out: list[_Row] = []
-    by_signature: dict[tuple, int] = {}
-    for row in rows:
-        m = max(abs(c) for c in row.coeffs.values())
-        coeffs = row.coeffs if m == 1.0 else {v: c / m for v, c in row.coeffs.items()}
-        combs = row.combs if m == 1.0 else row.combs / m
-        sig = tuple(sorted((v, round(c, 12)) for v, c in coeffs.items()))
-        if sig in by_signature:
-            k = by_signature[sig]
-            out[k].combs = np.concatenate([out[k].combs, combs])
-        else:
-            by_signature[sig] = len(out)
-            out.append(_Row(coeffs, combs, EditKind.INEQUALITY))
-    for row in out:
-        if len(row.combs) > 1:
-            # Keyed like _dedupe's signatures; adding 0.0 folds -0.0 into 0.0.
-            distinct: dict[bytes, np.ndarray] = {}
-            for comb in row.combs:
-                distinct.setdefault((np.round(comb, 12) + 0.0).tobytes(), comb)
-            row.combs = np.array(list(distinct.values()))
+    combinations of rows with one coefficient signature.  Absent
+    variables hold 0 and no coefficient above ``COEFF_EPS`` rounds to 0,
+    so signatures over all unknowns part the rows as :func:`_dedupe`'s
+    over the variables present do."""
+    merged: dict[tuple, tuple[list[float], list[np.ndarray]]] = {}
+    for coeffs, combs in rows:
+        m = max(map(abs, coeffs))
+        if m != 1.0:
+            coeffs, combs = [c / m for c in coeffs], combs / m
+        sig = tuple([round(c, 12) if c else 0.0 for c in coeffs])
+        merged.setdefault(sig, (coeffs, []))[1].append(combs)
+    out = []
+    for coeffs, parts in merged.values():
+        combs = np.concatenate(parts)
+        if len(combs) > 1:
+            # The first of each set of equal rounded combinations, in order;
+            # adding 0.0 folds -0.0 into 0.0.
+            keys = [row.tobytes() for row in np.round(combs, 12) + 0.0]
+            combs = combs[[keys.index(key) for key in dict.fromkeys(keys)]]
+        out.append((coeffs, combs))
     return out
 
 
@@ -488,6 +484,9 @@ class CompiledInterval:
     """
 
     target: str
+    #: The unknowns and the target, sorted by name; ``slices``,
+    #: ``substitutions`` and :meth:`complete` address them by position.
+    unknown: tuple[str, ...]
     edits: tuple[Edit, ...]
     #: Edits with no unknown variable (each record's reduction check) and
     #: which of them are equalities.
@@ -512,10 +511,11 @@ class CompiledInterval:
     #: projected from that involves it, whose constant is the matching row
     #: of ``slice_comb``.  ``substitutions`` holds each equality pivot and
     #: its expression in the variables left, whose constant is the matching
-    #: row of ``substitution_comb``.
-    slices: tuple[tuple[str, tuple[tuple[float, tuple[tuple[str, float], ...]], ...]], ...]
+    #: row of ``substitution_comb``.  Variables are positions in
+    #: ``unknown``; terms are (position, coefficient) pairs.
+    slices: tuple[tuple[int, tuple[tuple[float, tuple[tuple[int, float], ...]], ...]], ...]
     slice_comb: np.ndarray
-    substitutions: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
+    substitutions: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
     substitution_comb: np.ndarray
 
     def _derive(self, D: np.ndarray, G: np.ndarray):
@@ -605,13 +605,14 @@ class CompiledInterval:
             self.bound_coef.tolist(),
             slices[::-1],
             substitutions[::-1],
+            self.unknown.index(self.target),
         )
 
     def record_interval(self, y: Sequence[float], g: Sequence[float]) -> Interval:
         """:func:`admissible_interval` of one record from ``y`` and ``g``,
         the two products of :meth:`record_rows` with its constants: the
         interval, or a bare :class:`InfeasibleSystemError` where it raises."""
-        is_eq, bound_coef, _, _ = self._layout
+        is_eq, bound_coef, _, _, _ = self._layout
         for r, gross, eq in zip(y, g, is_eq):
             margin = DEFAULT_TOL * max(1.0, gross)
             if abs(r) > margin if eq else r < -margin:
@@ -626,13 +627,16 @@ class CompiledInterval:
                 upper = bound
         return Interval(*_snap(lower, upper))
 
-    def complete(self, value: float, y: Sequence[float], current: Mapping[str, float]) -> dict[str, float]:
+    def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
         """:func:`back_substitute` of one record with the target at
         ``value`` and the rule that keeps each variable's ``current`` value,
-        clamped into its slice.  ``y`` is as for :meth:`record_interval`.
-        Variables no edit constrains are left out, as there."""
-        _, _, slices, substitutions = self._layout
-        values = {self.target: value}
+        clamped into its slice.  ``current`` and the result list the
+        unknowns in :attr:`unknown` order, and ``y`` is as for
+        :meth:`record_interval`.  Unknowns no edit constrains keep their
+        current value."""
+        _, _, slices, substitutions, target = self._layout
+        values = list(current)
+        values[target] = value
         for var, entries in slices:
             lower, upper = NEG_INF, POS_INF
             for at, c, others in entries:
@@ -650,10 +654,8 @@ class CompiledInterval:
         for var, expr, at in substitutions:
             acc = y[at]
             for v, c in expr:
-                if v not in values:
-                    values[v] = current[v]
                 acc += c * values[v]
-            values.setdefault(var, acc)
+            values[var] = acc
         return values
 
 
@@ -673,119 +675,104 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
     ``unknown``.
 
     ``edits`` is the full system; the known variables' values enter only
-    through the reduced constants at evaluation time.
+    through the reduced constants at evaluation time.  Positions follow
+    the names, so the first extreme entry breaks ties by name, as in
+    :func:`eliminate_equalities` and :func:`_elimination_order`.
     """
     edits = tuple(edits)
     n = len(edits)
-    unknown = set(unknown)
+    names = tuple(sorted({*unknown, target}))
+    at = names.index(target)
     eye = np.eye(n)
-    work: list[_Row] = []
+    work: list[tuple[list[float], np.ndarray, EditKind]] = []
     known: list[int] = []
     for k, edit in enumerate(edits):
-        free = {v: c for v, c in edit.coeffs.items() if v in unknown}
-        if free:
-            work.append(_Row(free, eye[k], edit.kind))
+        coeffs = [edit.coeffs.get(v, 0.0) for v in names]
+        if any(coeffs):
+            work.append((coeffs, eye[k], edit.kind))
         else:
             known.append(k)
     checks: list[tuple[np.ndarray, bool, str]] = []
 
     # Equalities, as in eliminate_equalities (each row has one combination).
-    stack: list[tuple[str, dict[str, float], np.ndarray]] = []
-    while True:
-        eq_pos = next((i for i, r in enumerate(work) if r.kind is EditKind.EQUALITY), None)
-        if eq_pos is None:
-            break
-        eq = work.pop(eq_pos)
-        candidates = [(v, c) for v, c in eq.coeffs.items() if v != target]
-        if not candidates:
-            c = eq.coeffs[target]
-            work.insert(eq_pos, _Row(dict(eq.coeffs), eq.combs, EditKind.INEQUALITY))
-            work.insert(eq_pos + 1, _Row({target: -c}, -eq.combs, EditKind.INEQUALITY))
+    stack: list[tuple[int, tuple[tuple[int, float], ...], np.ndarray]] = []
+    while (eq_pos := next((i for i, row in enumerate(work) if row[2] is EditKind.EQUALITY), None)) is not None:
+        eq, eq_comb, _ = work.pop(eq_pos)
+        mags = [0.0 if i == at else abs(c) for i, c in enumerate(eq)]
+        pivot = mags.index(max(mags))
+        if not mags[pivot]:
+            # Only the target remains: pin it with a bound pair.
+            pinned = [(eq, eq_comb, EditKind.INEQUALITY), ([-c for c in eq], -eq_comb, EditKind.INEQUALITY)]
+            work[eq_pos:eq_pos] = pinned
             continue
-        pivot, cp = min(candidates, key=lambda item: (-abs(item[1]), item[0]))
-        expr = {v: -c / cp for v, c in eq.coeffs.items() if v != pivot}
-        expr_comb = -eq.combs / cp
-        replaced: list[_Row] = []
-        for other in work:
-            if pivot not in other.coeffs:
-                replaced.append(other)
-                continue
-            co = other.coeffs[pivot]
-            coeffs = {v: c for v, c in other.coeffs.items() if v != pivot}
-            for v, c in expr.items():
-                coeffs[v] = coeffs.get(v, 0.0) + co * c
-            coeffs = _clean_coeffs(coeffs)
-            comb = other.combs + co * expr_comb
-            if coeffs:
-                replaced.append(_Row(coeffs, comb, other.kind))
-            else:
-                reason = f"substituting {pivot} makes edit infeasible (residual {{residual:.6g}})"
-                checks.append((comb, other.kind is EditKind.EQUALITY, reason))
+        cp = eq[pivot]
+        # expr[pivot] is exactly -1, so substituting leaves an exact 0 there.
+        expr = [-c / cp for c in eq]
+        expr_comb = -eq_comb / cp
+        replaced = []
+        for coeffs, comb, kind in work:
+            if co := coeffs[pivot]:
+                coeffs, comb = _cleaned([a + co * e for a, e in zip(coeffs, expr)]), comb + co * expr_comb
+                if not any(coeffs):
+                    reason = f"substituting {names[pivot]} makes edit infeasible (residual {{residual:.6g}})"
+                    checks.append((comb, kind is EditKind.EQUALITY, reason))
+                    continue
+            replaced.append((coeffs, comb, kind))
         work = replaced
-        stack.append((pivot, expr, expr_comb))
+        stack.append((pivot, tuple((i, c) for i, c in enumerate(expr) if c and i != pivot), expr_comb))
 
-    # Projection, as in fourier_motzkin_eliminate on the merged rows.
-    for row in work:
-        row.combs = row.combs[None, :]
-    rows = _merge_parallel(work)
-    slices: list[tuple[str, tuple]] = []
+    # Projection, as in fourier_motzkin_eliminate on the merged rows; the
+    # next variable is the one in fewest rows, as in _elimination_order.
+    rows = _merge_parallel([(coeffs, comb[None, :]) for coeffs, comb, _ in work])
+    slices: list[tuple[int, tuple]] = []
     slice_comb: list[np.ndarray] = []
-    while True:
-        var = _elimination_order(rows, target)
-        if var is None:
+    while rows:
+        counts = [sum(map(bool, column)) for column in zip(*(coeffs for coeffs, _ in rows))]
+        counts[at] = 0
+        if not any(counts):
             break
-        lowers = [r for r in rows if r.coeffs.get(var, 0.0) > 0]
-        uppers = [r for r in rows if r.coeffs.get(var, 0.0) < 0]
+        var = counts.index(min(c for c in counts if c))
+        lowers = [r for r in rows if r[0][var] > 0]
+        uppers = [r for r in rows if r[0][var] < 0]
         # var's one-dimensional slice, as back_substitute reads it off the
         # system var is projected from.
         entries = []
-        for r in lowers + uppers:
-            others = tuple((v, c) for v, c in r.coeffs.items() if v != var)
-            entries.extend((r.coeffs[var], others) for _ in r.combs)
-            slice_comb.extend(r.combs)
+        for coeffs, combs in lowers + uppers:
+            others = tuple((i, c) for i, c in enumerate(coeffs) if c and i != var)
+            entries.extend((coeffs[var], others) for _ in combs)
+            slice_comb.extend(combs)
         slices.append((var, tuple(entries)))
-        out = [r for r in rows if r.coeffs.get(var, 0.0) == 0]
-        for lo in lowers:
-            cl = lo.coeffs[var]
-            for up in uppers:
-                cu = up.coeffs[var]
-                m_lo, m_up = -cu, cl
-                coeffs: dict[str, float] = {}
-                for v, c in lo.coeffs.items():
-                    if v != var:
-                        coeffs[v] = coeffs.get(v, 0.0) + m_lo * c
-                for v, c in up.coeffs.items():
-                    if v != var:
-                        coeffs[v] = coeffs.get(v, 0.0) + m_up * c
-                combs = (m_lo * lo.combs[:, None, :] + m_up * up.combs[None, :, :]).reshape(-1, n)
-                coeffs = _clean_coeffs(coeffs)
-                if coeffs:
-                    out.append(_Row(coeffs, combs, EditKind.INEQUALITY))
-                    continue
-                reason = f"eliminating {var} derives the contradiction 0 >= {{negated:.6g}}"
+        out = [r for r in rows if not r[0][var]]
+        for (lo, lo_combs), (up, up_combs) in itertools.product(lowers, uppers):
+            # var's own entry cancels exactly: -cu * cl + cl * cu.
+            m_lo, m_up = -up[var], lo[var]
+            coeffs = _cleaned([m_lo * a + m_up * b for a, b in zip(lo, up)])
+            combs = (m_lo * lo_combs[:, None, :] + m_up * up_combs[None, :, :]).reshape(-1, n)
+            if any(coeffs):
+                out.append((coeffs, combs))
+            else:
+                reason = f"eliminating {names[var]} derives the contradiction 0 >= {{negated:.6g}}"
                 checks.extend((comb, False, reason) for comb in combs)
         rows = _merge_parallel(out)
 
-    bound_coef = [row.coeffs[target] for row in rows for _ in row.combs]
-    bound_comb = [comb for row in rows for comb in row.combs]
+    bound_coef = [coeffs[at] for coeffs, combs in rows for _ in combs]
+    bound_comb = [comb for _, combs in rows for comb in combs]
 
     # Companions, as in resolve_companions with only the target assigned:
     # each resolved value is affine in the target value and the constants.
-    affine: dict[str, tuple[float, np.ndarray]] = {target: (1.0, np.zeros(n))}
-    companions: list[str] = []
-    for var, expr, expr_comb in reversed(stack):
-        if var in affine or not all(v in affine for v in expr):
-            continue
-        coef = math.fsum(c * affine[v][0] for v, c in expr.items())
-        comb = expr_comb + sum((c * affine[v][1] for v, c in expr.items()), np.zeros(n))
-        affine[var] = (coef, comb)
-        companions.append(var)
+    affine: dict[int, tuple[float, np.ndarray]] = {at: (1.0, np.zeros(n))}
+    for var, terms, expr_comb in reversed(stack):
+        if all(i in affine for i, _ in terms):
+            coef = math.fsum(c * affine[i][0] for i, c in terms)
+            affine[var] = (coef, expr_comb + sum((c * affine[i][1] for i, c in terms), np.zeros(n)))
+    companions = list(affine)[1:]
 
     def matrix(combs: list) -> np.ndarray:
         return np.array(combs, dtype=float).reshape(len(combs), n)
 
     return CompiledInterval(
         target=target,
+        unknown=names,
         edits=edits,
         known=np.array(known, dtype=int),
         known_eq=np.array([edits[k].kind is EditKind.EQUALITY for k in known], dtype=bool),
@@ -794,11 +781,11 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
         check_comb=matrix([c for c, _, _ in checks]),
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),
-        companion_vars=tuple(companions),
-        companion_target=np.array([affine[v][0] for v in companions], dtype=float),
-        companion_comb=matrix([affine[v][1] for v in companions]),
+        companion_vars=tuple(names[i] for i in companions),
+        companion_target=np.array([affine[i][0] for i in companions], dtype=float),
+        companion_comb=matrix([affine[i][1] for i in companions]),
         slices=tuple(slices),
         slice_comb=matrix(slice_comb),
-        substitutions=tuple((var, tuple(expr.items())) for var, expr, _ in stack),
+        substitutions=tuple((var, terms) for var, terms, _ in stack),
         substitution_comb=matrix([expr_comb for _, _, expr_comb in stack]),
     )

@@ -133,10 +133,10 @@ def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndar
                 continue
             if len(raw) != len(header):
                 raise DataFormatError(f"expected {len(header)} fields, found {len(raw)}", line=lineno)
-            try:
-                rows.append([bool(int(cell)) for cell in raw])
-            except ValueError:
-                raise DataFormatError("mask cells must be 0 or 1", line=lineno) from None
+            cells = [cell.strip() for cell in raw]
+            if any(cell not in ("0", "1") for cell in cells):
+                raise DataFormatError("mask cells must be 0 or 1", line=lineno)
+            rows.append([cell == "1" for cell in cells])
     if not rows:
         raise DataFormatError("no records in mask file")
     return np.array(rows, dtype=bool)
@@ -169,9 +169,12 @@ def read_totals(path: str | Path) -> dict[str, float]:
         if name in totals:
             raise DataFormatError(f"duplicate total for {name!r}", line=lineno)
         try:
-            totals[name] = float(value.strip())
+            total = float(value.strip())
         except ValueError:
             raise DataFormatError(f"bad total {value.strip()!r}", line=lineno) from None
+        if not math.isfinite(total):
+            raise DataFormatError(f"non-finite total {value.strip()!r}", line=lineno)
+        totals[name] = total
     return totals
 
 

@@ -194,13 +194,13 @@ def _bits(mask: int) -> list[int]:
 class _KeySystem(NamedTuple):
     """A key's compiled pair system.  ``W`` maps the step vector
     ``[z, |z|]`` to the derivation's rows ``y`` (the first ``n``) and their
-    gross magnitudes ``g``; ``unknowns`` names each unknown with its record
-    (0 for s, 1 for t) and column."""
+    gross magnitudes ``g``; ``unknowns`` holds the record (0 for s, 1 for
+    t) and column of each of ``compiled.unknown``."""
 
     compiled: fm.CompiledInterval
     W: np.ndarray
     n: int
-    unknowns: tuple[tuple[str, int, int], ...]
+    unknowns: tuple[tuple[int, int], ...]
 
 
 class PairSystems:
@@ -260,10 +260,9 @@ class PairSystems:
                 else:
                     coeffs[f"t.{v}"] = c
             rows.append(Edit(coeffs, 0.0, e.kind))
-        unknowns = tuple(
-            [(f"s.{names[c]}", 0, c) for c in _bits(coupled | free_s)] + [(f"t.{names[c]}", 1, c) for c in _bits(free_t)]
-        )
-        compiled = fm.compile_interval(rows, [name for name, _, _ in unknowns], f"s.{names[j]}")
+        cells = {f"s.{names[c]}": (0, c) for c in _bits(coupled | free_s)}
+        cells.update({f"t.{names[c]}": (1, c) for c in _bits(free_t)})
+        compiled = fm.compile_interval(rows, cells, f"s.{names[j]}")
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s],
         # pinned columns holding their pinned values.
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
@@ -280,7 +279,7 @@ class PairSystems:
         W = np.zeros((n + len(gross), 2 * width))
         W[:n, :width] = values @ M
         W[n:, width:] = gross @ np.abs(M)
-        return _KeySystem(compiled, W, n, unknowns)
+        return _KeySystem(compiled, W, n, tuple(cells[name] for name in compiled.unknown))
 
     def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
         """The system of records ``s`` and ``t`` re-drawing column ``j`` of
@@ -341,16 +340,14 @@ class PairStep:
         by more than :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
         system, ratio = self.system, self.ratio
         xs, xt = self.rows
-        current = {name: xs[c] if role == 0 else ratio * xt[c] for name, role, c in system.unknowns}
+        current = [xs[c] if role == 0 else ratio * xt[c] for role, c in system.unknowns]
         solved = system.compiled.complete(value, self.y, current)
         new_s, new_t = list(xs), list(xt)
-        for name, role, c in system.unknowns:
-            if name in solved:
-                v = solved[name]
-                if role == 0:
-                    new_s[c] = v
-                elif v != current[name]:  # a kept value stays bit for bit
-                    new_t[c] = v / ratio
+        for (role, c), v, old in zip(system.unknowns, solved, current):
+            if role == 0:
+                new_s[c] = v
+            elif v != old:  # a kept value stays bit for bit
+                new_t[c] = v / ratio
         for c, share in self.shares.items():
             new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
         # Each record's margin is that of violation_matrix: its largest
@@ -588,6 +585,8 @@ def mcmc_refine(
         if config.checkpoint_every is not None
         else max(1, iterations // 20)
     )
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be positive")
     state = data.copy()
     trace: list[dict] = []
     if iterations == 0:

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import fm, pipeline
-from calimp.edits import Edit, EditKind, EditSystem, reduce_system, reduced_constants, system_matrices
+from calimp.edits import (
+    Edit, EditKind, EditSystem, parse_edit_rules, reduce_system, reduced_constants, system_matrices,
+)
 from calimp.errors import CalimpError, InfeasibleRecordError, InfeasibleSystemError
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
 
 from _oracles import GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system
+from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES
 
 RTOL = 1e-12
 
@@ -254,3 +257,23 @@ def test_target_outside_every_edit_is_unbounded():
     for system in (EditSystem((), ()), EditSystem((Edit({"a": 1.0}, 0.0, EditKind.INEQUALITY),), ("a",))):
         _, diag = impute(data, system, None, ImputationConfig("upma"))
         assert diag[0]["intervals"] == {"count": 1, "degenerate": 0, "bounded": 0, "unbounded": 1, "patterns": 1}
+
+
+def test_compiled_pivots_and_projection_order_match_per_record_derivation():
+    """On every (pattern, target) of the 8-variable survey system, the
+    compiled equality pivots and projection order are the per-record
+    derivation's: both break ties between equal coefficients and counts
+    by name, which keeps the two derivations' arithmetic the same."""
+    system = parse_edit_rules(SURVEY_RULES)
+    names = system.variables
+    record = dict(zip(SURVEY_COLUMNS, (600.0, 300.0, 900.0, 200.0, 250.0, 100.0, 550.0, 350.0)))
+    for bits in range(1, 2 ** len(names)):
+        unknown = [v for j, v in enumerate(names) if bits >> j & 1]
+        known = {v: x for v, x in record.items() if v not in unknown}
+        for target in unknown:
+            compiled = fm.compile_interval(system.edits, unknown, target)
+            _, elimination = fm.admissible_interval(reduce_system(system, known), target)
+            pivots = [compiled.unknown[p] for p, _ in compiled.substitutions]
+            projected = [compiled.unknown[p] for p, _ in compiled.slices]
+            assert pivots == [v for v, _ in elimination.eq_subs], (unknown, target)
+            assert projected == [v for v, _ in elimination.fm_steps], (unknown, target)

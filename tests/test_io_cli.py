@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from calimp import io as cio
-from calimp.cli import main
+from calimp.cli import _study_config, main
 from calimp.errors import DataFormatError
 from calimp.pipeline import DataMatrix
 
@@ -88,6 +88,13 @@ class TestTotalsConfigMask:
             cio.read_totals(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_total_is_rejected_with_its_line(self, tmp_path, value):
+        path = write(tmp_path, "t.txt", f"x2 = 5\nx1 = {value}\n")
+        with pytest.raises(DataFormatError, match="non-finite total") as info:
+            cio.read_totals(path)
+        assert info.value.line == 2
+
     def test_config_parsing(self, tmp_path):
         path = write(tmp_path, "c.cfg", "# comment\nseed = 5\nmethods = bpma, bpmr\n")
         assert cio.read_config(path) == {"seed": "5", "methods": "bpma, bpmr"}
@@ -97,6 +104,13 @@ class TestTotalsConfigMask:
         path = tmp_path / "mask.csv"
         cio.write_mask(mask, ("a", "b"), path)
         assert np.array_equal(cio.read_mask(path, ("a", "b")), mask)
+
+    @pytest.mark.parametrize("cell", ["2", "-1", "x"])
+    def test_mask_cells_other_than_0_and_1_are_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "mask.csv", f"a,b\n0,1\n1,{cell}\n")
+        with pytest.raises(DataFormatError, match="0 or 1") as info:
+            cio.read_mask(path)
+        assert info.value.line == 3
 
 
 EDITS = "x1 + x2 = x3\nx1 >= x2\nx3 >= 3*x2\nx1 >= 0\nx2 >= 0\nx3 >= 0\n"
@@ -231,6 +245,15 @@ class TestCli:
             assert (out / name).exists()
         sample = cio.read_dataset(out / "sample.csv")
         assert sample.n_records == 80
+
+    def test_none_is_accepted_only_for_the_chain_length(self, tmp_path, capsys):
+        cfg = write(tmp_path, "ok.cfg", "mcmc_iterations = none\npopulation_size = 4000\n")
+        config = _study_config(cfg)
+        assert config.mcmc_iterations is None and config.population_size == 4000
+        cfg = write(tmp_path, "bad.cfg", "population_size = none\n")
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'population_size'" in capsys.readouterr().err
 
     def test_seeded_cli_runs_are_byte_identical(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(6))

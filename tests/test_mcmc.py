@@ -506,6 +506,12 @@ class TestMcmcRefine:
         assert np.array_equal(out.values, data.values)
         assert trace == []
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_nonpositive_checkpoint_interval_is_rejected(self, every):
+        data, edits, totals = pair_example_data()
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            mcmc_refine(data, edits, totals, McmcConfig(iterations=10, checkpoint_every=every))
+
     def test_worked_example_step_values(self):
         data, edits, totals = pair_example_data()
         system, cells = pair_constraint_system(data, edits, totals, 0, 1)
