@@ -287,7 +287,6 @@ def check_record(system: EditSystem, row: Mapping[str, float], tol: float = DEFA
 def reduce_system(
     system: EditSystem,
     row: Mapping[str, float],
-    tol: float = DEFAULT_TOL,
     origin: int | None = None,
 ) -> ReducedSystem:
     """Fold a record's known values into the edits.
@@ -311,7 +310,7 @@ def reduce_system(
         if free:
             reduced.append(Edit(free, const, edit.kind))
             continue
-        bound = tol * max(1.0, gross)
+        bound = DEFAULT_TOL * max(1.0, gross)
         ok = abs(const) <= bound if edit.kind is EditKind.EQUALITY else const >= -bound
         if not ok:
             raise InfeasibleRecordError(

@@ -10,9 +10,11 @@ system, which :func:`back_substitute` reconstructs.
 :func:`compile_interval` performs the same derivation, back-substitution
 included, once for every record sharing an unknown-variable pattern; it is
 evaluated with array operations over many records or in plain Python for
-one (the refinement chain's record pairs).  It computes on coefficient
-lists over the unknowns sorted by name; the per-record functions, on the
-``{name: coefficient}`` form of edits, remain its reference.
+one (the refinement chain's record pairs).  It reads the matrix form of
+the system (:func:`calimp.edits.system_matrices`) and computes on
+coefficient lists over the unknowns sorted by name; the per-record
+functions, on the ``{name: coefficient}`` form of edits, remain its
+reference.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _substitute(edit: Edit, var: str, expr: LinExpr) -> tuple[dict[str, float], 
     return _clean_coeffs(coeffs), const, gross
 
 
-def _constant_row_ok(const: float, gross: float, kind: EditKind, tol: float) -> bool:
-    bound = tol * max(1.0, gross)
+def _constant_row_ok(const: float, gross: float, kind: EditKind) -> bool:
+    bound = DEFAULT_TOL * max(1.0, gross)
     if kind is EditKind.EQUALITY:
         return abs(const) <= bound
     return const >= -bound
@@ -139,7 +141,6 @@ def _constant_row_ok(const: float, gross: float, kind: EditKind, tol: float) -> 
 def eliminate_equalities(
     edits: Sequence[Edit],
     keep: str | None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[list[Edit], SubstitutionStack]:
     """Remove every equality by substitution, sparing ``keep``.
 
@@ -176,7 +177,7 @@ def eliminate_equalities(
             coeffs, const, gross = _substitute(other, pivot, expr)
             if coeffs:
                 replaced.append(Edit(coeffs, const, other.kind))
-            elif not _constant_row_ok(const, gross, other.kind, tol):
+            elif not _constant_row_ok(const, gross, other.kind):
                 raise InfeasibleSystemError(
                     f"substituting {pivot} makes edit infeasible (residual {const:.6g})",
                     witness=(eq, other),
@@ -214,11 +215,7 @@ def _dedupe(edits: list[Edit]) -> list[Edit]:
     return out
 
 
-def fourier_motzkin_eliminate(
-    edits: Sequence[Edit],
-    var: str,
-    tol: float = DEFAULT_TOL,
-) -> list[Edit]:
+def fourier_motzkin_eliminate(edits: Sequence[Edit], var: str) -> list[Edit]:
     """Project an inequality-only system onto the variables other than ``var``.
 
     Every (lower bound, upper bound) pair on ``var`` combines into one
@@ -258,7 +255,7 @@ def fourier_motzkin_eliminate(
             gross += abs(m_lo * lo.constant) + abs(m_up * up.constant)
             coeffs = _clean_coeffs(coeffs)
             if not coeffs:
-                if not _constant_row_ok(const, gross, EditKind.INEQUALITY, tol):
+                if not _constant_row_ok(const, gross, EditKind.INEQUALITY):
                     raise InfeasibleSystemError(
                         f"eliminating {var} derives the contradiction 0 >= {-const:.6g}",
                         witness=(lo, up),
@@ -280,11 +277,7 @@ def _elimination_order(edits: Sequence[Edit], target: str) -> str | None:
     return min(counts, key=lambda v: (counts[v], v))
 
 
-def admissible_interval(
-    system: ReducedSystem | Sequence[Edit],
-    target: str,
-    tol: float = DEFAULT_TOL,
-) -> tuple[Interval, EliminationRecord]:
+def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> tuple[Interval, EliminationRecord]:
     """Exact feasible range of ``target`` under a reduced edit system.
 
     Returns the interval together with the elimination record needed to
@@ -292,7 +285,7 @@ def admissible_interval(
     any edit comes back unbounded.
     """
     edits0 = tuple(system.edits) if isinstance(system, ReducedSystem) else tuple(system)
-    ineqs, eq_subs = eliminate_equalities(edits0, keep=target, tol=tol)
+    ineqs, eq_subs = eliminate_equalities(edits0, keep=target)
     ineqs = _dedupe(ineqs)
     fm_steps: list[tuple[str, list[Edit]]] = []
     while True:
@@ -300,7 +293,7 @@ def admissible_interval(
         if var is None:
             break
         fm_steps.append((var, list(ineqs)))
-        ineqs = fourier_motzkin_eliminate(ineqs, var, tol=tol)
+        ineqs = fourier_motzkin_eliminate(ineqs, var)
 
     lower, upper = NEG_INF, POS_INF
     lo_witness = hi_witness = None
@@ -316,7 +309,7 @@ def admissible_interval(
             if bound < upper:
                 upper, hi_witness = bound, edit
     if lower > upper:
-        slack = tol * max(1.0, abs(lower), abs(upper))
+        slack = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
         if lower - upper <= slack:
             mid = 0.5 * (lower + upper)
             lower = upper = mid
@@ -336,7 +329,7 @@ def admissible_interval(
     return interval, record
 
 
-def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float], tol: float) -> Interval:
+def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float]) -> Interval:
     lower, upper = NEG_INF, POS_INF
     for edit in edits:
         if var not in edit.coeffs:
@@ -349,7 +342,7 @@ def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, floa
         else:
             upper = min(upper, bound)
     if lower > upper:
-        slack = tol * max(1.0, abs(lower), abs(upper))
+        slack = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
         if lower - upper > slack:
             raise InfeasibleSystemError(
                 f"back-substitution range for {var} is empty: [{lower:.6g}, {upper:.6g}]"
@@ -362,7 +355,6 @@ def back_substitute(
     record: EliminationRecord,
     assigned: Mapping[str, float],
     value_rule: ValueRule | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> dict[str, float]:
     """Complete a record from an assigned target value.
 
@@ -374,7 +366,7 @@ def back_substitute(
     """
     if record.target not in assigned:
         raise ValueError(f"assigned values must include the target {record.target!r}")
-    if not record.interval.contains(assigned[record.target], tol):
+    if not record.interval.contains(assigned[record.target]):
         raise ValueError(
             f"value {assigned[record.target]!r} for {record.target!r} lies outside "
             f"the admissible interval [{record.interval.lower}, {record.interval.upper}]"
@@ -384,7 +376,7 @@ def back_substitute(
     for var, pre_system in reversed(record.fm_steps):
         if var in values:
             continue
-        interval = _one_dim_interval(pre_system, var, values, tol)
+        interval = _one_dim_interval(pre_system, var, values)
         values[var] = interval.clamp(rule(var, interval))
     for var, expr in reversed(record.eq_subs):
         # A variable can cancel out of every inequality and resurface only
@@ -397,7 +389,7 @@ def back_substitute(
 
     scale = max(1.0, max((abs(v) for v in values.values()), default=0.0))
     for edit in record.system:
-        if not edit.is_satisfied(values, tol, scale):
+        if not edit.is_satisfied(values, DEFAULT_TOL, scale):
             raise InfeasibleSystemError(
                 f"back-substituted record violates an original edit (residual {edit.residual(values):.6g})",
                 witness=edit,
@@ -487,19 +479,16 @@ class CompiledInterval:
     #: The unknowns and the target, sorted by name; ``slices``,
     #: ``substitutions`` and :meth:`complete` address them by position.
     unknown: tuple[str, ...]
-    edits: tuple[Edit, ...]
-    #: Edits with no unknown variable (each record's reduction check) and
-    #: which of them are equalities.
-    known: np.ndarray
-    known_eq: np.ndarray
     #: Target coefficient and edit combination of each bound row.
     bound_coef: np.ndarray
     bound_comb: np.ndarray
-    #: Derived rows left without variables, with their equality flag and
-    #: the message raised when a record violates one.
+    #: Rows without variables, with their equality flag and the message
+    #: raised when a record violates one.  The edits with no unknown
+    #: variable (each record's reduction check) lead, as identity
+    #: combinations with reason ``None``; the derived rows follow.
     check_comb: np.ndarray
     check_eq: np.ndarray
-    check_reason: tuple[str, ...]
+    check_reason: tuple[str | None, ...]
     #: Equality-forced companions as an affine map of the target value and
     #: the reduced constants: ``value = target_coef * x + comb . d``.
     companion_vars: tuple[str, ...]
@@ -520,7 +509,6 @@ class CompiledInterval:
 
     def _derive(self, D: np.ndarray, G: np.ndarray):
         check_gross = G @ np.abs(self.check_comb).T
-        known_bad = violated(D[:, self.known], self.known_eq, DEFAULT_TOL * np.maximum(1.0, G[:, self.known]))
         check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.maximum(1.0, check_gross))
         bounds = -(D @ self.bound_comb.T) / self.bound_coef
         lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
@@ -531,47 +519,49 @@ class CompiledInterval:
         lower[crossed[snap]] = upper[crossed[snap]] = 0.5 * (lo[snap] + hi[snap])
         empty = np.zeros(D.shape[0], dtype=bool)
         empty[crossed[~snap]] = True
-        return known_bad, check_bad, bounds, lower, upper, empty
+        return check_bad, bounds, lower, upper, empty
 
     def evaluate(self, D: np.ndarray, G: np.ndarray):
         """Bounds for records with reduced constants ``D`` and gross
         magnitudes ``G`` (records x edits), plus a flag per record for
         which the per-record derivation raises (see :meth:`infeasibility`)."""
-        known_bad, check_bad, _, lower, upper, empty = self._derive(D, G)
-        return lower, upper, known_bad.any(axis=1) | check_bad.any(axis=1) | empty
+        check_bad, _, lower, upper, empty = self._derive(D, G)
+        return lower, upper, check_bad.any(axis=1) | empty
 
-    def infeasibility(self, d: np.ndarray, g: np.ndarray, record: int | None = None):
+    def infeasibility(self, edits: Sequence, d: np.ndarray, g: np.ndarray, record: int | None = None):
         """The error the per-record derivation raises for one flagged record:
-        the first violated fully known edit, else the first violated
-        derived constant row, else the empty interval."""
-        known_bad, check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :])
+        the first violated check row (a fully known edit, else a derived
+        row), else the empty interval.  ``edits`` are the compiled system's
+        edits, which the error names as its witnesses."""
+        check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :])
         prefix = "" if record is None else f"record {record}, variable {self.target!r}: "
-        if known_bad.any():
-            k = int(self.known[np.argmax(known_bad[0])])
-            return InfeasibleRecordError(
-                f"{prefix}record{'' if record is None else ' ' + str(record)} violates edit {k} "
-                f"before imputation (residual {float(d[k]):.6g})",
-                record=record,
-                edit_index=k,
-                witness=self.edits[k],
-            )
+
+        def support(comb: np.ndarray) -> tuple:
+            return tuple(edits[k] for k in np.flatnonzero(comb))
+
         if check_bad.any():
             q = int(np.argmax(check_bad[0]))
+            reason = self.check_reason[q]
+            if reason is None:
+                k = int(np.argmax(self.check_comb[q]))
+                return InfeasibleRecordError(
+                    f"{prefix}record{'' if record is None else ' ' + str(record)} violates edit {k} "
+                    f"before imputation (residual {float(d[k]):.6g})",
+                    record=record,
+                    edit_index=k,
+                    witness=edits[k],
+                )
             const = float(d @ self.check_comb[q])
             return InfeasibleSystemError(
-                prefix + self.check_reason[q].format(residual=const, negated=-const),
-                witness=self._support(self.check_comb[q]),
+                prefix + reason.format(residual=const, negated=-const), witness=support(self.check_comb[q])
             )
         lo_row = int(np.argmax(np.where(self.bound_coef > 0, bounds[0], NEG_INF)))
         hi_row = int(np.argmin(np.where(self.bound_coef < 0, bounds[0], POS_INF)))
         return InfeasibleSystemError(
             f"{prefix}no admissible value for {self.target}: requires >= {lower[0]:.6g} "
             f"and <= {upper[0]:.6g}",
-            witness=(self._support(self.bound_comb[lo_row]), self._support(self.bound_comb[hi_row])),
+            witness=(support(self.bound_comb[lo_row]), support(self.bound_comb[hi_row])),
         )
-
-    def _support(self, comb: np.ndarray) -> tuple[Edit, ...]:
-        return tuple(self.edits[k] for k in np.flatnonzero(comb))
 
     def companions(self, values: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Companion values (records x ``companion_vars``) once the target
@@ -584,24 +574,22 @@ class CompiledInterval:
     def record_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The combinations one record's :meth:`record_interval` and
         :meth:`complete` read: applied to its reduced constants ``d`` they
-        give the fully known edits' constants, the check rows, the bound
-        rows, the slice rows and the substitution constants, in that order;
-        the second matrix, applied to its gross magnitudes, gives the
-        tolerance scale of the known edits and check rows."""
-        known = np.eye(len(self.edits))[self.known]
-        values = np.vstack([known, self.check_comb, self.bound_comb, self.slice_comb, self.substitution_comb])
-        return values, np.abs(np.vstack([known, self.check_comb]))
+        give the check rows, the bound rows, the slice rows and the
+        substitution constants, in that order; the second matrix, applied
+        to its gross magnitudes, gives the tolerance scale of the check
+        rows."""
+        values = np.vstack([self.check_comb, self.bound_comb, self.slice_comb, self.substitution_comb])
+        return values, np.abs(self.check_comb)
 
     @functools.cached_property
     def _layout(self):
-        nk, nc, nb = len(self.known), len(self.check_eq), len(self.bound_coef)
-        slices, at = [], nk + nc + nb
+        slices, at = [], len(self.check_eq) + len(self.bound_coef)
         for var, entries in self.slices:
             slices.append((var, [(at + i, c, others) for i, (c, others) in enumerate(entries)]))
             at += len(entries)
         substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
         return (
-            self.known_eq.tolist() + self.check_eq.tolist(),
+            self.check_eq.tolist(),
             self.bound_coef.tolist(),
             slices[::-1],
             substitutions[::-1],
@@ -669,55 +657,59 @@ def _snap(lower: float, upper: float) -> tuple[float, float]:
     return lower, upper
 
 
-def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: str) -> CompiledInterval:
+def compile_interval(
+    A: np.ndarray, is_eq: np.ndarray, names: Sequence[str], unknown: Collection[str], target: str
+) -> CompiledInterval:
     """Compile :func:`admissible_interval`, :func:`resolve_companions` and
     :func:`back_substitute` for records whose unknown variables are
     ``unknown``.
 
-    ``edits`` is the full system; the known variables' values enter only
-    through the reduced constants at evaluation time.  Positions follow
-    the names, so the first extreme entry breaks ties by name, as in
+    ``A`` and ``is_eq`` are the full system's coefficient matrix and
+    equality flags (:func:`calimp.edits.system_matrices`), and ``names``
+    labels the columns of ``A``; a variable that no column carries is in
+    no edit.  The known variables' values enter only through the reduced
+    constants at evaluation time.  Positions follow the names, so the
+    first extreme entry breaks ties by name, as in
     :func:`eliminate_equalities` and :func:`_elimination_order`.
     """
-    edits = tuple(edits)
-    n = len(edits)
-    names = tuple(sorted({*unknown, target}))
-    at = names.index(target)
+    n = len(A)
+    order = tuple(sorted({*unknown, target}))
+    at = order.index(target)
+    column = {v: j for j, v in enumerate(names)}
+    # The appended zero column stands for every variable outside ``names``.
+    U = np.hstack([A, np.zeros((n, 1))])[:, [column.get(v, -1) for v in order]]
     eye = np.eye(n)
-    work: list[tuple[list[float], np.ndarray, EditKind]] = []
-    known: list[int] = []
-    for k, edit in enumerate(edits):
-        coeffs = [edit.coeffs.get(v, 0.0) for v in names]
+    work: list[tuple[list[float], np.ndarray, bool]] = []
+    checks: list[tuple[np.ndarray, bool, str | None]] = []
+    for k, (coeffs, eq) in enumerate(zip(U.tolist(), is_eq.tolist())):
         if any(coeffs):
-            work.append((coeffs, eye[k], edit.kind))
+            work.append((coeffs, eye[k], eq))
         else:
-            known.append(k)
-    checks: list[tuple[np.ndarray, bool, str]] = []
+            checks.append((eye[k], eq, None))
 
     # Equalities, as in eliminate_equalities (each row has one combination).
     stack: list[tuple[int, tuple[tuple[int, float], ...], np.ndarray]] = []
-    while (eq_pos := next((i for i, row in enumerate(work) if row[2] is EditKind.EQUALITY), None)) is not None:
+    while (eq_pos := next((i for i, row in enumerate(work) if row[2]), None)) is not None:
         eq, eq_comb, _ = work.pop(eq_pos)
         mags = [0.0 if i == at else abs(c) for i, c in enumerate(eq)]
         pivot = mags.index(max(mags))
         if not mags[pivot]:
             # Only the target remains: pin it with a bound pair.
-            pinned = [(eq, eq_comb, EditKind.INEQUALITY), ([-c for c in eq], -eq_comb, EditKind.INEQUALITY)]
-            work[eq_pos:eq_pos] = pinned
+            work[eq_pos:eq_pos] = [(eq, eq_comb, False), ([-c for c in eq], -eq_comb, False)]
             continue
         cp = eq[pivot]
         # expr[pivot] is exactly -1, so substituting leaves an exact 0 there.
         expr = [-c / cp for c in eq]
         expr_comb = -eq_comb / cp
         replaced = []
-        for coeffs, comb, kind in work:
+        for coeffs, comb, row_eq in work:
             if co := coeffs[pivot]:
                 coeffs, comb = _cleaned([a + co * e for a, e in zip(coeffs, expr)]), comb + co * expr_comb
                 if not any(coeffs):
-                    reason = f"substituting {names[pivot]} makes edit infeasible (residual {{residual:.6g}})"
-                    checks.append((comb, kind is EditKind.EQUALITY, reason))
+                    reason = f"substituting {order[pivot]} makes edit infeasible (residual {{residual:.6g}})"
+                    checks.append((comb, row_eq, reason))
                     continue
-            replaced.append((coeffs, comb, kind))
+            replaced.append((coeffs, comb, row_eq))
         work = replaced
         stack.append((pivot, tuple((i, c) for i, c in enumerate(expr) if c and i != pivot), expr_comb))
 
@@ -751,7 +743,7 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
             if any(coeffs):
                 out.append((coeffs, combs))
             else:
-                reason = f"eliminating {names[var]} derives the contradiction 0 >= {{negated:.6g}}"
+                reason = f"eliminating {order[var]} derives the contradiction 0 >= {{negated:.6g}}"
                 checks.extend((comb, False, reason) for comb in combs)
         rows = _merge_parallel(out)
 
@@ -772,16 +764,13 @@ def compile_interval(edits: Sequence[Edit], unknown: Collection[str], target: st
 
     return CompiledInterval(
         target=target,
-        unknown=names,
-        edits=edits,
-        known=np.array(known, dtype=int),
-        known_eq=np.array([edits[k].kind is EditKind.EQUALITY for k in known], dtype=bool),
+        unknown=order,
         bound_coef=np.array(bound_coef, dtype=float),
         bound_comb=matrix(bound_comb),
         check_comb=matrix([c for c, _, _ in checks]),
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),
-        companion_vars=tuple(names[i] for i in companions),
+        companion_vars=tuple(order[i] for i in companions),
         companion_target=np.array([affine[i][0] for i in companions], dtype=float),
         companion_comb=matrix([affine[i][1] for i in companions]),
         slices=tuple(slices),

@@ -134,7 +134,6 @@ def pair_constraint_system(
     s: int,
     t: int,
     colsums: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[ReducedSystem, dict[str, tuple[int, int]]]:
     """Constraints on the imputed cells of records ``s`` and ``t``.
 
@@ -154,7 +153,7 @@ def pair_constraint_system(
                 cells[f"{role}.{name}"] = (rec, j)
             else:
                 row[name] = float(data.values[rec, j])
-        reduced = reduce_system(edits, row, tol=tol, origin=rec)
+        reduced = reduce_system(edits, row, origin=rec)
         for edit in reduced.edits:
             out.append(Edit({f"{role}.{v}": c for v, c in edit.coeffs.items()}, edit.constant, edit.kind))
 
@@ -219,19 +218,24 @@ class PairSystems:
     coefficient is an edit coefficient and weights, values and totals
     enter only through the constants.  The key is therefore (target, V_T,
     s's imputed columns without a total, t's imputed columns without a
-    total).  ``compiled`` and ``hits`` count the steps that compiled their
-    key's system and those that found it.
+    total).  A key's 2K x 2p coefficient matrix stacks s's edit rows, over
+    columns 0..p-1, on t's, over columns p..2p-1 but with each coupled
+    column negated into s's.  ``compiled`` and ``hits`` count the steps
+    that compiled their key's system and those that found it.
     """
 
     def __init__(self, data: DataMatrix, edits: EditSystem, totals: Totals | None):
         self.columns = data.columns
-        self.edits = edits
-        self.A, self.b, is_eq = system_matrices(edits, data.columns)
+        self.A, self.b, self.is_eq = system_matrices(edits, data.columns)
         self.rows = [
-            (float(self.b[k]), [(int(c), float(self.A[k, c])) for c in np.flatnonzero(self.A[k])], bool(is_eq[k]))
+            (float(self.b[k]), [(int(c), float(self.A[k, c])) for c in np.flatnonzero(self.A[k])], bool(self.is_eq[k]))
             for k in range(len(self.b))
         ]
         self.touches = [sum(1 << c for c, _ in terms) for _, terms, _ in self.rows]
+        # violation_matrix's margin scale: the columns some edit references
+        # (the first twice, so that one column still comes back as a tuple).
+        referenced = np.flatnonzero(self.A.any(axis=0)).tolist()
+        self.referenced = operator.itemgetter(*referenced, *referenced[:1]) if referenced else lambda row: ()
         totals = totals or {}
         self.total = [float(totals[name]) if name in totals else None for name in data.columns]
         self.with_total = sum(1 << j for j, t in enumerate(self.total) if t is not None)
@@ -249,25 +253,22 @@ class PairSystems:
         self.hits = 0
 
     def _compile(self, j: int, coupled: int, free_s: int, free_t: int) -> _KeySystem:
-        names, A = self.columns, self.A
+        A = self.A
         K, p = A.shape
-        rows = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, 0.0, e.kind) for e in self.edits.edits]
-        for e in self.edits.edits:
-            coeffs = {}
-            for v, c in e.coeffs.items():
-                if coupled >> names.index(v) & 1:
-                    coeffs[f"s.{v}"] = -c
-                else:
-                    coeffs[f"t.{v}"] = c
-            rows.append(Edit(coeffs, 0.0, e.kind))
-        cells = {f"s.{names[c]}": (0, c) for c in _bits(coupled | free_s)}
-        cells.update({f"t.{names[c]}": (1, c) for c in _bits(free_t)})
-        compiled = fm.compile_interval(rows, cells, f"s.{names[j]}")
+        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
+        # s's rows over columns 0..p-1, t's over p..2p-1 with each coupled
+        # column negated into s's; 0.0 - A keeps absent entries at +0.0.
+        pair_A = np.zeros((2 * K, 2 * p))
+        pair_A[:K, :p] = A
+        pair_A[K:, :p] = np.where(is_coupled, 0.0 - A, 0.0)
+        pair_A[K:, p:] = np.where(is_coupled, 0.0, A)
+        labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
+        unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
+        compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s],
         # pinned columns holding their pinned values.
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
         in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
-        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
         M = np.zeros((2 * K, 3 * p + 2))
         M[:K, :p] = np.where(in_s, 0.0, A)
         M[:K, 3 * p] = self.b
@@ -279,7 +280,7 @@ class PairSystems:
         W = np.zeros((n + len(gross), 2 * width))
         W[:n, :width] = values @ M
         W[n:, width:] = gross @ np.abs(M)
-        return _KeySystem(compiled, W, n, tuple(cells[name] for name in compiled.unknown))
+        return _KeySystem(compiled, W, n, tuple(divmod(labels.index(v), p) for v in compiled.unknown))
 
     def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
         """The system of records ``s`` and ``t`` re-drawing column ``j`` of
@@ -311,6 +312,7 @@ class PairStep:
         self.old = row_s, row_t = values[s].tolist(), values[t].tolist()
         (imputed_s, checks_s), (imputed_t, checks_t) = systems.imputed[ps], systems.imputed[pt]
         self.imputed, self.checks = (imputed_s, imputed_t), (checks_s, checks_t)
+        self.referenced = systems.referenced
         xs, xt = list(row_s), list(row_t)
         self.shares = shares = {}
         for c in _bits(ps & pt & with_total):
@@ -350,9 +352,9 @@ class PairStep:
                 new_t[c] = v / ratio
         for c, share in self.shares.items():
             new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
-        # Each record's margin is that of violation_matrix: its largest
-        # magnitude, observed cells included, as they enter every sum.
-        margins = [DEFAULT_TOL * max(1.0, *map(abs, row)) for row in (new_s, new_t)]
+        # Each record's margin is that of violation_matrix: its largest magnitude
+        # over the referenced columns, observed cells included (they enter sums).
+        margins = [DEFAULT_TOL * max(1.0, *map(abs, self.referenced(row))) for row in (new_s, new_t)]
         for checks, row, margin in zip(self.checks, (new_s, new_t), margins):
             for b, terms, eq in checks:
                 r = b
@@ -616,7 +618,7 @@ def mcmc_refine(
         {j: [state.column_index(p) for p in predictors[state.columns[j]]] + [j] for j in targets},
     )
     systems = PairSystems(state, edits, totals)
-    weights = systems.weights
+    weights, referenced = systems.weights, systems.referenced
     previous_cells: dict[str, np.ndarray] = {}
     counts = {name: {"accepted": 0, "fallbacks": 0, "moved": 0} for name in state.columns}
     abs_moves = dict.fromkeys(state.columns, 0.0)
@@ -629,10 +631,10 @@ def mcmc_refine(
             interval = pair.interval
             row_s, row_t = pair.old
             current = row_s[j]
-            # The edits hold to tol times each record's largest magnitude, so
+            # The edits hold to tol times each record's margin scale, so
             # a cell pinned by large constants may miss its point interval
             # by that much; measure the miss on the same scale.
-            slack = DEFAULT_TOL * max(1.0, *map(abs, row_s), *map(abs, row_t))
+            slack = DEFAULT_TOL * max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
             if not interval.lower - slack <= current <= interval.upper + slack:
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "

@@ -261,7 +261,7 @@ class _PatternCompiler:
     def __init__(self, edits: EditSystem, columns: Sequence[str]):
         self.edits = edits
         self.cols = [columns.index(v) for v in edits.variables]
-        self.A, self.b, _ = system_matrices(edits, edits.variables)
+        self.A, self.b, self.is_eq = system_matrices(edits, edits.variables)
         self.cache: dict[tuple[bytes, str], fm.CompiledInterval] = {}
 
     def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
@@ -278,7 +278,8 @@ class _PatternCompiler:
             compiled = self.cache.get(key)
             if compiled is None:
                 unknown = [v for v, missing in zip(self.edits.variables, pattern) if missing]
-                compiled = self.cache[key] = fm.compile_interval(self.edits.edits, unknown, target)
+                compiled = fm.compile_interval(self.A, self.is_eq, self.edits.variables, unknown, target)
+                self.cache[key] = compiled
             D, G = reduced_constants(self.A, self.b, X[pos])
             lower[pos], upper[pos], bad = compiled.evaluate(D, G)
             if bad.any():
@@ -288,7 +289,7 @@ class _PatternCompiler:
             groups.append((pos, compiled, D))
         if first_bad is not None:
             p, compiled, d, g = first_bad
-            raise compiled.infeasibility(d, g, record=int(rows[p]))
+            raise compiled.infeasibility(self.edits.edits, d, g, record=int(rows[p]))
         return _TargetIntervals(rows, lower, upper, groups)
 
 

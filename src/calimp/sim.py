@@ -7,9 +7,9 @@ are built from correlated lognormals (``x2`` and the slack of the binding
 ratio edit), affinely rescaled to hit the target means, spreads and the
 ``x1``/``x2`` correlation, and re-screened against the edits.
 
-Note the balance edit makes the correlations of ``P`` with ``x1`` and
-``x2`` a consequence of the other moments, so those two targets are
-recorded but not independently controllable.
+The balance edit makes the correlations of ``P`` with ``x1`` and ``x2`` a
+consequence of the other moments, so they are not settings: the study
+reports them (``corr_x1_P``, ``corr_x2_P``) as outcomes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class StudyConfig:
     mean_x2: float = 991.0
     std_x2: float = 401.0
     corr_x1_x2: float = 0.87
-    corr_x1_p: float = 0.66  # recorded target; the balance edit fixes the realized value
-    corr_x2_p: float = 0.57  # recorded target; same caveat
     rate_x1: float = 0.20
     rate_x2_within: float = 0.50
     rate_x2_extra: float = 0.10
@@ -168,15 +166,12 @@ def _rescale_to_targets(x1: np.ndarray, x2: np.ndarray, config: StudyConfig) -> 
     )
 
 
-def generate_population(
-    config: StudyConfig,
-    rng: np.random.Generator,
-    max_passes: int = 50,
-) -> tuple[DataMatrix, Totals]:
+def generate_population(config: StudyConfig, rng: np.random.Generator) -> tuple[DataMatrix, Totals]:
     """Complete edit-consistent population hitting the attainable targets.
 
-    Returns the population and its column totals.  Fails if the edit
-    screening rejects essentially everything (incompatible targets).
+    Returns the population and its column totals.  Rescaling and edit
+    screening alternate for at most 50 passes.  Fails if the screening
+    rejects essentially everything (incompatible targets).
     """
     edits = study_edits()
     mean_g, std_g, rho_x2_g = _slack_moments(config)
@@ -191,7 +186,7 @@ def generate_population(
     g = np.exp(mug + sg * z2)
     x1 = 2.0 * x2 + g
 
-    for _ in range(max_passes):
+    for _ in range(50):
         x1, x2 = _rescale_to_targets(x1, x2, config)
         values = np.column_stack([x1, x2, x1 + x2])
         bad = violation_matrix(edits, values, STUDY_COLUMNS).any(axis=1)

@@ -68,8 +68,16 @@ def per_record(system, x, unknown, target):
     return fm.admissible_interval(reduce_system(system, row), target)
 
 
+def compile_for(system, unknown, target, columns=None):
+    """``fm.compile_interval`` on the system's matrix over ``columns``
+    (default: its variables)."""
+    columns = system.variables if columns is None else columns
+    A, _, is_eq = system_matrices(system, columns)
+    return fm.compile_interval(A, is_eq, columns, unknown, target)
+
+
 def compiled_bounds(system, X, unknown, target):
-    compiled = fm.compile_interval(system.edits, unknown, target)
+    compiled = compile_for(system, unknown, target)
     A, b, _ = system_matrices(system, system.variables)
     Xu = X.copy()
     Xu[:, [system.variables.index(v) for v in unknown]] = np.nan
@@ -152,7 +160,7 @@ def test_infeasible_inputs_raise_the_same_error_type(seed):
     for i, x in enumerate(X):
         with pytest.raises(InfeasibleSystemError) as info:
             per_record(system, x, unknown, target)
-        err = compiled.infeasibility(D[i], G[i], record=i)
+        err = compiled.infeasibility(system.edits, D[i], G[i], record=i)
         assert type(err) is type(info.value)
         assert err.witness is not None
 
@@ -164,7 +172,7 @@ def test_known_edit_violation_names_record_and_edit():
     )
     compiled, D, G, (_, _, bad) = compiled_bounds(system, np.array([[1.0, 3.0, 0.0]]), ["c"], "c")
     assert bad[0]
-    err = compiled.infeasibility(D[0], G[0], record=7)
+    err = compiled.infeasibility(system.edits, D[0], G[0], record=7)
     assert isinstance(err, InfeasibleRecordError)
     assert (err.record, err.edit_index, err.witness) == (7, 0, system.edits[0])
     assert str(err) == "record 7, variable 'c': record 7 violates edit 0 before imputation (residual -2)"
@@ -271,9 +279,25 @@ def test_compiled_pivots_and_projection_order_match_per_record_derivation():
         unknown = [v for j, v in enumerate(names) if bits >> j & 1]
         known = {v: x for v, x in record.items() if v not in unknown}
         for target in unknown:
-            compiled = fm.compile_interval(system.edits, unknown, target)
+            compiled = compile_for(system, unknown, target)
             _, elimination = fm.admissible_interval(reduce_system(system, known), target)
             pivots = [compiled.unknown[p] for p, _ in compiled.substitutions]
             projected = [compiled.unknown[p] for p, _ in compiled.slices]
             assert pivots == [v for v, _ in elimination.eq_subs], (unknown, target)
             assert projected == [v for v, _ in elimination.fm_steps], (unknown, target)
+
+
+@examples
+@given(seeds)
+def test_column_order_does_not_change_the_compiled_derivation(seed):
+    """Ties between pivots and projection candidates break by name, not by
+    column position: permuting the columns of the matrix with their names
+    compiles the same derivation."""
+    rng = np.random.default_rng(seed)
+    system, _ = truth_first_system(rng)
+    unknown, target = random_pattern(rng, list(system.variables))
+    permuted = [system.variables[j] for j in rng.permutation(len(system.variables))]
+    a, b = (compile_for(system, unknown, target, columns) for columns in (system.variables, permuted))
+    assert (a.unknown, a.substitutions, a.slices) == (b.unknown, b.substitutions, b.slices)
+    for name in ("bound_coef", "bound_comb", "check_comb", "slice_comb", "substitution_comb", "companion_comb"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name

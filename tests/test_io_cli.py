@@ -255,6 +255,14 @@ class TestCli:
         assert code == 2
         assert "'population_size'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["corr_x1_p", "corr_x2_p"])
+    def test_correlations_with_p_are_not_study_settings(self, tmp_path, capsys, setting):
+        # The balance edit fixes them; the study reports them as outcomes.
+        cfg = write(tmp_path, "study.cfg", f"{setting} = 0.5\npopulation_size = 400\nsample_size = 80\n")
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown study setting {setting!r}" in capsys.readouterr().err
+
     def test_seeded_cli_runs_are_byte_identical(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(6))
         outputs = []

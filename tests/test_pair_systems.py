@@ -372,6 +372,22 @@ def test_worked_example_pair():
     assert len(systems.systems) == 2
 
 
+def test_completion_margin_ignores_columns_no_edit_references():
+    # Z is in no edit, so, as in violation_matrix, it does not scale the
+    # margin: x1 one above its point interval misses x1 + x2 = P by 1 in
+    # both records, which violation_matrix flags.
+    values = np.array([[70.0, 20.0, 90.0, 1e12], [50.0, 10.0, 60.0, 1e12]])
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[:, 0] = True
+    data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
+    step = PairSystems(data, edits, {"x1": 120.0}).pair(values, (data.weights @ values).tolist(), 0, 1, 0)
+    assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
+    with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
+        step.complete(71.0)
+    completed = np.array([[71.0, 20.0, 90.0, 1e12], [49.0, 10.0, 60.0, 1e12]])
+    assert violation_matrix(edits, completed, data.columns).any(axis=1).all()
+
+
 def test_infeasible_worked_example():
     # Moving 200 onto the x5 column sum leaves the pair -20 of x5.
     data, edits, totals = pair_example_data()
