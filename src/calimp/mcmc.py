@@ -233,9 +233,10 @@ class PairSystems:
         ]
         self.touches = [sum(1 << c for c, _ in terms) for _, terms, _ in self.rows]
         # violation_matrix's margin scale: the columns some edit references
-        # (the first twice, so that one column still comes back as a tuple).
+        # (the first twice, so that one column still comes back as a tuple;
+        # with none, a 0).
         referenced = np.flatnonzero(self.A.any(axis=0)).tolist()
-        self.referenced = operator.itemgetter(*referenced, *referenced[:1]) if referenced else lambda row: ()
+        self.referenced = operator.itemgetter(*referenced, *referenced[:1]) if referenced else lambda row: (0.0,)
         totals = totals or {}
         self.total = [float(totals[name]) if name in totals else None for name in data.columns]
         self.with_total = sum(1 << j for j, t in enumerate(self.total) if t is not None)

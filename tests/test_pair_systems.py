@@ -388,6 +388,18 @@ def test_completion_margin_ignores_columns_no_edit_references():
     assert violation_matrix(edits, completed, data.columns).any(axis=1).all()
 
 
+def test_chain_runs_on_a_system_without_edits():
+    # No column is referenced, so every margin is DEFAULT_TOL.
+    values = np.random.default_rng(0).uniform(1.0, 10.0, (30, 2))
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[:10, 0] = True
+    totals = {"a": float(values[:, 0].sum())}
+    config = McmcConfig(iterations=50, predictors={"a": ["b"]})
+    out, trace = mcmc_refine(DataMatrix(values, mask, ("a", "b")), parse_edit_rules(""), totals, config)
+    assert (trace[-1]["accepted"], trace[-1]["per_variable"]["a"]["moved"]) == (50, 50)
+    assert float(out.values[:, 0].sum()) == pytest.approx(totals["a"], rel=1e-8)
+
+
 def test_infeasible_worked_example():
     # Moving 200 onto the x5 column sum leaves the pair -20 of x5.
     data, edits, totals = pair_example_data()
