@@ -146,7 +146,7 @@ class _LineParser:
         return tok
 
     def parse(self) -> Edit:
-        lhs_coeffs, lhs_const = self.parse_expr()
+        lhs = self.parse_expr()
         kind, op, _ = self.take()
         if kind != "op" or op not in ("=", ">=", "<=", ">", "<", "=="):
             self.i -= 1
@@ -157,25 +157,18 @@ class _LineParser:
         if op == "==":
             self.i -= 1
             self.error("unexpected '=='; write '=' for a balance edit")
-        rhs_coeffs, rhs_const = self.parse_expr()
+        rhs = self.parse_expr()
         if self.i != len(self.tokens):
             self.error("unexpected trailing input")
 
+        # lhs - rhs (= | >=) 0, or rhs - lhs >= 0 for "<=": the side taken
+        # with a plus sign is merged first, which fixes the coefficient order.
+        plus, minus = (rhs, lhs) if op == "<=" else (lhs, rhs)
         coeffs: dict[str, float] = {}
-        if op == "<=":
-            # rhs - lhs >= 0
-            for v, c in rhs_coeffs.items():
-                coeffs[v] = coeffs.get(v, 0.0) + c
-            for v, c in lhs_coeffs.items():
-                coeffs[v] = coeffs.get(v, 0.0) - c
-            const = rhs_const - lhs_const
-        else:
-            # lhs - rhs (= | >=) 0
-            for v, c in lhs_coeffs.items():
-                coeffs[v] = coeffs.get(v, 0.0) + c
-            for v, c in rhs_coeffs.items():
-                coeffs[v] = coeffs.get(v, 0.0) - c
-            const = lhs_const - rhs_const
+        for (side, _), sign in ((plus, 1.0), (minus, -1.0)):
+            for v, c in side.items():
+                coeffs[v] = coeffs.get(v, 0.0) + sign * c
+        const = plus[1] - minus[1]
 
         coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
         if not coeffs:

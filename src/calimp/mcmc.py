@@ -66,13 +66,12 @@ class PosteriorModel(NamedTuple):
 
     ``coefficients`` and ``variance`` are the drawn parameter values under
     the standard noninformative prior; the predictive distribution for the
-    cell is normal with the stored mean and variance.
+    cell is normal with mean ``predictive_mean`` and that variance.
     """
 
     coefficients: list[float]
     variance: float
     predictive_mean: float
-    predictive_variance: float
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,16 @@ def _uniform_below(rng: np.random.Generator, n: int) -> int:
             return raw % n
 
 
-def select_pair(
-    data: DataMatrix, rng: np.random.Generator, index: PairIndex | None = None
-) -> tuple[int, int, str]:
-    """Two distinct records sharing an imputed variable, uniform over all
-    such (ordered pair, variable) combinations, in O(1).
+def select_pair(index: PairIndex, rng: np.random.Generator) -> tuple[int, int, int]:
+    """Two distinct records sharing an imputed column, and the column's
+    position, uniform over all such (ordered pair, column) combinations,
+    in O(1).
 
     One integer draw numbers all combinations column by column: its
     column j has probability ∝ n_j (n_j - 1), its number of ordered pairs,
     and its offset within that column is the ordered pair (a, b) of imputed
     rows, b skipping a.  The first record returned gets the fresh draw.
-    ``index`` is built from the mask when not given.
     """
-    if index is None:
-        index = PairIndex.build(data.mask)
     cumulative = index.cumulative
     k = _uniform_below(rng, cumulative[-1])
     j = bisect.bisect_right(cumulative, k)
@@ -124,7 +119,7 @@ def select_pair(
     a, b = divmod(k - (cumulative[j - 1] if j else 0), len(rows) - 1)
     if b >= a:
         b += 1
-    return rows[a], rows[b], data.columns[j]
+    return rows[a], rows[b], j
 
 
 def pair_constraint_system(
@@ -385,11 +380,9 @@ def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return A.T @ A
 
 
-def gram_factor(
-    gram: np.ndarray | Sequence[Sequence[float]], target: str
-) -> tuple[list[list[float]], list[float], float]:
+def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list[float]], list[float], float]:
     """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]],
-    given as an array or as rows of floats.
+    given as rows of floats.
 
     Returns the lower factor L of ZᵀZ = LLᵀ (as rows), l = L⁻¹Zᵀy and
     rss = yᵀy - lᵀl, so the least-squares coefficients are L⁻ᵀl.  A design
@@ -398,10 +391,9 @@ def gram_factor(
     and comes back as 0.  Plain Python: on a block this small numpy's call
     overhead exceeds the arithmetic.  Only the lower triangle is read.
     """
-    G = gram.tolist() if isinstance(gram, np.ndarray) else gram
-    m = len(G) - 1
+    m = len(gram) - 1
     L: list[list[float]] = []
-    for i, g in enumerate(G):
+    for i, g in enumerate(gram):
         row: list[float] = []
         for k, lk in enumerate(L):
             acc = g[k]
@@ -422,34 +414,30 @@ def gram_factor(
 
 
 def posterior_model(
-    data: DataMatrix,
+    gram: Sequence[Sequence[float]],
+    row: Sequence[float],
+    predictors: Sequence[int],
+    n: int,
     target: str,
-    predictor_names: Sequence[str],
-    record: int,
     rng: np.random.Generator,
-    gram: np.ndarray | Sequence[Sequence[float]] | None = None,
-    row: Sequence[float] | None = None,
 ) -> PosteriorModel:
     """Parameter draw under the standard noninformative prior for the
-    regression of ``target`` on ``predictor_names`` over the current
-    (complete) data, and the implied predictive law for the target cell of
-    ``record``.
+    regression of a target on the columns at positions ``predictors``
+    over the current (complete) data of ``n`` records, and the implied
+    predictive law for the target cell of the record whose values are
+    ``row``.
 
     The fit comes from ``gram``, the augmented Gram matrix of
-    ``[1, predictors, target]`` over all records, as an array or as rows
-    of floats (built from ``data`` when not given), so its cost is O(p²) in
-    the parameter count p.  ``row`` is the record's row of values when the
-    caller holds it (read from ``data`` otherwise).  With the factor of
+    ``[1, predictors, target]`` over all records as rows of floats, so its
+    cost is O(p²) in the parameter count p.  With the factor of
     :func:`gram_factor`, σ² = rss / χ²(n - p) and β = L⁻ᵀ(l + σε); an
     exact fit (rss 0) draws nothing and returns the least-squares
-    coefficients with zero variance.
+    coefficients with zero variance.  ``target`` names the target in
+    error messages.
     """
-    pred_idx = [data.column_index(p) for p in predictor_names]
-    n, p1 = len(data.values), len(pred_idx) + 1
+    p1 = len(predictors) + 1
     if n <= p1:
         raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
-    if gram is None:
-        gram = gram_matrix(data.values, [*pred_idx, data.column_index(target)])
     L, l, rss = gram_factor(gram, target)
     sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
     if sigma2 > 0:
@@ -461,12 +449,10 @@ def posterior_model(
         for k in range(i + 1, p1):
             acc -= L[k][i] * beta[k]
         beta[i] = acc / L[i][i]
-    if row is None:
-        row = data.values[record].tolist()
     mean = beta[0]
-    for c, b in zip(pred_idx, beta[1:]):
+    for c, b in zip(predictors, beta[1:]):
         mean += row[c] * b
-    return PosteriorModel(beta, sigma2, mean, sigma2)
+    return PosteriorModel(beta, sigma2, mean)
 
 
 class PosteriorStats:
@@ -525,7 +511,7 @@ def draw_truncated_posterior(
     """Predictive draw conditioned on landing inside the interval."""
     if interval.is_point():
         return interval.lower
-    sigma = math.sqrt(model.predictive_variance)
+    sigma = math.sqrt(model.variance)
     shifted = fm.Interval(interval.lower - model.predictive_mean, interval.upper - model.predictive_mean)
     if sigma == 0.0:
         if not shifted.contains(0.0):
@@ -538,20 +524,20 @@ def draw_truncated_posterior(
 
 
 def _checkpoint_row(
-    data: DataMatrix, iteration: int, previous: dict, counts: dict, abs_moves: dict, systems: PairSystems
+    data: DataMatrix, iteration: int, previous: dict, counts: list, abs_moves: list, systems: PairSystems
 ) -> dict:
     per_variable = {}
     for j, name in enumerate(data.columns):
         cells = data.values[data.mask[:, j], j]
         if cells.size == 0:
             continue
-        entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells)), **counts[name]}
-        entry["mean_abs_move"] = abs_moves[name] / counts[name]["accepted"] if counts[name]["accepted"] else 0.0
-        if name in previous:
-            entry["ks_vs_prev"] = metrics.ks_statistic(previous[name], cells)
+        entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells)), **counts[j]}
+        entry["mean_abs_move"] = abs_moves[j] / counts[j]["accepted"] if counts[j]["accepted"] else 0.0
+        if j in previous:
+            entry["ks_vs_prev"] = metrics.ks_statistic(previous[j], cells)
         per_variable[name] = entry
-        previous[name] = cells.copy()
-    totals = {key: sum(c[key] for c in counts.values()) for key in ("accepted", "fallbacks")}
+        previous[j] = cells.copy()
+    totals = {key: sum(c[key] for c in counts) for key in ("accepted", "fallbacks")}
     return {
         "iteration": iteration,
         "per_variable": per_variable,
@@ -597,36 +583,38 @@ def mcmc_refine(
 
     rng = np.random.default_rng(config.seed)
     colsums = (state.weights @ state.values).tolist()
-    observed_cols = [
-        name for j, name in enumerate(state.columns) if not state.mask[:, j].any()
-    ]
+    columns, n = state.columns, state.n_records
+    position = {name: j for j, name in enumerate(columns)}
+    observed_cols = [name for j, name in enumerate(columns) if not state.mask[:, j].any()]
     index = PairIndex.build(state.mask)
     # Only columns with two imputed rows are ever re-drawn.
     targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
     predictors = {}
-    for name in (state.columns[j] for j in targets):
+    for j in targets:
+        name = columns[j]
         if config.predictors is not None and name in config.predictors:
-            predictors[name] = list(config.predictors[name])
+            names = list(config.predictors[name])
+            bad = [p for p in names if p not in position]
+            if bad:
+                raise ValueError(f"unknown predictor column(s) {bad} for target {name!r}")
+            if name in names:
+                raise ValueError(f"target {name!r} cannot be its own predictor")
         else:
-            names = [c for c in observed_cols if c != name] or [c for c in state.columns if c != name]
-            design = _augment(state.values[:, [state.column_index(c) for c in names]])
+            names = [c for c in observed_cols if c != name] or [c for c in columns if c != name]
+            design = _augment(state.values[:, [position[c] for c in names]])
             if np.linalg.matrix_rank(design) < design.shape[1]:
                 dependent = regression._dependent_columns(design, names)
                 names = [c for c in names if c not in dependent]
-            predictors[name] = names
-    stats = PosteriorStats(
-        state.values,
-        {j: [state.column_index(p) for p in predictors[state.columns[j]]] + [j] for j in targets},
-    )
+        predictors[j] = names
+    stats = PosteriorStats(state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets})
     systems = PairSystems(state, edits, totals)
     weights, referenced = systems.weights, systems.referenced
-    previous_cells: dict[str, np.ndarray] = {}
-    counts = {name: {"accepted": 0, "fallbacks": 0, "moved": 0} for name in state.columns}
-    abs_moves = dict.fromkeys(state.columns, 0.0)
+    previous_cells: dict[int, np.ndarray] = {}
+    counts = [{"accepted": 0, "fallbacks": 0, "moved": 0} for _ in columns]
+    abs_moves = [0.0] * len(columns)
 
     for iteration in range(1, iterations + 1):
-        s, t, var = select_pair(state, rng, index)
-        j = state.column_index(var)
+        s, t, j = select_pair(index, rng)
         try:
             pair = systems.pair(state.values, colsums, s, t, j)
             interval = pair.interval
@@ -639,15 +627,15 @@ def mcmc_refine(
             if not interval.lower - slack <= current <= interval.upper + slack:
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "
-                    f"variable {var!r} fell outside its admissible interval "
+                    f"variable {columns[j]!r} fell outside its admissible interval "
                     f"[{interval.lower}, {interval.upper}]"
                 )
-            model = posterior_model(state, var, predictors[var], s, rng, stats.block(j), row_s)
+            model = posterior_model(stats.block(j), row_s, stats.columns[j][:-1], n, columns[j], rng)
             value = draw_truncated_posterior(model, interval, rng)
             new_rows = pair.complete(value)
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
-            counts[var]["fallbacks"] += 1
+            counts[j]["fallbacks"] += 1
         else:
             for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
                 for col in cols:
@@ -656,11 +644,11 @@ def mcmc_refine(
                         colsums[col] += weights[rec] * delta
                         state.values[rec, col] = new[col]
             stats.move(pair.old, new_rows)
-            counts[var]["accepted"] += 1
+            counts[j]["accepted"] += 1
             move = abs(new_rows[0][j] - current)
             if move:
-                counts[var]["moved"] += 1
-                abs_moves[var] += move
+                counts[j]["moved"] += 1
+                abs_moves[j] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             colsums = (state.weights @ state.values).tolist()
@@ -668,6 +656,6 @@ def mcmc_refine(
             validate(state.values, state, edits, totals)
             row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, systems)
             if not trace:
-                row["predictors"] = {state.columns[j]: predictors[state.columns[j]] for j in targets}
+                row["predictors"] = {columns[j]: predictors[j] for j in targets}
             trace.append(row)
     return state, trace

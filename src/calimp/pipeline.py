@@ -210,7 +210,7 @@ def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
         fit_diag = _fit_diagnostics(fit, scale="log")
     else:
         c = regression.log_benchmark_correction(fit, X_mis, missing_total)
-        predictions = c * (np.exp(X_mis @ fit.slopes) if fit.slopes.size else np.ones(X_mis.shape[0]))
+        predictions = c * np.exp(X_mis @ fit.slopes)
         fit_diag = _fit_diagnostics(fit, scale="log", log_correction=c)
     return predictions, fit_diag, used_names, dropped
 
@@ -367,8 +367,8 @@ def impute(
 
             obs = np.flatnonzero(~data.mask[:, t])
             pred_idx = [col_idx[p] for p in pred_names]
-            fit_rows = current[np.ix_(obs, pred_idx)] if pred_idx else np.empty((obs.size, 0))
-            mis_rows = current[np.ix_(rows, pred_idx)] if pred_idx else np.empty((rows.size, 0))
+            fit_rows = current[np.ix_(obs, pred_idx)]
+            mis_rows = current[np.ix_(rows, pred_idx)]
             if np.isnan(fit_rows).any() or np.isnan(mis_rows).any():
                 incomplete = sorted(
                     {pred_names[j] for j in np.unique(np.argwhere(np.isnan(mis_rows))[:, 1])}

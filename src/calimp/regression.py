@@ -170,7 +170,7 @@ def fit_benchmarked(
     w_mis = _as_weights(weights_mis, X_mis.shape[0])
     missing_sum_target = float(total_all - np.sum(w_obs * y))
     m = float(np.sum(w_mis))
-    slope_part = float(np.sum(w_mis * (X_mis @ base.slopes))) if base.slopes.size else 0.0
+    slope_part = float(np.sum(w_mis * (X_mis @ base.slopes)))
     missing_intercept = (missing_sum_target - slope_part) / m
 
     fit = BenchmarkedFit(
@@ -195,8 +195,6 @@ def predict_missing(fit: BenchmarkedFit, X_mis_rows) -> np.ndarray:
         raise ValueError(
             f"expected {fit.base.slopes.shape[0]} predictor column(s), got {X.shape[1]}"
         )
-    if fit.base.slopes.size == 0:
-        return np.full(X.shape[0], fit.missing_intercept)
     return fit.missing_intercept + X @ fit.base.slopes
 
 
@@ -216,14 +214,9 @@ def log_benchmark_correction(
     Z = _as_matrix(z_p_mis)
     if Z.shape[0] == 0:
         raise ValueError("no missing rows")
-    if fit.slopes.size == 0:
-        denom = float(Z.shape[0])
-    else:
-        if Z.shape[1] != fit.slopes.shape[0]:
-            raise ValueError(
-                f"expected {fit.slopes.shape[0]} predictor column(s), got {Z.shape[1]}"
-            )
-        denom = float(np.sum(np.exp(Z @ fit.slopes)))
+    if Z.shape[1] != fit.slopes.shape[0]:
+        raise ValueError(f"expected {fit.slopes.shape[0]} predictor column(s), got {Z.shape[1]}")
+    denom = float(np.sum(np.exp(Z @ fit.slopes)))
     if not np.isfinite(denom) or denom <= 0:
         raise ValueError(f"degenerate correction denominator {denom!r}")
     return original_missing_total / denom

@@ -88,19 +88,6 @@ class StudyReport:
     #: per-replication metric values: method -> variable -> metric -> list
     metric_samples: dict[str, dict[str, dict[str, list[float]]]] = field(default_factory=dict)
 
-    def rows(self) -> list[tuple[str, str, str, float]]:
-        out = []
-        for key, value in self.population.items():
-            out.append(("population", "population", key, value))
-        for method, stats in self.moments.items():
-            for key, value in stats.items():
-                out.append(("moments", method, key, value))
-        for method, per_var in self.metric_table.items():
-            for var, vals in per_var.items():
-                for key, value in vals.items():
-                    out.append(("metrics", method, f"{var}.{key}", value))
-        return out
-
     def summary(self) -> str:
         lines = [f"replications: {self.replications}", "", "moments (averages):"]
         header = ["method", "mean_x1", "std_x1", "mean_x2", "std_x2", "corr_x1_x2", "corr_x1_P", "corr_x2_P"]
@@ -195,11 +182,7 @@ def generate_population(config: StudyConfig, rng: np.random.Generator) -> tuple[
         if np.mean(bad) > 0.99:
             raise CalimpError("population generation rejected more than 99% of draws")
         x1, x2 = x1[~bad], x2[~bad]
-    else:
-        values = np.column_stack([x1, x2, x1 + x2])
-        bad = violation_matrix(edits, values, STUDY_COLUMNS).any(axis=1)
-        x1, x2 = x1[~bad], x2[~bad]
-        values = np.column_stack([x1, x2, x1 + x2])
+    values = values[~bad]
 
     if values.shape[0] < config.population_size:
         raise CalimpError("too few edit-consistent rows generated; widen the pool")

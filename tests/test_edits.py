@@ -56,6 +56,15 @@ def test_parse_le_flips_direction():
     assert edit.coeffs == {"t": 1.0, "u": -2.0}
 
 
+def test_parse_le_lists_its_right_side_first():
+    # A system orders its variables by first appearance in the parsed
+    # coefficients, and a "<=" rule is read as rhs - lhs >= 0.
+    system = parse_edit_rules("a + 2*b <= c + 3\nd - a >= b")
+    assert list(system.edits[0].coeffs.items()) == [("c", 1.0), ("a", -1.0), ("b", -2.0)]
+    assert system.edits[0].constant == 3.0
+    assert system.variables == ("c", "a", "b", "d")
+
+
 def test_parse_constant_and_implicit_product():
     (edit,) = parse_edit_rules("3u + 4 >= 2").edits
     assert edit.coeffs == {"u": 3.0}

@@ -13,6 +13,7 @@ from calimp.mcmc import (
     GRAM_RTOL,
     McmcConfig,
     PairIndex,
+    PairSystems,
     PosteriorModel,
     PosteriorStats,
     draw_truncated_posterior,
@@ -118,31 +119,26 @@ def assert_matches_oracle(gram, values, target, predictors):
 
 class TestSelectPair:
     def test_unique_candidate(self):
-        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         mask = np.array([[False, True], [False, True], [False, False]])
-        data = DataMatrix(values, mask, ("a", "b"))
-        s, t, var = select_pair(data, np.random.default_rng(0))
+        s, t, j = select_pair(PairIndex.build(mask), np.random.default_rng(0))
         assert {s, t} == {0, 1}
-        assert var == "b"
+        assert j == 1
 
     def test_no_candidates_rejected(self):
-        values = np.array([[1.0, 2.0], [3.0, 4.0]])
         mask = np.array([[True, False], [False, True]])
-        data = DataMatrix(values, mask, ("a", "b"))
         with pytest.raises(CalimpError, match="share"):
-            select_pair(data, np.random.default_rng(0))
+            PairIndex.build(mask)
 
     def test_uniform_over_combinations(self):
         # Three records all missing b, two also missing a: combos are
         # 3 pairs for b plus 1 pair for a.
-        values = np.arange(8.0).reshape(4, 2)
         mask = np.array([[True, True], [True, True], [False, True], [False, False]])
-        data = DataMatrix(values, mask, ("a", "b"))
+        index = PairIndex.build(mask)
         rng = np.random.default_rng(1)
         counts = {}
         for _ in range(8000):
-            s, t, var = select_pair(data, rng)
-            counts[(frozenset((s, t)), var)] = counts.get((frozenset((s, t)), var), 0) + 1
+            s, t, j = select_pair(index, rng)
+            counts[(frozenset((s, t)), j)] = counts.get((frozenset((s, t)), j), 0) + 1
         assert len(counts) == 4
         freqs = np.array(sorted(counts.values())) / 8000
         assert np.all(np.abs(freqs - 0.25) < 0.03)
@@ -153,12 +149,12 @@ class TestSelectPair:
         r = 20_000
         mask = np.zeros((r, 2), dtype=bool)
         mask[[123, 17_456], 1] = True
-        data = DataMatrix(np.ones((r, 2)), mask, ("a", "b"))
         rng = np.random.default_rng(0)
         t0 = time.perf_counter()
-        draws = {select_pair(data, rng) for _ in range(200)}
+        index = PairIndex.build(mask)
+        draws = {select_pair(index, rng) for _ in range(200)}
         assert time.perf_counter() - t0 < 1.0
-        assert draws == {(123, 17_456, "b"), (17_456, 123, "b")}
+        assert draws == {(123, 17_456, 1), (17_456, 123, 1)}
 
     def test_chi_square_over_unordered_pairs_and_order_fairness(self):
         # Columns with 4, 3 and 2 imputed rows: 6 + 3 + 1 unordered
@@ -167,16 +163,15 @@ class TestSelectPair:
         mask[[0, 1, 2, 3], 0] = True
         mask[[1, 4, 5], 1] = True
         mask[[0, 5], 2] = True
-        data = DataMatrix(np.zeros((6, 3)), mask, ("a", "b", "c"))
         index = PairIndex.build(mask)
         rng = np.random.default_rng(5)
         counts: dict = {}
         first_lower = 0
         draws = 20_000
         for _ in range(draws):
-            s, t, var = select_pair(data, rng, index)
-            assert s != t and mask[s, data.column_index(var)] and mask[t, data.column_index(var)]
-            key = (frozenset((s, t)), var)
+            s, t, j = select_pair(index, rng)
+            assert s != t and mask[s, j] and mask[t, j]
+            key = (frozenset((s, t)), j)
             counts[key] = counts.get(key, 0) + 1
             first_lower += s < t
         assert len(counts) == 10
@@ -185,11 +180,12 @@ class TestSelectPair:
 
     def test_example_pair_is_eligible(self):
         data, _, _ = pair_example_data()
+        index = PairIndex.build(data.mask)
         rng = np.random.default_rng(2)
         seen = set()
         for _ in range(200):
-            s, t, var = select_pair(data, rng)
-            seen.add((frozenset((s, t)), var))
+            s, t, j = select_pair(index, rng)
+            seen.add((frozenset((s, t)), data.columns[j]))
         assert (frozenset((0, 1)), "x5") in seen
 
 
@@ -225,30 +221,26 @@ class TestPairConstraintSystem:
 
 class TestDrawTruncatedPosterior:
     def test_point_interval_needs_no_draw(self):
-        model = PosteriorModel(np.zeros(1), 1.0, 5.0, 1.0)
+        model = PosteriorModel(np.zeros(1), 1.0, 5.0)
         assert draw_truncated_posterior(model, Interval(3.0, 3.0), np.random.default_rng(0)) == 3.0
 
     def test_draws_stay_inside(self):
-        model = PosteriorModel(np.zeros(1), 4.0, 70.0, 4.0)
+        model = PosteriorModel(np.zeros(1), 4.0, 70.0)
         rng = np.random.default_rng(1)
         for _ in range(200):
             v = draw_truncated_posterior(model, Interval(45.0, 110.0), rng)
             assert 45.0 <= v <= 110.0
 
     def test_degenerate_variance_returns_mean(self):
-        model = PosteriorModel(np.zeros(1), 0.0, 50.0, 0.0)
+        model = PosteriorModel(np.zeros(1), 0.0, 50.0)
         assert draw_truncated_posterior(model, Interval(45.0, 110.0), np.random.default_rng(0)) == 50.0
 
     def test_posterior_model_recovers_exact_relation(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 10, size=40)
         y = 2.0 * x + 1.0
-        data = DataMatrix(
-            np.column_stack([y, x]),
-            np.zeros((40, 2), dtype=bool),
-            ("y", "x"),
-        )
-        model = posterior_model(data, "y", ["x"], 0, rng)
+        values = np.column_stack([y, x])
+        model = posterior_model(gram_matrix(values, [1, 0]).tolist(), values[0].tolist(), [1], 40, "y", rng)
         assert model.variance == pytest.approx(0.0, abs=1e-16)
         assert model.predictive_mean == pytest.approx(y[0], abs=1e-8)
 
@@ -269,19 +261,20 @@ class TestPosteriorOracle:
         if kind != "exact_fit":
             y += rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
         values = np.column_stack([X, y])
-        gram = gram_matrix(values, [*range(p), p])
+        gram = gram_matrix(values, [*range(p), p]).tolist()
         assert_matches_oracle(gram, values, p, range(p))
 
         names = tuple(f"x{j}" for j in range(p)) + ("y",)
         data = DataMatrix(values, np.zeros(values.shape, dtype=bool), names)
         record = int(rng.integers(n))
+        row = values[record].tolist()
         try:
             _, sigma2_o, _ = lstsq_posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
         except RankDeficiencyError:
             with pytest.raises(RankDeficiencyError):
-                posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
+                posterior_model(gram, row, list(range(p)), n, "y", np.random.default_rng(seed))
             return
-        model = posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
+        model = posterior_model(gram, row, list(range(p)), n, "y", np.random.default_rng(seed))
         if kind == "exact_fit":
             assert model.variance == 0.0
         else:  # the same chi-square draw scales the same rss
@@ -304,15 +297,15 @@ class TestPosteriorOracle:
         n = 60
         X = rng.normal(size=(n, 2)) + [3.0, -1.0]
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=n)
-        data = DataMatrix(np.column_stack([y, X]), np.zeros((n, 3), dtype=bool), ("y", "a", "b"))
-        gram = gram_matrix(data.values, [1, 2, 0])
+        values = np.column_stack([y, X])
+        gram, row = gram_matrix(values, [1, 2, 0]).tolist(), values[0].tolist()
         coef, _ = gram_fit(gram)
         Z = np.column_stack([np.ones(n), X])
         C = np.linalg.cholesky(Z.T @ Z)
         # Cᵀ(β - coef)/σ is standard normal when cov(β) = σ²(ZᵀZ)⁻¹.
         white = []
         for _ in range(4000):
-            model = posterior_model(data, "y", ["a", "b"], 0, rng, gram)
+            model = posterior_model(gram, row, [1, 2], n, "y", rng)
             white.append(C.T @ (model.coefficients - coef) / np.sqrt(model.variance))
         assert np.abs(np.cov(np.array(white).T) - np.eye(3)).max() < 0.12
         assert np.abs(np.mean(white, axis=0)).max() < 0.1
@@ -329,17 +322,23 @@ class TestPosteriorOracle:
             pre, edits, totals = five_var_data(rng, r=r)
             predictors = None
         checked = {"steps": 0, "checkpoints": 0}
-        real_posterior, real_rebuild = mcmc.posterior_model, PosteriorStats.rebuild
+        real_pair, real_posterior, real_rebuild = PairSystems.pair, mcmc.posterior_model, PosteriorStats.rebuild
+        step = {}
 
-        def checked_posterior(data, target, names, record, rng_, gram=None, row=None):
+        def recording_pair(systems_, values, colsums, s, t, j):
+            step.update(values=values, s=s, j=j)
+            return real_pair(systems_, values, colsums, s, t, j)
+
+        def checked_posterior(gram, row, predictors_, n, target, rng_):
             # The chain passes its model's block of the one list-form Gram
-            # and the record's row as it holds it.
-            assert isinstance(gram, list) and row == data.values[record].tolist()
+            # and the row of the record re-drawing column j as it holds it.
+            values, j = step["values"], step["j"]
+            assert isinstance(gram, list) and row == values[step["s"]].tolist()
+            assert n == len(values) and target == pre.columns[j]
             if rng.random() < 0.2:
-                cols = [data.column_index(v) for v in names]
-                assert_matches_oracle(gram, data.values, data.column_index(target), cols)
+                assert_matches_oracle(gram, values, j, predictors_)
                 checked["steps"] += 1
-            return real_posterior(data, target, names, record, rng_, gram, row)
+            return real_posterior(gram, row, predictors_, n, target, rng_)
 
         def checked_rebuild(stats_, values):
             if hasattr(stats_, "gram"):  # a checkpoint, not the first build
@@ -349,6 +348,7 @@ class TestPosteriorOracle:
             real_rebuild(stats_, values)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PairSystems, "pair", recording_pair)
             patch.setattr(mcmc, "posterior_model", checked_posterior)
             patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
             mcmc_refine(
@@ -489,8 +489,8 @@ class TestMcmcRefine:
         assert len(states) == steps + 1  # the input, then every step
         moved = {"x1": 0, "x2": 0}
         total_move = {"x1": 0.0, "x2": 0.0}
-        for (s, _, var), before, after in zip(pairs, states, states[1:]):
-            j = pre.column_index(var)
+        for (s, _, j), before, after in zip(pairs, states, states[1:]):
+            var = pre.columns[j]
             if after[s, j] != before[s, j]:
                 moved[var] += 1
                 total_move[var] += abs(after[s, j] - before[s, j])
@@ -499,6 +499,16 @@ class TestMcmcRefine:
         for var in ("x1", "x2"):
             assert last[var]["moved"] == moved[var]
             assert last[var]["mean_abs_move"] == pytest.approx(total_move[var] / last[var]["accepted"], rel=1e-12)
+
+    def test_unknown_predictor_is_rejected(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match=r"unknown predictor column\(s\) \['zz'\] for target 'x1'"):
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=10, predictors={"x1": ["P", "zz"]}))
+
+    def test_target_among_its_own_predictors_is_rejected(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match="target 'x1' cannot be its own predictor"):
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=10, predictors={"x1": ["P", "x1"]}))
 
     def test_zero_iterations_is_noop(self):
         data, edits, totals = pair_example_data()

@@ -185,8 +185,8 @@ def walk(data, edits, totals, rng, steps, oracles=True):
     index = PairIndex.build(state.mask)
     seen = {"steps": 0, "fallbacks": 0, "free": 0, "moved": 0}
     for _ in range(steps):
-        s, t, var = select_pair(state, rng, index)
-        j = state.column_index(var)
+        s, t, j = select_pair(index, rng)
+        var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
         rows = state.values[[s, t]]
         try:
@@ -293,8 +293,8 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
     systems, index = PairSystems(state, edits, totals), PairIndex.build(mask)
     compared = 0
     for _ in range(200):
-        s, t, var = select_pair(state, rng, index)
-        j = state.column_index(var)
+        s, t, j = select_pair(index, rng)
+        var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
         step = systems.pair(state.values, colsums, s, t, j)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
@@ -338,8 +338,8 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
     colsums = data.weights @ data.values
     fallbacks = 0
     for _ in range(150):
-        s, t, var = select_pair(data, rng, index)
-        j = data.column_index(var)
+        s, t, j = select_pair(index, rng)
+        var = data.columns[j]
         moved = colsums.copy()
         moved[rng.integers(len(moved))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * colsums.max()
         try:
