@@ -133,6 +133,7 @@ def _cmd_impute(args) -> int:
     diag_path = Path(args.diagnostics) if args.diagnostics else out.with_name(out.name + ".diag.jsonl")
 
     if args.method == "mcmc":
+        config = McmcConfig(iterations=args.iterations, seed=args.seed)
         diagnostics: list[dict] = []
         if data.mask.any():
             diagnostics.append({"note": "input has missing values; running bpma pre-imputation"})
@@ -148,9 +149,7 @@ def _cmd_impute(args) -> int:
             if mask.shape != data.values.shape:
                 raise DataFormatError("mask shape does not match the dataset")
             pre = DataMatrix(data.values.copy(), mask, data.columns, data.weights.copy())
-        refined, trace = mcmc_refine(
-            pre, edits, totals, McmcConfig(iterations=args.iterations, seed=args.seed)
-        )
+        refined, trace = mcmc_refine(pre, edits, totals, config)
         cio.write_dataset(refined, out)
         _write_diagnostics(diagnostics + trace, diag_path)
         return EXIT_OK

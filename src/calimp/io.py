@@ -12,7 +12,7 @@ import csv
 import io as _io
 import math
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,22 +23,40 @@ MISSING_MARKERS = ("", "NA")
 WEIGHT_COLUMN = "__weight"
 
 
-def _format_value(x: float) -> str:
-    if math.isnan(x):
-        return "NA"
-    return repr(float(x))
+def _read_csv(handle: IO[str], empty: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of a CSV file and an iterator over its other
+    rows, one at a time: each row's line number and stripped fields.  Blank
+    rows are skipped; a row whose field count differs from the header's is
+    an error, as is a file without a header (message ``empty``)."""
+    reader = csv.reader(handle)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataFormatError(empty, line=1) from None
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if len(raw) != len(header):
+                raise DataFormatError(f"expected {len(header)} fields, found {len(raw)}", line=lineno)
+            yield lineno, [cell.strip() for cell in raw]
+
+    return header, rows()
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue())
 
 
 def read_dataset(path: str | Path) -> DataMatrix:
     """Load a dataset file; the mask reflects the missing markers."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file, expected a header row", line=1) from None
-        header = [h.strip() for h in header]
+    with Path(path).open(newline="") as handle:
+        header, records = _read_csv(handle, "empty file, expected a header row")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataFormatError(f"duplicate header name(s) {dupes}", line=1)
@@ -50,16 +68,9 @@ def read_dataset(path: str | Path) -> DataMatrix:
 
         rows: list[list[float]] = []
         weights: list[float] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
-                raise DataFormatError(
-                    f"expected {len(header)} fields, found {len(raw)}", line=lineno
-                )
+        for lineno, cells in records:
             out_row: list[float] = []
-            for i, cell in enumerate(raw):
-                cell = cell.strip()
+            for i, cell in enumerate(cells):
                 if i == w_col:
                     try:
                         w = float(cell)
@@ -97,43 +108,24 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
     The ``__weight`` column is included only when some weight differs
     from 1.
     """
-    path = Path(path)
     with_weights = bool(np.any(data.weights != 1.0))
-    values = data.values.copy()
-    if missing_from_mask:
-        values[data.mask] = math.nan
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    values = np.where(data.mask, math.nan, data.values) if missing_from_mask else data.values
+    if with_weights:
+        values = np.column_stack([values, data.weights])
     header = list(data.columns) + ([WEIGHT_COLUMN] if with_weights else [])
-    writer.writerow(header)
-    for i in range(values.shape[0]):
-        row = [_format_value(v) for v in values[i]]
-        if with_weights:
-            row.append(repr(float(data.weights[i])))
-        writer.writerow(row)
-    path.write_text(buf.getvalue())
+    _write_csv(path, header, (["NA" if math.isnan(v) else repr(float(v)) for v in row] for row in values))
 
 
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
     """Load a 0/1 mask file; optionally verify its header."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError("empty mask file", line=1) from None
+    with Path(path).open(newline="") as handle:
+        header, records = _read_csv(handle, "empty mask file")
         if columns is not None and header != list(columns):
             raise DataFormatError(
                 f"mask columns {header} do not match dataset columns {list(columns)}", line=1
             )
         rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
-                raise DataFormatError(f"expected {len(header)} fields, found {len(raw)}", line=lineno)
-            cells = [cell.strip() for cell in raw]
+        for lineno, cells in records:
             if any(cell not in ("0", "1") for cell in cells):
                 raise DataFormatError("mask cells must be 0 or 1", line=lineno)
             rows.append([cell == "1" for cell in cells])
@@ -143,37 +135,44 @@ def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndar
 
 
 def write_mask(mask: np.ndarray, columns: Iterable[str], path: str | Path) -> None:
-    path = Path(path)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(columns))
-    for row in np.asarray(mask, dtype=bool):
-        writer.writerow(["1" if cell else "0" for cell in row])
-    path.write_text(buf.getvalue())
+    rows = (["1" if cell else "0" for cell in row] for row in np.asarray(mask, dtype=bool))
+    _write_csv(path, list(columns), rows)
 
 
-def read_totals(path: str | Path) -> dict[str, float]:
-    """Lines of ``column = value``; comments start with ``#``."""
-    path = Path(path)
-    totals: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def _key_value_lines(
+    path: str | Path, key: str, missing: str, duplicate: str
+) -> Iterator[tuple[int, str, str]]:
+    """Line number, key and value of each ``key = value`` line; text after
+    ``#`` is a comment.  ``key`` names the keys in the message for a line
+    without ``=``; ``missing`` is the message for an empty key and
+    ``duplicate`` precedes a repeated key in its message."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataFormatError("expected 'column = value'", line=lineno)
+            raise DataFormatError(f"expected '{key} = value'", line=lineno)
         name, _, value = line.partition("=")
         name = name.strip()
         if not name:
-            raise DataFormatError("missing column name", line=lineno)
-        if name in totals:
-            raise DataFormatError(f"duplicate total for {name!r}", line=lineno)
+            raise DataFormatError(missing, line=lineno)
+        if name in seen:
+            raise DataFormatError(f"{duplicate} {name!r}", line=lineno)
+        seen.add(name)
+        yield lineno, name, value.strip()
+
+
+def read_totals(path: str | Path) -> dict[str, float]:
+    """Lines of ``column = value``; comments start with ``#``."""
+    totals: dict[str, float] = {}
+    for lineno, name, value in _key_value_lines(path, "column", "missing column name", "duplicate total for"):
         try:
-            total = float(value.strip())
+            total = float(value)
         except ValueError:
-            raise DataFormatError(f"bad total {value.strip()!r}", line=lineno) from None
+            raise DataFormatError(f"bad total {value!r}", line=lineno) from None
         if not math.isfinite(total):
-            raise DataFormatError(f"non-finite total {value.strip()!r}", line=lineno)
+            raise DataFormatError(f"non-finite total {value!r}", line=lineno)
         totals[name] = total
     return totals
 
@@ -185,19 +184,4 @@ def write_totals(totals: Mapping[str, float], path: str | Path) -> None:
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Plain ``key = value`` configuration lines; comments start with ``#``."""
-    path = Path(path)
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError("expected 'key = value'", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise DataFormatError("missing key", line=lineno)
-        if key in out:
-            raise DataFormatError(f"duplicate key {key!r}", line=lineno)
-        out[key] = value.strip()
-    return out
+    return {name: value for _, name, value in _key_value_lines(path, "key", "missing key", "duplicate key")}

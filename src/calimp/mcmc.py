@@ -33,7 +33,7 @@ import numpy as np
 from . import fm, metrics, regression
 from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
-from .pipeline import DataMatrix, Totals, validate
+from .pipeline import DataMatrix, Totals, check_inputs, validate
 from .residuals import draw_ar_residual
 
 #: Relative rounding floor of a Gram-form pivot.  A pivot is a Schur
@@ -59,6 +59,12 @@ class McmcConfig:
     # avoid that trap.  A default set whose design is rank deficient on
     # the input loses its dependent columns (the rule of ``fit_ols``).
     predictors: Mapping[str, Sequence[str]] | None = None
+
+    def __post_init__(self):
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError("iterations must be nonnegative")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be positive")
 
 
 class PosteriorModel(NamedTuple):
@@ -554,28 +560,21 @@ def mcmc_refine(
 ) -> tuple[DataMatrix, list[dict]]:
     """Run the pair-swap chain; returns the refined data and its trace.
 
-    The input must be complete and consistent with the edits and totals
-    (its mask marks the imputed cells).  Consistency is revalidated at
+    The input must pass :func:`pipeline.check_inputs` (even with zero
+    iterations), be complete and reproduce the totals (its mask marks the
+    imputed cells).  Consistency is revalidated at
     every checkpoint; a step whose constraint system turns out infeasible
     falls back to retaining the current values and is counted.
     """
     if config is None:
         config = McmcConfig()
+    check_inputs(data, edits, totals, config.predictors)
     if not data.is_complete():
         raise ValueError("refinement expects fully imputed data")
     validate(data.values, data, edits, totals)
 
-    n_imputed = int(data.mask.sum())
-    iterations = config.iterations if config.iterations is not None else 20 * n_imputed
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    checkpoint_every = (
-        config.checkpoint_every
-        if config.checkpoint_every is not None
-        else max(1, iterations // 20)
-    )
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be positive")
+    iterations = config.iterations if config.iterations is not None else 20 * int(data.mask.sum())
+    checkpoint_every = config.checkpoint_every or max(1, iterations // 20)
     state = data.copy()
     trace: list[dict] = []
     if iterations == 0:
@@ -594,11 +593,6 @@ def mcmc_refine(
         name = columns[j]
         if config.predictors is not None and name in config.predictors:
             names = list(config.predictors[name])
-            bad = [p for p in names if p not in position]
-            if bad:
-                raise ValueError(f"unknown predictor column(s) {bad} for target {name!r}")
-            if name in names:
-                raise ValueError(f"target {name!r} cannot be its own predictor")
         else:
             names = [c for c in observed_cols if c != name] or [c for c in columns if c != name]
             design = _augment(state.values[:, [position[c] for c in names]])

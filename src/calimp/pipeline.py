@@ -124,6 +124,9 @@ def variable_order(data: DataMatrix, config: ImputationConfig) -> list[str]:
     unknown = [name for name in explicit if name not in counts]
     if unknown:
         raise ValueError(f"variable order names unknown column(s) {unknown}")
+    repeated = sorted({name for name in explicit if explicit.count(name) > 1})
+    if repeated:
+        raise ValueError(f"variable order repeats column(s) {repeated}")
     omitted = [name for name in needed if name not in explicit]
     if omitted:
         raise ValueError(f"variable order omits column(s) with missing values: {omitted}")
@@ -293,6 +296,43 @@ class _PatternCompiler:
         return _TargetIntervals(rows, lower, upper, groups)
 
 
+def check_inputs(
+    data: DataMatrix,
+    edits: EditSystem,
+    totals: Totals | None,
+    predictors: Mapping[str, Sequence[str]] | None,
+) -> None:
+    """The input checks of :func:`impute` and ``mcmc.mcmc_refine``: edit
+    variables, totals (which may name columns the data lacks) and the
+    predictor map raise ``ValueError``; the first record whose known
+    values break an edit raises :class:`InfeasibleRecordError`."""
+    unknown = [v for v in edits.variables if v not in data.columns]
+    if unknown:
+        raise ValueError(f"edits reference column(s) not in the data: {unknown}")
+    bad = [name for name, total in (totals or {}).items() if not math.isfinite(float(total))]
+    if bad:
+        raise ValueError(f"non-finite total(s) for column(s) {bad}")
+    for target, names in (predictors or {}).items():
+        if target not in data.columns:
+            raise ValueError(f"predictors given for unknown column {target!r}")
+        names = list(names)
+        bad = [p for p in names if p not in data.columns]
+        if bad:
+            raise ValueError(f"unknown predictor column(s) {bad} for target {target!r}")
+        if target in names:
+            raise ValueError(f"target {target!r} cannot be its own predictor")
+        repeated = sorted({p for p in names if names.count(p) > 1})
+        if repeated:
+            raise ValueError(f"predictor(s) {repeated} listed twice for target {target!r}")
+    bad = violation_matrix(edits, data.values, data.columns)
+    if bad.any():
+        i, k = np.argwhere(bad)[0].tolist()
+        edit = edits.edits[k]
+        resid = edit.residual(dict(zip(data.columns, data.values[i])))
+        message = f"record {i} violates edit {k} on its observed values (residual {resid:.6g})"
+        raise InfeasibleRecordError(message, record=i, edit_index=k, witness=edit)
+
+
 def impute(
     data: DataMatrix,
     edits: EditSystem,
@@ -311,9 +351,7 @@ def impute(
     """
     if config is None:
         config = ImputationConfig("upma")
-    unknown = [v for v in edits.variables if v not in data.columns]
-    if unknown:
-        raise ValueError(f"edits reference column(s) not in the data: {unknown}")
+    check_inputs(data, edits, totals, config.predictors)
     benchmarked = config.method in ("bpma", "bpmr")
     missing_cols = [name for j, name in enumerate(data.columns) if data.mask[:, j].any()]
     if benchmarked:
@@ -322,17 +360,6 @@ def impute(
         without = [name for name in missing_cols if name not in totals]
         if without:
             raise ValueError(f"totals missing for column(s) with missing values: {without}")
-    bad = violation_matrix(edits, data.values, data.columns)
-    if bad.any():
-        i, k = np.argwhere(bad)[0].tolist()
-        edit = edits.edits[k]
-        resid = edit.residual(dict(zip(data.columns, data.values[i])))
-        raise InfeasibleRecordError(
-            f"record {i} violates edit {k} on its observed values (residual {resid:.6g})",
-            record=i,
-            edit_index=k,
-            witness=edit,
-        )
 
     order = variable_order(data, config)
     diagnostics: list[dict] = []
@@ -359,11 +386,6 @@ def impute(
                 pred_names = _auto_round1_predictors(data, target, imputed_so_far)
             else:
                 pred_names = [name for name in data.columns if name != target]
-            bad = [p for p in pred_names if p not in col_idx]
-            if bad:
-                raise ValueError(f"unknown predictor column(s) {bad} for target {target!r}")
-            if target in pred_names:
-                raise ValueError(f"target {target!r} cannot be its own predictor")
 
             obs = np.flatnonzero(~data.mask[:, t])
             pred_idx = [col_idx[p] for p in pred_names]

@@ -45,13 +45,11 @@ class BenchmarkedFit:
     ``missing_intercept`` replaces the intercept for the missing rows so
     that the weighted prediction sum equals ``missing_sum_target``, the
     known column total minus the weighted sum of the observed values.
-    ``m`` is the weight mass of the missing rows.
     """
 
     base: RegressionFit
     missing_intercept: float
     missing_sum_target: float
-    m: float
 
 
 def _as_matrix(X, n_rows: int | None = None) -> np.ndarray:
@@ -177,7 +175,6 @@ def fit_benchmarked(
         base=base,
         missing_intercept=missing_intercept,
         missing_sum_target=missing_sum_target,
-        m=m,
     )
     check = float(np.sum(w_mis * predict_missing(fit, X_mis)))
     if abs(check - missing_sum_target) > CALIBRATION_RTOL * max(1.0, abs(missing_sum_target)):

@@ -99,6 +99,45 @@ class TestTotalsConfigMask:
         path = write(tmp_path, "c.cfg", "# comment\nseed = 5\nmethods = bpma, bpmr\n")
         assert cio.read_config(path) == {"seed": "5", "methods": "bpma, bpmr"}
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("a = 1\n\n = 2\n", 3, "missing column name"),
+            ("a = 1\n# a = 3\na = 2\n", 3, "duplicate total for 'a'"),
+            ("a = 1\nb = x\n", 2, "bad total 'x'"),
+        ],
+    )
+    def test_totals_line_errors(self, tmp_path, text, line, message):
+        with pytest.raises(DataFormatError, match=message) as info:
+            cio.read_totals(write(tmp_path, "t.txt", text))
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("seed = 1\nseed\n", 2, "expected 'key = value'"),
+            ("= 1\n", 1, "missing key"),
+            ("seed = 1\nseed = 2 # again\n", 2, "duplicate key 'seed'"),
+        ],
+    )
+    def test_config_line_errors(self, tmp_path, text, line, message):
+        with pytest.raises(DataFormatError, match=message) as info:
+            cio.read_config(write(tmp_path, "c.cfg", text))
+        assert info.value.line == line
+
+    def test_dataset_and_mask_rows_are_read_alike(self, tmp_path):
+        # Stripped header and fields, blank rows skipped, field count
+        # checked with the file's line number.
+        data = cio.read_dataset(write(tmp_path, "d.csv", " a , b\n1, 2\n\n3 ,NA\n"))
+        assert data.columns == ("a", "b")
+        assert np.array_equal(data.mask, [[False, False], [False, True]])
+        mask = cio.read_mask(write(tmp_path, "m.csv", " a , b\n0, 1\n\n1 ,0\n"), ("a", "b"))
+        assert np.array_equal(mask, [[False, True], [True, False]])
+        for name, read in (("d.csv", cio.read_dataset), ("m.csv", cio.read_mask)):
+            with pytest.raises(DataFormatError, match="expected 2 fields, found 3") as info:
+                read(write(tmp_path, name, "a,b\n1,0\n\n0,1,1\n"))
+            assert info.value.line == 4
+
     def test_mask_round_trip(self, tmp_path):
         mask = np.array([[True, False], [False, True]])
         path = tmp_path / "mask.csv"
@@ -232,6 +271,21 @@ class TestCli:
             "--method", "upma", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+
+    def test_inconsistent_chain_input_exit_code(self, tmp_path, capsys):
+        # A complete file whose record 5 breaks x1 + x2 = x3 (edit 0): the
+        # chain names the record and the edit before it runs.
+        small_files(tmp_path, np.random.default_rng(5))
+        truth = cio.read_dataset(tmp_path / "truth.csv")
+        truth.values[5, 2] += 1.0
+        cio.write_dataset(truth, tmp_path / "bad.csv")
+        code = main([
+            "impute", "--data", str(tmp_path / "bad.csv"), "--mask", str(tmp_path / "mask.csv"),
+            "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
+            "--method", "mcmc", "--iterations", "50", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
+        assert "record 5 violates edit 0" in capsys.readouterr().err
 
     def test_simulate_writes_all_artifacts(self, tmp_path):
         cfg = write(

@@ -7,7 +7,7 @@ from scipy import stats
 
 from calimp import mcmc
 from calimp.edits import parse_edit_rules, violation_matrix
-from calimp.errors import CalimpError, RankDeficiencyError
+from calimp.errors import CalimpError, InfeasibleRecordError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
 from calimp.mcmc import (
     GRAM_RTOL,
@@ -509,6 +509,45 @@ class TestMcmcRefine:
         pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
         with pytest.raises(ValueError, match="target 'x1' cannot be its own predictor"):
             mcmc_refine(pre, edits, totals, McmcConfig(iterations=10, predictors={"x1": ["P", "x1"]}))
+
+    def test_predictors_for_an_unknown_column_are_rejected(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match="predictors given for unknown column 'X1'"):
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=10, predictors={"X1": ["zz"]}))
+
+    def test_predictor_map_is_checked_with_zero_iterations(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match=r"unknown predictor column\(s\) \['zz'\] for target 'x1'"):
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=0, predictors={"x1": ["zz"]}))
+
+    def test_repeated_predictor_is_rejected(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match=r"predictor\(s\) \['P'\] listed twice for target 'x1'"):
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=200, predictors={"x1": ["P", "P"]}))
+
+    @pytest.mark.parametrize("iterations", [0, 50])
+    def test_record_breaking_an_edit_is_named_with_its_witness(self, iterations):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        values = pre.values.copy()
+        i = int(np.flatnonzero(~pre.mask.any(axis=1))[3])
+        values[i, 2] += 1.0  # x1 + x2 = P now misses by 1
+        data = DataMatrix(values, pre.mask, pre.columns, pre.weights)
+        with pytest.raises(InfeasibleRecordError, match=rf"record {i} violates edit 0 .*\(residual -1\)") as info:
+            mcmc_refine(data, edits, totals, McmcConfig(iterations=iterations))
+        assert (info.value.record, info.value.edit_index, info.value.witness) == (i, 0, edits.edits[0])
+
+    def test_non_finite_total_is_rejected(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        with pytest.raises(ValueError, match="non-finite total"):
+            mcmc_refine(pre, edits, {**totals, "x2": float("nan")}, McmcConfig(iterations=10))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"iterations": -1}, "iterations must be nonnegative"), ({"checkpoint_every": 0}, "checkpoint_every")],
+    )
+    def test_config_is_checked_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            McmcConfig(**kwargs)
 
     def test_zero_iterations_is_noop(self):
         data, edits, totals = pair_example_data()

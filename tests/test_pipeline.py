@@ -6,7 +6,7 @@ import pytest
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleRecordError
-from calimp.pipeline import DataMatrix, ImputationConfig, impute, variable_order
+from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute, variable_order
 
 from _oracles import random_imputation_instance
 
@@ -90,6 +90,14 @@ class TestVariableOrder:
         data = make_data(np.ones((6, 2)), mask, ("a", "b"))
         with pytest.raises(ValueError, match="omits"):
             variable_order(data, ImputationConfig("upma", variable_order=["b"]))
+
+    def test_explicit_repetition_rejected(self):
+        # A repeated name would impute that column twice in one round.
+        mask = np.zeros((6, 2), dtype=bool)
+        mask[0, 0] = mask[1, 1] = True
+        data = make_data(np.ones((6, 2)), mask, ("a", "b"))
+        with pytest.raises(ValueError, match=r"variable order repeats column\(s\) \['a'\]"):
+            variable_order(data, ImputationConfig("upma", variable_order=["a", "a", "b"], rounds=1))
 
 
 class TestImputeBasics:
@@ -188,6 +196,62 @@ class TestImputeBasics:
         out, _ = impute(make_data(values, mask, ("a", "b", "c")), edits, None, ImputationConfig("upma"))
         assert np.array_equal(out.values[~mask], values[~mask])
         assert not violation_matrix(edits, out.values, out.columns).any()
+
+
+def study_like_masked(rng, r=120):
+    """Three-variable data with x1 and x2 missing in some records, and the
+    true totals of both."""
+    truth = consistent_three_var_sample(rng, r)
+    mask = np.zeros_like(truth, dtype=bool)
+    mask[: r // 5, 0] = True
+    mask[r // 10: r // 4, 1] = True
+    totals = {"x1": float(truth[:, 0].sum()), "x2": float(truth[:, 1].sum())}
+    return make_data(truth, mask, ("x1", "x2", "x3")), totals
+
+
+class TestInputChecks:
+    """Every entry point checks its input once, in ``check_inputs``."""
+
+    def test_predictors_for_an_unknown_column_are_rejected(self):
+        data, totals = study_like_masked(np.random.default_rng(20))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        config = ImputationConfig("upma", predictors={"X1": ["x3"]})
+        with pytest.raises(ValueError, match="predictors given for unknown column 'X1'"):
+            impute(data, edits, totals, config)
+
+    def test_predictors_of_a_complete_column_are_checked(self):
+        # x3 is never imputed, but its entry in the map is still checked.
+        data, totals = study_like_masked(np.random.default_rng(21))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        config = ImputationConfig("upma", predictors={"x3": ["zz"]})
+        with pytest.raises(ValueError, match=r"unknown predictor column\(s\) \['zz'\] for target 'x3'"):
+            impute(data, edits, totals, config)
+
+    def test_repeated_predictor_is_rejected(self):
+        data, totals = study_like_masked(np.random.default_rng(22))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        config = ImputationConfig("upma", predictors={"x1": ["x3", "x3"]})
+        with pytest.raises(ValueError, match=r"predictor\(s\) \['x3'\] listed twice for target 'x1'"):
+            impute(data, edits, totals, config)
+
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_total_is_named(self, method, bad):
+        data, totals = study_like_masked(np.random.default_rng(23))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        with pytest.raises(ValueError, match=r"non-finite total\(s\) for column\(s\) \['x1'\]"):
+            impute(data, edits, {**totals, "x1": bad}, ImputationConfig(method))
+
+    def test_totals_may_name_columns_the_data_lacks(self):
+        data, totals = study_like_masked(np.random.default_rng(24))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        out, _ = impute(data, edits, {**totals, "elsewhere": 5.0}, ImputationConfig("bpma"))
+        assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
+
+    def test_check_inputs_accepts_valid_input(self):
+        data, totals = study_like_masked(np.random.default_rng(25))
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        assert check_inputs(data, edits, totals, {"x1": ["x3"], "x2": ["x3", "x1"]}) is None
 
 
 class TestBenchmarkedMethods:
