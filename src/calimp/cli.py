@@ -122,6 +122,9 @@ def _cmd_impute(args) -> int:
         raise _UsageError(f"--method {args.method} requires --totals")
     if args.log_scale and args.method in ("bpmr", "mcmc"):
         raise _UsageError("--log-scale supports upma and bpma only")
+    for option, value in (("--iterations", args.iterations), ("--mask", args.mask)):
+        if value is not None and args.method != "mcmc":
+            raise _UsageError(f"{option} applies to --method mcmc only")
     data = cio.read_dataset(args.data)
     edits = parse_edit_rules(Path(args.edits).read_text())
     totals = cio.read_totals(args.totals) if args.totals else None
@@ -136,6 +139,8 @@ def _cmd_impute(args) -> int:
         config = McmcConfig(iterations=args.iterations, seed=args.seed)
         diagnostics: list[dict] = []
         if data.mask.any():
+            if args.mask is not None:
+                raise _UsageError("--mask applies to complete data only; this input has missing cells")
             diagnostics.append({"note": "input has missing values; running bpma pre-imputation"})
             print("note: running bpma pre-imputation before the chain", file=sys.stderr)
             pre, pre_diag = impute(

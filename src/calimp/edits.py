@@ -307,8 +307,7 @@ def reduce_system(
         ok = abs(const) <= bound if edit.kind is EditKind.EQUALITY else const >= -bound
         if not ok:
             raise InfeasibleRecordError(
-                f"record{'' if origin is None else ' ' + str(origin)} violates edit {k} "
-                f"before imputation (residual {const:.6g})",
+                f"record{'' if origin is None else ' ' + str(origin)} violates edit {k} (residual {const:.6g})",
                 record=origin,
                 edit_index=k,
                 witness=edit,

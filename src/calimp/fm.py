@@ -545,8 +545,8 @@ class CompiledInterval:
             if reason is None:
                 k = int(np.argmax(self.check_comb[q]))
                 return InfeasibleRecordError(
-                    f"{prefix}record{'' if record is None else ' ' + str(record)} violates edit {k} "
-                    f"before imputation (residual {float(d[k]):.6g})",
+                    f"variable {self.target!r}: record{'' if record is None else ' ' + str(record)} "
+                    f"violates edit {k} (residual {float(d[k]):.6g})",
                     record=record,
                     edit_index=k,
                     witness=edits[k],

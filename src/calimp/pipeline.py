@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import adjust, fm, regression, residuals
+from . import fm, regression, residuals
 from .edits import EditSystem, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
@@ -304,8 +304,9 @@ def check_inputs(
 ) -> None:
     """The input checks of :func:`impute` and ``mcmc.mcmc_refine``: edit
     variables, totals (which may name columns the data lacks) and the
-    predictor map raise ``ValueError``; the first record whose known
-    values break an edit raises :class:`InfeasibleRecordError`."""
+    predictor map raise ``ValueError``; the first record whose values
+    (observed, or for a chain also imputed) break an edit raises
+    :class:`InfeasibleRecordError`."""
     unknown = [v for v in edits.variables if v not in data.columns]
     if unknown:
         raise ValueError(f"edits reference column(s) not in the data: {unknown}")
@@ -329,7 +330,7 @@ def check_inputs(
         i, k = np.argwhere(bad)[0].tolist()
         edit = edits.edits[k]
         resid = edit.residual(dict(zip(data.columns, data.values[i])))
-        message = f"record {i} violates edit {k} on its observed values (residual {resid:.6g})"
+        message = f"record {i} violates edit {k} (residual {resid:.6g})"
         raise InfeasibleRecordError(message, record=i, edit_index=k, witness=edit)
 
 
@@ -411,27 +412,25 @@ def impute(
                 final = np.clip(predictions, lower, upper)
                 adjustment_diag = {"clipped": int(np.sum(final != predictions))}
             else:
+                # bpma is bpmr with zero residuals: the re-centering of a zero
+                # vector is the smallest zero-sum adjustment of the predictions.
+                def cell_stream(k: int) -> np.random.Generator:
+                    return residuals.cell_rng(config.seed * 1_000_003 + rnd, t, int(rows[k]))
+
+                sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
                 try:
-                    if config.method == "bpma":
-                        problem = adjust.AdjustmentProblem(predictions, lower, upper, w_mis)
-                        shift = adjust.zero_sum_interval_adjust(problem)
-                        solver_diag = adjust.adjustment_stats(problem, shift)
-                    else:  # bpmr
-                        stream_seed = config.seed * 1_000_003 + rnd
-
-                        def cell_stream(k: int) -> np.random.Generator:
-                            return residuals.cell_rng(stream_seed, t, int(rows[k]))
-
-                        shift, residual_diag = residuals.benchmarked_residuals(
-                            math.sqrt(fit_diag["residual_variance"]),
-                            lower - predictions, upper - predictions, w_mis, cell_stream,
-                            feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
-                        )
-                        solver_diag = {}
+                    shift, stats = residuals.benchmarked_residuals(
+                        sigma, lower - predictions, upper - predictions, w_mis, cell_stream,
+                        feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
+                    )
                 except InfeasibleSystemError as err:
                     raise InfeasibleSystemError(
                         f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
                     ) from err
+                if config.method == "bpmr":
+                    residual_diag, solver_diag = stats, {}
+                else:
+                    solver_diag = {key: stats[key] for key in ("lambda", "at_lower", "at_upper")}
                 final = predictions + shift
                 adjustment_diag = {
                     "max_abs": float(np.max(np.abs(shift))) if shift.size else 0.0,

@@ -17,8 +17,6 @@ import numpy as np
 from scipy.stats import truncnorm
 
 from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
-from .edits import DEFAULT_TOL
-from .errors import CalimpError
 from .fm import Interval
 
 DEFAULT_MAX_ATTEMPTS = 100
@@ -75,12 +73,12 @@ def benchmarked_residuals(
     """Interval-respecting residual vector with weighted sum exactly zero.
 
     Cell ``i`` may take residuals in ``[lower[i], upper[i]]``.  With
-    ``sigma == 0`` every draw is 0, which each interval must contain (to
-    the slack of :meth:`~calimp.fm.Interval.contains`); otherwise a point
-    interval's draw is its value, and only the remaining cells draw, in
-    position order, each from the generator ``stream(i)``.  Returns the
-    vector and a small dict of sampling statistics, with the
-    re-centering's :func:`~calimp.adjust.adjustment_stats` merged in.
+    ``sigma == 0`` every draw is 0, so the re-centering is the smallest
+    zero-sum adjustment into the intervals; otherwise a point interval's
+    draw is its value, and only the remaining cells draw, in position
+    order, each from the generator ``stream(i)``.  Returns the vector and
+    a small dict of sampling statistics, with the re-centering's
+    :func:`~calimp.adjust.adjustment_stats` merged in.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -89,14 +87,6 @@ def benchmarked_residuals(
     attempts = 0
     fallbacks = 0
     if sigma == 0.0:
-        ends = np.abs(np.stack([lower, upper]))
-        slack = DEFAULT_TOL * np.maximum(1.0, np.where(np.isfinite(ends), ends, 0.0).max(axis=0))
-        outside = (lower - slack > 0.0) | (upper + slack < 0.0)
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise CalimpError(
-                f"zero residual variance but 0 is outside the residual interval [{lower[i]}, {upper[i]}]"
-            )
         draws = np.zeros(lower.size)
     else:
         draws = lower.copy()

@@ -26,7 +26,7 @@ from calimp.adjust import (
     zero_sum_interval_adjust,
 )
 from calimp.edits import DEFAULT_TOL, Edit, EditKind, EditSystem, reduce_system, system_matrices, violation_matrix
-from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
+from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
 from calimp.residuals import draw_ar_residual
@@ -355,18 +355,13 @@ def qp_reference_solve(
 
 def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_scale=1.0):
     """Residuals cell by cell: one ``fm.Interval`` and one generator per
-    cell, a zero draw for zero sigma (0 must lie in the interval), the
+    cell, a zero draw for zero sigma (inside the interval or not), the
     point's value for a point interval, else one truncated draw; then the
     same zero-sum re-centering as :func:`calimp.residuals.benchmarked_residuals`."""
     draws = np.empty(len(intervals))
     attempts = fallbacks = 0
     for i, (interval, rng) in enumerate(zip(intervals, rngs)):
         if sigma == 0.0:
-            if not interval.contains(0.0):
-                raise CalimpError(
-                    f"zero residual variance but 0 is outside the residual interval "
-                    f"[{interval.lower}, {interval.upper}]"
-                )
             draws[i] = 0.0
         elif interval.is_point():
             draws[i] = interval.lower

@@ -175,7 +175,7 @@ def test_known_edit_violation_names_record_and_edit():
     err = compiled.infeasibility(system.edits, D[0], G[0], record=7)
     assert isinstance(err, InfeasibleRecordError)
     assert (err.record, err.edit_index, err.witness) == (7, 0, system.edits[0])
-    assert str(err) == "record 7, variable 'c': record 7 violates edit 0 before imputation (residual -2)"
+    assert str(err) == "variable 'c': record 7 violates edit 0 (residual -2)"
 
 
 def test_impute_reports_first_infeasible_record():

@@ -347,6 +347,27 @@ class TestCli:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "method, option",
+        [(m, "--iterations") for m in ("upma", "bpma", "bpmr")]
+        + [(m, "--mask") for m in ("upma", "bpma", "bpmr", "mcmc")],
+    )
+    def test_option_the_method_would_ignore_is_usage_error(self, tmp_path, capsys, method, option):
+        # The input has missing cells, so mcmc pre-imputes it and would
+        # ignore a mask; the mask file need not exist to be refused.
+        small_files(tmp_path, np.random.default_rng(9))
+        value = "40" if option == "--iterations" else str(tmp_path / "no-such-mask.csv")
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"),
+            "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"),
+            "--method", method, option, value, "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and option in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_stray_totals_column_is_data_error(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(8))
         (tmp_path / "totals.txt").write_text("x1 = 100\nnot_a_column = 5\n")

@@ -536,6 +536,17 @@ class TestMcmcRefine:
             mcmc_refine(data, edits, totals, McmcConfig(iterations=iterations))
         assert (info.value.record, info.value.edit_index, info.value.witness) == (i, 0, edits.edits[0])
 
+    def test_imputed_cell_breaking_an_edit_is_named(self):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        values = pre.values.copy()
+        i = int(np.flatnonzero(pre.mask[:, 0])[2])
+        values[i, 0] += 1.0  # the imputed x1 breaks x1 + x2 = P by 1
+        data = DataMatrix(values, pre.mask, pre.columns, pre.weights)
+        with pytest.raises(InfeasibleRecordError) as info:
+            mcmc_refine(data, edits, totals, McmcConfig(iterations=50))
+        assert str(info.value) == f"record {i} violates edit 0 (residual 1)"
+        assert (info.value.record, info.value.edit_index) == (i, 0)
+
     def test_non_finite_total_is_rejected(self):
         pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
         with pytest.raises(ValueError, match="non-finite total"):

@@ -321,6 +321,25 @@ class TestBenchmarkedMethods:
         assert first["adjustment"]["at_lower"] == first["adjustment"]["at_upper"] == 1000
         assert first["adjustment"]["lambda"] is not None
 
+    def test_exact_fit_bpmr_adjusts_like_bpma(self):
+        # y is 4 wherever observed, so the intercept-only fit is exact (sigma
+        # 0) and predicts 6 for each missing cell, outside y <= 3 of record 4.
+        data = make_data(
+            [[5, 4], [6, 4], [7, 4], [8, 4], [3, 0], [9, 0], [20, 0]],
+            [[False, False]] * 4 + [[False, True]] * 3,
+            ("x", "y"),
+        )
+        edits = parse_edit_rules("y <= x\ny >= 0\n")
+        (bpma, bpma_diag), (bpmr, bpmr_diag) = (
+            impute(data, edits, {"y": 34.0}, ImputationConfig(method, rounds=1, predictors={"y": []}))
+            for method in ("bpma", "bpmr")
+        )
+        assert bpmr_diag[0]["fit"]["residual_variance"] == 0.0
+        assert bpma.values[4:, 1].tolist() == [3.0, 7.5, 7.5]
+        assert bpmr.values.tobytes() == bpma.values.tobytes()
+        solver = {key: bpma_diag[0]["adjustment"][key] for key in ("lambda", "at_lower", "at_upper")}
+        assert bpmr_diag[0]["residuals"] == {"attempts": 0, "fallbacks": 0, **solver}
+
     def test_random_instances_calibrate(self):
         rng = np.random.default_rng(6)
         for k in range(8):

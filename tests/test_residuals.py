@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp.adjust import AdjustmentProblem
-from calimp.errors import CalimpError
+from calimp.adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
+from calimp.errors import InfeasibleAdjustmentError
 from calimp.fm import Interval
 from calimp.residuals import DEFAULT_MAX_ATTEMPTS, benchmarked_residuals, cell_rng, draw_ar_residual
 
@@ -37,14 +37,17 @@ class TestDrawArResidual:
         assert out.tolist() == [0.0, 0.0]
         assert stats["attempts"] == 0
 
-    def test_degenerate_sigma_with_zero_outside_raises(self):
-        with pytest.raises(CalimpError, match=r"outside the residual interval \[1.0, 2.0\]"):
-            benchmarked_residuals(0.0, [-1.0, 1.0], [1.0, 2.0], None, no_stream)
+    def test_degenerate_sigma_with_zero_outside_is_recentred(self):
+        # The zero draw of the second cell lies below [1, 2]: the re-centering
+        # lifts it to 1 and moves the first cell by -1 to keep the sum zero.
+        out, stats = benchmarked_residuals(0.0, [-1.0, 1.0], [1.0, 2.0], None, no_stream)
+        assert out.tolist() == [-1.0, 1.0]
+        assert stats == {"attempts": 0, "fallbacks": 0, "lambda": None, "at_lower": 2, "at_upper": 0}
 
     def test_degenerate_sigma_allows_the_contains_slack(self):
-        # 0 misses [1e-10, 1] by less than the 1e-9 slack of Interval.contains.
+        # 0 misses [1e-10, 1] by a hair: the re-centering puts the cell on its bound.
         out, _ = benchmarked_residuals(0.0, [1e-10, -1.0], [1.0, 1.0], None, no_stream)
-        assert np.all(np.isfinite(out))
+        assert out.tolist() == [1e-10, -1e-10]
 
     def test_point_interval_is_returned_directly(self):
         out, stats = benchmarked_residuals(2.0, [0.75, -0.75], [0.75, -0.75], None, no_stream)
@@ -139,8 +142,6 @@ class TestBenchmarkedResiduals:
         # Streams built on demand give the same bytes as one stream built
         # per cell up front, and only cells with a real draw build one.
         intervals = [Interval(-2.0, 2.0), Interval(0.5, 0.5), Interval(-1.0, INF), Interval(0.0, 0.0), Interval(-3.0, 1.0)]
-        if sigma == 0.0:
-            intervals = [iv for iv in intervals if iv.contains(0.0)]
         weights = np.linspace(1.0, 2.0, len(intervals))
         eager = [cell_rng(5, 2, 10 + i) for i in range(len(intervals))]
         built = []
@@ -165,8 +166,9 @@ KINDS = ("point", "bounded", "lower", "upper", "unbounded")
 @st.composite
 def residual_problems(draw):
     """Residual bounds around a point of weighted sum zero, so the
-    re-centering is feasible; with ``zero`` the point is 0, and ``scale``
-    puts the bounds near the 1e-9 slack of the zero-sigma check."""
+    re-centering is feasible; with ``zero`` the point is 0, else zero
+    draws may lie outside their bounds, and ``scale`` sets the size of the
+    bounds, down to 1e-9."""
     m = draw(st.integers(0, 9))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=m, max_size=m))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -197,15 +199,52 @@ def test_array_residuals_match_per_cell_oracle(problem):
         built.append(i)
         return cell_rng(seed, 3, i)
 
-    try:
-        want = per_cell_benchmarked_residuals(sigma, intervals, weights, [cell_rng(seed, 3, i) for i in range(len(intervals))])
-    except CalimpError as err:
-        with pytest.raises(type(err)) as got:
-            benchmarked_residuals(sigma, lower, upper, weights, stream)
-        assert str(got.value) == str(err)
-        assert sigma == 0.0 and not all(iv.contains(0.0) for iv in intervals)
-        return
+    want = per_cell_benchmarked_residuals(sigma, intervals, weights, [cell_rng(seed, 3, i) for i in range(len(intervals))])
     out, stats = benchmarked_residuals(sigma, lower, upper, weights, stream)
     assert out.tobytes() == want[0].tobytes()
     assert stats == want[1]
     assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
+
+
+@st.composite
+def adjustment_problems(draw):
+    """Predictions around a point inside every box; with ``balanced`` the
+    offsets have weighted sum zero, so the adjustment is feasible, else it
+    may not be.  Many predictions lie outside their boxes."""
+    m = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weighted, balanced = draw(st.booleans()), draw(st.booleans())
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    w = rng.uniform(0.5, 3.0, m) if weighted else np.ones(m)
+    center = rng.normal(0.0, 10.0 * scale, m)
+    below, above = rng.exponential(scale, (2, m))
+    lower = np.array([-INF if k in ("upper", "unbounded") else c - (0.0 if k == "point" else b)
+                      for k, c, b in zip(kinds, center, below)])
+    upper = np.array([INF if k in ("lower", "unbounded") else c + (0.0 if k == "point" else a)
+                      for k, c, a in zip(kinds, center, above)])
+    offset = rng.normal(0.0, 3.0 * scale, m)
+    if balanced and m:
+        offset -= np.sum(w * offset) / np.sum(w)
+    return center + offset, lower, upper, (w if weighted else None)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(adjustment_problems())
+def test_zero_residuals_are_the_zero_sum_adjustment(problem):
+    # bpma's adjustment of predictions x is bpmr's re-centering of zero
+    # residuals in the residual bounds [lower - x, upper - x], bit for bit.
+    x, lower, upper, weights = problem
+    w = np.ones(x.size) if weights is None else weights
+    scale = max(1.0, float(np.sum(np.abs(w * x))))
+    adjust_problem = AdjustmentProblem(x, lower, upper, weights)
+    try:
+        want = zero_sum_interval_adjust(adjust_problem)
+    except InfeasibleAdjustmentError as err:
+        with pytest.raises(InfeasibleAdjustmentError) as got:
+            benchmarked_residuals(0.0, lower - x, upper - x, weights, no_stream, feasibility_scale=scale)
+        assert str(got.value) == str(err)
+        return
+    out, stats = benchmarked_residuals(0.0, lower - x, upper - x, weights, no_stream, feasibility_scale=scale)
+    assert out.tobytes() == want.tobytes()
+    assert stats == {"attempts": 0, "fallbacks": 0, **adjustment_stats(adjust_problem, want)}
