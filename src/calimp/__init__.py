@@ -32,14 +32,7 @@ from .fm import (
 from .mcmc import McmcConfig, PosteriorModel, draw_truncated_posterior, mcmc_refine, pair_constraint_system, select_pair
 from .metrics import MetricReport, d_l1, ks_statistic, std_pct_diff, weighted_pearson
 from .pipeline import DataMatrix, ImputationConfig, Totals, impute, variable_order
-from .regression import (
-    BenchmarkedFit,
-    RegressionFit,
-    fit_benchmarked,
-    fit_ols,
-    log_benchmark_correction,
-    predict_missing,
-)
+from .regression import RegressionFit, fit_benchmarked, fit_ols, log_benchmark_correction
 from .residuals import ResidualDraw, benchmarked_residuals, cell_rng, draw_ar_residual
 from .sim import StudyConfig, StudyReport, apply_mcar, generate_population, run_study
 

@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     p_imp.add_argument("--totals")
     p_imp.add_argument("--method", required=True, choices=["upma", "bpma", "bpmr", "mcmc"])
     p_imp.add_argument("--seed", type=int, default=0)
-    p_imp.add_argument("--rounds", type=int, default=2)
+    p_imp.add_argument("--rounds", type=int, help="imputation rounds (default 2)")
     p_imp.add_argument("--iterations", type=int, help="chain length for --method mcmc")
     p_imp.add_argument("--mask", help="imputed-cell mask of an already consistent dataset (mcmc)")
     p_imp.add_argument("--log-scale", action="store_true", help="fit on log scale (upma/bpma)")
@@ -135,6 +135,7 @@ def _cmd_impute(args) -> int:
     out = Path(args.out)
     diag_path = Path(args.diagnostics) if args.diagnostics else out.with_name(out.name + ".diag.jsonl")
 
+    rounds = {} if args.rounds is None else {"rounds": args.rounds}
     if args.method == "mcmc":
         config = McmcConfig(iterations=args.iterations, seed=args.seed)
         diagnostics: list[dict] = []
@@ -143,13 +144,13 @@ def _cmd_impute(args) -> int:
                 raise _UsageError("--mask applies to complete data only; this input has missing cells")
             diagnostics.append({"note": "input has missing values; running bpma pre-imputation"})
             print("note: running bpma pre-imputation before the chain", file=sys.stderr)
-            pre, pre_diag = impute(
-                data, edits, totals, ImputationConfig("bpma", rounds=args.rounds, seed=args.seed)
-            )
+            pre, pre_diag = impute(data, edits, totals, ImputationConfig("bpma", seed=args.seed, **rounds))
             diagnostics.extend(pre_diag)
         else:
             if not args.mask:
                 raise _UsageError("--method mcmc on complete data requires --mask")
+            if args.rounds is not None:
+                raise _UsageError("--rounds applies to data with missing cells only; this input is complete")
             mask = cio.read_mask(args.mask, data.columns)
             if mask.shape != data.values.shape:
                 raise DataFormatError("mask shape does not match the dataset")
@@ -159,9 +160,7 @@ def _cmd_impute(args) -> int:
         _write_diagnostics(diagnostics + trace, diag_path)
         return EXIT_OK
 
-    config = ImputationConfig(
-        args.method, rounds=args.rounds, seed=args.seed, log_scale=args.log_scale
-    )
+    config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     result, diagnostics = impute(data, edits, totals, config)
     cio.write_dataset(result, out)
     _write_diagnostics(diagnostics, diag_path)

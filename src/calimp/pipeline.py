@@ -142,9 +142,11 @@ def _auto_round1_predictors(data: DataMatrix, target: str, imputed_so_far: list[
     return complete + [name for name in imputed_so_far if name != target]
 
 
-def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mis):
-    """Fit, dropping surplus and then dependent predictors; returns the fit
-    and the predictor names kept and dropped.
+def _fit_with_fallback(y, X, w, predictor_names):
+    """Fit, dropping surplus and then dependent predictors; returns the fit,
+    the predictor names kept and dropped, and the index of the columns of
+    ``X`` fitted on (a slice, or their positions after a dependent
+    predictor was dropped).
 
     A fit needs more observations than predictors plus the intercept, so
     the trailing predictors beyond ``n - 2`` are dropped first, last first.
@@ -153,21 +155,13 @@ def _fit_with_fallback(y, X, w, predictor_names, benchmarked, X_mis, total, w_mi
     fit propagates."""
     p_max = max(len(y) - 2, 0)
     names, dropped = list(predictor_names[:p_max]), list(predictor_names[p_max:])[::-1]
-    X, X_mis = X[:, :p_max], X_mis[:, :p_max]
-
-    def fit(names, X, X_mis):
-        if benchmarked:
-            return regression.fit_benchmarked(
-                y, X, X_mis, total, weights_obs=w, weights_mis=w_mis, names=names
-            )
-        return regression.fit_ols(y, X, weights=w, names=names)
-
     try:
-        return fit(names, X, X_mis), names, dropped
+        return regression.fit_ols(y, X[:, :p_max], weights=w, names=names), names, dropped, slice(p_max)
     except RankDeficiencyError as err:
         keep = [j for j, name in enumerate(names) if name not in err.columns]
         names = [names[j] for j in keep]
-        return fit(names, X[:, keep], X_mis[:, keep]), names, dropped + list(err.columns)
+        fit = regression.fit_ols(y, X[:, keep], weights=w, names=names)
+        return fit, names, dropped + list(err.columns), keep
 
 
 def _fit_diagnostics(fit: regression.RegressionFit, **extra) -> dict:
@@ -184,37 +178,41 @@ def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
     """Predictions for the missing rows of one target, with the ``fit``
     diagnostics and the predictor names used and dropped.
 
-    ``total`` (``None`` unless benchmarked) calibrates the predictions to
-    the column total: through a second intercept for the missing rows on
-    the linear scale, through a multiplier replacing ``exp(intercept)`` on
-    the log scale."""
+    ``total`` (``None`` unless benchmarked) calibrates the predictions so
+    their weighted sum is the remainder of the column total: through the
+    intercept of the missing rows on the linear scale, through a
+    multiplier replacing ``exp(intercept)`` on the log scale, where the
+    weights are all equal."""
+    missing_total = None if total is None else float(total - np.sum(w_obs * y))
     if log_scale:
         if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
             raise ValueError("log-scale imputation requires strictly positive data")
-        if not (np.allclose(w_obs, w_obs[0]) and np.allclose(w_mis, w_obs[0])):
+        if not (np.allclose(w_obs, w_mis[0]) and np.allclose(w_mis, w_mis[0])):
             raise ValueError("log-scale imputation supports equal weights only")
-        missing_total = None if total is None else float(total - np.sum(w_obs * y))
         y, X_obs, X_mis, w_obs = np.log(y), np.log(X_obs), np.log(X_mis), None
-    benchmarked = total is not None and not log_scale
-    fit, used_names, dropped = _fit_with_fallback(
-        y, X_obs, w_obs, pred_names, benchmarked, X_mis, total, w_mis
-    )
+    fit, used_names, dropped, cols = _fit_with_fallback(y, X_obs, w_obs, pred_names)
+    # The intercept of the missing rows is solved on them as the fit took
+    # its columns (a row-major view unless a predictor was dropped for
+    # rank), the predictions on a column-major copy: the two products
+    # round differently, and the imputed values depend on both to the bit.
+    X_fitted = X_mis[:, cols]
     X_mis = X_mis[:, [pred_names.index(n) for n in used_names]]
-    if benchmarked:
-        predictions = regression.predict_missing(fit, X_mis)
-        fit_diag = _fit_diagnostics(
-            fit.base, missing_intercept=fit.missing_intercept, missing_sum_target=fit.missing_sum_target
-        )
-    elif not log_scale:
-        predictions = fit.predict(X_mis)
-        fit_diag = _fit_diagnostics(fit)
-    elif total is None:
+    if total is None and log_scale:
         predictions = np.exp(fit.predict(X_mis))
         fit_diag = _fit_diagnostics(fit, scale="log")
-    else:
-        c = regression.log_benchmark_correction(fit, X_mis, missing_total)
+    elif total is None:
+        predictions = fit.predict(X_mis)
+        fit_diag = _fit_diagnostics(fit)
+    elif log_scale:
+        c = regression.log_benchmark_correction(fit, X_mis, missing_total / w_mis[0])
         predictions = c * np.exp(X_mis @ fit.slopes)
         fit_diag = _fit_diagnostics(fit, scale="log", log_correction=c)
+    else:
+        calibrated = regression.fit_benchmarked(fit, X_fitted, missing_total, w_mis)
+        predictions = calibrated.predict(X_mis)
+        fit_diag = _fit_diagnostics(
+            fit, missing_intercept=calibrated.intercept, missing_sum_target=missing_total
+        )
     return predictions, fit_diag, used_names, dropped
 
 

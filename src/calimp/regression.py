@@ -1,16 +1,16 @@
 """Regression fits used for predictive mean imputation.
 
 ``fit_ols`` is a plain (optionally weighted) least-squares fit on the rows
-where the target is observed.  ``fit_benchmarked`` extends it with a second
-intercept for the missing rows, chosen in closed form so the weighted sum
-of the predictions over the missing rows equals the known remainder of the
-column total.  ``log_benchmark_correction`` is the multiplicative analogue
-for models fitted on the log scale.
+where the target is observed.  Benchmarking is one step applied to such a
+fit: ``fit_benchmarked`` returns it with the intercept of the missing rows,
+chosen in closed form so the weighted sum of their predictions equals the
+known remainder of the column total.  ``log_benchmark_correction`` is the
+multiplicative analogue for models fitted on the log scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,20 +36,6 @@ class RegressionFit:
                 f"expected {self.slopes.shape[0]} predictor column(s), got {X.shape[1]}"
             )
         return self.intercept + X @ self.slopes
-
-
-@dataclass(frozen=True)
-class BenchmarkedFit:
-    """A fit whose missing-row predictions are calibrated to a known total.
-
-    ``missing_intercept`` replaces the intercept for the missing rows so
-    that the weighted prediction sum equals ``missing_sum_target``, the
-    known column total minus the weighted sum of the observed values.
-    """
-
-    base: RegressionFit
-    missing_intercept: float
-    missing_sum_target: float
 
 
 def _as_matrix(X, n_rows: int | None = None) -> np.ndarray:
@@ -140,59 +126,36 @@ def fit_ols(
 
 
 def fit_benchmarked(
-    y_obs,
-    X_obs,
+    fit: RegressionFit,
     X_mis_rows,
-    total_all: float,
-    weights_obs=None,
+    missing_total: float,
     weights_mis=None,
-    names: Sequence[str] | None = None,
-) -> BenchmarkedFit:
-    """Fit on the observed rows and calibrate the missing-row intercept.
+) -> RegressionFit:
+    """``fit`` with the intercept of the missing rows ``X_mis_rows``.
 
-    The slope and observed-row intercept coincide with :func:`fit_ols`; the
-    missing-row intercept is the unique constant making the weighted sum of
-    the missing-row predictions equal ``total_all`` minus the weighted
-    observed sum.
+    The intercept is the unique constant making the weighted sum of the
+    missing-row predictions equal ``missing_total``, the known column
+    total minus the weighted observed sum.  The slopes, residual variance
+    and ``n_obs`` are those of ``fit``.
     """
-    y = np.asarray(y_obs, dtype=float).ravel()
     X_mis = _as_matrix(X_mis_rows)
     if X_mis.shape[0] == 0:
         raise ValueError("no missing rows: nothing to calibrate")
-    base = fit_ols(y, X_obs, weights=weights_obs, names=names)
-    if X_mis.shape[1] != base.slopes.shape[0]:
+    if X_mis.shape[1] != fit.slopes.shape[0]:
         raise ValueError(
-            f"missing rows have {X_mis.shape[1]} predictor column(s), fit has {base.slopes.shape[0]}"
+            f"missing rows have {X_mis.shape[1]} predictor column(s), fit has {fit.slopes.shape[0]}"
         )
-    w_obs = _as_weights(weights_obs, y.shape[0])
     w_mis = _as_weights(weights_mis, X_mis.shape[0])
-    missing_sum_target = float(total_all - np.sum(w_obs * y))
     m = float(np.sum(w_mis))
-    slope_part = float(np.sum(w_mis * (X_mis @ base.slopes)))
-    missing_intercept = (missing_sum_target - slope_part) / m
-
-    fit = BenchmarkedFit(
-        base=base,
-        missing_intercept=missing_intercept,
-        missing_sum_target=missing_sum_target,
-    )
-    check = float(np.sum(w_mis * predict_missing(fit, X_mis)))
-    if abs(check - missing_sum_target) > CALIBRATION_RTOL * max(1.0, abs(missing_sum_target)):
+    slope_part = float(np.sum(w_mis * (X_mis @ fit.slopes)))
+    calibrated = replace(fit, intercept=(missing_total - slope_part) / m)
+    check = float(np.sum(w_mis * calibrated.predict(X_mis)))
+    if abs(check - missing_total) > CALIBRATION_RTOL * max(1.0, abs(missing_total)):
         raise ArithmeticError(
             f"calibration identity failed: predictions sum to {check!r}, "
-            f"target is {missing_sum_target!r}"
+            f"target is {missing_total!r}"
         )
-    return fit
-
-
-def predict_missing(fit: BenchmarkedFit, X_mis_rows) -> np.ndarray:
-    """Calibrated predictions for the missing rows."""
-    X = _as_matrix(X_mis_rows)
-    if X.shape[1] != fit.base.slopes.shape[0]:
-        raise ValueError(
-            f"expected {fit.base.slopes.shape[0]} predictor column(s), got {X.shape[1]}"
-        )
-    return fit.missing_intercept + X @ fit.base.slopes
+    return calibrated
 
 
 def log_benchmark_correction(

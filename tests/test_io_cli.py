@@ -350,18 +350,25 @@ class TestCli:
     @pytest.mark.parametrize(
         "method, option",
         [(m, "--iterations") for m in ("upma", "bpma", "bpmr")]
-        + [(m, "--mask") for m in ("upma", "bpma", "bpmr", "mcmc")],
+        + [(m, "--mask") for m in ("upma", "bpma", "bpmr", "mcmc")]
+        + [("mcmc", "--rounds")],
     )
     def test_option_the_method_would_ignore_is_usage_error(self, tmp_path, capsys, method, option):
         # The input has missing cells, so mcmc pre-imputes it and would
-        # ignore a mask; the mask file need not exist to be refused.
+        # ignore a mask; the mask file need not exist to be refused.  The
+        # complete truth needs no pre-imputation, so mcmc would ignore
+        # --rounds there.
         small_files(tmp_path, np.random.default_rng(9))
-        value = "40" if option == "--iterations" else str(tmp_path / "no-such-mask.csv")
+        args = {
+            "--iterations": ["data.csv", "--iterations", "40"],
+            "--mask": ["data.csv", "--mask", str(tmp_path / "no-such-mask.csv")],
+            "--rounds": ["truth.csv", "--mask", str(tmp_path / "mask.csv"), "--rounds", "3"],
+        }[option]
         code = main([
-            "impute", "--data", str(tmp_path / "data.csv"),
+            "impute", "--data", str(tmp_path / args[0]),
             "--edits", str(tmp_path / "rules.edits"),
             "--totals", str(tmp_path / "totals.txt"),
-            "--method", method, option, value, "--out", str(tmp_path / "o.csv"),
+            "--method", method, *args[1:], "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 1
         err = capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
-from calimp.errors import InfeasibleRecordError
+from calimp.errors import InfeasibleRecordError, InsufficientDataError
 from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute, variable_order
 
 from _oracles import random_imputation_instance
@@ -396,7 +396,9 @@ class TestLogScale:
         gross = net + tax
         return np.column_stack([net, tax, gross])
 
-    def test_bpma_log_scale_calibrates_original_totals(self):
+    @pytest.mark.parametrize("weight", [1.0, 2.0, 0.5])
+    def test_bpma_log_scale_calibrates_original_totals(self, weight):
+        # Equal weights other than 1 calibrate the weighted sums.
         edits = parse_edit_rules(INCOME_RULES)
         rng = np.random.default_rng(9)
         truth = self._income_data(rng)
@@ -407,8 +409,8 @@ class TestLogScale:
         mask[rng.choice(np.setdiff1d(np.arange(200), rows), size=16, replace=False), 1] = True
         values = truth.copy()
         values[mask] = np.nan
-        data = DataMatrix(values, mask, ("net", "tax", "gross"))
-        totals = {"net": float(truth[:, 0].sum()), "tax": float(truth[:, 1].sum())}
+        data = DataMatrix(values, mask, ("net", "tax", "gross"), np.full(200, weight))
+        totals = {"net": weight * float(truth[:, 0].sum()), "tax": weight * float(truth[:, 1].sum())}
         out, _ = impute(
             data, edits, totals,
             ImputationConfig("bpma", log_scale=True,
@@ -417,7 +419,7 @@ class TestLogScale:
         )
         assert not violation_matrix(edits, out.values, out.columns).any()
         for col, j in (("net", 0), ("tax", 1)):
-            assert float(out.values[:, j].sum()) == pytest.approx(totals[col], rel=1e-8)
+            assert float(out.weights @ out.values[:, j]) == pytest.approx(totals[col], rel=1e-8)
 
     def test_upma_log_scale_ignores_totals(self):
         # upma calibrates nothing, so totals that leave out its targets do
@@ -439,6 +441,15 @@ class TestLogScale:
         data = DataMatrix(values, np.isnan(values), ("a", "b"))
         with pytest.raises(ValueError, match="positive"):
             impute(data, edits, None, ImputationConfig("upma", log_scale=True))
+
+    @pytest.mark.parametrize("method", ["upma", "bpma"])
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_target_without_observed_value_is_insufficient_data(self, method, log_scale):
+        edits = parse_edit_rules("a >= 0\nb >= 0")
+        values = np.array([[1.0, np.nan], [2.0, np.nan], [3.0, np.nan], [4.0, np.nan]])
+        data = DataMatrix(values, np.isnan(values), ("a", "b"))
+        with pytest.raises(InsufficientDataError):
+            impute(data, edits, {"b": 10.0}, ImputationConfig(method, log_scale=log_scale))
 
     def test_log_scale_bpmr_rejected(self):
         with pytest.raises(ValueError, match="log-scale"):

@@ -4,12 +4,7 @@ import pytest
 from calimp import regression
 from calimp.errors import InsufficientDataError, RankDeficiencyError
 from calimp.pipeline import _fit_with_fallback
-from calimp.regression import (
-    fit_benchmarked,
-    fit_ols,
-    log_benchmark_correction,
-    predict_missing,
-)
+from calimp.regression import fit_benchmarked, fit_ols, log_benchmark_correction
 
 from _oracles import augmented_design_fit
 
@@ -64,15 +59,14 @@ class TestFitOls:
 
         real_rank = np.linalg.matrix_rank
         monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
-        fit, names, dropped = _fit_with_fallback(y, X, None, ["a", "k", "b", "total"], False, X[:2], 0.0, None)
+        fit, names, dropped, cols = _fit_with_fallback(y, X, None, ["a", "k", "b", "total"])
         assert dropped == ["k", "total"]
-        assert names == ["a", "b"] and fit.slopes.size == 2
+        assert names == ["a", "b"] and cols == [0, 2] and fit.slopes.size == 2
         # One pass ranks each candidate once against the columns kept
         # before it: intercept, a, k (dropped), b, total (dropped).
         assert ranked == [1, 2, 3, 3, 4]
 
-    @pytest.mark.parametrize("benchmarked", [False, True])
-    def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch, benchmarked):
+    def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch):
         # Six observations leave room for four predictors: the trailing
         # "e" and "d" go first, last first; then the constant "k" is
         # dependent on the intercept.
@@ -81,21 +75,18 @@ class TestFitOls:
         X = np.column_stack([a, np.full(6, 2.0), b, c, a - b, b + c])
         y = rng.normal(size=6)
         fitted = []
-        name = "fit_benchmarked" if benchmarked else "fit_ols"
-        real = getattr(regression, name)
+        real = regression.fit_ols
 
         def counted(*args, **kwargs):
             fitted.append(kwargs["names"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(regression, name, counted)
-        fit, names, dropped = _fit_with_fallback(
-            y, X, None, ["a", "k", "b", "c", "d", "e"], benchmarked, rng.normal(size=(3, 6)), 10.0, None
-        )
+        monkeypatch.setattr(regression, "fit_ols", counted)
+        fit, names, dropped, cols = _fit_with_fallback(y, X, None, ["a", "k", "b", "c", "d", "e"])
         assert dropped == ["e", "d", "k"]
-        assert names == ["a", "b", "c"]
+        assert names == ["a", "b", "c"] and cols == [0, 2, 3]
         assert fitted == [["a", "k", "b", "c"], ["a", "b", "c"]]
-        assert (fit.base if benchmarked else fit).slopes.size == 3
+        assert fit.slopes.size == 3
 
     def test_too_few_observations_fail_in_one_fit(self, monkeypatch):
         fitted = []
@@ -108,7 +99,7 @@ class TestFitOls:
         monkeypatch.setattr(regression, "fit_ols", counted)
         X = np.ones((1, 3))
         with pytest.raises(InsufficientDataError):
-            _fit_with_fallback(np.ones(1), X, None, ["a", "b", "c"], False, X, 0.0, None)
+            _fit_with_fallback(np.ones(1), X, None, ["a", "b", "c"])
         assert fitted == [[]]
 
     def test_insufficient_data(self):
@@ -137,33 +128,49 @@ class TestFitOls:
         assert fit.slopes.size == 0
 
 
+def benchmarked(y_obs, X_obs, X_mis, total_all, weights_obs=None, weights_mis=None):
+    """The OLS fit on the observed rows, benchmarked to the remainder of
+    ``total_all``; returns the plain fit, the benchmarked one and the
+    remainder."""
+    fit = fit_ols(y_obs, X_obs, weights=weights_obs)
+    w = np.ones(len(y_obs)) if weights_obs is None else weights_obs
+    missing_total = float(total_all - np.sum(w * np.asarray(y_obs, dtype=float)))
+    return fit, fit_benchmarked(fit, X_mis, missing_total, weights_mis), missing_total
+
+
 class TestFitBenchmarked:
     def test_forced_single_missing_row(self):
-        fit = fit_benchmarked([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [[4.0]], total_all=16.0)
-        (pred,) = predict_missing(fit, [[4.0]])
-        assert pred == pytest.approx(fit.missing_sum_target, abs=1e-9)
+        _, fit, missing_total = benchmarked([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [[4.0]], total_all=16.0)
+        (pred,) = fit.predict([[4.0]])
+        assert pred == pytest.approx(missing_total, abs=1e-9)
         assert pred == pytest.approx(10.0)
 
     def test_hand_constructed_calibrating_instance(self):
-        fit = fit_benchmarked([1.0, 2.0], None, np.zeros((2, 0)), total_all=10.0)
+        _, fit, missing_total = benchmarked([1.0, 2.0], None, np.zeros((2, 0)), total_all=10.0)
         # Intercept-only base; predictions share the remainder equally.
-        assert fit.missing_sum_target == pytest.approx(7.0)
-        preds = predict_missing(fit, np.zeros((2, 0)))
+        assert missing_total == pytest.approx(7.0)
+        preds = fit.predict(np.zeros((2, 0)))
         assert np.allclose(preds, [3.5, 3.5])
 
     def test_already_calibrated_instance(self):
         y = [1.0, 2.0, 3.0]
         x = [1.0, 2.0, 3.0]
-        fit = fit_benchmarked(y, x, [[3.0], [4.0]], total_all=13.0)
-        assert fit.base.intercept == pytest.approx(0.0, abs=1e-12)
-        assert fit.base.slopes[0] == pytest.approx(1.0, abs=1e-12)
-        assert fit.missing_sum_target == pytest.approx(7.0)
-        assert fit.missing_intercept == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(predict_missing(fit, [[3.0], [4.0]]), [3.0, 4.0])
+        base, fit, missing_total = benchmarked(y, x, [[3.0], [4.0]], total_all=13.0)
+        assert base.intercept == pytest.approx(0.0, abs=1e-12)
+        assert fit.slopes[0] == pytest.approx(1.0, abs=1e-12)
+        assert missing_total == pytest.approx(7.0)
+        assert fit.intercept == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(fit.predict([[3.0], [4.0]]), [3.0, 4.0])
 
     def test_no_missing_rows_is_an_error(self):
+        fit = fit_ols([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="no missing rows"):
-            fit_benchmarked([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], np.zeros((0, 1)), 6.0)
+            fit_benchmarked(fit, np.zeros((0, 1)), 6.0)
+
+    def test_predictor_width_must_match_the_fit(self):
+        fit = fit_ols([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="predictor column"):
+            fit_benchmarked(fit, [[1.0, 2.0]], 6.0)
 
     def test_calibration_identity_randomized(self):
         rng = np.random.default_rng(2)
@@ -177,13 +184,14 @@ class TestFitBenchmarked:
             w = rng.uniform(0.5, 3.0, size=n)
             wm = rng.uniform(0.5, 3.0, size=m)
             total = float(rng.uniform(-50, 200))
-            fit = fit_benchmarked(y, X, Xm, total, weights_obs=w, weights_mis=wm)
-            preds = predict_missing(fit, Xm)
-            got = float(np.sum(wm * preds))
-            assert abs(got - fit.missing_sum_target) <= 1e-9 * max(1.0, abs(fit.missing_sum_target))
-            assert fit.missing_sum_target == pytest.approx(total - float(np.sum(w * y)))
+            _, fit, missing_total = benchmarked(y, X, Xm, total, weights_obs=w, weights_mis=wm)
+            got = float(np.sum(wm * fit.predict(Xm)))
+            assert abs(got - missing_total) <= 1e-9 * max(1.0, abs(missing_total))
+            assert missing_total == pytest.approx(total - float(np.sum(w * y)))
 
     def test_equivalence_with_standard_fit(self):
+        # Benchmarking moves the intercept alone: the slopes, residual
+        # variance and observation count are the plain fit's, bit for bit.
         rng = np.random.default_rng(3)
         for _ in range(30):
             n = int(rng.integers(8, 50))
@@ -193,11 +201,11 @@ class TestFitBenchmarked:
             Xm = rng.normal(size=(m, p))
             y = rng.normal(size=n)
             w = rng.uniform(0.2, 5.0, size=n)
-            fit = fit_benchmarked(y, X, Xm, float(rng.normal()), weights_obs=w,
-                                  weights_mis=np.ones(m))
             plain = fit_ols(y, X, weights=w)
-            assert fit.base.intercept == pytest.approx(plain.intercept, abs=1e-10)
-            assert np.allclose(fit.base.slopes, plain.slopes, atol=1e-10)
+            fit = fit_benchmarked(plain, Xm, float(rng.normal()), rng.uniform(0.2, 5.0, size=m))
+            assert fit.slopes.tobytes() == plain.slopes.tobytes()
+            assert fit.residual_variance == plain.residual_variance
+            assert fit.n_obs == plain.n_obs
 
     def test_matches_augmented_design_solution(self):
         # Independent route: solve the joint observed-rows + summed-missing-row
@@ -211,11 +219,11 @@ class TestFitBenchmarked:
             Xm = rng.normal(size=(m, p))
             y = rng.normal(size=n) + 4.0
             total = float(rng.uniform(0, 30))
-            fit = fit_benchmarked(y, X, Xm, total)
+            base, fit, _ = benchmarked(y, X, Xm, total)
             coef = augmented_design_fit(y, X, Xm, total)
-            assert fit.base.intercept == pytest.approx(coef[0], abs=1e-8)
-            assert fit.missing_intercept == pytest.approx(coef[1], abs=1e-8)
-            assert np.allclose(fit.base.slopes, coef[2:], atol=1e-8)
+            assert base.intercept == pytest.approx(coef[0], abs=1e-8)
+            assert fit.intercept == pytest.approx(coef[1], abs=1e-8)
+            assert np.allclose(fit.slopes, coef[2:], atol=1e-8)
 
 
 class TestLogCorrection:
