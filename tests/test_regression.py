@@ -66,23 +66,27 @@ class TestFitOls:
         # before it: intercept, a, k (dropped), b, total (dropped).
         assert ranked == [1, 2, 3, 3, 4]
 
-    def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch, weighted):
         # Six observations leave room for four predictors: the trailing
         # "e" and "d" go first, last first; then the constant "k" is
-        # dependent on the intercept.
+        # dependent on the intercept. Positive weights change neither
+        # step, and both fits are made with them.
         rng = np.random.default_rng(3)
         a, b, c = rng.normal(size=(3, 6))
         X = np.column_stack([a, np.full(6, 2.0), b, c, a - b, b + c])
         y = rng.normal(size=6)
+        w = rng.uniform(0.5, 2.0, size=6) if weighted else None
         fitted = []
         real = regression.fit_ols
 
         def counted(*args, **kwargs):
+            assert kwargs["weights"] is w
             fitted.append(kwargs["names"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(regression, "fit_ols", counted)
-        fit, names, dropped, cols = _fit_with_fallback(y, X, None, ["a", "k", "b", "c", "d", "e"])
+        fit, names, dropped, cols = _fit_with_fallback(y, X, w, ["a", "k", "b", "c", "d", "e"])
         assert dropped == ["e", "d", "k"]
         assert names == ["a", "b", "c"] and cols == [0, 2, 3]
         assert fitted == [["a", "k", "b", "c"], ["a", "b", "c"]]
