@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleAdjustmentError
+from .regression import as_weights
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,10 @@ class AdjustmentProblem:
         if np.any(lo > hi):
             k = int(np.argmax(lo > hi))
             raise ValueError(f"lower bound exceeds upper bound at position {k}")
-        w = np.ones_like(x) if self.weights is None else np.asarray(self.weights, dtype=float).ravel()
-        if w.shape != x.shape:
-            raise ValueError("weights must match the prediction shape")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "predictions", x)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", as_weights(self.weights, x.size))
 
     @property
     def size(self) -> int:

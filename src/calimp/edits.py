@@ -81,12 +81,10 @@ class EditSystem:
 class ReducedSystem:
     """Edits of one record with its observed values folded into the constants.
 
-    Only the record's still-unknown variables appear.  ``origin`` is the
-    record index the reduction came from, when known.
+    Only the record's still-unknown variables appear.
     """
 
     edits: tuple[Edit, ...]
-    origin: int | None = None
 
     def variables(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -286,7 +284,8 @@ def reduce_system(
 
     Edits left with no variables are dropped when satisfied; a violated one
     means the record contradicts the edits and raises
-    :class:`InfeasibleRecordError`.
+    :class:`InfeasibleRecordError`, naming the record index ``origin``
+    when it is given.
     """
     reduced: list[Edit] = []
     for k, edit in enumerate(system.edits):
@@ -312,7 +311,7 @@ def reduce_system(
                 edit_index=k,
                 witness=edit,
             )
-    return ReducedSystem(tuple(reduced), origin=origin)
+    return ReducedSystem(tuple(reduced))
 
 
 # ---------------------------------------------------------------------------

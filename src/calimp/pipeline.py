@@ -68,14 +68,9 @@ class DataMatrix:
             raise ValueError("column names do not match the value columns")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("column names must be unique")
-        if self.weights is None:
-            self.weights = np.ones(self.values.shape[0])
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.values.shape[0],):
-            raise ValueError("weights must be one per record")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        self.weights = regression.as_weights(self.weights, self.values.shape[0])
+        if np.isinf(self.values).any():
+            raise ValueError("values must not be infinite")
         if np.any(np.isnan(self.values) & ~self.mask):
             raise ValueError("NaN present in a cell not flagged as missing")
 
@@ -181,15 +176,12 @@ def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
     ``total`` (``None`` unless benchmarked) calibrates the predictions so
     their weighted sum is the remainder of the column total: through the
     intercept of the missing rows on the linear scale, through a
-    multiplier replacing ``exp(intercept)`` on the log scale, where the
-    weights are all equal."""
+    multiplier replacing ``exp(intercept)`` on the log scale."""
     missing_total = None if total is None else float(total - np.sum(w_obs * y))
     if log_scale:
         if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
             raise ValueError("log-scale imputation requires strictly positive data")
-        if not (np.allclose(w_obs, w_mis[0]) and np.allclose(w_mis, w_mis[0])):
-            raise ValueError("log-scale imputation supports equal weights only")
-        y, X_obs, X_mis, w_obs = np.log(y), np.log(X_obs), np.log(X_mis), None
+        y, X_obs, X_mis = np.log(y), np.log(X_obs), np.log(X_mis)
     fit, used_names, dropped, cols = _fit_with_fallback(y, X_obs, w_obs, pred_names)
     # The intercept of the missing rows is solved on them as the fit took
     # its columns (a row-major view unless a predictor was dropped for
@@ -204,7 +196,7 @@ def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
         predictions = fit.predict(X_mis)
         fit_diag = _fit_diagnostics(fit)
     elif log_scale:
-        c = regression.log_benchmark_correction(fit, X_mis, missing_total / w_mis[0])
+        c = regression.log_benchmark_correction(fit, X_mis, missing_total, w_mis)
         predictions = c * np.exp(X_mis @ fit.slopes)
         fit_diag = _fit_diagnostics(fit, scale="log", log_correction=c)
     else:

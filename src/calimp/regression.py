@@ -50,15 +50,30 @@ def _as_matrix(X, n_rows: int | None = None) -> np.ndarray:
     return X
 
 
-def _as_weights(weights, n: int) -> np.ndarray:
+def as_weights(weights, n: int) -> np.ndarray:
+    """The weights of ``n`` records as a float array: ones for ``None``,
+    otherwise shape ``(n,)`` with every weight finite and strictly positive."""
     if weights is None:
         return np.ones(n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError("weights must be finite and strictly positive")
     return w
+
+
+def _missing_rows(fit: RegressionFit, X_mis_rows, weights_mis) -> tuple[np.ndarray, np.ndarray]:
+    """The missing rows a calibration step spreads a total over, as a
+    matrix with ``fit``'s predictor columns, and their weights."""
+    X_mis = _as_matrix(X_mis_rows)
+    if X_mis.shape[0] == 0:
+        raise ValueError("no missing rows: nothing to calibrate")
+    if X_mis.shape[1] != fit.slopes.shape[0]:
+        raise ValueError(
+            f"missing rows have {X_mis.shape[1]} predictor column(s), fit has {fit.slopes.shape[0]}"
+        )
+    return X_mis, as_weights(weights_mis, X_mis.shape[0])
 
 
 def _dependent_columns(Z: np.ndarray, names: Sequence[str]) -> list[str]:
@@ -100,7 +115,7 @@ def fit_ols(
         raise InsufficientDataError(
             f"need more than {p + 1} observations to fit {p} predictor(s); got {n}"
         )
-    w = _as_weights(weights, n)
+    w = as_weights(weights, n)
     names = list(names) if names is not None else [f"x{j}" for j in range(p)]
 
     sw = np.sqrt(w)
@@ -138,14 +153,7 @@ def fit_benchmarked(
     total minus the weighted observed sum.  The slopes, residual variance
     and ``n_obs`` are those of ``fit``.
     """
-    X_mis = _as_matrix(X_mis_rows)
-    if X_mis.shape[0] == 0:
-        raise ValueError("no missing rows: nothing to calibrate")
-    if X_mis.shape[1] != fit.slopes.shape[0]:
-        raise ValueError(
-            f"missing rows have {X_mis.shape[1]} predictor column(s), fit has {fit.slopes.shape[0]}"
-        )
-    w_mis = _as_weights(weights_mis, X_mis.shape[0])
+    X_mis, w_mis = _missing_rows(fit, X_mis_rows, weights_mis)
     m = float(np.sum(w_mis))
     slope_part = float(np.sum(w_mis * (X_mis @ fit.slopes)))
     calibrated = replace(fit, intercept=(missing_total - slope_part) / m)
@@ -160,23 +168,21 @@ def fit_benchmarked(
 
 def log_benchmark_correction(
     fit: RegressionFit,
-    z_p_mis,
-    original_missing_total: float,
+    X_mis_rows,
+    missing_total: float,
+    weights_mis=None,
 ) -> float:
     """Multiplier replacing ``exp(intercept)`` after a log-scale fit.
 
     For a model fitted on ``z = log(x)``, imputations
-    ``c * exp(z_row . slopes)`` with the returned ``c`` sum exactly to
-    ``original_missing_total`` on the original scale.
+    ``c * exp(z_row . slopes)`` of the missing rows ``X_mis_rows`` (on the
+    log scale) with the returned ``c`` have weighted sum exactly
+    ``missing_total`` on the original scale.
     """
-    if original_missing_total <= 0:
+    if missing_total <= 0:
         raise ValueError("the original-scale missing total must be positive")
-    Z = _as_matrix(z_p_mis)
-    if Z.shape[0] == 0:
-        raise ValueError("no missing rows")
-    if Z.shape[1] != fit.slopes.shape[0]:
-        raise ValueError(f"expected {fit.slopes.shape[0]} predictor column(s), got {Z.shape[1]}")
-    denom = float(np.sum(np.exp(Z @ fit.slopes)))
+    X_mis, w_mis = _missing_rows(fit, X_mis_rows, weights_mis)
+    denom = float(np.sum(w_mis * np.exp(X_mis @ fit.slopes)))
     if not np.isfinite(denom) or denom <= 0:
         raise ValueError(f"degenerate correction denominator {denom!r}")
-    return original_missing_total / denom
+    return missing_total / denom

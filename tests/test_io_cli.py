@@ -347,6 +347,28 @@ class TestCli:
         ])
         assert code == 1
 
+    def test_log_scale_bpma_calibrates_unequal_weights(self, tmp_path):
+        small_files(tmp_path, np.random.default_rng(7))
+        data = cio.read_dataset(tmp_path / "data.csv")
+        truth = cio.read_dataset(tmp_path / "truth.csv")
+        w = np.random.default_rng(8).uniform(0.5, 3.0, size=data.n_records)
+        cio.write_dataset(DataMatrix(data.values, data.mask, data.columns, w), tmp_path / "data.csv",
+                          missing_from_mask=True)
+        totals = {"x1": float(w @ truth.values[:, 0]), "x2": float(w @ truth.values[:, 1])}
+        cio.write_totals(totals, tmp_path / "totals.txt")
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"),
+            "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"),
+            "--method", "bpma", "--log-scale",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 0
+        out = cio.read_dataset(tmp_path / "o.csv")
+        assert out.weights.tobytes() == w.tobytes()
+        for j, name in enumerate(("x1", "x2")):
+            assert float(w @ out.values[:, j]) == pytest.approx(totals[name], rel=1e-8)
+
     @pytest.mark.parametrize(
         "method, option",
         [(m, "--iterations") for m in ("upma", "bpma", "bpmr")]

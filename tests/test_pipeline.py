@@ -7,6 +7,7 @@ from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleRecordError, InsufficientDataError
 from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute, variable_order
+from calimp.regression import fit_ols
 
 from _oracles import random_imputation_instance
 
@@ -248,6 +249,13 @@ class TestInputChecks:
         out, _ = impute(data, edits, {**totals, "elsewhere": 5.0}, ImputationConfig("bpma"))
         assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_value_is_rejected(self, bad):
+        # An infinite observed cell used to reach lstsq, which failed to converge.
+        values = np.array([[1.0, 2.0, 3.0], [bad, 1.0, 2.0], [2.0, np.nan, 4.0]])
+        with pytest.raises(ValueError, match="values must not be infinite"):
+            DataMatrix(values, np.isnan(values), ("x1", "x2", "x3"))
+
     def test_check_inputs_accepts_valid_input(self):
         data, totals = study_like_masked(np.random.default_rng(25))
         edits = parse_edit_rules(THREE_VAR_RULES)
@@ -396,9 +404,18 @@ class TestLogScale:
         gross = net + tax
         return np.column_stack([net, tax, gross])
 
-    @pytest.mark.parametrize("weight", [1.0, 2.0, 0.5])
+    @staticmethod
+    def _weights(weight, rng, r=200):
+        """Equal weights, every second weight 1 + 2e-6, or U(0.5, 3) ones."""
+        if weight == "near-equal":
+            return np.where(np.arange(r) % 2 == 1, 1 + 2e-6, 1.0)
+        if weight == "random":
+            return rng.uniform(0.5, 3.0, size=r)
+        return np.full(r, weight)
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0, 0.5, "near-equal", "random"])
     def test_bpma_log_scale_calibrates_original_totals(self, weight):
-        # Equal weights other than 1 calibrate the weighted sums.
+        # The multiplier calibrates the weighted sums, whatever the weights.
         edits = parse_edit_rules(INCOME_RULES)
         rng = np.random.default_rng(9)
         truth = self._income_data(rng)
@@ -409,8 +426,9 @@ class TestLogScale:
         mask[rng.choice(np.setdiff1d(np.arange(200), rows), size=16, replace=False), 1] = True
         values = truth.copy()
         values[mask] = np.nan
-        data = DataMatrix(values, mask, ("net", "tax", "gross"), np.full(200, weight))
-        totals = {"net": weight * float(truth[:, 0].sum()), "tax": weight * float(truth[:, 1].sum())}
+        w = self._weights(weight, rng)
+        data = DataMatrix(values, mask, ("net", "tax", "gross"), w)
+        totals = {"net": float(w @ truth[:, 0]), "tax": float(w @ truth[:, 1])}
         out, _ = impute(
             data, edits, totals,
             ImputationConfig("bpma", log_scale=True,
@@ -420,6 +438,25 @@ class TestLogScale:
         assert not violation_matrix(edits, out.values, out.columns).any()
         for col, j in (("net", 0), ("tax", 1)):
             assert float(out.weights @ out.values[:, j]) == pytest.approx(totals[col], rel=1e-8)
+
+    def test_upma_log_scale_fit_is_weighted(self):
+        edits = parse_edit_rules(INCOME_RULES)
+        rng = np.random.default_rng(11)
+        truth = self._income_data(rng, r=80)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[rng.choice(80, size=16, replace=False), 0] = True
+        w = self._weights("random", rng, r=80)
+        data = make_data(truth, mask, ("net", "tax", "gross"), w)
+        _, diagnostics = impute(
+            data, edits, None,
+            ImputationConfig("upma", rounds=1, log_scale=True, predictors={"net": ["tax", "gross"]}),
+        )
+        obs = ~mask[:, 0]
+        weighted = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 1:]), weights=w[obs])
+        plain = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 1:]))
+        slopes = diagnostics[0]["fit"]["slopes"]
+        assert np.allclose(slopes, weighted.slopes, rtol=1e-12, atol=0)
+        assert not np.allclose(slopes, plain.slopes, rtol=1e-6, atol=0)
 
     def test_upma_log_scale_ignores_totals(self):
         # upma calibrates nothing, so totals that leave out its targets do

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from calimp import regression
+from calimp.adjust import AdjustmentProblem
 from calimp.errors import InsufficientDataError, RankDeficiencyError
-from calimp.pipeline import _fit_with_fallback
-from calimp.regression import fit_benchmarked, fit_ols, log_benchmark_correction
+from calimp.pipeline import DataMatrix, _fit_with_fallback
+from calimp.regression import as_weights, fit_benchmarked, fit_ols, log_benchmark_correction
 
 from _oracles import augmented_design_fit
 
@@ -251,7 +252,51 @@ class TestLogCorrection:
         imputations = c * np.exp(zm @ fit.slopes)
         assert float(imputations.sum()) == pytest.approx(60.0, abs=1e-9)
 
+    def test_weighted_summation_identity(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(12, 2))
+        y = np.exp(z @ np.array([0.3, -0.2]) + 1.0 + rng.normal(size=12) * 0.1)
+        fit = fit_ols(np.log(y), z, weights=rng.uniform(0.5, 3.0, size=12))
+        zm = rng.normal(size=(5, 2))
+        w = rng.uniform(0.5, 3.0, size=5)
+        c = log_benchmark_correction(fit, zm, 60.0, w)
+        assert float(w @ (c * np.exp(zm @ fit.slopes))) == pytest.approx(60.0, abs=1e-9)
+
     def test_nonpositive_total_rejected(self):
         fit = fit_ols(np.log([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="positive"):
             log_benchmark_correction(fit, [[1.0]], 0.0)
+
+
+class TestWeights:
+    # Every entry point taking weights for three records checks them
+    # through as_weights.
+    FIT = fit_ols([1.0, 2.0, 4.0], [0.0, 1.0, 3.0])
+    ENTRY_POINTS = {
+        "DataMatrix": lambda w: DataMatrix(np.ones((3, 2)), np.zeros((3, 2), dtype=bool), ("a", "b"), w),
+        "fit_ols": lambda w: fit_ols([1.0, 2.0, 4.0], [0.0, 1.0, 3.0], weights=w),
+        "fit_benchmarked": lambda w: fit_benchmarked(TestWeights.FIT, [[1.0], [2.0], [3.0]], 5.0, w),
+        "log_benchmark_correction": lambda w: log_benchmark_correction(
+            TestWeights.FIT, [[1.0], [2.0], [3.0]], 5.0, w),
+        "AdjustmentProblem": lambda w: AdjustmentProblem(np.zeros(3), -np.ones(3), np.ones(3), w),
+    }
+
+    def test_none_gives_ones_and_valid_weights_pass(self):
+        assert as_weights(None, 3).tobytes() == np.ones(3).tobytes()
+        assert as_weights([0.5, 1.0, 3.0], 3).tolist() == [0.5, 1.0, 3.0]
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, 0.0, 1.0], "be finite and strictly positive"),
+            ([1.0, -1.0, 1.0], "be finite and strictly positive"),
+            ([1.0, np.nan, 1.0], "be finite and strictly positive"),
+            ([1.0, np.inf, 1.0], "be finite and strictly positive"),
+            ([1.0, 1.0], r"have shape \(3,\)"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "wrong-length"],
+    )
+    def test_bad_weights_rejected(self, entry, weights, message):
+        with pytest.raises(ValueError, match=f"weights must {message}"):
+            self.ENTRY_POINTS[entry](np.array(weights))
