@@ -169,18 +169,24 @@ def _fit_diagnostics(fit: regression.RegressionFit, **extra) -> dict:
     }
 
 
-def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
-    """Predictions for the missing rows of one target, with the ``fit``
+def _predict(target, y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
+    """Predictions for the missing rows of ``target``, with the ``fit``
     diagnostics and the predictor names used and dropped.
 
     ``total`` (``None`` unless benchmarked) calibrates the predictions so
     their weighted sum is the remainder of the column total: through the
     intercept of the missing rows on the linear scale, through a
-    multiplier replacing ``exp(intercept)`` on the log scale."""
+    multiplier replacing ``exp(intercept)`` on the log scale, where a
+    remainder that is not positive is out of reach."""
     missing_total = None if total is None else float(total - np.sum(w_obs * y))
     if log_scale:
         if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
             raise ValueError("log-scale imputation requires strictly positive data")
+        if missing_total is not None and missing_total <= 0:
+            raise InfeasibleSystemError(
+                f"variable {target!r}: the missing cells must sum to {missing_total!r}, "
+                "but log-scale imputations are positive"
+            )
         y, X_obs, X_mis = np.log(y), np.log(X_obs), np.log(X_mis)
     fit, used_names, dropped, cols = _fit_with_fallback(y, X_obs, w_obs, pred_names)
     # The intercept of the missing rows is solved on them as the fit took
@@ -242,6 +248,22 @@ class _TargetIntervals:
         return written
 
 
+def _missing_patterns(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(missing, axis=0, return_inverse=True)`` for a boolean
+    matrix, with the inverse flat.
+
+    Each row is packed into one fixed-width bytes scalar; bytes order as
+    the rows of bools do, so sorting the scalars gives the same patterns in
+    the same order, without the slow sort of whole rows."""
+    packed = np.packbits(missing, axis=1)
+    if packed.shape[1] == 0:  # no columns: every row has the empty pattern
+        packed = np.zeros((missing.shape[0], 1), np.uint8)
+    _, first, inverse = np.unique(
+        packed.view(f"S{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    return missing[first], inverse
+
+
 class _PatternCompiler:
     """Interval derivations compiled once per (unknown pattern, target).
 
@@ -259,8 +281,7 @@ class _PatternCompiler:
 
     def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
         X = current[np.ix_(rows, self.cols)]
-        patterns, inverse = np.unique(np.isnan(X), axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        patterns, inverse = _missing_patterns(np.isnan(X))
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         lower = np.empty(rows.size)
         upper = np.empty(rows.size)
@@ -392,7 +413,7 @@ def impute(
                 )
             w_mis = data.weights[rows]
             predictions, fit_diag, used_names, dropped = _predict(
-                current[obs, t], fit_rows, mis_rows, data.weights[obs], w_mis, pred_names,
+                target, current[obs, t], fit_rows, mis_rows, data.weights[obs], w_mis, pred_names,
                 float(totals[target]) if benchmarked else None, config.log_scale,
             )
 
@@ -404,13 +425,11 @@ def impute(
             else:
                 # bpma is bpmr with zero residuals: the re-centering of a zero
                 # vector is the smallest zero-sum adjustment of the predictions.
-                def cell_stream(k: int) -> np.random.Generator:
-                    return residuals.cell_rng(config.seed * 1_000_003 + rnd, t, int(rows[k]))
-
                 sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
+                stream = residuals.cell_streams(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
                 try:
                     shift, stats = residuals.benchmarked_residuals(
-                        sigma, lower - predictions, upper - predictions, w_mis, cell_stream,
+                        sigma, lower - predictions, upper - predictions, w_mis, stream,
                         feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
                     )
                 except InfeasibleSystemError as err:

@@ -272,6 +272,23 @@ class TestCli:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("scale", [[], ["--log-scale"]])
+    def test_unreachable_total_exit_code(self, tmp_path, capsys, scale):
+        # x1's total lies 100 below its observed sum, so no nonnegative (and
+        # no positive log-scale) imputation reaches it: exit 3 on both scales.
+        small_files(tmp_path, np.random.default_rng(8))
+        data = cio.read_dataset(tmp_path / "data.csv")
+        totals = cio.read_totals(tmp_path / "totals.txt")
+        totals["x1"] = float(np.nansum(data.values[:, 0])) - 100.0
+        cio.write_totals(totals, tmp_path / "totals.txt")
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"),
+            "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
+            "--method", "bpma", *scale, "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
+        assert "variable 'x1'" in capsys.readouterr().err
+
     def test_inconsistent_chain_input_exit_code(self, tmp_path, capsys):
         # A complete file whose record 5 breaks x1 + x2 = x3 (edit 0): the
         # chain names the record and the edit before it runs.

@@ -1,15 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from calimp import residuals
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleRecordError, InsufficientDataError
-from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute, variable_order
+from calimp.pipeline import DataMatrix, ImputationConfig, _missing_patterns, check_inputs, impute, variable_order
 from calimp.regression import fit_ols
 
 from _oracles import random_imputation_instance
+from test_pair_systems import SURVEY_COLUMNS, survey_truth
 
 THREE_VAR_RULES = """\
 x1 + x2 = x3
@@ -491,3 +494,45 @@ class TestLogScale:
     def test_log_scale_bpmr_rejected(self):
         with pytest.raises(ValueError, match="log-scale"):
             ImputationConfig("bpmr", log_scale=True)
+
+
+class TestBatchedSteps:
+    def test_missing_patterns_match_unique_rows(self):
+        # Repeated patterns with a few flipped cells, an all-known and an
+        # all-missing pattern, and single-row masks, at 0 to 70 columns.
+        rng = np.random.default_rng(3)
+        for width in range(71):
+            base = rng.random((6, width)) < 0.4
+            base[0], base[1] = False, True
+            many = base[rng.integers(0, 6, 80)]
+            many[rng.random(many.shape) < 0.02] ^= True
+            for missing in (many, base[:1], base[1:2], rng.random((1, width)) < 0.5):
+                want, want_inverse = np.unique(missing, axis=0, return_inverse=True)
+                got, got_inverse = _missing_patterns(missing)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got_inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_batched_streams_match_per_cell_streams(self, monkeypatch, method):
+        # Survey-shaped data, 8 columns with 10% of cells missing, so each
+        # target's records fall into up to 16 patterns; on these records
+        # every method completes.
+        rng = np.random.default_rng(3)
+        truth, edits = survey_truth(rng, 600)
+        data = make_data(truth, rng.random(truth.shape) < 0.1, SURVEY_COLUMNS)
+        totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+        config = ImputationConfig(method, seed=3)
+        batched, batched_diag = impute(data, edits, totals, config)
+
+        def per_cell_streams(seed, j, records):
+            # A cell's stream is keyed by the seed and round, the column and the record.
+            assert seed - 3 * 1_000_003 in (1, 2)
+            assert records.tolist() == np.flatnonzero(data.mask[:, j]).tolist()
+            return lambda k: residuals.cell_rng(seed, j, int(records[k]))
+
+        monkeypatch.setattr(residuals, "cell_streams", per_cell_streams)
+        per_cell, per_cell_diag = impute(data, edits, totals, config)
+        assert batched.values.tobytes() == per_cell.values.tobytes()
+        assert json.dumps(batched_diag) == json.dumps(per_cell_diag)
+        if method == "bpmr":
+            assert sum(d["residuals"]["attempts"] for d in batched_diag) > 0

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from calimp.adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from calimp.errors import InfeasibleAdjustmentError
 from calimp.fm import Interval
-from calimp.residuals import DEFAULT_MAX_ATTEMPTS, benchmarked_residuals, cell_rng, draw_ar_residual
+from calimp.residuals import DEFAULT_MAX_ATTEMPTS, benchmarked_residuals, cell_rng, cell_streams, draw_ar_residual
 
 from _oracles import per_cell_benchmarked_residuals, qp_reference_solve
 
@@ -204,6 +204,31 @@ def test_array_residuals_match_per_cell_oracle(problem):
     assert out.tobytes() == want[0].tobytes()
     assert stats == want[1]
     assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**160)),
+    variable_index=st.integers(0, 40),
+    records=st.lists(
+        st.one_of(st.just(0), st.integers(1, 10**6), st.integers(2**31, 2**63 - 1)), min_size=1, max_size=5
+    ),
+)
+def test_cell_streams_match_cell_rng(seed, variable_index, records):
+    # Seeds from 2**64 on have more entropy words than SeedSequence's pool,
+    # records from 2**32 on take two words.
+    stream = cell_streams(seed, variable_index, np.array(records, dtype=np.int64))
+    for k, record in enumerate(records):
+        want, got = cell_rng(seed, variable_index, record), stream(k)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.normal() == want.normal()
+        assert got.uniform() == want.uniform()
+        # An interval 8 to 9 sigma out: every proposal misses, the draw
+        # inverts the truncated CDF on the stream's next uniform.
+        want = draw_ar_residual(1.0, Interval(8.0, 9.0), cell_rng(seed, variable_index, record))
+        assert want.fallback_used
+        assert draw_ar_residual(1.0, Interval(8.0, 9.0), stream(k)) == want
 
 
 @st.composite
