@@ -277,12 +277,17 @@ def _elimination_order(edits: Sequence[Edit], target: str) -> str | None:
     return min(counts, key=lambda v: (counts[v], v))
 
 
-def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> tuple[Interval, EliminationRecord]:
+def admissible_interval(
+    system: ReducedSystem | Sequence[Edit], target: str, scale: float = 1.0
+) -> tuple[Interval, EliminationRecord]:
     """Exact feasible range of ``target`` under a reduced edit system.
 
     Returns the interval together with the elimination record needed to
     complete the remaining variables afterwards.  A target not mentioned by
-    any edit comes back unbounded.
+    any edit comes back unbounded.  Bounds crossed by at most
+    ``DEFAULT_TOL`` times the larger of ``scale`` and their own magnitudes
+    meet at their midpoint: a system whose constants hold only to the
+    margin of larger values (a record pair's, say) passes that magnitude.
     """
     edits0 = tuple(system.edits) if isinstance(system, ReducedSystem) else tuple(system)
     ineqs, eq_subs = eliminate_equalities(edits0, keep=target)
@@ -309,7 +314,7 @@ def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> 
             if bound < upper:
                 upper, hi_witness = bound, edit
     if lower > upper:
-        slack = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
+        slack = DEFAULT_TOL * max(scale, abs(lower), abs(upper))
         if lower - upper <= slack:
             mid = 0.5 * (lower + upper)
             lower = upper = mid
@@ -596,10 +601,12 @@ class CompiledInterval:
             self.unknown.index(self.target),
         )
 
-    def record_interval(self, y: Sequence[float], g: Sequence[float]) -> Interval:
+    def record_interval(self, y: Sequence[float], g: Sequence[float], scale: float = 1.0) -> Interval:
         """:func:`admissible_interval` of one record from ``y`` and ``g``,
         the two products of :meth:`record_rows` with its constants: the
-        interval, or a bare :class:`InfeasibleSystemError` where it raises."""
+        interval, or a bare :class:`InfeasibleSystemError` where it raises.
+        Crossed bounds snap within ``DEFAULT_TOL`` times the larger of
+        ``scale`` and their own magnitudes (see :func:`admissible_interval`)."""
         is_eq, bound_coef, _, _, _ = self._layout
         for r, gross, eq in zip(y, g, is_eq):
             margin = DEFAULT_TOL * max(1.0, gross)
@@ -613,7 +620,7 @@ class CompiledInterval:
                     lower = bound
             elif bound < upper:
                 upper = bound
-        return Interval(*_snap(lower, upper))
+        return Interval(*_snap(lower, upper, scale))
 
     def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
         """:func:`back_substitute` of one record with the target at
@@ -647,11 +654,12 @@ class CompiledInterval:
         return values
 
 
-def _snap(lower: float, upper: float) -> tuple[float, float]:
-    """Bounds crossed by no more than rounding meet at their midpoint; a
-    wider crossing is infeasible."""
+def _snap(lower: float, upper: float, scale: float = 1.0) -> tuple[float, float]:
+    """Bounds crossed by no more than rounding, on the larger of ``scale``
+    and their own magnitudes, meet at their midpoint; a wider crossing is
+    infeasible."""
     if lower > upper:
-        if lower - upper > DEFAULT_TOL * max(1.0, abs(lower), abs(upper)):
+        if lower - upper > DEFAULT_TOL * max(scale, abs(lower), abs(upper)):
             raise InfeasibleSystemError(f"empty range: requires >= {lower:.6g} and <= {upper:.6g}")
         lower = upper = 0.5 * (lower + upper)
     return lower, upper

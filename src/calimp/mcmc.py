@@ -10,13 +10,18 @@ interval, and the remaining unknowns are repaired through the equality
 structure (keeping their current values wherever the constraints leave
 slack).  Edits and totals therefore hold after every step.  The
 derivation is compiled once per pair shape (:class:`PairSystems`), so a
-step only evaluates it on the pair's constants.
+step only evaluates it on the pair's constants.  Where the interval is a
+point the current value already meets, nothing can move: the step holds
+the pair as it is (it still draws the posterior, which keeps the random
+stream independent of that test) and counts as ``pinned``.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, and each posterior is drawn from
 sufficient statistics (one augmented Gram matrix over the columns the
-models read, as nested lists) that a step updates in plain Python for the
-two records it moved; checkpoints rebuild them.
+models read, as nested lists, and each model's Cholesky factor of it)
+that a step updates in plain Python for the two records it moved;
+checkpoints rebuild them.  A held step leaves them alone, so the next
+step reuses the factor.
 """
 
 from __future__ import annotations
@@ -304,7 +309,11 @@ class PairStep:
     """One step's pair system: its constants, the target's interval, and
     :meth:`complete`.  ``old`` holds the two records' current rows and
     ``rows`` the same rows with pinned cells at their pinned values;
-    ``imputed`` holds each record's imputed columns."""
+    ``imputed`` holds each record's imputed columns.  ``slack`` is
+    :data:`DEFAULT_TOL` times the pair's margin scale, the largest magnitude
+    of either current row over the referenced columns: the edits hold to
+    that, so the interval's bounds snap and the current value is measured
+    on it."""
 
     def __init__(self, systems: PairSystems, system: _KeySystem, values: np.ndarray, colsums: list[float],
                  s: int, t: int):
@@ -314,7 +323,9 @@ class PairStep:
         self.old = row_s, row_t = values[s].tolist(), values[t].tolist()
         (imputed_s, checks_s), (imputed_t, checks_t) = systems.imputed[ps], systems.imputed[pt]
         self.imputed, self.checks = (imputed_s, imputed_t), (checks_s, checks_t)
-        self.referenced = systems.referenced
+        self.referenced = referenced = systems.referenced
+        scale = max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
+        self.slack = DEFAULT_TOL * scale
         xs, xt = list(row_s), list(row_t)
         self.shares = shares = {}
         for c in _bits(ps & pt & with_total):
@@ -333,7 +344,7 @@ class PairStep:
             z[2 * p + c] = share / w_s
         out = (system.W @ np.array(z + [abs(v) for v in z])).tolist()
         self.y = out[: system.n]
-        self.interval = system.compiled.record_interval(self.y, out[system.n :])
+        self.interval = system.compiled.record_interval(self.y, out[system.n :], scale)
 
     def complete(self, value: float) -> tuple[list[float], list[float]]:
         """Both records' rows once the target holds ``value``: the other
@@ -420,11 +431,10 @@ def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list
 
 
 def posterior_model(
-    gram: Sequence[Sequence[float]],
+    factor: tuple[list[list[float]], list[float], float],
     row: Sequence[float],
     predictors: Sequence[int],
     n: int,
-    target: str,
     rng: np.random.Generator,
 ) -> PosteriorModel:
     """Parameter draw under the standard noninformative prior for the
@@ -433,23 +443,21 @@ def posterior_model(
     predictive law for the target cell of the record whose values are
     ``row``.
 
-    The fit comes from ``gram``, the augmented Gram matrix of
-    ``[1, predictors, target]`` over all records as rows of floats, so its
-    cost is O(p²) in the parameter count p.  With the factor of
-    :func:`gram_factor`, σ² = rss / χ²(n - p) and β = L⁻ᵀ(l + σε); an
-    exact fit (rss 0) draws nothing and returns the least-squares
-    coefficients with zero variance.  ``target`` names the target in
-    error messages.
+    The fit comes from ``factor``, :func:`gram_factor` of the augmented
+    Gram matrix of ``[1, predictors, target]`` over all records, so its
+    cost is O(p²) in the parameter count p: σ² = rss / χ²(n - p) and
+    β = L⁻ᵀ(l + σε); an exact fit (rss 0) draws nothing and returns the
+    least-squares coefficients with zero variance.  ``factor`` is only read.
     """
     p1 = len(predictors) + 1
     if n <= p1:
         raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
-    L, l, rss = gram_factor(gram, target)
+    L, l, rss = factor
     sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
     if sigma2 > 0:
         sigma = math.sqrt(sigma2)
         l = [v + sigma * e for v, e in zip(l, rng.standard_normal(p1).tolist())]
-    beta = l  # overwritten from the last entry down: β = L⁻ᵀ l
+    beta = list(l)  # overwritten from the last entry down: β = L⁻ᵀ l
     for i in range(p1 - 1, -1, -1):
         acc = l[i]
         for k in range(i + 1, p1):
@@ -466,7 +474,8 @@ class PosteriorStats:
     augmented Gram matrix over ``[1, every column some model reads]``, as
     nested lists.  Model j reads its block ``[1, predictors, target]``
     through ``index[j]``, a getter of the block's rows and columns fixed at
-    build time.
+    build time, and :meth:`factor` keeps the block's :func:`gram_factor`
+    until the matrix changes.
 
     A step that moves cells replaces the old rows of its two records by
     their new rows (a rank-one downdate and update each) in plain Python;
@@ -486,11 +495,20 @@ class PosteriorStats:
 
     def rebuild(self, values: np.ndarray) -> None:
         self.gram = gram_matrix(values, self.read).tolist()
+        self.factors: dict[int, tuple[list[list[float]], list[float], float]] = {}
 
     def block(self, j: int) -> list[tuple[float, ...]]:
         """Model j's augmented Gram matrix of ``[1, predictors, target]``."""
         index = self.index[j]
         return [index(row) for row in index(self.gram)]
+
+    def factor(self, j: int, target: str) -> tuple[list[list[float]], list[float], float]:
+        """:func:`gram_factor` of model j's block, ``target`` naming it in
+        errors; computed once per state of the matrix."""
+        factor = self.factors.get(j)
+        if factor is None:
+            factor = self.factors[j] = gram_factor(self.block(j), target)
+        return factor
 
     def move(self, old_rows: Sequence[list[float]], new_rows: Sequence[list[float]]) -> None:
         """Swap ``old_rows`` for ``new_rows`` (both records' full rows, as
@@ -507,6 +525,7 @@ class PosteriorStats:
             for k in range(i, len(g)):
                 g[k] += (a * new_s[k] + b * new_t[k]) - (c * old_s[k] + d * old_t[k])
                 gram[k][i] = g[k]
+        self.factors.clear()
 
 
 def draw_truncated_posterior(
@@ -564,7 +583,10 @@ def mcmc_refine(
     iterations), be complete and reproduce the totals (its mask marks the
     imputed cells).  Consistency is revalidated at
     every checkpoint; a step whose constraint system turns out infeasible
-    falls back to retaining the current values and is counted.
+    falls back to retaining the current values and is counted.  A step
+    whose interval is a point that the current value meets to
+    ``DEFAULT_TOL * max(1, |point|)`` is accepted and holds the pair's
+    rows as they are (counted as ``pinned``).
     """
     if config is None:
         config = McmcConfig()
@@ -599,12 +621,14 @@ def mcmc_refine(
             if np.linalg.matrix_rank(design) < design.shape[1]:
                 dependent = regression._dependent_columns(design, names)
                 names = [c for c in names if c not in dependent]
+        if n <= len(names) + 1:  # before a factor of the too-small design finds it rank deficient
+            raise InsufficientDataError(f"only {n} records for {len(names) + 1} regression parameters")
         predictors[j] = names
     stats = PosteriorStats(state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets})
     systems = PairSystems(state, edits, totals)
-    weights, referenced = systems.weights, systems.referenced
+    weights = systems.weights
     previous_cells: dict[int, np.ndarray] = {}
-    counts = [{"accepted": 0, "fallbacks": 0, "moved": 0} for _ in columns]
+    counts = [{"accepted": 0, "fallbacks": 0, "moved": 0, "pinned": 0} for _ in columns]
     abs_moves = [0.0] * len(columns)
 
     for iteration in range(1, iterations + 1):
@@ -612,37 +636,46 @@ def mcmc_refine(
         try:
             pair = systems.pair(state.values, colsums, s, t, j)
             interval = pair.interval
-            row_s, row_t = pair.old
+            row_s = pair.old[0]
             current = row_s[j]
-            # The edits hold to tol times each record's margin scale, so
-            # a cell pinned by large constants may miss its point interval
+            # The edits hold to tol times the pair's margin scale, so a
+            # cell pinned by large constants may miss its point interval
             # by that much; measure the miss on the same scale.
-            slack = DEFAULT_TOL * max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
-            if not interval.lower - slack <= current <= interval.upper + slack:
+            if not interval.lower - pair.slack <= current <= interval.upper + pair.slack:
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "
                     f"variable {columns[j]!r} fell outside its admissible interval "
                     f"[{interval.lower}, {interval.upper}]"
                 )
-            model = posterior_model(stats.block(j), row_s, stats.columns[j][:-1], n, columns[j], rng)
-            value = draw_truncated_posterior(model, interval, rng)
-            new_rows = pair.complete(value)
+            model = posterior_model(stats.factor(j, columns[j]), row_s, stats.columns[j][:-1], n, rng)
+            # A point the current value meets to the point's own tolerance
+            # (fm._snap's rule) leaves nothing to draw or complete: the step
+            # holds the pair's rows, which are feasible.  The posterior is
+            # drawn all the same, so the chain's stream does not depend on
+            # which steps hold.
+            point = interval.lower
+            held = interval.is_point() and abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
+            if not held:
+                new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
             counts[j]["fallbacks"] += 1
         else:
-            for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
-                for col in cols:
-                    delta = new[col] - old[col]
-                    if delta != 0.0:
-                        colsums[col] += weights[rec] * delta
-                        state.values[rec, col] = new[col]
-            stats.move(pair.old, new_rows)
             counts[j]["accepted"] += 1
-            move = abs(new_rows[0][j] - current)
-            if move:
-                counts[j]["moved"] += 1
-                abs_moves[j] += move
+            if held:
+                counts[j]["pinned"] += 1
+            else:
+                for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
+                    for col in cols:
+                        delta = new[col] - old[col]
+                        if delta != 0.0:
+                            colsums[col] += weights[rec] * delta
+                            state.values[rec, col] = new[col]
+                stats.move(pair.old, new_rows)
+                move = abs(new_rows[0][j] - current)
+                if move:
+                    counts[j]["moved"] += 1
+                    abs_moves[j] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             colsums = (state.weights @ state.values).tolist()

@@ -387,6 +387,13 @@ def _complete(record: fm.EliminationRecord, assigned, value_rule) -> dict[str, f
     return fm.back_substitute(dataclasses.replace(record, system=()), assigned, value_rule=value_rule)
 
 
+def _margin_scale(edits: EditSystem, columns, rows: np.ndarray) -> float:
+    """``violation_matrix``'s margin scale of a pair of ``rows``: their
+    largest magnitude over the edit variables, observed cells included."""
+    referenced = np.any(system_matrices(edits, columns)[0] != 0, axis=0)
+    return max(1.0, float(np.abs(rows[:, referenced]).max(initial=0.0)))
+
+
 def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums, rows) -> None:
     """Raise :class:`InfeasibleSystemError` unless both completed ``rows``
     meet every edit on ``violation_matrix``'s margin, each record's largest
@@ -394,8 +401,7 @@ def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t
     pair meets each column total it touches on the larger of the two."""
     if violation_matrix(edits, rows, data.columns).any():
         raise InfeasibleSystemError("completed pair violates an edit")
-    referenced = np.any(system_matrices(edits, data.columns)[0] != 0, axis=0)
-    margin = DEFAULT_TOL * max(1.0, float(np.abs(rows[:, referenced]).max(initial=0.0)))
+    margin = DEFAULT_TOL * _margin_scale(edits, data.columns, rows)
     w_s, w_t = float(data.weights[s]), float(data.weights[t])
     for j, name in enumerate(data.columns):
         if name in (totals or {}) and (data.mask[s, j] or data.mask[t, j]):
@@ -407,9 +413,11 @@ def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t
 def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
     """One chain step the per-record way, as ``mcmc_refine`` took it before
     pair systems were compiled: ``pair_constraint_system``, then
-    ``fm.admissible_interval`` for ``s.<var>``, then ``fm.back_substitute``
-    keeping each other unknown's current value clamped into its range, the
-    completed records checked as :func:`_check_completed_pair` does.
+    ``fm.admissible_interval`` for ``s.<var>``, its crossed bounds snapping
+    on the current pair's margin scale (the edits hold to no more), then
+    ``fm.back_substitute`` keeping each other unknown's current value
+    clamped into its range, the completed records checked as
+    :func:`_check_completed_pair` does.
 
     The target takes ``value``, clamped into this interval (a value drawn
     from another derivation's interval may miss it by rounding).  Returns
@@ -420,7 +428,8 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
     try:
         system, cells = pair_constraint_system(data, edits, totals, s, t, colsums=colsums)
         target = f"s.{var}"
-        interval, record = fm.admissible_interval(system, target)
+        scale = _margin_scale(edits, data.columns, data.values[[s, t]])
+        interval, record = fm.admissible_interval(system, target, scale)
         completion = _complete(
             record,
             {target: interval.clamp(value)},
@@ -491,15 +500,16 @@ def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: 
 
 def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
     """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
-    and ``fm.back_substitute`` with ``value`` clamped and the keep-current
-    rule as in :func:`pair_step`, the coupled partners and pinned cells then
-    following from the totals, and the same check of the completed records.
-    Returns the interval and both new rows, or ``None`` where a stage
-    raises :class:`InfeasibleSystemError`."""
+    and ``fm.back_substitute`` with the snap scale, ``value`` clamped and the
+    keep-current rule as in :func:`pair_step`, the coupled partners and
+    pinned cells then following from the totals, and the same check of the
+    completed records.  Returns the interval and both new rows, or ``None``
+    where a stage raises :class:`InfeasibleSystemError`."""
     try:
         system, shares, rows = coupled_pair_system(data, edits, totals, s, t, colsums)
         target = f"s.{var}"
-        interval, record = fm.admissible_interval(system, target)
+        scale = _margin_scale(edits, data.columns, data.values[[s, t]])
+        interval, record = fm.admissible_interval(system, target, scale)
         w_s, w_t = float(data.weights[s]), float(data.weights[t])
         ratio = w_t / w_s
 

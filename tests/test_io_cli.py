@@ -429,7 +429,7 @@ class TestCli:
 FIT_KEYS = ["intercept", "slopes", "residual_variance", "n_obs"]
 CALIBRATED = ["missing_intercept", "missing_sum_target"]
 ADJUSTED = ["max_abs", "weighted_sum", "lambda", "at_lower", "at_upper"]
-CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "mean_abs_move"]
+CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "pinned", "mean_abs_move"]
 
 
 def layout(row):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
-from calimp import mcmc
+from calimp import mcmc, sim
 from calimp.edits import parse_edit_rules, violation_matrix
-from calimp.errors import CalimpError, InfeasibleRecordError, RankDeficiencyError
+from calimp.errors import CalimpError, InfeasibleRecordError, InsufficientDataError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
 from calimp.mcmc import (
     GRAM_RTOL,
@@ -115,6 +115,18 @@ def assert_matches_oracle(gram, values, target, predictors):
     coef, rss = gram_fit(gram)
     assert np.linalg.norm(coef - coef_o) <= 1e-8 * np.linalg.norm(coef_o)
     assert abs(rss - rss_o) <= 1e-8 * rss_o + GRAM_RTOL * gram[-1][-1]
+
+
+def assert_factor_of(factor, gram):
+    """``factor``, kept along a chain, is :func:`gram_factor` of ``gram``, a
+    fresh Gram matrix on the current values, up to the rounding the chain's
+    updates add: row i of L entrywise to 1e-8 of √G_ii (the row's norm), l
+    to 1e-8 of √(yᵀy) and rss as in :func:`assert_matches_oracle`."""
+    (L, l, rss), (L_o, l_o, rss_o) = factor, gram_factor(gram, "y")
+    for i, (row, row_o) in enumerate(zip(L, L_o)):
+        assert np.abs(np.subtract(row, row_o)).max() <= 1e-8 * np.sqrt(gram[i][i]), (i, row, row_o)
+    assert np.abs(np.subtract(l, l_o)).max() <= 1e-8 * np.sqrt(gram[-1][-1]), (l, l_o)
+    assert abs(rss - rss_o) <= 1e-8 * rss_o + GRAM_RTOL * gram[-1][-1], (rss, rss_o)
 
 
 class TestSelectPair:
@@ -240,9 +252,11 @@ class TestDrawTruncatedPosterior:
         x = rng.uniform(0, 10, size=40)
         y = 2.0 * x + 1.0
         values = np.column_stack([y, x])
-        model = posterior_model(gram_matrix(values, [1, 0]).tolist(), values[0].tolist(), [1], 40, "y", rng)
+        factor = gram_factor(gram_matrix(values, [1, 0]).tolist(), "y")
+        model = posterior_model(factor, values[0].tolist(), [1], 40, rng)
         assert model.variance == pytest.approx(0.0, abs=1e-16)
         assert model.predictive_mean == pytest.approx(y[0], abs=1e-8)
+        assert posterior_model(factor, values[0].tolist(), [1], 40, rng) == model  # the factor is only read
 
 
 class TestPosteriorOracle:
@@ -272,9 +286,9 @@ class TestPosteriorOracle:
             _, sigma2_o, _ = lstsq_posterior_model(data, "y", names[:-1], record, np.random.default_rng(seed))
         except RankDeficiencyError:
             with pytest.raises(RankDeficiencyError):
-                posterior_model(gram, row, list(range(p)), n, "y", np.random.default_rng(seed))
+                gram_factor(gram, "y")
             return
-        model = posterior_model(gram, row, list(range(p)), n, "y", np.random.default_rng(seed))
+        model = posterior_model(gram_factor(gram, "y"), row, list(range(p)), n, np.random.default_rng(seed))
         if kind == "exact_fit":
             assert model.variance == 0.0
         else:  # the same chi-square draw scales the same rss
@@ -300,12 +314,13 @@ class TestPosteriorOracle:
         values = np.column_stack([y, X])
         gram, row = gram_matrix(values, [1, 2, 0]).tolist(), values[0].tolist()
         coef, _ = gram_fit(gram)
+        factor = gram_factor(gram, "y")
         Z = np.column_stack([np.ones(n), X])
         C = np.linalg.cholesky(Z.T @ Z)
         # Cᵀ(β - coef)/σ is standard normal when cov(β) = σ²(ZᵀZ)⁻¹.
         white = []
         for _ in range(4000):
-            model = posterior_model(gram, row, [1, 2], n, "y", rng)
+            model = posterior_model(factor, row, [1, 2], n, rng)
             white.append(C.T @ (model.coefficients - coef) / np.sqrt(model.variance))
         assert np.abs(np.cov(np.array(white).T) - np.eye(3)).max() < 0.12
         assert np.abs(np.mean(white, axis=0)).max() < 0.1
@@ -329,16 +344,15 @@ class TestPosteriorOracle:
             step.update(values=values, s=s, j=j)
             return real_pair(systems_, values, colsums, s, t, j)
 
-        def checked_posterior(gram, row, predictors_, n, target, rng_):
-            # The chain passes its model's block of the one list-form Gram
-            # and the row of the record re-drawing column j as it holds it.
+        def checked_posterior(factor, row, predictors_, n, rng_):
+            # The chain passes its model's factor, which must be that of a
+            # fresh Gram on the current values (a stale one is not), and the
+            # row of the record re-drawing column j as it holds it.
             values, j = step["values"], step["j"]
-            assert isinstance(gram, list) and row == values[step["s"]].tolist()
-            assert n == len(values) and target == pre.columns[j]
-            if rng.random() < 0.2:
-                assert_matches_oracle(gram, values, j, predictors_)
-                checked["steps"] += 1
-            return real_posterior(gram, row, predictors_, n, target, rng_)
+            assert row == values[step["s"]].tolist() and n == len(values)
+            assert_factor_of(factor, gram_matrix(values, [*predictors_, j]).tolist())
+            checked["steps"] += 1
+            return real_posterior(factor, row, predictors_, n, rng_)
 
         def checked_rebuild(stats_, values):
             if hasattr(stats_, "gram"):  # a checkpoint, not the first build
@@ -547,6 +561,17 @@ class TestMcmcRefine:
         assert str(info.value) == f"record {i} violates edit 0 (residual 1)"
         assert (info.value.record, info.value.edit_index) == (i, 0)
 
+    def test_model_with_too_few_records_is_rejected_before_the_chain(self):
+        # Three records for four parameters: the count is named, not the
+        # rank deficiency that a factor of the design would find.
+        values = np.array([[1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 7.0], [3.0, 3.0, 1.0, 6.0]])
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[:2, 0] = True
+        data = DataMatrix(values, mask, ("a", "b", "c", "d"))
+        config = McmcConfig(iterations=5, predictors={"a": ["b", "c", "d"]})
+        with pytest.raises(InsufficientDataError, match="only 3 records for 4 regression parameters"):
+            mcmc_refine(data, parse_edit_rules("a >= 0"), None, config)
+
     def test_non_finite_total_is_rejected(self):
         pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
         with pytest.raises(ValueError, match="non-finite total"):
@@ -645,6 +670,51 @@ class TestMcmcRefine:
         )
         assert [row["iteration"] for row in trace] == [10, 20, 30, 40]
         assert np.array_equal(out.values, values)  # every cell is pinned
+
+    def test_steps_pinned_at_their_current_value_hold(self):
+        # a = c - b pins every imputed a.  The stored a meets its point to
+        # rounding only (4000 + a rounds), so a completion would move it by
+        # an ulp of 4000; a held step leaves it, and the Gram with it.
+        rng = np.random.default_rng(2)
+        a, b = rng.uniform(0.0, 1.0, 30), rng.uniform(3000.0, 5000.0, 30)
+        values = np.column_stack([a, b, a + b])
+        assert np.any(values[:, 2] - values[:, 1] != values[:, 0])
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[:10, 0] = True
+        edits = parse_edit_rules("a + b = c\na >= 0\nb >= 0\nc >= 0")
+        factored = []
+        real_factor = mcmc.gram_factor
+
+        def counting_factor(gram, target):
+            factored.append(target)
+            return real_factor(gram, target)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "gram_factor", counting_factor)
+            out, trace = mcmc_refine(
+                DataMatrix(values, mask, ("a", "b", "c")), edits, {"a": float(a.sum())},
+                McmcConfig(iterations=40, checkpoint_every=10, seed=0, predictors={"a": ["b"]}),
+            )
+        assert out.values.tobytes() == values.tobytes()
+        entry = trace[-1]["per_variable"]["a"]
+        assert (entry["accepted"], entry["pinned"], entry["moved"], entry["mean_abs_move"]) == (40, 40, 0, 0.0)
+        # Once on the input and once after each rebuild that more steps follow.
+        assert len(factored) == 4
+
+    def test_seeded_study_chain_takes_no_fallback(self):
+        # A desk-scale study chain on which bounds that drifted colsums cross
+        # by less than the pair's margin used to fall back once.
+        config = sim.StudyConfig()
+        population, _ = sim.generate_population(config, np.random.default_rng(1234))
+        _, masked, totals = sim.draw_sample(population, config, np.random.default_rng(1009))
+        edits = sim.study_edits()
+        pre, _ = impute(masked, edits, totals, ImputationConfig(
+            "bpma", predictors=sim.STUDY_PREDICTORS, variable_order=sim.STUDY_ORDER))
+        _, trace = mcmc_refine(
+            pre, edits, totals,
+            McmcConfig(iterations=2280, checkpoint_every=760, seed=9, predictors=sim.STUDY_PREDICTORS),
+        )
+        assert (trace[-1]["accepted"], trace[-1]["fallbacks"]) == (2280, 0)
 
     def test_point_interval_pinned_by_large_constants(self):
         # x2 ~ 0.3 is pinned by x1 and P ~ 3.4e3; the stored x2 meets the

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import fm
-from calimp.edits import parse_edit_rules, violation_matrix
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, violation_matrix
 from calimp.errors import InfeasibleSystemError
 from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, pair_constraint_system, select_pair
 from calimp.pipeline import DataMatrix
@@ -228,14 +228,29 @@ def test_compiled_step_matches_the_per_record_step(kind, weighted, seed):
 
 @pytest.mark.parametrize("kind", ["study", "five", "partial"])
 def test_chain_steps_match_the_per_record_step(kind):
-    # Inside mcmc_refine, with its own posterior draws and column sums.
+    # Inside mcmc_refine, with its own posterior draws and column sums.  A
+    # step that finds its interval but never completes holds: its interval
+    # is a point the current value meets, both oracles find that point and
+    # complete it to the pair's current rows, and the rows stay as they are.
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
     predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
     real_pair = PairSystems.pair
-    checked = []
+    checked, held, last = [], [], {}
+
+    def check_held(values):
+        if last and not last["completed"]:
+            (s, t), rows, step, args = last["records"], last["rows"], last["step"], last["args"]
+            current, point = rows[0, last["j"]], step.interval.lower
+            assert step.interval.is_point()
+            assert abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
+            check_step(*args, step.interval, current, rows)
+            assert values[[s, t]].tobytes() == rows.tobytes()
+            held.append(current)
+        last.clear()
 
     def checked_pair(systems, values, colsums, s, t, j):
+        check_held(values)
         live = DataMatrix(values, data.mask, data.columns, data.weights)
         args = (live, edits, totals, s, t, data.columns[j], colsums)
         try:
@@ -243,9 +258,11 @@ def test_chain_steps_match_the_per_record_step(kind):
         except InfeasibleSystemError:
             check_step(*args, None, float(values[s, j]), None)
             raise
+        last.update(records=(s, t), j=j, rows=values[[s, t]].copy(), step=step, args=args, completed=False)
         real_complete = step.complete
 
         def checked_complete(value):
+            last["completed"] = True
             try:
                 new = real_complete(value)
             except InfeasibleSystemError:
@@ -260,8 +277,11 @@ def test_chain_steps_match_the_per_record_step(kind):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PairSystems, "pair", checked_pair)
-        _, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
-    assert len(checked) == trace[-1]["accepted"] > 250
+        out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
+    check_held(out.values)
+    assert len(checked) + len(held) == trace[-1]["accepted"] > 250
+    assert len(held) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+    assert checked
 
 
 def test_small_cells_beside_large_observed_values_move():
@@ -351,6 +371,32 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
         check_step(data, edits, totals, s, t, var, moved.tolist(), interval, value, new)
         fallbacks += new is None
     assert fallbacks > 30
+
+
+def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
+    # x2 near 0.1, beside x1 and P near 4,000, is pinned twice: by s's
+    # balance edit and, through its total, by t's.  The column sum has
+    # drifted 1e-7 from the rows, so the two pins cross by that much: more
+    # than 1e-9 of the bounds, less than the pair's margin 1e-9 * 4,000.1,
+    # to which the edits hold.  The bounds meet at a point, for the
+    # compiled step and both oracles, and the step completes there.
+    x1, x2 = np.array([4000.0, 3900.0, 3000.0]), np.array([0.1, 0.2, 500.0])
+    values = np.column_stack([x1, x2, x1 + x2])
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[:2, 1] = True
+    data, edits = DataMatrix(values, mask, ("x1", "x2", "P")), parse_edit_rules(STUDY_RULES)
+    totals = {"x2": float(x2.sum())}
+    colsums = (data.weights @ values).tolist()
+    colsums[1] += 1e-7
+    step = PairSystems(data, edits, totals).pair(values, colsums, 0, 1, 1)
+    point = step.interval.lower
+    assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
+    new_s, new_t = step.complete(point)
+    assert abs(new_t[1] - 0.2) == pytest.approx(5e-8, rel=1e-3)
+    for oracle in (pair_step, coupled_pair_step):
+        interval = oracle(data, edits, totals, 0, 1, "x2", colsums, point)[0]
+        assert interval.is_point()
+        assert_close(interval.lower, point, 4000.1)
 
 
 def test_worked_example_pair():
