@@ -81,10 +81,14 @@ class EditSystem:
 class ReducedSystem:
     """Edits of one record with its observed values folded into the constants.
 
-    Only the record's still-unknown variables appear.
+    Only the record's still-unknown variables appear.  ``gross`` holds each
+    edit's gross magnitude, ``|b| + sum |a_v x_v|`` over the values folded
+    in: the scale its constant is rounded on.  Left empty, each constant is
+    its own scale.
     """
 
     edits: tuple[Edit, ...]
+    gross: tuple[float, ...] = ()
 
     def variables(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -288,6 +292,7 @@ def reduce_system(
     when it is given.
     """
     reduced: list[Edit] = []
+    magnitudes: list[float] = []
     for k, edit in enumerate(system.edits):
         free: dict[str, float] = {}
         const = edit.constant
@@ -301,6 +306,7 @@ def reduce_system(
                 free[v] = c
         if free:
             reduced.append(Edit(free, const, edit.kind))
+            magnitudes.append(gross)
             continue
         bound = DEFAULT_TOL * max(1.0, gross)
         ok = abs(const) <= bound if edit.kind is EditKind.EQUALITY else const >= -bound
@@ -311,7 +317,7 @@ def reduce_system(
                 edit_index=k,
                 witness=edit,
             )
-    return ReducedSystem(tuple(reduced))
+    return ReducedSystem(tuple(reduced), tuple(magnitudes))
 
 
 # ---------------------------------------------------------------------------

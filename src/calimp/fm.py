@@ -118,17 +118,17 @@ def _clean_coeffs(coeffs: dict[str, float]) -> dict[str, float]:
     return {v: c for v, c in coeffs.items() if abs(c) > floor}
 
 
-def _substitute(edit: Edit, var: str, expr: LinExpr) -> tuple[dict[str, float], float, float]:
-    """Replace ``var`` by ``expr`` in an edit; returns coeffs, const, gross magnitude."""
+def _substitute(
+    edit: Edit, var: str, expr: LinExpr, gross: float, expr_gross: float
+) -> tuple[dict[str, float], float, float]:
+    """Replace ``var`` by ``expr`` in an edit whose constant has gross
+    magnitude ``gross`` (``expr_gross`` for the expression's); returns
+    coeffs, const and the new constant's gross magnitude."""
     cp = edit.coeffs[var]
     coeffs = {v: c for v, c in edit.coeffs.items() if v != var}
-    gross = abs(edit.constant) + sum(abs(c) for c in coeffs.values())
     for v, c in expr.coeffs.items():
         coeffs[v] = coeffs.get(v, 0.0) + cp * c
-        gross += abs(cp * c)
-    const = edit.constant + cp * expr.const
-    gross += abs(cp * expr.const)
-    return _clean_coeffs(coeffs), const, gross
+    return _clean_coeffs(coeffs), edit.constant + cp * expr.const, gross + abs(cp) * expr_gross
 
 
 def _constant_row_ok(const: float, gross: float, kind: EditKind) -> bool:
@@ -141,6 +141,7 @@ def _constant_row_ok(const: float, gross: float, kind: EditKind) -> bool:
 def eliminate_equalities(
     edits: Sequence[Edit],
     keep: str | None,
+    gross: Sequence[float] = (),
 ) -> tuple[list[Edit], SubstitutionStack]:
     """Remove every equality by substitution, sparing ``keep``.
 
@@ -148,21 +149,27 @@ def eliminate_equalities(
     coefficient other than ``keep`` (ties broken by name).  An equality
     whose only variable is ``keep`` is turned into the pair of inequalities
     pinning it.  Returns the inequality-only system and the substitution
-    stack in elimination order.
+    stack in elimination order.  A derived row without variables must hold
+    to ``DEFAULT_TOL`` times the gross magnitude of its constant, from
+    the edits' ``gross`` magnitudes (:attr:`ReducedSystem.gross`; by
+    default their constants' own).
     """
     work = list(edits)
+    magnitudes = list(gross) or [abs(e.constant) for e in work]
     stack: SubstitutionStack = []
     while True:
         eq_pos = next((i for i, e in enumerate(work) if e.kind is EditKind.EQUALITY), None)
         if eq_pos is None:
             return work, stack
         eq = work.pop(eq_pos)
+        eq_gross = magnitudes.pop(eq_pos)
         candidates = [(v, c) for v, c in eq.coeffs.items() if v != keep]
         if not candidates:
             # Only the kept variable remains: pin it with a bound pair.
             c = eq.coeffs[keep]
             work.insert(eq_pos, Edit(dict(eq.coeffs), eq.constant, EditKind.INEQUALITY))
             work.insert(eq_pos + 1, Edit({keep: -c}, -eq.constant, EditKind.INEQUALITY))
+            magnitudes[eq_pos:eq_pos] = [eq_gross, eq_gross]
             continue
         pivot, cp = min(candidates, key=lambda item: (-abs(item[1]), item[0]))
         expr = LinExpr(
@@ -170,19 +177,22 @@ def eliminate_equalities(
             -eq.constant / cp,
         )
         replaced: list[Edit] = []
-        for other in work:
+        replaced_gross: list[float] = []
+        for other, g in zip(work, magnitudes):
             if pivot not in other.coeffs:
                 replaced.append(other)
+                replaced_gross.append(g)
                 continue
-            coeffs, const, gross = _substitute(other, pivot, expr)
+            coeffs, const, g = _substitute(other, pivot, expr, g, eq_gross / abs(cp))
             if coeffs:
                 replaced.append(Edit(coeffs, const, other.kind))
-            elif not _constant_row_ok(const, gross, other.kind):
+                replaced_gross.append(g)
+            elif not _constant_row_ok(const, g, other.kind):
                 raise InfeasibleSystemError(
                     f"substituting {pivot} makes edit infeasible (residual {const:.6g})",
                     witness=(eq, other),
                 )
-        work = replaced
+        work, magnitudes = replaced, replaced_gross
         stack.append((pivot, expr))
 
 
@@ -289,8 +299,9 @@ def admissible_interval(
     meet at their midpoint: a system whose constants hold only to the
     margin of larger values (a record pair's, say) passes that magnitude.
     """
-    edits0 = tuple(system.edits) if isinstance(system, ReducedSystem) else tuple(system)
-    ineqs, eq_subs = eliminate_equalities(edits0, keep=target)
+    reduced = isinstance(system, ReducedSystem)
+    edits0 = tuple(system.edits) if reduced else tuple(system)
+    ineqs, eq_subs = eliminate_equalities(edits0, keep=target, gross=system.gross if reduced else ())
     ineqs = _dedupe(ineqs)
     fm_steps: list[tuple[str, list[Edit]]] = []
     while True:
@@ -576,60 +587,24 @@ class CompiledInterval:
     # One record at a time, in plain Python: for a single record numpy's
     # call overhead exceeds the arithmetic of a system this small.
 
-    def record_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The combinations one record's :meth:`record_interval` and
-        :meth:`complete` read: applied to its reduced constants ``d`` they
-        give the check rows, the bound rows, the slice rows and the
-        substitution constants, in that order; the second matrix, applied
-        to its gross magnitudes, gives the tolerance scale of the check
-        rows."""
-        values = np.vstack([self.check_comb, self.bound_comb, self.slice_comb, self.substitution_comb])
-        return values, np.abs(self.check_comb)
-
     @functools.cached_property
     def _layout(self):
-        slices, at = [], len(self.check_eq) + len(self.bound_coef)
+        slices, at = [], 0
         for var, entries in self.slices:
             slices.append((var, [(at + i, c, others) for i, (c, others) in enumerate(entries)]))
             at += len(entries)
         substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
-        return (
-            self.check_eq.tolist(),
-            self.bound_coef.tolist(),
-            slices[::-1],
-            substitutions[::-1],
-            self.unknown.index(self.target),
-        )
-
-    def record_interval(self, y: Sequence[float], g: Sequence[float], scale: float = 1.0) -> Interval:
-        """:func:`admissible_interval` of one record from ``y`` and ``g``,
-        the two products of :meth:`record_rows` with its constants: the
-        interval, or a bare :class:`InfeasibleSystemError` where it raises.
-        Crossed bounds snap within ``DEFAULT_TOL`` times the larger of
-        ``scale`` and their own magnitudes (see :func:`admissible_interval`)."""
-        is_eq, bound_coef, _, _, _ = self._layout
-        for r, gross, eq in zip(y, g, is_eq):
-            margin = DEFAULT_TOL * max(1.0, gross)
-            if abs(r) > margin if eq else r < -margin:
-                raise InfeasibleSystemError(f"no admissible value for {self.target}")
-        lower, upper = NEG_INF, POS_INF
-        for c, v in zip(bound_coef, y[len(is_eq):]):
-            bound = -v / c
-            if c > 0:
-                if bound > lower:
-                    lower = bound
-            elif bound < upper:
-                upper = bound
-        return Interval(*_snap(lower, upper, scale))
+        return slices[::-1], substitutions[::-1], self.unknown.index(self.target)
 
     def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
         """:func:`back_substitute` of one record with the target at
         ``value`` and the rule that keeps each variable's ``current`` value,
         clamped into its slice.  ``current`` and the result list the
-        unknowns in :attr:`unknown` order, and ``y`` is as for
-        :meth:`record_interval`.  Unknowns no edit constrains keep their
+        unknowns in :attr:`unknown` order, and ``y`` holds the record's
+        ``slice_comb`` rows, then its ``substitution_comb`` rows, applied to
+        its reduced constants.  Unknowns no edit constrains keep their
         current value."""
-        _, _, slices, substitutions, target = self._layout
+        slices, substitutions, target = self._layout
         values = list(current)
         values[target] = value
         for var, entries in slices:
@@ -644,7 +619,7 @@ class CompiledInterval:
                         lower = bound
                 elif bound < upper:
                     upper = bound
-            lower, upper = _snap(lower, upper)
+            lower, upper = snap(lower, upper)
             values[var] = min(max(current[var], lower), upper)
         for var, expr, at in substitutions:
             acc = y[at]
@@ -654,7 +629,7 @@ class CompiledInterval:
         return values
 
 
-def _snap(lower: float, upper: float, scale: float = 1.0) -> tuple[float, float]:
+def snap(lower: float, upper: float, scale: float = 1.0) -> tuple[float, float]:
     """Bounds crossed by no more than rounding, on the larger of ``scale``
     and their own magnitudes, meet at their midpoint; a wider crossing is
     infeasible."""

@@ -9,19 +9,23 @@ truncated posterior predictive distribution inside its admissible
 interval, and the remaining unknowns are repaired through the equality
 structure (keeping their current values wherever the constraints leave
 slack).  Edits and totals therefore hold after every step.  The
-derivation is compiled once per pair shape (:class:`PairSystems`), so a
-step only evaluates it on the pair's constants.  Where the interval is a
-point the current value already meets, nothing can move: the step holds
-the pair as it is (it still draws the posterior, which keeps the random
-stream independent of that test) and counts as ``pinned``.
+derivation is compiled once per pair shape (:class:`PairSystems`) into
+sparse rows, so a step only evaluates the rows it reads on the pair's
+constants.  Where the interval is a point the current value already
+meets, nothing can move: the step holds the pair as it is and counts as
+``pinned``.  It draws only the posterior's variates
+(:func:`posterior_variates`), without solving for the model, which keeps
+the random stream independent of that test.
 
 No step does work proportional to the record count: the pair comes from
-per-column index arrays built once, and each posterior is drawn from
+per-column index arrays built once, the records' rows are Python lists
+that checkpoints write back to the data, and each posterior is drawn from
 sufficient statistics (one augmented Gram matrix over the columns the
 models read, as nested lists, and each model's Cholesky factor of it)
 that a step updates in plain Python for the two records it moved;
 checkpoints rebuild them.  A held step leaves them alone, so the next
-step reuses the factor.
+step reuses the factor.  Between checkpoints a step makes no numpy call
+but the generator's draws (and a key's first compile).
 """
 
 from __future__ import annotations
@@ -152,6 +156,7 @@ def pair_constraint_system(
         colsums = data.weights @ data.values
     cells: dict[str, tuple[int, int]] = {}
     out: list[Edit] = []
+    gross: list[float] = []
     for role, rec in (("s", s), ("t", t)):
         row = {}
         for j, name in enumerate(data.columns):
@@ -162,6 +167,7 @@ def pair_constraint_system(
         reduced = reduce_system(edits, row, origin=rec)
         for edit in reduced.edits:
             out.append(Edit({f"{role}.{v}": c for v, c in edit.coeffs.items()}, edit.constant, edit.kind))
+        gross.extend(reduced.gross)
 
     if totals:
         w_s = float(data.weights[s])
@@ -183,7 +189,8 @@ def pair_constraint_system(
             else:
                 pinned = remainder - w_s * float(data.values[s, j])
                 out.append(Edit({f"t.{name}": w_t}, -pinned, EditKind.EQUALITY))
-    return ReducedSystem(tuple(out)), cells
+            gross.append(abs(out[-1].constant))
+    return ReducedSystem(tuple(out), tuple(gross)), cells
 
 
 def _bits(mask: int) -> list[int]:
@@ -196,22 +203,39 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _terms(W: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Each row of ``W`` as its nonzero (position, coefficient) pairs."""
+    return [[(i, a) for i, a in enumerate(row) if a] for row in W.tolist()]
+
+
+def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
+    """A sparse row's value at ``z``, summed in term order."""
+    acc = 0.0
+    for i, a in terms:
+        acc += a * z[i]
+    return acc
+
+
 class _KeySystem(NamedTuple):
-    """A key's compiled pair system.  ``W`` maps the step vector
-    ``[z, |z|]`` to the derivation's rows ``y`` (the first ``n``) and their
-    gross magnitudes ``g``; ``unknowns`` holds the record (0 for s, 1 for
-    t) and column of each of ``compiled.unknown``."""
+    """A key's compiled pair system as plain-Python sparse rows over the
+    step vector ``z`` (see :class:`PairStep`).  ``checks`` holds each check
+    row's terms, the terms over ``|z|`` of its gross magnitude, and its
+    equality flag; ``bounds`` each bound row's terms and target
+    coefficient; ``completion`` the terms of the slice rows, then of the
+    substitution constants, that only :meth:`PairStep.complete` reads.
+    ``unknowns`` holds the record (0 for s, 1 for t) and column of each of
+    ``compiled.unknown``."""
 
     compiled: fm.CompiledInterval
-    W: np.ndarray
-    n: int
+    checks: list[tuple[list[tuple[int, float]], list[tuple[int, float]], bool]]
+    bounds: list[tuple[list[tuple[int, float]], float]]
+    completion: list[list[tuple[int, float]]]
     unknowns: tuple[tuple[int, int], ...]
 
 
 class PairSystems:
     """The constraint systems of a chain's record pairs, compiled once per
-    key; a step evaluates its key's system with one matrix product and
-    plain-Python loops over its few rows.
+    key into sparse rows that a step evaluates in plain Python.
 
     The system is :func:`pair_constraint_system`'s, with the totals'
     equalities solved first.  A column imputed in both records that
@@ -282,18 +306,21 @@ class PairSystems:
         M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
         M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
         M[K:, 3 * p + 1] = self.b
-        values, gross = compiled.record_rows()
-        n, width = len(values), 3 * p + 2
-        W = np.zeros((n + len(gross), 2 * width))
-        W[:n, :width] = values @ M
-        W[n:, width:] = gross @ np.abs(M)
-        return _KeySystem(compiled, W, n, tuple(divmod(labels.index(v), p) for v in compiled.unknown))
+        return _KeySystem(
+            compiled,
+            list(zip(_terms(compiled.check_comb @ M), _terms(np.abs(compiled.check_comb) @ np.abs(M)),
+                     compiled.check_eq.tolist())),
+            list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
+            _terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
+            tuple(divmod(labels.index(v), p) for v in compiled.unknown),
+        )
 
-    def pair(self, values: np.ndarray, colsums: list[float], s: int, t: int, j: int) -> PairStep:
+    def pair(self, rows: Sequence[list[float]], colsums: list[float], s: int, t: int, j: int) -> PairStep:
         """The system of records ``s`` and ``t`` re-drawing column ``j`` of
-        ``s``, at the current ``values`` and weighted column sums: its
-        interval, or :class:`InfeasibleSystemError` where the derivation
-        finds the system infeasible."""
+        ``s``, at their current rows ``rows[s]`` and ``rows[t]`` (lists,
+        only read) and the weighted column sums: its interval, or
+        :class:`InfeasibleSystemError` where the derivation finds the
+        system infeasible."""
         ps, pt, with_total = self.pattern[s], self.pattern[t], self.with_total
         key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
         system = self.systems.get(key)
@@ -302,49 +329,103 @@ class PairSystems:
             self.compiled += 1
         else:
             self.hits += 1
-        return PairStep(self, system, values, colsums, s, t)
+        return PairStep(self, system, rows[s], rows[t], colsums, s, t)
 
 
 class PairStep:
-    """One step's pair system: its constants, the target's interval, and
-    :meth:`complete`.  ``old`` holds the two records' current rows and
-    ``rows`` the same rows with pinned cells at their pinned values;
-    ``imputed`` holds each record's imputed columns.  ``slack`` is
-    :data:`DEFAULT_TOL` times the pair's margin scale, the largest magnitude
-    of either current row over the referenced columns: the edits hold to
-    that, so the interval's bounds snap and the current value is measured
-    on it."""
+    """One step's pair system: the target's interval, computed on
+    construction, and :meth:`complete`.
 
-    def __init__(self, systems: PairSystems, system: _KeySystem, values: np.ndarray, colsums: list[float],
-                 s: int, t: int):
+    The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
+    R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with
+    pinned cells at their pinned values and R the coupled columns' shares.
+    The interval evaluates only the check rows (each one's gross magnitude
+    only when the row is in doubt) and the bound rows; the completion
+    rows, the completed rows and the pair's margin scale wait until
+    something reads them.  ``imputed`` holds each record's imputed columns."""
+
+    def __init__(self, systems: PairSystems, system: _KeySystem, row_s: list[float], row_t: list[float],
+                 colsums: list[float], s: int, t: int):
         ps, pt, with_total, total = systems.pattern[s], systems.pattern[t], systems.with_total, systems.total
-        self.system = system
+        self.systems, self.system = systems, system
         self.w_s, self.w_t = w_s, w_t = systems.weights[s], systems.weights[t]
-        self.old = row_s, row_t = values[s].tolist(), values[t].tolist()
-        (imputed_s, checks_s), (imputed_t, checks_t) = systems.imputed[ps], systems.imputed[pt]
-        self.imputed, self.checks = (imputed_s, imputed_t), (checks_s, checks_t)
-        self.referenced = referenced = systems.referenced
-        scale = max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
-        self.slack = DEFAULT_TOL * scale
-        xs, xt = list(row_s), list(row_t)
+        self.old = (row_s, row_t)
+        self.patterns = (ps, pt)
+        self.ratio = ratio = w_t / w_s
+        self._scale = None
+        p = len(row_s)
+        self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
         self.shares = shares = {}
         for c in _bits(ps & pt & with_total):
-            shares[c] = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
-        for c in _bits((ps ^ pt) & with_total):  # pinned by their totals
+            shares[c] = share = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
+            z[2 * p + c] = share / w_s
+        self.pinned = pinned = []  # (record, column, value)
+        for c in _bits((ps ^ pt) & with_total):
             rest = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
             if ps >> c & 1:
-                xs[c] = (rest - w_t * row_t[c]) / w_s
+                z[c] = value = (rest - w_t * row_t[c]) / w_s
+                pinned.append((0, c, value))
             else:
-                xt[c] = (rest - w_s * row_s[c]) / w_t
-        self.rows = (xs, xt)
-        self.ratio = ratio = w_t / w_s
-        p = len(xs)
-        z = xs + [ratio * v for v in xt] + [0.0] * p + [1.0, ratio]
-        for c, share in shares.items():
-            z[2 * p + c] = share / w_s
-        out = (system.W @ np.array(z + [abs(v) for v in z])).tolist()
-        self.y = out[: system.n]
-        self.interval = system.compiled.record_interval(self.y, out[system.n :], scale)
+                value = (rest - w_s * row_s[c]) / w_t
+                z[p + c] = ratio * value
+                pinned.append((1, c, value))
+
+        for terms, gross, eq in system.checks:
+            r = _dot(terms, z)
+            # The margin is at least DEFAULT_TOL: only a row beyond that
+            # needs its gross magnitude.
+            if abs(r) > DEFAULT_TOL if eq else r < -DEFAULT_TOL:
+                g = 0.0
+                for i, a in gross:
+                    g += a * abs(z[i])
+                margin = DEFAULT_TOL * max(1.0, g)
+                if abs(r) > margin if eq else r < -margin:
+                    raise InfeasibleSystemError(f"no admissible value for {system.compiled.target}")
+        lower, upper = -math.inf, math.inf
+        for terms, c in system.bounds:
+            bound = -_dot(terms, z) / c
+            if c > 0:
+                if bound > lower:
+                    lower = bound
+            elif bound < upper:
+                upper = bound
+        if lower > upper:
+            # Bounds crossed within their own rounding meet on any scale of
+            # at least 1; only a wider crossing needs the pair's.
+            near = lower - upper <= DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
+            lower, upper = fm.snap(lower, upper, 1.0 if near else self.scale())
+        self.interval = fm.Interval(lower, upper)
+
+    def scale(self) -> float:
+        """The pair's margin scale: the largest magnitude of either current
+        row over the referenced columns, at least 1.  The edits hold to
+        :data:`DEFAULT_TOL` times it, so crossed bounds snap on it."""
+        if self._scale is None:
+            referenced = self.systems.referenced
+            row_s, row_t = self.old
+            self._scale = max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
+        return self._scale
+
+    def admits(self, x: float) -> bool:
+        """Whether the interval holds ``x``, a current value of the target,
+        to :data:`DEFAULT_TOL` times the pair's :meth:`scale`: the edits
+        hold only to that, so a cell pinned by large constants may miss its
+        point by that much.  A bounded target is a column some edit
+        references, so that scale is at least ``max(1, |x|)`` and a value
+        within that margin needs no scale."""
+        lower, upper = self.interval.lower, self.interval.upper
+        if lower <= x <= upper:
+            return True
+        slack = DEFAULT_TOL * max(1.0, abs(x))
+        if lower - slack <= x <= upper + slack:
+            return True
+        slack = DEFAULT_TOL * self.scale()
+        return lower - slack <= x <= upper + slack
+
+    @property
+    def imputed(self) -> tuple[list[int], list[int]]:
+        ps, pt = self.patterns
+        return self.systems.imputed[ps][0], self.systems.imputed[pt][0]
 
     def complete(self, value: float) -> tuple[list[float], list[float]]:
         """Both records' rows once the target holds ``value``: the other
@@ -353,11 +434,14 @@ class PairStep:
         the coupled partners and pinned cells through the totals.  A
         completion that misses an edit of either record or a pair total
         by more than :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
-        system, ratio = self.system, self.ratio
-        xs, xt = self.rows
-        current = [xs[c] if role == 0 else ratio * xt[c] for role, c in system.unknowns]
-        solved = system.compiled.complete(value, self.y, current)
-        new_s, new_t = list(xs), list(xt)
+        system, ratio, z = self.system, self.ratio, self.z
+        row_s, row_t = self.old
+        p = len(row_s)
+        current = [z[role * p + c] for role, c in system.unknowns]
+        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current)
+        new_s, new_t = list(row_s), list(row_t)
+        for role, c, v in self.pinned:
+            (new_t if role else new_s)[c] = v
         for (role, c), v, old in zip(system.unknowns, solved, current):
             if role == 0:
                 new_s[c] = v
@@ -367,9 +451,12 @@ class PairStep:
             new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
         # Each record's margin is that of violation_matrix: its largest magnitude
         # over the referenced columns, observed cells included (they enter sums).
-        margins = [DEFAULT_TOL * max(1.0, *map(abs, self.referenced(row))) for row in (new_s, new_t)]
-        for checks, row, margin in zip(self.checks, (new_s, new_t), margins):
-            for b, terms, eq in checks:
+        referenced = self.systems.referenced
+        margins = [DEFAULT_TOL * max(1.0, *map(abs, referenced(row))) for row in (new_s, new_t)]
+        ps, pt = self.patterns
+        checks = (self.systems.imputed[ps][1], self.systems.imputed[pt][1])
+        for rows, row, margin in zip(checks, (new_s, new_t), margins):
+            for b, terms, eq in rows:
                 r = b
                 for c, a in terms:
                     r += a * row[c]
@@ -430,6 +517,19 @@ def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list
     return L, row, pivot
 
 
+def posterior_variates(rss: float, p1: int, n: int, rng: np.random.Generator) -> tuple[float, list[float]]:
+    """The random part of :func:`posterior_model` for a fit with residual
+    sum of squares ``rss`` and ``p1`` parameters over ``n`` records:
+    σ² = rss / χ²(n - p1), drawn only when rss > 0 (else 0), and the p1
+    standard normals that perturb the coefficients, drawn only when σ² > 0
+    (else none).  A step that discards the model calls this alone, so the
+    stream advances exactly as it would have."""
+    if n <= p1:
+        raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
+    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
+    return sigma2, rng.standard_normal(p1).tolist() if sigma2 > 0 else []
+
+
 def posterior_model(
     factor: tuple[list[list[float]], list[float], float],
     row: Sequence[float],
@@ -450,13 +550,11 @@ def posterior_model(
     least-squares coefficients with zero variance.  ``factor`` is only read.
     """
     p1 = len(predictors) + 1
-    if n <= p1:
-        raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
     L, l, rss = factor
-    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
+    sigma2, normals = posterior_variates(rss, p1, n, rng)
     if sigma2 > 0:
         sigma = math.sqrt(sigma2)
-        l = [v + sigma * e for v, e in zip(l, rng.standard_normal(p1).tolist())]
+        l = [v + sigma * e for v, e in zip(l, normals)]
     beta = list(l)  # overwritten from the last entry down: β = L⁻ᵀ l
     for i in range(p1 - 1, -1, -1):
         acc = l[i]
@@ -549,7 +647,8 @@ def draw_truncated_posterior(
 
 
 def _checkpoint_row(
-    data: DataMatrix, iteration: int, previous: dict, counts: list, abs_moves: list, systems: PairSystems
+    data: DataMatrix, iteration: int, previous: dict, counts: list, abs_moves: list, exact: dict,
+    systems: PairSystems,
 ) -> dict:
     per_variable = {}
     for j, name in enumerate(data.columns):
@@ -558,6 +657,7 @@ def _checkpoint_row(
             continue
         entry = {"mean": float(np.mean(cells)), "std": float(np.std(cells)), **counts[j]}
         entry["mean_abs_move"] = abs_moves[j] / counts[j]["accepted"] if counts[j]["accepted"] else 0.0
+        entry["exact_fit"] = exact.get(j, False)
         if j in previous:
             entry["ks_vs_prev"] = metrics.ks_statistic(previous[j], cells)
         per_variable[name] = entry
@@ -627,6 +727,13 @@ def mcmc_refine(
     stats = PosteriorStats(state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets})
     systems = PairSystems(state, edits, totals)
     weights = systems.weights
+    # The rows of the records with an imputed cell, as lists: steps read and
+    # replace these, and each checkpoint writes the moved ones back.
+    rows: list[list[float] | None] = [None] * n
+    imputed = np.flatnonzero(state.mask.any(axis=1))
+    for rec, row in zip(imputed.tolist(), state.values[imputed].tolist()):
+        rows[rec] = row
+    moved: set[int] = set()
     previous_cells: dict[int, np.ndarray] = {}
     counts = [{"accepted": 0, "fallbacks": 0, "moved": 0, "pinned": 0} for _ in columns]
     abs_moves = [0.0] * len(columns)
@@ -634,28 +741,28 @@ def mcmc_refine(
     for iteration in range(1, iterations + 1):
         s, t, j = select_pair(index, rng)
         try:
-            pair = systems.pair(state.values, colsums, s, t, j)
+            pair = systems.pair(rows, colsums, s, t, j)
             interval = pair.interval
-            row_s = pair.old[0]
+            row_s = rows[s]
             current = row_s[j]
-            # The edits hold to tol times the pair's margin scale, so a
-            # cell pinned by large constants may miss its point interval
-            # by that much; measure the miss on the same scale.
-            if not interval.lower - pair.slack <= current <= interval.upper + pair.slack:
+            if not pair.admits(current):
                 raise CalimpError(
                     f"step {iteration}: current value {current!r} of record {s}, "
                     f"variable {columns[j]!r} fell outside its admissible interval "
                     f"[{interval.lower}, {interval.upper}]"
                 )
-            model = posterior_model(stats.factor(j, columns[j]), row_s, stats.columns[j][:-1], n, rng)
+            factor = stats.factor(j, columns[j])
             # A point the current value meets to the point's own tolerance
-            # (fm._snap's rule) leaves nothing to draw or complete: the step
-            # holds the pair's rows, which are feasible.  The posterior is
-            # drawn all the same, so the chain's stream does not depend on
-            # which steps hold.
+            # (fm.snap's rule) leaves nothing to draw or complete: the step
+            # holds the pair's rows, which are feasible.  It still draws the
+            # posterior's variates, without solving for the model, so the
+            # chain's stream does not depend on which steps hold.
             point = interval.lower
             held = interval.is_point() and abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
-            if not held:
+            if held:
+                posterior_variates(factor[2], len(stats.columns[j]), n, rng)
+            else:
+                model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
                 new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
         except InfeasibleSystemError:
             # The current point is always feasible, so the step can keep it.
@@ -670,7 +777,8 @@ def mcmc_refine(
                         delta = new[col] - old[col]
                         if delta != 0.0:
                             colsums[col] += weights[rec] * delta
-                            state.values[rec, col] = new[col]
+                    rows[rec] = new
+                moved.update((s, t))
                 stats.move(pair.old, new_rows)
                 move = abs(new_rows[0][j] - current)
                 if move:
@@ -678,10 +786,15 @@ def mcmc_refine(
                     abs_moves[j] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
+            if moved:
+                records = list(moved)
+                state.values[records] = [rows[rec] for rec in records]
+                moved.clear()
             colsums = (state.weights @ state.values).tolist()
             stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
-            row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, systems)
+            exact = {j: stats.factor(j, columns[j])[2] == 0.0 for j in targets}
+            row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, exact, systems)
             if not trace:
                 row["predictors"] = {columns[j]: predictors[j] for j in targets}
             trace.append(row)

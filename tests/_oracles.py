@@ -25,7 +25,9 @@ from calimp.adjust import (
     adjustment_stats,
     zero_sum_interval_adjust,
 )
-from calimp.edits import DEFAULT_TOL, Edit, EditKind, EditSystem, reduce_system, system_matrices, violation_matrix
+from calimp.edits import (
+    DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices, violation_matrix,
+)
 from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
@@ -448,7 +450,7 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
 
 def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums):
     """``pair_constraint_system`` with its total equalities solved first,
-    built edit by edit in dict form.
+    built edit by edit in dict form, with each constant's gross magnitude.
 
     A column imputed in both records with a total keeps one unknown
     ``s.v``, and record t's edits read ``t.v = (R_v - w_s s.v) / w_t``; a
@@ -482,20 +484,24 @@ def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: 
             for j, name in enumerate(data.columns)
             if not data.mask[rec, j] or (name in totals and name not in shares)
         }
-        return reduce_system(edits, known, origin=rec).edits
+        return reduce_system(edits, known, origin=rec)
 
-    out = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, e.constant, e.kind) for e in reduced(0)]
+    reduced_s, reduced_t = reduced(0), reduced(1)
+    out = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, e.constant, e.kind) for e in reduced_s.edits]
+    gross = list(reduced_s.gross)
     ratio = w_t / w_s
-    for e in reduced(1):
-        coeffs, const = {}, ratio * e.constant
+    for e, g in zip(reduced_t.edits, reduced_t.gross):
+        coeffs, const, g = {}, ratio * e.constant, ratio * g
         for v, c in e.coeffs.items():
             if v in shares:
                 coeffs[f"s.{v}"] = -c
                 const += c * shares[v] / w_s
+                g += abs(c * shares[v] / w_s)
             else:
                 coeffs[f"t.{v}"] = c
         out.append(Edit(coeffs, const, e.kind))
-    return out, shares, rows
+        gross.append(g)
+    return ReducedSystem(tuple(out), tuple(gross)), shares, rows
 
 
 def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):

@@ -429,7 +429,7 @@ class TestCli:
 FIT_KEYS = ["intercept", "slopes", "residual_variance", "n_obs"]
 CALIBRATED = ["missing_intercept", "missing_sum_target"]
 ADJUSTED = ["max_abs", "weighted_sum", "lambda", "at_lower", "at_upper"]
-CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "pinned", "mean_abs_move"]
+CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "pinned", "mean_abs_move", "exact_fit"]
 
 
 def layout(row):
@@ -497,3 +497,4 @@ class TestDiagnosticsSchema:
                 assert layout(row) == checkpoint
             for entry in row["per_variable"].values():
                 assert list(entry) == CHAIN_VARIABLE_KEYS + ([] if k == 0 else ["ks_vs_prev"])
+                assert entry["exact_fit"] is False  # P is fully observed: no model is exact

@@ -1,3 +1,5 @@
+import os
+import sys
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from calimp.mcmc import (
     mcmc_refine,
     pair_constraint_system,
     posterior_model,
+    posterior_variates,
     select_pair,
 )
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
@@ -306,6 +309,22 @@ class TestPosteriorOracle:
         assert np.linalg.norm(model.coefficients - want) <= 1e-8 * np.linalg.norm(want)
         assert model.predictive_mean == pytest.approx(want[0] + X[record] @ want[1:], rel=1e-8, abs=1e-8)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seeds, st.sampled_from([0.0, 1e-9, 1.0, 3e7]), st.integers(1, 6), st.integers(1, 10**5))
+    def test_held_step_draw_advances_the_stream_as_the_posterior(self, seed, rss, p1, dof):
+        # A held step draws posterior_variates alone: the chi-square when
+        # rss > 0, then the p + 1 normals when σ² > 0.  The stream must be
+        # where posterior_model leaves it, for an exact fit (rss 0) too.
+        n = p1 + dof
+        L = [[0.5] * i + [1.0 + i] for i in range(p1)]  # rows of a lower factor
+        l = [0.5 * i - 1.0 for i in range(p1)]
+        held, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        sigma2, normals = posterior_variates(rss, p1, n, held)
+        model = posterior_model((L, l, rss), [2.0] * p1, list(range(p1 - 1)), n, drawn)
+        assert held.bit_generator.state == drawn.bit_generator.state
+        assert sigma2 == model.variance and (sigma2 > 0) == (rss > 0)
+        assert len(normals) == (p1 if rss > 0 else 0)
+
     def test_coefficient_draws_have_the_posterior_covariance(self):
         rng = np.random.default_rng(12)
         n = 60
@@ -336,41 +355,67 @@ class TestPosteriorOracle:
         else:
             pre, edits, totals = five_var_data(rng, r=r)
             predictors = None
-        checked = {"steps": 0, "checkpoints": 0}
-        real_pair, real_posterior, real_rebuild = PairSystems.pair, mcmc.posterior_model, PosteriorStats.rebuild
-        step = {}
+        checked = {"steps": 0, "variates": 0, "checkpoints": 0}
+        real_pair, real_posterior, real_variates = PairSystems.pair, mcmc.posterior_model, mcmc.posterior_variates
+        real_factor, real_rebuild = PosteriorStats.factor, PosteriorStats.rebuild
+        live = {}
 
-        def recording_pair(systems_, values, colsums, s, t, j):
-            step.update(values=values, s=s, j=j)
-            return real_pair(systems_, values, colsums, s, t, j)
+        def recording_pair(systems_, rows, colsums, s, t, j):
+            # The chain's values: its row lists where it keeps them (records
+            # with an imputed cell), the input elsewhere.
+            values = pre.values.copy()
+            for rec, row in enumerate(rows):
+                if row is not None:
+                    values[rec] = row
+            live.update(values=values, row=rows[s], j=j)
+            return real_pair(systems_, rows, colsums, s, t, j)
+
+        def checked_factor(stats_, j, target):
+            # Every step, held or not, and every checkpoint reads its model's
+            # factor, which must be that of a fresh Gram on the current
+            # values (a stale one is not).
+            factor = real_factor(stats_, j, target)
+            assert_factor_of(factor, gram_matrix(live["values"], stats_.columns[j]).tolist())
+            live.update(factor=factor, columns=stats_.columns[j])
+            return factor
 
         def checked_posterior(factor, row, predictors_, n, rng_):
-            # The chain passes its model's factor, which must be that of a
-            # fresh Gram on the current values (a stale one is not), and the
-            # row of the record re-drawing column j as it holds it.
-            values, j = step["values"], step["j"]
-            assert row == values[step["s"]].tolist() and n == len(values)
-            assert_factor_of(factor, gram_matrix(values, [*predictors_, j]).tolist())
+            # A step that draws the model passes the factor just checked and
+            # the row of the record re-drawing column j as it holds it.
+            assert factor is live["factor"] and row is live["row"] and n == len(live["values"])
+            assert [*predictors_, live["j"]] == live["columns"]
             checked["steps"] += 1
             return real_posterior(factor, row, predictors_, n, rng_)
+
+        def checked_variates(rss, p1, n, rng_):
+            # Held steps draw these alone, on the same factor.
+            assert rss == live["factor"][2] and n == len(live["values"])
+            checked["variates"] += 1
+            return real_variates(rss, p1, n, rng_)
 
         def checked_rebuild(stats_, values):
             if hasattr(stats_, "gram"):  # a checkpoint, not the first build
                 for j, cols in stats_.columns.items():
                     assert_matches_oracle(stats_.block(j), values, j, cols[:-1])
                 checked["checkpoints"] += 1
+            live["values"] = values.copy()
             real_rebuild(stats_, values)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(PairSystems, "pair", recording_pair)
             patch.setattr(mcmc, "posterior_model", checked_posterior)
+            patch.setattr(mcmc, "posterior_variates", checked_variates)
+            patch.setattr(PosteriorStats, "factor", checked_factor)
             patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
-            mcmc_refine(
+            _, trace = mcmc_refine(
                 pre, edits, totals,
                 McmcConfig(iterations=600, checkpoint_every=int(rng.integers(50, 300)),
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
         assert checked["steps"] > 0 and checked["checkpoints"] >= 2
+        # posterior_model draws its variates through the same function.
+        pinned = sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+        assert checked["variates"] == checked["steps"] + pinned
 
     @pytest.mark.parametrize("system", ["study", "five_unread"])
     def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
@@ -698,8 +743,10 @@ class TestMcmcRefine:
         assert out.values.tobytes() == values.tobytes()
         entry = trace[-1]["per_variable"]["a"]
         assert (entry["accepted"], entry["pinned"], entry["moved"], entry["mean_abs_move"]) == (40, 40, 0, 0.0)
-        # Once on the input and once after each rebuild that more steps follow.
-        assert len(factored) == 4
+        # Once on the input and once after each of the four rebuilds, whose
+        # checkpoint reads it for its exact_fit flag: held steps reuse it.
+        assert len(factored) == 5
+        assert entry["exact_fit"] is False
 
     def test_seeded_study_chain_takes_no_fallback(self):
         # A desk-scale study chain on which bounds that drifted colsums cross
@@ -731,3 +778,62 @@ class TestMcmcRefine:
         out, trace = mcmc_refine(data, edits, None, McmcConfig(iterations=20, seed=0))
         assert trace[-1]["accepted"] == 20
         assert not violation_matrix(edits, out.values, out.columns, tol=1e-12).any()
+
+    def test_trace_flags_exact_fits(self):
+        # x2 = P - x1 exactly, so its model on P and x1 has rss 0 (σ² = 0:
+        # its steps can only hold or clamp); x1 on P alone is noisy.  P,
+        # imputed in one record only, is re-drawn by no step and has no model.
+        pre, edits, totals = three_var_study_data(np.random.default_rng(8), r=120)
+        mask = pre.mask.copy()
+        mask[int(np.flatnonzero(~mask.any(axis=1))[0]), 2] = True
+        data = DataMatrix(pre.values, mask, pre.columns)
+        _, trace = mcmc_refine(
+            data, edits, totals, McmcConfig(iterations=200, seed=1, predictors={"x1": ["P"], "x2": ["P", "x1"]})
+        )
+        for row in trace:
+            flags = {name: entry["exact_fit"] for name, entry in row["per_variable"].items()}
+            assert flags == {"x1": False, "x2": True, "P": False}
+
+    def test_chain_steps_make_no_numpy_call_but_draws(self):
+        # Between checkpoints a step works on the chain's row lists in plain
+        # Python: numpy is reached only for the Generator's draws (and, in
+        # posterior_variates, the tolist of the drawn normals), and to
+        # compile a key met for the first time.  Steps 1 .. n-1 are watched;
+        # the last step's window holds the one checkpoint.
+        pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
+        numpy_dir = os.path.dirname(np.__file__)
+        select_code, compile_code = mcmc.select_pair.__code__, PairSystems._compile.__code__
+        draws = (np.random.Generator, np.random.BitGenerator)
+        steps, found, compiling = [0], [], set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if frame.f_code is select_code:
+                    steps[0] += 1
+                elif frame.f_code is compile_code:
+                    compiling.add(steps[0])
+                elif frame.f_code.co_filename.startswith(numpy_dir):
+                    found.append((steps[0], frame.f_code.co_name))
+            elif event == "c_call":
+                owner = getattr(arg, "__self__", None)
+                if isinstance(owner, draws) or frame.f_code is posterior_variates.__code__:
+                    return
+                module = getattr(arg, "__module__", None) or ""
+                if isinstance(owner, (np.ndarray, np.generic)) or module.startswith("numpy"):
+                    found.append((steps[0], arg.__name__))
+
+        iterations = 400
+        sys.setprofile(profile)
+        try:
+            _, trace = mcmc_refine(
+                pre, edits, totals,
+                McmcConfig(iterations=iterations, checkpoint_every=iterations, seed=2,
+                           predictors={"x1": ["P"], "x2": ["P", "x1"]}),
+            )
+        finally:
+            sys.setprofile(None)
+        entries = trace[-1]["per_variable"].values()
+        assert sum(entry["moved"] for entry in entries) > 50 and sum(entry["pinned"] for entry in entries) > 50
+        assert steps[0] == iterations and 0 < len(compiling) == trace[-1]["pair_systems"]["compiled"]
+        assert [call for call in found if 1 <= call[0] < iterations and call[0] not in compiling] == []
+        assert any(call[0] == iterations for call in found)  # the checkpoint is watched too

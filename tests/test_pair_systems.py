@@ -4,9 +4,11 @@
 it per step; ``_oracles.pair_step`` takes the same step through
 ``pair_constraint_system``, ``fm.admissible_interval`` and
 ``fm.back_substitute``, and ``_oracles.coupled_pair_step`` through the same
-functions on the system with the totals solved first.  The chains here are
-random walks over consistent truth-first data: each step draws a value
-inside the compiled interval and applies the compiled completion.
+functions on the system with the totals solved first; the step's sparse
+rows are also compared with ``fm.CompiledInterval.evaluate``, the numpy
+batch path, on the same constants.  The chains here are random walks
+over consistent truth-first data: each step draws a value inside the
+compiled interval and applies the compiled completion.
 """
 
 import math
@@ -15,10 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp import fm
-from calimp.edits import DEFAULT_TOL, parse_edit_rules, violation_matrix
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, system_matrices, violation_matrix
 from calimp.errors import InfeasibleSystemError
-from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, pair_constraint_system, select_pair
+from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
 
 from _oracles import coupled_pair_step, pair_step
@@ -190,7 +191,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
         colsums = (state.weights @ state.values).tolist()
         rows = state.values[[s, t]]
         try:
-            step = systems.pair(state.values, colsums, s, t, j)
+            step = systems.pair(state.values.tolist(), colsums, s, t, j)
             value = draw(rng, step.interval, rows[0, j], scale_of(rows))
             interval, new = step.interval, np.array(step.complete(value))
         except InfeasibleSystemError:
@@ -232,11 +233,22 @@ def test_chain_steps_match_the_per_record_step(kind):
     # step that finds its interval but never completes holds: its interval
     # is a point the current value meets, both oracles find that point and
     # complete it to the pair's current rows, and the rows stay as they are.
+    # The chain hands each step its row lists (None for a record without
+    # imputed cells, which never changes).
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
     predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
     real_pair = PairSystems.pair
     checked, held, last = [], [], {}
+
+    def live_values(rows):
+        values = data.values.copy()
+        for rec, row in enumerate(rows):
+            if row is not None:
+                values[rec] = row
+            else:
+                assert not data.mask[rec].any()
+        return values
 
     def check_held(values):
         if last and not last["completed"]:
@@ -249,12 +261,13 @@ def test_chain_steps_match_the_per_record_step(kind):
             held.append(current)
         last.clear()
 
-    def checked_pair(systems, values, colsums, s, t, j):
+    def checked_pair(systems, rows, colsums, s, t, j):
+        values = live_values(rows)
         check_held(values)
         live = DataMatrix(values, data.mask, data.columns, data.weights)
         args = (live, edits, totals, s, t, data.columns[j], colsums)
         try:
-            step = real_pair(systems, values, colsums, s, t, j)
+            step = real_pair(systems, rows, colsums, s, t, j)
         except InfeasibleSystemError:
             check_step(*args, None, float(values[s, j]), None)
             raise
@@ -284,59 +297,129 @@ def test_chain_steps_match_the_per_record_step(kind):
     assert checked
 
 
+def numpy_interval(state, edits, totals, s, t, colsums, compiled):
+    """The pair's interval from ``compiled.evaluate``, the numpy batch path
+    of :func:`calimp.impute`, on the constants of the pair's 2K stacked
+    edits: s's with its known and pinned cells folded in, then t's scaled
+    by w_t/w_s with the coupled columns' shares R/w_s folded in.  Returns
+    lower, upper and the infeasible flag."""
+    A, b, _ = system_matrices(edits, state.columns)
+    w_s, w_t = float(state.weights[s]), float(state.weights[t])
+    in_s, in_t = state.mask[s], state.mask[t]
+    rows, R = state.values[[s, t]].copy(), np.zeros(len(state.columns))
+    for c, name in enumerate(state.columns):
+        if name in totals and (in_s[c] or in_t[c]):
+            rest = totals[name] - (colsums[c] - w_s * rows[0, c] - w_t * rows[1, c])
+            if in_s[c] and in_t[c]:
+                R[c] = rest / w_s
+            elif in_s[c]:
+                rows[0, c] = (rest - w_t * rows[1, c]) / w_s
+            else:
+                rows[1, c] = (rest - w_s * rows[0, c]) / w_t
+    has_total = np.array([name in totals for name in state.columns])
+    x_s = np.where(~in_s | (has_total & ~in_t), rows[0], 0.0)  # known or pinned
+    x_t = np.where(~in_t | (has_total & ~in_s), rows[1], 0.0)
+    ratio = w_t / w_s
+    d = np.concatenate([b + A @ x_s, ratio * (b + A @ x_t) + A @ R])
+    g = np.concatenate([
+        np.abs(b) + np.abs(A) @ np.abs(x_s), ratio * (np.abs(b) + np.abs(A) @ np.abs(x_t)) + np.abs(A) @ np.abs(R)
+    ])
+    lower, upper, bad = compiled.evaluate(d[None, :], g[None, :])
+    return float(lower[0]), float(upper[0]), bool(bad[0])
+
+
+@pytest.mark.parametrize("kind", ["study", "five", "partial", "survey"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal_weights", "unequal_weights"])
+def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
+    # Every key a seeded walk meets, on feasible steps and on steps whose
+    # column sums are moved far off (most of those infeasible): the sparse
+    # rows' interval is CompiledInterval.evaluate's on the same constants,
+    # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
+    # their own magnitude, the step on the pair's, so a crossing between
+    # the two is empty for evaluate and a point for the step.
+    rng = np.random.default_rng(37)
+    data, edits, totals = build(kind, rng, weighted)
+    state = data.copy()
+    systems, index = PairSystems(state, edits, totals), PairIndex.build(state.mask)
+    seen, infeasible = set(), 0
+    for k in range(240):
+        s, t, j = select_pair(index, rng)
+        colsums = state.weights @ state.values
+        perturbed = k % 4 == 3
+        if perturbed:
+            colsums[rng.integers(len(colsums))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * colsums.max()
+        colsums = colsums.tolist()
+        try:
+            step = systems.pair(state.values.tolist(), colsums, s, t, j)
+        except InfeasibleSystemError:
+            step = None
+        ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
+        key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
+        seen.add(key)
+        lower, upper, bad = numpy_interval(state, edits, totals, s, t, colsums, systems.systems[key].compiled)
+        scale = scale_of(state.values[[s, t]])
+        if step is None:
+            assert bad
+            infeasible += 1
+            continue
+        if bad:
+            assert lower > upper and lower - upper <= DEFAULT_TOL * scale
+            lower = upper = 0.5 * (lower + upper)
+        assert_close(step.interval.lower, lower, scale)
+        assert_close(step.interval.upper, upper, scale)
+        if not perturbed:
+            try:
+                state.values[[s, t]] = step.complete(draw(rng, step.interval, state.values[s, j], scale))
+            except InfeasibleSystemError:
+                pass
+    assert seen == set(systems.systems) and len(seen) > 1
+    assert infeasible > 5
+
+
 def test_small_cells_beside_large_observed_values_move():
     # Two small cells share the costs balance with values near 1e10, whose
     # sums round by more than DEFAULT_TOL times the cells.  The completion
     # check measures each record on its largest magnitude, as validate
-    # does, so no step falls back on that rounding.  (The per-record
-    # derivation gives up on about half of these steps: its equality
-    # elimination checks the constant rows it derives on the magnitude of
-    # the reduced constants, which have lost the observed values.)
+    # does, so no step falls back on that rounding, and both oracles agree
+    # on every step: their equality elimination checks each constant row it
+    # derives on the gross magnitude of its constant, observed values
+    # included, as the compiled check rows do.
     rng = np.random.default_rng(5)
     truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
     weights = rng.uniform(0.5, 4.0, 60)
     totals = {name: float(weights @ truth[:, j]) for j, name in enumerate(columns)}
-    seen, _ = walk(DataMatrix(truth, mask, columns, weights), edits, totals, rng, steps=200, oracles=False)
+    seen, _ = walk(DataMatrix(truth, mask, columns, weights), edits, totals, rng, steps=200)
     assert seen["fallbacks"] == 0
     assert seen["moved"] > 150
 
 
 def test_per_record_completion_is_checked_on_each_record_magnitude():
     # The walk above with equal weights, compared with the per-record step
-    # wherever its derivation finds an interval.  Its completion is checked
-    # as the compiled one is, each record on its largest magnitude; on the
-    # unknowns' magnitude alone it fell back on a few of these steps.
+    # on every step.  Its completion is checked as the compiled one is,
+    # each record on its largest magnitude; on the unknowns' magnitude alone
+    # it fell back on a few of these steps.
     rng = np.random.default_rng(0)
     truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
     totals = {name: float(truth[:, j].sum()) for j, name in enumerate(columns)}
     state = DataMatrix(truth.copy(), mask, columns)
     systems, index = PairSystems(state, edits, totals), PairIndex.build(mask)
-    compared = 0
     for _ in range(200):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
-        step = systems.pair(state.values, colsums, s, t, j)
+        step = systems.pair(state.values.tolist(), colsums, s, t, j)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
-        system, _ = pair_constraint_system(state, edits, totals, s, t, colsums=colsums)
-        try:
-            fm.admissible_interval(system, f"s.{var}")
-        except InfeasibleSystemError:
-            pass
-        else:
-            full = pair_step(state, edits, totals, s, t, var, colsums, value)
-            assert full is not None
-            interval, rows, forced = full
-            scale = scale_of(state.values[[s, t]])
-            assert_close(step.interval.lower, interval.lower, scale)
-            assert_close(step.interval.upper, interval.upper, scale)
-            assert forced
-            for got, want in zip(new.ravel(), rows.ravel()):
-                assert_close(got, want, scale)
-            compared += 1
+        full = pair_step(state, edits, totals, s, t, var, colsums, value)
+        assert full is not None
+        interval, rows, forced = full
+        scale = scale_of(state.values[[s, t]])
+        assert_close(step.interval.lower, interval.lower, scale)
+        assert_close(step.interval.upper, interval.upper, scale)
+        assert forced
+        for got, want in zip(new.ravel(), rows.ravel()):
+            assert_close(got, want, scale)
         state.values[[s, t]] = new
-    assert compared > 80
 
 
 def test_free_unknowns_are_exercised_with_unequal_weights():
@@ -363,7 +446,7 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
         moved = colsums.copy()
         moved[rng.integers(len(moved))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * colsums.max()
         try:
-            step = systems.pair(data.values, moved.tolist(), s, t, j)
+            step = systems.pair(data.values.tolist(), moved.tolist(), s, t, j)
             value = draw(rng, step.interval, data.values[s, j], scale_of(data.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
@@ -388,7 +471,7 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     totals = {"x2": float(x2.sum())}
     colsums = (data.weights @ values).tolist()
     colsums[1] += 1e-7
-    step = PairSystems(data, edits, totals).pair(values, colsums, 0, 1, 1)
+    step = PairSystems(data, edits, totals).pair(values.tolist(), colsums, 0, 1, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
@@ -404,7 +487,7 @@ def test_worked_example_pair():
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
     colsums = (data.weights @ data.values).tolist()
-    step = systems.pair(data.values, colsums, 0, 1, 4)
+    step = systems.pair(data.values.tolist(), colsums, 0, 1, 4)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
@@ -412,8 +495,8 @@ def test_worked_example_pair():
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    systems.pair(data.values, colsums, 0, 1, 4)
-    systems.pair(data.values, colsums, 1, 0, 3)
+    systems.pair(data.values.tolist(), colsums, 0, 1, 4)
+    systems.pair(data.values.tolist(), colsums, 1, 0, 3)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -426,7 +509,7 @@ def test_completion_margin_ignores_columns_no_edit_references():
     mask = np.zeros(values.shape, dtype=bool)
     mask[:, 0] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
-    step = PairSystems(data, edits, {"x1": 120.0}).pair(values, (data.weights @ values).tolist(), 0, 1, 0)
+    step = PairSystems(data, edits, {"x1": 120.0}).pair(values.tolist(), (data.weights @ values).tolist(), 0, 1, 0)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -452,7 +535,7 @@ def test_infeasible_worked_example():
     colsums = data.weights @ data.values
     colsums[4] += 200.0
     with pytest.raises(InfeasibleSystemError):
-        PairSystems(data, edits, totals).pair(data.values, colsums.tolist(), 0, 1, 4)
+        PairSystems(data, edits, totals).pair(data.values.tolist(), colsums.tolist(), 0, 1, 4)
     assert pair_step(data, edits, totals, 0, 1, "x5", colsums, 50.0) is None
 
 
