@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .edits import DEFAULT_TOL
 from .errors import InfeasibleAdjustmentError
 from .regression import as_weights
 
@@ -61,10 +62,9 @@ def _shifted_target(problem: AdjustmentProblem, target_sum: float | None) -> flo
     return float(target_sum - np.sum(problem.weights * problem.predictions))
 
 
-def _check_feasible(
-    problem: AdjustmentProblem, T: float, tol: float, feasibility_scale: float = 1.0
-) -> float:
-    """Fail fast on an unreachable target; clamp a roundoff-level near miss.
+def _check_feasible(problem: AdjustmentProblem, T: float, feasibility_scale: float = 1.0) -> float:
+    """Fail fast on an unreachable target; clamp a near miss within
+    ``DEFAULT_TOL`` of the problem's scale.
 
     ``feasibility_scale`` lets callers whose targets were formed by
     cancelling much larger quantities (for example column totals) widen the
@@ -81,7 +81,7 @@ def _check_feasible(
         float(np.sum(np.abs(w * problem.predictions))),
         abs(T),
     )
-    if T < least - tol * scale or T > most + tol * scale:
+    if T < least - DEFAULT_TOL * scale or T > most + DEFAULT_TOL * scale:
         raise InfeasibleAdjustmentError(
             f"required weighted adjustment sum {T:.6g} lies outside the achievable "
             f"range [{least:.6g}, {most:.6g}]"
@@ -102,7 +102,7 @@ def zero_sum_interval_adjust(
     residuals to zero).
     """
     T = _shifted_target(problem, target_sum)
-    T = _check_feasible(problem, T, tol=1e-9, feasibility_scale=feasibility_scale)
+    T = _check_feasible(problem, T, feasibility_scale=feasibility_scale)
     w = problem.weights
     lo = problem.lower - problem.predictions
     hi = problem.upper - problem.predictions

@@ -505,11 +505,6 @@ class CompiledInterval:
     check_comb: np.ndarray
     check_eq: np.ndarray
     check_reason: tuple[str | None, ...]
-    #: Equality-forced companions as an affine map of the target value and
-    #: the reduced constants: ``value = target_coef * x + comb . d``.
-    companion_vars: tuple[str, ...]
-    companion_target: np.ndarray
-    companion_comb: np.ndarray
     #: The compiled :func:`back_substitute`.  ``slices`` holds, per
     #: projected variable in elimination order, its one-dimensional slice:
     #: one (coefficient, other terms) entry per row of the system it was
@@ -579,11 +574,6 @@ class CompiledInterval:
             witness=(support(self.bound_comb[lo_row]), support(self.bound_comb[hi_row])),
         )
 
-    def companions(self, values: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """Companion values (records x ``companion_vars``) once the target
-        holds ``values``; what :func:`resolve_companions` returns per record."""
-        return values[:, None] * self.companion_target + D @ self.companion_comb.T
-
     # One record at a time, in plain Python: for a single record numpy's
     # call overhead exceeds the arithmetic of a system this small.
 
@@ -643,9 +633,8 @@ def snap(lower: float, upper: float, scale: float = 1.0) -> tuple[float, float]:
 def compile_interval(
     A: np.ndarray, is_eq: np.ndarray, names: Sequence[str], unknown: Collection[str], target: str
 ) -> CompiledInterval:
-    """Compile :func:`admissible_interval`, :func:`resolve_companions` and
-    :func:`back_substitute` for records whose unknown variables are
-    ``unknown``.
+    """Compile :func:`admissible_interval` and :func:`back_substitute` for
+    records whose unknown variables are ``unknown``.
 
     ``A`` and ``is_eq`` are the full system's coefficient matrix and
     equality flags (:func:`calimp.edits.system_matrices`), and ``names``
@@ -733,15 +722,6 @@ def compile_interval(
     bound_coef = [coeffs[at] for coeffs, combs in rows for _ in combs]
     bound_comb = [comb for _, combs in rows for comb in combs]
 
-    # Companions, as in resolve_companions with only the target assigned:
-    # each resolved value is affine in the target value and the constants.
-    affine: dict[int, tuple[float, np.ndarray]] = {at: (1.0, np.zeros(n))}
-    for var, terms, expr_comb in reversed(stack):
-        if all(i in affine for i, _ in terms):
-            coef = math.fsum(c * affine[i][0] for i, c in terms)
-            affine[var] = (coef, expr_comb + sum((c * affine[i][1] for i, c in terms), np.zeros(n)))
-    companions = list(affine)[1:]
-
     def matrix(combs: list) -> np.ndarray:
         return np.array(combs, dtype=float).reshape(len(combs), n)
 
@@ -753,9 +733,6 @@ def compile_interval(
         check_comb=matrix([c for c, _, _ in checks]),
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),
-        companion_vars=tuple(order[i] for i in companions),
-        companion_target=np.array([affine[i][0] for i in companions], dtype=float),
-        companion_comb=matrix([affine[i][1] for i in companions]),
         slices=tuple(slices),
         slice_comb=matrix(slice_comb),
         substitutions=tuple((var, terms) for var, terms, _ in stack),

@@ -11,11 +11,11 @@ structure (keeping their current values wherever the constraints leave
 slack).  Edits and totals therefore hold after every step.  The
 derivation is compiled once per pair shape (:class:`PairSystems`) into
 sparse rows, so a step only evaluates the rows it reads on the pair's
-constants.  Where the interval is a point the current value already
-meets, nothing can move: the step holds the pair as it is and counts as
-``pinned``.  It draws only the posterior's variates
-(:func:`posterior_variates`), without solving for the model, which keeps
-the random stream independent of that test.
+constants.  Where the interval is no wider than its bounds' rounding
+and the current value already meets it, nothing can move: the step holds
+the pair as it is and counts as ``pinned``.  It draws only the
+posterior's variates (:func:`posterior_variates`), without solving for
+the model, which keeps the random stream independent of that test.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, the records' rows are Python lists
@@ -684,9 +684,10 @@ def mcmc_refine(
     imputed cells).  Consistency is revalidated at
     every checkpoint; a step whose constraint system turns out infeasible
     falls back to retaining the current values and is counted.  A step
-    whose interval is a point that the current value meets to
-    ``DEFAULT_TOL * max(1, |point|)`` is accepted and holds the pair's
-    rows as they are (counted as ``pinned``).
+    whose interval is bounded and no wider than ``DEFAULT_TOL * max(1,
+    |lower|, |upper|)``, with the current value within that margin of it,
+    is accepted and holds the pair's rows as they are (counted as
+    ``pinned``).
     """
     if config is None:
         config = McmcConfig()
@@ -752,13 +753,16 @@ def mcmc_refine(
                     f"[{interval.lower}, {interval.upper}]"
                 )
             factor = stats.factor(j, columns[j])
-            # A point the current value meets to the point's own tolerance
-            # (fm.snap's rule) leaves nothing to draw or complete: the step
-            # holds the pair's rows, which are feasible.  It still draws the
-            # posterior's variates, without solving for the model, so the
-            # chain's stream does not depend on which steps hold.
-            point = interval.lower
-            held = interval.is_point() and abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
+            # An interval no wider than its bounds' rounding (fm.snap's rule)
+            # that the current value meets to that margin leaves nothing to
+            # draw or complete: the step holds the pair's rows, which are
+            # feasible.  It still draws the posterior's variates, without
+            # solving for the model, so the chain's stream does not depend on
+            # which steps hold.  An unbounded side makes the margin infinite
+            # and never holds.
+            lower, upper = interval.lower, interval.upper
+            margin = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
+            held = upper - lower <= margin < math.inf and lower - margin <= current <= upper + margin
             if held:
                 posterior_variates(factor[2], len(stats.columns[j]), n, rng)
             else:

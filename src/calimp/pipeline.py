@@ -11,9 +11,10 @@ predictions for the missing cells, and the predictions are made feasible:
 * ``bpmr``  - calibrated predictions plus interval-respecting random
   residuals that are re-centered to weighted sum zero.
 
-Values forced through balance edits are written back immediately, so the
-data stays consistent after every step.  Later rounds re-impute each
-target with all other variables as predictors.
+Each step writes only its target's column.  A cell that the edits force
+once the earlier targets hold their values gets a point interval at its
+own column's turn.  Later rounds re-impute each target with all other
+variables as predictors.
 """
 
 from __future__ import annotations
@@ -217,13 +218,11 @@ def _predict(target, y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale
 @dataclass
 class _TargetIntervals:
     """Admissible intervals of one target for the records missing it, and
-    the compiled derivation of each unknown-pattern group of those records
-    (positions into ``rows``, the derivation, the reduced constants)."""
+    the number of unknown-pattern groups they were derived in."""
 
-    rows: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    groups: list[tuple[np.ndarray, fm.CompiledInterval, np.ndarray]]
+    patterns: int
 
     def stats(self) -> dict:
         bounded = int(np.count_nonzero(np.isfinite(self.lower) & np.isfinite(self.upper)))
@@ -232,20 +231,8 @@ class _TargetIntervals:
             "degenerate": int(np.count_nonzero(self.lower == self.upper)),
             "bounded": bounded,
             "unbounded": int(self.lower.size) - bounded,
-            "patterns": len(self.groups),
+            "patterns": self.patterns,
         }
-
-    def write_companions(self, current: np.ndarray, final: np.ndarray, col_idx: Mapping[str, int]) -> int:
-        """Write the values the balance edits force once the target holds
-        ``final``; returns the number of cells written."""
-        written = 0
-        for pos, compiled, D in self.groups:
-            if compiled.companion_vars:
-                cols = [col_idx[v] for v in compiled.companion_vars]
-                values = compiled.companions(final[pos], D)
-                current[np.ix_(self.rows[pos], cols)] = values
-                written += values.size
-        return written
 
 
 def _missing_patterns(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +255,8 @@ class _PatternCompiler:
     """Interval derivations compiled once per (unknown pattern, target).
 
     Records missing the target are grouped by which edit variables they
-    still lack; each group's bounds, feasibility checks and companions are
-    then array expressions over its records (see :class:`fm.CompiledInterval`).
+    still lack; each group's bounds and feasibility checks are then array
+    expressions over its records (see :class:`fm.CompiledInterval`).
     The cache lives for one :func:`impute` call.
     """
 
@@ -285,7 +272,6 @@ class _PatternCompiler:
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         lower = np.empty(rows.size)
         upper = np.empty(rows.size)
-        groups = []
         first_bad = None
         for pattern, pos in zip(patterns, members):
             key = (pattern.tobytes(), target)
@@ -300,11 +286,10 @@ class _PatternCompiler:
                 j = int(np.argmax(bad))
                 if first_bad is None or pos[j] < first_bad[0]:
                     first_bad = (pos[j], compiled, D[j], G[j])
-            groups.append((pos, compiled, D))
         if first_bad is not None:
             p, compiled, d, g = first_bad
             raise compiled.infeasibility(self.edits.edits, d, g, record=int(rows[p]))
-        return _TargetIntervals(rows, lower, upper, groups)
+        return _TargetIntervals(lower, upper, len(patterns))
 
 
 def check_inputs(
@@ -448,7 +433,6 @@ def impute(
                 }
 
             current[rows, t] = final
-            companions = derived.write_companions(current, final, col_idx)
 
             if target not in imputed_so_far:
                 imputed_so_far.append(target)
@@ -463,7 +447,6 @@ def impute(
                     "intervals": derived.stats(),
                     "adjustment": adjustment_diag,
                     "residuals": residual_diag,
-                    "companions_written": companions,
                 }
             )
 

@@ -193,11 +193,10 @@ def random_imputation_instance(rng: np.random.Generator, max_records: int = 500,
 class PerRecordIntervals:
     """The per-record interval derivation that ``impute`` compiles per pattern.
 
-    Each record missing the target is reduced with ``reduce_system``, gets
-    its interval from ``fm.admissible_interval`` and later its companions
-    from ``fm.resolve_companions``, one record at a time.  It has the
-    interface of ``pipeline._PatternCompiler``, so a test can substitute it
-    and compare whole imputations.
+    Each record missing the target is reduced with ``reduce_system`` and
+    gets its interval from ``fm.admissible_interval``, one record at a
+    time.  It has the interface of ``pipeline._PatternCompiler``, so a test
+    can substitute it and compare whole imputations.
     """
 
     def __init__(self, edits: EditSystem, columns):
@@ -205,7 +204,7 @@ class PerRecordIntervals:
         self.col_idx = {name: j for j, name in enumerate(columns)}
 
     def intervals(self, current, rows, target):
-        intervals, records = [], []
+        intervals = []
         for i in rows:
             row_state = {
                 v: float(current[i, self.col_idx[v]])
@@ -214,20 +213,17 @@ class PerRecordIntervals:
             }
             try:
                 reduced = reduce_system(self.edits, row_state, origin=int(i))
-                interval, rec = fm.admissible_interval(reduced, target)
+                interval, _ = fm.admissible_interval(reduced, target)
             except InfeasibleSystemError as err:
                 raise InfeasibleSystemError(
                     f"record {i}, variable {target!r}: {err}", witness=err.witness
                 ) from err
             intervals.append(interval)
-            records.append(rec)
-        return _PerRecordResult(rows, intervals, records)
+        return _PerRecordResult(intervals)
 
 
 class _PerRecordResult:
-    def __init__(self, rows, intervals, records):
-        self.rows = rows
-        self.records = records
+    def __init__(self, intervals):
         self.lower = np.array([iv.lower for iv in intervals])
         self.upper = np.array([iv.upper for iv in intervals])
 
@@ -239,16 +235,6 @@ class _PerRecordResult:
             "bounded": bounded,
             "unbounded": int(self.lower.size) - bounded,
         }
-
-    def write_companions(self, current, final, col_idx) -> int:
-        written = 0
-        for value, i, rec in zip(final, self.rows, self.records):
-            for var, val in fm.resolve_companions(rec, {rec.target: float(value)}).items():
-                j = col_idx[var]
-                if math.isnan(current[i, j]):
-                    current[i, j] = val
-                    written += 1
-        return written
 
 
 def lstsq_posterior_fit(values: np.ndarray, target: int, predictors) -> tuple[np.ndarray, float, bool]:
@@ -311,7 +297,7 @@ def qp_reference_solve(
     if m > ORACLE_MAX_SIZE:
         raise ValueError(f"reference solver handles at most {ORACLE_MAX_SIZE} cells, got {m}")
     T = _shifted_target(problem, target_sum)
-    T = _check_feasible(problem, T, tol=1e-9, feasibility_scale=feasibility_scale)
+    T = _check_feasible(problem, T, feasibility_scale=feasibility_scale)
     w = problem.weights
     lo = problem.lower - problem.predictions
     hi = problem.upper - problem.predictions

@@ -2,8 +2,8 @@
 
 ``fm.compile_interval`` replays the symbolic steps of
 ``fm.admissible_interval`` once per unknown pattern; these tests check it
-against the per-record derivation (intervals, companions, errors), the
-lattice feasibility oracle, and whole imputations run the per-record way.
+against the per-record derivation (intervals and errors), the lattice
+feasibility oracle, and whole imputations run the per-record way.
 """
 
 import math
@@ -20,7 +20,7 @@ from calimp.errors import CalimpError, InfeasibleRecordError, InfeasibleSystemEr
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
 
 from _oracles import GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system
-from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES
+from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES, survey_truth
 
 RTOL = 1e-12
 
@@ -93,23 +93,17 @@ def close(a, b, scale):
 
 @examples
 @given(seeds)
-def test_intervals_and_companions_match_per_record_derivation(seed):
+def test_intervals_match_per_record_derivation(seed):
     rng = np.random.default_rng(seed)
     system, X = truth_first_system(rng)
     unknown, target = random_pattern(rng, list(system.variables))
-    compiled, D, _, (lower, upper, bad) = compiled_bounds(system, X, unknown, target)
+    _, _, _, (lower, upper, bad) = compiled_bounds(system, X, unknown, target)
     assert not bad.any()
     for i, x in enumerate(X):
         scale = float(np.abs(x).max())
-        interval, record = per_record(system, x, unknown, target)
+        interval, _ = per_record(system, x, unknown, target)
         assert close(lower[i], interval.lower, scale), (lower[i], interval)
         assert close(upper[i], interval.upper, scale), (upper[i], interval)
-        value = interval.clamp(float(x[system.variables.index(target)]))
-        expected = fm.resolve_companions(record, {target: value})
-        got = compiled.companions(np.array([value]), D[i : i + 1])[0]
-        assert set(compiled.companion_vars) == set(expected)
-        for var, val in zip(compiled.companion_vars, got):
-            assert close(val, expected[var], scale), (var, val, expected[var])
 
 
 @examples
@@ -193,10 +187,30 @@ def test_impute_reports_first_infeasible_record():
         impute(data, system, None, ImputationConfig("upma"))
 
 
-def run_with(monkeypatch, compiler, data, system, totals, method):
+def run_with(monkeypatch, compiler, data, system, totals, config):
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_PatternCompiler", compiler)
-        return impute(data, system, None if method == "upma" else totals, ImputationConfig(method, seed=3))
+        return impute(data, system, totals, config)
+
+
+def assert_matches_per_record(monkeypatch, data, system, totals, method, rounds=2):
+    """``impute`` against the same imputation with every interval derived
+    per record: the same error type where the reference raises, else
+    values within ``RTOL`` and the same interval counts on every row."""
+    config = ImputationConfig(method, rounds=rounds, seed=3)
+    totals = None if method == "upma" else totals
+    try:
+        ref, ref_diag = run_with(monkeypatch, PerRecordIntervals, data, system, totals, config)
+    except CalimpError as err:
+        with pytest.raises(type(err)):
+            impute(data, system, totals, config)
+        return
+    out, diag = impute(data, system, totals, config)
+    scale = np.maximum(1.0, np.abs(ref.values))
+    assert np.all(np.abs(out.values - ref.values) <= RTOL * scale), (method, rounds)
+    assert len(diag) == len(ref_diag)
+    for row, ref_row in zip(diag, ref_diag):
+        assert {k: row["intervals"][k] for k in ref_row["intervals"]} == ref_row["intervals"]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -204,18 +218,82 @@ def run_with(monkeypatch, compiler, data, system, totals, method):
 def test_imputation_matches_per_record_derivation(monkeypatch, seed):
     data, system, totals, _ = random_imputation_instance(np.random.default_rng(seed), max_records=200)
     for method in ("upma", "bpma", "bpmr"):
-        try:
-            ref, ref_diag = run_with(monkeypatch, PerRecordIntervals, data, system, totals, method)
-        except CalimpError as err:
-            with pytest.raises(type(err)):
-                impute(data, system, None if method == "upma" else totals, ImputationConfig(method, seed=3))
-            continue
-        out, diag = impute(data, system, None if method == "upma" else totals, ImputationConfig(method, seed=3))
-        scale = np.maximum(1.0, np.abs(ref.values))
-        assert np.all(np.abs(out.values - ref.values) <= RTOL * scale), method
-        for row, ref_row in zip(diag, ref_diag):
-            assert row["companions_written"] == ref_row["companions_written"]
-            assert {k: row["intervals"][k] for k in ref_row["intervals"]} == ref_row["intervals"]
+        assert_matches_per_record(monkeypatch, data, system, totals, method)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_survey_imputation_matches_per_record_derivation(monkeypatch, seed):
+    """Survey records, where no column is always observed: a target's cells
+    may be forced by earlier targets while they are still unknown."""
+    rng = np.random.default_rng(seed)
+    truth, system = survey_truth(rng, int(rng.integers(200, 301)))
+    mask = rng.random(truth.shape) < rng.uniform(0.15, 0.2)
+    weights = rng.uniform(0.5, 2.0, len(truth)) if seed % 2 else None
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS, weights)
+    totals = dict(zip(SURVEY_COLUMNS, (data.weights @ truth).tolist()))
+    for method in ("upma", "bpma", "bpmr"):
+        for rounds in (1, 2):
+            assert_matches_per_record(monkeypatch, data, system, totals, method, rounds)
+
+
+def forced_later_target_data():
+    """``x1 + x2 = P`` with x1 and x2 missing together, imputed in the order
+    ``[x1, y, x2]``: once x1 is imputed, the balance edit forces every
+    missing x2 cell, but x2 is a later target than y."""
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.uniform(5.0, 50.0, 40), rng.uniform(5.0, 50.0, 40)
+    truth = np.column_stack([x1, 0.4 * (x1 + x2) + rng.uniform(0.0, 3.0, 40), x2, x1 + x2])
+    mask = np.zeros(truth.shape, dtype=bool)
+    mask[:6, [0, 2]] = True
+    mask[3:11, 1] = True
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, ("x1", "y", "x2", "P"))
+    system = parse_edit_rules("x1 + x2 = P\nx1 >= 0\ny >= 0\nx2 >= 0\n")
+    return data, system, dict(zip(data.columns, truth.sum(axis=0).tolist()))
+
+
+@pytest.mark.parametrize("case", ["forced", "survey"])
+def test_each_step_writes_only_its_target_column(monkeypatch, case):
+    """Between two steps' derivations, ``current`` changes only in the
+    earlier step's target column and in the cells the later step blanks
+    in its own; after the last step, only in its target column."""
+    if case == "forced":
+        data, system, totals = forced_later_target_data()
+        config = ImputationConfig("bpma", variable_order=["x1", "y", "x2"])
+    else:
+        rng = np.random.default_rng(1)
+        truth, system = survey_truth(rng, 300)
+        mask = rng.random(truth.shape) < 0.15
+        data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+        totals, config = None, ImputationConfig("upma")
+    seen = []
+
+    class Recorder(pipeline._PatternCompiler):
+        def intervals(self, current, rows, target):
+            seen.append((data.column_index(target), rows, current.copy()))
+            return super().intervals(current, rows, target)
+
+    out, _ = run_with(monkeypatch, Recorder, data, system, totals, config)
+    assert len(seen) == 2 * len(pipeline.variable_order(data, config))
+    for k, (t, _, before) in enumerate(seen):
+        after = seen[k + 1][2] if k + 1 < len(seen) else out.values
+        changed = ~((before == after) | (np.isnan(before) & np.isnan(after)))
+        changed[:, t] = False
+        if k + 1 < len(seen):
+            t_next, rows_next, _ = seen[k + 1]
+            changed[rows_next, t_next] &= ~np.isnan(after[rows_next, t_next])
+        assert not changed.any(), (k, np.argwhere(changed)[:5])
+
+
+def test_explicit_round1_predictor_must_precede_its_target():
+    """An explicit round-1 predictor is complete only once it is imputed,
+    even where an earlier target's balance edit forces all its cells."""
+    data, system, _ = forced_later_target_data()
+    predictors = {"y": ["x2"]}
+    with pytest.raises(ValueError, match=r"^predictor\(s\) \['x2'\] for target 'y' are not complete yet$"):
+        impute(data, system, None, ImputationConfig("upma", predictors=predictors, variable_order=["x1", "y", "x2"]))
+    out, diag = impute(data, system, None, ImputationConfig("upma", predictors=predictors, variable_order=["x1", "x2", "y"]))
+    assert diag[2]["predictors"] == ["x2"]
+    assert not np.isnan(out.values).any()
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -253,10 +331,10 @@ def test_diagnostics_count_compiled_patterns():
     )
     _, diag = impute(DataMatrix(values, mask, ("x1", "x2", "P")), system, None,
                      ImputationConfig("upma", rounds=1, variable_order=["x1", "x2"]))
-    # x1 is missing alone in records 0 and 2 and with x2 in record 1; the
-    # balance edit then writes record 1's x2, leaving x2 one pattern.
+    # x1 is missing alone in records 0 and 2 and with x2 in record 1; at
+    # x2's turn record 1 lacks x2 alone, which the balance edit pins.
     assert [row["intervals"]["patterns"] for row in diag] == [2, 1]
-    assert diag[0]["companions_written"] == 1
+    assert diag[1]["intervals"]["degenerate"] == 1
 
 
 def test_target_outside_every_edit_is_unbounded():
@@ -299,5 +377,5 @@ def test_column_order_does_not_change_the_compiled_derivation(seed):
     permuted = [system.variables[j] for j in rng.permutation(len(system.variables))]
     a, b = (compile_for(system, unknown, target, columns) for columns in (system.variables, permuted))
     assert (a.unknown, a.substitutions, a.slices) == (b.unknown, b.substitutions, b.slices)
-    for name in ("bound_coef", "bound_comb", "check_comb", "slice_comb", "substitution_comb", "companion_comb"):
+    for name in ("bound_coef", "bound_comb", "check_comb", "slice_comb", "substitution_comb"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name

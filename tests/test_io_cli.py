@@ -443,7 +443,7 @@ def impute_layout(fit_extra, adjustment, residuals=None):
         ("round", None), ("variable", None), ("n_missing", None), ("predictors", None),
         ("dropped_predictors", None), ("fit", FIT_KEYS + fit_extra),
         ("intervals", ["count", "degenerate", "bounded", "unbounded", "patterns"]),
-        ("adjustment", adjustment), ("residuals", residuals), ("companions_written", None),
+        ("adjustment", adjustment), ("residuals", residuals),
     ]
 
 

@@ -748,6 +748,60 @@ class TestMcmcRefine:
         assert len(factored) == 5
         assert entry["exact_fit"] is False
 
+    def test_step_on_an_interval_within_its_rounding_holds(self):
+        # Five-column chains meet x1 or x4 cells at 0 whose interval is
+        # [0, 1.8e-12], two ulps of the bound rows' constants.  Such a step
+        # holds: the chain cut one step later has the same bytes and one
+        # more pinned step.  Checkpoints rebuild the column sums, so each
+        # run has a single one, at its end.
+        real_pair, found, calls = PairSystems.pair, [], [0]
+
+        def pair(self, rows, colsums, s, t, j):
+            step = real_pair(self, rows, colsums, s, t, j)
+            lower, upper = step.interval.lower, step.interval.upper
+            if not found and 0.0 < upper - lower <= 1e-9 * max(1.0, abs(lower), abs(upper)):
+                found.append((calls[0] + 1, j))
+            calls[0] += 1
+            return step
+
+        for k in range(10):
+            pre, edits, totals = five_var_data(np.random.default_rng(2000 + k), r=300)
+            calls[0] = 0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PairSystems, "pair", pair)
+                mcmc_refine(pre, edits, totals, McmcConfig(iterations=4000, checkpoint_every=4000, seed=k))
+            if found:
+                break
+        assert found, "no chain met a step on an interval within its rounding"
+        step, j = found[0]
+        runs = [
+            mcmc_refine(pre, edits, totals, McmcConfig(iterations=n, checkpoint_every=n, seed=k))
+            for n in (step - 1, step)
+        ]
+        (before, trace_before), (after, trace_after) = runs
+        assert after.values.tobytes() == before.values.tobytes()
+        name = pre.columns[j]
+        entry, entry_before = trace_after[-1]["per_variable"][name], trace_before[-1]["per_variable"][name]
+        assert (entry["accepted"], entry["pinned"], entry["moved"]) == (
+            entry_before["accepted"] + 1, entry_before["pinned"] + 1, entry_before["moved"]
+        )
+
+    def test_step_on_an_unbounded_interval_never_holds(self):
+        # Without totals, an imputed a has the interval [0, inf): its width
+        # and its rounding margin are both infinite, yet every step draws.
+        rng = np.random.default_rng(3)
+        b = rng.uniform(1.0, 10.0, 40)
+        values = np.column_stack([2.0 * b + rng.uniform(0.0, 1.0, 40), b])
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[:12, 0] = True
+        edits = parse_edit_rules("a >= 0\nb >= 0")
+        _, trace = mcmc_refine(
+            DataMatrix(values, mask, ("a", "b")), edits, None,
+            McmcConfig(iterations=50, seed=0, predictors={"a": ["b"]}),
+        )
+        entry = trace[-1]["per_variable"]["a"]
+        assert (entry["accepted"], entry["pinned"], entry["moved"]) == (50, 0, 50)
+
     def test_seeded_study_chain_takes_no_fallback(self):
         # A desk-scale study chain on which bounds that drifted colsums cross
         # by less than the pair's margin used to fall back once.
