@@ -492,6 +492,10 @@ class CompiledInterval:
     """
 
     target: str
+    #: Whether the equalities alone fix the target: elimination left an
+    #: equality in the target only, so a record's interval is a point (or
+    #: empty).
+    pinned: bool
     #: The unknowns and the target, sorted by name; ``slices``,
     #: ``substitutions`` and :meth:`complete` address them by position.
     unknown: tuple[str, ...]
@@ -661,6 +665,7 @@ def compile_interval(
 
     # Equalities, as in eliminate_equalities (each row has one combination).
     stack: list[tuple[int, tuple[tuple[int, float], ...], np.ndarray]] = []
+    pinned = False
     while (eq_pos := next((i for i, row in enumerate(work) if row[2]), None)) is not None:
         eq, eq_comb, _ = work.pop(eq_pos)
         mags = [0.0 if i == at else abs(c) for i, c in enumerate(eq)]
@@ -668,6 +673,7 @@ def compile_interval(
         if not mags[pivot]:
             # Only the target remains: pin it with a bound pair.
             work[eq_pos:eq_pos] = [(eq, eq_comb, False), ([-c for c in eq], -eq_comb, False)]
+            pinned = True
             continue
         cp = eq[pivot]
         # expr[pivot] is exactly -1, so substituting leaves an exact 0 there.
@@ -727,6 +733,7 @@ def compile_interval(
 
     return CompiledInterval(
         target=target,
+        pinned=pinned,
         unknown=order,
         bound_coef=np.array(bound_coef, dtype=float),
         bound_comb=matrix(bound_comb),

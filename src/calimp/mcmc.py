@@ -11,21 +11,26 @@ structure (keeping their current values wherever the constraints leave
 slack).  Edits and totals therefore hold after every step.  The
 derivation is compiled once per pair shape (:class:`PairSystems`) into
 sparse rows, so a step only evaluates the rows it reads on the pair's
-constants.  Where the interval is no wider than its bounds' rounding
-and the current value already meets it, nothing can move: the step holds
-the pair as it is and counts as ``pinned``.  It draws only the
-posterior's variates (:func:`posterior_variates`), without solving for
-the model, which keeps the random stream independent of that test.
+constants.
+
+Most steps cannot move, and the key alone says which: where the key's
+equalities fix the target (``fm.CompiledInterval.pinned``), the step is
+the identity whatever the state.  It is counted as accepted and
+``pinned`` and does nothing else: no pair system, posterior or draw.  On
+other keys, where the interval is no wider than its bounds' rounding and
+the current value already meets it, the step holds the pair as it is and
+also counts as ``pinned``; it draws only the posterior's variates
+(:func:`posterior_variates`), without solving for the model.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, the records' rows are Python lists
 that checkpoints write back to the data, and each posterior is drawn from
-sufficient statistics (one augmented Gram matrix over the columns the
-models read, as nested lists, and each model's Cholesky factor of it)
-that a step updates in plain Python for the two records it moved;
-checkpoints rebuild them.  A held step leaves them alone, so the next
-step reuses the factor.  Between checkpoints a step makes no numpy call
-but the generator's draws (and a key's first compile).
+sufficient statistics: one augmented Gram matrix over the columns the
+models read, as nested lists, whose block a drawing step factors for its
+model.  A step that moves cells updates the matrix in plain Python for
+its two records; checkpoints rebuild it.  Between checkpoints a step
+makes no numpy call but the generator's draws (and a key's first
+compile).
 """
 
 from __future__ import annotations
@@ -218,7 +223,9 @@ def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
 
 class _KeySystem(NamedTuple):
     """A key's compiled pair system as plain-Python sparse rows over the
-    step vector ``z`` (see :class:`PairStep`).  ``checks`` holds each check
+    step vector ``z`` (see :class:`PairStep`).  ``pinned`` is
+    ``compiled.pinned``: the key's equalities fix the target, so a step on
+    it is the identity (see :func:`mcmc_refine`).  ``checks`` holds each check
     row's terms, the terms over ``|z|`` of its gross magnitude, and its
     equality flag; ``bounds`` each bound row's terms and target
     coefficient; ``completion`` the terms of the slice rows, then of the
@@ -227,6 +234,7 @@ class _KeySystem(NamedTuple):
     ``compiled.unknown``."""
 
     compiled: fm.CompiledInterval
+    pinned: bool
     checks: list[tuple[list[tuple[int, float]], list[tuple[int, float]], bool]]
     bounds: list[tuple[list[tuple[int, float]], float]]
     completion: list[list[tuple[int, float]]]
@@ -308,6 +316,7 @@ class PairSystems:
         M[K:, 3 * p + 1] = self.b
         return _KeySystem(
             compiled,
+            compiled.pinned,
             list(zip(_terms(compiled.check_comb @ M), _terms(np.abs(compiled.check_comb) @ np.abs(M)),
                      compiled.check_eq.tolist())),
             list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
@@ -315,12 +324,9 @@ class PairSystems:
             tuple(divmod(labels.index(v), p) for v in compiled.unknown),
         )
 
-    def pair(self, rows: Sequence[list[float]], colsums: list[float], s: int, t: int, j: int) -> PairStep:
-        """The system of records ``s`` and ``t`` re-drawing column ``j`` of
-        ``s``, at their current rows ``rows[s]`` and ``rows[t]`` (lists,
-        only read) and the weighted column sums: its interval, or
-        :class:`InfeasibleSystemError` where the derivation finds the
-        system infeasible."""
+    def system(self, s: int, t: int, j: int) -> _KeySystem:
+        """The compiled system of records ``s`` and ``t`` re-drawing column
+        ``j`` of ``s``: its key's, compiled when the key is first met."""
         ps, pt, with_total = self.pattern[s], self.pattern[t], self.with_total
         key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
         system = self.systems.get(key)
@@ -329,12 +335,16 @@ class PairSystems:
             self.compiled += 1
         else:
             self.hits += 1
-        return PairStep(self, system, rows[s], rows[t], colsums, s, t)
+        return system
 
 
 class PairStep:
     """One step's pair system: the target's interval, computed on
-    construction, and :meth:`complete`.
+    construction, and :meth:`complete`.  ``system`` is the key's
+    (:meth:`PairSystems.system`), ``rows[s]`` and ``rows[t]`` the records'
+    current rows (lists, only read) and ``colsums`` the weighted column
+    sums; construction raises :class:`InfeasibleSystemError` where the
+    derivation finds the system infeasible.
 
     The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
     R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with
@@ -344,8 +354,9 @@ class PairStep:
     rows, the completed rows and the pair's margin scale wait until
     something reads them.  ``imputed`` holds each record's imputed columns."""
 
-    def __init__(self, systems: PairSystems, system: _KeySystem, row_s: list[float], row_t: list[float],
+    def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]],
                  colsums: list[float], s: int, t: int):
+        row_s, row_t = rows[s], rows[t]
         ps, pt, with_total, total = systems.pattern[s], systems.pattern[t], systems.with_total, systems.total
         self.systems, self.system = systems, system
         self.w_s, self.w_t = w_s, w_t = systems.weights[s], systems.weights[t]
@@ -572,8 +583,7 @@ class PosteriorStats:
     augmented Gram matrix over ``[1, every column some model reads]``, as
     nested lists.  Model j reads its block ``[1, predictors, target]``
     through ``index[j]``, a getter of the block's rows and columns fixed at
-    build time, and :meth:`factor` keeps the block's :func:`gram_factor`
-    until the matrix changes.
+    build time.
 
     A step that moves cells replaces the old rows of its two records by
     their new rows (a rank-one downdate and update each) in plain Python;
@@ -593,20 +603,11 @@ class PosteriorStats:
 
     def rebuild(self, values: np.ndarray) -> None:
         self.gram = gram_matrix(values, self.read).tolist()
-        self.factors: dict[int, tuple[list[list[float]], list[float], float]] = {}
 
     def block(self, j: int) -> list[tuple[float, ...]]:
         """Model j's augmented Gram matrix of ``[1, predictors, target]``."""
         index = self.index[j]
         return [index(row) for row in index(self.gram)]
-
-    def factor(self, j: int, target: str) -> tuple[list[list[float]], list[float], float]:
-        """:func:`gram_factor` of model j's block, ``target`` naming it in
-        errors; computed once per state of the matrix."""
-        factor = self.factors.get(j)
-        if factor is None:
-            factor = self.factors[j] = gram_factor(self.block(j), target)
-        return factor
 
     def move(self, old_rows: Sequence[list[float]], new_rows: Sequence[list[float]]) -> None:
         """Swap ``old_rows`` for ``new_rows`` (both records' full rows, as
@@ -623,7 +624,6 @@ class PosteriorStats:
             for k in range(i, len(g)):
                 g[k] += (a * new_s[k] + b * new_t[k]) - (c * old_s[k] + d * old_t[k])
                 gram[k][i] = g[k]
-        self.factors.clear()
 
 
 def draw_truncated_posterior(
@@ -683,11 +683,18 @@ def mcmc_refine(
     iterations), be complete and reproduce the totals (its mask marks the
     imputed cells).  Consistency is revalidated at
     every checkpoint; a step whose constraint system turns out infeasible
-    falls back to retaining the current values and is counted.  A step
-    whose interval is bounded and no wider than ``DEFAULT_TOL * max(1,
-    |lower|, |upper|)``, with the current value within that margin of it,
-    is accepted and holds the pair's rows as they are (counted as
-    ``pinned``).
+    falls back to retaining the current values and is counted.
+
+    A step counts as accepted and ``pinned``, and leaves the pair's rows as
+    they are, in two cases.  Where its key pins the target
+    (:attr:`_KeySystem.pinned`), it is the identity whatever the state: the
+    interval is a point the current value meets, and a total then pins the
+    partner.  It builds no :class:`PairStep` and draws nothing, which
+    leaves the chain's kernel unchanged; only the seeded path differs from
+    a chain that draws on such steps.  On other keys, a step whose interval
+    is bounded and no wider than ``DEFAULT_TOL * max(1, |lower|, |upper|)``,
+    with the current value within that margin of it, holds after drawing
+    the posterior's variates.
     """
     if config is None:
         config = McmcConfig()
@@ -741,53 +748,61 @@ def mcmc_refine(
 
     for iteration in range(1, iterations + 1):
         s, t, j = select_pair(index, rng)
-        try:
-            pair = systems.pair(rows, colsums, s, t, j)
-            interval = pair.interval
-            row_s = rows[s]
-            current = row_s[j]
-            if not pair.admits(current):
-                raise CalimpError(
-                    f"step {iteration}: current value {current!r} of record {s}, "
-                    f"variable {columns[j]!r} fell outside its admissible interval "
-                    f"[{interval.lower}, {interval.upper}]"
-                )
-            factor = stats.factor(j, columns[j])
-            # An interval no wider than its bounds' rounding (fm.snap's rule)
-            # that the current value meets to that margin leaves nothing to
-            # draw or complete: the step holds the pair's rows, which are
-            # feasible.  It still draws the posterior's variates, without
-            # solving for the model, so the chain's stream does not depend on
-            # which steps hold.  An unbounded side makes the margin infinite
-            # and never holds.
-            lower, upper = interval.lower, interval.upper
-            margin = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
-            held = upper - lower <= margin < math.inf and lower - margin <= current <= upper + margin
-            if held:
-                posterior_variates(factor[2], len(stats.columns[j]), n, rng)
-            else:
-                model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
-                new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
-        except InfeasibleSystemError:
-            # The current point is always feasible, so the step can keep it.
-            counts[j]["fallbacks"] += 1
-        else:
+        system = systems.system(s, t, j)
+        if system.pinned:
+            # The key's equalities fix the target: its interval is a point,
+            # which the feasible current value meets, and a total then pins
+            # the partner.  The step is the identity whatever the state, so
+            # it builds, draws and writes nothing.
             counts[j]["accepted"] += 1
-            if held:
-                counts[j]["pinned"] += 1
+            counts[j]["pinned"] += 1
+        else:
+            try:
+                pair = PairStep(systems, system, rows, colsums, s, t)
+                interval = pair.interval
+                row_s = rows[s]
+                current = row_s[j]
+                if not pair.admits(current):
+                    raise CalimpError(
+                        f"step {iteration}: current value {current!r} of record {s}, "
+                        f"variable {columns[j]!r} fell outside its admissible interval "
+                        f"[{interval.lower}, {interval.upper}]"
+                    )
+                factor = gram_factor(stats.block(j), columns[j])
+                # An interval no wider than its bounds' rounding (fm.snap's
+                # rule) that the current value meets to that margin leaves
+                # nothing to draw or complete: the step holds the pair's rows,
+                # which are feasible.  It still draws the posterior's variates,
+                # without solving for the model.  An unbounded side makes the
+                # margin infinite and never holds.
+                lower, upper = interval.lower, interval.upper
+                margin = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
+                held = upper - lower <= margin < math.inf and lower - margin <= current <= upper + margin
+                if held:
+                    posterior_variates(factor[2], len(stats.columns[j]), n, rng)
+                else:
+                    model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
+                    new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
+            except InfeasibleSystemError:
+                # The current point is always feasible, so the step can keep it.
+                counts[j]["fallbacks"] += 1
             else:
-                for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
-                    for col in cols:
-                        delta = new[col] - old[col]
-                        if delta != 0.0:
-                            colsums[col] += weights[rec] * delta
-                    rows[rec] = new
-                moved.update((s, t))
-                stats.move(pair.old, new_rows)
-                move = abs(new_rows[0][j] - current)
-                if move:
-                    counts[j]["moved"] += 1
-                    abs_moves[j] += move
+                counts[j]["accepted"] += 1
+                if held:
+                    counts[j]["pinned"] += 1
+                else:
+                    for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
+                        for col in cols:
+                            delta = new[col] - old[col]
+                            if delta != 0.0:
+                                colsums[col] += weights[rec] * delta
+                        rows[rec] = new
+                    moved.update((s, t))
+                    stats.move(pair.old, new_rows)
+                    move = abs(new_rows[0][j] - current)
+                    if move:
+                        counts[j]["moved"] += 1
+                        abs_moves[j] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             if moved:
@@ -797,7 +812,7 @@ def mcmc_refine(
             colsums = (state.weights @ state.values).tolist()
             stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
-            exact = {j: stats.factor(j, columns[j])[2] == 0.0 for j in targets}
+            exact = {j: gram_factor(stats.block(j), columns[j])[2] == 0.0 for j in targets}
             row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, exact, systems)
             if not trace:
                 row["predictors"] = {columns[j]: predictors[j] for j in targets}

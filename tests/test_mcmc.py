@@ -15,6 +15,7 @@ from calimp.mcmc import (
     GRAM_RTOL,
     McmcConfig,
     PairIndex,
+    PairStep,
     PairSystems,
     PosteriorModel,
     PosteriorStats,
@@ -355,28 +356,36 @@ class TestPosteriorOracle:
         else:
             pre, edits, totals = five_var_data(rng, r=r)
             predictors = None
-        checked = {"steps": 0, "variates": 0, "checkpoints": 0}
-        real_pair, real_posterior, real_variates = PairSystems.pair, mcmc.posterior_model, mcmc.posterior_variates
-        real_factor, real_rebuild = PosteriorStats.factor, PosteriorStats.rebuild
+        checked = {"steps": 0, "variates": 0, "checkpoints": 0, "skipped": 0}
+        real_system, real_step = PairSystems.system, mcmc.PairStep
+        real_posterior, real_variates, real_factor = mcmc.posterior_model, mcmc.posterior_variates, mcmc.gram_factor
+        real_rebuild = PosteriorStats.rebuild
         live = {}
 
-        def recording_pair(systems_, rows, colsums, s, t, j):
+        def counting_system(systems_, s, t, j):
+            system = real_system(systems_, s, t, j)
+            checked["skipped"] += system.pinned
+            live.update(j=j)
+            return system
+
+        def recording_step(systems_, system, rows, colsums, s, t):
             # The chain's values: its row lists where it keeps them (records
             # with an imputed cell), the input elsewhere.
             values = pre.values.copy()
             for rec, row in enumerate(rows):
                 if row is not None:
                     values[rec] = row
-            live.update(values=values, row=rows[s], j=j)
-            return real_pair(systems_, rows, colsums, s, t, j)
+            live.update(values=values, row=rows[s])
+            return real_step(systems_, system, rows, colsums, s, t)
 
-        def checked_factor(stats_, j, target):
-            # Every step, held or not, and every checkpoint reads its model's
-            # factor, which must be that of a fresh Gram on the current
-            # values (a stale one is not).
-            factor = real_factor(stats_, j, target)
-            assert_factor_of(factor, gram_matrix(live["values"], stats_.columns[j]).tolist())
-            live.update(factor=factor, columns=stats_.columns[j])
+        def checked_factor(gram, target):
+            # Every step that draws or holds at rounding level, and every
+            # checkpoint, factors its model's block, which must be that of a
+            # fresh Gram on the current values (a stale one is not).
+            factor = real_factor(gram, target)
+            columns = live["stats"].columns[pre.columns.index(target)]
+            assert_factor_of(factor, gram_matrix(live["values"], columns).tolist())
+            live.update(factor=factor, columns=columns)
             return factor
 
         def checked_posterior(factor, row, predictors_, n, rng_):
@@ -388,7 +397,7 @@ class TestPosteriorOracle:
             return real_posterior(factor, row, predictors_, n, rng_)
 
         def checked_variates(rss, p1, n, rng_):
-            # Held steps draw these alone, on the same factor.
+            # Holds at rounding level draw these alone, on the same factor.
             assert rss == live["factor"][2] and n == len(live["values"])
             checked["variates"] += 1
             return real_variates(rss, p1, n, rng_)
@@ -398,24 +407,26 @@ class TestPosteriorOracle:
                 for j, cols in stats_.columns.items():
                     assert_matches_oracle(stats_.block(j), values, j, cols[:-1])
                 checked["checkpoints"] += 1
-            live["values"] = values.copy()
+            live.update(values=values.copy(), stats=stats_)
             real_rebuild(stats_, values)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PairSystems, "pair", recording_pair)
+            patch.setattr(PairSystems, "system", counting_system)
+            patch.setattr(mcmc, "PairStep", recording_step)
             patch.setattr(mcmc, "posterior_model", checked_posterior)
             patch.setattr(mcmc, "posterior_variates", checked_variates)
-            patch.setattr(PosteriorStats, "factor", checked_factor)
+            patch.setattr(mcmc, "gram_factor", checked_factor)
             patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
             _, trace = mcmc_refine(
                 pre, edits, totals,
                 McmcConfig(iterations=600, checkpoint_every=int(rng.integers(50, 300)),
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
-        assert checked["steps"] > 0 and checked["checkpoints"] >= 2
-        # posterior_model draws its variates through the same function.
+        assert checked["steps"] > 0 and checked["checkpoints"] >= 2 and checked["skipped"] > 0
+        # posterior_model draws its variates through the same function; the
+        # pinned steps that are not skipped are the holds at rounding level.
         pinned = sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
-        assert checked["variates"] == checked["steps"] + pinned
+        assert checked["variates"] == checked["steps"] + pinned - checked["skipped"]
 
     @pytest.mark.parametrize("system", ["study", "five_unread"])
     def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
@@ -719,7 +730,7 @@ class TestMcmcRefine:
     def test_steps_pinned_at_their_current_value_hold(self):
         # a = c - b pins every imputed a.  The stored a meets its point to
         # rounding only (4000 + a rounds), so a completion would move it by
-        # an ulp of 4000; a held step leaves it, and the Gram with it.
+        # an ulp of 4000; a skipped step leaves it, and the Gram with it.
         rng = np.random.default_rng(2)
         a, b = rng.uniform(0.0, 1.0, 30), rng.uniform(3000.0, 5000.0, 30)
         values = np.column_stack([a, b, a + b])
@@ -743,32 +754,103 @@ class TestMcmcRefine:
         assert out.values.tobytes() == values.tobytes()
         entry = trace[-1]["per_variable"]["a"]
         assert (entry["accepted"], entry["pinned"], entry["moved"], entry["mean_abs_move"]) == (40, 40, 0, 0.0)
-        # Once on the input and once after each of the four rebuilds, whose
-        # checkpoint reads it for its exact_fit flag: held steps reuse it.
-        assert len(factored) == 5
+        # Once after each of the four rebuilds, whose checkpoint reads it for
+        # its exact_fit flag: every step's key pins a, so no step factors.
+        assert len(factored) == 4
         assert entry["exact_fit"] is False
+
+    def test_steps_on_keys_that_pin_the_target_are_skipped(self):
+        # From the key lookup that finds its key pinned to the next pair
+        # selection (or checkpoint rebuild), a step builds no PairStep,
+        # factors no model, draws no variates and calls no generator method.
+        # It counts as accepted and pinned, and it writes nothing: the
+        # chain's rows always equal the input with each completion applied.
+        # The generator's methods are compiled, so the profiler sees none of
+        # them; the chain's generator records each attribute it is asked for.
+        pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
+        system_code = PairSystems.system.__code__
+        closing = {mcmc.select_pair.__code__, PosteriorStats.rebuild.__code__}
+        watched = {PairStep.__init__.__code__, gram_factor.__code__, posterior_variates.__code__}
+        window, calls, skipped = [False], [], [0]
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is system_code:
+                window[0] = arg.pinned
+                skipped[0] += arg.pinned
+            elif event == "call" and frame.f_code in closing:
+                window[0] = False
+            elif window[0] and event == "call" and frame.f_code in watched:
+                calls.append(frame.f_code.co_name)
+
+        class Generator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                if window[0]:
+                    calls.append(name)
+                return getattr(self.rng, name)
+
+        real_rng = np.random.default_rng
+        tracked = pre.values.copy()
+
+        class Step(PairStep):
+            def __init__(self, systems, system, rows, colsums, s, t):
+                for rec, row in enumerate(rows):
+                    if row is not None:
+                        assert np.array(row).tobytes() == tracked[rec].tobytes()
+                super().__init__(systems, system, rows, colsums, s, t)
+                self.records = [s, t]
+
+            def complete(self, value):
+                new = super().complete(value)
+                tracked[self.records] = new
+                return new
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "PairStep", Step)
+            patch.setattr(np.random, "default_rng", lambda seed: Generator(real_rng(seed)))
+            sys.setprofile(profile)
+            try:
+                out, trace = mcmc_refine(
+                    pre, edits, totals,
+                    McmcConfig(iterations=600, checkpoint_every=200, seed=2,
+                               predictors={"x1": ["P"], "x2": ["P", "x1"]}),
+                )
+            finally:
+                sys.setprofile(None)
+        assert calls == []
+        assert out.values.tobytes() == tracked.tobytes()
+        entries = trace[-1]["per_variable"].values()
+        assert sum(entry["moved"] for entry in entries) > 50
+        assert sum(entry["pinned"] for entry in entries) >= skipped[0] > 200
+        assert trace[-1]["accepted"] + trace[-1]["fallbacks"] == 600
 
     def test_step_on_an_interval_within_its_rounding_holds(self):
         # Five-column chains meet x1 or x4 cells at 0 whose interval is
-        # [0, 1.8e-12], two ulps of the bound rows' constants.  Such a step
-        # holds: the chain cut one step later has the same bytes and one
-        # more pinned step.  Checkpoints rebuild the column sums, so each
-        # run has a single one, at its end.
-        real_pair, found, calls = PairSystems.pair, [], [0]
+        # [0, 1.8e-12], two ulps of the bound rows' constants, on keys that
+        # do not pin them.  Such a step holds: the chain cut one step later
+        # has the same bytes and one more pinned step.  Checkpoints rebuild
+        # the column sums, so each run has a single one, at its end.
+        real_system, found, step_of = PairSystems.system, [], {}
 
-        def pair(self, rows, colsums, s, t, j):
-            step = real_pair(self, rows, colsums, s, t, j)
-            lower, upper = step.interval.lower, step.interval.upper
-            if not found and 0.0 < upper - lower <= 1e-9 * max(1.0, abs(lower), abs(upper)):
-                found.append((calls[0] + 1, j))
-            calls[0] += 1
-            return step
+        def system(self, s, t, j):
+            step_of.update(step=step_of["step"] + 1, j=j)
+            return real_system(self, s, t, j)
+
+        class Step(PairStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                lower, upper = self.interval.lower, self.interval.upper
+                if not found and 0.0 < upper - lower <= 1e-9 * max(1.0, abs(lower), abs(upper)):
+                    found.append((step_of["step"], step_of["j"]))
 
         for k in range(10):
             pre, edits, totals = five_var_data(np.random.default_rng(2000 + k), r=300)
-            calls[0] = 0
+            step_of["step"] = 0
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(PairSystems, "pair", pair)
+                patch.setattr(PairSystems, "system", system)
+                patch.setattr(mcmc, "PairStep", Step)
                 mcmc_refine(pre, edits, totals, McmcConfig(iterations=4000, checkpoint_every=4000, seed=k))
             if found:
                 break
@@ -821,6 +903,9 @@ class TestMcmcRefine:
         # x2 ~ 0.3 is pinned by x1 and P ~ 3.4e3; the stored x2 meets the
         # balance edit to the validator's tolerance (1e-9 of the record's
         # largest value) but misses the point interval by 5e-8 absolute.
+        # The pair's interval still admits it, on the pair's margin, so the
+        # skip that the key's pin licenses keeps a valid state: every step is
+        # accepted and pinned, and the cells stay as they are.
         edits = parse_edit_rules("x1 + x2 = P\nx1 >= x2\nP >= 3*x2\nx1 >= 0\nx2 >= 0\nP >= 0\n")
         x1 = np.array([3400.0, 3391.5, 2000.0, 2500.0])
         x2 = np.array([0.24, 0.31, 300.0, 400.0])
@@ -829,9 +914,18 @@ class TestMcmcRefine:
         mask = np.zeros_like(values, dtype=bool)
         mask[:2, 1] = True
         data = DataMatrix(values, mask, ("x1", "x2", "P"))
+        systems = PairSystems(data, edits, None)
+        for s, t in ((0, 1), (1, 0)):
+            system = systems.system(s, t, 1)
+            assert system.pinned
+            step = PairStep(systems, system, values.tolist(), values.sum(axis=0).tolist(), s, t)
+            assert step.interval.is_point() and step.admits(values[s, 1])
+            assert abs(step.interval.lower - values[s, 1]) > 1e-8
         out, trace = mcmc_refine(data, edits, None, McmcConfig(iterations=20, seed=0))
-        assert trace[-1]["accepted"] == 20
-        assert not violation_matrix(edits, out.values, out.columns, tol=1e-12).any()
+        entry = trace[-1]["per_variable"]["x2"]
+        assert (entry["accepted"], entry["pinned"], entry["fallbacks"]) == (20, 20, 0)
+        assert out.values.tobytes() == values.tobytes()
+        assert not violation_matrix(edits, out.values, out.columns).any()
 
     def test_trace_flags_exact_fits(self):
         # x2 = P - x1 exactly, so its model on P and x1 has rss 0 (σ² = 0:

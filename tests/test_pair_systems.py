@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from calimp import mcmc
 from calimp.edits import DEFAULT_TOL, parse_edit_rules, system_matrices, violation_matrix
 from calimp.errors import InfeasibleSystemError
-from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
+from calimp.mcmc import McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
 
 from _oracles import coupled_pair_step, pair_step
@@ -177,24 +178,65 @@ def check_step(state, edits, totals, s, t, var, colsums, interval, value, new):
     return forced
 
 
+def pins_target(systems, key):
+    """The rank oracle of ``_KeySystem.pinned``: the target's unit vector
+    lies in the row space of the key's equality rows over its unknowns.
+    s's equalities read its coupled and own columns; t's read its own
+    columns and, negated, s's coupled ones, as the totals substitute them."""
+    j, coupled, free_s, free_t = key
+    E = systems.A[systems.is_eq]
+    in_s = [c for c in range(E.shape[1]) if (coupled | free_s) >> c & 1]
+    in_t = [c for c in range(E.shape[1]) if free_t >> c & 1]
+    negated = np.where([coupled >> c & 1 for c in in_s], -1.0, 0.0)
+    rows = np.vstack([
+        np.hstack([E[:, in_s], np.zeros((len(E), len(in_t)))]),
+        np.hstack([E[:, in_s] * negated, E[:, in_t]]),
+    ])
+    unit = np.zeros((1, rows.shape[1]))
+    unit[0, in_s.index(j)] = 1.0
+    rank = np.linalg.matrix_rank(rows) if rows.size else 0
+    return np.linalg.matrix_rank(np.vstack([rows, unit])) == rank
+
+
+def assert_admits_point(interval, current, scale):
+    """The proof obligation of a step whose key pins its target: its
+    interval is a point that the current value meets to the margin the
+    edits hold to."""
+    assert interval.is_point(), interval
+    assert abs(current - interval.lower) <= DEFAULT_TOL * scale, (current, interval)
+
+
 def walk(data, edits, totals, rng, steps, oracles=True):
     """Compare every step of a random walk with both oracles (unless
     ``oracles`` is false); returns the counts of fallbacks, of steps with
-    unknowns left free and of steps that moved a cell."""
+    unknowns left free, of steps that moved a cell and of steps whose key
+    pins the target.  Each of those, which a chain skips, must give a point
+    interval that admits the current value, through the compiled step and
+    the per-record oracle; every key's flag must agree with the rank
+    oracle."""
     state = data.copy()
     systems = PairSystems(state, edits, totals)
     index = PairIndex.build(state.mask)
-    seen = {"steps": 0, "fallbacks": 0, "free": 0, "moved": 0}
+    seen = {"steps": 0, "fallbacks": 0, "free": 0, "moved": 0, "pinned": 0}
     for _ in range(steps):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
         rows = state.values[[s, t]]
+        system = systems.system(s, t, j)
         try:
-            step = systems.pair(state.values.tolist(), colsums, s, t, j)
+            step = PairStep(systems, system, state.values.tolist(), colsums, s, t)
+            if system.pinned:
+                assert step.admits(rows[0, j])
+                assert_admits_point(step.interval, rows[0, j], scale_of(rows))
+                full = pair_step(state, edits, totals, s, t, var, colsums, rows[0, j])
+                assert full is not None
+                assert_admits_point(full[0], rows[0, j], scale_of(rows))
+                seen["pinned"] += 1
             value = draw(rng, step.interval, rows[0, j], scale_of(rows))
             interval, new = step.interval, np.array(step.complete(value))
         except InfeasibleSystemError:
+            assert not system.pinned
             interval, value, new = None, float(rows[0, j]), None
         if oracles:
             seen["free"] += not check_step(state, edits, totals, s, t, var, colsums, interval, value, new)
@@ -208,6 +250,8 @@ def walk(data, edits, totals, rng, steps, oracles=True):
         if name in totals:
             assert float(state.weights @ state.values[:, j]) == pytest.approx(totals[name], rel=1e-8)
     assert np.array_equal(state.values[~state.mask], data.values[~data.mask])
+    for key, system in systems.systems.items():
+        assert system.pinned == pins_target(systems, key), key
     return seen, systems
 
 
@@ -230,16 +274,20 @@ def test_compiled_step_matches_the_per_record_step(kind, weighted, seed):
 @pytest.mark.parametrize("kind", ["study", "five", "partial"])
 def test_chain_steps_match_the_per_record_step(kind):
     # Inside mcmc_refine, with its own posterior draws and column sums.  A
-    # step that finds its interval but never completes holds: its interval
-    # is a point the current value meets, both oracles find that point and
-    # complete it to the pair's current rows, and the rows stay as they are.
-    # The chain hands each step its row lists (None for a record without
-    # imputed cells, which never changes).
+    # step whose key pins the target is skipped; evaluated here after all,
+    # on the chain's values and fresh column sums, its interval is a point
+    # that admits the current value, and both oracles find that point and
+    # complete it to the pair's current rows.  A step that builds its
+    # PairStep but never completes holds the same way.  The chain hands
+    # each PairStep its row lists (None for a record without imputed cells,
+    # which never changes); they must always be the input with every
+    # completion applied, so neither kind of step writes.
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
     predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
-    real_pair = PairSystems.pair
-    checked, held, last = [], [], {}
+    real_system = PairSystems.system
+    tracked = data.values.copy()
+    checked, held, skipped, last = [], [], [], {}
 
     def live_values(rows):
         values = data.values.copy()
@@ -250,51 +298,83 @@ def test_chain_steps_match_the_per_record_step(kind):
                 assert not data.mask[rec].any()
         return values
 
-    def check_held(values):
-        if last and not last["completed"]:
-            (s, t), rows, step, args = last["records"], last["rows"], last["step"], last["args"]
+    def step_args(s, t, j, colsums):
+        live = DataMatrix(tracked.copy(), data.mask, data.columns, data.weights)
+        return (live, edits, totals, s, t, data.columns[j], colsums)
+
+    def check_held():
+        if "step" in last and not last["completed"]:
+            step, rows = last["step"], last["rows"]
             current, point = rows[0, last["j"]], step.interval.lower
             assert step.interval.is_point()
             assert abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
-            check_step(*args, step.interval, current, rows)
-            assert values[[s, t]].tobytes() == rows.tobytes()
+            check_step(*last["args"], step.interval, current, rows)
             held.append(current)
         last.clear()
 
-    def checked_pair(systems, rows, colsums, s, t, j):
-        values = live_values(rows)
-        check_held(values)
-        live = DataMatrix(values, data.mask, data.columns, data.weights)
-        args = (live, edits, totals, s, t, data.columns[j], colsums)
-        try:
-            step = real_pair(systems, rows, colsums, s, t, j)
-        except InfeasibleSystemError:
-            check_step(*args, None, float(values[s, j]), None)
-            raise
-        last.update(records=(s, t), j=j, rows=values[[s, t]].copy(), step=step, args=args, completed=False)
-        real_complete = step.complete
+    def checked_system(systems, s, t, j):
+        check_held()
+        system = real_system(systems, s, t, j)
+        last.update(records=[s, t], j=j)
+        if system.pinned:
+            colsums = (data.weights @ tracked).tolist()
+            step = PairStep(systems, system, tracked.tolist(), colsums, s, t)
+            current = tracked[s, j]
+            assert step.admits(current)
+            assert_admits_point(step.interval, current, scale_of(tracked[[s, t]]))
+            check_step(*step_args(s, t, j, colsums), step.interval, current, tracked[[s, t]])
+            skipped.append(current)
+        return system
 
-        def checked_complete(value):
+    class CheckedStep(PairStep):
+        def __init__(self, systems, system, rows, colsums, s, t):
+            values = live_values(rows)
+            assert values.tobytes() == tracked.tobytes()
+            args = step_args(s, t, last["j"], colsums)
+            try:
+                super().__init__(systems, system, rows, colsums, s, t)
+            except InfeasibleSystemError:
+                check_step(*args, None, float(values[s, last["j"]]), None)
+                raise
+            last.update(rows=values[[s, t]].copy(), step=self, args=args, completed=False)
+
+        def complete(self, value):
             last["completed"] = True
             try:
-                new = real_complete(value)
+                new = super().complete(value)
             except InfeasibleSystemError:
-                check_step(*args, None, value, None)
+                check_step(*last["args"], None, value, None)
                 raise
-            check_step(*args, step.interval, value, new)
+            check_step(*last["args"], self.interval, value, new)
+            tracked[last["records"]] = new
             checked.append(value)
             return new
 
-        step.complete = checked_complete
-        return step
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PairSystems, "pair", checked_pair)
+        patch.setattr(PairSystems, "system", checked_system)
+        patch.setattr(mcmc, "PairStep", CheckedStep)
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
-    check_held(out.values)
-    assert len(checked) + len(held) == trace[-1]["accepted"] > 250
-    assert len(held) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
-    assert checked
+    check_held()
+    assert out.values.tobytes() == tracked.tobytes()
+    assert len(checked) + len(held) + len(skipped) == trace[-1]["accepted"] > 250
+    assert len(held) + len(skipped) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+    assert checked and skipped
+
+
+def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
+    # With a total on every column, a survey key is the target and the
+    # columns imputed in both records, the target among them: 8 x 2^7 =
+    # 1,024 keys.  The compiled flag (the elimination's "only the target
+    # remains" branch) agrees with the rank oracle on each.
+    truth, edits = survey_truth(np.random.default_rng(7), 20)
+    data = DataMatrix(truth, np.ones(truth.shape, dtype=bool), SURVEY_COLUMNS)
+    systems = PairSystems(data, edits, dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist())))
+    p = len(SURVEY_COLUMNS)
+    keys = [(j, coupled, 0, 0) for j in range(p) for coupled in range(1 << p) if coupled >> j & 1]
+    flags = [systems._compile(*key).pinned for key in keys]
+    assert len(keys) == 1024
+    assert flags == [pins_target(systems, key) for key in keys]
+    assert 0 < sum(flags) < len(keys)
 
 
 def numpy_interval(state, edits, totals, s, t, colsums, compiled):
@@ -350,7 +430,7 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
             colsums[rng.integers(len(colsums))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * colsums.max()
         colsums = colsums.tolist()
         try:
-            step = systems.pair(state.values.tolist(), colsums, s, t, j)
+            step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), colsums, s, t)
         except InfeasibleSystemError:
             step = None
         ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
@@ -407,7 +487,7 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
-        step = systems.pair(state.values.tolist(), colsums, s, t, j)
+        step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), colsums, s, t)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
         full = pair_step(state, edits, totals, s, t, var, colsums, value)
@@ -446,7 +526,7 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
         moved = colsums.copy()
         moved[rng.integers(len(moved))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * colsums.max()
         try:
-            step = systems.pair(data.values.tolist(), moved.tolist(), s, t, j)
+            step = PairStep(systems, systems.system(s, t, j), data.values.tolist(), moved.tolist(), s, t)
             value = draw(rng, step.interval, data.values[s, j], scale_of(data.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
@@ -471,7 +551,8 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     totals = {"x2": float(x2.sum())}
     colsums = (data.weights @ values).tolist()
     colsums[1] += 1e-7
-    step = PairSystems(data, edits, totals).pair(values.tolist(), colsums, 0, 1, 1)
+    systems = PairSystems(data, edits, totals)
+    step = PairStep(systems, systems.system(0, 1, 1), values.tolist(), colsums, 0, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
@@ -487,7 +568,7 @@ def test_worked_example_pair():
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
     colsums = (data.weights @ data.values).tolist()
-    step = systems.pair(data.values.tolist(), colsums, 0, 1, 4)
+    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums, 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
@@ -495,8 +576,8 @@ def test_worked_example_pair():
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    systems.pair(data.values.tolist(), colsums, 0, 1, 4)
-    systems.pair(data.values.tolist(), colsums, 1, 0, 3)
+    PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums, 0, 1)
+    PairStep(systems, systems.system(1, 0, 3), data.values.tolist(), colsums, 1, 0)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -509,7 +590,8 @@ def test_completion_margin_ignores_columns_no_edit_references():
     mask = np.zeros(values.shape, dtype=bool)
     mask[:, 0] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
-    step = PairSystems(data, edits, {"x1": 120.0}).pair(values.tolist(), (data.weights @ values).tolist(), 0, 1, 0)
+    systems = PairSystems(data, edits, {"x1": 120.0})
+    step = PairStep(systems, systems.system(0, 1, 0), values.tolist(), (data.weights @ values).tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -534,8 +616,9 @@ def test_infeasible_worked_example():
     data, edits, totals = pair_example_data()
     colsums = data.weights @ data.values
     colsums[4] += 200.0
+    systems = PairSystems(data, edits, totals)
     with pytest.raises(InfeasibleSystemError):
-        PairSystems(data, edits, totals).pair(data.values.tolist(), colsums.tolist(), 0, 1, 4)
+        PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums.tolist(), 0, 1)
     assert pair_step(data, edits, totals, 0, 1, "x5", colsums, 50.0) is None
 
 
