@@ -33,7 +33,14 @@ from .mcmc import McmcConfig, PosteriorModel, draw_truncated_posterior, mcmc_ref
 from .metrics import MetricReport, d_l1, ks_statistic, std_pct_diff, weighted_pearson
 from .pipeline import DataMatrix, ImputationConfig, Totals, impute, variable_order
 from .regression import RegressionFit, fit_benchmarked, fit_ols, log_benchmark_correction
-from .residuals import ResidualDraw, benchmarked_residuals, cell_rng, cell_streams, draw_ar_residual
+from .residuals import (
+    ResidualDraw,
+    benchmarked_residuals,
+    cell_rng,
+    cell_uniform,
+    cell_uniforms,
+    draw_ar_residual,
+)
 from .sim import StudyConfig, StudyReport, apply_mcar, generate_population, run_study
 
 __version__ = "0.1.0"

@@ -125,6 +125,11 @@ def _cmd_impute(args) -> int:
     for option, value in (("--iterations", args.iterations), ("--mask", args.mask)):
         if value is not None and args.method != "mcmc":
             raise _UsageError(f"{option} applies to --method mcmc only")
+    rounds = {} if args.rounds is None else {"rounds": args.rounds}
+    if args.method == "mcmc":
+        config = McmcConfig(iterations=args.iterations, seed=args.seed)
+    else:
+        config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     data = cio.read_dataset(args.data)
     edits = parse_edit_rules(Path(args.edits).read_text())
     totals = cio.read_totals(args.totals) if args.totals else None
@@ -135,9 +140,7 @@ def _cmd_impute(args) -> int:
     out = Path(args.out)
     diag_path = Path(args.diagnostics) if args.diagnostics else out.with_name(out.name + ".diag.jsonl")
 
-    rounds = {} if args.rounds is None else {"rounds": args.rounds}
     if args.method == "mcmc":
-        config = McmcConfig(iterations=args.iterations, seed=args.seed)
         diagnostics: list[dict] = []
         if data.mask.any():
             if args.mask is not None:
@@ -160,7 +163,6 @@ def _cmd_impute(args) -> int:
         _write_diagnostics(diagnostics + trace, diag_path)
         return EXIT_OK
 
-    config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     result, diagnostics = impute(data, edits, totals, config)
     cio.write_dataset(result, out)
     _write_diagnostics(diagnostics, diag_path)

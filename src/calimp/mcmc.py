@@ -47,7 +47,7 @@ import numpy as np
 from . import fm, metrics, regression
 from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
-from .pipeline import DataMatrix, Totals, check_inputs, validate
+from .pipeline import DataMatrix, Totals, check_inputs, check_seed, validate
 from .residuals import draw_ar_residual
 
 #: Relative rounding floor of a Gram-form pivot.  A pivot is a Schur
@@ -79,6 +79,7 @@ class McmcConfig:
             raise ValueError("iterations must be nonnegative")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        check_seed(self.seed)
 
 
 class PosteriorModel(NamedTuple):
@@ -231,7 +232,7 @@ class _KeySystem(NamedTuple):
     coefficient; ``completion`` the terms of the slice rows, then of the
     substitution constants, that only :meth:`PairStep.complete` reads.
     ``unknowns`` holds the record (0 for s, 1 for t) and column of each of
-    ``compiled.unknown``."""
+    ``compiled.unknown``.  On a pinned key the three row lists are empty."""
 
     compiled: fm.CompiledInterval
     pinned: bool
@@ -304,6 +305,18 @@ class PairSystems:
         labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
         unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
         compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
+        unknowns = tuple(divmod(labels.index(v), p) for v in compiled.unknown)
+        system = _KeySystem(compiled, compiled.pinned, [], [], [], unknowns)
+        # A step on a key that pins the target is skipped and reads no row (see mcmc_refine).
+        return system if compiled.pinned else self._with_rows(system, coupled, free_s, free_t)
+
+    def _with_rows(self, system: _KeySystem, coupled: int, free_s: int, free_t: int) -> _KeySystem:
+        """``system``, of a key with these ``coupled``, ``free_s`` and
+        ``free_t`` columns, with its check, bound and completion rows, which
+        a key that pins the target is compiled without."""
+        A, compiled = self.A, system.compiled
+        K, p = A.shape
+        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s],
         # pinned columns holding their pinned values.
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
@@ -314,14 +327,11 @@ class PairSystems:
         M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
         M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
         M[K:, 3 * p + 1] = self.b
-        return _KeySystem(
-            compiled,
-            compiled.pinned,
-            list(zip(_terms(compiled.check_comb @ M), _terms(np.abs(compiled.check_comb) @ np.abs(M)),
-                     compiled.check_eq.tolist())),
-            list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
-            _terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
-            tuple(divmod(labels.index(v), p) for v in compiled.unknown),
+        return system._replace(
+            checks=list(zip(_terms(compiled.check_comb @ M), _terms(np.abs(compiled.check_comb) @ np.abs(M)),
+                            compiled.check_eq.tolist())),
+            bounds=list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
+            completion=_terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
         )
 
     def system(self, s: int, t: int, j: int) -> _KeySystem:

@@ -20,6 +20,7 @@ variables as predictors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -92,6 +93,13 @@ class DataMatrix:
         return DataMatrix(self.values.copy(), self.mask.copy(), self.columns, self.weights.copy())
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that numpy's ``SeedSequence`` cannot take: one that
+    is negative or not an integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ImputationConfig:
     method: str
@@ -106,6 +114,7 @@ class ImputationConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
+        check_seed(self.seed)
         if self.log_scale and self.method == "bpmr":
             raise ValueError("log-scale imputation supports upma and bpma only")
 
@@ -411,10 +420,10 @@ def impute(
                 # bpma is bpmr with zero residuals: the re-centering of a zero
                 # vector is the smallest zero-sum adjustment of the predictions.
                 sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
-                stream = residuals.cell_streams(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
+                uniforms = residuals.cell_uniforms(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
                 try:
                     shift, stats = residuals.benchmarked_residuals(
-                        sigma, lower - predictions, upper - predictions, w_mis, stream,
+                        sigma, lower - predictions, upper - predictions, w_mis, uniforms,
                         feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
                     )
                 except InfeasibleSystemError as err:

@@ -1,23 +1,24 @@
 """Random residuals for stochastic imputation.
 
 Residuals are mean-zero normal draws with the regression's residual
-standard deviation, constrained to each cell's admissible interval by
-acceptance/rejection sampling (with an inverse-CDF fallback that leaves
-the truncated law unchanged when the interval sits far in the tail).  A
+standard deviation, truncated to each cell's admissible interval.  A
 drawn vector is then re-centered by the smallest adjustment keeping every
 cell inside its interval while its weighted sum becomes exactly zero.
 
-Each drawing cell has its own stream, defined by :func:`cell_rng` from the
-seed, the column and the record.  :func:`cell_streams` gives the same
-streams for many records of a column: it runs numpy's ``SeedSequence``
-hash for all of them at once as array arithmetic, and per drawing cell
-only finishes the PCG64 seeding of one reused generator.
+:func:`benchmarked_residuals` draws all of a step's cells at once by
+inverting the truncated normal CDF at one uniform per cell.  A cell's
+uniform is defined by :func:`cell_uniform` from the seed, the column and
+the record, so it does not depend on which other cells draw;
+:func:`cell_uniforms` gives the uniforms of many records of a column by
+running numpy's ``SeedSequence`` hash for all of them at once as array
+arithmetic.  :func:`draw_ar_residual` is the chain's scalar draw from a
+generator: rejection sampling, with the same inverse-CDF draw as its
+fallback when the interval sits far in the tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -35,18 +36,31 @@ class ResidualDraw:
     fallback_used: bool
 
 
-def cell_rng(seed: int, variable_index: int, record_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one cell of one variable."""
-    return np.random.default_rng([seed, variable_index, record_index])
+def _uniform(word):
+    """The top 52 bits of a 64-bit ``word`` as the midpoint of their
+    interval of (0, 1); with 53 bits, ``k + 0.5`` would round to 2**53 at
+    the top and give 1.0."""
+    return ((word >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+def cell_uniform(seed: int, variable_index: int, record_index: int) -> float:
+    """The uniform of one cell of one variable, strictly inside (0, 1):
+    from the first 64-bit word of ``SeedSequence([seed, variable_index,
+    record_index])``'s state."""
+    word = np.random.SeedSequence([seed, variable_index, record_index]).generate_state(1, np.uint64)
+    return float(_uniform(word)[0])
+
+
+#: The former name of :func:`cell_uniform`; ``perfbench/spans.py`` traces it.
+cell_rng = cell_uniform
+
+
+# numpy's SeedSequence hash constants.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _int_words(n: int) -> list[int]:
@@ -60,12 +74,11 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _pcg_seeds(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` on
+def _first_state_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` and ``generate_state(1, uint64)`` on
     many entropy lists at once: word ``i`` of every list is
     ``entropy[i]``, a ``uint32`` array of one value or of one value per
-    list.  Row ``k`` of the result holds the four words ``PCG64`` seeds
-    itself from for list ``k``."""
+    list.  Element ``k`` of the result is list ``k``'s state word."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -90,25 +103,21 @@ def _pcg_seeds(entropy: list[np.ndarray]) -> np.ndarray:
             pool[dst] = mix(pool[dst], hashmix(word))
 
     # generate_state joins its uint32 words in pairs, low word first.
-    state = np.empty((pool[0].size, 2 * _POOL_SIZE), "<u4")
+    state = np.empty((pool[0].size, 2), "<u4")
     hash_const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+    for i in range(2):
+        value = pool[i] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> np.uint32(16))
-    return state.view("<u8")
+    return state.view("<u8")[:, 0]
 
 
-def cell_streams(seed: int, variable_index: int, records) -> Callable[[int], np.random.Generator]:
-    """``stream(k)``: a generator in the state of ``cell_rng(seed,
-    variable_index, records[k])``.
-
-    The seed hashing runs once over all records as array arithmetic;
-    ``stream(k)`` only finishes the 128-bit PCG64 seeding of cell ``k``
-    (about 2.5 µs against about 15 µs for :func:`cell_rng`).  Every call
-    returns the same generator, so one is valid until the next call.
-    """
+def cell_uniforms(seed: int, variable_index: int, records) -> np.ndarray:
+    """``cell_uniform(seed, variable_index, r)`` for every record ``r`` of
+    ``records``, bit for bit.  The seed hashing runs once over all records
+    as ``uint32`` array arithmetic (about 0.06 µs a record, against about
+    15 µs for one ``SeedSequence``)."""
     records = np.asarray(records).ravel()
     if records.size and records.min() < 0:
         raise ValueError("expected non-negative integer")
@@ -117,22 +126,26 @@ def cell_streams(seed: int, variable_index: int, records) -> Callable[[int], np.
     # SeedSequence gives a record below 2**32 one entropy word, else two.
     low, high = records.astype(np.uint32), (records >> np.uint64(32)).astype(np.uint32)
     wide = high != 0
-    seeds = np.empty((records.size, _POOL_SIZE), np.uint64)
-    for rows, words in ((~wide, (low,)), (wide, (low, high))):
+    words = np.empty(records.size, np.uint64)
+    for rows, entropy in ((~wide, (low,)), (wide, (low, high))):
         if rows.any():
-            seeds[rows] = _pcg_seeds(prefix + [w[rows] for w in words])
-    rng = np.random.Generator(np.random.PCG64(0))
+            words[rows] = _first_state_words(prefix + [w[rows] for w in entropy])
+    return _uniform(words)
 
-    def stream(k: int) -> np.random.Generator:
-        s_hi, s_lo, i_hi, i_lo = seeds[k].tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
-        return rng
 
-    return stream
+def truncated_normal(sigma: float, lower: np.ndarray, upper: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """N(0, sigma^2) truncated to ``[lower, upper]`` at ``uniforms`` by the
+    exact inverse CDF, elementwise, for ``sigma > 0`` and intervals that
+    are not points.  A result that is not finite or misses its interval (a
+    numerically degenerate far-tail interval) lands on the interval's side
+    closer to 0, or on 0 when the interval holds it."""
+    x = truncnorm.ppf(uniforms, lower / sigma, upper / sigma, scale=sigma)
+    bad = ~np.isfinite(x) | (x < lower) | (x > upper)
+    if bad.any():
+        lo, hi = lower[bad], upper[bad]
+        side = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.where(np.abs(lo) < np.abs(hi), lo, hi))
+        x[bad] = np.minimum(np.maximum(side, lo), hi)
+    return x
 
 
 def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator) -> ResidualDraw:
@@ -153,13 +166,8 @@ def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator)
         if lo <= x <= hi:
             return ResidualDraw(x, attempt, False)
 
-    a = lo / sigma
-    b = hi / sigma
-    u = float(rng.uniform())
-    x = float(truncnorm.ppf(u, a, b, loc=0.0, scale=sigma))
-    if not np.isfinite(x) or not (lo <= x <= hi):
-        # Numerically degenerate far-tail interval: land on the closer side.
-        x = float(min(max(0.0 if lo <= 0.0 <= hi else (lo if abs(lo) < abs(hi) else hi), lo), hi))
+    u = np.array([rng.uniform()])
+    x = float(truncated_normal(sigma, np.array([lo]), np.array([hi]), u)[0])
     return ResidualDraw(x, DEFAULT_MAX_ATTEMPTS, True)
 
 
@@ -168,35 +176,32 @@ def benchmarked_residuals(
     lower,
     upper,
     weights,
-    stream: Callable[[int], np.random.Generator] | None,
+    uniforms,
     feasibility_scale: float = 1.0,
 ) -> tuple[np.ndarray, dict]:
     """Interval-respecting residual vector with weighted sum exactly zero.
 
     Cell ``i`` may take residuals in ``[lower[i], upper[i]]``.  With
     ``sigma == 0`` every draw is 0, so the re-centering is the smallest
-    zero-sum adjustment into the intervals and ``stream`` is not read (it
-    may be ``None``); otherwise a point interval's
-    draw is its value, and only the remaining cells draw, in position
-    order, each from the generator ``stream(i)``.  Returns the vector and
-    a small dict of sampling statistics, with the re-centering's
+    zero-sum adjustment into the intervals and ``uniforms`` is not read
+    (it may be ``None``); otherwise a point interval's draw is its value,
+    and every other cell ``i`` draws at ``uniforms[i]`` by
+    :func:`truncated_normal`.  Returns the vector and a small dict of
+    sampling statistics (``attempts``, the drawing cells, and
+    ``fallbacks``, always 0), with the re-centering's
     :func:`~calimp.adjust.adjustment_stats` merged in.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    attempts = 0
-    fallbacks = 0
     if sigma == 0.0:
-        draws = np.zeros(lower.size)
+        draws, drawing = np.zeros(lower.size), 0
     else:
         draws = lower.copy()
-        for i in np.flatnonzero(lower != upper).tolist():
-            d = draw_ar_residual(sigma, Interval(float(lower[i]), float(upper[i])), stream(i))
-            draws[i] = d.value
-            attempts += d.attempts
-            fallbacks += int(d.fallback_used)
+        cells = np.flatnonzero(lower != upper)
+        draws[cells] = truncated_normal(sigma, lower[cells], upper[cells], np.asarray(uniforms, dtype=float)[cells])
+        drawing = int(cells.size)
 
     problem = AdjustmentProblem(
         predictions=draws,
@@ -207,5 +212,5 @@ def benchmarked_residuals(
     adjustment = zero_sum_interval_adjust(
         problem, target_sum=0.0, feasibility_scale=feasibility_scale
     )
-    stats = {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}
+    stats = {"attempts": drawing, "fallbacks": 0, **adjustment_stats(problem, adjustment)}
     return draws + adjustment, stats

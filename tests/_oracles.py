@@ -4,8 +4,9 @@ These deliberately avoid the library's own elimination/solver code paths:
 feasibility is decided by complete lattice enumeration, regression
 calibration by solving the augmented normal equations directly, the
 zero-sum adjustment by active-set enumeration, bpmr residuals cell by
-cell, the refinement chain's pair step by the per-record derivation, and
-random imputation instances are built truth-first so
+cell from scalar ``SeedSequence`` and ``truncnorm`` calls, the refinement
+chain's pair step by the per-record derivation, and random imputation
+instances are built truth-first so
 feasibility is a construction guarantee rather than an assumption.
 """
 
@@ -16,6 +17,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.stats import truncnorm
 
 from calimp import fm
 from calimp.adjust import (
@@ -31,7 +33,6 @@ from calimp.edits import (
 from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
-from calimp.residuals import draw_ar_residual
 
 ORACLE_MAX_SIZE = 12
 
@@ -341,23 +342,40 @@ def qp_reference_solve(
     return np.where(code == 1, lo, np.where(code == 2, hi, lam[k]))
 
 
-def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_scale=1.0):
-    """Residuals cell by cell: one ``fm.Interval`` and one generator per
+def scalar_cell_uniform(seed, variable_index, record) -> float:
+    """A cell's uniform from one scalar ``SeedSequence``: the top 52 bits
+    of its first 64-bit state word, as the midpoint of their interval."""
+    word = int(np.random.SeedSequence([seed, variable_index, record]).generate_state(1, np.uint64)[0])
+    return ((word >> 12) + 0.5) * 2.0**-52
+
+
+def scalar_truncated_normal(sigma, lower, upper, u) -> float:
+    """N(0, sigma^2) truncated to ``[lower, upper]`` at ``u`` by one scalar
+    ``truncnorm.ppf``; a result that is not finite or misses the interval
+    lands on its side closer to 0, or on 0 when the interval holds it."""
+    x = float(truncnorm.ppf(u, lower / sigma, upper / sigma, scale=sigma))
+    if not math.isfinite(x) or not lower <= x <= upper:
+        side = 0.0 if lower <= 0.0 <= upper else (lower if abs(lower) < abs(upper) else upper)
+        x = min(max(side, lower), upper)
+    return x
+
+
+def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibility_scale=1.0):
+    """Residuals cell by cell: one ``fm.Interval`` and one uniform per
     cell, a zero draw for zero sigma (inside the interval or not), the
-    point's value for a point interval, else one truncated draw; then the
-    same zero-sum re-centering as :func:`calimp.residuals.benchmarked_residuals`."""
+    point's value for a point interval, else one
+    :func:`scalar_truncated_normal` draw; then the same zero-sum
+    re-centering as :func:`calimp.residuals.benchmarked_residuals`."""
     draws = np.empty(len(intervals))
-    attempts = fallbacks = 0
-    for i, (interval, rng) in enumerate(zip(intervals, rngs)):
+    drawing = 0
+    for i, (interval, u) in enumerate(zip(intervals, uniforms)):
         if sigma == 0.0:
             draws[i] = 0.0
         elif interval.is_point():
             draws[i] = interval.lower
         else:
-            d = draw_ar_residual(sigma, interval, rng)
-            draws[i] = d.value
-            attempts += d.attempts
-            fallbacks += int(d.fallback_used)
+            draws[i] = scalar_truncated_normal(sigma, interval.lower, interval.upper, float(u))
+            drawing += 1
     problem = AdjustmentProblem(
         draws,
         np.array([iv.lower for iv in intervals]),
@@ -365,7 +383,7 @@ def per_cell_benchmarked_residuals(sigma, intervals, weights, rngs, feasibility_
         weights,
     )
     adjustment = zero_sum_interval_adjust(problem, target_sum=0.0, feasibility_scale=feasibility_scale)
-    return draws + adjustment, {"attempts": attempts, "fallbacks": fallbacks, **adjustment_stats(problem, adjustment)}
+    return draws + adjustment, {"attempts": drawing, "fallbacks": 0, **adjustment_stats(problem, adjustment)}
 
 
 def _complete(record: fm.EliminationRecord, assigned, value_rule) -> dict[str, float]:

@@ -414,6 +414,21 @@ class TestCli:
         assert "usage error" in err and option in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr", "mcmc"])
+    def test_negative_seed_exits_2_before_reading_data(self, tmp_path, capsys, method):
+        # No data file exists: the seed is refused before any input is read.
+        small_files(tmp_path, np.random.default_rng(9))
+        code = main([
+            "impute", "--data", str(tmp_path / "absent.csv"),
+            "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"),
+            "--method", method, "--seed", "-3", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer, got -3" in err and "absent" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_stray_totals_column_is_data_error(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(8))
         (tmp_path / "totals.txt").write_text("x1 = 100\nnot_a_column = 5\n")

@@ -24,7 +24,7 @@ from calimp.mcmc import McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refin
 from calimp.pipeline import DataMatrix
 
 from _oracles import coupled_pair_step, pair_step
-from test_mcmc import pair_example_data
+from test_mcmc import pair_example_data, with_rows
 
 RTOL = 1e-12
 
@@ -223,7 +223,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
         var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
         rows = state.values[[s, t]]
-        system = systems.system(s, t, j)
+        system = with_rows(systems, systems.system(s, t, j))
         try:
             step = PairStep(systems, system, state.values.tolist(), colsums, s, t)
             if system.pinned:
@@ -318,7 +318,7 @@ def test_chain_steps_match_the_per_record_step(kind):
         last.update(records=[s, t], j=j)
         if system.pinned:
             colsums = (data.weights @ tracked).tolist()
-            step = PairStep(systems, system, tracked.tolist(), colsums, s, t)
+            step = PairStep(systems, with_rows(systems, system), tracked.tolist(), colsums, s, t)
             current = tracked[s, j]
             assert step.admits(current)
             assert_admits_point(step.interval, current, scale_of(tracked[[s, t]]))
@@ -365,16 +365,22 @@ def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
     # With a total on every column, a survey key is the target and the
     # columns imputed in both records, the target among them: 8 x 2^7 =
     # 1,024 keys.  The compiled flag (the elimination's "only the target
-    # remains" branch) agrees with the rank oracle on each.
+    # remains" branch) agrees with the rank oracle on each, and only the
+    # keys it leaves unpinned are compiled with rows.
     truth, edits = survey_truth(np.random.default_rng(7), 20)
     data = DataMatrix(truth, np.ones(truth.shape, dtype=bool), SURVEY_COLUMNS)
     systems = PairSystems(data, edits, dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist())))
     p = len(SURVEY_COLUMNS)
     keys = [(j, coupled, 0, 0) for j in range(p) for coupled in range(1 << p) if coupled >> j & 1]
-    flags = [systems._compile(*key).pinned for key in keys]
+    compiled = [systems._compile(*key) for key in keys]
+    flags = [system.pinned for system in compiled]
     assert len(keys) == 1024
     assert flags == [pins_target(systems, key) for key in keys]
     assert 0 < sum(flags) < len(keys)
+    # A pinned key carries no rows, since the chain skips its steps; every
+    # other key carries its bound rows.
+    for system in compiled:
+        assert (system.checks == system.bounds == system.completion == []) == system.pinned
 
 
 def numpy_interval(state, edits, totals, s, t, colsums, compiled):
@@ -430,7 +436,7 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
             colsums[rng.integers(len(colsums))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * colsums.max()
         colsums = colsums.tolist()
         try:
-            step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), colsums, s, t)
+            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), colsums, s, t)
         except InfeasibleSystemError:
             step = None
         ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
@@ -487,7 +493,7 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         colsums = (state.weights @ state.values).tolist()
-        step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), colsums, s, t)
+        step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), colsums, s, t)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
         full = pair_step(state, edits, totals, s, t, var, colsums, value)
@@ -526,7 +532,8 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
         moved = colsums.copy()
         moved[rng.integers(len(moved))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * colsums.max()
         try:
-            step = PairStep(systems, systems.system(s, t, j), data.values.tolist(), moved.tolist(), s, t)
+            system = with_rows(systems, systems.system(s, t, j))
+            step = PairStep(systems, system, data.values.tolist(), moved.tolist(), s, t)
             value = draw(rng, step.interval, data.values[s, j], scale_of(data.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
@@ -552,7 +559,7 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     colsums = (data.weights @ values).tolist()
     colsums[1] += 1e-7
     systems = PairSystems(data, edits, totals)
-    step = PairStep(systems, systems.system(0, 1, 1), values.tolist(), colsums, 0, 1)
+    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 1)), values.tolist(), colsums, 0, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
@@ -568,7 +575,7 @@ def test_worked_example_pair():
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
     colsums = (data.weights @ data.values).tolist()
-    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums, 0, 1)
+    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums, 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
@@ -576,8 +583,8 @@ def test_worked_example_pair():
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums, 0, 1)
-    PairStep(systems, systems.system(1, 0, 3), data.values.tolist(), colsums, 1, 0)
+    PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums, 0, 1)
+    PairStep(systems, with_rows(systems, systems.system(1, 0, 3)), data.values.tolist(), colsums, 1, 0)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -591,7 +598,8 @@ def test_completion_margin_ignores_columns_no_edit_references():
     mask[:, 0] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
     systems = PairSystems(data, edits, {"x1": 120.0})
-    step = PairStep(systems, systems.system(0, 1, 0), values.tolist(), (data.weights @ values).tolist(), 0, 1)
+    system = with_rows(systems, systems.system(0, 1, 0))
+    step = PairStep(systems, system, values.tolist(), (data.weights @ values).tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -618,7 +626,7 @@ def test_infeasible_worked_example():
     colsums[4] += 200.0
     systems = PairSystems(data, edits, totals)
     with pytest.raises(InfeasibleSystemError):
-        PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), colsums.tolist(), 0, 1)
+        PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums.tolist(), 0, 1)
     assert pair_step(data, edits, totals, 0, 1, "x5", colsums, 50.0) is None
 
 

@@ -8,10 +8,12 @@ from calimp import residuals
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleRecordError, InsufficientDataError
+from calimp.fm import Interval
+from calimp.mcmc import McmcConfig
 from calimp.pipeline import DataMatrix, ImputationConfig, _missing_patterns, check_inputs, impute, variable_order
 from calimp.regression import fit_ols
 
-from _oracles import random_imputation_instance
+from _oracles import per_cell_benchmarked_residuals, random_imputation_instance, scalar_cell_uniform
 from test_pair_systems import SURVEY_COLUMNS, survey_truth
 
 THREE_VAR_RULES = """\
@@ -495,6 +497,20 @@ class TestLogScale:
         with pytest.raises(ValueError, match="log-scale"):
             ImputationConfig("bpmr", log_scale=True)
 
+    @pytest.mark.parametrize("seed", [-3, -1, 2.0, 0.5, "7", None])
+    def test_negative_or_non_integer_seed_rejected(self, seed):
+        # Every method, including those that draw nothing, and the chain.
+        for method in ("upma", "bpma", "bpmr"):
+            with pytest.raises(ValueError, match="seed"):
+                ImputationConfig(method, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            McmcConfig(seed=seed)
+
+    def test_large_and_numpy_integer_seeds_accepted(self):
+        for seed in (0, 2**70, np.int64(5), np.uint32(9)):
+            assert ImputationConfig("bpmr", seed=seed).seed == seed
+            assert McmcConfig(seed=seed).seed == seed
+
 
 class TestBatchedSteps:
     def test_missing_patterns_match_unique_rows(self):
@@ -516,7 +532,9 @@ class TestBatchedSteps:
     def test_batched_streams_match_per_cell_streams(self, monkeypatch, method):
         # Survey-shaped data, 8 columns with 10% of cells missing, so each
         # target's records fall into up to 16 patterns; on these records
-        # every method completes.
+        # every method completes.  The batched uniforms and array draw give
+        # the bytes and diagnostics of scalar SeedSequence and truncnorm
+        # calls made cell by cell.
         rng = np.random.default_rng(3)
         truth, edits = survey_truth(rng, 600)
         data = make_data(truth, rng.random(truth.shape) < 0.1, SURVEY_COLUMNS)
@@ -524,13 +542,22 @@ class TestBatchedSteps:
         config = ImputationConfig(method, seed=3)
         batched, batched_diag = impute(data, edits, totals, config)
 
-        def per_cell_streams(seed, j, records):
-            # A cell's stream is keyed by the seed and round, the column and the record.
+        def per_cell_uniforms(seed, j, records):
+            # A cell's uniform is keyed by the seed and round, the column and the record.
             assert seed - 3 * 1_000_003 in (1, 2)
             assert records.tolist() == np.flatnonzero(data.mask[:, j]).tolist()
-            return lambda k: residuals.cell_rng(seed, j, int(records[k]))
+            return np.array([scalar_cell_uniform(seed, j, int(r)) for r in records])
 
-        monkeypatch.setattr(residuals, "cell_streams", per_cell_streams)
+        def per_cell_residuals(sigma, lower, upper, weights, uniforms, feasibility_scale):
+            # Uniforms are built only where residuals draw.
+            assert (uniforms is None) == (sigma == 0.0)
+            intervals = [Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
+            if uniforms is None:
+                uniforms = [math.nan] * len(intervals)
+            return per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibility_scale)
+
+        monkeypatch.setattr(residuals, "cell_uniforms", per_cell_uniforms)
+        monkeypatch.setattr(residuals, "benchmarked_residuals", per_cell_residuals)
         per_cell, per_cell_diag = impute(data, edits, totals, config)
         assert batched.values.tobytes() == per_cell.values.tobytes()
         assert json.dumps(batched_diag) == json.dumps(per_cell_diag)

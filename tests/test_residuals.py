@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.stats import kstest, norm, truncnorm
 
 from calimp.adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from calimp.errors import InfeasibleAdjustmentError
 from calimp.fm import Interval
-from calimp.residuals import DEFAULT_MAX_ATTEMPTS, benchmarked_residuals, cell_rng, cell_streams, draw_ar_residual
+from calimp.residuals import (
+    DEFAULT_MAX_ATTEMPTS,
+    benchmarked_residuals,
+    cell_rng,
+    cell_uniform,
+    cell_uniforms,
+    draw_ar_residual,
+    truncated_normal,
+)
 
-from _oracles import per_cell_benchmarked_residuals, qp_reference_solve
+from _oracles import per_cell_benchmarked_residuals, qp_reference_solve, scalar_cell_uniform, scalar_truncated_normal
 
 INF = math.inf
-
-
-def no_stream(i):
-    raise AssertionError(f"cell {i} asked for a stream")
 
 
 class TestDrawArResidual:
@@ -30,27 +35,28 @@ class TestDrawArResidual:
         with pytest.raises(ValueError):
             draw_ar_residual(sigma, interval, np.random.default_rng(0))
 
-    # Zero sigma and point intervals never reach draw_ar_residual:
-    # benchmarked_residuals settles them without reading a stream.
+    # Zero sigma and point intervals draw nothing: benchmarked_residuals
+    # settles them without reading a uniform.
     def test_degenerate_sigma_with_zero_inside(self):
-        out, stats = benchmarked_residuals(0.0, [-1.0, -2.0], [1.0, 3.0], None, no_stream)
+        out, stats = benchmarked_residuals(0.0, [-1.0, -2.0], [1.0, 3.0], None, None)
         assert out.tolist() == [0.0, 0.0]
         assert stats["attempts"] == 0
 
     def test_degenerate_sigma_with_zero_outside_is_recentred(self):
         # The zero draw of the second cell lies below [1, 2]: the re-centering
         # lifts it to 1 and moves the first cell by -1 to keep the sum zero.
-        out, stats = benchmarked_residuals(0.0, [-1.0, 1.0], [1.0, 2.0], None, no_stream)
+        out, stats = benchmarked_residuals(0.0, [-1.0, 1.0], [1.0, 2.0], None, None)
         assert out.tolist() == [-1.0, 1.0]
         assert stats == {"attempts": 0, "fallbacks": 0, "lambda": None, "at_lower": 2, "at_upper": 0}
 
     def test_degenerate_sigma_allows_the_contains_slack(self):
         # 0 misses [1e-10, 1] by a hair: the re-centering puts the cell on its bound.
-        out, _ = benchmarked_residuals(0.0, [1e-10, -1.0], [1.0, 1.0], None, no_stream)
+        out, _ = benchmarked_residuals(0.0, [1e-10, -1.0], [1.0, 1.0], None, None)
         assert out.tolist() == [1e-10, -1e-10]
 
     def test_point_interval_is_returned_directly(self):
-        out, stats = benchmarked_residuals(2.0, [0.75, -0.75], [0.75, -0.75], None, no_stream)
+        # A NaN uniform read would make a NaN draw.
+        out, stats = benchmarked_residuals(2.0, [0.75, -0.75], [0.75, -0.75], None, [math.nan, math.nan])
         assert out.tolist() == [0.75, -0.75]
         assert stats["attempts"] == 0
 
@@ -74,8 +80,6 @@ class TestDrawArResidual:
     def test_fallback_preserves_truncated_law(self):
         # Interval far enough that AR nearly always falls back; compare the
         # sample mean against the analytic truncated-normal mean.
-        from scipy.stats import truncnorm
-
         rng = np.random.default_rng(77)
         lo, hi = 4.0, 6.0
         n = 20_000
@@ -91,24 +95,21 @@ class TestDrawArResidual:
 
 class TestBenchmarkedResiduals:
     def test_unconstrained_projection_subtracts_weighted_mean(self):
-        # One generator shared by every cell: the cells draw from it in order.
-        rng = np.random.default_rng(1)
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        probe = np.random.default_rng(1)
-        raw = np.array([draw_ar_residual(1.5, Interval(-INF, INF), probe).value for _ in range(4)])
-        out, _ = benchmarked_residuals(1.5, np.full(4, -INF), np.full(4, INF), w, lambda i: rng)
+        u = np.array([0.1, 0.4, 0.75, 0.9])
+        raw = 1.5 * norm.ppf(u)
+        out, stats = benchmarked_residuals(1.5, np.full(4, -INF), np.full(4, INF), w, u)
         assert np.allclose(out, raw - np.sum(w * raw) / np.sum(w), atol=1e-12)
+        assert (stats["attempts"], stats["fallbacks"]) == (4, 0)
 
     def test_single_cell_forced_to_zero(self):
-        rng = np.random.default_rng(0)
-        out, _ = benchmarked_residuals(1.0, [-2.0], [2.0], None, lambda i: rng)
+        out, _ = benchmarked_residuals(1.0, [-2.0], [2.0], None, [0.3])
         assert np.allclose(out, [0.0], atol=1e-12)
 
     def test_matches_adjustment_oracle(self):
-        rngs = [cell_rng(123, 0, i) for i in range(3)]
-        probe = [cell_rng(123, 0, i) for i in range(3)]
-        raw = np.array([draw_ar_residual(5.0, Interval(-1.0, 1.0), probe[i]).value for i in range(3)])
-        out, _ = benchmarked_residuals(5.0, np.full(3, -1.0), np.full(3, 1.0), None, rngs.__getitem__)
+        u = cell_uniforms(123, 0, range(3))
+        raw = np.array([scalar_truncated_normal(5.0, -1.0, 1.0, float(v)) for v in u])
+        out, _ = benchmarked_residuals(5.0, np.full(3, -1.0), np.full(3, 1.0), None, u)
         ref = raw + qp_reference_solve(
             AdjustmentProblem(raw, np.full(3, -1.0), np.full(3, 1.0)), target_sum=0.0
         )
@@ -124,7 +125,7 @@ class TestBenchmarkedResiduals:
         lower, upper = np.full(m, -10 * sigma), np.full(m, 10 * sigma)
         pooled = []
         for _ in range(reps):
-            out, _ = benchmarked_residuals(sigma, lower, upper, None, lambda i: rng)
+            out, _ = benchmarked_residuals(sigma, lower, upper, None, rng.random(m))
             pooled.extend(out.tolist())
         var = float(np.var(pooled))
         target = sigma**2 * (1 - 1 / m)
@@ -132,32 +133,30 @@ class TestBenchmarkedResiduals:
 
     def test_bitwise_reproducibility(self):
         lower, upper = np.full(6, -2.0), np.full(6, 2.0)
-        out1, stats1 = benchmarked_residuals(1.0, lower, upper, None, lambda i: cell_rng(5, 2, i))
-        out2, stats2 = benchmarked_residuals(1.0, lower, upper, None, lambda i: cell_rng(5, 2, i))
+        out1, stats1 = benchmarked_residuals(1.0, lower, upper, None, cell_uniforms(5, 2, range(6)))
+        out2, stats2 = benchmarked_residuals(1.0, lower, upper, None, cell_uniforms(5, 2, range(6)))
         assert out1.tobytes() == out2.tobytes()
         assert stats1 == stats2
 
     @pytest.mark.parametrize("sigma", [0.0, 1.5])
     def test_lazy_streams_match_eager_construction(self, sigma):
-        # Streams built on demand give the same bytes as one stream built
-        # per cell up front, and only cells with a real draw build one.
-        intervals = [Interval(-2.0, 2.0), Interval(0.5, 0.5), Interval(-1.0, INF), Interval(0.0, 0.0), Interval(-3.0, 1.0)]
+        # Only cells with a real draw read their uniform: NaN in place of
+        # every other cell's gives the same bytes as the per-cell oracle
+        # with every cell's uniform.
+        intervals = [
+            Interval(-2.0, 2.0), Interval(0.5, 0.5), Interval(-1.0, INF), Interval(0.0, 0.0), Interval(-3.0, 1.0)
+        ]
         weights = np.linspace(1.0, 2.0, len(intervals))
-        eager = [cell_rng(5, 2, 10 + i) for i in range(len(intervals))]
-        built = []
-
-        def stream(i):
-            built.append(i)
-            return cell_rng(5, 2, 10 + i)
-
+        eager = cell_uniforms(5, 2, range(10, 10 + len(intervals)))
+        drawing = np.array([sigma != 0.0 and not iv.is_point() for iv in intervals])
         out1, stats1 = per_cell_benchmarked_residuals(sigma, intervals, weights, eager)
         out2, stats2 = benchmarked_residuals(
-            sigma, [iv.lower for iv in intervals], [iv.upper for iv in intervals], weights, stream
+            sigma, [iv.lower for iv in intervals], [iv.upper for iv in intervals], weights,
+            np.where(drawing, eager, math.nan),
         )
         assert out1.tobytes() == out2.tobytes()
         assert stats1 == stats2
-        assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
-        assert len(built) == (0 if sigma == 0.0 else 3)
+        assert stats2["attempts"] == drawing.sum() == (0 if sigma == 0.0 else 3)
 
 
 KINDS = ("point", "bounded", "lower", "upper", "unbounded")
@@ -193,18 +192,11 @@ def residual_problems(draw):
 def test_array_residuals_match_per_cell_oracle(problem):
     sigma, lower, upper, weights, seed = problem
     intervals = [Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
-    built = []
-
-    def stream(i):
-        built.append(i)
-        return cell_rng(seed, 3, i)
-
-    want = per_cell_benchmarked_residuals(sigma, intervals, weights, [cell_rng(seed, 3, i) for i in range(len(intervals))])
-    out, stats = benchmarked_residuals(sigma, lower, upper, weights, stream)
+    uniforms = [scalar_cell_uniform(seed, 3, i) for i in range(len(intervals))]
+    want = per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms)
+    out, stats = benchmarked_residuals(sigma, lower, upper, weights, cell_uniforms(seed, 3, range(len(intervals))))
     assert out.tobytes() == want[0].tobytes()
     assert stats == want[1]
-    assert built == [i for i, iv in enumerate(intervals) if sigma != 0.0 and not iv.is_point()]
-
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,20 +207,89 @@ def test_array_residuals_match_per_cell_oracle(problem):
         st.one_of(st.just(0), st.integers(1, 10**6), st.integers(2**31, 2**63 - 1)), min_size=1, max_size=5
     ),
 )
-def test_cell_streams_match_cell_rng(seed, variable_index, records):
+def test_cell_uniforms_match_the_scalar_oracle(seed, variable_index, records):
     # Seeds from 2**64 on have more entropy words than SeedSequence's pool,
     # records from 2**32 on take two words.
-    stream = cell_streams(seed, variable_index, np.array(records, dtype=np.int64))
-    for k, record in enumerate(records):
-        want, got = cell_rng(seed, variable_index, record), stream(k)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.normal() == want.normal()
-        assert got.uniform() == want.uniform()
-        # An interval 8 to 9 sigma out: every proposal misses, the draw
-        # inverts the truncated CDF on the stream's next uniform.
-        want = draw_ar_residual(1.0, Interval(8.0, 9.0), cell_rng(seed, variable_index, record))
-        assert want.fallback_used
-        assert draw_ar_residual(1.0, Interval(8.0, 9.0), stream(k)) == want
+    got = cell_uniforms(seed, variable_index, np.array(records, dtype=np.int64))
+    want = [scalar_cell_uniform(seed, variable_index, record) for record in records]
+    assert got.tolist() == want == [cell_uniform(seed, variable_index, record) for record in records]
+    assert cell_rng is cell_uniform
+    assert all(0.0 < u < 1.0 for u in want)
+
+
+# Each statistical bound below is fixed before running: a KS statistic at
+# most 1.95 / sqrt(n) (the asymptotic 0.1% critical value) and a Pearson
+# correlation within 4 / sqrt(n) of zero (four standard errors).
+def ks_bound(n):
+    return 1.95 / math.sqrt(n)
+
+
+def test_cell_uniforms_are_uniform():
+    # 120,000 keys: 3 rounds of one seed, 4 columns, 10,000 records each,
+    # half of them at or above 2**32.
+    records = np.concatenate([np.arange(5_000), 2**32 + 7 * np.arange(5_000)])
+    u = np.concatenate([cell_uniforms(11 * 1_000_003 + rnd, j, records) for rnd in (1, 2, 3) for j in range(4)])
+    assert u.size == 120_000
+    assert kstest(u, "uniform").statistic <= ks_bound(u.size)
+
+
+def test_neighbouring_cells_are_uncorrelated():
+    n = 100_000
+    records = np.arange(n)
+    base = cell_uniforms(7 * 1_000_003 + 1, 2, records)
+    neighbours = {
+        "record": cell_uniforms(7 * 1_000_003 + 1, 2, records + 1),
+        "column": cell_uniforms(7 * 1_000_003 + 1, 3, records),
+        "round": cell_uniforms(7 * 1_000_003 + 2, 2, records),
+    }
+    for name, other in neighbours.items():
+        assert abs(np.corrcoef(base, other)[0, 1]) <= 4 / math.sqrt(n), name
+        # On the normal scale too, where the tails weigh more.
+        assert abs(np.corrcoef(norm.ppf(base), norm.ppf(other))[0, 1]) <= 4 / math.sqrt(n), name
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(-0.5, 2.0), (-3.0, 0.25), (40.0, 41.0), (-41.0, -40.0), (40.0, INF), (-INF, -40.0), (1.0, INF), (-INF, -2.0),
+     (-INF, INF)],
+)
+def test_draws_follow_the_truncated_normal(lower, upper):
+    sigma, n = 2.5, 20_000
+    u = cell_uniforms(5 * 1_000_003 + 1, 1, np.arange(n))
+    x = truncated_normal(sigma, np.full(n, sigma * lower), np.full(n, sigma * upper), u)
+    assert not np.isnan(x).any()
+    assert np.all((sigma * lower <= x) & (x <= sigma * upper))
+    assert kstest(x, truncnorm(lower, upper, scale=sigma).cdf).statistic <= ks_bound(n)
+
+
+def test_degenerate_draws_land_by_the_guard_rule():
+    # truncnorm.ppf returns inf on intervals this far out, a value just
+    # below a subnormal interval, and NaN on an empty one: each lands on
+    # its interval's side closer to 0, like the per-cell oracle.
+    lower = np.array([1e300, 1e200, -1e201, 5e-324, 2.0])
+    upper = np.array([INF, 1e201, -1e200, 1e-323, 1.0])
+    u = np.array([0.3, 0.999, 0.5, 0.3, 0.5])
+    x = truncated_normal(1.0, lower, upper, u)
+    assert x.tolist() == [1e300, 1e200, -1e200, 5e-324, 1.0]
+    assert x.tolist() == [scalar_truncated_normal(1.0, *args) for args in zip(lower, upper, u)]
+
+
+def test_drawing_a_subset_gives_the_same_values():
+    # A cell's uniform and draw depend on its key and interval alone.
+    rng = np.random.default_rng(4)
+    n = 2_000
+    records = rng.choice(10**9, n, replace=False)
+    lower = rng.normal(0.0, 2.0, n) - rng.exponential(1.0, n)
+    upper = lower + rng.exponential(2.0, n)
+    lower[::7], upper[::11] = -INF, INF
+    u = cell_uniforms(3, 4, records)
+    x = truncated_normal(1.5, lower, upper, u)
+    subset = np.sort(rng.choice(n, 300, replace=False))
+    u_sub = cell_uniforms(3, 4, records[subset])
+    assert u_sub.tobytes() == u[subset].tobytes()
+    assert truncated_normal(1.5, lower[subset], upper[subset], u_sub).tobytes() == x[subset].tobytes()
+    for k in subset[:40]:
+        assert x[k] == scalar_truncated_normal(1.5, lower[k], upper[k], u[k])
 
 
 @st.composite
@@ -267,9 +328,9 @@ def test_zero_residuals_are_the_zero_sum_adjustment(problem):
         want = zero_sum_interval_adjust(adjust_problem)
     except InfeasibleAdjustmentError as err:
         with pytest.raises(InfeasibleAdjustmentError) as got:
-            benchmarked_residuals(0.0, lower - x, upper - x, weights, no_stream, feasibility_scale=scale)
+            benchmarked_residuals(0.0, lower - x, upper - x, weights, None, feasibility_scale=scale)
         assert str(got.value) == str(err)
         return
-    out, stats = benchmarked_residuals(0.0, lower - x, upper - x, weights, no_stream, feasibility_scale=scale)
+    out, stats = benchmarked_residuals(0.0, lower - x, upper - x, weights, None, feasibility_scale=scale)
     assert out.tobytes() == want.tobytes()
     assert stats == {"attempts": 0, "fallbacks": 0, **adjustment_stats(adjust_problem, want)}
