@@ -16,11 +16,8 @@ constants.
 Most steps cannot move, and the key alone says which: where the key's
 equalities fix the target (``fm.CompiledInterval.pinned``), the step is
 the identity whatever the state.  It is counted as accepted and
-``pinned`` and does nothing else: no pair system, posterior or draw.  On
-other keys, where the interval is no wider than its bounds' rounding and
-the current value already meets it, the step holds the pair as it is and
-also counts as ``pinned``; it draws only the posterior's variates
-(:func:`posterior_variates`), without solving for the model.
+``pinned`` and does nothing else: no pair system, posterior or draw.
+Every other step draws and completes.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, the records' rows are Python lists
@@ -44,7 +41,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import fm, metrics, regression
+from . import fm, metrics
 from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
 from .pipeline import DataMatrix, Totals, check_inputs, check_seed, validate
@@ -70,8 +67,8 @@ class McmcConfig:
     # other columns when nothing is fully observed).  With balance edits,
     # "all other columns" is an exact identity for every member of the
     # balance, which degenerates the posterior; fully observed predictors
-    # avoid that trap.  A default set whose design is rank deficient on
-    # the input loses its dependent columns (the rule of ``fit_ols``).
+    # avoid that trap.  A default set loses, in order, each column that
+    # the Gram factor would find dependent on the input (independent_predictors).
     predictors: Mapping[str, Sequence[str]] | None = None
 
     def __post_init__(self):
@@ -491,17 +488,11 @@ class PairStep:
         return new_s, new_t
 
 
-def _augment(rows: np.ndarray) -> np.ndarray:
-    """``rows`` with a leading column of ones."""
-    out = np.ones((rows.shape[0], rows.shape[1] + 1))
-    out[:, 1:] = rows
-    return out
-
-
 def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     """Augmented Gram matrix AᵀA of A = [1, values[:, columns]]; the last
     column is the target, the others its predictors."""
-    A = _augment(values[:, list(columns)])
+    A = np.ones((values.shape[0], len(columns) + 1))
+    A[:, 1:] = values[:, list(columns)]
     return A.T @ A
 
 
@@ -538,17 +529,19 @@ def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list
     return L, row, pivot
 
 
-def posterior_variates(rss: float, p1: int, n: int, rng: np.random.Generator) -> tuple[float, list[float]]:
-    """The random part of :func:`posterior_model` for a fit with residual
-    sum of squares ``rss`` and ``p1`` parameters over ``n`` records:
-    σ² = rss / χ²(n - p1), drawn only when rss > 0 (else 0), and the p1
-    standard normals that perturb the coefficients, drawn only when σ² > 0
-    (else none).  A step that discards the model calls this alone, so the
-    stream advances exactly as it would have."""
-    if n <= p1:
-        raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
-    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
-    return sigma2, rng.standard_normal(p1).tolist() if sigma2 > 0 else []
+def independent_predictors(gram: Sequence[Sequence[float]], candidates: Sequence[int]) -> list[int]:
+    """The ``candidates`` (column positions) that a design keeps under
+    :func:`gram_factor`'s rank rule, in order: each whose pivot, given the
+    intercept and the candidates kept before it, exceeds :data:`GRAM_RTOL`
+    of its diagonal.  ``gram`` is the augmented Gram matrix over ``[1,
+    every column]``, as rows.  A kept set's factor repeats these pivots, so
+    it never finds the design rank deficient on the same matrix."""
+    kept = [0]
+    for c in candidates:
+        block = [[gram[a][b] for b in kept + [c + 1]] for a in kept + [c + 1]]
+        if gram_factor(block, "")[2] > 0:  # c's pivot, read as the rss of a fit of c
+            kept.append(c + 1)
+    return [c - 1 for c in kept[1:]]
 
 
 def posterior_model(
@@ -571,11 +564,13 @@ def posterior_model(
     least-squares coefficients with zero variance.  ``factor`` is only read.
     """
     p1 = len(predictors) + 1
+    if n <= p1:
+        raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
     L, l, rss = factor
-    sigma2, normals = posterior_variates(rss, p1, n, rng)
+    sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
     if sigma2 > 0:
         sigma = math.sqrt(sigma2)
-        l = [v + sigma * e for v, e in zip(l, normals)]
+        l = [v + sigma * e for v, e in zip(l, rng.standard_normal(p1).tolist())]
     beta = list(l)  # overwritten from the last entry down: β = L⁻ᵀ l
     for i in range(p1 - 1, -1, -1):
         acc = l[i]
@@ -691,20 +686,15 @@ def mcmc_refine(
 
     The input must pass :func:`pipeline.check_inputs` (even with zero
     iterations), be complete and reproduce the totals (its mask marks the
-    imputed cells).  Consistency is revalidated at
-    every checkpoint; a step whose constraint system turns out infeasible
-    falls back to retaining the current values and is counted.
+    imputed cells).  With zero iterations, or no column of two imputed
+    cells, it comes back unchanged with an empty trace.  Consistency is
+    revalidated at every checkpoint.
 
-    A step counts as accepted and ``pinned``, and leaves the pair's rows as
-    they are, in two cases.  Where its key pins the target
-    (:attr:`_KeySystem.pinned`), it is the identity whatever the state: the
-    interval is a point the current value meets, and a total then pins the
-    partner.  It builds no :class:`PairStep` and draws nothing, which
-    leaves the chain's kernel unchanged; only the seeded path differs from
-    a chain that draws on such steps.  On other keys, a step whose interval
-    is bounded and no wider than ``DEFAULT_TOL * max(1, |lower|, |upper|)``,
-    with the current value within that margin of it, holds after drawing
-    the posterior's variates.
+    A step whose key pins the target (:attr:`_KeySystem.pinned`) is the
+    identity whatever the state, so it counts as accepted and ``pinned``
+    and does nothing else; skipping it leaves the chain's kernel unchanged.
+    Every other step draws and completes, or, where its system turns out
+    infeasible, keeps the current values and counts as a fallback.
     """
     if config is None:
         config = McmcConfig()
@@ -717,7 +707,8 @@ def mcmc_refine(
     checkpoint_every = config.checkpoint_every or max(1, iterations // 20)
     state = data.copy()
     trace: list[dict] = []
-    if iterations == 0:
+    # Only columns with two imputed rows are ever re-drawn.
+    if iterations == 0 or not (state.mask.sum(axis=0) >= 2).any():
         return state, trace
 
     rng = np.random.default_rng(config.seed)
@@ -726,8 +717,8 @@ def mcmc_refine(
     position = {name: j for j, name in enumerate(columns)}
     observed_cols = [name for j, name in enumerate(columns) if not state.mask[:, j].any()]
     index = PairIndex.build(state.mask)
-    # Only columns with two imputed rows are ever re-drawn.
     targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
+    gram = gram_matrix(state.values, range(len(columns))).tolist()
     predictors = {}
     for j in targets:
         name = columns[j]
@@ -735,10 +726,7 @@ def mcmc_refine(
             names = list(config.predictors[name])
         else:
             names = [c for c in observed_cols if c != name] or [c for c in columns if c != name]
-            design = _augment(state.values[:, [position[c] for c in names]])
-            if np.linalg.matrix_rank(design) < design.shape[1]:
-                dependent = regression._dependent_columns(design, names)
-                names = [c for c in names if c not in dependent]
+            names = [columns[c] for c in independent_predictors(gram, [position[c] for c in names])]
         if n <= len(names) + 1:  # before a factor of the too-small design finds it rank deficient
             raise InsufficientDataError(f"only {n} records for {len(names) + 1} regression parameters")
         predictors[j] = names
@@ -779,40 +767,25 @@ def mcmc_refine(
                         f"[{interval.lower}, {interval.upper}]"
                     )
                 factor = gram_factor(stats.block(j), columns[j])
-                # An interval no wider than its bounds' rounding (fm.snap's
-                # rule) that the current value meets to that margin leaves
-                # nothing to draw or complete: the step holds the pair's rows,
-                # which are feasible.  It still draws the posterior's variates,
-                # without solving for the model.  An unbounded side makes the
-                # margin infinite and never holds.
-                lower, upper = interval.lower, interval.upper
-                margin = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
-                held = upper - lower <= margin < math.inf and lower - margin <= current <= upper + margin
-                if held:
-                    posterior_variates(factor[2], len(stats.columns[j]), n, rng)
-                else:
-                    model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
-                    new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
+                model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
+                new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
             except InfeasibleSystemError:
                 # The current point is always feasible, so the step can keep it.
                 counts[j]["fallbacks"] += 1
             else:
                 counts[j]["accepted"] += 1
-                if held:
-                    counts[j]["pinned"] += 1
-                else:
-                    for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
-                        for col in cols:
-                            delta = new[col] - old[col]
-                            if delta != 0.0:
-                                colsums[col] += weights[rec] * delta
-                        rows[rec] = new
-                    moved.update((s, t))
-                    stats.move(pair.old, new_rows)
-                    move = abs(new_rows[0][j] - current)
-                    if move:
-                        counts[j]["moved"] += 1
-                        abs_moves[j] += move
+                for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
+                    for col in cols:
+                        delta = new[col] - old[col]
+                        if delta != 0.0:
+                            colsums[col] += weights[rec] * delta
+                    rows[rec] = new
+                moved.update((s, t))
+                stats.move(pair.old, new_rows)
+                move = abs(new_rows[0][j] - current)
+                if move:
+                    counts[j]["moved"] += 1
+                    abs_moves[j] += move
 
         if iteration % checkpoint_every == 0 or iteration == iterations:
             if moved:

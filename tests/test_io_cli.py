@@ -10,6 +10,8 @@ from calimp.cli import _study_config, main
 from calimp.errors import DataFormatError
 from calimp.pipeline import DataMatrix
 
+from test_mcmc import FIVE_VAR_RULES, five_var_data
+from test_pair_systems import SURVEY_RULES, build
 from test_pipeline import pinned_balance_data
 
 
@@ -235,6 +237,34 @@ class TestCli:
         out = cio.read_dataset(tmp_path / "mc.csv")
         totals = cio.read_totals(tmp_path / "totals.txt")
         assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
+
+    @pytest.mark.parametrize("case", ["large", "one_cell_per_column"])
+    def test_chain_on_a_complete_file_exits_0(self, tmp_path, case):
+        # Survey records near 1e10, whose default predictors the Gram factor
+        # finds dependent at rounding level, and a mask whose imputed cells
+        # are each in a different column, which leaves no pair to draw.
+        # Every step of the first chain is skipped, so both return their
+        # input.
+        if case == "large":
+            data, edits, totals = build("large", np.random.default_rng(0), weighted=False, r=200)
+            rules = SURVEY_RULES
+        else:
+            data, edits, totals = five_var_data(np.random.default_rng(2000), r=300)
+            mask = np.zeros_like(data.mask)
+            for j in (0, 3, 4):
+                mask[np.flatnonzero(data.mask[:, j])[0], j] = True
+            data, rules = DataMatrix(data.values, mask, data.columns), FIVE_VAR_RULES
+        cio.write_dataset(DataMatrix(data.values, np.zeros_like(data.mask), data.columns), tmp_path / "data.csv")
+        cio.write_mask(data.mask, data.columns, tmp_path / "mask.csv")
+        cio.write_totals(totals, tmp_path / "totals.txt")
+        (tmp_path / "rules.edits").write_text(rules)
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"), "--mask", str(tmp_path / "mask.csv"),
+            "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
+            "--method", "mcmc", "--iterations", "200", "--seed", "5", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 0
+        assert cio.read_dataset(tmp_path / "o.csv").values.tobytes() == data.values.tobytes()
 
     def test_impute_bpma_with_nearly_all_cells_pinned(self, tmp_path):
         data, rules, totals = pinned_balance_data(np.random.default_rng(12))

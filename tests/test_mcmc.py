@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import time
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
 from calimp import mcmc, sim
-from calimp.edits import parse_edit_rules, violation_matrix
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, violation_matrix
 from calimp.errors import CalimpError, InfeasibleRecordError, InsufficientDataError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
 from calimp.mcmc import (
@@ -25,7 +26,6 @@ from calimp.mcmc import (
     mcmc_refine,
     pair_constraint_system,
     posterior_model,
-    posterior_variates,
     select_pair,
 )
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
@@ -321,22 +321,6 @@ class TestPosteriorOracle:
         assert np.linalg.norm(model.coefficients - want) <= 1e-8 * np.linalg.norm(want)
         assert model.predictive_mean == pytest.approx(want[0] + X[record] @ want[1:], rel=1e-8, abs=1e-8)
 
-    @settings(max_examples=80, deadline=None)
-    @given(seeds, st.sampled_from([0.0, 1e-9, 1.0, 3e7]), st.integers(1, 6), st.integers(1, 10**5))
-    def test_held_step_draw_advances_the_stream_as_the_posterior(self, seed, rss, p1, dof):
-        # A held step draws posterior_variates alone: the chi-square when
-        # rss > 0, then the p + 1 normals when σ² > 0.  The stream must be
-        # where posterior_model leaves it, for an exact fit (rss 0) too.
-        n = p1 + dof
-        L = [[0.5] * i + [1.0 + i] for i in range(p1)]  # rows of a lower factor
-        l = [0.5 * i - 1.0 for i in range(p1)]
-        held, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-        sigma2, normals = posterior_variates(rss, p1, n, held)
-        model = posterior_model((L, l, rss), [2.0] * p1, list(range(p1 - 1)), n, drawn)
-        assert held.bit_generator.state == drawn.bit_generator.state
-        assert sigma2 == model.variance and (sigma2 > 0) == (rss > 0)
-        assert len(normals) == (p1 if rss > 0 else 0)
-
     def test_coefficient_draws_have_the_posterior_covariance(self):
         rng = np.random.default_rng(12)
         n = 60
@@ -367,9 +351,9 @@ class TestPosteriorOracle:
         else:
             pre, edits, totals = five_var_data(rng, r=r)
             predictors = None
-        checked = {"steps": 0, "variates": 0, "checkpoints": 0, "skipped": 0}
+        checked = {"steps": 0, "checkpoints": 0, "skipped": 0}
         real_system, real_step = PairSystems.system, mcmc.PairStep
-        real_posterior, real_variates, real_factor = mcmc.posterior_model, mcmc.posterior_variates, mcmc.gram_factor
+        real_posterior, real_factor = mcmc.posterior_model, mcmc.gram_factor
         real_rebuild = PosteriorStats.rebuild
         live = {}
 
@@ -390,10 +374,13 @@ class TestPosteriorOracle:
             return real_step(systems_, system, rows, colsums, s, t)
 
         def checked_factor(gram, target):
-            # Every step that draws or holds at rounding level, and every
-            # checkpoint, factors its model's block, which must be that of a
-            # fresh Gram on the current values (a stale one is not).
+            # Every step that draws, and every checkpoint, factors its
+            # model's block, which must be that of a fresh Gram on the
+            # current values (a stale one is not).  Before the statistics
+            # exist, the default predictors are picked by the same factor.
             factor = real_factor(gram, target)
+            if "stats" not in live:
+                return factor
             columns = live["stats"].columns[pre.columns.index(target)]
             assert_factor_of(factor, gram_matrix(live["values"], columns).tolist())
             live.update(factor=factor, columns=columns)
@@ -407,12 +394,6 @@ class TestPosteriorOracle:
             checked["steps"] += 1
             return real_posterior(factor, row, predictors_, n, rng_)
 
-        def checked_variates(rss, p1, n, rng_):
-            # Holds at rounding level draw these alone, on the same factor.
-            assert rss == live["factor"][2] and n == len(live["values"])
-            checked["variates"] += 1
-            return real_variates(rss, p1, n, rng_)
-
         def checked_rebuild(stats_, values):
             if hasattr(stats_, "gram"):  # a checkpoint, not the first build
                 for j, cols in stats_.columns.items():
@@ -425,7 +406,6 @@ class TestPosteriorOracle:
             patch.setattr(PairSystems, "system", counting_system)
             patch.setattr(mcmc, "PairStep", recording_step)
             patch.setattr(mcmc, "posterior_model", checked_posterior)
-            patch.setattr(mcmc, "posterior_variates", checked_variates)
             patch.setattr(mcmc, "gram_factor", checked_factor)
             patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
             _, trace = mcmc_refine(
@@ -434,10 +414,10 @@ class TestPosteriorOracle:
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
         assert checked["steps"] > 0 and checked["checkpoints"] >= 2 and checked["skipped"] > 0
-        # posterior_model draws its variates through the same function; the
-        # pinned steps that are not skipped are the holds at rounding level.
+        # The pinned steps are exactly the skipped ones; every other step
+        # draws its model.
         pinned = sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
-        assert checked["variates"] == checked["steps"] + pinned - checked["skipped"]
+        assert pinned == checked["skipped"]
 
     @pytest.mark.parametrize("system", ["study", "five_unread"])
     def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
@@ -658,6 +638,23 @@ class TestMcmcRefine:
         assert np.array_equal(out.values, data.values)
         assert trace == []
 
+    def test_chain_without_a_pair_returns_its_input(self):
+        # One imputed cell kept in each of three columns: no column has two,
+        # so no step has a pair to draw, and the chain returns its input with
+        # an empty trace, as with zero iterations.  The input is still checked.
+        pre, edits, totals = five_var_data(np.random.default_rng(2000), r=300)
+        mask = np.zeros_like(pre.mask)
+        for j in (0, 3, 4):
+            mask[np.flatnonzero(pre.mask[:, j])[0], j] = True
+        data = DataMatrix(pre.values, mask, pre.columns)
+        out, trace = mcmc_refine(data, edits, totals, McmcConfig(seed=0))
+        assert out.values.tobytes() == pre.values.tobytes() and np.array_equal(out.mask, mask)
+        assert trace == []
+        bad = data.copy()
+        bad.values[0, 4] += 1.0
+        with pytest.raises(InfeasibleRecordError):
+            mcmc_refine(bad, edits, totals, McmcConfig(seed=0))
+
     @pytest.mark.parametrize("every", [0, -3])
     def test_nonpositive_checkpoint_interval_is_rejected(self, every):
         data, edits, totals = pair_example_data()
@@ -773,7 +770,7 @@ class TestMcmcRefine:
     def test_steps_on_keys_that_pin_the_target_are_skipped(self):
         # From the key lookup that finds its key pinned to the next pair
         # selection (or checkpoint rebuild), a step builds no PairStep,
-        # factors no model, draws no variates and calls no generator method.
+        # factors no model, draws no posterior and calls no generator method.
         # It counts as accepted and pinned, and it writes nothing: the
         # chain's rows always equal the input with each completion applied.
         # The generator's methods are compiled, so the profiler sees none of
@@ -781,7 +778,7 @@ class TestMcmcRefine:
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
         system_code = PairSystems.system.__code__
         closing = {mcmc.select_pair.__code__, PosteriorStats.rebuild.__code__}
-        watched = {PairStep.__init__.__code__, gram_factor.__code__, posterior_variates.__code__}
+        watched = {PairStep.__init__.__code__, gram_factor.__code__, posterior_model.__code__}
         window, calls, skipped = [False], [], [0]
 
         def profile(frame, event, arg):
@@ -834,27 +831,38 @@ class TestMcmcRefine:
         assert out.values.tobytes() == tracked.tobytes()
         entries = trace[-1]["per_variable"].values()
         assert sum(entry["moved"] for entry in entries) > 50
-        assert sum(entry["pinned"] for entry in entries) >= skipped[0] > 200
+        assert sum(entry["pinned"] for entry in entries) == skipped[0] > 200
         assert trace[-1]["accepted"] + trace[-1]["fallbacks"] == 600
 
-    def test_step_on_an_interval_within_its_rounding_holds(self):
+    def test_step_on_an_interval_within_its_rounding_completes(self):
         # Five-column chains meet x1 or x4 cells at 0 whose interval is
-        # [0, 1.8e-12], two ulps of the bound rows' constants, on keys that
-        # do not pin them.  Such a step holds: the chain cut one step later
-        # has the same bytes and one more pinned step.  Checkpoints rebuild
+        # [0, 0] or a few ulps wide, no wider than DEFAULT_TOL times its
+        # largest bound, on keys that do not pin them.  Such a step draws and completes like
+        # any other: its cell lands inside the interval, and a checkpoint
+        # right after it validates edits and totals.  Checkpoints rebuild
         # the column sums, so each run has a single one, at its end.
-        real_system, found, step_of = PairSystems.system, [], {}
+        real_system, found, completed, step_of = PairSystems.system, [], [], {}
 
         def system(self, s, t, j):
             step_of.update(step=step_of["step"] + 1, j=j)
             return real_system(self, s, t, j)
 
+        def narrow(interval):
+            lower, upper = interval.lower, interval.upper
+            return upper - lower <= DEFAULT_TOL * max(1.0, abs(lower), abs(upper)) < math.inf
+
         class Step(PairStep):
             def __init__(self, *args):
                 super().__init__(*args)
-                lower, upper = self.interval.lower, self.interval.upper
-                if not found and 0.0 < upper - lower <= 1e-9 * max(1.0, abs(lower), abs(upper)):
-                    found.append((step_of["step"], step_of["j"]))
+                self.step, self.j, self.record = step_of["step"], step_of["j"], args[4]
+                if not found and narrow(self.interval):
+                    found.append((self.step, self.j))
+
+            def complete(self, value):
+                new = super().complete(value)
+                if found and (self.step, self.j) == found[0]:
+                    completed.append((self.interval, value, self.record, new[0][self.j]))
+                return new
 
         for k in range(10):
             pre, edits, totals = five_var_data(np.random.default_rng(2000 + k), r=300)
@@ -866,22 +874,21 @@ class TestMcmcRefine:
             if found:
                 break
         assert found, "no chain met a step on an interval within its rounding"
+        assert len(completed) == 1
+        interval, value, record, cell = completed[0]
+        assert interval.lower <= value == cell <= interval.upper
         step, j = found[0]
-        runs = [
-            mcmc_refine(pre, edits, totals, McmcConfig(iterations=n, checkpoint_every=n, seed=k))
-            for n in (step - 1, step)
-        ]
-        (before, trace_before), (after, trace_after) = runs
-        assert after.values.tobytes() == before.values.tobytes()
-        name = pre.columns[j]
-        entry, entry_before = trace_after[-1]["per_variable"][name], trace_before[-1]["per_variable"][name]
-        assert (entry["accepted"], entry["pinned"], entry["moved"]) == (
-            entry_before["accepted"] + 1, entry_before["pinned"] + 1, entry_before["moved"]
-        )
+        out, trace = mcmc_refine(pre, edits, totals, McmcConfig(iterations=step, checkpoint_every=step, seed=k))
+        assert len(trace) == 1 and (trace[0]["accepted"], trace[0]["fallbacks"]) == (step, 0)
+        assert out.values[record, j] == cell
+        assert not violation_matrix(edits, out.values, out.columns).any()
+        for c, name in enumerate(out.columns):
+            assert float(out.values[:, c].sum()) == pytest.approx(totals[name], rel=1e-8)
+        assert np.array_equal(out.values[~pre.mask], pre.values[~pre.mask])
 
     def test_step_on_an_unbounded_interval_never_holds(self):
-        # Without totals, an imputed a has the interval [0, inf): its width
-        # and its rounding margin are both infinite, yet every step draws.
+        # Without totals, an imputed a has the interval [0, inf): no key
+        # pins it, so every step draws and moves it.
         rng = np.random.default_rng(3)
         b = rng.uniform(1.0, 10.0, 40)
         values = np.column_stack([2.0 * b + rng.uniform(0.0, 1.0, 40), b])
@@ -940,8 +947,9 @@ class TestMcmcRefine:
 
     def test_trace_flags_exact_fits(self):
         # x2 = P - x1 exactly, so its model on P and x1 has rss 0 (σ² = 0:
-        # its steps can only hold or clamp); x1 on P alone is noisy.  P,
-        # imputed in one record only, is re-drawn by no step and has no model.
+        # its steps set the prediction clamped into the interval); x1 on P
+        # alone is noisy.  P, imputed in one record only, is re-drawn by no
+        # step and has no model.
         pre, edits, totals = three_var_study_data(np.random.default_rng(8), r=120)
         mask = pre.mask.copy()
         mask[int(np.flatnonzero(~mask.any(axis=1))[0]), 2] = True
@@ -956,12 +964,13 @@ class TestMcmcRefine:
     def test_chain_steps_make_no_numpy_call_but_draws(self):
         # Between checkpoints a step works on the chain's row lists in plain
         # Python: numpy is reached only for the Generator's draws (and, in
-        # posterior_variates, the tolist of the drawn normals), and to
+        # posterior_model, the tolist of the drawn normals), and to
         # compile a key met for the first time.  Steps 1 .. n-1 are watched;
         # the last step's window holds the one checkpoint.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
         numpy_dir = os.path.dirname(np.__file__)
         select_code, compile_code = mcmc.select_pair.__code__, PairSystems._compile.__code__
+        posterior_code = posterior_model.__code__
         draws = (np.random.Generator, np.random.BitGenerator)
         steps, found, compiling = [0], [], set()
 
@@ -975,7 +984,7 @@ class TestMcmcRefine:
                     found.append((steps[0], frame.f_code.co_name))
             elif event == "c_call":
                 owner = getattr(arg, "__self__", None)
-                if isinstance(owner, draws) or frame.f_code is posterior_variates.__code__:
+                if isinstance(owner, draws) or frame.f_code is posterior_code and arg.__name__ == "tolist":
                     return
                 module = getattr(arg, "__module__", None) or ""
                 if isinstance(owner, (np.ndarray, np.generic)) or module.startswith("numpy"):

@@ -20,10 +20,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from calimp import mcmc
 from calimp.edits import DEFAULT_TOL, parse_edit_rules, system_matrices, violation_matrix
 from calimp.errors import InfeasibleSystemError
-from calimp.mcmc import McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refine, select_pair
+from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
 
-from _oracles import coupled_pair_step, pair_step
+from _oracles import coupled_pair_step, lstsq_posterior_fit, pair_step
 from test_mcmc import pair_example_data, with_rows
 
 RTOL = 1e-12
@@ -277,17 +277,17 @@ def test_chain_steps_match_the_per_record_step(kind):
     # step whose key pins the target is skipped; evaluated here after all,
     # on the chain's values and fresh column sums, its interval is a point
     # that admits the current value, and both oracles find that point and
-    # complete it to the pair's current rows.  A step that builds its
-    # PairStep but never completes holds the same way.  The chain hands
-    # each PairStep its row lists (None for a record without imputed cells,
+    # complete it to the pair's current rows.  Every other step builds a
+    # PairStep that either completes or falls back.  The chain hands each
+    # PairStep its row lists (None for a record without imputed cells,
     # which never changes); they must always be the input with every
-    # completion applied, so neither kind of step writes.
+    # completion applied, so a skipped step writes nothing.
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
     predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
     real_system = PairSystems.system
     tracked = data.values.copy()
-    checked, held, skipped, last = [], [], [], {}
+    checked, skipped, last = [], [], {}
 
     def live_values(rows):
         values = data.values.copy()
@@ -302,18 +302,14 @@ def test_chain_steps_match_the_per_record_step(kind):
         live = DataMatrix(tracked.copy(), data.mask, data.columns, data.weights)
         return (live, edits, totals, s, t, data.columns[j], colsums)
 
-    def check_held():
-        if "step" in last and not last["completed"]:
-            step, rows = last["step"], last["rows"]
-            current, point = rows[0, last["j"]], step.interval.lower
-            assert step.interval.is_point()
-            assert abs(current - point) <= DEFAULT_TOL * max(1.0, abs(point))
-            check_step(*last["args"], step.interval, current, rows)
-            held.append(current)
+    def check_completed():
+        # A PairStep built without an infeasible system goes on to complete
+        # (or falls back there): no step keeps its rows without drawing.
+        assert "step" not in last or last["completed"]
         last.clear()
 
     def checked_system(systems, s, t, j):
-        check_held()
+        check_completed()
         system = real_system(systems, s, t, j)
         last.update(records=[s, t], j=j)
         if system.pinned:
@@ -336,7 +332,7 @@ def test_chain_steps_match_the_per_record_step(kind):
             except InfeasibleSystemError:
                 check_step(*args, None, float(values[s, last["j"]]), None)
                 raise
-            last.update(rows=values[[s, t]].copy(), step=self, args=args, completed=False)
+            last.update(step=self, args=args, completed=False)
 
         def complete(self, value):
             last["completed"] = True
@@ -354,10 +350,10 @@ def test_chain_steps_match_the_per_record_step(kind):
         patch.setattr(PairSystems, "system", checked_system)
         patch.setattr(mcmc, "PairStep", CheckedStep)
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
-    check_held()
+    check_completed()
     assert out.values.tobytes() == tracked.tobytes()
-    assert len(checked) + len(held) + len(skipped) == trace[-1]["accepted"] > 250
-    assert len(held) + len(skipped) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+    assert len(checked) + len(skipped) == trace[-1]["accepted"] > 250
+    assert len(skipped) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
     assert checked and skipped
 
 
@@ -617,6 +613,33 @@ def test_chain_runs_on_a_system_without_edits():
     out, trace = mcmc_refine(DataMatrix(values, mask, ("a", "b")), parse_edit_rules(""), totals, config)
     assert (trace[-1]["accepted"], trace[-1]["per_variable"]["a"]["moved"]) == (50, 50)
     assert float(out.values[:, 0].sum()) == pytest.approx(totals["a"], rel=1e-8)
+
+
+def test_default_predictors_follow_the_gram_factor_rule():
+    # Survey records near 1e10 with ``other`` imputed (below 100) and every
+    # other column observed.  turnover = goods + services and profit =
+    # turnover - costs are exact, and costs = staff + materials + other
+    # differs from staff + materials by less than the Gram factor's
+    # rounding floor.  The default set drops each column the factor finds
+    # dependent, so the chain, whose checkpoint factors that set, runs.
+    for seed in range(3):
+        data, edits, totals = build("large", np.random.default_rng(seed), weighted=False, r=200)
+        out, trace = mcmc_refine(data, edits, totals, McmcConfig(seed=0, iterations=1))
+        kept = ["goods", "services", "staff", "materials"]
+        assert trace[0]["predictors"] == {"other": kept}
+        assert out.values.tobytes() == data.values.tobytes()  # its edit pins every imputed other
+        # The lstsq oracle of the factor's pivot: column c's rss on the
+        # intercept and the kept columns before it, over c's sum of squares,
+        # is far below GRAM_RTOL exactly for the dropped columns.
+        kept_before = []
+        for c, name in enumerate(SURVEY_COLUMNS):
+            if name == "other":
+                continue
+            _, rss, _ = lstsq_posterior_fit(data.values, c, kept_before)
+            ratio = rss / float(data.values[:, c] @ data.values[:, c])
+            assert ratio > 100 * GRAM_RTOL if name in kept else ratio < GRAM_RTOL / 100, (name, ratio)
+            if name in kept:
+                kept_before.append(c)
 
 
 def test_infeasible_worked_example():
