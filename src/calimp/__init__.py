@@ -34,7 +34,6 @@ from .metrics import MetricReport, d_l1, ks_statistic, std_pct_diff, weighted_pe
 from .pipeline import DataMatrix, ImputationConfig, Totals, impute, variable_order
 from .regression import RegressionFit, fit_benchmarked, fit_ols, log_benchmark_correction
 from .residuals import (
-    ResidualDraw,
     benchmarked_residuals,
     cell_rng,
     cell_uniform,

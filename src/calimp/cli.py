@@ -159,6 +159,9 @@ def _cmd_impute(args) -> int:
                 raise DataFormatError("mask shape does not match the dataset")
             pre = DataMatrix(data.values.copy(), mask, data.columns, data.weights.copy())
         refined, trace = mcmc_refine(pre, edits, totals, config)
+        if not trace:
+            reason = "zero iterations" if args.iterations == 0 else "no column has two imputed cells"
+            trace = [{"note": f"the chain took no step: {reason}"}]
         cio.write_dataset(refined, out)
         _write_diagnostics(diagnostics + trace, diag_path)
         return EXIT_OK

@@ -647,8 +647,7 @@ def draw_truncated_posterior(
         return model.predictive_mean
     if shifted.is_point():  # a narrow interval far from the mean
         return model.predictive_mean + shifted.lower
-    draw = draw_ar_residual(sigma, shifted, rng)
-    return model.predictive_mean + draw.value
+    return model.predictive_mean + draw_ar_residual(sigma, shifted, rng)
 
 
 def _checkpoint_row(

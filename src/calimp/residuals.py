@@ -11,29 +11,21 @@ uniform is defined by :func:`cell_uniform` from the seed, the column and
 the record, so it does not depend on which other cells draw;
 :func:`cell_uniforms` gives the uniforms of many records of a column by
 running numpy's ``SeedSequence`` hash for all of them at once as array
-arithmetic.  :func:`draw_ar_residual` is the chain's scalar draw from a
-generator: rejection sampling, with the same inverse-CDF draw as its
-fallback when the interval sits far in the tail.
+arithmetic.  :func:`draw_ar_residual` is the chain's scalar draw: the
+same truncated normal, inverted in log space at one uniform made from one
+raw word of the chain's generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 from scipy.stats import truncnorm
 
 from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from .fm import Interval
-
-DEFAULT_MAX_ATTEMPTS = 100
-
-
-@dataclass(frozen=True)
-class ResidualDraw:
-    value: float
-    attempts: int
-    fallback_used: bool
 
 
 def _uniform(word):
@@ -148,27 +140,33 @@ def truncated_normal(sigma: float, lower: np.ndarray, upper: np.ndarray, uniform
     return x
 
 
-def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator) -> ResidualDraw:
-    """One normal residual truncated to ``interval``, for ``sigma > 0`` and
-    an interval that is not a point (callers settle those cases without a
-    stream).
+def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator) -> float:
+    """One N(0, sigma^2) residual truncated to ``interval``, for ``sigma > 0``
+    and an interval that is not a point: the exact inverse CDF at one
+    uniform from one raw word of ``rng``, by :func:`_uniform`'s mapping.
+    The name is historical; ``perfbench/spans.py`` traces it.
 
-    Plain rejection against N(0, sigma^2) up to ``DEFAULT_MAX_ATTEMPTS``
-    proposals; afterwards the value is drawn by inverting the truncated CDF
-    instead, which preserves the distribution exactly.
+    In units of sigma, ``[a, b]`` with ``a + b > 0`` is reflected to
+    ``[-b, -a]``, so ``y = Phi(x) / Phi(b)`` does not cancel; ``log y`` is
+    ``log1p(y - 1)`` near 1 and the log of a sum of two positive terms
+    below, so both ends keep a few ulps.  A result that is not finite or
+    misses the interval lands as in :func:`truncated_normal`.
     """
-    lo, hi = interval.lower, interval.upper
+    lo, hi, sigma = float(interval.lower), float(interval.upper), float(sigma)
     if not sigma > 0.0 or interval.is_point():
         raise ValueError(f"needs sigma > 0 and a non-point interval, got {sigma} and [{lo}, {hi}]")
-
-    for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
-        x = float(rng.normal(0.0, sigma))
-        if lo <= x <= hi:
-            return ResidualDraw(x, attempt, False)
-
-    u = np.array([rng.uniform()])
-    x = float(truncated_normal(sigma, np.array([lo]), np.array([hi]), u)[0])
-    return ResidualDraw(x, DEFAULT_MAX_ATTEMPTS, True)
+    u = ((rng.bit_generator.random_raw() >> 12) + 0.5) * 2.0**-52
+    a, b, scale = lo / sigma, hi / sigma, sigma
+    if a + b > 0.0:
+        a, b, scale, u = -b, -a, -sigma, 1.0 - u
+    log_b = float(log_ndtr(b))
+    d = float(log_ndtr(a)) - log_b  # log(Phi(a) / Phi(b)); on floats, -inf - -inf is NaN without a warning
+    y_minus_1 = (1.0 - u) * math.expm1(d)
+    log_y = math.log1p(y_minus_1) if y_minus_1 > -0.5 else math.log(u * -math.expm1(d) + math.exp(d))
+    x = scale * float(ndtri_exp(log_b + log_y))
+    if not (math.isfinite(x) and lo <= x <= hi):
+        x = 0.0 if lo <= 0.0 <= hi else (lo if abs(lo) < abs(hi) else hi)
+    return x
 
 
 def benchmarked_residuals(

@@ -181,7 +181,7 @@ def test_criterion_07_truncated_normal_half_mean():
     n = 100_000
     total = 0.0
     for _ in range(n):
-        total += draw_ar_residual(1.0, Interval(0.0, math.inf), rng).value
+        total += draw_ar_residual(1.0, Interval(0.0, math.inf), rng)
     mean = total / n
     expected = math.sqrt(2.0 / math.pi)
     assert abs(mean - expected) < 0.01

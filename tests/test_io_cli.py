@@ -238,22 +238,28 @@ class TestCli:
         totals = cio.read_totals(tmp_path / "totals.txt")
         assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
 
-    @pytest.mark.parametrize("case", ["large", "one_cell_per_column"])
+    @pytest.mark.parametrize("case", ["large", "one_cell_per_column", "zero_iterations"])
     def test_chain_on_a_complete_file_exits_0(self, tmp_path, case):
         # Survey records near 1e10, whose default predictors the Gram factor
-        # finds dependent at rounding level, and a mask whose imputed cells
-        # are each in a different column, which leaves no pair to draw.
-        # Every step of the first chain is skipped, so both return their
-        # input.
+        # finds dependent at rounding level; a mask whose imputed cells are
+        # each in a different column, which leaves no pair to draw; and a
+        # chain of zero iterations.  Every step of the first chain is
+        # skipped, so all three return their input.  The last two take no
+        # step, and their diagnostics are one note saying why.
+        iterations, note = "200", None
         if case == "large":
             data, edits, totals = build("large", np.random.default_rng(0), weighted=False, r=200)
             rules = SURVEY_RULES
         else:
             data, edits, totals = five_var_data(np.random.default_rng(2000), r=300)
-            mask = np.zeros_like(data.mask)
-            for j in (0, 3, 4):
-                mask[np.flatnonzero(data.mask[:, j])[0], j] = True
-            data, rules = DataMatrix(data.values, mask, data.columns), FIVE_VAR_RULES
+            rules = FIVE_VAR_RULES
+            if case == "zero_iterations":
+                iterations, note = "0", "zero iterations"
+            else:
+                mask = np.zeros_like(data.mask)
+                for j in (0, 3, 4):
+                    mask[np.flatnonzero(data.mask[:, j])[0], j] = True
+                data, note = DataMatrix(data.values, mask, data.columns), "no column has two imputed cells"
         cio.write_dataset(DataMatrix(data.values, np.zeros_like(data.mask), data.columns), tmp_path / "data.csv")
         cio.write_mask(data.mask, data.columns, tmp_path / "mask.csv")
         cio.write_totals(totals, tmp_path / "totals.txt")
@@ -261,10 +267,15 @@ class TestCli:
         code = main([
             "impute", "--data", str(tmp_path / "data.csv"), "--mask", str(tmp_path / "mask.csv"),
             "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
-            "--method", "mcmc", "--iterations", "200", "--seed", "5", "--out", str(tmp_path / "o.csv"),
+            "--method", "mcmc", "--iterations", iterations, "--seed", "5", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 0
         assert cio.read_dataset(tmp_path / "o.csv").values.tobytes() == data.values.tobytes()
+        rows = [json.loads(line) for line in (tmp_path / "o.csv.diag.jsonl").read_text().splitlines()]
+        if note is None:
+            assert rows and all("iteration" in row for row in rows)
+        else:
+            assert len(rows) == 1 and list(rows[0]) == ["note"] and note in rows[0]["note"], rows
 
     def test_impute_bpma_with_nearly_all_cells_pinned(self, tmp_path):
         data, rules, totals = pinned_balance_data(np.random.default_rng(12))

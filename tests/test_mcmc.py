@@ -963,10 +963,13 @@ class TestMcmcRefine:
 
     def test_chain_steps_make_no_numpy_call_but_draws(self):
         # Between checkpoints a step works on the chain's row lists in plain
-        # Python: numpy is reached only for the Generator's draws (and, in
-        # posterior_model, the tolist of the drawn normals), and to
-        # compile a key met for the first time.  Steps 1 .. n-1 are watched;
-        # the last step's window holds the one checkpoint.
+        # Python: numpy is reached only for the Generator's draws (in
+        # posterior_model, its chi-square and normals and the tolist of the
+        # normals; in draw_ar_residual, one raw word of its bit generator and
+        # the scipy.special ufuncs log_ndtr and ndtri_exp, none of which the
+        # profile hook sees as a call), and to compile a key met for the
+        # first time.  Steps 1 .. n-1 are watched; the last step's window
+        # holds the one checkpoint.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
         numpy_dir = os.path.dirname(np.__file__)
         select_code, compile_code = mcmc.select_pair.__code__, PairSystems._compile.__code__

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from calimp.adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval
 from calimp.errors import InfeasibleAdjustmentError
 from calimp.fm import Interval
 from calimp.residuals import (
-    DEFAULT_MAX_ATTEMPTS,
     benchmarked_residuals,
     cell_rng,
     cell_uniform,
@@ -24,11 +25,12 @@ INF = math.inf
 
 
 class TestDrawArResidual:
-    def test_untruncated_draw_takes_one_attempt(self):
-        rng = np.random.default_rng(0)
-        draw = draw_ar_residual(1.0, Interval(-INF, INF), rng)
-        assert draw.attempts == 1
-        assert not draw.fallback_used
+    def test_each_draw_reads_one_raw_word(self):
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        for interval in (Interval(-INF, INF), Interval(0.0, INF), Interval(9.0, 10.0), Interval(-41.0, -40.0)):
+            draw_ar_residual(1.0, interval, rng)
+            twin.bit_generator.random_raw()
+            assert rng.bit_generator.state == twin.bit_generator.state, interval
 
     @pytest.mark.parametrize("sigma, interval", [(0.0, Interval(-1.0, 1.0)), (2.0, Interval(0.75, 0.75)), (-1.0, Interval(-1.0, 1.0))])
     def test_zero_sigma_and_point_interval_are_refused(self, sigma, interval):
@@ -64,32 +66,30 @@ class TestDrawArResidual:
         rng = np.random.default_rng(2024)
         n = 100_000
         values = np.fromiter(
-            (draw_ar_residual(1.0, Interval(0.0, INF), rng).value for _ in range(n)),
+            (draw_ar_residual(1.0, Interval(0.0, INF), rng) for _ in range(n)),
             dtype=float,
             count=n,
         )
         assert abs(values.mean() - math.sqrt(2.0 / math.pi)) < 0.01
 
-    def test_far_tail_uses_fallback_and_stays_inside(self):
+    def test_far_tail_draw_stays_inside(self):
         rng = np.random.default_rng(5)
         draw = draw_ar_residual(1.0, Interval(9.0, 10.0), rng)
-        assert draw.fallback_used
-        assert draw.attempts == DEFAULT_MAX_ATTEMPTS
-        assert 9.0 <= draw.value <= 10.0
+        assert 9.0 <= draw <= 10.0
 
-    def test_fallback_preserves_truncated_law(self):
-        # Interval far enough that AR nearly always falls back; compare the
-        # sample mean against the analytic truncated-normal mean.
+    def test_tail_draws_keep_the_truncated_mean(self):
+        # An interval that holds a normal draw about once in 32,000:
+        # compare the sample mean against the analytic truncated-normal mean.
         rng = np.random.default_rng(77)
         lo, hi = 4.0, 6.0
         n = 20_000
-        values = np.array([draw_ar_residual(1.0, Interval(lo, hi), rng).value for _ in range(n)])
+        values = np.array([draw_ar_residual(1.0, Interval(lo, hi), rng) for _ in range(n)])
         expected = truncnorm.mean(lo, hi)
         assert abs(values.mean() - expected) < 0.01
 
     def test_reproducible_given_seed(self):
-        a = [draw_ar_residual(2.0, Interval(-1.0, 3.0), np.random.default_rng(9)).value for _ in range(50)]
-        b = [draw_ar_residual(2.0, Interval(-1.0, 3.0), np.random.default_rng(9)).value for _ in range(50)]
+        a = [draw_ar_residual(2.0, Interval(-1.0, 3.0), np.random.default_rng(9)) for _ in range(50)]
+        b = [draw_ar_residual(2.0, Interval(-1.0, 3.0), np.random.default_rng(9)) for _ in range(50)]
         assert a == b
 
 
@@ -254,24 +254,61 @@ def test_neighbouring_cells_are_uncorrelated():
      (-INF, INF)],
 )
 def test_draws_follow_the_truncated_normal(lower, upper):
+    # The array draw at the cells' uniforms and the chain's scalar draw
+    # from a generator, each n draws.
     sigma, n = 2.5, 20_000
     u = cell_uniforms(5 * 1_000_003 + 1, 1, np.arange(n))
-    x = truncated_normal(sigma, np.full(n, sigma * lower), np.full(n, sigma * upper), u)
-    assert not np.isnan(x).any()
-    assert np.all((sigma * lower <= x) & (x <= sigma * upper))
-    assert kstest(x, truncnorm(lower, upper, scale=sigma).cdf).statistic <= ks_bound(n)
+    rng, interval = np.random.default_rng(5), Interval(sigma * lower, sigma * upper)
+    samples = (
+        truncated_normal(sigma, np.full(n, sigma * lower), np.full(n, sigma * upper), u),
+        np.fromiter((draw_ar_residual(sigma, interval, rng) for _ in range(n)), dtype=float, count=n),
+    )
+    for x in samples:
+        assert not np.isnan(x).any()
+        assert np.all((sigma * lower <= x) & (x <= sigma * upper))
+        assert kstest(x, truncnorm(lower, upper, scale=sigma).cdf).statistic <= ks_bound(n)
 
 
 def test_degenerate_draws_land_by_the_guard_rule():
     # truncnorm.ppf returns inf on intervals this far out, a value just
     # below a subnormal interval, and NaN on an empty one: each lands on
-    # its interval's side closer to 0, like the per-cell oracle.
+    # its interval's side closer to 0, like the per-cell oracle.  The
+    # scalar draw lands on the same points, without a RuntimeWarning; an
+    # empty interval never reaches it, as Interval refuses it.
     lower = np.array([1e300, 1e200, -1e201, 5e-324, 2.0])
     upper = np.array([INF, 1e201, -1e200, 1e-323, 1.0])
     u = np.array([0.3, 0.999, 0.5, 0.3, 0.5])
     x = truncated_normal(1.0, lower, upper, u)
     assert x.tolist() == [1e300, 1e200, -1e200, 5e-324, 1.0]
     assert x.tolist() == [scalar_truncated_normal(1.0, *args) for args in zip(lower, upper, u)]
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scalar = [draw_ar_residual(1.0, Interval(lo, hi), rng) for lo, hi in zip(lower[:4], upper[:4]) for _ in range(50)]
+    assert scalar == [v for v in x[:4].tolist() for _ in range(50)]
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(-0.5, 2.0), (-3.0, 0.25), (-5.0, 5.0), (-6.0, 5.0), (40.0, 41.0), (-41.0, -40.0), (8.0, 9.0), (40.0, INF),
+     (-INF, -40.0), (1.0, INF), (-INF, -2.0), (-INF, INF), (0.0, INF), (0.1, 0.2)],
+)
+def test_scalar_draw_agrees_with_the_array_draw(lower, upper):
+    # The same uniform, made from the raw word the generator gives next,
+    # gives the same value to rounding: at the first raw word of 200
+    # seeds, and at the words of the two smallest and two largest
+    # uniforms, where the CDF ratio is smallest at one end of the interval
+    # and closest to 1 at the other.  sigma is a numpy scalar, which must
+    # not turn the draw's float arithmetic into numpy's (inf - inf warns).
+    sigma = np.float64(2.5)
+    lo, hi = sigma * lower, sigma * upper
+    tol = 1e-12 * max([1.0] + [abs(v) for v in (lo, hi) if math.isfinite(v)])
+    words = [np.random.default_rng(seed).bit_generator.random_raw() for seed in range(200)]
+    for word in words + [0, 1 << 12, 2**64 - 1, 2**64 - 1 - (1 << 12)]:
+        u = ((word >> 12) + 0.5) * 2.0**-52
+        want = truncated_normal(sigma, np.array([lo]), np.array([hi]), np.array([u]))[0]
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda: word))
+        assert abs(draw_ar_residual(sigma, Interval(lo, hi), rng) - want) <= tol, u
 
 
 def test_drawing_a_subset_gives_the_same_values():
