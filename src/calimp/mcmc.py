@@ -43,19 +43,10 @@ import numpy as np
 
 from . import fm, metrics
 from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
-from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError, RankDeficiencyError
-from .pipeline import DataMatrix, Totals, check_inputs, check_seed, validate
+from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError
+from .pipeline import DataMatrix, Totals, check_inputs, check_integer, validate
+from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
 from .residuals import draw_ar_residual
-
-#: Relative rounding floor of a Gram-form pivot.  A pivot is a Schur
-#: complement of the Gram matrix, a difference of sums of n squares, so it
-#: carries an absolute error of many ulps of its diagonal entry (yᵀy for
-#: the target): on the study's exact x2 = P - x1 model the rss comes out
-#: anywhere within ±700 ulps of yᵀy, where lstsq finds 1e-25 of it.  A
-#: pivot at or below ``GRAM_RTOL`` times its diagonal is therefore zero: a
-#: design column in the span of its predecessors, or a target the
-#: predictors fit exactly (rss taken as 0).
-GRAM_RTOL = 2**14 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,16 +58,16 @@ class McmcConfig:
     # other columns when nothing is fully observed).  With balance edits,
     # "all other columns" is an exact identity for every member of the
     # balance, which degenerates the posterior; fully observed predictors
-    # avoid that trap.  A default set loses, in order, each column that
-    # the Gram factor would find dependent on the input (independent_predictors).
+    # avoid that trap.  A default set loses, in order, each column that the
+    # rank rule of every fit finds dependent on the input (independent_predictors).
     predictors: Mapping[str, Sequence[str]] | None = None
 
     def __post_init__(self):
-        if self.iterations is not None and self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
-        check_seed(self.seed)
+        if self.iterations is not None:
+            check_integer("iterations", self.iterations)
+        if self.checkpoint_every is not None:
+            check_integer("checkpoint_every", self.checkpoint_every, least=1)
+        check_integer("seed", self.seed)
 
 
 class PosteriorModel(NamedTuple):
@@ -494,54 +485,6 @@ def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     A = np.ones((values.shape[0], len(columns) + 1))
     A[:, 1:] = values[:, list(columns)]
     return A.T @ A
-
-
-def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list[float]], list[float], float]:
-    """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]],
-    given as rows of floats.
-
-    Returns the lower factor L of ZᵀZ = LLᵀ (as rows), l = L⁻¹Zᵀy and
-    rss = yᵀy - lᵀl, so the least-squares coefficients are L⁻ᵀl.  A design
-    pivot at or below :data:`GRAM_RTOL` of its diagonal raises
-    :class:`RankDeficiencyError`; an rss below that floor is an exact fit
-    and comes back as 0.  Plain Python: on a block this small numpy's call
-    overhead exceeds the arithmetic.  Only the lower triangle is read.
-    """
-    m = len(gram) - 1
-    L: list[list[float]] = []
-    for i, g in enumerate(gram):
-        row: list[float] = []
-        for k, lk in enumerate(L):
-            acc = g[k]
-            for q in range(k):
-                acc -= row[q] * lk[q]
-            row.append(acc / lk[k])
-        pivot = g[i]
-        for v in row:
-            pivot -= v * v
-        if not pivot > GRAM_RTOL * g[i]:
-            if i < m:
-                raise RankDeficiencyError(f"posterior fit for {target!r} is rank deficient")
-            pivot = 0.0
-        if i < m:
-            row.append(math.sqrt(pivot))
-            L.append(row)
-    return L, row, pivot
-
-
-def independent_predictors(gram: Sequence[Sequence[float]], candidates: Sequence[int]) -> list[int]:
-    """The ``candidates`` (column positions) that a design keeps under
-    :func:`gram_factor`'s rank rule, in order: each whose pivot, given the
-    intercept and the candidates kept before it, exceeds :data:`GRAM_RTOL`
-    of its diagonal.  ``gram`` is the augmented Gram matrix over ``[1,
-    every column]``, as rows.  A kept set's factor repeats these pivots, so
-    it never finds the design rank deficient on the same matrix."""
-    kept = [0]
-    for c in candidates:
-        block = [[gram[a][b] for b in kept + [c + 1]] for a in kept + [c + 1]]
-        if gram_factor(block, "")[2] > 0:  # c's pivot, read as the rss of a fit of c
-            kept.append(c + 1)
-    return [c - 1 for c in kept[1:]]
 
 
 def posterior_model(

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .regression import as_weights
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -33,7 +35,7 @@ def d_l1(original, imputed, weights=None) -> float:
         raise ValueError("original and imputed vectors must have equal length")
     if x.size == 0:
         raise ValueError("no imputed cells to compare")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float).ravel()
+    w = as_weights(weights, x.size)
     return float(np.sum(w * np.abs(y - x)) / np.sum(w))
 
 
@@ -68,7 +70,7 @@ def weighted_pearson(x, y, weights=None) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("columns must have equal length")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float).ravel()
+    w = as_weights(weights, x.size)
     w = w / np.sum(w)
     mx = float(np.sum(w * x))
     my = float(np.sum(w * y))

@@ -93,11 +93,12 @@ class DataMatrix:
         return DataMatrix(self.values.copy(), self.mask.copy(), self.columns, self.weights.copy())
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed that numpy's ``SeedSequence`` cannot take: one that
-    is negative or not an integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+def check_integer(name: str, value, least: int = 0) -> None:
+    """Refuse a seed or a count of rounds or steps that is below ``least``
+    or not an integer (``2.0`` included), naming the config field."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,8 @@ class ImputationConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        check_seed(self.seed)
+        check_integer("rounds", self.rounds, least=1)
+        check_integer("seed", self.seed)
         if self.log_scale and self.method == "bpmr":
             raise ValueError("log-scale imputation supports upma and bpma only")
 
@@ -155,9 +155,9 @@ def _fit_with_fallback(y, X, w, predictor_names):
 
     A fit needs more observations than predictors plus the intercept, so
     the trailing predictors beyond ``n - 2`` are dropped first, last first.
-    A rank-deficient fit names every dependent predictor at once; those are
-    dropped and the fit is made once more, and any error of that second
-    fit propagates."""
+    A rank-deficient fit stops before ``lstsq`` and names every dependent
+    predictor at once; those are dropped and the fit is made once more, and
+    any error of that second fit propagates."""
     p_max = max(len(y) - 2, 0)
     names, dropped = list(predictor_names[:p_max]), list(predictor_names[p_max:])[::-1]
     try:

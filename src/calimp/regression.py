@@ -1,15 +1,18 @@
 """Regression fits used for predictive mean imputation.
 
 ``fit_ols`` is a plain (optionally weighted) least-squares fit on the rows
-where the target is observed.  Benchmarking is one step applied to such a
-fit: ``fit_benchmarked`` returns it with the intercept of the missing rows,
-chosen in closed form so the weighted sum of their predictions equals the
-known remainder of the column total.  ``log_benchmark_correction`` is the
-multiplicative analogue for models fitted on the log scale.
+where the target is observed, ranked by the rank rule of every fit, the
+chain's too (:func:`independent_predictors`).  Benchmarking is one step
+applied to such a fit: ``fit_benchmarked`` returns it with the intercept
+of the missing rows, chosen in closed form so the weighted sum of their
+predictions equals the known remainder of the column total.
+``log_benchmark_correction`` is the multiplicative analogue for models
+fitted on the log scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -18,6 +21,16 @@ import numpy as np
 from .errors import InsufficientDataError, RankDeficiencyError
 
 CALIBRATION_RTOL = 1e-9
+
+#: Relative rounding floor of a Gram-form pivot.  A pivot is a Schur
+#: complement of the Gram matrix, a difference of sums of n squares, so it
+#: carries an absolute error of many ulps of its diagonal entry (yᵀy for
+#: the target): on the study's exact x2 = P - x1 model the rss comes out
+#: anywhere within ±700 ulps of yᵀy, where lstsq finds 1e-25 of it.  A
+#: pivot at or below ``GRAM_RTOL`` times its diagonal is therefore zero: a
+#: design column in the span of its predecessors, or a target the
+#: predictors fit exactly (rss taken as 0).
+GRAM_RTOL = 2**14 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,22 +89,54 @@ def _missing_rows(fit: RegressionFit, X_mis_rows, weights_mis) -> tuple[np.ndarr
     return X_mis, as_weights(weights_mis, X_mis.shape[0])
 
 
-def _dependent_columns(Z: np.ndarray, names: Sequence[str]) -> list[str]:
-    """Every predictor that adds nothing to the column space of the columns
-    kept before it, in order; each column is ranked once.  Column 0 of
-    ``Z`` is the intercept.  A design ``lstsq`` calls deficient although no
-    column is dependent here blames the last predictor."""
-    kept = [0]
-    rank = np.linalg.matrix_rank(Z[:, :1])
-    dependent = []
-    for j in range(1, Z.shape[1]):
-        longer = np.linalg.matrix_rank(Z[:, kept + [j]])
-        if longer <= rank:
-            dependent.append(names[j - 1])
+def _factor_columns(
+    gram: Sequence[Sequence[float]], columns: Sequence[int]
+) -> tuple[list[int], list[list[float]], list[float], float]:
+    """The rank rule, in one pass: the lower Cholesky factor of ``gram``
+    (rows of floats, lower triangle read) over ``columns`` in order, less
+    each column whose pivot is at or below :data:`GRAM_RTOL` of its
+    diagonal.  Returns the kept columns, their rows, and the last column's
+    row (without its diagonal) and pivot (0 when skipped).  Plain Python:
+    on a block this small numpy's call overhead exceeds the arithmetic."""
+    kept: list[int] = []
+    L: list[list[float]] = []
+    for c in columns:
+        g, row = gram[c], []
+        for k, lk in zip(kept, L):
+            acc = g[k]
+            for q, v in enumerate(row):
+                acc -= v * lk[q]
+            row.append(acc / lk[len(row)])
+        pivot = g[c]
+        for v in row:
+            pivot -= v * v
+        if pivot > GRAM_RTOL * g[c]:
+            kept.append(c)
+            L.append(row + [math.sqrt(pivot)])
         else:
-            kept.append(j)
-            rank = longer
-    return dependent or [names[-1]]
+            pivot = 0.0
+    return kept, L, row, pivot
+
+
+def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list[float]], list[float], float]:
+    """Cholesky factor of an augmented Gram matrix [[ZᵀZ, Zᵀy], [yᵀZ, yᵀy]],
+    given as rows of floats: the lower factor L of ZᵀZ = LLᵀ (as rows),
+    l = L⁻¹Zᵀy and rss = yᵀy - lᵀl, so the least-squares coefficients are
+    L⁻ᵀl.  A design column the rank rule skips raises
+    :class:`RankDeficiencyError`; an rss it skips is an exact fit, 0."""
+    m = len(gram) - 1
+    kept, L, l, rss = _factor_columns(gram, range(m + 1))
+    if len(kept) < m + (rss > 0):  # the target is kept exactly when rss > 0
+        raise RankDeficiencyError(f"posterior fit for {target!r} is rank deficient")
+    return L[:m], l, rss
+
+
+def independent_predictors(gram: Sequence[Sequence[float]], candidates: Sequence[int]) -> list[int]:
+    """The ``candidates`` (column positions) the rank rule keeps after the
+    intercept, in order, on the augmented Gram matrix over ``[1, every
+    column]`` as rows.  A kept set's factor repeats their pivots."""
+    kept = _factor_columns(gram, [0] + [c + 1 for c in candidates])[0]
+    return [c - 1 for c in kept if c]
 
 
 def fit_ols(
@@ -103,8 +148,9 @@ def fit_ols(
     """Weighted least squares of ``y_obs`` on an intercept and ``X_obs``.
 
     ``weights`` default to ones (plain OLS).  The residual variance uses
-    the usual ``n - p - 1`` denominator.  Rank-deficient designs raise
-    :class:`RankDeficiencyError` naming every dependent column.
+    the usual ``n - p - 1`` denominator.  The design is ranked before it is
+    solved: a rank-deficient one raises :class:`RankDeficiencyError` naming
+    every dependent column.
     """
     y = np.asarray(y_obs, dtype=float).ravel()
     X = _as_matrix(X_obs, n_rows=y.shape[0])
@@ -117,18 +163,26 @@ def fit_ols(
         )
     w = as_weights(weights, n)
     names = list(names) if names is not None else [f"x{j}" for j in range(p)]
+    if len(names) != p:
+        raise ValueError(f"got {len(names)} predictor name(s) for {p} predictor column(s)")
 
     sw = np.sqrt(w)
     Z = np.concatenate([np.ones((n, 1)), X], axis=1) * sw[:, None]
     t = y * sw
-    coef, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
-    if rank < p + 1:
-        columns = _dependent_columns(Z, names)
+    gram = Z.T @ Z
+    if not np.isfinite(gram).all():
+        raise ValueError("the design's Gram matrix is not finite: a predictor is NaN, infinite or too large")
+    kept = independent_predictors(gram.tolist(), range(p))
+    if len(kept) < p:
+        columns = [name for j, name in enumerate(names) if j not in kept]
         raise RankDeficiencyError(
-            f"design matrix is rank deficient; column(s) {columns} are collinear "
-            "with the columns before them",
+            f"design matrix is rank deficient; column(s) {columns} are collinear with the columns before them",
             columns=columns,
         )
+    coef, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
+    if rank <= p:  # lstsq's cutoff cut a column the rule kept: units far apart
+        norms = np.sqrt(gram.diagonal())
+        coef = np.linalg.lstsq(Z / norms, t, rcond=None)[0] / norms
     fitted = Z @ coef
     rss = float(np.sum((t - fitted) ** 2))
     residual_variance = rss / (n - p - 1)

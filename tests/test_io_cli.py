@@ -467,7 +467,7 @@ class TestCli:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "seed must be a nonnegative integer, got -3" in err and "absent" not in err
+        assert "seed must be nonnegative and an integer, got -3" in err and "absent" not in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_stray_totals_column_is_data_error(self, tmp_path):

@@ -626,7 +626,12 @@ class TestMcmcRefine:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"iterations": -1}, "iterations must be nonnegative"), ({"checkpoint_every": 0}, "checkpoint_every")],
+        [
+            ({"iterations": -1}, "iterations must be nonnegative"),
+            ({"checkpoint_every": 0}, "checkpoint_every"),
+            ({"iterations": 50.0}, "iterations must be nonnegative and an integer, got 50.0"),
+            ({"checkpoint_every": 2.5}, "checkpoint_every must be at least 1 and an integer, got 2.5"),
+        ],
     )
     def test_config_is_checked_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

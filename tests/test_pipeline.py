@@ -506,6 +506,12 @@ class TestLogScale:
         with pytest.raises(ValueError, match="seed"):
             McmcConfig(seed=seed)
 
+    @pytest.mark.parametrize("rounds", [0, 1.5, 2.0])
+    def test_rounds_must_be_a_positive_integer(self, rounds):
+        for method in ("upma", "bpma", "bpmr"):
+            with pytest.raises(ValueError, match=rf"rounds must be at least 1 and an integer, got {rounds!r}"):
+                ImputationConfig(method, rounds=rounds)
+
     def test_large_and_numpy_integer_seeds_accepted(self):
         for seed in (0, 2**70, np.int64(5), np.uint32(9)):
             assert ImputationConfig("bpmr", seed=seed).seed == seed

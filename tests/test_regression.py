@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calimp import regression
 from calimp.adjust import AdjustmentProblem
+from calimp.edits import parse_edit_rules
 from calimp.errors import InsufficientDataError, RankDeficiencyError
-from calimp.pipeline import DataMatrix, _fit_with_fallback
-from calimp.regression import as_weights, fit_benchmarked, fit_ols, log_benchmark_correction
+from calimp.metrics import d_l1, weighted_pearson
+from calimp.pipeline import DataMatrix, ImputationConfig, _fit_with_fallback, impute, validate
+from calimp.regression import (
+    as_weights,
+    fit_benchmarked,
+    fit_ols,
+    independent_predictors,
+    log_benchmark_correction,
+)
 
 from _oracles import augmented_design_fit
 
@@ -52,20 +61,24 @@ class TestFitOls:
         b = rng.normal(size=30)
         X = np.column_stack([a, np.full(30, 5.0), b, a + b])
         y = rng.normal(size=30)
-        ranked = []
+        solved = []
 
-        def matrix_rank(M, *args, **kwargs):
-            ranked.append(M.shape[1])
-            return real_rank(M, *args, **kwargs)
+        def matrix_rank(*args, **kwargs):
+            raise AssertionError("fit_ols ranks by the Gram rule, not by an SVD")
 
-        real_rank = np.linalg.matrix_rank
+        def lstsq(Z, *args, **kwargs):
+            solved.append(Z.shape[1])
+            return real_lstsq(Z, *args, **kwargs)
+
+        real_lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         fit, names, dropped, cols = _fit_with_fallback(y, X, None, ["a", "k", "b", "total"])
         assert dropped == ["k", "total"]
         assert names == ["a", "b"] and cols == [0, 2] and fit.slopes.size == 2
-        # One pass ranks each candidate once against the columns kept
-        # before it: intercept, a, k (dropped), b, total (dropped).
-        assert ranked == [1, 2, 3, 3, 4]
+        # The failing first fit (intercept and four predictors) is ranked
+        # and stops before lstsq; only the second, kept design is solved.
+        assert solved == [3]
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_surplus_then_dependent_predictors_dropped_in_two_fits(self, monkeypatch, weighted):
@@ -92,6 +105,119 @@ class TestFitOls:
         assert names == ["a", "b", "c"] and cols == [0, 2, 3]
         assert fitted == [["a", "k", "b", "c"], ["a", "b", "c"]]
         assert fit.slopes.size == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["fresh", "constant", "difference", "scaled"]), min_size=1, max_size=7),
+        st.booleans(),
+    )
+    def test_planted_dependencies_are_named_by_the_gram_rule(self, seed, kinds, weighted):
+        # Well-scaled designs: fresh normal columns (times 1 to 100) and,
+        # after them, columns planted in their span: a constant, the
+        # difference of two earlier columns, an earlier column times 1e-3
+        # to 1e3.  Exactly the planted columns are dependent.
+        rng = np.random.default_rng(seed)
+        n = len(kinds) + int(rng.integers(3, 30))
+        columns, planted = [], []
+        for kind in kinds:
+            if kind == "constant":
+                column = np.full(n, float(rng.uniform(-10.0, 10.0)))
+            elif kind == "difference" and len(columns) >= 2:
+                a, b = rng.choice(len(columns), 2, replace=False)
+                column = columns[a] - columns[b]
+            elif kind == "scaled" and columns:
+                column = columns[int(rng.integers(len(columns)))] * 10.0 ** rng.uniform(-3.0, 3.0)
+            else:
+                kind, column = "fresh", rng.normal(size=n) * rng.uniform(1.0, 100.0)
+            if kind != "fresh":
+                planted.append(f"c{len(columns)}")
+            columns.append(column)
+        X = np.column_stack(columns)
+        names = [f"c{j}" for j in range(X.shape[1])]
+        y = rng.normal(size=n)
+        w = rng.uniform(0.5, 3.0, size=n) if weighted else None
+
+        Z = np.column_stack([np.ones(n), X]) * np.sqrt(as_weights(w, n))[:, None]
+        kept = independent_predictors((Z.T @ Z).tolist(), range(X.shape[1]))
+        assert [names[j] for j in range(X.shape[1]) if j not in kept] == planted
+        if planted:
+            with pytest.raises(RankDeficiencyError) as info:
+                fit_ols(y, X, weights=w, names=names)
+            assert list(info.value.columns) == planted
+        # lstsq's own (scale-dependent) rank finds the kept design full.
+        assert np.linalg.lstsq(Z[:, [0] + [j + 1 for j in kept]], y, rcond=None)[2] == len(kept) + 1
+
+        fits = []
+        real = regression.fit_ols
+
+        def counted(*args, **kwargs):
+            fits.append(kwargs["names"])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regression, "fit_ols", counted)
+            fit, used, dropped, cols = _fit_with_fallback(y, X, w, names)
+        assert len(fits) <= 2 and dropped == planted
+        assert used == [names[j] for j in kept] and fit.slopes.size == len(kept)
+
+    @pytest.mark.parametrize("order", [("big", "tiny", "mid"), ("tiny", "mid", "big"), ("mid", "big", "tiny")])
+    def test_predictors_in_very_different_units_are_kept(self, order):
+        # Turnover near 1e10, a share in 1e-3 units and a mid-sized column:
+        # independent, whatever their scales.  An SVD cutoff relative to
+        # the largest singular value would drop ``tiny`` (or ``big`` when
+        # ``tiny`` comes first); the Gram rule is relative to each column.
+        rng = np.random.default_rng(8)
+        n = 5_000
+        units = {
+            "big": rng.uniform(1.0, 2.0, n) * 1e10,
+            "tiny": rng.uniform(0.0, 1.0, n) * 1e-3,
+            "mid": rng.uniform(0.0, 100.0, n),
+        }
+        slopes = {"big": 0.3, "tiny": 5e11, "mid": 1e6}
+        y = sum(slopes[name] * units[name] for name in units) + rng.normal(size=n) * 1e6
+        w = rng.uniform(0.5, 3.0, size=n)
+        X = np.column_stack([units[c] for c in order])
+        fit, names, dropped, cols = _fit_with_fallback(y, X, w, list(order))
+        assert names == list(order) and dropped == []
+        # The solve keeps every direction too: the fitted values and the
+        # residual variance are those of the columns rescaled to unit size.
+        scale = np.abs(X).max(axis=0)
+        rescaled = fit_ols(y, X / scale, weights=w)
+        assert np.allclose(fit.predict(X), rescaled.predict(X / scale), rtol=1e-9, atol=0.0)
+        assert fit.residual_variance == pytest.approx(rescaled.residual_variance, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["upma", "bpma"])
+    def test_imputation_with_predictors_in_very_different_units(self, method):
+        rng = np.random.default_rng(9)
+        n = 5_000
+        big, tiny, mid = rng.uniform(1.0, 2.0, n) * 1e10, rng.uniform(0.0, 1.0, n) * 1e-3, rng.uniform(0.0, 100.0, n)
+        y = 0.3 * big + 5e11 * tiny + 1e6 * mid + rng.uniform(0.0, 1e6, n)
+        truth = np.column_stack([y, big, tiny, mid])
+        mask = np.zeros(truth.shape, dtype=bool)
+        mask[rng.choice(n, n // 10, replace=False), 0] = True
+        data = DataMatrix(np.where(mask, np.nan, truth), mask, ("y", "big", "tiny", "mid"))
+        edits = parse_edit_rules("y >= 0\ny <= big\nbig >= 0\ntiny >= 0\nmid >= 0")
+        totals = {"y": float(y.sum())} if method == "bpma" else None
+        out, diagnostics = impute(data, edits, totals, ImputationConfig(method))
+        assert all(row["dropped_predictors"] == [] for row in diagnostics if "dropped_predictors" in row)
+        validate(out.values, data, edits, totals)  # edits to 1e-9, totals to 1e-8
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_names_must_match_the_predictor_columns(self, names):
+        # On full-rank and rank-deficient designs alike.
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 20))
+        for X in (np.column_stack([a, b]), np.column_stack([a, 2.0 * a])):
+            with pytest.raises(ValueError, match=r"predictor name\(s\) for 2 predictor column"):
+                fit_ols(rng.normal(size=20), X, names=names)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predictor_is_rejected(self, bad):
+        X = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            fit_ols(np.arange(10.0), X)
 
     def test_too_few_observations_fail_in_one_fit(self, monkeypatch):
         fitted = []
@@ -279,6 +405,8 @@ class TestWeights:
         "log_benchmark_correction": lambda w: log_benchmark_correction(
             TestWeights.FIT, [[1.0], [2.0], [3.0]], 5.0, w),
         "AdjustmentProblem": lambda w: AdjustmentProblem(np.zeros(3), -np.ones(3), np.ones(3), w),
+        "d_l1": lambda w: d_l1([1.0, 2.0, 4.0], [2.0, 3.0, 5.0], w),
+        "weighted_pearson": lambda w: weighted_pearson([1.0, 2.0, 4.0], [0.0, 1.0, 3.0], w),
     }
 
     def test_none_gives_ones_and_valid_weights_pass(self):
@@ -294,8 +422,9 @@ class TestWeights:
             ([1.0, np.nan, 1.0], "be finite and strictly positive"),
             ([1.0, np.inf, 1.0], "be finite and strictly positive"),
             ([1.0, 1.0], r"have shape \(3,\)"),
+            ([2.0], r"have shape \(3,\)"),
         ],
-        ids=["zero", "negative", "nan", "inf", "wrong-length"],
+        ids=["zero", "negative", "nan", "inf", "wrong-length", "length-one"],
     )
     def test_bad_weights_rejected(self, entry, weights, message):
         with pytest.raises(ValueError, match=f"weights must {message}"):
