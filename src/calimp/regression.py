@@ -2,7 +2,8 @@
 
 ``fit_ols`` is a plain (optionally weighted) least-squares fit on the rows
 where the target is observed, ranked by the rank rule of every fit, the
-chain's too (:func:`independent_predictors`).  Benchmarking is one step
+chain's too (:func:`independent_predictors`), and solved by one path: the
+design with its columns scaled to unit norm.  Benchmarking is one step
 applied to such a fit: ``fit_benchmarked`` returns it with the intercept
 of the missing rows, chosen in closed form so the weighted sum of their
 predictions equals the known remainder of the column total.
@@ -150,7 +151,10 @@ def fit_ols(
     ``weights`` default to ones (plain OLS).  The residual variance uses
     the usual ``n - p - 1`` denominator.  The design is ranked before it is
     solved: a rank-deficient one raises :class:`RankDeficiencyError` naming
-    every dependent column.
+    every dependent column.  A full-rank one is solved at unit column
+    norms, so predictors in units far apart keep their accuracy and leave
+    ``lstsq``'s cutoff nothing to cut.  A response or predictor that is
+    not finite raises ``ValueError``.
     """
     y = np.asarray(y_obs, dtype=float).ravel()
     X = _as_matrix(X_obs, n_rows=y.shape[0])
@@ -165,6 +169,8 @@ def fit_ols(
     names = list(names) if names is not None else [f"x{j}" for j in range(p)]
     if len(names) != p:
         raise ValueError(f"got {len(names)} predictor name(s) for {p} predictor column(s)")
+    if not np.isfinite(y).all():
+        raise ValueError("the response is not finite: a value is NaN or infinite")
 
     sw = np.sqrt(w)
     Z = np.concatenate([np.ones((n, 1)), X], axis=1) * sw[:, None]
@@ -179,10 +185,8 @@ def fit_ols(
             f"design matrix is rank deficient; column(s) {columns} are collinear with the columns before them",
             columns=columns,
         )
-    coef, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
-    if rank <= p:  # lstsq's cutoff cut a column the rule kept: units far apart
-        norms = np.sqrt(gram.diagonal())
-        coef = np.linalg.lstsq(Z / norms, t, rcond=None)[0] / norms
+    norms = np.sqrt(gram.diagonal())
+    coef = np.linalg.lstsq(Z / norms, t, rcond=None)[0] / norms
     fitted = Z @ coef
     rss = float(np.sum((t - fitted) ** 2))
     residual_variance = rss / (n - p - 1)

@@ -6,14 +6,16 @@ drawn vector is then re-centered by the smallest adjustment keeping every
 cell inside its interval while its weighted sum becomes exactly zero.
 
 :func:`benchmarked_residuals` draws all of a step's cells at once by
-inverting the truncated normal CDF at one uniform per cell.  A cell's
-uniform is defined by :func:`cell_uniform` from the seed, the column and
-the record, so it does not depend on which other cells draw;
-:func:`cell_uniforms` gives the uniforms of many records of a column by
-running numpy's ``SeedSequence`` hash for all of them at once as array
-arithmetic.  :func:`draw_ar_residual` is the chain's scalar draw: the
-same truncated normal, inverted in log space at one uniform made from one
-raw word of the chain's generator.
+inverting the truncated normal CDF at one uniform per cell
+(:func:`truncated_normal`).  A cell's uniform is defined by
+:func:`cell_uniform` from the seed, the column and the record, so it does
+not depend on which other cells draw; :func:`cell_uniforms` gives the
+uniforms of many records of a column by running numpy's ``SeedSequence``
+hash for all of them at once as array arithmetic.  :func:`draw_ar_residual`
+is the chain's draw: the scalar form of the same log-space inverse CDF, at
+one uniform made from one raw word of the chain's generator.  The chain
+draws one cell per step, where a one-element array call costs over ten
+times the scalar one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
-from scipy.stats import truncnorm
 
 from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from .fm import Interval
@@ -128,10 +129,21 @@ def cell_uniforms(seed: int, variable_index: int, records) -> np.ndarray:
 def truncated_normal(sigma: float, lower: np.ndarray, upper: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """N(0, sigma^2) truncated to ``[lower, upper]`` at ``uniforms`` by the
     exact inverse CDF, elementwise, for ``sigma > 0`` and intervals that
-    are not points.  A result that is not finite or misses its interval (a
-    numerically degenerate far-tail interval) lands on the interval's side
-    closer to 0, or on 0 when the interval holds it."""
-    x = truncnorm.ppf(uniforms, lower / sigma, upper / sigma, scale=sigma)
+    are not points: the array form of :func:`draw_ar_residual`'s formula.
+    A result that is not finite or misses its interval (a numerically
+    degenerate far-tail interval) lands on the interval's side closer to
+    0, or on 0 when the interval holds it."""
+    # A bound that overflows in units of sigma, or -inf - -inf below, gives
+    # a NaN that lands, as on floats in the scalar form.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = lower / sigma, upper / sigma
+        flip = b > -a  # a + b > 0, without inf - inf on (-inf, inf)
+        a, b, u = np.where(flip, -b, a), np.where(flip, -a, b), np.where(flip, 1.0 - uniforms, uniforms)
+        log_b = log_ndtr(b)
+        d = log_ndtr(a) - log_b
+    y_minus_1 = (1.0 - u) * np.expm1(d)
+    log_y = np.where(y_minus_1 > -0.5, np.log1p(y_minus_1), np.log(u * -np.expm1(d) + np.exp(d)))
+    x = np.where(flip, -sigma, sigma) * ndtri_exp(log_b + log_y)
     bad = ~np.isfinite(x) | (x < lower) | (x > upper)
     if bad.any():
         lo, hi = lower[bad], upper[bad]

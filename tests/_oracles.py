@@ -4,7 +4,7 @@ These deliberately avoid the library's own elimination/solver code paths:
 feasibility is decided by complete lattice enumeration, regression
 calibration by solving the augmented normal equations directly, the
 zero-sum adjustment by active-set enumeration, bpmr residuals cell by
-cell from scalar ``SeedSequence`` and ``truncnorm`` calls, the refinement
+cell from scalar ``SeedSequence`` calls and one-cell draws, the refinement
 chain's pair step by the per-record derivation, and random imputation
 instances are built truth-first so
 feasibility is a construction guarantee rather than an assumption.
@@ -17,7 +17,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from calimp import fm
 from calimp.adjust import (
@@ -33,6 +32,7 @@ from calimp.edits import (
 from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
 from calimp.pipeline import DataMatrix
+from calimp.residuals import truncated_normal
 
 ORACLE_MAX_SIZE = 12
 
@@ -350,14 +350,11 @@ def scalar_cell_uniform(seed, variable_index, record) -> float:
 
 
 def scalar_truncated_normal(sigma, lower, upper, u) -> float:
-    """N(0, sigma^2) truncated to ``[lower, upper]`` at ``u`` by one scalar
-    ``truncnorm.ppf``; a result that is not finite or misses the interval
-    lands on its side closer to 0, or on 0 when the interval holds it."""
-    x = float(truncnorm.ppf(u, lower / sigma, upper / sigma, scale=sigma))
-    if not math.isfinite(x) or not lower <= x <= upper:
-        side = 0.0 if lower <= 0.0 <= upper else (lower if abs(lower) < abs(upper) else upper)
-        x = min(max(side, lower), upper)
-    return x
+    """N(0, sigma^2) truncated to ``[lower, upper]`` at ``u``: one cell
+    drawn alone, by the library's kernel on one-element arrays.  The
+    batched draw must give the same bytes; the kernel's own accuracy is
+    checked against stored high-precision references."""
+    return float(truncated_normal(sigma, np.array([lower], float), np.array([upper], float), np.array([u], float))[0])
 
 
 def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibility_scale=1.0):

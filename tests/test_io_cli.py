@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import calimp
 from calimp import io as cio
 from calimp.cli import _study_config, main
 from calimp.errors import DataFormatError
@@ -175,6 +179,16 @@ def small_files(tmp_path, rng):
     cio.write_totals({"x1": float(truth[:, 0].sum()), "x2": float(truth[:, 1].sum())},
                      tmp_path / "totals.txt")
     (tmp_path / "rules.edits").write_text(EDITS)
+
+
+def test_package_and_cli_load_no_scipy_stats():
+    # scipy.stats is most of a cold start; no calimp module needs it.  A
+    # fresh interpreter, as this one may have loaded it for other tests.
+    src = str(Path(calimp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, calimp, calimp.cli; print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:

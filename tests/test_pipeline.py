@@ -539,8 +539,8 @@ class TestBatchedSteps:
         # Survey-shaped data, 8 columns with 10% of cells missing, so each
         # target's records fall into up to 16 patterns; on these records
         # every method completes.  The batched uniforms and array draw give
-        # the bytes and diagnostics of scalar SeedSequence and truncnorm
-        # calls made cell by cell.
+        # the bytes and diagnostics of scalar SeedSequence calls and
+        # one-cell draws made cell by cell.
         rng = np.random.default_rng(3)
         truth, edits = survey_truth(rng, 600)
         data = make_data(truth, rng.random(truth.shape) < 0.1, SURVEY_COLUMNS)

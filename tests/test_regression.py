@@ -187,6 +187,21 @@ class TestFitOls:
         assert np.allclose(fit.predict(X), rescaled.predict(X / scale), rtol=1e-9, atol=0.0)
         assert fit.residual_variance == pytest.approx(rescaled.residual_variance, rel=1e-6)
 
+    def test_mixed_units_are_solved_at_unit_column_norms(self):
+        # A share in 0.1 units ahead of turnover near 1e10: lstsq's cutoff
+        # keeps both, but the raw design loses accuracy (a residual variance
+        # about 2e-4 relative above the optimum).  The fit must reach the
+        # optimum of the same design with its columns rescaled to unit size.
+        rng = np.random.default_rng(0)
+        n = 5_000
+        tiny, mid, big = rng.uniform(0.0, 1.0, n) * 0.1, rng.uniform(0.0, 100.0, n), rng.uniform(1.0, 2.0, n) * 1e10
+        y = 5e9 * tiny + 1e6 * mid + 0.3 * big + rng.normal(size=n) * 1e6
+        X = np.column_stack([tiny, mid, big])
+        design = np.column_stack([np.ones(n), X / np.abs(X).max(axis=0)])
+        residual = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        optimum = float(residual @ residual) / (n - 4)
+        assert fit_ols(y, X).residual_variance == pytest.approx(optimum, rel=1e-12)
+
     @pytest.mark.parametrize("method", ["upma", "bpma"])
     def test_imputation_with_predictors_in_very_different_units(self, method):
         rng = np.random.default_rng(9)
@@ -218,6 +233,14 @@ class TestFitOls:
         X[3, 1] = bad
         with pytest.raises(ValueError, match="not finite"):
             fit_ols(np.arange(10.0), X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_is_rejected(self, bad):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        y[2] = bad
+        with pytest.raises(ValueError, match="response is not finite"):
+            fit_ols(y, X)
 
     def test_too_few_observations_fail_in_one_fit(self, monkeypatch):
         fitted = []

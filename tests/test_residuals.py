@@ -270,15 +270,18 @@ def test_draws_follow_the_truncated_normal(lower, upper):
 
 
 def test_degenerate_draws_land_by_the_guard_rule():
-    # truncnorm.ppf returns inf on intervals this far out, a value just
-    # below a subnormal interval, and NaN on an empty one: each lands on
-    # its interval's side closer to 0, like the per-cell oracle.  The
-    # scalar draw lands on the same points, without a RuntimeWarning; an
-    # empty interval never reaches it, as Interval refuses it.
+    # The inverse CDF is NaN on intervals this far out (both log CDFs are
+    # -inf), -0.0 below a subnormal interval, and a point outside an empty
+    # one: each lands on its interval's side closer to 0, like the
+    # per-cell oracle, without a RuntimeWarning.  The scalar draw lands on
+    # the same points; an empty interval never reaches it, as Interval
+    # refuses it.
     lower = np.array([1e300, 1e200, -1e201, 5e-324, 2.0])
     upper = np.array([INF, 1e201, -1e200, 1e-323, 1.0])
     u = np.array([0.3, 0.999, 0.5, 0.3, 0.5])
-    x = truncated_normal(1.0, lower, upper, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = truncated_normal(1.0, lower, upper, u)
     assert x.tolist() == [1e300, 1e200, -1e200, 5e-324, 1.0]
     assert x.tolist() == [scalar_truncated_normal(1.0, *args) for args in zip(lower, upper, u)]
     rng = np.random.default_rng(3)
@@ -286,6 +289,13 @@ def test_degenerate_draws_land_by_the_guard_rule():
         warnings.simplefilter("error", RuntimeWarning)
         scalar = [draw_ar_residual(1.0, Interval(lo, hi), rng) for lo, hi in zip(lower[:4], upper[:4]) for _ in range(50)]
     assert scalar == [v for v in x[:4].tolist() for _ in range(50)]
+    # A sigma so small that far bounds overflow in its units lands alike.
+    lower, upper = np.array([1e10, -1e300]), np.array([INF, -1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = truncated_normal(1e-300, lower, upper, np.array([0.5, 0.5]))
+        scalar = [draw_ar_residual(1e-300, Interval(lo, hi), rng) for lo, hi in zip(lower, upper)]
+    assert x.tolist() == scalar == [1e10, -1e10]
 
 
 @pytest.mark.parametrize(
@@ -309,6 +319,41 @@ def test_scalar_draw_agrees_with_the_array_draw(lower, upper):
         want = truncated_normal(sigma, np.array([lo]), np.array([hi]), np.array([u]))[0]
         rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda: word))
         assert abs(draw_ar_residual(sigma, Interval(lo, hi), rng) - want) <= tol, u
+
+
+# The inverse CDF of N(0, 2.5^2) truncated to 2.5 * [lower, upper] at
+# the two smallest and the two largest uniforms, (k + 0.5) * 2**-52 for
+# k = 0, 1, 2**52 - 2, 2**52 - 1: 40 digits from an 80-digit mpmath
+# bisection on the CDF ratio, formed from the upper tail Q = 1 - Phi when
+# lower + upper > 0 and from Phi otherwise, so neither end cancels.
+REFERENCE_DRAWS = {
+    (-3.0, INF): ("-7.499999999999937457002491164408190114780", "-7.499999999999812371007473507306425878944",
+                  "20.19183949672201372738850230133073041548", "20.52424587892004501143687586789664811400"),
+    (40.0, 41.0): ("100.0000000000000000069345652014331439413", "100.0000000000000000208036956042994341321",
+                   "102.2013283121247724968001029928167772638", "102.2675421593702370004780234275228230715"),
+    (-41.0, -40.0): ("-102.2675421593702370004780234275228230715", "-102.2013283121247724968001029928167772638",
+                     "-100.0000000000000000208036956042994341321", "-100.0000000000000000069345652014331439413"),
+    (-6.0, 5.0): ("-14.99999995431846400499120705547809023706", "-14.99999986295540703995047691591853300477",
+                  "12.49999999943992997990313804727022743360", "12.49999999981330999323133969854694396606"),
+}
+
+
+@pytest.mark.parametrize("lower, upper", list(REFERENCE_DRAWS))
+def test_draws_meet_the_stored_references(lower, upper):
+    # Both forms, to 1e-14 of the interval's largest finite bound (or of 1).
+    # scipy's truncnorm.ppf misses the [-3, inf) case near u = 1 by up to
+    # 7.7e-4 (its log Phi(x) is a sum whose rounding swamps the upper
+    # tail 1 - Phi(x)).
+    sigma = 2.5
+    lo, hi = sigma * lower, sigma * upper
+    tol = 1e-14 * max([1.0] + [abs(v) for v in (lo, hi) if math.isfinite(v)])
+    words = [0, 1 << 12, 2**64 - 1 - (1 << 12), 2**64 - 1]
+    for word, reference in zip(words, REFERENCE_DRAWS[lower, upper]):
+        u = ((word >> 12) + 0.5) * 2.0**-52
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda: word))
+        array = truncated_normal(sigma, np.array([lo]), np.array([hi]), np.array([u]))[0]
+        assert abs(array - float(reference)) <= tol, u
+        assert abs(draw_ar_residual(sigma, Interval(lo, hi), rng) - float(reference)) <= tol, u
 
 
 def test_drawing_a_subset_gives_the_same_values():
