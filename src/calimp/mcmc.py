@@ -13,11 +13,15 @@ derivation is compiled once per pair shape (:class:`PairSystems`) into
 sparse rows, so a step only evaluates the rows it reads on the pair's
 constants.
 
-Most steps cannot move, and the key alone says which: where the key's
-equalities fix the target (``fm.CompiledInterval.pinned``), the step is
-the identity whatever the state.  It is counted as accepted and
-``pinned`` and does nothing else: no pair system, posterior or draw.
-Every other step draws and completes.
+Most steps cannot move, and the target or the key alone says which.  A
+target that the equality edits fix once its predictors are known
+(:func:`structural_targets`) has a degenerate posterior, σ² = 0, and
+every step on it returns the current value up to rounding; a key whose
+equalities fix the target (``fm.CompiledInterval.pinned``) gives it a
+point.  Either step is the identity whatever the state.  It is counted
+as accepted and ``pinned`` and does nothing else: a structural target's
+step does not even look its key up.  Every other step draws and
+completes.
 
 No step does work proportional to the record count: the pair comes from
 per-column index arrays built once, the records' rows are Python lists
@@ -593,6 +597,27 @@ def draw_truncated_posterior(
     return model.predictive_mean + draw_ar_residual(sigma, shifted, rng)
 
 
+def structural_targets(
+    edits: EditSystem, columns: Sequence[str], predictors: Mapping[int, Sequence[str]]
+) -> set[int]:
+    """The targets (positions in ``columns``) that the equality edits fix
+    once their predictors are known: with every column outside
+    ``predictors[j]`` unknown, eliminating the equalities leaves one in
+    target j only (``fm.CompiledInterval.pinned``, the rank condition of
+    a pinned key).  That may take a combination of equalities.  Every
+    record meets the equalities, so such a target's regression on its
+    predictors is exact: σ² = 0, and a step on it returns the current
+    value up to rounding.  Only equalities are read: a target that two inequalities
+    squeeze to a point (``x >= P``, ``x <= P``) is not structural."""
+    A, _, is_eq = system_matrices(edits, columns)
+    E, eq = A[is_eq], is_eq[is_eq]
+    return {
+        j
+        for j, names in predictors.items()
+        if fm.compile_interval(E, eq, columns, [c for c in columns if c not in names], columns[j]).pinned
+    }
+
+
 def _checkpoint_row(
     data: DataMatrix, iteration: int, previous: dict, counts: list, abs_moves: list, exact: dict,
     systems: PairSystems,
@@ -632,11 +657,14 @@ def mcmc_refine(
     cells, it comes back unchanged with an empty trace.  Consistency is
     revalidated at every checkpoint.
 
-    A step whose key pins the target (:attr:`_KeySystem.pinned`) is the
-    identity whatever the state, so it counts as accepted and ``pinned``
-    and does nothing else; skipping it leaves the chain's kernel unchanged.
-    Every other step draws and completes, or, where its system turns out
-    infeasible, keeps the current values and counts as a fallback.
+    A step on a structural target (:func:`structural_targets`) or on a key
+    that pins the target (:attr:`_KeySystem.pinned`) is the identity
+    whatever the state, so it counts as accepted and ``pinned`` and does
+    nothing else; skipping it leaves the chain's kernel unchanged.  A
+    structural target has no posterior statistics, and its checkpoint
+    ``exact_fit`` is true.  Every other step draws and completes, or, where
+    its system turns out infeasible, keeps the current values and counts
+    as a fallback.
     """
     if config is None:
         config = McmcConfig()
@@ -672,7 +700,10 @@ def mcmc_refine(
         if n <= len(names) + 1:  # before a factor of the too-small design finds it rank deficient
             raise InsufficientDataError(f"only {n} records for {len(names) + 1} regression parameters")
         predictors[j] = names
-    stats = PosteriorStats(state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets})
+    structural = structural_targets(edits, columns, predictors)
+    stats = PosteriorStats(
+        state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets if j not in structural}
+    )
     systems = PairSystems(state, edits, totals)
     weights = systems.weights
     # The rows of the records with an imputed cell, as lists: steps read and
@@ -688,12 +719,12 @@ def mcmc_refine(
 
     for iteration in range(1, iterations + 1):
         s, t, j = select_pair(index, rng)
-        system = systems.system(s, t, j)
-        if system.pinned:
-            # The key's equalities fix the target: its interval is a point,
-            # which the feasible current value meets, and a total then pins
-            # the partner.  The step is the identity whatever the state, so
-            # it builds, draws and writes nothing.
+        if j in structural or (system := systems.system(s, t, j)).pinned:
+            # The equalities fix the target given its predictors (its
+            # posterior is a point at the current value) or the key's do (its
+            # interval is a point the feasible current value meets, and a
+            # total then pins the partner): the step is the identity whatever
+            # the state, so it builds, draws and writes nothing.
             counts[j]["accepted"] += 1
             counts[j]["pinned"] += 1
         else:
@@ -737,7 +768,7 @@ def mcmc_refine(
             colsums = (state.weights @ state.values).tolist()
             stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
-            exact = {j: gram_factor(stats.block(j), columns[j])[2] == 0.0 for j in targets}
+            exact = {j: j in structural or gram_factor(stats.block(j), columns[j])[2] == 0.0 for j in targets}
             row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, exact, systems)
             if not trace:
                 row["predictors"] = {columns[j]: predictors[j] for j in targets}

@@ -347,17 +347,24 @@ class TestPosteriorOracle:
         r = int(rng.integers(60, 200))
         if system == "study":
             pre, edits, totals = three_var_study_data(rng, r=r)
-            predictors = {"x1": ["P"], "x2": ["P", "x1"]}  # x2 = P - x1: an exact fit
+            # x2 = P - x1: an exact fit, whose steps are skipped as structural.
+            predictors, structural = {"x1": ["P"], "x2": ["P", "x1"]}, {1}
         else:
             pre, edits, totals = five_var_data(rng, r=r)
-            predictors = None
-        checked = {"steps": 0, "checkpoints": 0, "skipped": 0}
-        real_system, real_step = PairSystems.system, mcmc.PairStep
+            predictors, structural = None, set()  # the fully observed x2, x3 fix no target
+        checked = {"steps": 0, "checkpoints": 0, "skipped": 0, "structural": 0}
+        real_select, real_system, real_step = mcmc.select_pair, PairSystems.system, mcmc.PairStep
         real_posterior, real_factor = mcmc.posterior_model, mcmc.gram_factor
         real_rebuild = PosteriorStats.rebuild
         live = {}
 
+        def counting_select(index, rng_):
+            s, t, j = real_select(index, rng_)
+            checked["structural"] += j in structural
+            return s, t, j
+
         def counting_system(systems_, s, t, j):
+            assert j not in structural  # a structural step looks no key up
             system = real_system(systems_, s, t, j)
             checked["skipped"] += system.pinned
             live.update(j=j)
@@ -403,6 +410,7 @@ class TestPosteriorOracle:
             real_rebuild(stats_, values)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcmc, "select_pair", counting_select)
             patch.setattr(PairSystems, "system", counting_system)
             patch.setattr(mcmc, "PairStep", recording_step)
             patch.setattr(mcmc, "posterior_model", checked_posterior)
@@ -414,10 +422,14 @@ class TestPosteriorOracle:
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
         assert checked["steps"] > 0 and checked["checkpoints"] >= 2 and checked["skipped"] > 0
-        # The pinned steps are exactly the skipped ones; every other step
-        # draws its model.
+        assert (checked["structural"] > 0) == bool(structural)
+        # The pinned steps are exactly the skipped ones, on pinned keys and on
+        # structural targets; every other step draws its model.
         pinned = sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
-        assert pinned == checked["skipped"]
+        assert pinned == checked["skipped"] + checked["structural"]
+        for j in structural:  # without a block, and exact
+            assert j not in live["stats"].columns
+            assert trace[-1]["per_variable"][pre.columns[j]]["exact_fit"] is True
 
     @pytest.mark.parametrize("system", ["study", "five_unread"])
     def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
@@ -513,17 +525,18 @@ class TestMcmcRefine:
             "c2": ["turnover", "profit", "c1"],
         }
         assert all("predictors" not in row for row in trace[1:])
+        # Every target is an exact function of its kept predictors through
+        # the balances (c1 = turnover - profit - c2 takes both), so σ² = 0
+        # and its steps are the identity: each is skipped as structural,
+        # looks no key up and moves nothing.
         for row in trace:
-            systems = row["pair_systems"]
-            assert systems["compiled"] + systems["hits"] == row["accepted"] + row["fallbacks"]
-            assert 0 < systems["compiled"] < 50
-        # Every target is an exact function of its kept predictors, so
-        # σ² = 0 and the chain holds its values: steps are accepted, yet the
-        # re-drawn cells move by rounding at most.
+            assert row["pair_systems"] == {"compiled": 0, "hits": 0}
+            assert row["fallbacks"] == 0
+        assert refined.values.tobytes() == truth.tobytes()
         for name, entry in trace[-1]["per_variable"].items():
             assert entry["accepted"] > 300
-            assert entry["moved"] <= 5
-            assert entry["mean_abs_move"] <= 1e-12 * float(np.abs(truth).max())
+            assert entry["pinned"] == entry["accepted"]
+            assert (entry["moved"], entry["mean_abs_move"], entry["exact_fit"]) == (0, 0.0, True)
 
     def test_moved_matches_an_independent_count(self):
         rng = np.random.default_rng(8)
@@ -773,21 +786,27 @@ class TestMcmcRefine:
         assert entry["exact_fit"] is False
 
     def test_steps_on_keys_that_pin_the_target_are_skipped(self):
-        # From the key lookup that finds its key pinned to the next pair
-        # selection (or checkpoint rebuild), a step builds no PairStep,
-        # factors no model, draws no posterior and calls no generator method.
-        # It counts as accepted and pinned, and it writes nothing: the
-        # chain's rows always equal the input with each completion applied.
-        # The generator's methods are compiled, so the profiler sees none of
-        # them; the chain's generator records each attribute it is asked for.
+        # From the key lookup that finds its key pinned, or from the pair
+        # selection that picks the structural target x2 (x2 = P - x1 on its
+        # predictors), to the next pair selection (or checkpoint rebuild), a
+        # step builds no PairStep, factors no model, draws no posterior and
+        # calls no generator method; a structural step looks no key up
+        # either.  It counts as accepted and pinned, and it writes nothing:
+        # the chain's rows always equal the input with each completion
+        # applied.  The generator's methods are compiled, so the profiler
+        # sees none of them; the chain's generator records each attribute it
+        # is asked for.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
-        system_code = PairSystems.system.__code__
-        closing = {mcmc.select_pair.__code__, PosteriorStats.rebuild.__code__}
-        watched = {PairStep.__init__.__code__, gram_factor.__code__, posterior_model.__code__}
-        window, calls, skipped = [False], [], [0]
+        select_code, system_code = mcmc.select_pair.__code__, PairSystems.system.__code__
+        closing = {select_code, PosteriorStats.rebuild.__code__}
+        watched = {system_code, PairStep.__init__.__code__, gram_factor.__code__, posterior_model.__code__}
+        window, calls, skipped, structural = [False], [], [0], [0]
 
         def profile(frame, event, arg):
-            if event == "return" and frame.f_code is system_code:
+            if event == "return" and frame.f_code is select_code:
+                window[0] = arg[2] == 1
+                structural[0] += arg[2] == 1
+            elif event == "return" and frame.f_code is system_code:
                 window[0] = arg.pinned
                 skipped[0] += arg.pinned
             elif event == "call" and frame.f_code in closing:
@@ -836,7 +855,9 @@ class TestMcmcRefine:
         assert out.values.tobytes() == tracked.tobytes()
         entries = trace[-1]["per_variable"].values()
         assert sum(entry["moved"] for entry in entries) > 50
-        assert sum(entry["pinned"] for entry in entries) == skipped[0] > 200
+        assert skipped[0] > 200 and structural[0] > 200
+        assert sum(entry["pinned"] for entry in entries) == skipped[0] + structural[0]
+        assert trace[-1]["per_variable"]["x2"]["pinned"] == structural[0]
         assert trace[-1]["accepted"] + trace[-1]["fallbacks"] == 600
 
     def test_step_on_an_interval_within_its_rounding_completes(self):
@@ -951,10 +972,10 @@ class TestMcmcRefine:
         assert not violation_matrix(edits, out.values, out.columns).any()
 
     def test_trace_flags_exact_fits(self):
-        # x2 = P - x1 exactly, so its model on P and x1 has rss 0 (σ² = 0:
-        # its steps set the prediction clamped into the interval); x1 on P
-        # alone is noisy.  P, imputed in one record only, is re-drawn by no
-        # step and has no model.
+        # x2 = P - x1 exactly, so its model on P and x1 has rss 0 and x2 is
+        # structural: it reads exact without a fit, and its steps are
+        # skipped; x1 on P alone is noisy.  P, imputed in one record only,
+        # is re-drawn by no step and has no model.
         pre, edits, totals = three_var_study_data(np.random.default_rng(8), r=120)
         mask = pre.mask.copy()
         mask[int(np.flatnonzero(~mask.any(axis=1))[0]), 2] = True
@@ -1008,8 +1029,10 @@ class TestMcmcRefine:
             )
         finally:
             sys.setprofile(None)
-        entries = trace[-1]["per_variable"].values()
-        assert sum(entry["moved"] for entry in entries) > 50 and sum(entry["pinned"] for entry in entries) > 50
+        # x1's steps are the ones that can move; x2 = P - x1 is structural.
+        last = trace[-1]["per_variable"]
+        assert last["x1"]["moved"] >= 50 and last["x2"]["moved"] == 0
+        assert sum(entry["pinned"] for entry in last.values()) > 50
         assert steps[0] == iterations and 0 < len(compiling) == trace[-1]["pair_systems"]["compiled"]
         assert [call for call in found if 1 <= call[0] < iterations and call[0] not in compiling] == []
         assert any(call[0] == iterations for call in found)  # the checkpoint is watched too

@@ -128,6 +128,12 @@ CASES = {
 }
 
 
+def loose_predictors(columns):
+    """One predictor per target, the next column: no balance then fixes a
+    target, so no target is structural and its steps draw."""
+    return {name: [columns[(j + 1) % len(columns)]] for j, name in enumerate(columns)}
+
+
 def build(kind, rng, weighted, r=60):
     truth, mask, columns, edits, with_totals = CASES[kind](rng, r)
     weights = rng.uniform(0.5, 4.0, r) if weighted else np.ones(r)
@@ -277,17 +283,30 @@ def test_chain_steps_match_the_per_record_step(kind):
     # step whose key pins the target is skipped; evaluated here after all,
     # on the chain's values and fresh column sums, its interval is a point
     # that admits the current value, and both oracles find that point and
-    # complete it to the pair's current rows.  Every other step builds a
-    # PairStep that either completes or falls back.  The chain hands each
-    # PairStep its row lists (None for a record without imputed cells,
-    # which never changes); they must always be the input with every
-    # completion applied, so a skipped step writes nothing.
+    # complete it to the pair's current rows.  A step on the study's
+    # structural x2 (x2 = P - x1 on its predictors) is skipped before any
+    # key lookup.  Every other step builds a PairStep that either completes
+    # or falls back.  The chain hands each PairStep its row lists (None for
+    # a record without imputed cells, which never changes); they must
+    # always be the input with every completion applied, so a skipped step
+    # writes nothing.  The five-column and survey targets take one
+    # predictor each: with the default predictors, the balances fix every
+    # one of them, and the chain would build no PairStep.
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
-    predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
-    real_system = PairSystems.system
+    if kind == "study":
+        predictors, structural = {"x1": ["P"], "x2": ["P", "x1"]}, {1}
+    else:
+        predictors, structural = loose_predictors(data.columns), set()
+    real_select, real_system = mcmc.select_pair, PairSystems.system
     tracked = data.values.copy()
-    checked, skipped, last = [], [], {}
+    checked, skipped, last, steps = [], [], {}, []
+
+    def counting_select(index, rng_):
+        check_completed()
+        pair = real_select(index, rng_)
+        steps.append(pair[2] in structural)
+        return pair
 
     def live_values(rows):
         values = data.values.copy()
@@ -309,7 +328,7 @@ def test_chain_steps_match_the_per_record_step(kind):
         last.clear()
 
     def checked_system(systems, s, t, j):
-        check_completed()
+        assert j not in structural
         system = real_system(systems, s, t, j)
         last.update(records=[s, t], j=j)
         if system.pinned:
@@ -347,14 +366,17 @@ def test_chain_steps_match_the_per_record_step(kind):
             return new
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcmc, "select_pair", counting_select)
         patch.setattr(PairSystems, "system", checked_system)
         patch.setattr(mcmc, "PairStep", CheckedStep)
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
     check_completed()
     assert out.values.tobytes() == tracked.tobytes()
-    assert len(checked) + len(skipped) == trace[-1]["accepted"] > 250
-    assert len(skipped) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+    assert len(steps) == 300
+    assert len(checked) + len(skipped) + sum(steps) == trace[-1]["accepted"] > 250
+    assert len(skipped) + sum(steps) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
     assert checked and skipped
+    assert (sum(steps) > 0) == bool(structural)
 
 
 def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
@@ -657,7 +679,9 @@ def test_infeasible_worked_example():
 def test_seeded_chain_is_byte_identical(kind):
     rng = np.random.default_rng(41)
     data, edits, totals = build(kind, rng, weighted=True)
-    predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else None
+    # The survey's balances fix every target on its default predictors, so
+    # a chain on those would compile no key.
+    predictors = {"x1": ["P"], "x2": ["P", "x1"]} if kind == "study" else loose_predictors(data.columns)
     config = McmcConfig(iterations=400, seed=7, predictors=predictors)
     (a, trace_a), (b, trace_b) = (mcmc_refine(data, edits, totals, config) for _ in range(2))
     assert a.values.tobytes() == b.values.tobytes()

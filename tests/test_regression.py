@@ -115,21 +115,24 @@ class TestFitOls:
     def test_planted_dependencies_are_named_by_the_gram_rule(self, seed, kinds, weighted):
         # Well-scaled designs: fresh normal columns (times 1 to 100) and,
         # after them, columns planted in their span: a constant, the
-        # difference of two earlier columns, an earlier column times 1e-3
-        # to 1e3.  Exactly the planted columns are dependent.
+        # difference of two fresh columns, an earlier column times 1e-3 to
+        # 1e3.  Exactly the planted columns are dependent.  A difference of
+        # planted columns could cancel to rounding residue, which the rule
+        # keeps (test_rounding_residue_is_kept_on_its_own_scale).
         rng = np.random.default_rng(seed)
         n = len(kinds) + int(rng.integers(3, 30))
-        columns, planted = [], []
+        columns, planted, fresh = [], [], []
         for kind in kinds:
             if kind == "constant":
                 column = np.full(n, float(rng.uniform(-10.0, 10.0)))
-            elif kind == "difference" and len(columns) >= 2:
-                a, b = rng.choice(len(columns), 2, replace=False)
+            elif kind == "difference" and len(fresh) >= 2:
+                a, b = rng.choice(fresh, 2, replace=False)
                 column = columns[a] - columns[b]
             elif kind == "scaled" and columns:
                 column = columns[int(rng.integers(len(columns)))] * 10.0 ** rng.uniform(-3.0, 3.0)
             else:
                 kind, column = "fresh", rng.normal(size=n) * rng.uniform(1.0, 100.0)
+                fresh.append(len(columns))
             if kind != "fresh":
                 planted.append(f"c{len(columns)}")
             columns.append(column)
@@ -160,6 +163,28 @@ class TestFitOls:
             fit, used, dropped, cols = _fit_with_fallback(y, X, w, names)
         assert len(fits) <= 2 and dropped == planted
         assert used == [names[j] for j in kept] and fit.slopes.size == len(kept)
+
+    def test_rounding_residue_is_kept_on_its_own_scale(self):
+        # c3 = c1 - c0, c4 = c1 - c3 (c0 to rounding) and c5 = c0 - c4: c5
+        # is the rounding residue of that round trip, at most 1.4e-14 where
+        # the other columns reach 200.  The rule judges each column against
+        # its own diagonal, and on that scale the residue is no combination
+        # of the columns before it, so it is kept; the constant c2 and the
+        # differences c3 and c4 are named.
+        rng = np.random.default_rng(128235)
+        n = 7 + int(rng.integers(3, 30))
+        c0, c1 = (rng.normal(size=n) * rng.uniform(1.0, 100.0) for _ in range(2))
+        c2 = np.full(n, float(rng.uniform(-10.0, 10.0)))
+        c3 = c1 - c0
+        c4 = c1 - c3
+        c5 = c0 - c4
+        X = np.column_stack([c0, c1, c2, c3, c4, c5, rng.normal(size=n) * rng.uniform(1.0, 100.0)])
+        assert 0.0 < np.abs(c5).max() <= 1.5e-14 and np.abs(X).max() > 100.0
+        Z = np.column_stack([np.ones(n), X])
+        assert independent_predictors((Z.T @ Z).tolist(), range(7)) == [0, 1, 5, 6]
+        with pytest.raises(RankDeficiencyError) as info:
+            fit_ols(rng.normal(size=n), X, names=[f"c{j}" for j in range(7)])
+        assert list(info.value.columns) == ["c2", "c3", "c4"]
 
     @pytest.mark.parametrize("order", [("big", "tiny", "mid"), ("tiny", "mid", "big"), ("mid", "big", "tiny")])
     def test_predictors_in_very_different_units_are_kept(self, order):
