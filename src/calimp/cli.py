@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -172,6 +173,16 @@ def _cmd_impute(args) -> int:
     return EXIT_OK
 
 
+def _or_nan(metric, *columns) -> float:
+    """``metric(*columns)``, or nan where a constant column leaves it
+    undefined: the columns' shapes are checked first, so that is the only
+    ValueError it can raise."""
+    try:
+        return metric(*columns)
+    except ValueError:
+        return math.nan
+
+
 def _cmd_evaluate(args) -> int:
     truth = cio.read_dataset(args.truth)
     imputed = cio.read_dataset(args.imputed)
@@ -186,6 +197,9 @@ def _cmd_evaluate(args) -> int:
         raise DataFormatError("truth file has missing values")
     if not imputed.is_complete():
         raise DataFormatError("imputed file has missing values")
+    if not np.array_equal(truth.weights, imputed.weights):
+        raise DataFormatError("truth and imputed files have different weights")
+    weights = truth.weights
 
     per_variable: dict[str, dict[str, float]] = {}
     for j, name in enumerate(truth.columns):
@@ -193,15 +207,15 @@ def _cmd_evaluate(args) -> int:
         if not cells.any():
             continue
         per_variable[name] = {
-            "d_l1": metrics.d_l1(truth.values[cells, j], imputed.values[cells, j], truth.weights[cells]),
+            "d_l1": metrics.d_l1(truth.values[cells, j], imputed.values[cells, j], weights[cells]),
             "ks": metrics.ks_statistic(truth.values[cells, j], imputed.values[cells, j]),
-            "std_pct_diff": metrics.std_pct_diff(truth.values[:, j], imputed.values[:, j]),
+            "std_pct_diff": _or_nan(metrics.std_pct_diff, truth.values[:, j], imputed.values[:, j]),
         }
     correlations: dict[tuple[str, str], float] = {}
     for a in range(len(truth.columns)):
         for b in range(a + 1, len(truth.columns)):
-            correlations[(truth.columns[a], truth.columns[b])] = metrics.weighted_pearson(
-                imputed.values[:, a], imputed.values[:, b], imputed.weights
+            correlations[(truth.columns[a], truth.columns[b])] = _or_nan(
+                metrics.weighted_pearson, imputed.values[:, a], imputed.values[:, b], weights
             )
     report = metrics.MetricReport(per_variable=per_variable, correlations=correlations)
 

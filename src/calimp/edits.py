@@ -149,7 +149,7 @@ class _LineParser:
 
     def parse(self) -> Edit:
         lhs = self.parse_expr()
-        kind, op, _ = self.take()
+        kind, op, relation = self.take()
         if kind != "op" or op not in ("=", ">=", "<=", ">", "<", "=="):
             self.i -= 1
             self.error("expected a relation (=, >= or <=)")
@@ -171,6 +171,11 @@ class _LineParser:
             for v, c in side.items():
                 coeffs[v] = coeffs.get(v, 0.0) + sign * c
         const = plus[1] - minus[1]
+        overflow = [f"the coefficient of {v!r}" for v, c in coeffs.items() if not math.isfinite(c)]
+        if not math.isfinite(const):
+            overflow.append("the constant")
+        if overflow:
+            raise EditSyntaxError(f"{overflow[0]} overflows a float once the terms are merged", self.lineno, relation)
 
         coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
         if not coeffs:
@@ -202,8 +207,10 @@ class _LineParser:
     def parse_term(self) -> tuple[float, str | None]:
         kind, val, _ = self.peek()
         if kind == "number":
-            self.take()
             number = float(val)
+            if math.isinf(number):
+                self.error(f"number {val} overflows a float")
+            self.take()
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()

@@ -3,12 +3,12 @@
 Each step picks two records sharing an imputed variable, treats all their
 imputed cells as unknowns again, and takes the constraints those cells
 must satisfy: the records' reduced edits plus, per variable with a known
-total, the requirement that the pair's imputed values absorb exactly what
-the rest of the column leaves over.  One cell is re-drawn from a
-truncated posterior predictive distribution inside its admissible
-interval, and the remaining unknowns are repaired through the equality
-structure (keeping their current values wherever the constraints leave
-slack).  Edits and totals therefore hold after every step.  The
+total, the requirement that the pair's imputed values keep their current
+weighted sum.  One cell is re-drawn from a truncated posterior predictive
+distribution inside its admissible interval, and the remaining unknowns
+are repaired through the equality structure (keeping their current values
+wherever the constraints leave slack).  Edits and totals therefore hold
+after every step, and the totals' values enter none.  The
 derivation is compiled once per pair shape (:class:`PairSystems`) into
 sparse rows, so a step only evaluates the rows it reads on the pair's
 constants.
@@ -141,17 +141,15 @@ def pair_constraint_system(
     totals: Totals | None,
     s: int,
     t: int,
-    colsums: np.ndarray | None = None,
 ) -> tuple[ReducedSystem, dict[str, tuple[int, int]]]:
     """Constraints on the imputed cells of records ``s`` and ``t``.
 
     Unknowns are named ``s.<var>`` / ``t.<var>``; the returned map sends
-    each name to its (record, column) cell.  Weighted column totals turn
-    into pair-sum equalities for variables imputed in both records and
-    into pinning equalities for variables imputed in exactly one.
+    each name to its (record, column) cell.  A column with a known total
+    keeps the pair's current weighted sum of its imputed cells: a pair-sum
+    equality for a variable imputed in both records, and a pin at its
+    current value for one imputed in exactly one.
     """
-    if colsums is None:
-        colsums = data.weights @ data.values
     cells: dict[str, tuple[int, int]] = {}
     out: list[Edit] = []
     gross: list[float] = []
@@ -167,27 +165,18 @@ def pair_constraint_system(
             out.append(Edit({f"{role}.{v}": c for v, c in edit.coeffs.items()}, edit.constant, edit.kind))
         gross.extend(reduced.gross)
 
-    if totals:
-        w_s = float(data.weights[s])
-        w_t = float(data.weights[t])
-        for j, name in enumerate(data.columns):
-            if name not in totals:
-                continue
-            in_s = bool(data.mask[s, j])
-            in_t = bool(data.mask[t, j])
-            if not (in_s or in_t):
-                continue
-            others = float(colsums[j]) - w_s * float(data.values[s, j]) - w_t * float(data.values[t, j])
-            remainder = float(totals[name]) - others
-            if in_s and in_t:
-                out.append(Edit({f"s.{name}": w_s, f"t.{name}": w_t}, -remainder, EditKind.EQUALITY))
-            elif in_s:
-                pinned = remainder - w_t * float(data.values[t, j])
-                out.append(Edit({f"s.{name}": w_s}, -pinned, EditKind.EQUALITY))
-            else:
-                pinned = remainder - w_s * float(data.values[s, j])
-                out.append(Edit({f"t.{name}": w_t}, -pinned, EditKind.EQUALITY))
-            gross.append(abs(out[-1].constant))
+    for j, name in enumerate(data.columns):
+        if name not in (totals or {}):
+            continue
+        coeffs, share = {}, 0.0
+        for role, rec in (("s", s), ("t", t)):
+            if data.mask[rec, j]:
+                w = float(data.weights[rec])
+                coeffs[f"{role}.{name}"] = w
+                share += w * float(data.values[rec, j])
+        if coeffs:
+            out.append(Edit(coeffs, -share, EditKind.EQUALITY))
+            gross.append(abs(share))
     return ReducedSystem(tuple(out), tuple(gross)), cells
 
 
@@ -241,13 +230,13 @@ class PairSystems:
     The system is :func:`pair_constraint_system`'s, with the totals'
     equalities solved first.  A column imputed in both records that
     carries a total (the coupled columns, V_T) keeps one unknown ``s.v``;
-    its partner is ``t.v = (R_v - w_s s.v) / w_t``, where R_v is what the
-    rest of the column leaves the pair.  A column imputed in one record
-    only and carrying a total is pinned by it and becomes a constant.
-    Record t's rows are scaled by ``w_t / w_s > 0`` and its imputed
-    columns without a total are rescaled by the same factor, so every
-    coefficient is an edit coefficient and weights, values and totals
-    enter only through the constants.  The key is therefore (target, V_T,
+    its partner is ``t.v = (R_v - w_s s.v) / w_t``, where R_v is the pair's
+    current weighted sum ``w_s x_s[v] + w_t x_t[v]``.  A column imputed in
+    one record only and carrying a total keeps its current value, a
+    constant.  Record t's rows are scaled by ``w_t / w_s > 0`` and its
+    imputed columns without a total are rescaled by the same factor, so
+    every coefficient is an edit coefficient and weights and values enter
+    only through the constants.  The key is therefore (target, V_T,
     s's imputed columns without a total, t's imputed columns without a
     total).  A key's 2K x 2p coefficient matrix stacks s's edit rows, over
     columns 0..p-1, on t's, over columns p..2p-1 but with each coupled
@@ -268,16 +257,13 @@ class PairSystems:
         # with none, a 0).
         referenced = np.flatnonzero(self.A.any(axis=0)).tolist()
         self.referenced = operator.itemgetter(*referenced, *referenced[:1]) if referenced else lambda row: (0.0,)
-        totals = totals or {}
-        self.total = [float(totals[name]) if name in totals else None for name in data.columns]
-        self.with_total = sum(1 << j for j, t in enumerate(self.total) if t is not None)
+        self.with_total = sum(1 << j for j, name in enumerate(data.columns) if name in (totals or {}))
         bit = [1 << j for j in range(len(data.columns))]
         self.pattern = [sum(b for b, m in zip(bit, row) if m) for row in data.mask.tolist()]
-        # Per imputed pattern: its columns and the edits a completion is
-        # checked against, those that read one of them.
-        self.imputed = {
-            mask: (_bits(mask), [row for row, touches in zip(self.rows, self.touches) if touches & mask])
-            for mask in set(self.pattern)
+        # Per imputed pattern: the edits a completion is checked against,
+        # those that read one of its columns.
+        self.checked = {
+            mask: [row for row, touches in zip(self.rows, self.touches) if touches & mask] for mask in set(self.pattern)
         }
         self.weights = data.weights.tolist()
         self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
@@ -309,8 +295,7 @@ class PairSystems:
         A, compiled = self.A, system.compiled
         K, p = A.shape
         is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
-        # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s],
-        # pinned columns holding their pinned values.
+        # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
         in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
         M = np.zeros((2 * K, 3 * p + 2))
@@ -343,23 +328,22 @@ class PairSystems:
 class PairStep:
     """One step's pair system: the target's interval, computed on
     construction, and :meth:`complete`.  ``system`` is the key's
-    (:meth:`PairSystems.system`), ``rows[s]`` and ``rows[t]`` the records'
-    current rows (lists, only read) and ``colsums`` the weighted column
-    sums; construction raises :class:`InfeasibleSystemError` where the
-    derivation finds the system infeasible.
+    (:meth:`PairSystems.system`) and ``rows[s]`` and ``rows[t]`` the
+    records' current rows (lists, only read); construction raises
+    :class:`InfeasibleSystemError` where the derivation finds the system
+    infeasible.
 
     The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
-    R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with
-    pinned cells at their pinned values and R the coupled columns' shares.
-    The interval evaluates only the check rows (each one's gross magnitude
-    only when the row is in doubt) and the bound rows; the completion
-    rows, the completed rows and the pair's margin scale wait until
-    something reads them.  ``imputed`` holds each record's imputed columns."""
+    R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with R
+    the coupled columns' shares: the pair's current weighted sums, which
+    the step conserves.  The interval evaluates only the check rows (each
+    one's gross magnitude only when the row is in doubt) and the bound
+    rows; the completion rows, the completed rows and the pair's margin
+    scale wait until something reads them."""
 
-    def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]],
-                 colsums: list[float], s: int, t: int):
+    def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]], s: int, t: int):
         row_s, row_t = rows[s], rows[t]
-        ps, pt, with_total, total = systems.pattern[s], systems.pattern[t], systems.with_total, systems.total
+        ps, pt = systems.pattern[s], systems.pattern[t]
         self.systems, self.system = systems, system
         self.w_s, self.w_t = w_s, w_t = systems.weights[s], systems.weights[t]
         self.old = (row_s, row_t)
@@ -369,19 +353,9 @@ class PairStep:
         p = len(row_s)
         self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
         self.shares = shares = {}
-        for c in _bits(ps & pt & with_total):
-            shares[c] = share = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
+        for c in _bits(ps & pt & systems.with_total):
+            shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
             z[2 * p + c] = share / w_s
-        self.pinned = pinned = []  # (record, column, value)
-        for c in _bits((ps ^ pt) & with_total):
-            rest = total[c] - (colsums[c] - w_s * row_s[c] - w_t * row_t[c])
-            if ps >> c & 1:
-                z[c] = value = (rest - w_t * row_t[c]) / w_s
-                pinned.append((0, c, value))
-            else:
-                value = (rest - w_s * row_s[c]) / w_t
-                z[p + c] = ratio * value
-                pinned.append((1, c, value))
 
         for terms, gross, eq in system.checks:
             r = _dot(terms, z)
@@ -403,10 +377,7 @@ class PairStep:
             elif bound < upper:
                 upper = bound
         if lower > upper:
-            # Bounds crossed within their own rounding meet on any scale of
-            # at least 1; only a wider crossing needs the pair's.
-            near = lower - upper <= DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
-            lower, upper = fm.snap(lower, upper, 1.0 if near else self.scale())
+            lower, upper = fm.snap(lower, upper, self.scale())
         self.interval = fm.Interval(lower, upper)
 
     def scale(self) -> float:
@@ -423,38 +394,26 @@ class PairStep:
         """Whether the interval holds ``x``, a current value of the target,
         to :data:`DEFAULT_TOL` times the pair's :meth:`scale`: the edits
         hold only to that, so a cell pinned by large constants may miss its
-        point by that much.  A bounded target is a column some edit
-        references, so that scale is at least ``max(1, |x|)`` and a value
-        within that margin needs no scale."""
+        point by that much."""
         lower, upper = self.interval.lower, self.interval.upper
         if lower <= x <= upper:
             return True
-        slack = DEFAULT_TOL * max(1.0, abs(x))
-        if lower - slack <= x <= upper + slack:
-            return True
         slack = DEFAULT_TOL * self.scale()
         return lower - slack <= x <= upper + slack
-
-    @property
-    def imputed(self) -> tuple[list[int], list[int]]:
-        ps, pt = self.patterns
-        return self.systems.imputed[ps][0], self.systems.imputed[pt][0]
 
     def complete(self, value: float) -> tuple[list[float], list[float]]:
         """Both records' rows once the target holds ``value``: the other
         unknowns keep their current values clamped into their slices (in
         reverse elimination order), the rest follow through the equalities,
-        the coupled partners and pinned cells through the totals.  A
-        completion that misses an edit of either record or a pair total
-        by more than :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
+        the coupled partners through their shares.  A completion that
+        misses an edit of either record or a share by more than
+        :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
         system, ratio, z = self.system, self.ratio, self.z
         row_s, row_t = self.old
         p = len(row_s)
         current = [z[role * p + c] for role, c in system.unknowns]
         solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current)
         new_s, new_t = list(row_s), list(row_t)
-        for role, c, v in self.pinned:
-            (new_t if role else new_s)[c] = v
         for (role, c), v, old in zip(system.unknowns, solved, current):
             if role == 0:
                 new_s[c] = v
@@ -467,7 +426,7 @@ class PairStep:
         referenced = self.systems.referenced
         margins = [DEFAULT_TOL * max(1.0, *map(abs, referenced(row))) for row in (new_s, new_t)]
         ps, pt = self.patterns
-        checks = (self.systems.imputed[ps][1], self.systems.imputed[pt][1])
+        checks = (self.systems.checked[ps], self.systems.checked[pt])
         for rows, row, margin in zip(checks, (new_s, new_t), margins):
             for b, terms, eq in rows:
                 r = b
@@ -476,10 +435,10 @@ class PairStep:
                 if abs(r) > margin if eq else r < -margin:
                     raise InfeasibleSystemError(f"completed pair violates an edit (residual {r:.6g})")
         margin = max(margins)
-        for c, share in self.shares.items():  # pinned cells meet their totals by construction
+        for c, share in self.shares.items():  # a one-record total column keeps its value
             r = self.w_s * new_s[c] + self.w_t * new_t[c] - share
             if abs(r) > margin:
-                raise InfeasibleSystemError(f"completed pair misses a column total (residual {r:.6g})")
+                raise InfeasibleSystemError(f"completed pair misses its pair sum (residual {r:.6g})")
         return new_s, new_t
 
 
@@ -682,7 +641,6 @@ def mcmc_refine(
         return state, trace
 
     rng = np.random.default_rng(config.seed)
-    colsums = (state.weights @ state.values).tolist()
     columns, n = state.columns, state.n_records
     position = {name: j for j, name in enumerate(columns)}
     observed_cols = [name for j, name in enumerate(columns) if not state.mask[:, j].any()]
@@ -705,7 +663,6 @@ def mcmc_refine(
         state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets if j not in structural}
     )
     systems = PairSystems(state, edits, totals)
-    weights = systems.weights
     # The rows of the records with an imputed cell, as lists: steps read and
     # replace these, and each checkpoint writes the moved ones back.
     rows: list[list[float] | None] = [None] * n
@@ -729,7 +686,7 @@ def mcmc_refine(
             counts[j]["pinned"] += 1
         else:
             try:
-                pair = PairStep(systems, system, rows, colsums, s, t)
+                pair = PairStep(systems, system, rows, s, t)
                 interval = pair.interval
                 row_s = rows[s]
                 current = row_s[j]
@@ -747,12 +704,7 @@ def mcmc_refine(
                 counts[j]["fallbacks"] += 1
             else:
                 counts[j]["accepted"] += 1
-                for rec, old, new, cols in zip((s, t), pair.old, new_rows, pair.imputed):
-                    for col in cols:
-                        delta = new[col] - old[col]
-                        if delta != 0.0:
-                            colsums[col] += weights[rec] * delta
-                    rows[rec] = new
+                rows[s], rows[t] = new_rows
                 moved.update((s, t))
                 stats.move(pair.old, new_rows)
                 move = abs(new_rows[0][j] - current)
@@ -765,7 +717,6 @@ def mcmc_refine(
                 records = list(moved)
                 state.values[records] = [rows[rec] for rec in records]
                 moved.clear()
-            colsums = (state.weights @ state.values).tolist()
             stats.rebuild(state.values)
             validate(state.values, state, edits, totals)
             exact = {j: j in structural or gram_factor(stats.block(j), columns[j])[2] == 0.0 for j in targets}

@@ -58,7 +58,8 @@ def std_pct_diff(original_column, imputed_column) -> float:
     if x.shape != y.shape:
         raise ValueError("columns must have equal length")
     std_orig = float(np.std(x))
-    if std_orig == 0.0:
+    # A constant column's std may round a few ulps above 0.
+    if std_orig == 0.0 or np.ptp(x) == 0.0:
         raise ValueError("original column has zero standard deviation")
     std_imp = float(np.std(y))
     return 100.0 * (std_imp - std_orig) / std_orig
@@ -77,6 +78,7 @@ def weighted_pearson(x, y, weights=None) -> float:
     cov = float(np.sum(w * (x - mx) * (y - my)))
     vx = float(np.sum(w * (x - mx) ** 2))
     vy = float(np.sum(w * (y - my) ** 2))
-    if vx == 0.0 or vy == 0.0:
+    # A constant column's variance may round a few ulps above 0.
+    if vx == 0.0 or vy == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("a column has zero variance")
     return cov / np.sqrt(vx * vy)

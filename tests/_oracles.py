@@ -397,23 +397,24 @@ def _margin_scale(edits: EditSystem, columns, rows: np.ndarray) -> float:
     return max(1.0, float(np.abs(rows[:, referenced]).max(initial=0.0)))
 
 
-def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums, rows) -> None:
+def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, rows) -> None:
     """Raise :class:`InfeasibleSystemError` unless both completed ``rows``
     meet every edit on ``violation_matrix``'s margin, each record's largest
     magnitude over the edit variables, observed cells included, and the
-    pair meets each column total it touches on the larger of the two."""
+    pair keeps its current weighted sum of each column with a total that
+    it imputes, on the larger of the two."""
     if violation_matrix(edits, rows, data.columns).any():
         raise InfeasibleSystemError("completed pair violates an edit")
     margin = DEFAULT_TOL * _margin_scale(edits, data.columns, rows)
     w_s, w_t = float(data.weights[s]), float(data.weights[t])
     for j, name in enumerate(data.columns):
         if name in (totals or {}) and (data.mask[s, j] or data.mask[t, j]):
-            share = float(totals[name]) - (float(colsums[j]) - w_s * data.values[s, j] - w_t * data.values[t, j])
+            share = w_s * data.values[s, j] + w_t * data.values[t, j]
             if abs(w_s * rows[0, j] + w_t * rows[1, j] - share) > margin:
-                raise InfeasibleSystemError("completed pair misses a column total")
+                raise InfeasibleSystemError("completed pair misses its pair sum")
 
 
-def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
+def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, value: float):
     """One chain step the per-record way, as ``mcmc_refine`` took it before
     pair systems were compiled: ``pair_constraint_system``, then
     ``fm.admissible_interval`` for ``s.<var>``, its crossed bounds snapping
@@ -429,7 +430,7 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
     raises :class:`InfeasibleSystemError` (the chain's fallback).
     """
     try:
-        system, cells = pair_constraint_system(data, edits, totals, s, t, colsums=colsums)
+        system, cells = pair_constraint_system(data, edits, totals, s, t)
         target = f"s.{var}"
         scale = _margin_scale(edits, data.columns, data.values[[s, t]])
         interval, record = fm.admissible_interval(system, target, scale)
@@ -442,41 +443,33 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
         for name, v in completion.items():
             rec, col = cells[name]
             rows[0 if rec == s else 1, col] = v
-        _check_completed_pair(data, edits, totals, s, t, colsums, rows)
+        _check_completed_pair(data, edits, totals, s, t, rows)
     except InfeasibleSystemError:
         return None
     resolved = set(fm.resolve_companions(record, {target: value})) | {target}
     return interval, rows, resolved >= set(system.variables())
 
 
-def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, colsums):
+def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: int):
     """``pair_constraint_system`` with its total equalities solved first,
     built edit by edit in dict form, with each constant's gross magnitude.
 
     A column imputed in both records with a total keeps one unknown
-    ``s.v``, and record t's edits read ``t.v = (R_v - w_s s.v) / w_t``; a
-    column imputed in one record with a total is pinned.  Record t's
-    reduced edits are scaled by ``w_t / w_s`` and its unknowns without a
-    total stand for ``w_t / w_s`` times its cells.  Returns the system,
-    the shares ``R_v`` by column, and both records' rows with the pinned
-    cells set.
+    ``s.v``, and record t's edits read ``t.v = (R_v - w_s s.v) / w_t``,
+    R_v the pair's current weighted sum; a column imputed in one record
+    with a total keeps its current value.  Record t's reduced edits are
+    scaled by ``w_t / w_s`` and its unknowns without a total stand for
+    ``w_t / w_s`` times its cells.  Returns the system, the shares ``R_v``
+    by column, and both records' current rows.
     """
     totals = totals or {}
     w_s, w_t = float(data.weights[s]), float(data.weights[t])
     rows = data.values[[s, t]].copy()
-    shares = {}
-    for j, name in enumerate(data.columns):
-        in_s, in_t = bool(data.mask[s, j]), bool(data.mask[t, j])
-        if name not in totals or not (in_s or in_t):
-            continue
-        x_s, x_t = float(data.values[s, j]), float(data.values[t, j])
-        remainder = float(totals[name]) - (float(colsums[j]) - w_s * x_s - w_t * x_t)
-        if in_s and in_t:
-            shares[name] = remainder
-        elif in_s:
-            rows[0, j] = (remainder - w_t * x_t) / w_s
-        else:
-            rows[1, j] = (remainder - w_s * x_s) / w_t
+    shares = {
+        name: w_s * float(rows[0, j]) + w_t * float(rows[1, j])
+        for j, name in enumerate(data.columns)
+        if name in totals and data.mask[s, j] and data.mask[t, j]
+    }
 
     def reduced(k: int):
         rec = (s, t)[k]
@@ -505,15 +498,15 @@ def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: 
     return ReducedSystem(tuple(out), tuple(gross)), shares, rows
 
 
-def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, colsums, value: float):
+def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, value: float):
     """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
     and ``fm.back_substitute`` with the snap scale, ``value`` clamped and the
-    keep-current rule as in :func:`pair_step`, the coupled partners and
-    pinned cells then following from the totals, and the same check of the
+    keep-current rule as in :func:`pair_step`, the coupled partners then
+    following from their shares, and the same check of the
     completed records.  Returns the interval and both new rows, or ``None``
     where a stage raises :class:`InfeasibleSystemError`."""
     try:
-        system, shares, rows = coupled_pair_system(data, edits, totals, s, t, colsums)
+        system, shares, rows = coupled_pair_system(data, edits, totals, s, t)
         target = f"s.{var}"
         scale = _margin_scale(edits, data.columns, data.values[[s, t]])
         interval, record = fm.admissible_interval(system, target, scale)
@@ -538,7 +531,7 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
         for name, share in shares.items():
             j = data.column_index(name)
             rows[1, j] = (share - w_s * rows[0, j]) / w_t
-        _check_completed_pair(data, edits, totals, s, t, colsums, rows)
+        _check_completed_pair(data, edits, totals, s, t, rows)
     except InfeasibleSystemError:
         return None
     return interval, rows

@@ -90,6 +90,42 @@ def test_unknown_token_rejected():
         parse_edit_rules("x ? 3")
 
 
+@pytest.mark.parametrize(
+    "rule, column",
+    [("1e400*x >= 0", 1), ("x >= 1e400", 6), ("x + 2 >= 3*y - 1" + "0" * 400, 16)],
+)
+def test_literal_that_overflows_is_rejected_where_it_stands(rule, column):
+    # A number beyond the float range would parse to an infinite
+    # coefficient or constant, which no record can meet or print.
+    with pytest.raises(EditSyntaxError, match="overflows a float") as info:
+        parse_edit_rules("x >= 0\n" + rule)
+    assert (info.value.line, info.value.column) == (2, column)
+
+
+@pytest.mark.parametrize(
+    "rule, what",
+    [
+        ("1e308*x + 1e308*x >= 0", "coefficient of 'x'"),
+        ("1e308*x >= -1e308*x", "coefficient of 'x'"),
+        ("x >= 1e308 + 1e308", "constant"),
+        ("x + 1e308 = -1e308", "constant"),
+    ],
+)
+def test_merged_term_that_overflows_is_rejected(rule, what):
+    # Finite literals whose merged coefficient or constant is not finite:
+    # the error names it and points at the relation, where the sides merge.
+    with pytest.raises(EditSyntaxError, match=f"the {what} overflows a float") as info:
+        parse_edit_rules(rule)
+    assert info.value.line == 1
+    assert info.value.column == min(rule.index(op) for op in ("=", ">=") if op in rule) + 1
+
+
+def test_largest_finite_numbers_still_parse():
+    system = parse_edit_rules("1e308*x >= 1e308\nx - 1e308*y + 1e308*y >= -1.7e308")
+    assert system.edits[0].coeffs == {"x": 1e308} and system.edits[0].constant == -1e308
+    assert system.edits[1].coeffs == {"x": 1.0} and system.edits[1].constant == 1.7e308
+
+
 def test_variable_order_is_first_appearance():
     system = parse_edit_rules(EXAMPLE_RULES)
     assert system.variables == ("x1", "x2", "x3")

@@ -237,6 +237,62 @@ class TestCli:
         assert "x1,d_l1," in report
         assert "correlation" in report
 
+    def test_evaluate_files_with_different_weights_exit_2(self, tmp_path, capsys):
+        # d_l1 and the correlations share one weight vector, so a truth file
+        # weighted otherwise than the imputed file is a data error.
+        small_files(tmp_path, np.random.default_rng(2))
+        truth = cio.read_dataset(tmp_path / "truth.csv")
+        weights = np.tile([1.0, 5.0, 1.0, 2.0, 1.0], 12)
+        cio.write_dataset(DataMatrix(truth.values, truth.mask, truth.columns, weights), tmp_path / "weighted.csv")
+        code = main([
+            "evaluate", "--truth", str(tmp_path / "weighted.csv"), "--imputed", str(tmp_path / "truth.csv"),
+            "--mask", str(tmp_path / "mask.csv"), "--out", str(tmp_path / "report.csv"),
+        ])
+        assert code == 2
+        assert "different weights" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_evaluate_writes_nan_for_a_metric_a_constant_column_leaves_undefined(self, tmp_path):
+        # Two constant columns: x4 at 7.0, never imputed, and x5 at 0.0,
+        # imputed in a few records.  Neither has a correlation with another
+        # column, and x5 has no relative change of its spread: the report
+        # says nan for those and gives every other metric.
+        small_files(tmp_path, np.random.default_rng(2))
+        truth = cio.read_dataset(tmp_path / "truth.csv")
+        n = len(truth.values)
+        values = np.column_stack([truth.values, np.full(n, 7.0), np.zeros(n)])
+        columns = (*truth.columns, "x4", "x5")
+        cio.write_dataset(DataMatrix(values, np.zeros(values.shape, bool), columns), tmp_path / "t5.csv")
+        mask = np.zeros(values.shape, bool)
+        mask[:, :3] = cio.read_mask(tmp_path / "mask.csv", truth.columns)
+        mask[:4, 4] = True
+        cio.write_mask(mask, columns, tmp_path / "m5.csv")
+        code = main([
+            "evaluate", "--truth", str(tmp_path / "t5.csv"), "--imputed", str(tmp_path / "t5.csv"),
+            "--mask", str(tmp_path / "m5.csv"), "--out", str(tmp_path / "report.csv"),
+        ])
+        assert code == 0
+        rows = dict(
+            (tuple(fields[:2]), fields[2])
+            for fields in (line.rsplit(",", 2) for line in (tmp_path / "report.csv").read_text().splitlines()[1:])
+        )
+        undefined = [("x5", "std_pct_diff")] + [(f"{a},{b}", "correlation") for a, b in (
+            ("x1", "x4"), ("x1", "x5"), ("x2", "x4"), ("x2", "x5"), ("x3", "x4"), ("x3", "x5"), ("x4", "x5"))]
+        assert sorted(key for key, value in rows.items() if value == "nan") == sorted(undefined)
+        assert all(math.isfinite(float(value)) for key, value in rows.items() if key not in undefined)
+        assert rows[("x5", "d_l1")] == rows[("x5", "ks")] == "0.0"
+
+    def test_rule_that_overflows_a_float_exits_2(self, tmp_path, capsys):
+        small_files(tmp_path, np.random.default_rng(2))
+        (tmp_path / "rules.edits").write_text(EDITS + "1e400*x1 >= 0\n")
+        code = main([
+            "impute", "--data", str(tmp_path / "data.csv"), "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"), "--method", "upma", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert "line 7, column 1: number 1e400 overflows a float" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_impute_mcmc_chains_bpma_on_missing_input(self, tmp_path, capsys):
         small_files(tmp_path, np.random.default_rng(3))
         code = main([

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -106,6 +107,19 @@ def five_var_data(rng, r=120):
     values = np.where(mask, np.nan, truth)
     edits = parse_edit_rules(FIVE_VAR_RULES)
     pre, _ = impute(DataMatrix(values, mask, ("x1", "x2", "x3", "x4", "x5")), edits, totals, ImputationConfig("bpma"))
+    return pre, edits, totals
+
+
+@functools.lru_cache(maxsize=None)
+def study_start(sample_seed):
+    """A desk-scale study sample (population seed 1234) imputed by bpma:
+    the start of a study chain, with its edits and totals."""
+    config = sim.StudyConfig()
+    population, _ = sim.generate_population(config, np.random.default_rng(1234))
+    _, masked, totals = sim.draw_sample(population, config, np.random.default_rng(sample_seed))
+    edits = sim.study_edits()
+    pre, _ = impute(masked, edits, totals, ImputationConfig(
+        "bpma", predictors=sim.STUDY_PREDICTORS, variable_order=sim.STUDY_ORDER))
     return pre, edits, totals
 
 
@@ -245,6 +259,13 @@ class TestPairConstraintSystem:
         pins = [e for e in system.edits if list(e.coeffs) == ["t.x1"]and e.kind.value == "equality"]
         assert pins and pins[0].constant == -15.0
 
+    def test_shares_are_the_pair_sums_whatever_the_totals(self):
+        # The totals' columns shape the system; their values do not enter it.
+        data, edits, totals = pair_example_data()
+        system, cells = pair_constraint_system(data, edits, totals, 0, 1)
+        shifted = {name: value + 1000.0 for name, value in totals.items()}
+        assert pair_constraint_system(data, edits, shifted, 0, 1) == (system, cells)
+
 
 class TestDrawTruncatedPosterior:
     def test_point_interval_needs_no_draw(self):
@@ -370,7 +391,7 @@ class TestPosteriorOracle:
             live.update(j=j)
             return system
 
-        def recording_step(systems_, system, rows, colsums, s, t):
+        def recording_step(systems_, system, rows, s, t):
             # The chain's values: its row lists where it keeps them (records
             # with an imputed cell), the input elsewhere.
             values = pre.values.copy()
@@ -378,7 +399,7 @@ class TestPosteriorOracle:
                 if row is not None:
                     values[rec] = row
             live.update(values=values, row=rows[s])
-            return real_step(systems_, system, rows, colsums, s, t)
+            return real_step(systems_, system, rows, s, t)
 
         def checked_factor(gram, target):
             # Every step that draws, and every checkpoint, factors its
@@ -827,11 +848,11 @@ class TestMcmcRefine:
         tracked = pre.values.copy()
 
         class Step(PairStep):
-            def __init__(self, systems, system, rows, colsums, s, t):
+            def __init__(self, systems, system, rows, s, t):
                 for rec, row in enumerate(rows):
                     if row is not None:
                         assert np.array(row).tobytes() == tracked[rec].tobytes()
-                super().__init__(systems, system, rows, colsums, s, t)
+                super().__init__(systems, system, rows, s, t)
                 self.records = [s, t]
 
             def complete(self, value):
@@ -866,7 +887,7 @@ class TestMcmcRefine:
         # largest bound, on keys that do not pin them.  Such a step draws and completes like
         # any other: its cell lands inside the interval, and a checkpoint
         # right after it validates edits and totals.  Checkpoints rebuild
-        # the column sums, so each run has a single one, at its end.
+        # the Gram statistics, so each run has a single one, at its end.
         real_system, found, completed, step_of = PairSystems.system, [], [], {}
 
         def system(self, s, t, j):
@@ -880,7 +901,7 @@ class TestMcmcRefine:
         class Step(PairStep):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.step, self.j, self.record = step_of["step"], step_of["j"], args[4]
+                self.step, self.j, self.record = step_of["step"], step_of["j"], args[3]
                 if not found and narrow(self.interval):
                     found.append((self.step, self.j))
 
@@ -929,19 +950,43 @@ class TestMcmcRefine:
         assert (entry["accepted"], entry["pinned"], entry["moved"]) == (50, 0, 50)
 
     def test_seeded_study_chain_takes_no_fallback(self):
-        # A desk-scale study chain on which bounds that drifted colsums cross
-        # by less than the pair's margin used to fall back once.
-        config = sim.StudyConfig()
-        population, _ = sim.generate_population(config, np.random.default_rng(1234))
-        _, masked, totals = sim.draw_sample(population, config, np.random.default_rng(1009))
-        edits = sim.study_edits()
-        pre, _ = impute(masked, edits, totals, ImputationConfig(
-            "bpma", predictors=sim.STUDY_PREDICTORS, variable_order=sim.STUDY_ORDER))
+        # A desk-scale study chain on which bounds that drifted column sums
+        # crossed by less than the pair's margin used to fall back once.
+        pre, edits, totals = study_start(1009)
         _, trace = mcmc_refine(
             pre, edits, totals,
             McmcConfig(iterations=2280, checkpoint_every=760, seed=9, predictors=sim.STUDY_PREDICTORS),
         )
         assert (trace[-1]["accepted"], trace[-1]["fallbacks"]) == (2280, 0)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9, 1 + 9e-9])
+    def test_totals_off_within_their_tolerance_reach_no_step(self, factor):
+        # validate accepts totals within 1e-8 relative of the column sums.  A
+        # step conserves its pair's own weighted sums, so the totals' values
+        # reach no step: the chain takes no fallback, moves x1, and writes the
+        # bytes and trace of a chain on the exact totals.  A share taken as
+        # what the rest of the column leaves over would put the whole
+        # discrepancy on every pair, and every drawing step would fall back.
+        pre, edits, totals = study_start(1000)
+        config = McmcConfig(seed=0, predictors=sim.STUDY_PREDICTORS)
+        exact, exact_trace = mcmc_refine(pre, edits, totals, config)
+        out, trace = mcmc_refine(pre, edits, {name: factor * total for name, total in totals.items()}, config)
+        assert trace[-1]["fallbacks"] == 0
+        assert trace[-1]["per_variable"]["x1"]["moved"] > 0
+        assert out.values.tobytes() == exact.values.tobytes()
+        assert trace == exact_trace
+
+    def test_long_study_chain_keeps_every_total(self):
+        # Each step conserves its pair's weighted sums, so after 150,000
+        # steps every total holds to 1e-12 relative.
+        pre, edits, totals = study_start(1000)
+        out, trace = mcmc_refine(
+            pre, edits, totals, McmcConfig(iterations=150_000, seed=0, predictors=sim.STUDY_PREDICTORS)
+        )
+        assert trace[-1]["per_variable"]["x1"]["moved"] > 0
+        for name, total in totals.items():
+            got = float(out.weights @ out.values[:, out.column_index(name)])
+            assert abs(got - total) <= 1e-12 * abs(total), (name, got, total)
 
     def test_point_interval_pinned_by_large_constants(self):
         # x2 ~ 0.3 is pinned by x1 and P ~ 3.4e3; the stored x2 meets the
@@ -962,7 +1007,7 @@ class TestMcmcRefine:
         for s, t in ((0, 1), (1, 0)):
             system = systems.system(s, t, 1)
             assert system.pinned
-            step = PairStep(systems, with_rows(systems, system), values.tolist(), values.sum(axis=0).tolist(), s, t)
+            step = PairStep(systems, with_rows(systems, system), values.tolist(), s, t)
             assert step.interval.is_point() and step.admits(values[s, 1])
             assert abs(step.interval.lower - values[s, 1]) > 1e-8
         out, trace = mcmc_refine(data, edits, None, McmcConfig(iterations=20, seed=0))

@@ -64,6 +64,12 @@ class TestStdPctDiff:
         with pytest.raises(ValueError):
             std_pct_diff([2.0, 2.0], [1.0, 3.0])
 
+    def test_constant_column_whose_std_rounds_above_zero_is_rejected(self):
+        x = np.full(7, 0.1)
+        assert np.std(x) > 0.0
+        with pytest.raises(ValueError):
+            std_pct_diff(x, np.arange(7.0))
+
     def test_population_denominator(self):
         x = np.array([0.0, 1.0])
         y = np.array([0.0, 2.0])
@@ -84,6 +90,15 @@ class TestWeightedPearson:
         xr = np.repeat(x, [2, 1, 3])
         yr = np.repeat(y, [2, 1, 3])
         assert weighted_pearson(x, y, w) == pytest.approx(float(np.corrcoef(xr, yr)[0, 1]))
+
+    @pytest.mark.parametrize("constant", [0.0, 7.0])
+    def test_constant_column_is_rejected(self, constant):
+        # Sixty weights of 1/60 leave the weighted mean of 7.0 a few ulps
+        # off, and its variance a few ulps above 0.
+        x, y = np.full(60, constant), np.arange(60.0)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="zero variance"):
+                weighted_pearson(a, b)
 
 
 def test_report_rows_are_flat():

@@ -162,12 +162,12 @@ def draw(rng, interval, current, scale):
     return float(np.clip(current + (spread if math.isinf(hi) else -spread), lo, hi))
 
 
-def check_step(state, edits, totals, s, t, var, colsums, interval, value, new):
+def check_step(state, edits, totals, s, t, var, interval, value, new):
     """Assert that the compiled step (``interval`` and the completion
     ``new`` at ``value``, both ``None`` for a fallback) agrees with both
     oracles; returns whether equalities alone forced the completion."""
-    full = pair_step(state, edits, totals, s, t, var, colsums, value)
-    coupled = coupled_pair_step(state, edits, totals, s, t, var, colsums, value)
+    full = pair_step(state, edits, totals, s, t, var, value)
+    coupled = coupled_pair_step(state, edits, totals, s, t, var, value)
     assert (new is None) == (full is None) == (coupled is None)
     if new is None:
         return True
@@ -227,15 +227,14 @@ def walk(data, edits, totals, rng, steps, oracles=True):
     for _ in range(steps):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
-        colsums = (state.weights @ state.values).tolist()
         rows = state.values[[s, t]]
         system = with_rows(systems, systems.system(s, t, j))
         try:
-            step = PairStep(systems, system, state.values.tolist(), colsums, s, t)
+            step = PairStep(systems, system, state.values.tolist(), s, t)
             if system.pinned:
                 assert step.admits(rows[0, j])
                 assert_admits_point(step.interval, rows[0, j], scale_of(rows))
-                full = pair_step(state, edits, totals, s, t, var, colsums, rows[0, j])
+                full = pair_step(state, edits, totals, s, t, var, rows[0, j])
                 assert full is not None
                 assert_admits_point(full[0], rows[0, j], scale_of(rows))
                 seen["pinned"] += 1
@@ -245,7 +244,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
             assert not system.pinned
             interval, value, new = None, float(rows[0, j]), None
         if oracles:
-            seen["free"] += not check_step(state, edits, totals, s, t, var, colsums, interval, value, new)
+            seen["free"] += not check_step(state, edits, totals, s, t, var, interval, value, new)
         seen["steps"] += 1
         seen["fallbacks"] += new is None
         if new is not None:
@@ -279,9 +278,9 @@ def test_compiled_step_matches_the_per_record_step(kind, weighted, seed):
 
 @pytest.mark.parametrize("kind", ["study", "five", "partial"])
 def test_chain_steps_match_the_per_record_step(kind):
-    # Inside mcmc_refine, with its own posterior draws and column sums.  A
-    # step whose key pins the target is skipped; evaluated here after all,
-    # on the chain's values and fresh column sums, its interval is a point
+    # Inside mcmc_refine, with its own posterior draws.  A step whose key
+    # pins the target is skipped; evaluated here after all, on the chain's
+    # values, its interval is a point
     # that admits the current value, and both oracles find that point and
     # complete it to the pair's current rows.  A step on the study's
     # structural x2 (x2 = P - x1 on its predictors) is skipped before any
@@ -317,9 +316,9 @@ def test_chain_steps_match_the_per_record_step(kind):
                 assert not data.mask[rec].any()
         return values
 
-    def step_args(s, t, j, colsums):
+    def step_args(s, t, j):
         live = DataMatrix(tracked.copy(), data.mask, data.columns, data.weights)
-        return (live, edits, totals, s, t, data.columns[j], colsums)
+        return (live, edits, totals, s, t, data.columns[j])
 
     def check_completed():
         # A PairStep built without an infeasible system goes on to complete
@@ -332,22 +331,21 @@ def test_chain_steps_match_the_per_record_step(kind):
         system = real_system(systems, s, t, j)
         last.update(records=[s, t], j=j)
         if system.pinned:
-            colsums = (data.weights @ tracked).tolist()
-            step = PairStep(systems, with_rows(systems, system), tracked.tolist(), colsums, s, t)
+            step = PairStep(systems, with_rows(systems, system), tracked.tolist(), s, t)
             current = tracked[s, j]
             assert step.admits(current)
             assert_admits_point(step.interval, current, scale_of(tracked[[s, t]]))
-            check_step(*step_args(s, t, j, colsums), step.interval, current, tracked[[s, t]])
+            check_step(*step_args(s, t, j), step.interval, current, tracked[[s, t]])
             skipped.append(current)
         return system
 
     class CheckedStep(PairStep):
-        def __init__(self, systems, system, rows, colsums, s, t):
+        def __init__(self, systems, system, rows, s, t):
             values = live_values(rows)
             assert values.tobytes() == tracked.tobytes()
-            args = step_args(s, t, last["j"], colsums)
+            args = step_args(s, t, last["j"])
             try:
-                super().__init__(systems, system, rows, colsums, s, t)
+                super().__init__(systems, system, rows, s, t)
             except InfeasibleSystemError:
                 check_step(*args, None, float(values[s, last["j"]]), None)
                 raise
@@ -401,27 +399,20 @@ def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
         assert (system.checks == system.bounds == system.completion == []) == system.pinned
 
 
-def numpy_interval(state, edits, totals, s, t, colsums, compiled):
+def numpy_interval(state, edits, totals, s, t, compiled):
     """The pair's interval from ``compiled.evaluate``, the numpy batch path
     of :func:`calimp.impute`, on the constants of the pair's 2K stacked
-    edits: s's with its known and pinned cells folded in, then t's scaled
-    by w_t/w_s with the coupled columns' shares R/w_s folded in.  Returns
-    lower, upper and the infeasible flag."""
+    edits: s's with its known cells and one-record total columns folded
+    in, then t's scaled by w_t/w_s with the coupled columns' shares R/w_s,
+    the pair's current weighted sums, folded in.  Returns lower, upper and
+    the infeasible flag."""
     A, b, _ = system_matrices(edits, state.columns)
     w_s, w_t = float(state.weights[s]), float(state.weights[t])
     in_s, in_t = state.mask[s], state.mask[t]
-    rows, R = state.values[[s, t]].copy(), np.zeros(len(state.columns))
-    for c, name in enumerate(state.columns):
-        if name in totals and (in_s[c] or in_t[c]):
-            rest = totals[name] - (colsums[c] - w_s * rows[0, c] - w_t * rows[1, c])
-            if in_s[c] and in_t[c]:
-                R[c] = rest / w_s
-            elif in_s[c]:
-                rows[0, c] = (rest - w_t * rows[1, c]) / w_s
-            else:
-                rows[1, c] = (rest - w_s * rows[0, c]) / w_t
+    rows = state.values[[s, t]]
     has_total = np.array([name in totals for name in state.columns])
-    x_s = np.where(~in_s | (has_total & ~in_t), rows[0], 0.0)  # known or pinned
+    R = np.where(has_total & in_s & in_t, (w_s * rows[0] + w_t * rows[1]) / w_s, 0.0)
+    x_s = np.where(~in_s | (has_total & ~in_t), rows[0], 0.0)  # known or kept at its value
     x_t = np.where(~in_t | (has_total & ~in_s), rows[1], 0.0)
     ratio = w_t / w_s
     d = np.concatenate([b + A @ x_s, ratio * (b + A @ x_t) + A @ R])
@@ -435,8 +426,8 @@ def numpy_interval(state, edits, totals, s, t, colsums, compiled):
 @pytest.mark.parametrize("kind", ["study", "five", "partial", "survey"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["equal_weights", "unequal_weights"])
 def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
-    # Every key a seeded walk meets, on feasible steps and on steps whose
-    # column sums are moved far off (most of those infeasible): the sparse
+    # Every key a seeded walk meets, on feasible steps and on steps with one
+    # cell of the pair moved far off (most of those infeasible): the sparse
     # rows' interval is CompiledInterval.evaluate's on the same constants,
     # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
     # their own magnitude, the step on the pair's, so a crossing between
@@ -448,20 +439,20 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
     seen, infeasible = set(), 0
     for k in range(240):
         s, t, j = select_pair(index, rng)
-        colsums = state.weights @ state.values
+        scale = scale_of(state.values[[s, t]])
+        live = state.copy()
         perturbed = k % 4 == 3
         if perturbed:
-            colsums[rng.integers(len(colsums))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * colsums.max()
-        colsums = colsums.tolist()
+            cell = (rng.choice([s, t]), rng.integers(len(live.columns)))
+            live.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * scale
         try:
-            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), colsums, s, t)
+            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), live.values.tolist(), s, t)
         except InfeasibleSystemError:
             step = None
         ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
         key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
         seen.add(key)
-        lower, upper, bad = numpy_interval(state, edits, totals, s, t, colsums, systems.systems[key].compiled)
-        scale = scale_of(state.values[[s, t]])
+        lower, upper, bad = numpy_interval(live, edits, totals, s, t, systems.systems[key].compiled)
         if step is None:
             assert bad
             infeasible += 1
@@ -510,11 +501,10 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
     for _ in range(200):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
-        colsums = (state.weights @ state.values).tolist()
-        step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), colsums, s, t)
+        step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), s, t)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
-        full = pair_step(state, edits, totals, s, t, var, colsums, value)
+        full = pair_step(state, edits, totals, s, t, var, value)
         assert full is not None
         interval, rows, forced = full
         scale = scale_of(state.values[[s, t]])
@@ -535,55 +525,56 @@ def test_free_unknowns_are_exercised_with_unequal_weights():
 
 @pytest.mark.parametrize("kind", ["study", "five", "survey"])
 def test_same_fallback_on_infeasible_pair_systems(kind):
-    # Column sums moved far from the totals leave the pair a share that no
-    # completion can take (negative, or off a balance the other record
-    # fixes): both derivations must give up, and agree where they do not.
+    # On about half the steps, one cell of the pair moved far off leaves the
+    # pair a share that no completion can take (negative, or off a balance
+    # the other record fixes), or a record whose edits nothing can meet:
+    # both derivations must give up, and agree where they do not.
     rng = np.random.default_rng(17)
     data, edits, totals = build(kind, rng, weighted=True)
     systems = PairSystems(data, edits, totals)
     index = PairIndex.build(data.mask)
-    colsums = data.weights @ data.values
     fallbacks = 0
     for _ in range(150):
         s, t, j = select_pair(index, rng)
         var = data.columns[j]
-        moved = colsums.copy()
-        moved[rng.integers(len(moved))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * colsums.max()
+        moved = data.copy()
+        if rng.random() < 0.5:
+            cell = (rng.choice([s, t]), rng.integers(len(moved.columns)))
+            moved.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * scale_of(data.values[[s, t]])
         try:
             system = with_rows(systems, systems.system(s, t, j))
-            step = PairStep(systems, system, data.values.tolist(), moved.tolist(), s, t)
-            value = draw(rng, step.interval, data.values[s, j], scale_of(data.values[[s, t]]))
+            step = PairStep(systems, system, moved.values.tolist(), s, t)
+            value = draw(rng, step.interval, moved.values[s, j], scale_of(moved.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
-            interval, value, new = None, float(data.values[s, j]), None
-        check_step(data, edits, totals, s, t, var, moved.tolist(), interval, value, new)
+            interval, value, new = None, float(moved.values[s, j]), None
+        check_step(moved, edits, totals, s, t, var, interval, value, new)
         fallbacks += new is None
-    assert fallbacks > 30
+    assert 30 < fallbacks < 120
 
 
 def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     # x2 near 0.1, beside x1 and P near 4,000, is pinned twice: by s's
-    # balance edit and, through its total, by t's.  The column sum has
-    # drifted 1e-7 from the rows, so the two pins cross by that much: more
-    # than 1e-9 of the bounds, less than the pair's margin 1e-9 * 4,000.1,
-    # to which the edits hold.  The bounds meet at a point, for the
-    # compiled step and both oracles, and the step completes there.
+    # balance edit and, through the pair's x2 sum, by t's.  t's x2 is 1e-7
+    # off its balance, so the two pins cross by that much: more than 1e-9
+    # of the bounds, less than the pair's margin 1e-9 * 4,000.1, to which
+    # the edits hold.  The bounds meet at a point, for the compiled step
+    # and both oracles, and the step completes there.
     x1, x2 = np.array([4000.0, 3900.0, 3000.0]), np.array([0.1, 0.2, 500.0])
     values = np.column_stack([x1, x2, x1 + x2])
+    values[1, 1] += 1e-7
     mask = np.zeros(values.shape, dtype=bool)
     mask[:2, 1] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P")), parse_edit_rules(STUDY_RULES)
-    totals = {"x2": float(x2.sum())}
-    colsums = (data.weights @ values).tolist()
-    colsums[1] += 1e-7
+    totals = {"x2": float(values[:, 1].sum())}
     systems = PairSystems(data, edits, totals)
-    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 1)), values.tolist(), colsums, 0, 1)
+    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 1)), values.tolist(), 0, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
     assert abs(new_t[1] - 0.2) == pytest.approx(5e-8, rel=1e-3)
     for oracle in (pair_step, coupled_pair_step):
-        interval = oracle(data, edits, totals, 0, 1, "x2", colsums, point)[0]
+        interval = oracle(data, edits, totals, 0, 1, "x2", point)[0]
         assert interval.is_point()
         assert_close(interval.lower, point, 4000.1)
 
@@ -592,17 +583,16 @@ def test_worked_example_pair():
     data, edits, totals = pair_example_data()
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
-    colsums = (data.weights @ data.values).tolist()
-    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums, 0, 1)
+    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
-    assert (new_s[2], new_t[0]) == (20.0, 15.0)  # pinned by their totals
+    assert (new_s[2], new_t[0]) == (20.0, 15.0)  # kept: each record alone imputes its total column
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums, 0, 1)
-    PairStep(systems, with_rows(systems, systems.system(1, 0, 3)), data.values.tolist(), colsums, 1, 0)
+    PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
+    PairStep(systems, with_rows(systems, systems.system(1, 0, 3)), data.values.tolist(), 1, 0)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -617,7 +607,7 @@ def test_completion_margin_ignores_columns_no_edit_references():
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
     systems = PairSystems(data, edits, {"x1": 120.0})
     system = with_rows(systems, systems.system(0, 1, 0))
-    step = PairStep(systems, system, values.tolist(), (data.weights @ values).tolist(), 0, 1)
+    step = PairStep(systems, system, values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -665,14 +655,13 @@ def test_default_predictors_follow_the_gram_factor_rule():
 
 
 def test_infeasible_worked_example():
-    # Moving 200 onto the x5 column sum leaves the pair -20 of x5.
+    # Moving 200 off t's x5 leaves the pair -20 of x5.
     data, edits, totals = pair_example_data()
-    colsums = data.weights @ data.values
-    colsums[4] += 200.0
+    data.values[1, 4] -= 200.0
     systems = PairSystems(data, edits, totals)
     with pytest.raises(InfeasibleSystemError):
-        PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), colsums.tolist(), 0, 1)
-    assert pair_step(data, edits, totals, 0, 1, "x5", colsums, 50.0) is None
+        PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
+    assert pair_step(data, edits, totals, 0, 1, "x5", 50.0) is None
 
 
 @pytest.mark.parametrize("kind", ["study", "partial"])

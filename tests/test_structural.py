@@ -135,7 +135,7 @@ def test_a_full_step_on_a_structural_target_draws_nothing_and_holds(kind):
         state = data.copy()
         state.values[:] = values
         systems = PairSystems(state, edits, totals)
-        rows, colsums = values.tolist(), (state.weights @ values).tolist()
+        rows = values.tolist()
         for _ in range(30):
             s, t, j = select_pair(index, rng)
             if j not in structural:
@@ -143,7 +143,7 @@ def test_a_full_step_on_a_structural_target_draws_nothing_and_holds(kind):
             generator = np.random.default_rng(k)
             before = generator.bit_generator.state
             cols = [columns.index(c) for c in predictors[columns[j]]] + [j]
-            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), rows, colsums, s, t)
+            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), rows, s, t)
             assert step.admits(values[s, j])
             factor = gram_factor(gram_matrix(values, cols).tolist(), columns[j])
             assert factor[2] == 0.0
