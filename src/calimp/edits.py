@@ -296,8 +296,12 @@ def reduce_system(
     Edits left with no variables are dropped when satisfied; a violated one
     means the record contradicts the edits and raises
     :class:`InfeasibleRecordError`, naming the record index ``origin``
-    when it is given.
+    when it is given.  Satisfied means to :func:`violation_matrix`'s
+    margin: ``DEFAULT_TOL`` times the largest known magnitude, at least 1,
+    over the variables some edit references.
     """
+    referenced = {v for edit in system.edits for v in edit.coeffs}
+    margin = DEFAULT_TOL * max(1.0, max((abs(x) for v, x in row.items() if v in referenced), default=0.0))
     reduced: list[Edit] = []
     magnitudes: list[float] = []
     for k, edit in enumerate(system.edits):
@@ -315,9 +319,7 @@ def reduce_system(
             reduced.append(Edit(free, const, edit.kind))
             magnitudes.append(gross)
             continue
-        bound = DEFAULT_TOL * max(1.0, gross)
-        ok = abs(const) <= bound if edit.kind is EditKind.EQUALITY else const >= -bound
-        if not ok:
+        if abs(const) > margin if edit.kind is EditKind.EQUALITY else const < -margin:
             raise InfeasibleRecordError(
                 f"record{'' if origin is None else ' ' + str(origin)} violates edit {k} (residual {const:.6g})",
                 record=origin,
@@ -386,7 +388,7 @@ def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.n
     :func:`system_matrices`), NaN where a value is unknown.  Returns the
     reduced constants ``b + A x_known`` and their gross magnitudes
     ``|b| + |A| |x_known|`` (records x edits), the same numbers
-    :func:`reduce_system` folds and checks one record at a time.
+    :func:`reduce_system` folds one record at a time.
     """
     X0 = np.where(np.isnan(X), 0.0, X)
     return X0 @ A.T + b, np.abs(X0) @ np.abs(A).T + np.abs(b)

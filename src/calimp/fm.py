@@ -28,7 +28,7 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .edits import COEFF_EPS, DEFAULT_TOL, Edit, EditKind, ReducedSystem, violated
-from .errors import InfeasibleRecordError, InfeasibleSystemError
+from .errors import InfeasibleSystemError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -489,6 +489,11 @@ class CompiledInterval:
     A record's derived constants are then those combinations applied to
     its reduced constants ``d``, the edit constants with its known values
     folded in (:func:`calimp.edits.reduced_constants`).
+
+    An edit whose variables are all known is not carried: the records'
+    fully known edits must already pass
+    :func:`calimp.edits.violation_matrix`, as ``pipeline.check_inputs``
+    checks them, so each is checked once, at that margin.
     """
 
     target: str
@@ -502,13 +507,12 @@ class CompiledInterval:
     #: Target coefficient and edit combination of each bound row.
     bound_coef: np.ndarray
     bound_comb: np.ndarray
-    #: Rows without variables, with their equality flag and the message
-    #: raised when a record violates one.  The edits with no unknown
-    #: variable (each record's reduction check) lead, as identity
-    #: combinations with reason ``None``; the derived rows follow.
+    #: Derived rows without variables, with their equality flag and the
+    #: message raised when a record violates one: the witness of an
+    #: infeasible pattern.
     check_comb: np.ndarray
     check_eq: np.ndarray
-    check_reason: tuple[str | None, ...]
+    check_reason: tuple[str, ...]
     #: The compiled :func:`back_substitute`.  ``slices`` holds, per
     #: projected variable in elimination order, its one-dimensional slice:
     #: one (coefficient, other terms) entry per row of the system it was
@@ -539,15 +543,17 @@ class CompiledInterval:
     def evaluate(self, D: np.ndarray, G: np.ndarray):
         """Bounds for records with reduced constants ``D`` and gross
         magnitudes ``G`` (records x edits), plus a flag per record for
-        which the per-record derivation raises (see :meth:`infeasibility`)."""
+        which the per-record derivation raises (see :meth:`infeasibility`).
+        The records' fully known edits must hold to ``violation_matrix``'s
+        margin; they are not checked here."""
         check_bad, _, lower, upper, empty = self._derive(D, G)
         return lower, upper, check_bad.any(axis=1) | empty
 
     def infeasibility(self, edits: Sequence, d: np.ndarray, g: np.ndarray, record: int | None = None):
         """The error the per-record derivation raises for one flagged record:
-        the first violated check row (a fully known edit, else a derived
-        row), else the empty interval.  ``edits`` are the compiled system's
-        edits, which the error names as its witnesses."""
+        the first violated derived check row, else the empty interval.
+        ``edits`` are the compiled system's edits, which the error names as
+        its witnesses."""
         check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :])
         prefix = "" if record is None else f"record {record}, variable {self.target!r}: "
 
@@ -556,19 +562,10 @@ class CompiledInterval:
 
         if check_bad.any():
             q = int(np.argmax(check_bad[0]))
-            reason = self.check_reason[q]
-            if reason is None:
-                k = int(np.argmax(self.check_comb[q]))
-                return InfeasibleRecordError(
-                    f"variable {self.target!r}: record{'' if record is None else ' ' + str(record)} "
-                    f"violates edit {k} (residual {float(d[k]):.6g})",
-                    record=record,
-                    edit_index=k,
-                    witness=edits[k],
-                )
             const = float(d @ self.check_comb[q])
             return InfeasibleSystemError(
-                prefix + reason.format(residual=const, negated=-const), witness=support(self.check_comb[q])
+                prefix + self.check_reason[q].format(residual=const, negated=-const),
+                witness=support(self.check_comb[q]),
             )
         lo_row = int(np.argmax(np.where(self.bound_coef > 0, bounds[0], NEG_INF)))
         hi_row = int(np.argmin(np.where(self.bound_coef < 0, bounds[0], POS_INF)))
@@ -646,7 +643,9 @@ def compile_interval(
     no edit.  The known variables' values enter only through the reduced
     constants at evaluation time.  Positions follow the names, so the
     first extreme entry breaks ties by name, as in
-    :func:`eliminate_equalities` and :func:`_elimination_order`.
+    :func:`eliminate_equalities` and :func:`_elimination_order`.  An edit
+    with no unknown variable is left out: its records must already meet it
+    to ``violation_matrix``'s margin.
     """
     n = len(A)
     order = tuple(sorted({*unknown, target}))
@@ -655,13 +654,8 @@ def compile_interval(
     # The appended zero column stands for every variable outside ``names``.
     U = np.hstack([A, np.zeros((n, 1))])[:, [column.get(v, -1) for v in order]]
     eye = np.eye(n)
-    work: list[tuple[list[float], np.ndarray, bool]] = []
-    checks: list[tuple[np.ndarray, bool, str | None]] = []
-    for k, (coeffs, eq) in enumerate(zip(U.tolist(), is_eq.tolist())):
-        if any(coeffs):
-            work.append((coeffs, eye[k], eq))
-        else:
-            checks.append((eye[k], eq, None))
+    work = [(coeffs, eye[k], eq) for k, (coeffs, eq) in enumerate(zip(U.tolist(), is_eq.tolist())) if any(coeffs)]
+    checks: list[tuple[np.ndarray, bool, str]] = []
 
     # Equalities, as in eliminate_equalities (each row has one combination).
     stack: list[tuple[int, tuple[tuple[int, float], ...], np.ndarray]] = []

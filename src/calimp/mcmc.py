@@ -207,17 +207,15 @@ class _KeySystem(NamedTuple):
     """A key's compiled pair system as plain-Python sparse rows over the
     step vector ``z`` (see :class:`PairStep`).  ``pinned`` is
     ``compiled.pinned``: the key's equalities fix the target, so a step on
-    it is the identity (see :func:`mcmc_refine`).  ``checks`` holds each check
-    row's terms, the terms over ``|z|`` of its gross magnitude, and its
-    equality flag; ``bounds`` each bound row's terms and target
-    coefficient; ``completion`` the terms of the slice rows, then of the
-    substitution constants, that only :meth:`PairStep.complete` reads.
-    ``unknowns`` holds the record (0 for s, 1 for t) and column of each of
-    ``compiled.unknown``.  On a pinned key the three row lists are empty."""
+    it is the identity (see :func:`mcmc_refine`).  ``bounds`` holds each
+    bound row's terms and target coefficient; ``completion`` the terms of
+    the slice rows, then of the substitution constants, that only
+    :meth:`PairStep.complete` reads.  ``unknowns`` holds the record (0 for
+    s, 1 for t) and column of each of ``compiled.unknown``.  On a pinned
+    key both row lists are empty."""
 
     compiled: fm.CompiledInterval
     pinned: bool
-    checks: list[tuple[list[tuple[int, float]], list[tuple[int, float]], bool]]
     bounds: list[tuple[list[tuple[int, float]], float]]
     completion: list[list[tuple[int, float]]]
     unknowns: tuple[tuple[int, int], ...]
@@ -270,7 +268,11 @@ class PairSystems:
         self.compiled = 0
         self.hits = 0
 
-    def _compile(self, j: int, coupled: int, free_s: int, free_t: int) -> _KeySystem:
+    def _compile(self, j: int, coupled: int, free_s: int, free_t: int, skip_pinned: bool = True) -> _KeySystem:
+        """The system of the key (``j``, ``coupled``, ``free_s``,
+        ``free_t``).  A key that pins the target gets no bound or completion
+        rows unless ``skip_pinned`` is false: the chain skips its steps (see
+        :func:`mcmc_refine`)."""
         A = self.A
         K, p = A.shape
         is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
@@ -284,17 +286,8 @@ class PairSystems:
         unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
         compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
         unknowns = tuple(divmod(labels.index(v), p) for v in compiled.unknown)
-        system = _KeySystem(compiled, compiled.pinned, [], [], [], unknowns)
-        # A step on a key that pins the target is skipped and reads no row (see mcmc_refine).
-        return system if compiled.pinned else self._with_rows(system, coupled, free_s, free_t)
-
-    def _with_rows(self, system: _KeySystem, coupled: int, free_s: int, free_t: int) -> _KeySystem:
-        """``system``, of a key with these ``coupled``, ``free_s`` and
-        ``free_t`` columns, with its check, bound and completion rows, which
-        a key that pins the target is compiled without."""
-        A, compiled = self.A, system.compiled
-        K, p = A.shape
-        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
+        if compiled.pinned and skip_pinned:
+            return _KeySystem(compiled, True, [], [], unknowns)
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
         in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
@@ -304,11 +297,12 @@ class PairSystems:
         M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
         M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
         M[K:, 3 * p + 1] = self.b
-        return system._replace(
-            checks=list(zip(_terms(compiled.check_comb @ M), _terms(np.abs(compiled.check_comb) @ np.abs(M)),
-                            compiled.check_eq.tolist())),
-            bounds=list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
-            completion=_terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
+        return _KeySystem(
+            compiled,
+            compiled.pinned,
+            list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
+            _terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
+            unknowns,
         )
 
     def system(self, s: int, t: int, j: int) -> _KeySystem:
@@ -330,16 +324,21 @@ class PairStep:
     construction, and :meth:`complete`.  ``system`` is the key's
     (:meth:`PairSystems.system`) and ``rows[s]`` and ``rows[t]`` the
     records' current rows (lists, only read); construction raises
-    :class:`InfeasibleSystemError` where the derivation finds the system
-    infeasible.
+    :class:`InfeasibleSystemError` where the bounds cross by more than
+    :func:`fm.snap` allows on the pair's :meth:`scale`.
 
     The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
     R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with R
     the coupled columns' shares: the pair's current weighted sums, which
-    the step conserves.  The interval evaluates only the check rows (each
-    one's gross magnitude only when the row is in doubt) and the bound
-    rows; the completion rows, the completed rows and the pair's margin
-    scale wait until something reads them."""
+    the step conserves.  The interval evaluates only the bound rows; the
+    completion rows, the completed rows and the pair's margin scale wait
+    until something reads them.
+
+    The step checks feasibility once, in :meth:`complete`, on
+    ``violation_matrix``'s margin.  The chain validates its state before
+    the first step and keeps every step's completion only if it passes
+    that check, so a derived row without variables could fail only by
+    rounding; the key is compiled with such rows, and the step reads none."""
 
     def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]], s: int, t: int):
         row_s, row_t = rows[s], rows[t]
@@ -357,17 +356,6 @@ class PairStep:
             shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
             z[2 * p + c] = share / w_s
 
-        for terms, gross, eq in system.checks:
-            r = _dot(terms, z)
-            # The margin is at least DEFAULT_TOL: only a row beyond that
-            # needs its gross magnitude.
-            if abs(r) > DEFAULT_TOL if eq else r < -DEFAULT_TOL:
-                g = 0.0
-                for i, a in gross:
-                    g += a * abs(z[i])
-                margin = DEFAULT_TOL * max(1.0, g)
-                if abs(r) > margin if eq else r < -margin:
-                    raise InfeasibleSystemError(f"no admissible value for {system.compiled.target}")
         lower, upper = -math.inf, math.inf
         for terms, c in system.bounds:
             bound = -_dot(terms, z) / c
@@ -542,18 +530,17 @@ def draw_truncated_posterior(
     interval: fm.Interval,
     rng: np.random.Generator,
 ) -> float:
-    """Predictive draw conditioned on landing inside the interval."""
+    """Predictive draw conditioned on landing inside the interval; with
+    zero variance, the mean clamped into it."""
     if interval.is_point():
         return interval.lower
-    sigma = math.sqrt(model.variance)
-    shifted = fm.Interval(interval.lower - model.predictive_mean, interval.upper - model.predictive_mean)
-    if sigma == 0.0:
-        if not shifted.contains(0.0):
-            return float(interval.clamp(model.predictive_mean))
-        return model.predictive_mean
+    mean = model.predictive_mean
+    if model.variance == 0.0:
+        return interval.clamp(mean)
+    shifted = fm.Interval(interval.lower - mean, interval.upper - mean)
     if shifted.is_point():  # a narrow interval far from the mean
-        return model.predictive_mean + shifted.lower
-    return model.predictive_mean + draw_ar_residual(sigma, shifted, rng)
+        return mean + shifted.lower
+    return mean + draw_ar_residual(math.sqrt(model.variance), shifted, rng)
 
 
 def structural_targets(

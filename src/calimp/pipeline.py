@@ -266,7 +266,10 @@ class _PatternCompiler:
     Records missing the target are grouped by which edit variables they
     still lack; each group's bounds and feasibility checks are then array
     expressions over its records (see :class:`fm.CompiledInterval`).
-    The cache lives for one :func:`impute` call.
+    An edit a record knows fully is not checked here: :func:`check_inputs`
+    has checked the observed values, and each imputed value lies in an
+    interval that keeps the edits.  The cache lives for one :func:`impute`
+    call.
     """
 
     def __init__(self, edits: EditSystem, columns: Sequence[str]):

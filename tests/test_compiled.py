@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import fm, pipeline
 from calimp.edits import (
-    Edit, EditKind, EditSystem, parse_edit_rules, reduce_system, reduced_constants, system_matrices,
+    DEFAULT_TOL, Edit, EditKind, EditSystem, parse_edit_rules, reduce_system, reduced_constants, system_matrices,
+    violation_matrix,
 )
 from calimp.errors import CalimpError, InfeasibleRecordError, InfeasibleSystemError
-from calimp.pipeline import DataMatrix, ImputationConfig, impute
+from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute
 
 from _oracles import GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system
-from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES, survey_truth
+from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES, survey_near_zero_other, survey_truth
 
 RTOL = 1e-12
 
@@ -76,13 +77,27 @@ def compile_for(system, unknown, target, columns=None):
     return fm.compile_interval(A, is_eq, columns, unknown, target)
 
 
+def blanked(system, X, unknown):
+    """``X`` with the ``unknown`` columns NaN."""
+    Xu = np.array(X, dtype=float)
+    Xu[:, [system.variables.index(v) for v in unknown]] = np.nan
+    return Xu
+
+
 def compiled_bounds(system, X, unknown, target):
     compiled = compile_for(system, unknown, target)
     A, b, _ = system_matrices(system, system.variables)
-    Xu = X.copy()
-    Xu[:, [system.variables.index(v) for v in unknown]] = np.nan
-    D, G = reduced_constants(A, b, Xu)
+    D, G = reduced_constants(A, b, blanked(system, X, unknown))
     return compiled, D, G, compiled.evaluate(D, G)
+
+
+def assert_refused(system, Xu):
+    """``check_inputs`` refuses the records ``Xu`` (NaN where unknown)
+    with :class:`InfeasibleRecordError`: the compiled derivation does not
+    check their fully known edits, which the input check already has."""
+    data = DataMatrix(Xu, np.isnan(Xu), system.variables)
+    with pytest.raises(InfeasibleRecordError):
+        check_inputs(data, system, None, None)
 
 
 def close(a, b, scale):
@@ -116,11 +131,15 @@ def test_lattice_oracle_brackets_compiled_intervals(seed):
     x = rng.integers(-6, 7, size=len(names)).astype(float)
     _, _, _, (lower, upper, bad) = compiled_bounds(system, x[None, :], unknown, target)
     known = {v: float(x[j]) for j, v in enumerate(names) if v not in unknown}
-    try:
-        reduced = reduce_system(system, known)
-    except InfeasibleRecordError:
-        assert bad[0]
+    xu = blanked(system, x[None, :], unknown)
+    if violation_matrix(system, xu, names).any():
+        # A known edit is broken: the input check refuses the record, and
+        # the reference's reduction agrees.
+        assert_refused(system, xu)
+        with pytest.raises(InfeasibleRecordError):
+            reduce_system(system, known)
         return
+    reduced = reduce_system(system, known)
     oracle = GridOracle(list(reduced.edits), unknown, target)
     grid = [float(v) for v in np.linspace(-7, 7, 15)]
     if bad[0]:
@@ -150,26 +169,100 @@ def test_infeasible_inputs_raise_the_same_error_type(seed):
     system = EditSystem(tuple(edits), system.variables)
     unknown, target = random_pattern(rng, list(system.variables))
     compiled, D, G, (_, _, bad) = compiled_bounds(system, X, unknown, target)
-    assert bad.all()
+    # A record that knows every variable of the negated edit breaks a known
+    # edit, which the input check refuses; the compiled derivation flags
+    # every other record.
+    refused = violation_matrix(system, blanked(system, X, unknown), system.variables).any(axis=1)
+    assert (bad | refused).all()
     for i, x in enumerate(X):
         with pytest.raises(InfeasibleSystemError) as info:
             per_record(system, x, unknown, target)
+        if refused[i]:
+            assert type(info.value) is InfeasibleRecordError
+            assert_refused(system, blanked(system, X[i : i + 1], unknown))
+            continue
         err = compiled.infeasibility(system.edits, D[i], G[i], record=i)
         assert type(err) is type(info.value)
         assert err.witness is not None
 
 
 def test_known_edit_violation_names_record_and_edit():
+    # Record 7 breaks a >= b, which knows both its variables: the input
+    # check refuses it before any interval is derived, naming the record
+    # and the edit.
     system = EditSystem(
         (Edit({"a": 1.0, "b": -1.0}, 0.0, EditKind.INEQUALITY), Edit({"c": 1.0}, 0.0, EditKind.INEQUALITY)),
         ("a", "b", "c"),
     )
-    compiled, D, G, (_, _, bad) = compiled_bounds(system, np.array([[1.0, 3.0, 0.0]]), ["c"], "c")
-    assert bad[0]
-    err = compiled.infeasibility(system.edits, D[0], G[0], record=7)
-    assert isinstance(err, InfeasibleRecordError)
-    assert (err.record, err.edit_index, err.witness) == (7, 0, system.edits[0])
-    assert str(err) == "variable 'c': record 7 violates edit 0 (residual -2)"
+    values = np.array([[4.0, 2.0, 1.0]] * 7 + [[1.0, 3.0, 0.0]] + [[5.0, 1.0, 2.0]] * 4)
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[[2, 7, 9], 2] = True
+    values[mask] = np.nan
+    data = DataMatrix(values, mask, system.variables)
+    for run in (lambda: check_inputs(data, system, None, None), lambda: impute(data, system)):
+        with pytest.raises(InfeasibleRecordError) as info:
+            run()
+        err = info.value
+        assert (err.record, err.edit_index, err.witness) == (7, 0, system.edits[0])
+        assert str(err) == "record 7 violates edit 0 (residual -2)"
+
+
+@pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+def test_known_edit_within_validates_margin_is_accepted(method):
+    # Record 0 observes other = -1e-6 beside turnover = 5002: validate's
+    # margin is 5.0e-6, the edit's own magnitude would give 1e-9.  The
+    # input check accepts the record, so no method refuses it; where a
+    # method completes, its output validates (impute checks that).
+    truth, mask, edits = survey_near_zero_other()
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+    totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+    check_inputs(data, edits, totals, None)
+    try:
+        out, _ = impute(data, edits, totals, ImputationConfig(method, seed=5))
+    except CalimpError as err:
+        assert not isinstance(err, InfeasibleRecordError), err
+        assert method != "upma", err
+        return
+    assert not violation_matrix(edits, out.values, SURVEY_COLUMNS).any()
+
+
+#: Each survey column with a nonnegativity edit, and a partner in the same
+#: balance that no other inequality reads: moving value onto the partner
+#: keeps every edit but the column's own.
+NONNEGATIVE = {"goods": "services", "services": "goods", "staff": "materials", "materials": "other", "other": "materials"}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seeds)
+def test_observed_cell_just_below_zero_is_not_refused(seed):
+    # One observed nonnegative cell of a record with a blank cell is set to
+    # -0.5 times validate's margin; its partner in the same balance takes
+    # up the difference, so every equality still holds and every sum stays
+    # as it was.  The input check accepts the record, and impute never
+    # refuses it.
+    rng = np.random.default_rng(seed)
+    truth, edits = survey_truth(rng, 120)
+    mask = rng.random(truth.shape) < 0.15
+    col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
+    i = int(rng.choice(np.flatnonzero(mask.any(axis=1))))
+    observed = [name for name in NONNEGATIVE if not mask[i, col[name]]]
+    if not observed:
+        return
+    name = observed[int(rng.integers(len(observed)))]
+    cell, partner = col[name], col[NONNEGATIVE[name]]
+    truth[i, partner] += truth[i, cell]
+    truth[i, cell] = 0.0
+    margin = DEFAULT_TOL * max(1.0, float(np.abs(truth[i][~mask[i]]).max()))
+    truth[i, partner] += 0.5 * margin
+    truth[i, cell] = -0.5 * margin
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+    totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+    check_inputs(data, edits, totals, None)
+    for method in ("upma", "bpma", "bpmr"):
+        try:
+            impute(data, edits, totals, ImputationConfig(method, seed=seed % 1000))
+        except CalimpError as err:
+            assert not isinstance(err, InfeasibleRecordError), (method, err)
 
 
 def test_impute_reports_first_infeasible_record():

@@ -39,14 +39,14 @@ FIVE_VAR_RULES = "x1 + x2 + x3 + x4 = x5\n" + "\n".join(f"x{j} >= 0" for j in ra
 
 
 def with_rows(systems, system):
-    """``system`` with its check, bound and completion rows: a key that
-    pins the target is compiled without them, since the chain skips its
-    steps, and gets them here so that a ``PairStep`` can evaluate it."""
+    """``system`` with its bound and completion rows: a key that pins the
+    target is compiled without them, since the chain skips its steps, and
+    is compiled with them here so that a ``PairStep`` can evaluate it."""
     if not system.pinned:
         return system
-    assert system.checks == system.bounds == system.completion == []
+    assert system.bounds == system.completion == []
     key = next(key for key, known in systems.systems.items() if known is system)
-    return systems._with_rows(system, *key[1:])
+    return systems._compile(*key, skip_pinned=False)
 
 
 def pair_example_data():

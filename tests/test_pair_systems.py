@@ -85,6 +85,25 @@ def survey_truth(rng, n):
     return out[:n], edits
 
 
+def survey_near_zero_other():
+    """300 survey records (seed 3, 15% of cells blanked) whose record 0
+    observes ``other = -1e-6`` beside ``turnover = 5002``, ``costs`` and
+    ``profit`` rebalanced, with ``staff`` and ``materials`` blanked.  The
+    record meets ``other >= 0`` to validate's margin, 1e-9 times 5002, but
+    not to 1e-9 times the edit's own magnitude.  Returns the truth, the
+    mask and the edits."""
+    rng = np.random.default_rng(3)
+    truth, edits = survey_truth(rng, 300)
+    mask = rng.random(truth.shape) < 0.15
+    col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
+    truth[0, col["other"]] = -1e-6
+    truth[0, col["costs"]] = truth[0, col["staff"]] + truth[0, col["materials"]] + truth[0, col["other"]]
+    truth[0, col["profit"]] = truth[0, col["turnover"]] - truth[0, col["costs"]]
+    mask[0] = False
+    mask[0, [col["staff"], col["materials"]]] = True
+    return truth, mask, edits
+
+
 def survey_case(rng, r, with_totals=SURVEY_COLUMNS):
     truth, edits = survey_truth(rng, r)
     return truth, rng.random(truth.shape) < 0.2, SURVEY_COLUMNS, edits, with_totals
@@ -396,7 +415,7 @@ def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
     # A pinned key carries no rows, since the chain skips its steps; every
     # other key carries its bound rows.
     for system in compiled:
-        assert (system.checks == system.bounds == system.completion == []) == system.pinned
+        assert (system.bounds == system.completion == []) == system.pinned
 
 
 def numpy_interval(state, edits, totals, s, t, compiled):
@@ -431,7 +450,9 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
     # rows' interval is CompiledInterval.evaluate's on the same constants,
     # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
     # their own magnitude, the step on the pair's, so a crossing between
-    # the two is empty for evaluate and a point for the step.
+    # the two is empty for evaluate and a point for the step.  The step
+    # reads no check row (its completion is checked instead), so evaluate
+    # may also flag a step whose bounds do not cross.
     rng = np.random.default_rng(37)
     data, edits, totals = build(kind, rng, weighted)
     state = data.copy()
@@ -454,11 +475,11 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
         seen.add(key)
         lower, upper, bad = numpy_interval(live, edits, totals, s, t, systems.systems[key].compiled)
         if step is None:
-            assert bad
+            assert bad and lower > upper
             infeasible += 1
             continue
-        if bad:
-            assert lower > upper and lower - upper <= DEFAULT_TOL * scale
+        if lower > upper:
+            assert bad and lower - upper <= DEFAULT_TOL * scale
             lower = upper = 0.5 * (lower + upper)
         assert_close(step.interval.lower, lower, scale)
         assert_close(step.interval.upper, upper, scale)
@@ -478,7 +499,7 @@ def test_small_cells_beside_large_observed_values_move():
     # does, so no step falls back on that rounding, and both oracles agree
     # on every step: their equality elimination checks each constant row it
     # derives on the gross magnitude of its constant, observed values
-    # included, as the compiled check rows do.
+    # included (the compiled step reads no such row).
     rng = np.random.default_rng(5)
     truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
     weights = rng.uniform(0.5, 4.0, 60)
@@ -525,10 +546,12 @@ def test_free_unknowns_are_exercised_with_unequal_weights():
 
 @pytest.mark.parametrize("kind", ["study", "five", "survey"])
 def test_same_fallback_on_infeasible_pair_systems(kind):
-    # On about half the steps, one cell of the pair moved far off leaves the
-    # pair a share that no completion can take (negative, or off a balance
-    # the other record fixes), or a record whose edits nothing can meet:
-    # both derivations must give up, and agree where they do not.
+    # On about half the steps, one imputed cell of the pair moved far off
+    # leaves the pair a share that no completion can take (negative, or off
+    # a balance the other record fixes), or a record whose edits nothing can
+    # meet: both derivations must give up, and agree where they do not.  An
+    # observed cell that breaks a fully observed edit is input the chain
+    # refuses (test_mcmc's test_record_breaking_an_edit_is_named_with_its_witness).
     rng = np.random.default_rng(17)
     data, edits, totals = build(kind, rng, weighted=True)
     systems = PairSystems(data, edits, totals)
@@ -539,7 +562,8 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
         var = data.columns[j]
         moved = data.copy()
         if rng.random() < 0.5:
-            cell = (rng.choice([s, t]), rng.integers(len(moved.columns)))
+            rec = rng.choice([s, t])
+            cell = (rec, rng.choice(np.flatnonzero(moved.mask[rec])))
             moved.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * scale_of(data.values[[s, t]])
         try:
             system = with_rows(systems, systems.system(s, t, j))
@@ -613,6 +637,20 @@ def test_completion_margin_ignores_columns_no_edit_references():
         step.complete(71.0)
     completed = np.array([[71.0, 20.0, 90.0, 1e12], [49.0, 10.0, 60.0, 1e12]])
     assert violation_matrix(edits, completed, data.columns).any(axis=1).all()
+
+
+def test_known_edit_within_validates_margin_reaches_no_step():
+    # Record 0 observes other = -1e-6 beside turnover = 5002, which validate
+    # accepts.  The chain checks that edit once, at validate's margin, before
+    # the first step: no step on record 0 falls back, and its imputed staff
+    # and materials move.
+    truth, mask, edits = survey_near_zero_other()
+    data = DataMatrix(truth, mask, SURVEY_COLUMNS)
+    totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+    config = McmcConfig(iterations=20_000, seed=1, predictors=loose_predictors(SURVEY_COLUMNS))
+    out, trace = mcmc_refine(data, edits, totals, config)
+    assert trace[-1]["fallbacks"] == 0
+    assert (out.values[0] != truth[0]).tolist() == mask[0].tolist()
 
 
 def test_chain_runs_on_a_system_without_edits():
