@@ -81,14 +81,13 @@ class EditSystem:
 class ReducedSystem:
     """Edits of one record with its observed values folded into the constants.
 
-    Only the record's still-unknown variables appear.  ``gross`` holds each
-    edit's gross magnitude, ``|b| + sum |a_v x_v|`` over the values folded
-    in: the scale its constant is rounded on.  Left empty, each constant is
-    its own scale.
+    Only the record's still-unknown variables appear.  ``scale`` is the
+    record's margin scale (:func:`record_scale`): its edits hold to
+    ``DEFAULT_TOL`` times it.
     """
 
     edits: tuple[Edit, ...]
-    gross: tuple[float, ...] = ()
+    scale: float = 1.0
 
     def variables(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -297,27 +296,22 @@ def reduce_system(
     means the record contradicts the edits and raises
     :class:`InfeasibleRecordError`, naming the record index ``origin``
     when it is given.  Satisfied means to :func:`violation_matrix`'s
-    margin: ``DEFAULT_TOL`` times the largest known magnitude, at least 1,
-    over the variables some edit references.
+    margin, ``DEFAULT_TOL`` times the record's :func:`record_scale`.
     """
     referenced = {v for edit in system.edits for v in edit.coeffs}
-    margin = DEFAULT_TOL * max(1.0, max((abs(x) for v, x in row.items() if v in referenced), default=0.0))
+    scale = float(record_scale(np.array([x for v, x in row.items() if v in referenced])))
+    margin = DEFAULT_TOL * scale
     reduced: list[Edit] = []
-    magnitudes: list[float] = []
     for k, edit in enumerate(system.edits):
         free: dict[str, float] = {}
         const = edit.constant
-        gross = abs(edit.constant)
         for v, c in edit.coeffs.items():
             if v in row:
-                term = c * row[v]
-                const += term
-                gross += abs(term)
+                const += c * row[v]
             else:
                 free[v] = c
         if free:
             reduced.append(Edit(free, const, edit.kind))
-            magnitudes.append(gross)
             continue
         if abs(const) > margin if edit.kind is EditKind.EQUALITY else const < -margin:
             raise InfeasibleRecordError(
@@ -326,7 +320,7 @@ def reduce_system(
                 edit_index=k,
                 witness=edit,
             )
-    return ReducedSystem(tuple(reduced), tuple(magnitudes))
+    return ReducedSystem(tuple(reduced), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +346,14 @@ def system_matrices(system: EditSystem, columns: Sequence[str]) -> tuple[np.ndar
     return A, b, is_eq
 
 
+def record_scale(values: np.ndarray) -> np.ndarray:
+    """Each record's margin scale, ``max(1, max |x_j|)`` over the last axis
+    of ``values``, NaN (unknown) skipped: an edit holds to ``DEFAULT_TOL``
+    times it.  ``values`` holds the records' values of the variables some
+    edit references."""
+    return np.fmax.reduce(np.abs(values), axis=-1, initial=1.0)
+
+
 def violated(resid: np.ndarray, is_eq: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Whether residuals ``a.x + b`` break their edits: ``|r| > margin`` for
     equalities, ``r < -margin`` for inequalities (arguments broadcast)."""
@@ -369,7 +371,7 @@ def violation_matrix(
     NaN marks an unknown value: an edit is checked only for the records
     that know all of its variables.  The margin is ``tol * max(1, max
     |x_j|)`` over the record's known values of the variables some edit
-    references.
+    references (:func:`record_scale`).
     """
     A, b, is_eq = system_matrices(system, columns)
     X = np.asarray(values, dtype=float)
@@ -377,18 +379,16 @@ def violation_matrix(
         # Zeros keep unknowns out of the scale; the mask drops their edits.
         unknown = np.isnan(X)
         return violation_matrix(system, np.where(unknown, 0.0, X), columns, tol) & ~(unknown @ (A != 0).T)
-    scale = np.abs(X[:, np.any(A != 0, axis=0)]).max(axis=1, initial=1.0)
+    scale = record_scale(X[:, np.any(A != 0, axis=0)])
     return violated(X @ A.T + b, is_eq, tol * scale[:, None])
 
 
-def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Edit constants with each record's known values folded in.
 
     ``X`` holds one record per row over the columns of ``A`` (from
     :func:`system_matrices`), NaN where a value is unknown.  Returns the
-    reduced constants ``b + A x_known`` and their gross magnitudes
-    ``|b| + |A| |x_known|`` (records x edits), the same numbers
+    reduced constants ``b + A x_known`` (records x edits), the numbers
     :func:`reduce_system` folds one record at a time.
     """
-    X0 = np.where(np.isnan(X), 0.0, X)
-    return X0 @ A.T + b, np.abs(X0) @ np.abs(A).T + np.abs(b)
+    return np.where(np.isnan(X), 0.0, X) @ A.T + b

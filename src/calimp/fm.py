@@ -83,7 +83,9 @@ class EliminationRecord:
     ``eq_subs`` replays equality eliminations; ``fm_steps`` stores, for each
     projected variable, the inequality system as it stood just before the
     variable was projected out, so its one-dimensional range can be
-    recovered once later-eliminated variables are known.
+    recovered once later-eliminated variables are known.  Their crossed
+    bounds snap, and the completion is checked, on ``scale``, the system's
+    margin scale (:attr:`ReducedSystem.scale`).
     """
 
     target: str
@@ -91,6 +93,7 @@ class EliminationRecord:
     eq_subs: SubstitutionStack
     fm_steps: list[tuple[str, list[Edit]]]
     system: tuple[Edit, ...]
+    scale: float
 
 
 ValueRule = Callable[[str, Interval], float]
@@ -119,57 +122,50 @@ def _clean_coeffs(coeffs: dict[str, float]) -> dict[str, float]:
 
 
 def _substitute(
-    edit: Edit, var: str, expr: LinExpr, gross: float, expr_gross: float
+    edit: Edit, var: str, expr: LinExpr, mass: float, expr_mass: float
 ) -> tuple[dict[str, float], float, float]:
-    """Replace ``var`` by ``expr`` in an edit whose constant has gross
-    magnitude ``gross`` (``expr_gross`` for the expression's); returns
-    coeffs, const and the new constant's gross magnitude."""
+    """Replace ``var`` by ``expr`` in an edit of mass ``mass`` (``expr_mass``
+    for the expression's); returns coeffs, const and the new row's mass."""
     cp = edit.coeffs[var]
     coeffs = {v: c for v, c in edit.coeffs.items() if v != var}
     for v, c in expr.coeffs.items():
         coeffs[v] = coeffs.get(v, 0.0) + cp * c
-    return _clean_coeffs(coeffs), edit.constant + cp * expr.const, gross + abs(cp) * expr_gross
-
-
-def _constant_row_ok(const: float, gross: float, kind: EditKind) -> bool:
-    bound = DEFAULT_TOL * max(1.0, gross)
-    if kind is EditKind.EQUALITY:
-        return abs(const) <= bound
-    return const >= -bound
+    return _clean_coeffs(coeffs), edit.constant + cp * expr.const, mass + abs(cp) * expr_mass
 
 
 def eliminate_equalities(
     edits: Sequence[Edit],
     keep: str | None,
-    gross: Sequence[float] = (),
-) -> tuple[list[Edit], SubstitutionStack]:
+    scale: float = 1.0,
+) -> tuple[list[Edit], SubstitutionStack, list[float]]:
     """Remove every equality by substitution, sparing ``keep``.
 
     Each equality consumes the variable with the largest-magnitude
     coefficient other than ``keep`` (ties broken by name).  An equality
     whose only variable is ``keep`` is turned into the pair of inequalities
-    pinning it.  Returns the inequality-only system and the substitution
-    stack in elimination order.  A derived row without variables must hold
-    to ``DEFAULT_TOL`` times the gross magnitude of its constant, from
-    the edits' ``gross`` magnitudes (:attr:`ReducedSystem.gross`; by
-    default their constants' own).
+    pinning it.  Returns the inequality-only system, the substitution
+    stack in elimination order and each inequality's mass: the sum of the
+    magnitudes of the multiples of ``edits`` it adds up (1 for an edit
+    itself).  A derived row without variables must hold to ``DEFAULT_TOL``
+    times ``scale`` times its mass, the margin the edits give it when each
+    holds to ``DEFAULT_TOL`` times ``scale``.
     """
     work = list(edits)
-    magnitudes = list(gross) or [abs(e.constant) for e in work]
+    masses = [1.0] * len(work)
     stack: SubstitutionStack = []
     while True:
         eq_pos = next((i for i, e in enumerate(work) if e.kind is EditKind.EQUALITY), None)
         if eq_pos is None:
-            return work, stack
+            return work, stack, masses
         eq = work.pop(eq_pos)
-        eq_gross = magnitudes.pop(eq_pos)
+        eq_mass = masses.pop(eq_pos)
         candidates = [(v, c) for v, c in eq.coeffs.items() if v != keep]
         if not candidates:
             # Only the kept variable remains: pin it with a bound pair.
             c = eq.coeffs[keep]
             work.insert(eq_pos, Edit(dict(eq.coeffs), eq.constant, EditKind.INEQUALITY))
             work.insert(eq_pos + 1, Edit({keep: -c}, -eq.constant, EditKind.INEQUALITY))
-            magnitudes[eq_pos:eq_pos] = [eq_gross, eq_gross]
+            masses[eq_pos:eq_pos] = [eq_mass, eq_mass]
             continue
         pivot, cp = min(candidates, key=lambda item: (-abs(item[1]), item[0]))
         expr = LinExpr(
@@ -177,102 +173,101 @@ def eliminate_equalities(
             -eq.constant / cp,
         )
         replaced: list[Edit] = []
-        replaced_gross: list[float] = []
-        for other, g in zip(work, magnitudes):
+        replaced_masses: list[float] = []
+        for other, mass in zip(work, masses):
             if pivot not in other.coeffs:
                 replaced.append(other)
-                replaced_gross.append(g)
+                replaced_masses.append(mass)
                 continue
-            coeffs, const, g = _substitute(other, pivot, expr, g, eq_gross / abs(cp))
+            coeffs, const, mass = _substitute(other, pivot, expr, mass, eq_mass / abs(cp))
             if coeffs:
                 replaced.append(Edit(coeffs, const, other.kind))
-                replaced_gross.append(g)
-            elif not _constant_row_ok(const, g, other.kind):
+                replaced_masses.append(mass)
+            elif violated(const, other.kind is EditKind.EQUALITY, DEFAULT_TOL * scale * mass):
                 raise InfeasibleSystemError(
                     f"substituting {pivot} makes edit infeasible (residual {const:.6g})",
                     witness=(eq, other),
                 )
-        work, magnitudes = replaced, replaced_gross
+        work, masses = replaced, replaced_masses
         stack.append((pivot, expr))
 
 
-def _normalized(edit: Edit) -> Edit:
-    m = max(abs(c) for c in edit.coeffs.values())
-    if m == 1.0:
-        return edit
-    return Edit({v: c / m for v, c in edit.coeffs.items()}, edit.constant / m, edit.kind)
-
-
-def _dedupe(edits: list[Edit]) -> list[Edit]:
-    """Fold parallel rows, keeping the tighter of each half-plane pair.
+def _dedupe(edits: Sequence[Edit], masses: Sequence[float]) -> tuple[list[Edit], list[float]]:
+    """Fold parallel rows, keeping the tighter of each half-plane pair, and
+    their masses (see :func:`eliminate_equalities`).
 
     Rows are normalized to leading magnitude one first, so rows with the
     same coefficient signature are positive multiples of each other and
     the smaller constant is the binding one.
     """
     out: list[Edit] = []
+    out_masses: list[float] = []
     by_signature: dict[tuple, int] = {}
-    for edit in edits:
-        norm = _normalized(edit)
-        sig = tuple(sorted((v, round(c, 12)) for v, c in norm.coeffs.items()))
+    for edit, mass in zip(edits, masses):
+        m = max(abs(c) for c in edit.coeffs.values())
+        if m != 1.0:
+            edit, mass = Edit({v: c / m for v, c in edit.coeffs.items()}, edit.constant / m, edit.kind), mass / m
+        sig = tuple(sorted((v, round(c, 12)) for v, c in edit.coeffs.items()))
         if sig in by_signature:
             k = by_signature[sig]
-            if norm.constant < out[k].constant:
-                out[k] = norm
+            if edit.constant < out[k].constant:
+                out[k], out_masses[k] = edit, mass
             continue
         by_signature[sig] = len(out)
-        out.append(norm)
-    return out
+        out.append(edit)
+        out_masses.append(mass)
+    return out, out_masses
 
 
-def fourier_motzkin_eliminate(edits: Sequence[Edit], var: str) -> list[Edit]:
+def fourier_motzkin_eliminate(
+    edits: Sequence[Edit], var: str, masses: Sequence[float] = (), scale: float = 1.0
+) -> tuple[list[Edit], list[float]]:
     """Project an inequality-only system onto the variables other than ``var``.
 
     Every (lower bound, upper bound) pair on ``var`` combines into one
-    derived inequality; rows not involving ``var`` pass through.  Derived
-    constant rows that fail are reported as infeasible.
+    derived inequality; rows not involving ``var`` pass through.  Returns
+    the projected rows and their masses, from the rows' ``masses`` (see
+    :func:`eliminate_equalities`; 1 each by default).  A derived constant
+    row that fails by more than ``DEFAULT_TOL`` times ``scale`` times its
+    mass is reported as infeasible.
     """
-    lowers: list[Edit] = []
-    uppers: list[Edit] = []
-    rest: list[Edit] = []
-    for edit in edits:
+    masses = list(masses) or [1.0] * len(edits)
+    lowers: list[tuple[Edit, float]] = []
+    uppers: list[tuple[Edit, float]] = []
+    out: list[Edit] = []
+    out_masses: list[float] = []
+    for edit, mass in zip(edits, masses):
         if edit.kind is not EditKind.INEQUALITY:
             raise ValueError("fourier_motzkin_eliminate expects an inequality-only system")
         c = edit.coeffs.get(var, 0.0)
         if c > 0:
-            lowers.append(edit)
+            lowers.append((edit, mass))
         elif c < 0:
-            uppers.append(edit)
+            uppers.append((edit, mass))
         else:
-            rest.append(edit)
-    out = list(rest)
-    for lo in lowers:
-        cl = lo.coeffs[var]
-        for up in uppers:
-            cu = up.coeffs[var]
-            m_lo, m_up = -cu, cl  # both positive
+            out.append(edit)
+            out_masses.append(mass)
+    for lo, lo_mass in lowers:
+        for up, up_mass in uppers:
+            m_lo, m_up = -up.coeffs[var], lo.coeffs[var]  # both positive
             coeffs: dict[str, float] = {}
-            gross = 0.0
-            for v, c in lo.coeffs.items():
-                if v != var:
-                    coeffs[v] = coeffs.get(v, 0.0) + m_lo * c
-                    gross += abs(m_lo * c)
-            for v, c in up.coeffs.items():
-                if v != var:
-                    coeffs[v] = coeffs.get(v, 0.0) + m_up * c
-                    gross += abs(m_up * c)
+            for m, row in ((m_lo, lo), (m_up, up)):
+                for v, c in row.coeffs.items():
+                    if v != var:
+                        coeffs[v] = coeffs.get(v, 0.0) + m * c
             const = m_lo * lo.constant + m_up * up.constant
-            gross += abs(m_lo * lo.constant) + abs(m_up * up.constant)
+            mass = m_lo * lo_mass + m_up * up_mass
             coeffs = _clean_coeffs(coeffs)
             if not coeffs:
-                if not _constant_row_ok(const, gross, EditKind.INEQUALITY):
+                if violated(const, False, DEFAULT_TOL * scale * mass):
                     raise InfeasibleSystemError(
                         f"eliminating {var} derives the contradiction 0 >= {-const:.6g}",
                         witness=(lo, up),
                     )
                 continue
             out.append(Edit(coeffs, const, EditKind.INEQUALITY))
-    return _dedupe(out)
+            out_masses.append(mass)
+    return _dedupe(out, out_masses)
 
 
 def _elimination_order(edits: Sequence[Edit], target: str) -> str | None:
@@ -287,29 +282,29 @@ def _elimination_order(edits: Sequence[Edit], target: str) -> str | None:
     return min(counts, key=lambda v: (counts[v], v))
 
 
-def admissible_interval(
-    system: ReducedSystem | Sequence[Edit], target: str, scale: float = 1.0
-) -> tuple[Interval, EliminationRecord]:
+def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> tuple[Interval, EliminationRecord]:
     """Exact feasible range of ``target`` under a reduced edit system.
 
     Returns the interval together with the elimination record needed to
     complete the remaining variables afterwards.  A target not mentioned by
-    any edit comes back unbounded.  Bounds crossed by at most
-    ``DEFAULT_TOL`` times the larger of ``scale`` and their own magnitudes
-    meet at their midpoint: a system whose constants hold only to the
-    margin of larger values (a record pair's, say) passes that magnitude.
+    any edit comes back unbounded.  Every feasibility decision is made on
+    the system's margin scale, to which its edits hold
+    (:attr:`ReducedSystem.scale`; 1 for a plain sequence of edits): derived
+    rows without variables as :func:`eliminate_equalities` says, crossed
+    bounds as :func:`snap` does.
     """
-    reduced = isinstance(system, ReducedSystem)
-    edits0 = tuple(system.edits) if reduced else tuple(system)
-    ineqs, eq_subs = eliminate_equalities(edits0, keep=target, gross=system.gross if reduced else ())
-    ineqs = _dedupe(ineqs)
+    if not isinstance(system, ReducedSystem):
+        system = ReducedSystem(tuple(system))
+    scale = system.scale
+    ineqs, eq_subs, masses = eliminate_equalities(system.edits, keep=target, scale=scale)
+    ineqs, masses = _dedupe(ineqs, masses)
     fm_steps: list[tuple[str, list[Edit]]] = []
     while True:
         var = _elimination_order(ineqs, target)
         if var is None:
             break
         fm_steps.append((var, list(ineqs)))
-        ineqs = fourier_motzkin_eliminate(ineqs, var)
+        ineqs, masses = fourier_motzkin_eliminate(ineqs, var, masses, scale)
 
     lower, upper = NEG_INF, POS_INF
     lo_witness = hi_witness = None
@@ -324,28 +319,23 @@ def admissible_interval(
         else:
             if bound < upper:
                 upper, hi_witness = bound, edit
-    if lower > upper:
-        slack = DEFAULT_TOL * max(scale, abs(lower), abs(upper))
-        if lower - upper <= slack:
-            mid = 0.5 * (lower + upper)
-            lower = upper = mid
-        else:
-            raise InfeasibleSystemError(
-                f"no admissible value for {target}: requires >= {lower:.6g} and <= {upper:.6g}",
-                witness=(lo_witness, hi_witness),
-            )
-    interval = Interval(lower, upper)
+    try:
+        interval = Interval(*snap(lower, upper, scale))
+    except InfeasibleSystemError as err:
+        message = f"no admissible value for {target}: {err}"
+        raise InfeasibleSystemError(message, witness=(lo_witness, hi_witness)) from None
     record = EliminationRecord(
         target=target,
         interval=interval,
         eq_subs=eq_subs,
         fm_steps=fm_steps,
-        system=edits0,
+        system=system.edits,
+        scale=scale,
     )
     return interval, record
 
 
-def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float]) -> Interval:
+def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float], scale: float) -> Interval:
     lower, upper = NEG_INF, POS_INF
     for edit in edits:
         if var not in edit.coeffs:
@@ -357,14 +347,7 @@ def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, floa
             lower = max(lower, bound)
         else:
             upper = min(upper, bound)
-    if lower > upper:
-        slack = DEFAULT_TOL * max(1.0, abs(lower), abs(upper))
-        if lower - upper > slack:
-            raise InfeasibleSystemError(
-                f"back-substitution range for {var} is empty: [{lower:.6g}, {upper:.6g}]"
-            )
-        lower = upper = 0.5 * (lower + upper)
-    return Interval(lower, upper)
+    return Interval(*snap(lower, upper, scale))
 
 
 def back_substitute(
@@ -378,7 +361,8 @@ def back_substitute(
     its now one-dimensional admissible range and the value rule picks a
     point in it (midpoint by default; samplers substitute their own rule).
     Equality-eliminated variables then follow exactly.  The full assignment
-    is validated against the original system before returning.
+    is validated against the original system before returning, on the
+    larger of the record's scale and the assigned magnitudes.
     """
     if record.target not in assigned:
         raise ValueError(f"assigned values must include the target {record.target!r}")
@@ -392,7 +376,7 @@ def back_substitute(
     for var, pre_system in reversed(record.fm_steps):
         if var in values:
             continue
-        interval = _one_dim_interval(pre_system, var, values)
+        interval = _one_dim_interval(pre_system, var, values, record.scale)
         values[var] = interval.clamp(rule(var, interval))
     for var, expr in reversed(record.eq_subs):
         # A variable can cancel out of every inequality and resurface only
@@ -403,7 +387,7 @@ def back_substitute(
         if var not in values:
             values[var] = expr.evaluate(values)
 
-    scale = max(1.0, max((abs(v) for v in values.values()), default=0.0))
+    scale = max(record.scale, *map(abs, values.values()))
     for edit in record.system:
         if not edit.is_satisfied(values, DEFAULT_TOL, scale):
             raise InfeasibleSystemError(
@@ -488,7 +472,9 @@ class CompiledInterval:
     columns may carry either sign, inequality columns are nonnegative).
     A record's derived constants are then those combinations applied to
     its reduced constants ``d``, the edit constants with its known values
-    folded in (:func:`calimp.edits.reduced_constants`).
+    folded in (:func:`calimp.edits.reduced_constants`).  Its feasibility
+    is judged as in :func:`admissible_interval`, on the record's margin
+    scale (:func:`calimp.edits.record_scale`).
 
     An edit whose variables are all known is not carried: the records'
     fully known edits must already pass
@@ -513,6 +499,8 @@ class CompiledInterval:
     check_comb: np.ndarray
     check_eq: np.ndarray
     check_reason: tuple[str, ...]
+    #: Each check row's mass: the sum of its combination's magnitudes.
+    check_mass: np.ndarray
     #: The compiled :func:`back_substitute`.  ``slices`` holds, per
     #: projected variable in elimination order, its one-dimensional slice:
     #: one (coefficient, other terms) entry per row of the system it was
@@ -526,35 +514,35 @@ class CompiledInterval:
     substitutions: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
     substitution_comb: np.ndarray
 
-    def _derive(self, D: np.ndarray, G: np.ndarray):
-        check_gross = G @ np.abs(self.check_comb).T
-        check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.maximum(1.0, check_gross))
+    def _derive(self, D: np.ndarray, scale: np.ndarray):
+        check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.outer(scale, self.check_mass))
         bounds = -(D @ self.bound_comb.T) / self.bound_coef
         lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
         upper = np.min(bounds, axis=1, where=self.bound_coef < 0, initial=POS_INF)
         crossed = np.flatnonzero(lower > upper)
         lo, hi = lower[crossed], upper[crossed]
-        snap = lo - hi <= DEFAULT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        snap = lo - hi <= DEFAULT_TOL * np.maximum(scale[crossed], np.maximum(np.abs(lo), np.abs(hi)))
         lower[crossed[snap]] = upper[crossed[snap]] = 0.5 * (lo[snap] + hi[snap])
         empty = np.zeros(D.shape[0], dtype=bool)
         empty[crossed[~snap]] = True
         return check_bad, bounds, lower, upper, empty
 
-    def evaluate(self, D: np.ndarray, G: np.ndarray):
-        """Bounds for records with reduced constants ``D`` and gross
-        magnitudes ``G`` (records x edits), plus a flag per record for
-        which the per-record derivation raises (see :meth:`infeasibility`).
-        The records' fully known edits must hold to ``violation_matrix``'s
-        margin; they are not checked here."""
-        check_bad, _, lower, upper, empty = self._derive(D, G)
+    def evaluate(self, D: np.ndarray, scale: np.ndarray):
+        """Bounds for records with reduced constants ``D`` (records x
+        edits) and margin scales ``scale`` (one per record), plus a flag
+        per record for which the per-record derivation raises (see
+        :meth:`infeasibility`).  The records' fully known edits must hold
+        to ``violation_matrix``'s margin; they are not checked here."""
+        check_bad, _, lower, upper, empty = self._derive(D, scale)
         return lower, upper, check_bad.any(axis=1) | empty
 
-    def infeasibility(self, edits: Sequence, d: np.ndarray, g: np.ndarray, record: int | None = None):
-        """The error the per-record derivation raises for one flagged record:
-        the first violated derived check row, else the empty interval.
-        ``edits`` are the compiled system's edits, which the error names as
-        its witnesses."""
-        check_bad, bounds, lower, upper, _ = self._derive(d[None, :], g[None, :])
+    def infeasibility(self, edits: Sequence, d: np.ndarray, scale: float, record: int | None = None):
+        """The error the per-record derivation raises for one flagged record,
+        with reduced constants ``d`` and margin scale ``scale``: the first
+        violated derived check row, else the empty interval.  ``edits`` are
+        the compiled system's edits, which the error names as its
+        witnesses."""
+        check_bad, bounds, lower, upper, _ = self._derive(d[None, :], np.array([scale]))
         prefix = "" if record is None else f"record {record}, variable {self.target!r}: "
 
         def support(comb: np.ndarray) -> tuple:
@@ -587,14 +575,17 @@ class CompiledInterval:
         substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
         return slices[::-1], substitutions[::-1], self.unknown.index(self.target)
 
-    def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
+    def complete(
+        self, value: float, y: Sequence[float], current: Sequence[float], scale: Callable[[], float]
+    ) -> list[float]:
         """:func:`back_substitute` of one record with the target at
         ``value`` and the rule that keeps each variable's ``current`` value,
         clamped into its slice.  ``current`` and the result list the
         unknowns in :attr:`unknown` order, and ``y`` holds the record's
         ``slice_comb`` rows, then its ``substitution_comb`` rows, applied to
-        its reduced constants.  Unknowns no edit constrains keep their
-        current value."""
+        its reduced constants.  A slice whose bounds cross snaps on the
+        record's margin scale, which ``scale()`` returns; it is called only
+        then.  Unknowns no edit constrains keep their current value."""
         slices, substitutions, target = self._layout
         values = list(current)
         values[target] = value
@@ -610,7 +601,8 @@ class CompiledInterval:
                         lower = bound
                 elif bound < upper:
                     upper = bound
-            lower, upper = snap(lower, upper)
+            if lower > upper:
+                lower, upper = snap(lower, upper, scale())
             values[var] = min(max(current[var], lower), upper)
         for var, expr, at in substitutions:
             acc = y[at]
@@ -620,13 +612,13 @@ class CompiledInterval:
         return values
 
 
-def snap(lower: float, upper: float, scale: float = 1.0) -> tuple[float, float]:
-    """Bounds crossed by no more than rounding, on the larger of ``scale``
-    and their own magnitudes, meet at their midpoint; a wider crossing is
-    infeasible."""
+def snap(lower: float, upper: float, scale: float) -> tuple[float, float]:
+    """Bounds crossed by at most ``DEFAULT_TOL`` times the larger of
+    ``scale``, the margin scale their edits hold to, and their own
+    magnitudes meet at their midpoint; a wider crossing is infeasible."""
     if lower > upper:
         if lower - upper > DEFAULT_TOL * max(scale, abs(lower), abs(upper)):
-            raise InfeasibleSystemError(f"empty range: requires >= {lower:.6g} and <= {upper:.6g}")
+            raise InfeasibleSystemError(f"requires >= {lower:.6g} and <= {upper:.6g}")
         lower = upper = 0.5 * (lower + upper)
     return lower, upper
 
@@ -725,15 +717,17 @@ def compile_interval(
     def matrix(combs: list) -> np.ndarray:
         return np.array(combs, dtype=float).reshape(len(combs), n)
 
+    check_comb = matrix([c for c, _, _ in checks])
     return CompiledInterval(
         target=target,
         pinned=pinned,
         unknown=order,
         bound_coef=np.array(bound_coef, dtype=float),
         bound_comb=matrix(bound_comb),
-        check_comb=matrix([c for c, _, _ in checks]),
+        check_comb=check_comb,
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),
+        check_mass=np.abs(check_comb).sum(axis=1),
         slices=tuple(slices),
         slice_comb=matrix(slice_comb),
         substitutions=tuple((var, terms) for var, terms, _ in stack),

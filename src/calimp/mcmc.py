@@ -46,7 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import fm, metrics
-from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices
+from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices
 from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError
 from .pipeline import DataMatrix, Totals, check_inputs, check_integer, validate
 from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
@@ -148,11 +148,12 @@ def pair_constraint_system(
     each name to its (record, column) cell.  A column with a known total
     keeps the pair's current weighted sum of its imputed cells: a pair-sum
     equality for a variable imputed in both records, and a pin at its
-    current value for one imputed in exactly one.
+    current value for one imputed in exactly one.  The system's scale is
+    the pair's margin scale, the larger of the two current rows'
+    :func:`calimp.edits.record_scale`, as :meth:`PairStep.scale` takes it.
     """
     cells: dict[str, tuple[int, int]] = {}
     out: list[Edit] = []
-    gross: list[float] = []
     for role, rec in (("s", s), ("t", t)):
         row = {}
         for j, name in enumerate(data.columns):
@@ -163,7 +164,6 @@ def pair_constraint_system(
         reduced = reduce_system(edits, row, origin=rec)
         for edit in reduced.edits:
             out.append(Edit({f"{role}.{v}": c for v, c in edit.coeffs.items()}, edit.constant, edit.kind))
-        gross.extend(reduced.gross)
 
     for j, name in enumerate(data.columns):
         if name not in (totals or {}):
@@ -176,8 +176,9 @@ def pair_constraint_system(
                 share += w * float(data.values[rec, j])
         if coeffs:
             out.append(Edit(coeffs, -share, EditKind.EQUALITY))
-            gross.append(abs(share))
-    return ReducedSystem(tuple(out), tuple(gross)), cells
+    referenced = [j for j, name in enumerate(data.columns) if any(name in edit.coeffs for edit in edits.edits)]
+    scale = float(record_scale(data.values[np.ix_([s, t], referenced)]).max())
+    return ReducedSystem(tuple(out), scale), cells
 
 
 def _bits(mask: int) -> list[int]:
@@ -369,9 +370,9 @@ class PairStep:
         self.interval = fm.Interval(lower, upper)
 
     def scale(self) -> float:
-        """The pair's margin scale: the largest magnitude of either current
-        row over the referenced columns, at least 1.  The edits hold to
-        :data:`DEFAULT_TOL` times it, so crossed bounds snap on it."""
+        """The pair's margin scale: the larger of the two current rows'
+        :func:`calimp.edits.record_scale`, in plain Python.  The edits hold
+        to :data:`DEFAULT_TOL` times it, so crossed bounds snap on it."""
         if self._scale is None:
             referenced = self.systems.referenced
             row_s, row_t = self.old
@@ -400,7 +401,7 @@ class PairStep:
         row_s, row_t = self.old
         p = len(row_s)
         current = [z[role * p + c] for role, c in system.unknowns]
-        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current)
+        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current, self.scale)
         new_s, new_t = list(row_s), list(row_t)
         for (role, c), v, old in zip(system.unknowns, solved, current):
             if role == 0:

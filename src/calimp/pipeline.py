@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fm, regression, residuals
-from .edits import EditSystem, reduced_constants, system_matrices, violation_matrix
+from .edits import EditSystem, record_scale, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
     InfeasibleRecordError,
@@ -265,7 +265,8 @@ class _PatternCompiler:
 
     Records missing the target are grouped by which edit variables they
     still lack; each group's bounds and feasibility checks are then array
-    expressions over its records (see :class:`fm.CompiledInterval`).
+    expressions over its records, on each record's margin scale (see
+    :class:`fm.CompiledInterval`).
     An edit a record knows fully is not checked here: :func:`check_inputs`
     has checked the observed values, and each imputed value lies in an
     interval that keeps the edits.  The cache lives for one :func:`impute`
@@ -292,15 +293,16 @@ class _PatternCompiler:
                 unknown = [v for v, missing in zip(self.edits.variables, pattern) if missing]
                 compiled = fm.compile_interval(self.A, self.is_eq, self.edits.variables, unknown, target)
                 self.cache[key] = compiled
-            D, G = reduced_constants(self.A, self.b, X[pos])
-            lower[pos], upper[pos], bad = compiled.evaluate(D, G)
+            Xp = X[pos]
+            D, scale = reduced_constants(self.A, self.b, Xp), record_scale(Xp[:, self.A.any(axis=0)])
+            lower[pos], upper[pos], bad = compiled.evaluate(D, scale)
             if bad.any():
                 j = int(np.argmax(bad))
                 if first_bad is None or pos[j] < first_bad[0]:
-                    first_bad = (pos[j], compiled, D[j], G[j])
+                    first_bad = (pos[j], compiled, D[j], scale[j])
         if first_bad is not None:
-            p, compiled, d, g = first_bad
-            raise compiled.infeasibility(self.edits.edits, d, g, record=int(rows[p]))
+            p, compiled, d, s = first_bad
+            raise compiled.infeasibility(self.edits.edits, d, float(s), record=int(rows[p]))
         return _TargetIntervals(lower, upper, len(patterns))
 
 

@@ -27,7 +27,8 @@ from calimp.adjust import (
     zero_sum_interval_adjust,
 )
 from calimp.edits import (
-    DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, reduce_system, system_matrices, violation_matrix,
+    DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices,
+    violation_matrix,
 )
 from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
@@ -385,16 +386,17 @@ def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibil
 
 def _complete(record: fm.EliminationRecord, assigned, value_rule) -> dict[str, float]:
     """``fm.back_substitute`` without its own check of the pair system,
-    which measures every residual on the unknowns' magnitudes only; a pair
-    step checks the completed records with :func:`_check_completed_pair`."""
+    which measures both records' residuals on one scale, the pair's; a pair
+    step checks each completed record on its own margin with
+    :func:`_check_completed_pair`."""
     return fm.back_substitute(dataclasses.replace(record, system=()), assigned, value_rule=value_rule)
 
 
 def _margin_scale(edits: EditSystem, columns, rows: np.ndarray) -> float:
-    """``violation_matrix``'s margin scale of a pair of ``rows``: their
-    largest magnitude over the edit variables, observed cells included."""
+    """The pair's margin scale: the larger of the ``rows``'
+    ``record_scale``, over the edit variables, observed cells included."""
     referenced = np.any(system_matrices(edits, columns)[0] != 0, axis=0)
-    return max(1.0, float(np.abs(rows[:, referenced]).max(initial=0.0)))
+    return float(record_scale(rows[:, referenced]).max())
 
 
 def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, rows) -> None:
@@ -417,8 +419,8 @@ def _check_completed_pair(data: DataMatrix, edits: EditSystem, totals, s: int, t
 def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, value: float):
     """One chain step the per-record way, as ``mcmc_refine`` took it before
     pair systems were compiled: ``pair_constraint_system``, then
-    ``fm.admissible_interval`` for ``s.<var>``, its crossed bounds snapping
-    on the current pair's margin scale (the edits hold to no more), then
+    ``fm.admissible_interval`` for ``s.<var>``, judged on the system's
+    scale, the current pair's margin scale (the edits hold to no more), then
     ``fm.back_substitute`` keeping each other unknown's current value
     clamped into its range, the completed records checked as
     :func:`_check_completed_pair` does.
@@ -432,8 +434,7 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
     try:
         system, cells = pair_constraint_system(data, edits, totals, s, t)
         target = f"s.{var}"
-        scale = _margin_scale(edits, data.columns, data.values[[s, t]])
-        interval, record = fm.admissible_interval(system, target, scale)
+        interval, record = fm.admissible_interval(system, target)
         completion = _complete(
             record,
             {target: interval.clamp(value)},
@@ -452,7 +453,7 @@ def pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: 
 
 def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: int):
     """``pair_constraint_system`` with its total equalities solved first,
-    built edit by edit in dict form, with each constant's gross magnitude.
+    built edit by edit in dict form, with the pair's margin scale.
 
     A column imputed in both records with a total keeps one unknown
     ``s.v``, and record t's edits read ``t.v = (R_v - w_s s.v) / w_t``,
@@ -482,25 +483,22 @@ def coupled_pair_system(data: DataMatrix, edits: EditSystem, totals, s: int, t: 
 
     reduced_s, reduced_t = reduced(0), reduced(1)
     out = [Edit({f"s.{v}": c for v, c in e.coeffs.items()}, e.constant, e.kind) for e in reduced_s.edits]
-    gross = list(reduced_s.gross)
     ratio = w_t / w_s
-    for e, g in zip(reduced_t.edits, reduced_t.gross):
-        coeffs, const, g = {}, ratio * e.constant, ratio * g
+    for e in reduced_t.edits:
+        coeffs, const = {}, ratio * e.constant
         for v, c in e.coeffs.items():
             if v in shares:
                 coeffs[f"s.{v}"] = -c
                 const += c * shares[v] / w_s
-                g += abs(c * shares[v] / w_s)
             else:
                 coeffs[f"t.{v}"] = c
         out.append(Edit(coeffs, const, e.kind))
-        gross.append(g)
-    return ReducedSystem(tuple(out), tuple(gross)), shares, rows
+    return ReducedSystem(tuple(out), _margin_scale(edits, data.columns, rows)), shares, rows
 
 
 def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: int, var: str, value: float):
     """One chain step on :func:`coupled_pair_system`: ``fm.admissible_interval``
-    and ``fm.back_substitute`` with the snap scale, ``value`` clamped and the
+    and ``fm.back_substitute`` on its scale, ``value`` clamped and the
     keep-current rule as in :func:`pair_step`, the coupled partners then
     following from their shares, and the same check of the
     completed records.  Returns the interval and both new rows, or ``None``
@@ -508,8 +506,7 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
     try:
         system, shares, rows = coupled_pair_system(data, edits, totals, s, t)
         target = f"s.{var}"
-        scale = _margin_scale(edits, data.columns, data.values[[s, t]])
-        interval, record = fm.admissible_interval(system, target, scale)
+        interval, record = fm.admissible_interval(system, target)
         w_s, w_t = float(data.weights[s]), float(data.weights[t])
         ratio = w_t / w_s
 

@@ -14,14 +14,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import fm, pipeline
 from calimp.edits import (
-    DEFAULT_TOL, Edit, EditKind, EditSystem, parse_edit_rules, reduce_system, reduced_constants, system_matrices,
-    violation_matrix,
+    DEFAULT_TOL, Edit, EditKind, EditSystem, parse_edit_rules, record_scale, reduce_system, reduced_constants,
+    system_matrices, violation_matrix,
 )
-from calimp.errors import CalimpError, InfeasibleRecordError, InfeasibleSystemError
+from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleRecordError, InfeasibleSystemError
 from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute
 
 from _oracles import GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system
-from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES, survey_near_zero_other, survey_truth
+from test_pair_systems import (
+    SURVEY_COLUMNS, SURVEY_RULES, survey_blank_pair_below_zero, survey_near_zero_other, survey_truth,
+)
 
 RTOL = 1e-12
 
@@ -85,10 +87,14 @@ def blanked(system, X, unknown):
 
 
 def compiled_bounds(system, X, unknown, target):
+    """The compiled derivation on the records ``X`` with the ``unknown``
+    columns blanked: it, their reduced constants and margin scales, and
+    ``evaluate``'s bounds and flags."""
     compiled = compile_for(system, unknown, target)
     A, b, _ = system_matrices(system, system.variables)
-    D, G = reduced_constants(A, b, blanked(system, X, unknown))
-    return compiled, D, G, compiled.evaluate(D, G)
+    Xu = blanked(system, X, unknown)
+    D, S = reduced_constants(A, b, Xu), record_scale(Xu[:, A.any(axis=0)])
+    return compiled, D, S, compiled.evaluate(D, S)
 
 
 def assert_refused(system, Xu):
@@ -168,7 +174,7 @@ def test_infeasible_inputs_raise_the_same_error_type(seed):
     edits.insert(int(rng.integers(len(edits) + 1)), negated)
     system = EditSystem(tuple(edits), system.variables)
     unknown, target = random_pattern(rng, list(system.variables))
-    compiled, D, G, (_, _, bad) = compiled_bounds(system, X, unknown, target)
+    compiled, D, S, (_, _, bad) = compiled_bounds(system, X, unknown, target)
     # A record that knows every variable of the negated edit breaks a known
     # edit, which the input check refuses; the compiled derivation flags
     # every other record.
@@ -181,7 +187,7 @@ def test_infeasible_inputs_raise_the_same_error_type(seed):
             assert type(info.value) is InfeasibleRecordError
             assert_refused(system, blanked(system, X[i : i + 1], unknown))
             continue
-        err = compiled.infeasibility(system.edits, D[i], G[i], record=i)
+        err = compiled.infeasibility(system.edits, D[i], S[i], record=i)
         assert type(err) is type(info.value)
         assert err.witness is not None
 
@@ -209,21 +215,28 @@ def test_known_edit_violation_names_record_and_edit():
 
 @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
 def test_known_edit_within_validates_margin_is_accepted(method):
-    # Record 0 observes other = -1e-6 beside turnover = 5002: validate's
-    # margin is 5.0e-6, the edit's own magnitude would give 1e-9.  The
-    # input check accepts the record, so no method refuses it; where a
-    # method completes, its output validates (impute checks that).
-    truth, mask, edits = survey_near_zero_other()
-    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
-    totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
-    check_inputs(data, edits, totals, None)
-    try:
-        out, _ = impute(data, edits, totals, ImputationConfig(method, seed=5))
-    except CalimpError as err:
-        assert not isinstance(err, InfeasibleRecordError), err
-        assert method != "upma", err
-        return
-    assert not violation_matrix(edits, out.values, SURVEY_COLUMNS).any()
+    # Record 0 meets its edits only to validate's margin, 1e-9 times
+    # turnover = 5002 (5.0e-6): it observes other = -1e-6, whose own
+    # magnitude would give a margin of 1e-9, or its blank staff and
+    # materials must sum to -4.5e-6, so their bounds cross by that much,
+    # where the bounds' own magnitudes would allow 4.5e-15.  The input
+    # check accepts the record, so no method refuses it: upma completes and
+    # its output validates; bpma and bpmr fail only on round 1's
+    # adjustment of costs, whose cells the balances all pin (a failure on
+    # feasible input that is still open).
+    for case in (survey_near_zero_other, survey_blank_pair_below_zero):
+        truth, mask, edits = case()
+        data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+        totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+        check_inputs(data, edits, totals, None)
+        try:
+            out, _ = impute(data, edits, totals, ImputationConfig(method, seed=5))
+        except CalimpError as err:
+            assert method != "upma", (case.__name__, err)
+            assert type(err.__cause__) is InfeasibleAdjustmentError, (case.__name__, err)
+            assert str(err).startswith("variable 'costs', round 1: "), (case.__name__, err)
+            continue
+        assert not violation_matrix(edits, out.values, SURVEY_COLUMNS).any()
 
 
 #: Each survey column with a nonnegativity edit, and a partner in the same
@@ -263,6 +276,39 @@ def test_observed_cell_just_below_zero_is_not_refused(seed):
             impute(data, edits, totals, ImputationConfig(method, seed=seed % 1000))
         except CalimpError as err:
             assert not isinstance(err, InfeasibleRecordError), (method, err)
+
+
+#: The costs cells that can be blank together while the third is observed
+#: at more than costs: staff <= 0.8*costs keeps staff among them.
+BLANK_PAIRS = (("staff", "materials"), ("staff", "other"))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seeds)
+def test_blank_pair_forced_just_below_zero_is_not_refused(seed):
+    # One record leaves two costs cells blank and observes the third at
+    # costs plus 0.1 to 0.95 times validate's margin, so the blank pair
+    # must sum to that much below 0, where their nonnegativity edits bound
+    # them; every other cell of the record is observed and every equality
+    # holds.  The truth splits the shortfall evenly, which the input check
+    # accepts, so upma imputes the data: the bounds of each blank cell
+    # cross by less than the record's margin and meet at a point.
+    rng = np.random.default_rng(seed)
+    truth, edits = survey_truth(rng, 200)
+    mask = rng.random(truth.shape) < 0.1
+    col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
+    i = int(rng.integers(len(truth)))
+    pair = [col[name] for name in BLANK_PAIRS[int(rng.integers(len(BLANK_PAIRS)))]]
+    (third,) = {col["staff"], col["materials"], col["other"]} - set(pair)
+    mask[i] = False
+    mask[i, pair] = True
+    shortfall = rng.uniform(0.1, 0.95) * DEFAULT_TOL * float(np.abs(truth[i][~mask[i]]).max())
+    truth[i, third] = truth[i, col["costs"]] + shortfall
+    truth[i, pair] = -0.5 * shortfall
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+    check_inputs(data, edits, None, None)
+    out, _ = impute(data, edits, None, ImputationConfig("upma"))
+    assert (out.values[i, pair] < 0).all()
 
 
 def test_impute_reports_first_infeasible_record():

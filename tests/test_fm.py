@@ -43,7 +43,7 @@ def example_1_reduced():
 class TestEliminateEqualities:
     def test_example_1_substitution(self):
         _, reduced = example_1_reduced()
-        ineqs, stack = eliminate_equalities(reduced.edits, keep="x3")
+        ineqs, stack, _ = eliminate_equalities(reduced.edits, keep="x3")
         assert [var for var, _ in stack] == ["x2"]
         expr = stack[0][1]
         assert expr.coeffs == {"x3": 1.0}
@@ -52,7 +52,7 @@ class TestEliminateEqualities:
         assert {v for e in ineqs for v in e.coeffs} == {"x3"}
 
     def test_constant_substitution(self):
-        ineqs, stack = eliminate_equalities([eq({"x1": 1.0}, -5.0)], keep="x2")
+        ineqs, stack, _ = eliminate_equalities([eq({"x1": 1.0}, -5.0)], keep="x2")
         assert ineqs == []
         assert len(stack) == 1
         var, expr = stack[0]
@@ -61,8 +61,8 @@ class TestEliminateEqualities:
         assert expr.const == 5.0
 
     def test_pinning_the_kept_variable(self):
-        ineqs, stack = eliminate_equalities([eq({"x": 2.0}, -6.0)], keep="x")
-        assert stack == []
+        ineqs, stack, masses = eliminate_equalities([eq({"x": 2.0}, -6.0)], keep="x")
+        assert stack == [] and masses == [1.0, 1.0]
         assert len(ineqs) == 2
         lo = min(-e.constant / e.coeffs["x"] for e in ineqs if e.coeffs["x"] > 0)
         assert lo == 3.0
@@ -75,7 +75,7 @@ class TestEliminateEqualities:
             )
 
     def test_pivot_prefers_largest_coefficient(self):
-        ineqs, stack = eliminate_equalities(
+        ineqs, stack, _ = eliminate_equalities(
             [eq({"a": 1.0, "b": 4.0, "t": -1.0}, 0.0), ineq({"a": 1.0}), ineq({"b": 1.0})],
             keep="t",
         )
@@ -86,15 +86,16 @@ class TestFourierMotzkin:
     def test_single_pair_combination(self):
         # x1 <= x2 and x2 <= 7 combine into x1 <= 7.
         system = [ineq({"x2": 1.0, "x1": -1.0}), ineq({"x2": -1.0}, 7.0)]
-        out = fourier_motzkin_eliminate(system, "x2")
+        out, masses = fourier_motzkin_eliminate(system, "x2")
         assert len(out) == 1
+        assert masses == [2.0]  # one multiple of each row
         (edit,) = out
         assert edit.coeffs == {"x1": -1.0}
         assert edit.constant == 7.0
 
     def test_absent_variable_is_noop(self):
         system = [ineq({"x1": 1.0}, -3.0)]
-        assert fourier_motzkin_eliminate(system, "x2") == system
+        assert fourier_motzkin_eliminate(system, "x2") == (system, [1.0])
 
     def test_contradiction_detected(self):
         # x1 <= x2 <= x1 - 1 has no solution for any x1.
@@ -117,7 +118,7 @@ class TestFourierMotzkin:
             ineq({"x": 2.0, "y": 2.0}, 2.0),  # same halfplane, scaled
             ineq({"z": 1.0}),
         ]
-        out = fourier_motzkin_eliminate(system, "unrelated")
+        out, _ = fourier_motzkin_eliminate(system, "unrelated")
         assert len(out) == 2
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import mcmc
-from calimp.edits import DEFAULT_TOL, parse_edit_rules, system_matrices, violation_matrix
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, record_scale, system_matrices, violation_matrix
 from calimp.errors import InfeasibleSystemError
 from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
@@ -98,6 +98,27 @@ def survey_near_zero_other():
     col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
     truth[0, col["other"]] = -1e-6
     truth[0, col["costs"]] = truth[0, col["staff"]] + truth[0, col["materials"]] + truth[0, col["other"]]
+    truth[0, col["profit"]] = truth[0, col["turnover"]] - truth[0, col["costs"]]
+    mask[0] = False
+    mask[0, [col["staff"], col["materials"]]] = True
+    return truth, mask, edits
+
+
+def survey_blank_pair_below_zero():
+    """The 300 survey records of :func:`survey_near_zero_other` whose record
+    0 has ``turnover = 5002`` and ``costs = 2001``, ``profit`` rebalanced,
+    and observes ``other = 2001 + 4.5e-6``, with ``staff`` and
+    ``materials`` blanked.  Their sum is forced to -4.5e-6, 0.9 times
+    validate's margin (1e-9 times 5002) below the 0 their nonnegativity
+    edits allow; the truth has both at -2.25e-6, which validate accepts.
+    Returns the truth, the mask and the edits."""
+    rng = np.random.default_rng(3)
+    truth, edits = survey_truth(rng, 300)
+    mask = rng.random(truth.shape) < 0.15
+    col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
+    truth[0, col["costs"]] = 2001.0
+    truth[0, col["other"]] = 2001.0 + 4.5e-6
+    truth[0, [col["staff"], col["materials"]]] = -2.25e-6
     truth[0, col["profit"]] = truth[0, col["turnover"]] - truth[0, col["costs"]]
     mask[0] = False
     mask[0, [col["staff"], col["materials"]]] = True
@@ -423,8 +444,9 @@ def numpy_interval(state, edits, totals, s, t, compiled):
     of :func:`calimp.impute`, on the constants of the pair's 2K stacked
     edits: s's with its known cells and one-record total columns folded
     in, then t's scaled by w_t/w_s with the coupled columns' shares R/w_s,
-    the pair's current weighted sums, folded in.  Returns lower, upper and
-    the infeasible flag."""
+    the pair's current weighted sums, folded in, and the pair's margin
+    scale, the larger of its rows' ``record_scale``.  Returns lower, upper
+    and the infeasible flag."""
     A, b, _ = system_matrices(edits, state.columns)
     w_s, w_t = float(state.weights[s]), float(state.weights[t])
     in_s, in_t = state.mask[s], state.mask[t]
@@ -435,10 +457,8 @@ def numpy_interval(state, edits, totals, s, t, compiled):
     x_t = np.where(~in_t | (has_total & ~in_s), rows[1], 0.0)
     ratio = w_t / w_s
     d = np.concatenate([b + A @ x_s, ratio * (b + A @ x_t) + A @ R])
-    g = np.concatenate([
-        np.abs(b) + np.abs(A) @ np.abs(x_s), ratio * (np.abs(b) + np.abs(A) @ np.abs(x_t)) + np.abs(A) @ np.abs(R)
-    ])
-    lower, upper, bad = compiled.evaluate(d[None, :], g[None, :])
+    scale = record_scale(rows[:, A.any(axis=0)]).max()
+    lower, upper, bad = compiled.evaluate(d[None, :], np.array([scale]))
     return float(lower[0]), float(upper[0]), bool(bad[0])
 
 
@@ -448,11 +468,10 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
     # Every key a seeded walk meets, on feasible steps and on steps with one
     # cell of the pair moved far off (most of those infeasible): the sparse
     # rows' interval is CompiledInterval.evaluate's on the same constants,
-    # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
-    # their own magnitude, the step on the pair's, so a crossing between
-    # the two is empty for evaluate and a point for the step.  The step
-    # reads no check row (its completion is checked instead), so evaluate
-    # may also flag a step whose bounds do not cross.
+    # to 1e-12 of the pair's magnitude.  Both snap crossed bounds on the
+    # pair's margin scale, so a crossing is a point for both or empty for
+    # both.  The step reads no check row (its completion is checked
+    # instead), so evaluate may also flag a step whose bounds do not cross.
     rng = np.random.default_rng(37)
     data, edits, totals = build(kind, rng, weighted)
     state = data.copy()
@@ -478,9 +497,6 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
             assert bad and lower > upper
             infeasible += 1
             continue
-        if lower > upper:
-            assert bad and lower - upper <= DEFAULT_TOL * scale
-            lower = upper = 0.5 * (lower + upper)
         assert_close(step.interval.lower, lower, scale)
         assert_close(step.interval.upper, upper, scale)
         if not perturbed:
@@ -498,8 +514,8 @@ def test_small_cells_beside_large_observed_values_move():
     # check measures each record on its largest magnitude, as validate
     # does, so no step falls back on that rounding, and both oracles agree
     # on every step: their equality elimination checks each constant row it
-    # derives on the gross magnitude of its constant, observed values
-    # included (the compiled step reads no such row).
+    # derives on the pair's margin, observed values included, times the
+    # row's mass (the compiled step reads no such row).
     rng = np.random.default_rng(5)
     truth, mask, columns, edits, _ = large_case(rng, 60, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
     weights = rng.uniform(0.5, 4.0, 60)
