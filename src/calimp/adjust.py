@@ -82,11 +82,17 @@ def _check_feasible(problem: AdjustmentProblem, T: float, feasibility_scale: flo
         abs(T),
     )
     if T < least - DEFAULT_TOL * scale or T > most + DEFAULT_TOL * scale:
-        raise InfeasibleAdjustmentError(
-            f"required weighted adjustment sum {T:.6g} lies outside the achievable "
-            f"range [{least:.6g}, {most:.6g}]"
-        )
+        raise out_of_reach(T, least, most)
     return float(np.clip(T, least, most))
+
+
+def out_of_reach(T: float, least: float, most: float) -> InfeasibleAdjustmentError:
+    """The error of a required weighted adjustment sum ``T`` outside the
+    achievable range ``[least, most]``."""
+    return InfeasibleAdjustmentError(
+        f"required weighted adjustment sum {T:.6g} lies outside the achievable "
+        f"range [{least:.6g}, {most:.6g}]"
+    )
 
 
 def zero_sum_interval_adjust(

@@ -15,6 +15,11 @@ Each step writes only its target's column.  A cell that the edits force
 once the earlier targets hold their values gets a point interval at its
 own column's turn.  Later rounds re-impute each target with all other
 variables as predictors.
+
+A step whose every interval is a point writes the points and skips the
+fit, the clip, the adjustment and the draw, which could only land on
+them; the checks made before a fit still run, and a benchmarked target
+whose points miss its total raises the adjustment's error.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import fm, regression, residuals
-from .edits import EditSystem, record_scale, reduced_constants, system_matrices, violation_matrix
+from . import adjust, fm, regression, residuals
+from .edits import DEFAULT_TOL, EditSystem, record_scale, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
     InfeasibleRecordError,
@@ -179,24 +184,41 @@ def _fit_diagnostics(fit: regression.RegressionFit, **extra) -> dict:
     }
 
 
-def _predict(target, y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale):
-    """Predictions for the missing rows of ``target``, with the ``fit``
+def _check_log_scale(target, y, X_obs, X_mis, missing_total):
+    """Refuse log-scale data that is not strictly positive, and a
+    remainder of the column total (``None`` unless benchmarked) that is not
+    positive, which positive imputations cannot reach."""
+    if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
+        raise ValueError("log-scale imputation requires strictly positive data")
+    if missing_total is not None and missing_total <= 0:
+        raise InfeasibleSystemError(
+            f"variable {target!r}: the missing cells must sum to {missing_total!r}, "
+            "but log-scale imputations are positive"
+        )
+
+
+def _check_point_total(target, rnd, method, points, w, missing_total):
+    """Raise, as the step's adjustment would, when forced cells miss the
+    remainder of their column total by more than ``DEFAULT_TOL`` of its
+    scale: bpma's adjustment cannot sum to 0 within ``[gap, gap]``, and
+    bpmr's re-centering of draws on the points cannot sum to ``-gap``
+    within ``[0, 0]``."""
+    gap = float(np.sum(w * points)) - missing_total
+    if abs(gap) > DEFAULT_TOL * max(1.0, abs(missing_total), float(np.sum(np.abs(w * points)))):
+        need, reach = (0.0, gap) if method == "bpma" else (-gap, 0.0)
+        err = adjust.out_of_reach(need, reach, reach)
+        raise InfeasibleSystemError(f"variable {target!r}, round {rnd}: {err}") from err
+
+
+def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, missing_total, log_scale):
+    """Predictions for the missing rows of a target, with the ``fit``
     diagnostics and the predictor names used and dropped.
 
-    ``total`` (``None`` unless benchmarked) calibrates the predictions so
-    their weighted sum is the remainder of the column total: through the
-    intercept of the missing rows on the linear scale, through a
-    multiplier replacing ``exp(intercept)`` on the log scale, where a
-    remainder that is not positive is out of reach."""
-    missing_total = None if total is None else float(total - np.sum(w_obs * y))
+    ``missing_total`` (``None`` unless benchmarked) calibrates the
+    predictions so their weighted sum is that remainder of the column
+    total: through the intercept of the missing rows on the linear scale,
+    through a multiplier replacing ``exp(intercept)`` on the log scale."""
     if log_scale:
-        if np.any(y <= 0) or np.any(X_obs <= 0) or np.any(X_mis <= 0):
-            raise ValueError("log-scale imputation requires strictly positive data")
-        if missing_total is not None and missing_total <= 0:
-            raise InfeasibleSystemError(
-                f"variable {target!r}: the missing cells must sum to {missing_total!r}, "
-                "but log-scale imputations are positive"
-            )
         y, X_obs, X_mis = np.log(y), np.log(X_obs), np.log(X_mis)
     fit, used_names, dropped, cols = _fit_with_fallback(y, X_obs, w_obs, pred_names)
     # The intercept of the missing rows is solved on them as the fit took
@@ -205,10 +227,10 @@ def _predict(target, y, X_obs, X_mis, w_obs, w_mis, pred_names, total, log_scale
     # round differently, and the imputed values depend on both to the bit.
     X_fitted = X_mis[:, cols]
     X_mis = X_mis[:, [pred_names.index(n) for n in used_names]]
-    if total is None and log_scale:
+    if missing_total is None and log_scale:
         predictions = np.exp(fit.predict(X_mis))
         fit_diag = _fit_diagnostics(fit, scale="log")
-    elif total is None:
+    elif missing_total is None:
         predictions = fit.predict(X_mis)
         fit_diag = _fit_diagnostics(fit)
     elif log_scale:
@@ -411,40 +433,53 @@ def impute(
                     f"predictor(s) {incomplete} for target {target!r} are not complete yet"
                 )
             w_mis = data.weights[rows]
-            predictions, fit_diag, used_names, dropped = _predict(
-                target, current[obs, t], fit_rows, mis_rows, data.weights[obs], w_mis, pred_names,
-                float(totals[target]) if benchmarked else None, config.log_scale,
-            )
-
+            y, w_obs = current[obs, t], data.weights[obs]
+            missing_total = float(totals[target]) - float(np.sum(w_obs * y)) if benchmarked else None
+            if config.log_scale:
+                _check_log_scale(target, y, fit_rows, mis_rows, missing_total)
             lower, upper = derived.lower, derived.upper
             residual_diag = None
-            if config.method == "upma":
-                final = np.clip(predictions, lower, upper)
-                adjustment_diag = {"clipped": int(np.sum(final != predictions))}
+            if np.array_equal(lower, upper):
+                # Every cell is forced, and a fit's predictions would be
+                # clipped or adjusted onto these points.  The clip gives
+                # ``upper`` bit for bit; an adjustment gives p + (upper - p),
+                # which turns a zero point into +0.0.
+                if benchmarked:
+                    _check_point_total(target, rnd, config.method, upper, w_mis, missing_total)
+                final = upper if config.method == "upma" else upper + 0.0
+                used_names, dropped, fit_diag = [], [], None
+                adjustment_diag = {"skipped": "all points"}
             else:
-                # bpma is bpmr with zero residuals: the re-centering of a zero
-                # vector is the smallest zero-sum adjustment of the predictions.
-                sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
-                uniforms = residuals.cell_uniforms(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
-                try:
-                    shift, stats = residuals.benchmarked_residuals(
-                        sigma, lower - predictions, upper - predictions, w_mis, uniforms,
-                        feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
-                    )
-                except InfeasibleSystemError as err:
-                    raise InfeasibleSystemError(
-                        f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
-                    ) from err
-                if config.method == "bpmr":
-                    residual_diag, solver_diag = stats, {}
+                predictions, fit_diag, used_names, dropped = _predict(
+                    y, fit_rows, mis_rows, w_obs, w_mis, pred_names, missing_total, config.log_scale
+                )
+                if config.method == "upma":
+                    final = np.clip(predictions, lower, upper)
+                    adjustment_diag = {"clipped": int(np.sum(final != predictions))}
                 else:
-                    solver_diag = {key: stats[key] for key in ("lambda", "at_lower", "at_upper")}
-                final = predictions + shift
-                adjustment_diag = {
-                    "max_abs": float(np.max(np.abs(shift))) if shift.size else 0.0,
-                    "weighted_sum": float(np.sum(w_mis * shift)),
-                    **solver_diag,
-                }
+                    # bpma is bpmr with zero residuals: the re-centering of a zero
+                    # vector is the smallest zero-sum adjustment of the predictions.
+                    sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
+                    uniforms = residuals.cell_uniforms(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
+                    try:
+                        shift, stats = residuals.benchmarked_residuals(
+                            sigma, lower - predictions, upper - predictions, w_mis, uniforms,
+                            feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
+                        )
+                    except InfeasibleSystemError as err:
+                        raise InfeasibleSystemError(
+                            f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
+                        ) from err
+                    if config.method == "bpmr":
+                        residual_diag, solver_diag = stats, {}
+                    else:
+                        solver_diag = {key: stats[key] for key in ("lambda", "at_lower", "at_upper")}
+                    final = predictions + shift
+                    adjustment_diag = {
+                        "max_abs": float(np.max(np.abs(shift))) if shift.size else 0.0,
+                        "weighted_sum": float(np.sum(w_mis * shift)),
+                        **solver_diag,
+                    }
 
             current[rows, t] = final
 

@@ -15,18 +15,28 @@ hash for all of them at once as array arithmetic.  :func:`draw_ar_residual`
 is the chain's draw: the scalar form of the same log-space inverse CDF, at
 one uniform made from one raw word of the chain's generator.  The chain
 draws one cell per step, where a one-element array call costs over ten
-times the scalar one.
+times the scalar one.  Both forms load ``scipy.special`` on their first
+call, through :func:`_special`, so that importing calimp loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
 from .fm import Interval
+
+
+@functools.cache
+def _special():
+    """``scipy.special``'s ``log_ndtr`` and ``ndtri_exp``, imported once, on
+    the first draw."""
+    from scipy.special import log_ndtr, ndtri_exp
+
+    return log_ndtr, ndtri_exp
 
 
 def _uniform(word):
@@ -133,6 +143,7 @@ def truncated_normal(sigma: float, lower: np.ndarray, upper: np.ndarray, uniform
     A result that is not finite or misses its interval (a numerically
     degenerate far-tail interval) lands on the interval's side closer to
     0, or on 0 when the interval holds it."""
+    log_ndtr, ndtri_exp = _special()
     # A bound that overflows in units of sigma, or -inf - -inf below, gives
     # a NaN that lands, as on floats in the scalar form.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,6 +178,7 @@ def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator)
     lo, hi, sigma = float(interval.lower), float(interval.upper), float(sigma)
     if not sigma > 0.0 or interval.is_point():
         raise ValueError(f"needs sigma > 0 and a non-point interval, got {sigma} and [{lo}, {hi}]")
+    log_ndtr, ndtri_exp = _special()
     u = ((rng.bit_generator.random_raw() >> 12) + 0.5) * 2.0**-52
     a, b, scale = lo / sigma, hi / sigma, sigma
     if a + b > 0.0:

@@ -181,14 +181,27 @@ def small_files(tmp_path, rng):
     (tmp_path / "rules.edits").write_text(EDITS)
 
 
-def test_package_and_cli_load_no_scipy_stats():
-    # scipy.stats is most of a cold start; no calimp module needs it.  A
-    # fresh interpreter, as this one may have loaded it for other tests.
+def loaded_on_import(package):
+    """The modules under the dotted name ``package`` that ``import calimp,
+    calimp.cli`` loads, printed by a fresh interpreter, as this one may
+    have loaded them for other tests."""
     src = str(Path(calimp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, calimp, calimp.cli; print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])"
+    parts = package.split(".")
+    probe = f"import sys, calimp, calimp.cli; print([m for m in sys.modules if m.split('.')[:{len(parts)}] == {parts!r}])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_and_cli_load_no_scipy_stats():
+    # scipy.stats is most of a cold start; no calimp module needs it.
+    assert loaded_on_import("scipy.stats") == "[]"
+
+
+def test_package_and_cli_load_no_scipy():
+    # scipy.special loads on the first residual draw, which upma, bpma,
+    # simulate and evaluate never make.
+    assert loaded_on_import("scipy") == "[]"
 
 
 class TestCli:
@@ -573,6 +586,13 @@ def impute_layout(fit_extra, adjustment, residuals=None):
     ]
 
 
+SKIPPED_LAYOUT = [
+    ("round", None), ("variable", None), ("n_missing", None), ("predictors", None),
+    ("dropped_predictors", None), ("fit", None),
+    ("intervals", ["count", "degenerate", "bounded", "unbounded", "patterns"]),
+    ("adjustment", ["skipped"]), ("residuals", None),
+]
+
 IMPUTE_LAYOUTS = {
     "upma": (["--method", "upma"], impute_layout([], ["clipped"])),
     "bpma": (["--method", "bpma"], impute_layout(CALIBRATED, ADJUSTED)),
@@ -583,6 +603,18 @@ IMPUTE_LAYOUTS = {
     "log-upma": (["--method", "upma", "--log-scale"], impute_layout(["scale"], ["clipped"])),
     "log-bpma": (["--method", "bpma", "--log-scale"], impute_layout(["scale", "log_correction"], ADJUSTED)),
 }
+
+
+def check_impute_rows(rows, fitted):
+    """x2 is missing only where x1 is, so round 1 fits x2; the balance then
+    forces every cell left, and each later step writes its points and the
+    skipped row."""
+    assert layout(rows[0]) == fitted
+    for row in rows[1:]:
+        assert layout(row) == SKIPPED_LAYOUT
+        assert row["predictors"] == row["dropped_predictors"] == []
+        assert row["adjustment"] == {"skipped": "all points"}
+        assert row["intervals"]["degenerate"] == row["intervals"]["count"] == row["n_missing"]
 
 
 def diagnostics_rows(tmp_path, flags):
@@ -603,15 +635,13 @@ class TestDiagnosticsSchema:
         flags, expected = IMPUTE_LAYOUTS[kind]
         rows = diagnostics_rows(tmp_path, flags)
         assert [(row["round"], row["variable"]) for row in rows] == [(1, "x2"), (1, "x1"), (2, "x2"), (2, "x1")]
-        for row in rows:
-            assert layout(row) == expected
+        check_impute_rows(rows, expected)
 
     def test_mcmc_rows(self, tmp_path):
         rows = diagnostics_rows(tmp_path, ["--method", "mcmc", "--iterations", "40"])
         note, pre, chain = rows[0], rows[1:5], rows[5:]
         assert list(note) == ["note"]
-        for row in pre:
-            assert layout(row) == IMPUTE_LAYOUTS["bpma"][1]
+        check_impute_rows(pre, IMPUTE_LAYOUTS["bpma"][1])
         assert len(chain) >= 2
         checkpoint = [
             ("iteration", None), ("per_variable", ["x1", "x2"]), ("accepted", None),

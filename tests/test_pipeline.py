@@ -1,13 +1,19 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from calimp import residuals
+from calimp import pipeline, regression, residuals
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
-from calimp.errors import InfeasibleRecordError, InsufficientDataError
+from calimp.errors import (
+    InfeasibleAdjustmentError,
+    InfeasibleRecordError,
+    InfeasibleSystemError,
+    InsufficientDataError,
+)
 from calimp.fm import Interval
 from calimp.mcmc import McmcConfig
 from calimp.pipeline import DataMatrix, ImputationConfig, _missing_patterns, check_inputs, impute, variable_order
@@ -293,8 +299,12 @@ class TestBenchmarkedMethods:
         assert np.array_equal(out.values[~mask], truth[~mask])
         assert len(diagnostics) == 4  # two rounds, two variables
         solver_keys = {"lambda", "at_lower", "at_upper"}
+        assert any(row["fit"] for row in diagnostics)
         for row in diagnostics:
-            if method == "bpma":
+            if row["fit"] is None:  # every cell forced: the points, no solve
+                assert row["intervals"]["degenerate"] == row["intervals"]["count"]
+                assert row["adjustment"] == {"skipped": "all points"} and row["residuals"] is None
+            elif method == "bpma":
                 assert set(row["adjustment"]) == {"max_abs", "weighted_sum"} | solver_keys
             else:
                 assert set(row["residuals"]) == {"attempts", "fallbacks"} | solver_keys
@@ -449,16 +459,19 @@ class TestLogScale:
         rng = np.random.default_rng(11)
         truth = self._income_data(rng, r=80)
         mask = np.zeros_like(truth, dtype=bool)
-        mask[rng.choice(80, size=16, replace=False), 0] = True
+        # net and tax missing together, so the balance leaves net an interval
+        # to fit into; with tax missing too, gross is net's one predictor.
+        mask[rng.choice(80, size=16, replace=False), :2] = True
         w = self._weights("random", rng, r=80)
         data = make_data(truth, mask, ("net", "tax", "gross"), w)
         _, diagnostics = impute(
             data, edits, None,
-            ImputationConfig("upma", rounds=1, log_scale=True, predictors={"net": ["tax", "gross"]}),
+            ImputationConfig("upma", rounds=1, log_scale=True, predictors={"net": ["gross"]}),
         )
+        assert diagnostics[0]["variable"] == "net"
         obs = ~mask[:, 0]
-        weighted = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 1:]), weights=w[obs])
-        plain = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 1:]))
+        weighted = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 2:]), weights=w[obs])
+        plain = fit_ols(np.log(truth[obs, 0]), np.log(truth[obs, 2:]))
         slopes = diagnostics[0]["fit"]["slopes"]
         assert np.allclose(slopes, weighted.slopes, rtol=1e-12, atol=0)
         assert not np.allclose(slopes, plain.slopes, rtol=1e-6, atol=0)
@@ -568,4 +581,150 @@ class TestBatchedSteps:
         assert batched.values.tobytes() == per_cell.values.tobytes()
         assert json.dumps(batched_diag) == json.dumps(per_cell_diag)
         if method == "bpmr":
-            assert sum(d["residuals"]["attempts"] for d in batched_diag) > 0
+            assert sum(d["residuals"]["attempts"] for d in batched_diag if d["residuals"]) > 0
+
+
+def balance_points_data(rng, r=60):
+    """``x1 + x2 = x3`` with unequal weights: x1 missing alone in 12
+    records, so each of its cells is forced, three of them to 0 (x2 = x3),
+    a point the edits derive as [-0.0, 0.0].  Returns the data, the edits
+    and the weighted totals of the truth."""
+    x2 = rng.uniform(0.0, 40.0, size=r)
+    x1 = rng.uniform(0.0, 60.0, size=r)
+    x1[:3] = 0.0
+    truth = np.column_stack([x1, x2, x1 + x2])
+    mask = np.zeros_like(truth, dtype=bool)
+    mask[:12, 0] = True
+    w = rng.uniform(0.5, 3.0, size=r)
+    data = make_data(truth, mask, ("x1", "x2", "x3"), w)
+    return data, parse_edit_rules("x1 + x2 = x3\n"), {"x1": float(w @ x1)}
+
+
+def forced_fit_column(data, edits, totals, method, seed=0):
+    """The cells of the only target, x1, as a round-1 step that fits makes
+    them: the predictions of a fit on x2 (which, unlike x2 and x3 together,
+    leaves them off the points) clipped into the intervals (upma), or
+    calibrated and adjusted (bpma) or drawn around (bpmr) into them."""
+    rows, obs = np.flatnonzero(data.mask[:, 0]), np.flatnonzero(~data.mask[:, 0])
+    derived = pipeline._PatternCompiler(edits, data.columns).intervals(data.values, rows, "x1")
+    w_obs, w_mis = data.weights[obs], data.weights[rows]
+    y = data.values[obs, 0]
+    missing_total = None if method == "upma" else float(totals["x1"] - np.sum(w_obs * y))
+    p, fit_diag, _, _ = pipeline._predict(
+        y, data.values[obs, 1:2], data.values[rows, 1:2], w_obs, w_mis, ["x2"], missing_total, False,
+    )
+    lower, upper = derived.lower, derived.upper
+    if method == "upma":
+        return np.clip(p, lower, upper), derived
+    sigma = math.sqrt(fit_diag["residual_variance"]) if method == "bpmr" else 0.0
+    uniforms = residuals.cell_uniforms(seed * 1_000_003 + 1, 0, rows) if sigma else None
+    shift, _ = residuals.benchmarked_residuals(
+        sigma, lower - p, upper - p, w_mis, uniforms, feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * p)))),
+    )
+    return p + shift, derived
+
+
+class TestAllPointTargets:
+    """A (round, target) whose every interval is a point writes its points
+    and skips the fit, the adjustment and the draw."""
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_points_are_the_bytes_a_fit_would_write(self, method):
+        data, edits, totals = balance_points_data(np.random.default_rng(30))
+        out, diagnostics = impute(data, edits, totals, ImputationConfig(method, rounds=1, seed=4))
+        want, derived = forced_fit_column(data, edits, totals, method, seed=4)
+        zeros = derived.upper == 0.0
+        assert zeros.sum() == 3 and np.signbit(derived.lower[zeros]).all()
+        assert not np.signbit(out.values[:12, 0]).any()
+        assert out.values[:12, 0].tobytes() == want.tobytes()
+        (row,) = diagnostics
+        assert row["fit"] is None and row["residuals"] is None
+        assert row["predictors"] == row["dropped_predictors"] == []
+        assert row["adjustment"] == {"skipped": "all points"}
+        assert row["intervals"]["degenerate"] == row["intervals"]["count"] == 12
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_only_fitting_steps_fit(self, monkeypatch, method):
+        # x2 is missing only where x1 is: round 1 fits x2, and the balance
+        # then forces every cell left.  On the points alone nothing fits.
+        rng = np.random.default_rng(31)
+        truth = consistent_three_var_sample(rng, 80)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[:16, 0] = True
+        mask[:6, 1] = True
+        data = make_data(truth, mask, ("x1", "x2", "x3"))
+        totals = {"x1": float(truth[:, 0].sum()), "x2": float(truth[:, 1].sum())}
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        calls = []
+        for module, name in ((regression, "fit_ols"), (regression, "fit_benchmarked"),
+                             (residuals, "benchmarked_residuals"), (residuals, "cell_uniforms")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        _, diagnostics = impute(data, edits, totals, ImputationConfig(method, seed=2))
+        assert [row["fit"] is not None for row in diagnostics] == [True, False, False, False]
+        assert calls.count("fit_ols") == 1
+        calls.clear()
+        points, points_edits, points_totals = balance_points_data(np.random.default_rng(32))
+        _, diagnostics = impute(points, points_edits, points_totals, ImputationConfig(method, seed=2))
+        assert len(diagnostics) == 2 and all(row["fit"] is None for row in diagnostics)
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    def test_points_missing_their_total_raise_as_the_adjustment_would(self, method):
+        data, edits, totals = balance_points_data(np.random.default_rng(33))
+        totals = {"x1": totals["x1"] + 100.0}
+        with pytest.raises(InfeasibleAdjustmentError) as want:
+            forced_fit_column(data, edits, totals, method)
+        with pytest.raises(InfeasibleSystemError) as got:
+            impute(data, edits, totals, ImputationConfig(method, rounds=1))
+        assert str(got.value) == f"variable 'x1', round 1: {want.value}"
+        assert isinstance(got.value.__cause__, InfeasibleAdjustmentError)
+        shape = r"sum 0 lies outside the achievable range \[(\S+), \1\]" if method == "bpma" else r"\[0, 0\]$"
+        assert re.search(shape, str(got.value))
+
+    def test_incomplete_predictor_still_raises_on_a_point_target(self):
+        # x1 is forced wherever it is missing, but its predictor x2 is
+        # missing in other records, which round 1 has not imputed yet.
+        rng = np.random.default_rng(35)
+        truth = consistent_three_var_sample(rng, 40)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[:5, 0] = True
+        mask[5:10, 1] = True
+        data = make_data(truth, mask, ("x1", "x2", "x3"))
+        config = ImputationConfig("upma", predictors={"x1": ["x2"]}, variable_order=["x1", "x2"])
+        with pytest.raises(ValueError, match=r"predictor\(s\) \['x2'\] for target 'x1' are not complete yet"):
+            impute(data, parse_edit_rules(THREE_VAR_RULES), None, config)
+
+    @pytest.mark.parametrize("method", ["upma", "bpma"])
+    def test_log_scale_checks_still_fire_on_a_point_target(self, method):
+        data, edits, totals = balance_points_data(np.random.default_rng(36))
+        values = data.values.copy()
+        values[20, 1], values[20, 2] = 0.0, values[20, 0]  # an observed zero
+        zero = DataMatrix(values, data.mask, data.columns, data.weights)
+        with pytest.raises(ValueError, match="log-scale imputation requires strictly positive data"):
+            impute(zero, edits, totals, ImputationConfig(method, log_scale=True))
+        if method == "bpma":
+            observed = float(data.weights[12:] @ data.values[12:, 0])
+            with pytest.raises(InfeasibleSystemError, match=r"variable 'x1': the missing cells must sum to -1\.0"):
+                impute(data, edits, {"x1": observed - 1.0}, ImputationConfig(method, log_scale=True))
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_fully_missing_forced_column_imputes(self, method):
+        # t = a + b with every t missing: no observed row to fit on, and no
+        # fit needed.
+        rng = np.random.default_rng(37)
+        a, b = rng.uniform(1.0, 9.0, size=20), rng.uniform(1.0, 9.0, size=20)
+        w = rng.uniform(0.5, 2.0, size=20)
+        truth = np.column_stack([a, b, a + b])
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[:, 2] = True
+        data = make_data(truth, mask, ("a", "b", "t"), w)
+        edits = parse_edit_rules("t = a + b\na >= 0\nb >= 0\n")
+        totals = {"t": float(w @ (a + b))}
+        out, diagnostics = impute(data, edits, totals, ImputationConfig(method, seed=1))
+        assert not violation_matrix(edits, out.values, out.columns).any()
+        assert float(w @ out.values[:, 2]) == pytest.approx(totals["t"], rel=1e-8)
+        assert out.values[:, 2].tolist() == (a + b).tolist()
+        assert [row["adjustment"] for row in diagnostics] == [{"skipped": "all points"}] * 2
