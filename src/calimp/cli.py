@@ -219,10 +219,9 @@ def _cmd_evaluate(args) -> int:
             )
     report = metrics.MetricReport(per_variable=per_variable, correlations=correlations)
 
-    lines = ["variable,metric,value"]
-    for var, metric, value in report.rows():
-        lines.append(f"{var},{metric},{repr(float(value))}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    # A correlation's variable is the pair "a,b", which the CSV writer quotes.
+    rows = ([var, metric, repr(float(value))] for var, metric, value in report.rows())
+    cio._write_csv(args.out, ["variable", "metric", "value"], rows)
     return EXIT_OK
 
 

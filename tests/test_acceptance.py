@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from calimp.adjust import AdjustmentProblem, zero_sum_interval_adjust
+from calimp.adjust import zero_sum_interval_adjust
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import InfeasibleSystemError
 from calimp.fm import Interval, admissible_interval, back_substitute
@@ -19,7 +19,6 @@ from calimp.pipeline import DataMatrix, ImputationConfig, impute
 from calimp.regression import fit_benchmarked, fit_ols
 from calimp.residuals import draw_ar_residual
 from calimp.sim import StudyConfig, run_study
-from calimp import io as cio
 from calimp.cli import main as cli_main
 
 from _oracles import GridOracle, qp_reference_solve, random_imputation_instance, random_inequality_system

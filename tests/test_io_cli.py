@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -181,15 +182,20 @@ def small_files(tmp_path, rng):
     (tmp_path / "rules.edits").write_text(EDITS)
 
 
+def checkout_env(**extra):
+    """This process's environment with ``extra`` set and the calimp under
+    test first on PYTHONPATH, for a fresh ``sys.executable``."""
+    src = str(Path(calimp.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 def loaded_on_import(package):
     """The modules under the dotted name ``package`` that ``import calimp,
     calimp.cli`` loads, printed by a fresh interpreter, as this one may
     have loaded them for other tests."""
-    src = str(Path(calimp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     parts = package.split(".")
     probe = f"import sys, calimp, calimp.cli; print([m for m in sys.modules if m.split('.')[:{len(parts)}] == {parts!r}])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=checkout_env(), capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
@@ -246,9 +252,13 @@ class TestCli:
             "--out", str(tmp_path / "report.csv"),
         ])
         assert code == 0
-        report = (tmp_path / "report.csv").read_text()
-        assert "x1,d_l1," in report
-        assert "correlation" in report
+        # A correlation's variable is a pair of columns, quoted as one field.
+        with open(tmp_path / "report.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["variable", "metric", "value"]
+        assert {len(row) for row in rows} == {3}
+        assert ["x1", "d_l1"] in [row[:2] for row in rows]
+        assert ["x1,x2", "correlation"] in [row[:2] for row in rows]
 
     def test_evaluate_files_with_different_weights_exit_2(self, tmp_path, capsys):
         # d_l1 and the correlations share one weight vector, so a truth file
@@ -285,10 +295,8 @@ class TestCli:
             "--mask", str(tmp_path / "m5.csv"), "--out", str(tmp_path / "report.csv"),
         ])
         assert code == 0
-        rows = dict(
-            (tuple(fields[:2]), fields[2])
-            for fields in (line.rsplit(",", 2) for line in (tmp_path / "report.csv").read_text().splitlines()[1:])
-        )
+        with open(tmp_path / "report.csv", newline="") as handle:
+            rows = {(var, metric): value for var, metric, value in list(csv.reader(handle))[1:]}
         undefined = [("x5", "std_pct_diff")] + [(f"{a},{b}", "correlation") for a, b in (
             ("x1", "x4"), ("x1", "x5"), ("x2", "x4"), ("x2", "x5"), ("x3", "x4"), ("x3", "x5"), ("x4", "x5"))]
         assert sorted(key for key, value in rows.items() if value == "nan") == sorted(undefined)
@@ -384,7 +392,7 @@ class TestCli:
         ])
         assert code == 2
 
-    def test_infeasible_exit_code(self, tmp_path):
+    def test_infeasible_exit_code(self, tmp_path, capsys):
         # Observed record violating the edits: detected up front.
         (tmp_path / "rules.edits").write_text(EDITS)
         bad = tmp_path / "bad.csv"
@@ -395,6 +403,19 @@ class TestCli:
             "--method", "upma", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+        # bpma names the edit that the first fully observed record breaks,
+        # x1 + x2 = x3 (edit 0), before it imputes.
+        small_files(tmp_path, np.random.default_rng(4))
+        data = cio.read_dataset(tmp_path / "data.csv")
+        data.values[np.flatnonzero(~data.mask.any(axis=1))[0], 2] += 1.0
+        cio.write_dataset(data, bad, missing_from_mask=True)
+        capsys.readouterr()
+        code = main([
+            "impute", "--data", str(bad), "--edits", str(tmp_path / "rules.edits"),
+            "--totals", str(tmp_path / "totals.txt"), "--method", "bpma", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 3
+        assert "violates edit 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [[], ["--log-scale"]])
     def test_unreachable_total_exit_code(self, tmp_path, capsys, scale):
