@@ -575,17 +575,16 @@ class CompiledInterval:
         substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
         return slices[::-1], substitutions[::-1], self.unknown.index(self.target)
 
-    def complete(
-        self, value: float, y: Sequence[float], current: Sequence[float], scale: Callable[[], float]
-    ) -> list[float]:
+    def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
         """:func:`back_substitute` of one record with the target at
         ``value`` and the rule that keeps each variable's ``current`` value,
         clamped into its slice.  ``current`` and the result list the
         unknowns in :attr:`unknown` order, and ``y`` holds the record's
         ``slice_comb`` rows, then its ``substitution_comb`` rows, applied to
-        its reduced constants.  A slice whose bounds cross snaps on the
-        record's margin scale, which ``scale()`` returns; it is called only
-        then.  Unknowns no edit constrains keep their current value."""
+        its reduced constants.  A slice whose bounds cross takes their
+        midpoint, whatever the width, and nothing here judges feasibility:
+        the caller checks the completed record against its edits.  Unknowns
+        no edit constrains keep their current value."""
         slices, substitutions, target = self._layout
         values = list(current)
         values[target] = value
@@ -602,7 +601,7 @@ class CompiledInterval:
                 elif bound < upper:
                     upper = bound
             if lower > upper:
-                lower, upper = snap(lower, upper, scale())
+                lower = upper = 0.5 * (lower + upper)
             values[var] = min(max(current[var], lower), upper)
         for var, expr, at in substitutions:
             acc = y[at]

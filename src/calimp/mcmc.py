@@ -7,11 +7,13 @@ total, the requirement that the pair's imputed values keep their current
 weighted sum.  One cell is re-drawn from a truncated posterior predictive
 distribution inside its admissible interval, and the remaining unknowns
 are repaired through the equality structure (keeping their current values
-wherever the constraints leave slack).  Edits and totals therefore hold
-after every step, and the totals' values enter none.  The
-derivation is compiled once per pair shape (:class:`PairSystems`) into
-sparse rows, so a step only evaluates the rows it reads on the pair's
-constants.
+wherever the constraints leave slack).  A step checks feasibility once,
+when it completes: both completed records against their edits, on
+``violation_matrix``'s margin, and the pair's sums; a completion that
+fails leaves the pair as it was.  Edits and totals therefore hold after
+every step, and the totals' values enter none.  The derivation is
+compiled once per pair shape (:class:`PairSystems`) into sparse rows, so
+a step only evaluates the rows it reads on the pair's constants.
 
 Most steps cannot move, and the target or the key alone says which.  A
 target that the equality edits fix once its predictors are known
@@ -150,7 +152,7 @@ def pair_constraint_system(
     equality for a variable imputed in both records, and a pin at its
     current value for one imputed in exactly one.  The system's scale is
     the pair's margin scale, the larger of the two current rows'
-    :func:`calimp.edits.record_scale`, as :meth:`PairStep.scale` takes it.
+    :func:`calimp.edits.record_scale`.
     """
     cells: dict[str, tuple[int, int]] = {}
     out: list[Edit] = []
@@ -206,17 +208,15 @@ def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
 
 class _KeySystem(NamedTuple):
     """A key's compiled pair system as plain-Python sparse rows over the
-    step vector ``z`` (see :class:`PairStep`).  ``pinned`` is
-    ``compiled.pinned``: the key's equalities fix the target, so a step on
-    it is the identity (see :func:`mcmc_refine`).  ``bounds`` holds each
-    bound row's terms and target coefficient; ``completion`` the terms of
-    the slice rows, then of the substitution constants, that only
-    :meth:`PairStep.complete` reads.  ``unknowns`` holds the record (0 for
-    s, 1 for t) and column of each of ``compiled.unknown``.  On a pinned
-    key both row lists are empty."""
+    step vector ``z`` (see :class:`PairStep`).  Where ``compiled.pinned``,
+    the key's equalities fix the target, so a step on it is the identity
+    (see :func:`mcmc_refine`).  ``bounds`` holds each bound row's terms and
+    target coefficient; ``completion`` the terms of the slice rows, then of
+    the substitution constants, that only :meth:`PairStep.complete` reads.
+    ``unknowns`` holds the record (0 for s, 1 for t) and column of each of
+    ``compiled.unknown``."""
 
     compiled: fm.CompiledInterval
-    pinned: bool
     bounds: list[tuple[list[tuple[int, float]], float]]
     completion: list[list[tuple[int, float]]]
     unknowns: tuple[tuple[int, int], ...]
@@ -269,11 +269,9 @@ class PairSystems:
         self.compiled = 0
         self.hits = 0
 
-    def _compile(self, j: int, coupled: int, free_s: int, free_t: int, skip_pinned: bool = True) -> _KeySystem:
+    def _compile(self, j: int, coupled: int, free_s: int, free_t: int) -> _KeySystem:
         """The system of the key (``j``, ``coupled``, ``free_s``,
-        ``free_t``).  A key that pins the target gets no bound or completion
-        rows unless ``skip_pinned`` is false: the chain skips its steps (see
-        :func:`mcmc_refine`)."""
+        ``free_t``)."""
         A = self.A
         K, p = A.shape
         is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
@@ -287,8 +285,6 @@ class PairSystems:
         unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
         compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
         unknowns = tuple(divmod(labels.index(v), p) for v in compiled.unknown)
-        if compiled.pinned and skip_pinned:
-            return _KeySystem(compiled, True, [], [], unknowns)
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
         in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
@@ -300,7 +296,6 @@ class PairSystems:
         M[K:, 3 * p + 1] = self.b
         return _KeySystem(
             compiled,
-            compiled.pinned,
             list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
             _terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
             unknowns,
@@ -324,22 +319,25 @@ class PairStep:
     """One step's pair system: the target's interval, computed on
     construction, and :meth:`complete`.  ``system`` is the key's
     (:meth:`PairSystems.system`) and ``rows[s]`` and ``rows[t]`` the
-    records' current rows (lists, only read); construction raises
-    :class:`InfeasibleSystemError` where the bounds cross by more than
-    :func:`fm.snap` allows on the pair's :meth:`scale`.
+    records' current rows (lists, only read).
 
     The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
     R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with R
     the coupled columns' shares: the pair's current weighted sums, which
     the step conserves.  The interval evaluates only the bound rows; the
-    completion rows, the completed rows and the pair's margin scale wait
-    until something reads them.
+    completion rows and the completed rows wait until :meth:`complete`
+    reads them.
 
-    The step checks feasibility once, in :meth:`complete`, on
-    ``violation_matrix``'s margin.  The chain validates its state before
-    the first step and keeps every step's completion only if it passes
-    that check, so a derived row without variables could fail only by
-    rounding; the key is compiled with such rows, and the step reads none."""
+    The step checks feasibility once, when it completes, on
+    ``violation_matrix``'s margin, and nowhere else.  Bounds that cross,
+    of the interval or of a slice, meet at their midpoint whatever the
+    width: the current rows meet each edit only to that margin, and a
+    derived bound sums several edits, so the current values may miss it
+    by more.  A crossing that no completion can take fails the completion
+    check.  The chain validates its state before the first step and keeps
+    every step's completion only if it passes that check, so a derived
+    row without variables could fail only by rounding; the key is compiled
+    with such rows, and the step reads none."""
 
     def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]], s: int, t: int):
         row_s, row_t = rows[s], rows[t]
@@ -349,7 +347,6 @@ class PairStep:
         self.old = (row_s, row_t)
         self.patterns = (ps, pt)
         self.ratio = ratio = w_t / w_s
-        self._scale = None
         p = len(row_s)
         self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
         self.shares = shares = {}
@@ -366,42 +363,24 @@ class PairStep:
             elif bound < upper:
                 upper = bound
         if lower > upper:
-            lower, upper = fm.snap(lower, upper, self.scale())
+            lower = upper = 0.5 * (lower + upper)
         self.interval = fm.Interval(lower, upper)
-
-    def scale(self) -> float:
-        """The pair's margin scale: the larger of the two current rows'
-        :func:`calimp.edits.record_scale`, in plain Python.  The edits hold
-        to :data:`DEFAULT_TOL` times it, so crossed bounds snap on it."""
-        if self._scale is None:
-            referenced = self.systems.referenced
-            row_s, row_t = self.old
-            self._scale = max(1.0, *map(abs, referenced(row_s)), *map(abs, referenced(row_t)))
-        return self._scale
-
-    def admits(self, x: float) -> bool:
-        """Whether the interval holds ``x``, a current value of the target,
-        to :data:`DEFAULT_TOL` times the pair's :meth:`scale`: the edits
-        hold only to that, so a cell pinned by large constants may miss its
-        point by that much."""
-        lower, upper = self.interval.lower, self.interval.upper
-        if lower <= x <= upper:
-            return True
-        slack = DEFAULT_TOL * self.scale()
-        return lower - slack <= x <= upper + slack
 
     def complete(self, value: float) -> tuple[list[float], list[float]]:
         """Both records' rows once the target holds ``value``: the other
         unknowns keep their current values clamped into their slices (in
         reverse elimination order), the rest follow through the equalities,
         the coupled partners through their shares.  A completion that
-        misses an edit of either record or a share by more than
-        :data:`DEFAULT_TOL` raises :class:`InfeasibleSystemError`."""
+        misses an edit of either record by more than :data:`DEFAULT_TOL`
+        times that record's largest magnitude over the referenced columns
+        (``violation_matrix``'s margin, in plain Python), or a share by more
+        than the larger of the two, raises :class:`InfeasibleSystemError`.
+        This is the step's only feasibility check."""
         system, ratio, z = self.system, self.ratio, self.z
         row_s, row_t = self.old
         p = len(row_s)
         current = [z[role * p + c] for role, c in system.unknowns]
-        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current, self.scale)
+        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current)
         new_s, new_t = list(row_s), list(row_t)
         for (role, c), v, old in zip(system.unknowns, solved, current):
             if role == 0:
@@ -605,13 +584,14 @@ def mcmc_refine(
     revalidated at every checkpoint.
 
     A step on a structural target (:func:`structural_targets`) or on a key
-    that pins the target (:attr:`_KeySystem.pinned`) is the identity
+    that pins the target (``fm.CompiledInterval.pinned``) is the identity
     whatever the state, so it counts as accepted and ``pinned`` and does
     nothing else; skipping it leaves the chain's kernel unchanged.  A
     structural target has no posterior statistics, and its checkpoint
-    ``exact_fit`` is true.  Every other step draws and completes, or, where
-    its system turns out infeasible, keeps the current values and counts
-    as a fallback.
+    ``exact_fit`` is true.  Every other step draws inside its interval and
+    completes, or, where the completion fails :meth:`PairStep.complete`'s
+    check, keeps the current values and counts as a fallback.  The current
+    value need not lie in the interval (see :class:`PairStep`).
     """
     if config is None:
         config = McmcConfig()
@@ -664,7 +644,7 @@ def mcmc_refine(
 
     for iteration in range(1, iterations + 1):
         s, t, j = select_pair(index, rng)
-        if j in structural or (system := systems.system(s, t, j)).pinned:
+        if j in structural or (system := systems.system(s, t, j)).compiled.pinned:
             # The equalities fix the target given its predictors (its
             # posterior is a point at the current value) or the key's do (its
             # interval is a point the feasible current value meets, and a
@@ -675,18 +655,11 @@ def mcmc_refine(
         else:
             try:
                 pair = PairStep(systems, system, rows, s, t)
-                interval = pair.interval
                 row_s = rows[s]
                 current = row_s[j]
-                if not pair.admits(current):
-                    raise CalimpError(
-                        f"step {iteration}: current value {current!r} of record {s}, "
-                        f"variable {columns[j]!r} fell outside its admissible interval "
-                        f"[{interval.lower}, {interval.upper}]"
-                    )
                 factor = gram_factor(stats.block(j), columns[j])
                 model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
-                new_rows = pair.complete(draw_truncated_posterior(model, interval, rng))
+                new_rows = pair.complete(draw_truncated_posterior(model, pair.interval, rng))
             except InfeasibleSystemError:
                 # The current point is always feasible, so the step can keep it.
                 counts[j]["fallbacks"] += 1

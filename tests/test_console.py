@@ -2,8 +2,10 @@
 interpreter's hash seed.
 
 One module fixture writes the inputs: a study run and its weighted copy,
-survey files, two survey files with a record on validate's margin, and
-chain inputs on survey records near 1e10.  It then starts one fresh interpreter per hash seed, with
+survey files, two survey files with a record on validate's margin, chain
+inputs on survey records near 1e10, blank cells whose calibrated
+predictions must sum to 0, and a chain from a record on validate's
+margin.  It then starts one fresh interpreter per hash seed, with
 RuntimeWarnings as errors, which runs ``calimp.cli.main`` on every case in
 turn.  Each case must end the same way under both hash seeds: exit code,
 stderr, output and diagnostics bytes.  The other tests read the diagnostics
@@ -19,9 +21,11 @@ import pytest
 
 from calimp import io as cio
 from calimp.cli import main
+from calimp.edits import format_edit_rules
 from calimp.pipeline import DataMatrix
 
 from test_io_cli import checkout_env
+from test_mcmc import chain_at_the_margin
 from test_pair_systems import (
     SURVEY_COLUMNS,
     SURVEY_RULES,
@@ -30,6 +34,7 @@ from test_pair_systems import (
     survey_near_zero_other,
     survey_truth,
 )
+from test_pipeline import zero_remainder_case
 
 HASH_SEEDS = ("1", "2")
 STUDY_RULES = "x1 + x2 = P\nx1 >= x2\nP >= 3*x2\nx1 >= 0\nx2 >= 0\nP >= 0\n"
@@ -61,6 +66,10 @@ CASES = {
     " --mask ../large-mask.csv --method mcmc --iterations 2000 --seed 5",
     "single-mcmc": f"--data ../survey-truth.csv {SURVEY} --mask ../survey-single-mask.csv"
     " --method mcmc --iterations 2000 --seed 5",
+    "zero-remainder": "--data ../zero-remainder.csv --edits ../zero-remainder.edits"
+    " --totals ../zero-remainder-totals.txt --method bpma",
+    "margin-mcmc": "--data ../margin.csv --edits ../margin.edits --totals ../margin-totals.txt"
+    " --mask ../margin-mask.csv --method mcmc --iterations 400 --seed 5",
 }
 EXIT_CODES = {"survey-upma": (0, 3), "survey-bpmr": (0, 3)}
 
@@ -128,6 +137,19 @@ def write_inputs(root):
     cio.write_dataset(DataMatrix(data.values, np.zeros_like(data.mask), data.columns), root / "large.csv")
     cio.write_mask(data.mask, data.columns, root / "large-mask.csv")
     cio.write_totals(totals, root / "large-totals.txt")
+
+    # Blank cells near 3e4 that must sum to 0, and a chain whose record 0
+    # breaks each of its edits by 0.9 of validate's margin; the chain runs
+    # on its default predictors, b and c.
+    data, edits, totals = zero_remainder_case(2)
+    cio.write_dataset(data, root / "zero-remainder.csv", missing_from_mask=True)
+    (root / "zero-remainder.edits").write_text(format_edit_rules(edits))
+    cio.write_totals(totals, root / "zero-remainder-totals.txt")
+    data, edits, totals, _ = chain_at_the_margin(2, 0.9)
+    cio.write_dataset(DataMatrix(data.values, np.zeros_like(data.mask), data.columns), root / "margin.csv")
+    cio.write_mask(data.mask, data.columns, root / "margin-mask.csv")
+    (root / "margin.edits").write_text(format_edit_rules(edits))
+    cio.write_totals(totals, root / "margin-totals.txt")
 
 
 def read(path):
@@ -212,3 +234,8 @@ def test_survey_chain_on_default_predictors_is_exact(corpus):
 def test_chain_without_a_pair_writes_one_note(corpus):
     rows = diagnostics(corpus, "single-mcmc")
     assert len(rows) == 1 and list(rows[0]) == ["note"], rows
+
+
+def test_chain_from_a_record_on_the_margin_takes_every_step(corpus):
+    last = diagnostics(corpus, "margin-mcmc")[-1]
+    assert (last["accepted"], last["fallbacks"]) == (400, 0), last

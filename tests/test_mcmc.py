@@ -29,24 +29,13 @@ from calimp.mcmc import (
     posterior_model,
     select_pair,
 )
-from calimp.pipeline import DataMatrix, ImputationConfig, impute
+from calimp.pipeline import DataMatrix, ImputationConfig, impute, validate
 
 from _oracles import lstsq_posterior_fit, lstsq_posterior_model
 
 seeds = st.integers(0, 2**32 - 1)
 
 FIVE_VAR_RULES = "x1 + x2 + x3 + x4 = x5\n" + "\n".join(f"x{j} >= 0" for j in range(1, 6))
-
-
-def with_rows(systems, system):
-    """``system`` with its bound and completion rows: a key that pins the
-    target is compiled without them, since the chain skips its steps, and
-    is compiled with them here so that a ``PairStep`` can evaluate it."""
-    if not system.pinned:
-        return system
-    assert system.bounds == system.completion == []
-    key = next(key for key, known in systems.systems.items() if known is system)
-    return systems._compile(*key, skip_pinned=False)
 
 
 def pair_example_data():
@@ -67,6 +56,36 @@ def pair_example_data():
     totals = {"x1": 10000.0, "x2": 12000.0, "x3": 8000.0, "x4": 32000.0, "x5": 62000.0}
     data = DataMatrix(values, mask, ("x1", "x2", "x3", "x4", "x5"))
     return data, parse_edit_rules(FIVE_VAR_RULES), totals
+
+
+def chain_at_the_margin(k, f):
+    """40 records over the chain ``x <= a <= a2 <= ... <= b`` of ``k``
+    inequalities, with ``x >= 0`` and a column ``c`` in no edit, drawn from
+    ``default_rng(0)``: b ~ U(1000, 2000), each lower column the one above
+    less U(0, 100), c ~ U(0, 1).  Record 0 breaks each inequality of the
+    chain by ``f`` times its margin m, 1e-9 times its largest value: its
+    top middle column is b + f m, each one below the one above plus f m.
+    Every column below b is imputed in every record, with its column sum
+    as its total.  validate accepts the input, but a bound derived from
+    the chain sums the breaks, so record 0 misses it by up to k f m.
+    Returns the data, the edits, the totals and predictors ``c`` for
+    each imputed column."""
+    rng = np.random.default_rng(0)
+    names = ["x", "a", *(f"a{i}" for i in range(2, k))]
+    columns = [rng.uniform(1000.0, 2000.0, 40)]
+    for _ in names:
+        columns.insert(0, columns[0] - rng.uniform(0.0, 100.0, 40))
+    values = np.column_stack([*columns, rng.uniform(0.0, 1.0, 40)])
+    margin = 1e-9 * np.abs(values[0, : k + 1]).max()
+    for i in range(k - 1, -1, -1):
+        values[0, i] = values[0, i + 1] + f * margin
+    names += ["b", "c"]
+    rules = [f"{upper} - {lower} >= 0" for lower, upper in zip(names[:k], names[1 : k + 1])]
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[:, :k] = True
+    totals = {name: float(values[:, j].sum()) for j, name in enumerate(names[:k])}
+    data = DataMatrix(values, mask, tuple(names))
+    return data, parse_edit_rules("\n".join([*rules, "x >= 0"])), totals, {name: ["c"] for name in names[:k]}
 
 
 def three_var_study_data(rng, r=400):
@@ -387,7 +406,7 @@ class TestPosteriorOracle:
         def counting_system(systems_, s, t, j):
             assert j not in structural  # a structural step looks no key up
             system = real_system(systems_, s, t, j)
-            checked["skipped"] += system.pinned
+            checked["skipped"] += system.compiled.pinned
             live.update(j=j)
             return system
 
@@ -828,8 +847,8 @@ class TestMcmcRefine:
                 window[0] = arg[2] == 1
                 structural[0] += arg[2] == 1
             elif event == "return" and frame.f_code is system_code:
-                window[0] = arg.pinned
-                skipped[0] += arg.pinned
+                window[0] = arg.compiled.pinned
+                skipped[0] += arg.compiled.pinned
             elif event == "call" and frame.f_code in closing:
                 window[0] = False
             elif window[0] and event == "call" and frame.f_code in watched:
@@ -988,13 +1007,28 @@ class TestMcmcRefine:
             got = float(out.weights @ out.values[:, out.column_index(name)])
             assert abs(got - total) <= 1e-12 * abs(total), (name, got, total)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("f", [0.55, 0.75, 0.9, 0.95])
+    def test_chain_from_a_record_on_the_margin_takes_every_step(self, k, f):
+        # Record 0 meets each edit of its chain to validate's margin, but
+        # its current x and a may lie outside their pair intervals by more
+        # than that margin.  A step judges feasibility only when it
+        # completes, so every step of every seed completes (no fallback),
+        # and each checkpoint validates the state.
+        data, edits, totals, predictors = chain_at_the_margin(k, f)
+        validate(data.values, data, edits, totals)
+        for seed in range(10):
+            _, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=400, seed=seed, predictors=predictors))
+            assert len(trace) == 20
+            assert (trace[-1]["accepted"], trace[-1]["fallbacks"]) == (400, 0), seed
+
     def test_point_interval_pinned_by_large_constants(self):
         # x2 ~ 0.3 is pinned by x1 and P ~ 3.4e3; the stored x2 meets the
         # balance edit to the validator's tolerance (1e-9 of the record's
         # largest value) but misses the point interval by 5e-8 absolute.
-        # The pair's interval still admits it, on the pair's margin, so the
-        # skip that the key's pin licenses keeps a valid state: every step is
-        # accepted and pinned, and the cells stay as they are.
+        # The pair's interval is a point that it meets on the pair's margin,
+        # so the skip that the key's pin licenses keeps a valid state: every
+        # step is accepted and pinned, and the cells stay as they are.
         edits = parse_edit_rules("x1 + x2 = P\nx1 >= x2\nP >= 3*x2\nx1 >= 0\nx2 >= 0\nP >= 0\n")
         x1 = np.array([3400.0, 3391.5, 2000.0, 2500.0])
         x2 = np.array([0.24, 0.31, 300.0, 400.0])
@@ -1006,9 +1040,10 @@ class TestMcmcRefine:
         systems = PairSystems(data, edits, None)
         for s, t in ((0, 1), (1, 0)):
             system = systems.system(s, t, 1)
-            assert system.pinned
-            step = PairStep(systems, with_rows(systems, system), values.tolist(), s, t)
-            assert step.interval.is_point() and step.admits(values[s, 1])
+            assert system.compiled.pinned
+            step = PairStep(systems, system, values.tolist(), s, t)
+            assert step.interval.is_point()
+            assert abs(step.interval.lower - values[s, 1]) <= DEFAULT_TOL * np.abs(values[[s, t]]).max()
             assert abs(step.interval.lower - values[s, 1]) > 1e-8
         out, trace = mcmc_refine(data, edits, None, McmcConfig(iterations=20, seed=0))
         entry = trace[-1]["per_variable"]["x2"]

@@ -24,7 +24,7 @@ from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairStep, PairSystems,
 from calimp.pipeline import DataMatrix
 
 from _oracles import coupled_pair_step, lstsq_posterior_fit, pair_step
-from test_mcmc import pair_example_data, with_rows
+from test_mcmc import pair_example_data
 
 RTOL = 1e-12
 
@@ -225,7 +225,7 @@ def check_step(state, edits, totals, s, t, var, interval, value, new):
 
 
 def pins_target(systems, key):
-    """The rank oracle of ``_KeySystem.pinned``: the target's unit vector
+    """The rank oracle of ``CompiledInterval.pinned``: the target's unit vector
     lies in the row space of the key's equality rows over its unknowns.
     s's equalities read its coupled and own columns; t's read its own
     columns and, negated, s's coupled ones, as the totals substitute them."""
@@ -268,11 +268,10 @@ def walk(data, edits, totals, rng, steps, oracles=True):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         rows = state.values[[s, t]]
-        system = with_rows(systems, systems.system(s, t, j))
+        system = systems.system(s, t, j)
         try:
             step = PairStep(systems, system, state.values.tolist(), s, t)
-            if system.pinned:
-                assert step.admits(rows[0, j])
+            if system.compiled.pinned:
                 assert_admits_point(step.interval, rows[0, j], scale_of(rows))
                 full = pair_step(state, edits, totals, s, t, var, rows[0, j])
                 assert full is not None
@@ -281,7 +280,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
             value = draw(rng, step.interval, rows[0, j], scale_of(rows))
             interval, new = step.interval, np.array(step.complete(value))
         except InfeasibleSystemError:
-            assert not system.pinned
+            assert not system.compiled.pinned
             interval, value, new = None, float(rows[0, j]), None
         if oracles:
             seen["free"] += not check_step(state, edits, totals, s, t, var, interval, value, new)
@@ -296,7 +295,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
             assert float(state.weights @ state.values[:, j]) == pytest.approx(totals[name], rel=1e-8)
     assert np.array_equal(state.values[~state.mask], data.values[~data.mask])
     for key, system in systems.systems.items():
-        assert system.pinned == pins_target(systems, key), key
+        assert system.compiled.pinned == pins_target(systems, key), key
     return seen, systems
 
 
@@ -361,8 +360,8 @@ def test_chain_steps_match_the_per_record_step(kind):
         return (live, edits, totals, s, t, data.columns[j])
 
     def check_completed():
-        # A PairStep built without an infeasible system goes on to complete
-        # (or falls back there): no step keeps its rows without drawing.
+        # Every PairStep goes on to complete (or falls back there): no step
+        # keeps its rows without drawing.
         assert "step" not in last or last["completed"]
         last.clear()
 
@@ -370,10 +369,9 @@ def test_chain_steps_match_the_per_record_step(kind):
         assert j not in structural
         system = real_system(systems, s, t, j)
         last.update(records=[s, t], j=j)
-        if system.pinned:
-            step = PairStep(systems, with_rows(systems, system), tracked.tolist(), s, t)
+        if system.compiled.pinned:
+            step = PairStep(systems, system, tracked.tolist(), s, t)
             current = tracked[s, j]
-            assert step.admits(current)
             assert_admits_point(step.interval, current, scale_of(tracked[[s, t]]))
             check_step(*step_args(s, t, j), step.interval, current, tracked[[s, t]])
             skipped.append(current)
@@ -381,15 +379,9 @@ def test_chain_steps_match_the_per_record_step(kind):
 
     class CheckedStep(PairStep):
         def __init__(self, systems, system, rows, s, t):
-            values = live_values(rows)
-            assert values.tobytes() == tracked.tobytes()
-            args = step_args(s, t, last["j"])
-            try:
-                super().__init__(systems, system, rows, s, t)
-            except InfeasibleSystemError:
-                check_step(*args, None, float(values[s, last["j"]]), None)
-                raise
-            last.update(step=self, args=args, completed=False)
+            assert live_values(rows).tobytes() == tracked.tobytes()
+            super().__init__(systems, system, rows, s, t)
+            last.update(step=self, args=step_args(s, t, last["j"]), completed=False)
 
         def complete(self, value):
             last["completed"] = True
@@ -421,22 +413,17 @@ def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():
     # With a total on every column, a survey key is the target and the
     # columns imputed in both records, the target among them: 8 x 2^7 =
     # 1,024 keys.  The compiled flag (the elimination's "only the target
-    # remains" branch) agrees with the rank oracle on each, and only the
-    # keys it leaves unpinned are compiled with rows.
+    # remains" branch) agrees with the rank oracle on each.
     truth, edits = survey_truth(np.random.default_rng(7), 20)
     data = DataMatrix(truth, np.ones(truth.shape, dtype=bool), SURVEY_COLUMNS)
     systems = PairSystems(data, edits, dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist())))
     p = len(SURVEY_COLUMNS)
     keys = [(j, coupled, 0, 0) for j in range(p) for coupled in range(1 << p) if coupled >> j & 1]
     compiled = [systems._compile(*key) for key in keys]
-    flags = [system.pinned for system in compiled]
+    flags = [system.compiled.pinned for system in compiled]
     assert len(keys) == 1024
     assert flags == [pins_target(systems, key) for key in keys]
     assert 0 < sum(flags) < len(keys)
-    # A pinned key carries no rows, since the chain skips its steps; every
-    # other key carries its bound rows.
-    for system in compiled:
-        assert (system.bounds == system.completion == []) == system.pinned
 
 
 def numpy_interval(state, edits, totals, s, t, compiled):
@@ -468,10 +455,12 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
     # Every key a seeded walk meets, on feasible steps and on steps with one
     # cell of the pair moved far off (most of those infeasible): the sparse
     # rows' interval is CompiledInterval.evaluate's on the same constants,
-    # to 1e-12 of the pair's magnitude.  Both snap crossed bounds on the
-    # pair's margin scale, so a crossing is a point for both or empty for
-    # both.  The step reads no check row (its completion is checked
-    # instead), so evaluate may also flag a step whose bounds do not cross.
+    # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
+    # the pair's margin scale and flags a wider crossing empty; the step
+    # meets any crossing at its midpoint and leaves the verdict to its
+    # completion, which refuses that point.  The step reads no check row
+    # (its completion is checked instead), so evaluate may also flag a step
+    # whose bounds do not cross.
     rng = np.random.default_rng(37)
     data, edits, totals = build(kind, rng, weighted)
     state = data.copy()
@@ -485,16 +474,16 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
         if perturbed:
             cell = (rng.choice([s, t]), rng.integers(len(live.columns)))
             live.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * scale
-        try:
-            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), live.values.tolist(), s, t)
-        except InfeasibleSystemError:
-            step = None
+        step = PairStep(systems, systems.system(s, t, j), live.values.tolist(), s, t)
         ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
         key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
         seen.add(key)
         lower, upper, bad = numpy_interval(live, edits, totals, s, t, systems.systems[key].compiled)
-        if step is None:
-            assert bad and lower > upper
+        if lower > upper:
+            assert bad and step.interval.is_point()
+            assert_close(step.interval.lower, 0.5 * (lower + upper), scale)
+            with pytest.raises(InfeasibleSystemError):
+                step.complete(step.interval.lower)
             infeasible += 1
             continue
         assert_close(step.interval.lower, lower, scale)
@@ -538,7 +527,7 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
     for _ in range(200):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
-        step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), state.values.tolist(), s, t)
+        step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), s, t)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
         full = pair_step(state, edits, totals, s, t, var, value)
@@ -582,8 +571,7 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
             cell = (rec, rng.choice(np.flatnonzero(moved.mask[rec])))
             moved.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * scale_of(data.values[[s, t]])
         try:
-            system = with_rows(systems, systems.system(s, t, j))
-            step = PairStep(systems, system, moved.values.tolist(), s, t)
+            step = PairStep(systems, systems.system(s, t, j), moved.values.tolist(), s, t)
             value = draw(rng, step.interval, moved.values[s, j], scale_of(moved.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
@@ -608,7 +596,7 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P")), parse_edit_rules(STUDY_RULES)
     totals = {"x2": float(values[:, 1].sum())}
     systems = PairSystems(data, edits, totals)
-    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 1)), values.tolist(), 0, 1)
+    step = PairStep(systems, systems.system(0, 1, 1), values.tolist(), 0, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
@@ -623,7 +611,7 @@ def test_worked_example_pair():
     data, edits, totals = pair_example_data()
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
-    step = PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
+    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
@@ -631,8 +619,8 @@ def test_worked_example_pair():
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
-    PairStep(systems, with_rows(systems, systems.system(1, 0, 3)), data.values.tolist(), 1, 0)
+    PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
+    PairStep(systems, systems.system(1, 0, 3), data.values.tolist(), 1, 0)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -646,8 +634,7 @@ def test_completion_margin_ignores_columns_no_edit_references():
     mask[:, 0] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
     systems = PairSystems(data, edits, {"x1": 120.0})
-    system = with_rows(systems, systems.system(0, 1, 0))
-    step = PairStep(systems, system, values.tolist(), 0, 1)
+    step = PairStep(systems, systems.system(0, 1, 0), values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -709,12 +696,16 @@ def test_default_predictors_follow_the_gram_factor_rule():
 
 
 def test_infeasible_worked_example():
-    # Moving 200 off t's x5 leaves the pair -20 of x5.
+    # Moving 200 off t's x5 leaves the pair -20 of x5: its bounds cross,
+    # so the step's interval is their midpoint, and the completion there
+    # misses an edit.
     data, edits, totals = pair_example_data()
     data.values[1, 4] -= 200.0
     systems = PairSystems(data, edits, totals)
+    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
+    assert step.interval.is_point()
     with pytest.raises(InfeasibleSystemError):
-        PairStep(systems, with_rows(systems, systems.system(0, 1, 4)), data.values.tolist(), 0, 1)
+        step.complete(step.interval.lower)
     assert pair_step(data, edits, totals, 0, 1, "x5", 50.0) is None
 
 

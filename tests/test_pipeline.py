@@ -210,6 +210,23 @@ class TestImputeBasics:
         assert not violation_matrix(edits, out.values, out.columns).any()
 
 
+def zero_remainder_case(seed):
+    """5,000 records of a mixed-sign ``y = 3x + noise``, x ~ N(0, 1e4),
+    with ``y`` blank where a uniform falls below 0.6 and its total the sum
+    of the observed ``y``: the blank cells must sum to 0, while each is of
+    the order of 3e4.  One edit, ``y + 1e9 >= 0``, that no cell comes near.
+    Returns the data, the edits and the totals."""
+    rng = np.random.default_rng(seed)
+    n = 5_000
+    x = rng.normal(0.0, 1e4, n)
+    y = 3 * x + rng.normal(0.0, 10.0, n)
+    mask = np.zeros((n, 2), dtype=bool)
+    mask[:, 0] = rng.random(n) < 0.6
+    totals = {"y": float(y[~mask[:, 0]].sum())}
+    values = np.column_stack([np.where(mask[:, 0], np.nan, y), x])
+    return DataMatrix(values, mask, ("y", "x")), parse_edit_rules("y + 1e9 >= 0"), totals
+
+
 def study_like_masked(rng, r=120):
     """Three-variable data with x1 and x2 missing in some records, and the
     true totals of both."""
@@ -308,6 +325,18 @@ class TestBenchmarkedMethods:
                 assert set(row["adjustment"]) == {"max_abs", "weighted_sum"} | solver_keys
             else:
                 assert set(row["residuals"]) == {"attempts", "fallbacks"} | solver_keys
+
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    def test_blank_cells_that_must_sum_to_zero_calibrate(self, method):
+        # The calibrated predictions of the blank cells sum to their
+        # remainder, 0, only up to the rounding of terms near 3e4 each,
+        # about 1e-9.  The column total is checked once, by validate, on
+        # the total's scale: every seed completes and passes it.
+        for seed in range(20):
+            data, edits, totals = zero_remainder_case(seed)
+            out, _ = impute(data, edits, totals, ImputationConfig(method, seed=0))
+            pipeline.validate(out.values, out, edits, totals)
+            assert np.array_equal(out.values[~data.mask], data.values[~data.mask])
 
     def test_bpma_deterministic_and_bpmr_seeded(self):
         edits = parse_edit_rules(THREE_VAR_RULES)

@@ -28,8 +28,7 @@ from calimp.mcmc import (
 )
 
 from _oracles import random_imputation_instance
-from test_mcmc import with_rows
-from test_pair_systems import FIVE_COLUMNS, STUDY_RULES, SURVEY_COLUMNS, build, loose_predictors
+from test_pair_systems import FIVE_COLUMNS, STUDY_RULES, SURVEY_COLUMNS, build, loose_predictors, scale_of
 
 STUDY_PREDICTORS = {"x1": ["P"], "x2": ["P", "x1"]}
 
@@ -143,8 +142,9 @@ def test_a_full_step_on_a_structural_target_draws_nothing_and_holds(kind):
             generator = np.random.default_rng(k)
             before = generator.bit_generator.state
             cols = [columns.index(c) for c in predictors[columns[j]]] + [j]
-            step = PairStep(systems, with_rows(systems, systems.system(s, t, j)), rows, s, t)
-            assert step.admits(values[s, j])
+            step = PairStep(systems, systems.system(s, t, j), rows, s, t)
+            margin = DEFAULT_TOL * scale_of(values[[s, t]])
+            assert step.interval.lower - margin <= values[s, j] <= step.interval.upper + margin
             factor = gram_factor(gram_matrix(values, cols).tolist(), columns[j])
             assert factor[2] == 0.0
             model = posterior_model(factor, rows[s], cols[:-1], len(values), generator)
