@@ -57,7 +57,15 @@ def _build_parser() -> _Parser:
     p_imp.add_argument("--method", required=True, choices=["upma", "bpma", "bpmr", "mcmc"])
     p_imp.add_argument("--seed", type=int, default=0)
     p_imp.add_argument("--rounds", type=int, help="imputation rounds (default 2)")
-    p_imp.add_argument("--iterations", type=int, help="chain length for --method mcmc")
+    p_imp.add_argument(
+        "--iterations", type=int,
+        help="chain length for --method mcmc, in pair updates (default 20 per imputed cell); "
+        "a sweep of column j makes n_j // 2 of them, n_j its imputed cells",
+    )
+    p_imp.add_argument(
+        "--predictors", metavar="FILE",
+        help="chain predictors for --method mcmc, one 'target: a, b' line per target",
+    )
     p_imp.add_argument("--mask", help="imputed-cell mask of an already consistent dataset (mcmc)")
     p_imp.add_argument("--log-scale", action="store_true", help="fit on log scale (upma/bpma)")
     p_imp.add_argument("--out", required=True)
@@ -123,12 +131,13 @@ def _cmd_impute(args) -> int:
         raise _UsageError(f"--method {args.method} requires --totals")
     if args.log_scale and args.method in ("bpmr", "mcmc"):
         raise _UsageError("--log-scale supports upma and bpma only")
-    for option, value in (("--iterations", args.iterations), ("--mask", args.mask)):
+    for option, value in (("--iterations", args.iterations), ("--mask", args.mask), ("--predictors", args.predictors)):
         if value is not None and args.method != "mcmc":
             raise _UsageError(f"{option} applies to --method mcmc only")
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
     if args.method == "mcmc":
-        config = McmcConfig(iterations=args.iterations, seed=args.seed)
+        predictors = cio.read_predictors(args.predictors) if args.predictors else None
+        config = McmcConfig(iterations=args.iterations, seed=args.seed, predictors=predictors)
     else:
         config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     data = cio.read_dataset(args.data)

@@ -563,9 +563,6 @@ class CompiledInterval:
             witness=(support(self.bound_comb[lo_row]), support(self.bound_comb[hi_row])),
         )
 
-    # One record at a time, in plain Python: for a single record numpy's
-    # call overhead exceeds the arithmetic of a system this small.
-
     @functools.cached_property
     def _layout(self):
         slices, at = [], 0
@@ -575,39 +572,41 @@ class CompiledInterval:
         substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
         return slices[::-1], substitutions[::-1], self.unknown.index(self.target)
 
-    def complete(self, value: float, y: Sequence[float], current: Sequence[float]) -> list[float]:
-        """:func:`back_substitute` of one record with the target at
-        ``value`` and the rule that keeps each variable's ``current`` value,
-        clamped into its slice.  ``current`` and the result list the
-        unknowns in :attr:`unknown` order, and ``y`` holds the record's
-        ``slice_comb`` rows, then its ``substitution_comb`` rows, applied to
-        its reduced constants.  A slice whose bounds cross takes their
-        midpoint, whatever the width, and nothing here judges feasibility:
-        the caller checks the completed record against its edits.  Unknowns
-        no edit constrains keep their current value."""
+    def complete(self, value: np.ndarray, y: np.ndarray, current: np.ndarray) -> np.ndarray:
+        """:func:`back_substitute` of many records at once, each with the
+        target at its ``value`` and the rule that keeps each variable's
+        ``current`` value, clamped into its slice.  Row i of ``current``
+        and of the result lists record i's unknowns in :attr:`unknown`
+        order, and row i of ``y`` holds its ``slice_comb`` rows, then its
+        ``substitution_comb`` rows, applied to its reduced constants.  A
+        slice whose bounds cross takes their midpoint, whatever the width,
+        and nothing here judges feasibility: the caller checks the
+        completed records against their edits.  Unknowns no edit
+        constrains keep their current value.  Each record's arithmetic is
+        that of a scalar loop over its terms, in term order."""
         slices, substitutions, target = self._layout
-        values = list(current)
-        values[target] = value
+        values = np.array(current, dtype=float)
+        values[:, target] = value
         for var, entries in slices:
-            lower, upper = NEG_INF, POS_INF
+            lower = np.full(len(values), NEG_INF)
+            upper = np.full(len(values), POS_INF)
             for at, c, others in entries:
-                rest = y[at]
+                rest = y[:, at].copy()
                 for v, cv in others:
-                    rest += cv * values[v]
-                bound = -rest / c
+                    rest += cv * values[:, v]
                 if c > 0:
-                    if bound > lower:
-                        lower = bound
-                elif bound < upper:
-                    upper = bound
-            if lower > upper:
-                lower = upper = 0.5 * (lower + upper)
-            values[var] = min(max(current[var], lower), upper)
+                    np.maximum(lower, -rest / c, out=lower)
+                else:
+                    np.minimum(upper, -rest / c, out=upper)
+            crossed = lower > upper
+            if crossed.any():
+                lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+            values[:, var] = np.minimum(np.maximum(current[:, var], lower), upper)
         for var, expr, at in substitutions:
-            acc = y[at]
+            acc = y[:, at].copy()
             for v, c in expr:
-                acc += c * values[v]
-            values[var] = acc
+                acc += c * values[:, v]
+            values[:, var] = acc
         return values
 
 

@@ -112,8 +112,12 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
     values = np.where(data.mask, math.nan, data.values) if missing_from_mask else data.values
     if with_weights:
         values = np.column_stack([values, data.weights])
-    header = list(data.columns) + ([WEIGHT_COLUMN] if with_weights else [])
-    _write_csv(path, header, (["NA" if math.isnan(v) else repr(float(v)) for v in row] for row in values))
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(list(data.columns) + ([WEIGHT_COLUMN] if with_weights else []))
+    # A float's repr needs no CSV quoting, and only NaN's contains "nan".
+    # Row by row, the floats of one row at a time exist as Python objects.
+    buf.writelines(",".join(map(repr, row.tolist())).replace("nan", "NA") + "\n" for row in values)
+    Path(path).write_text(buf.getvalue())
 
 
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
@@ -180,6 +184,31 @@ def read_totals(path: str | Path) -> dict[str, float]:
 def write_totals(totals: Mapping[str, float], path: str | Path) -> None:
     lines = [f"{name} = {repr(float(value))}" for name, value in totals.items()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def read_predictors(path: str | Path) -> dict[str, list[str]]:
+    """Chain predictors, one ``target: a, b`` line per target; comments
+    start with ``#``.  An empty list after the colon gives the target an
+    intercept-only model.  The names are checked against the data where
+    they are used (``pipeline.check_inputs``)."""
+    predictors: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise DataFormatError("expected 'target: predictor, ...'", line=lineno)
+        target, _, rest = line.partition(":")
+        target = target.strip()
+        if not target:
+            raise DataFormatError("missing target name", line=lineno)
+        if target in predictors:
+            raise DataFormatError(f"duplicate predictors for {target!r}", line=lineno)
+        names = [name.strip() for name in rest.split(",")] if rest.strip() else []
+        if not all(names):
+            raise DataFormatError(f"empty predictor name for {target!r}", line=lineno)
+        predictors[target] = names
+    return predictors
 
 
 def read_config(path: str | Path) -> dict[str, str]:

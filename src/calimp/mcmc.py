@@ -1,39 +1,46 @@
 """Pair-swap refinement of a fully imputed, fully consistent data set.
 
-Each step picks two records sharing an imputed variable, treats all their
-imputed cells as unknowns again, and takes the constraints those cells
-must satisfy: the records' reduced edits plus, per variable with a known
-total, the requirement that the pair's imputed values keep their current
-weighted sum.  One cell is re-drawn from a truncated posterior predictive
-distribution inside its admissible interval, and the remaining unknowns
-are repaired through the equality structure (keeping their current values
-wherever the constraints leave slack).  A step checks feasibility once,
-when it completes: both completed records against their edits, on
-``violation_matrix``'s margin, and the pair's sums; a completion that
-fails leaves the pair as it was.  Edits and totals therefore hold after
-every step, and the totals' values enter none.  The derivation is
-compiled once per pair shape (:class:`PairSystems`) into sparse rows, so
-a step only evaluates the rows it reads on the pair's constants.
+The chain runs in sweeps.  A sweep picks a column j with two or more
+imputed cells, with probability proportional to n_j (n_j - 1) over the
+columns' counts n_j of imputed cells, pairs j's imputed records at random
+into disjoint pairs (s, t), and draws j's regression model once from its
+posterior given the current data.  Each pair update treats all imputed
+cells of its two records as unknowns again, under the constraints those
+cells must satisfy: the records' reduced edits plus, per variable with a
+known total, the requirement that the pair's imputed values keep their
+current weighted sum.  Cell (s, j) is re-drawn from the model's
+predictive distribution truncated to its admissible interval, and the
+remaining unknowns are repaired through the equality structure (keeping
+their current values wherever the constraints leave slack).  A pair
+update checks feasibility once, when it completes: both completed records
+against their edits, on ``violation_matrix``'s margin, and the pair's
+sums; a completion that fails leaves that pair as it was.  Edits and
+totals therefore hold after every update, and the totals' values enter
+none.
 
-Most steps cannot move, and the target or the key alone says which.  A
+Given the model, the pairs of a sweep share no cell, and each conserves
+its own weighted sums, so no total couples them: their updates are
+conditionally independent, and the sweep computes them together.  The
+derivation is compiled once per pair shape (:class:`PairSystems`) into
+dense rows over a pair's step vector; a sweep evaluates each key's rows
+on the stacked step vectors of its pairs, draws every target with one
+call of :func:`calimp.residuals.truncated_normal`, and completes and
+checks the pairs as arrays.
+
+Most updates cannot move, and the target or the key alone says which.  A
 target that the equality edits fix once its predictors are known
-(:func:`structural_targets`) has a degenerate posterior, σ² = 0, and
-every step on it returns the current value up to rounding; a key whose
+(:func:`structural_targets`) has a degenerate posterior, σ² = 0, and every
+update on it returns the current value up to rounding; a key whose
 equalities fix the target (``fm.CompiledInterval.pinned``) gives it a
-point.  Either step is the identity whatever the state.  It is counted
-as accepted and ``pinned`` and does nothing else: a structural target's
-step does not even look its key up.  Every other step draws and
-completes.
+point.  Either update is the identity whatever the state.  It is counted
+as accepted and ``pinned`` and does nothing else: a structural column's
+sweep draws no pairs and looks no key up, and a sweep whose keys all pin
+the target draws no model.
 
-No step does work proportional to the record count: the pair comes from
-per-column index arrays built once, the records' rows are Python lists
-that checkpoints write back to the data, and each posterior is drawn from
-sufficient statistics: one augmented Gram matrix over the columns the
-models read, as nested lists, whose block a drawing step factors for its
-model.  A step that moves cells updates the matrix in plain Python for
-its two records; checkpoints rebuild it.  Between checkpoints a step
-makes no numpy call but the generator's draws (and a key's first
-compile).
+``iterations`` counts pair updates, skipped ones included, so a sweep of
+column j makes ``n_j // 2`` of them.  A sweep stops at the next
+checkpoint, whose ``iteration`` is therefore an exact multiple of
+``checkpoint_every`` (or the last update).
 """
 
 from __future__ import annotations
@@ -41,24 +48,29 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import fm, metrics
-from .edits import DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices
-from .errors import CalimpError, InfeasibleSystemError, InsufficientDataError
+from .edits import (
+    DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices, violated,
+)
+from .errors import CalimpError, InsufficientDataError
 from .pipeline import DataMatrix, Totals, check_inputs, check_integer, validate
 from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
-from .residuals import draw_ar_residual
+from .residuals import draw_ar_residual, generator_uniforms, truncated_normal
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    iterations: int | None = None  # default: 20 per imputed cell
-    checkpoint_every: int | None = None  # default: iterations // 20
+    # Pair updates, skipped ones included; a sweep of column j makes
+    # n_j // 2 of them.  Default: 20 per imputed cell.
+    iterations: int | None = None
+    # Pair updates between checkpoints; a sweep stops at each checkpoint.
+    # Default: iterations // 20.
+    checkpoint_every: int | None = None
     seed: int = 0
     # Default predictor set per variable: the fully observed columns (all
     # other columns when nothing is fully observed).  With balance edits,
@@ -92,7 +104,7 @@ class PosteriorModel(NamedTuple):
 @dataclass(frozen=True)
 class PairIndex:
     """The imputed rows of each column and the cumulative pair counts
-    ``n_j (n_j - 1)`` over the columns; the mask never changes in a chain."""
+    ``n_j (n_j - 1)`` over the columns, for :func:`select_pair`."""
 
     rows: tuple[list[int], ...]
     cumulative: tuple[int, ...]
@@ -108,8 +120,7 @@ class PairIndex:
 
 def _uniform_below(rng: np.random.Generator, n: int) -> int:
     """Exactly uniform integer in [0, n) from raw 64-bit draws, rejecting
-    the incomplete block at the top; about a fifth of the cost of one
-    scalar ``rng.integers`` draw."""
+    the incomplete block at the top."""
     limit = 2**64 - 2**64 % n
     while True:
         raw = rng.bit_generator.random_raw()
@@ -120,7 +131,7 @@ def _uniform_below(rng: np.random.Generator, n: int) -> int:
 def select_pair(index: PairIndex, rng: np.random.Generator) -> tuple[int, int, int]:
     """Two distinct records sharing an imputed column, and the column's
     position, uniform over all such (ordered pair, column) combinations,
-    in O(1).
+    in O(1): the one-pair step of the tests' step chain.
 
     One integer draw numbers all combinations column by column: its
     column j has probability ∝ n_j (n_j - 1), its number of ordered pairs,
@@ -193,38 +204,30 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _terms(W: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Each row of ``W`` as its nonzero (position, coefficient) pairs."""
-    return [[(i, a) for i, a in enumerate(row) if a] for row in W.tolist()]
-
-
-def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
-    """A sparse row's value at ``z``, summed in term order."""
-    acc = 0.0
-    for i, a in terms:
-        acc += a * z[i]
-    return acc
-
-
 class _KeySystem(NamedTuple):
-    """A key's compiled pair system as plain-Python sparse rows over the
-    step vector ``z`` (see :class:`PairStep`).  Where ``compiled.pinned``,
-    the key's equalities fix the target, so a step on it is the identity
-    (see :func:`mcmc_refine`).  ``bounds`` holds each bound row's terms and
-    target coefficient; ``completion`` the terms of the slice rows, then of
-    the substitution constants, that only :meth:`PairStep.complete` reads.
-    ``unknowns`` holds the record (0 for s, 1 for t) and column of each of
-    ``compiled.unknown``."""
+    """A key's compiled pair system as dense rows over the step vector
+    ``z`` (see :class:`PairSystems`).  Where ``compiled.pinned``, the key's
+    equalities fix the target, so an update on it is the identity (see
+    :func:`mcmc_refine`).  ``bound_rows`` maps ``z`` to the constants of
+    the bound rows (``compiled.bound_comb`` applied to the pair's edit
+    constants), and ``completion_rows`` to those of the slice rows, then
+    of the substitution constants, that only the completion reads.
+    ``unknowns`` holds the position in ``z`` of each of
+    ``compiled.unknown``: its column for one of record s, p plus its
+    column for one of record t.  ``in_s`` and ``in_t`` list the unknowns'
+    positions among ``unknowns`` and their columns, record by record."""
 
     compiled: fm.CompiledInterval
-    bounds: list[tuple[list[tuple[int, float]], float]]
-    completion: list[list[tuple[int, float]]]
-    unknowns: tuple[tuple[int, int], ...]
+    bound_rows: np.ndarray
+    completion_rows: np.ndarray
+    unknowns: np.ndarray
+    in_s: tuple[np.ndarray, np.ndarray]
+    in_t: tuple[np.ndarray, np.ndarray]
 
 
 class PairSystems:
     """The constraint systems of a chain's record pairs, compiled once per
-    key into sparse rows that a step evaluates in plain Python.
+    key into dense rows over a pair's step vector.
 
     The system is :func:`pair_constraint_system`'s, with the totals'
     equalities solved first.  A column imputed in both records that
@@ -239,32 +242,33 @@ class PairSystems:
     s's imputed columns without a total, t's imputed columns without a
     total).  A key's 2K x 2p coefficient matrix stacks s's edit rows, over
     columns 0..p-1, on t's, over columns p..2p-1 but with each coupled
-    column negated into s's.  ``compiled`` and ``hits`` count the steps
-    that compiled their key's system and those that found it.
+    column negated into s's.
+
+    Every row reads the pair's step vector ``z = [x_s, (w_t/w_s) x_t,
+    R/w_s, 1, w_t/w_s]``, with R the coupled columns' shares (0 in the
+    other columns): the pair's current weighted sums, which the update
+    conserves.  ``compiled`` and ``hits`` count the pair lookups that
+    compiled their key's system and those that found it.
     """
 
     def __init__(self, data: DataMatrix, edits: EditSystem, totals: Totals | None):
         self.columns = data.columns
         self.A, self.b, self.is_eq = system_matrices(edits, data.columns)
-        self.rows = [
-            (float(self.b[k]), [(int(c), float(self.A[k, c])) for c in np.flatnonzero(self.A[k])], bool(self.is_eq[k]))
-            for k in range(len(self.b))
-        ]
-        self.touches = [sum(1 << c for c, _ in terms) for _, terms, _ in self.rows]
-        # violation_matrix's margin scale: the columns some edit references
-        # (the first twice, so that one column still comes back as a tuple;
-        # with none, a 0).
-        referenced = np.flatnonzero(self.A.any(axis=0)).tolist()
-        self.referenced = operator.itemgetter(*referenced, *referenced[:1]) if referenced else lambda row: (0.0,)
+        # violation_matrix's margin scale reads the columns some edit references.
+        self.referenced = np.flatnonzero(self.A.any(axis=0))
+        self.has_total = np.array([name in (totals or {}) for name in data.columns], dtype=bool)
         self.with_total = sum(1 << j for j, name in enumerate(data.columns) if name in (totals or {}))
-        bit = [1 << j for j in range(len(data.columns))]
-        self.pattern = [sum(b for b, m in zip(bit, row) if m) for row in data.mask.tolist()]
-        # Per imputed pattern: the edits a completion is checked against,
-        # those that read one of its columns.
-        self.checked = {
-            mask: [row for row, touches in zip(self.rows, self.touches) if touches & mask] for mask in set(self.pattern)
-        }
-        self.weights = data.weights.tolist()
+        self.mask = data.mask
+        self.weights = data.weights
+        # Each record's imputed columns as a bit mask, through the id of its
+        # pattern among the distinct ones.
+        patterns, self.pattern_id = np.unique(data.mask, axis=0, return_inverse=True)
+        self.pattern_id = self.pattern_id.ravel()
+        self.pattern_bits = [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in patterns]
+        self.pattern = [self.pattern_bits[k] for k in self.pattern_id.tolist()]
+        # Per record: the edits a completion is checked against, those that
+        # read one of its imputed columns.
+        self.checked = data.mask @ (self.A != 0).T
         self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
         self.compiled = 0
         self.hits = 0
@@ -284,7 +288,6 @@ class PairSystems:
         labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
         unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
         compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
-        unknowns = tuple(divmod(labels.index(v), p) for v in compiled.unknown)
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
         in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
         in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
@@ -294,120 +297,174 @@ class PairSystems:
         M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
         M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
         M[K:, 3 * p + 1] = self.b
+        unknowns = np.array([labels.index(v) for v in compiled.unknown], dtype=np.intp)
+        of_t = unknowns >= p
         return _KeySystem(
             compiled,
-            list(zip(_terms(compiled.bound_comb @ M), compiled.bound_coef.tolist())),
-            _terms(np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M),
+            compiled.bound_comb @ M,
+            np.vstack([compiled.slice_comb, compiled.substitution_comb]) @ M,
             unknowns,
+            (np.flatnonzero(~of_t), unknowns[~of_t]),
+            (np.flatnonzero(of_t), unknowns[of_t] - p),
         )
 
-    def system(self, s: int, t: int, j: int) -> _KeySystem:
-        """The compiled system of records ``s`` and ``t`` re-drawing column
-        ``j`` of ``s``: its key's, compiled when the key is first met."""
-        ps, pt, with_total = self.pattern[s], self.pattern[t], self.with_total
-        key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
+    def _key(self, j: int, ps: int, pt: int) -> tuple[int, int, int, int]:
+        with_total = self.with_total
+        return (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
+
+    def _lookup(self, key: tuple[int, int, int, int], pairs: int) -> _KeySystem:
+        """The compiled system of ``key``, compiled when the key is first
+        met, for ``pairs`` pair lookups."""
         system = self.systems.get(key)
         if system is None:
             system = self.systems[key] = self._compile(*key)
             self.compiled += 1
-        else:
-            self.hits += 1
+            pairs -= 1
+        self.hits += pairs
         return system
 
+    def system(self, s: int, t: int, j: int) -> _KeySystem:
+        """The compiled system of records ``s`` and ``t`` re-drawing column
+        ``j`` of ``s``: its key's, compiled when the key is first met."""
+        return self._lookup(self._key(j, self.pattern[s], self.pattern[t]), 1)
 
-class PairStep:
-    """One step's pair system: the target's interval, computed on
-    construction, and :meth:`complete`.  ``system`` is the key's
-    (:meth:`PairSystems.system`) and ``rows[s]`` and ``rows[t]`` the
-    records' current rows (lists, only read).
+    def by_key(self, j: int, s: np.ndarray, t: np.ndarray) -> list[tuple[_KeySystem, np.ndarray, np.ndarray]]:
+        """The pairs ``(s[i], t[i])`` re-drawing column ``j``, grouped by
+        key: each key's system and its pairs' s and t, in their order.  A
+        key follows from the two records' pattern ids alone; each pair
+        counts as one lookup."""
+        count, bits = len(self.pattern_bits), self.pattern_bits
+        by_code: dict[int, list[int]] = {}
+        for i, code in enumerate((self.pattern_id[s] * count + self.pattern_id[t]).tolist()):
+            by_code.setdefault(code, []).append(i)
+        by_key: dict[tuple[int, int, int, int], list[int]] = {}
+        for code, at in by_code.items():
+            by_key.setdefault(self._key(j, bits[code // count], bits[code % count]), []).extend(at)
+        groups = []
+        for key, at in by_key.items():
+            at.sort()
+            groups.append((self._lookup(key, len(at)), s[at], t[at]))
+        return groups
 
-    The key's rows read the step vector ``z = [x_s, (w_t/w_s) x_t,
-    R/w_s, 1, w_t/w_s]`` of the two records' current rows ``old``, with R
-    the coupled columns' shares: the pair's current weighted sums, which
-    the step conserves.  The interval evaluates only the bound rows; the
-    completion rows and the completed rows wait until :meth:`complete`
-    reads them.
 
-    The step checks feasibility once, when it completes, on
-    ``violation_matrix``'s margin, and nowhere else.  Bounds that cross,
-    of the interval or of a slice, meet at their midpoint whatever the
-    width: the current rows meet each edit only to that margin, and a
-    derived bound sums several edits, so the current values may miss it
-    by more.  A crossing that no completion can take fails the completion
-    check.  The chain validates its state before the first step and keeps
-    every step's completion only if it passes that check, so a derived
-    row without variables could fail only by rounding; the key is compiled
-    with such rows, and the step reads none."""
+class PairUpdates(NamedTuple):
+    """A block of pair updates at one model: per pair (``s[i]``,
+    ``t[i]``), the target's interval, the value drawn in it, both
+    completed rows and whether they passed the completion check."""
 
-    def __init__(self, systems: PairSystems, system: _KeySystem, rows: Sequence[list[float]], s: int, t: int):
-        row_s, row_t = rows[s], rows[t]
-        ps, pt = systems.pattern[s], systems.pattern[t]
-        self.systems, self.system = systems, system
-        self.w_s, self.w_t = w_s, w_t = systems.weights[s], systems.weights[t]
-        self.old = (row_s, row_t)
-        self.patterns = (ps, pt)
-        self.ratio = ratio = w_t / w_s
-        p = len(row_s)
-        self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
-        self.shares = shares = {}
-        for c in _bits(ps & pt & systems.with_total):
-            shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
-            z[2 * p + c] = share / w_s
+    s: np.ndarray
+    t: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    value: np.ndarray
+    new_s: np.ndarray
+    new_t: np.ndarray
+    feasible: np.ndarray
 
-        lower, upper = -math.inf, math.inf
-        for terms, c in system.bounds:
-            bound = -_dot(terms, z) / c
-            if c > 0:
-                if bound > lower:
-                    lower = bound
-            elif bound < upper:
-                upper = bound
-        if lower > upper:
-            lower = upper = 0.5 * (lower + upper)
-        self.interval = fm.Interval(lower, upper)
 
-    def complete(self, value: float) -> tuple[list[float], list[float]]:
-        """Both records' rows once the target holds ``value``: the other
-        unknowns keep their current values clamped into their slices (in
-        reverse elimination order), the rest follow through the equalities,
-        the coupled partners through their shares.  A completion that
-        misses an edit of either record by more than :data:`DEFAULT_TOL`
-        times that record's largest magnitude over the referenced columns
-        (``violation_matrix``'s margin, in plain Python), or a share by more
-        than the larger of the two, raises :class:`InfeasibleSystemError`.
-        This is the step's only feasibility check."""
-        system, ratio, z = self.system, self.ratio, self.z
-        row_s, row_t = self.old
-        p = len(row_s)
-        current = [z[role * p + c] for role, c in system.unknowns]
-        solved = system.compiled.complete(value, [_dot(terms, z) for terms in system.completion], current)
-        new_s, new_t = list(row_s), list(row_t)
-        for (role, c), v, old in zip(system.unknowns, solved, current):
-            if role == 0:
-                new_s[c] = v
-            elif v != old:  # a kept value stays bit for bit
-                new_t[c] = v / ratio
-        for c, share in self.shares.items():
-            new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
-        # Each record's margin is that of violation_matrix: its largest magnitude
-        # over the referenced columns, observed cells included (they enter sums).
-        referenced = self.systems.referenced
-        margins = [DEFAULT_TOL * max(1.0, *map(abs, referenced(row))) for row in (new_s, new_t)]
-        ps, pt = self.patterns
-        checks = (self.systems.checked[ps], self.systems.checked[pt])
-        for rows, row, margin in zip(checks, (new_s, new_t), margins):
-            for b, terms, eq in rows:
-                r = b
-                for c, a in terms:
-                    r += a * row[c]
-                if abs(r) > margin if eq else r < -margin:
-                    raise InfeasibleSystemError(f"completed pair violates an edit (residual {r:.6g})")
-        margin = max(margins)
-        for c, share in self.shares.items():  # a one-record total column keeps its value
-            r = self.w_s * new_s[c] + self.w_t * new_t[c] - share
-            if abs(r) > margin:
-                raise InfeasibleSystemError(f"completed pair misses its pair sum (residual {r:.6g})")
-        return new_s, new_t
+def _bounds(system: _KeySystem, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The target's interval for the pairs of one key with step vectors
+    ``Z``; bounds that cross meet at their midpoint, whatever the width."""
+    coef = system.compiled.bound_coef
+    bounds = -(Z @ system.bound_rows.T) / coef
+    lower = np.max(bounds, axis=1, where=coef > 0, initial=-math.inf)
+    upper = np.min(bounds, axis=1, where=coef < 0, initial=math.inf)
+    crossed = lower > upper
+    if crossed.any():
+        lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+    return lower, upper
+
+
+def draw_targets(
+    mean: np.ndarray, variance: float, lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`draw_truncated_posterior` for many cells at one variance:
+    each cell's predictive draw, with mean ``mean[i]``, inside its interval
+    [``lower[i]``, ``upper[i]``]; with zero variance, the mean clamped into
+    it.  A point interval gives its point, and an interval that is a point
+    once shifted by the mean (narrow and far from it) the shifted point.
+    Every other cell draws with :func:`truncated_normal` at one uniform
+    from ``rng`` (:func:`generator_uniforms`), in order."""
+    if variance == 0.0:
+        return np.minimum(np.maximum(mean, lower), upper)
+    a, b = lower - mean, upper - mean
+    value = np.where(lower == upper, lower, mean + a)
+    draw = (lower != upper) & (a != b)
+    if draw.any():
+        uniforms = generator_uniforms(rng, int(np.count_nonzero(draw)))
+        value[draw] = mean[draw] + truncated_normal(math.sqrt(variance), a[draw], b[draw], uniforms)
+    return value
+
+
+def update_pairs(
+    systems: PairSystems,
+    values: np.ndarray,
+    groups: Sequence[tuple[_KeySystem, np.ndarray, np.ndarray]],
+    coefficients: Sequence[float],
+    variance: float,
+    predictors: Sequence[int],
+    rng: np.random.Generator,
+) -> PairUpdates:
+    """The updates of disjoint pairs re-drawing one column at ``values``,
+    at one drawn model of it: regression ``coefficients`` (intercept
+    first) on the columns ``predictors``, and ``variance``.  ``groups``
+    holds, per key whose system does not pin the target, the system and
+    its pairs' records s and t (:meth:`PairSystems.by_key`); the result
+    lists the pairs group by group.  ``values`` is only read.
+
+    Per key, the bound rows are evaluated on the pairs' stacked step
+    vectors; every target is drawn by :func:`draw_targets`; each key's
+    pairs are completed by the array form of
+    ``fm.CompiledInterval.complete``.  An update checks feasibility once,
+    when it completes, on ``violation_matrix``'s margin and nowhere else:
+    each completed record against the edits that read one of its imputed
+    columns, to ``DEFAULT_TOL`` times its largest magnitude over the
+    referenced columns (observed cells included), and each coupled
+    column's pair sum to the larger of the two margins.  A current row
+    meets each edit only to that margin, and a derived bound sums several
+    edits, so a current value may lie outside its interval by more; a
+    crossing that no completion can take fails the check."""
+    s = np.concatenate([gs for _, gs, _ in groups])
+    t = np.concatenate([gt for _, _, gt in groups])
+    w_s, w_t = systems.weights[s, None], systems.weights[t, None]
+    x_s, x_t = values[s], values[t]
+    ratio = w_t / w_s
+    coupled = systems.mask[s] & systems.mask[t] & systems.has_total
+    shares = np.where(coupled, w_s * x_s + w_t * x_t, 0.0)
+    Z = np.hstack([x_s, ratio * x_t, shares / w_s, np.ones_like(ratio), ratio])
+
+    spans, start = [], 0
+    for system, gs, _ in groups:
+        spans.append((system, slice(start, start + len(gs))))
+        start += len(gs)
+    lower, upper = np.empty(len(s)), np.empty(len(s))
+    for system, rows in spans:
+        lower[rows], upper[rows] = _bounds(system, Z[rows])
+    mean = np.full(len(s), float(coefficients[0]))
+    for c, beta in zip(predictors, coefficients[1:]):
+        mean += x_s[:, c] * beta
+    value = draw_targets(mean, variance, lower, upper, rng)
+
+    new_s, new_t = x_s.copy(), x_t.copy()
+    for system, rows in spans:
+        z = Z[rows]
+        current = z[:, system.unknowns]
+        solved = system.compiled.complete(value[rows], z @ system.completion_rows.T, current)
+        (at_s, cols_s), (at_t, cols_t) = system.in_s, system.in_t
+        new_s[rows, cols_s] = solved[:, at_s]
+        solved_t = solved[:, at_t]
+        kept = solved_t == current[:, at_t]  # a kept value stays bit for bit
+        new_t[rows, cols_t] = np.where(kept, new_t[rows, cols_t], solved_t / ratio[rows])
+    new_t = np.where(coupled, (shares - w_s * new_s) / w_t, new_t)
+
+    completed = np.concatenate([new_s, new_t])
+    margin = DEFAULT_TOL * record_scale(completed[:, systems.referenced])
+    broken = violated(completed @ systems.A.T + systems.b, systems.is_eq, margin[:, None])
+    broken = (broken & systems.checked[np.concatenate([s, t])]).any(axis=1)
+    margin = np.maximum(margin[: len(s)], margin[len(s) :])
+    missed = coupled & (np.abs(w_s * new_s + w_t * new_t - shares) > margin[:, None])
+    feasible = ~(broken[: len(s)] | broken[len(s) :] | missed.any(axis=1))
+    return PairUpdates(s, t, lower, upper, value, new_s, new_t, feasible)
 
 
 def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
@@ -418,29 +475,20 @@ def gram_matrix(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return A.T @ A
 
 
-def posterior_model(
-    factor: tuple[list[list[float]], list[float], float],
-    row: Sequence[float],
-    predictors: Sequence[int],
-    n: int,
-    rng: np.random.Generator,
-) -> PosteriorModel:
-    """Parameter draw under the standard noninformative prior for the
-    regression of a target on the columns at positions ``predictors``
-    over the current (complete) data of ``n`` records, and the implied
-    predictive law for the target cell of the record whose values are
-    ``row``.
-
-    The fit comes from ``factor``, :func:`gram_factor` of the augmented
-    Gram matrix of ``[1, predictors, target]`` over all records, so its
-    cost is O(p²) in the parameter count p: σ² = rss / χ²(n - p) and
-    β = L⁻ᵀ(l + σε); an exact fit (rss 0) draws nothing and returns the
-    least-squares coefficients with zero variance.  ``factor`` is only read.
-    """
-    p1 = len(predictors) + 1
+def draw_parameters(
+    factor: tuple[list[list[float]], list[float], float], n: int, rng: np.random.Generator
+) -> tuple[list[float], float]:
+    """Regression coefficients (intercept first) and residual variance
+    drawn under the standard noninformative prior from ``factor``,
+    :func:`gram_factor` of the augmented Gram matrix of ``[1, predictors,
+    target]`` over ``n`` records, in O(p²) in the parameter count p:
+    σ² = rss / χ²(n - p) and β = L⁻ᵀ(l + σε); an exact fit (rss 0) draws
+    nothing and returns the least-squares coefficients with zero
+    variance.  ``factor`` is only read."""
+    L, l, rss = factor
+    p1 = len(l)
     if n <= p1:
         raise InsufficientDataError(f"only {n} records for {p1} regression parameters")
-    L, l, rss = factor
     sigma2 = rss / float(rng.chisquare(n - p1)) if rss > 0 else 0.0
     if sigma2 > 0:
         sigma = math.sqrt(sigma2)
@@ -451,58 +499,25 @@ def posterior_model(
         for k in range(i + 1, p1):
             acc -= L[k][i] * beta[k]
         beta[i] = acc / L[i][i]
+    return beta, sigma2
+
+
+def posterior_model(
+    factor: tuple[list[list[float]], list[float], float],
+    row: Sequence[float],
+    predictors: Sequence[int],
+    n: int,
+    rng: np.random.Generator,
+) -> PosteriorModel:
+    """Parameter draw (:func:`draw_parameters`) for the regression of a
+    target on the columns at positions ``predictors`` over the current
+    (complete) data of ``n`` records, and the implied predictive law for
+    the target cell of the record whose values are ``row``."""
+    beta, sigma2 = draw_parameters(factor, n, rng)
     mean = beta[0]
     for c, b in zip(predictors, beta[1:]):
         mean += row[c] * b
     return PosteriorModel(beta, sigma2, mean)
-
-
-class PosteriorStats:
-    """Sufficient statistics of every posterior model in a chain: one
-    augmented Gram matrix over ``[1, every column some model reads]``, as
-    nested lists.  Model j reads its block ``[1, predictors, target]``
-    through ``index[j]``, a getter of the block's rows and columns fixed at
-    build time.
-
-    A step that moves cells replaces the old rows of its two records by
-    their new rows (a rank-one downdate and update each) in plain Python;
-    :meth:`rebuild` recomputes the matrix from the values, which bounds the
-    rounding the updates accumulate.
-    """
-
-    def __init__(self, values: np.ndarray, design: Mapping[int, Sequence[int]]):
-        # design: target column -> its predictor columns then itself
-        self.columns = {j: list(cols) for j, cols in design.items()}
-        self.read = sorted({c for cols in self.columns.values() for c in cols})
-        position = {c: k + 1 for k, c in enumerate(self.read)}
-        # A block has at least two indices (1 and the target), so its getter
-        # returns a tuple of rows and, from each row, a tuple of entries.
-        self.index = {j: operator.itemgetter(0, *(position[c] for c in cols)) for j, cols in self.columns.items()}
-        self.rebuild(values)
-
-    def rebuild(self, values: np.ndarray) -> None:
-        self.gram = gram_matrix(values, self.read).tolist()
-
-    def block(self, j: int) -> list[tuple[float, ...]]:
-        """Model j's augmented Gram matrix of ``[1, predictors, target]``."""
-        index = self.index[j]
-        return [index(row) for row in index(self.gram)]
-
-    def move(self, old_rows: Sequence[list[float]], new_rows: Sequence[list[float]]) -> None:
-        """Swap ``old_rows`` for ``new_rows`` (both records' full rows, as
-        lists): each entry of the upper triangle takes the two rows' change
-        and is mirrored into the lower.  Nothing happens unless a read
-        column changed."""
-        read, gram = self.read, self.gram
-        (old_s, old_t), (new_s, new_t) = old_rows, new_rows
-        old_s, old_t = [1.0, *map(old_s.__getitem__, read)], [1.0, *map(old_t.__getitem__, read)]
-        new_s, new_t = [1.0, *map(new_s.__getitem__, read)], [1.0, *map(new_t.__getitem__, read)]
-        if new_s == old_s and new_t == old_t:
-            return
-        for i, (g, a, b, c, d) in enumerate(zip(gram, new_s, new_t, old_s, old_t)):
-            for k in range(i, len(g)):
-                g[k] += (a * new_s[k] + b * new_t[k]) - (c * old_s[k] + d * old_t[k])
-                gram[k][i] = g[k]
 
 
 def draw_truncated_posterior(
@@ -511,7 +526,8 @@ def draw_truncated_posterior(
     rng: np.random.Generator,
 ) -> float:
     """Predictive draw conditioned on landing inside the interval; with
-    zero variance, the mean clamped into it."""
+    zero variance, the mean clamped into it.  The scalar form of
+    :func:`draw_targets`, at one raw word of ``rng``."""
     if interval.is_point():
         return interval.lower
     mean = model.predictive_mean
@@ -575,7 +591,8 @@ def mcmc_refine(
     totals: Totals | None,
     config: McmcConfig | None = None,
 ) -> tuple[DataMatrix, list[dict]]:
-    """Run the pair-swap chain; returns the refined data and its trace.
+    """Run the pair-swap chain in sweeps; returns the refined data and its
+    trace.
 
     The input must pass :func:`pipeline.check_inputs` (even with zero
     iterations), be complete and reproduce the totals (its mask marks the
@@ -583,15 +600,18 @@ def mcmc_refine(
     cells, it comes back unchanged with an empty trace.  Consistency is
     revalidated at every checkpoint.
 
-    A step on a structural target (:func:`structural_targets`) or on a key
-    that pins the target (``fm.CompiledInterval.pinned``) is the identity
-    whatever the state, so it counts as accepted and ``pinned`` and does
-    nothing else; skipping it leaves the chain's kernel unchanged.  A
-    structural target has no posterior statistics, and its checkpoint
-    ``exact_fit`` is true.  Every other step draws inside its interval and
-    completes, or, where the completion fails :meth:`PairStep.complete`'s
-    check, keeps the current values and counts as a fallback.  The current
-    value need not lie in the interval (see :class:`PairStep`).
+    Each sweep of column j pairs j's imputed records at random (a record
+    is left out when n_j is odd), draws j's model from a fresh Gram factor
+    of the current values and updates the pairs up to the next
+    checkpoint.  An update on a structural target
+    (:func:`structural_targets`) or on a key that pins the target (``fm.CompiledInterval.pinned``) is the
+    identity whatever the state, so it counts as accepted and ``pinned``
+    and does nothing else; skipping it leaves the chain's kernel
+    unchanged.  A structural target has no posterior draw, and its
+    checkpoint ``exact_fit`` is true.  Every other update draws inside its
+    interval and completes (:func:`update_pairs`), or, where the
+    completion fails its check, keeps the pair's current values and counts
+    as a fallback.  The current value need not lie in the interval.
     """
     if config is None:
         config = McmcConfig()
@@ -609,12 +629,13 @@ def mcmc_refine(
         return state, trace
 
     rng = np.random.default_rng(config.seed)
-    columns, n = state.columns, state.n_records
+    columns, n, values = state.columns, state.n_records, state.values
     position = {name: j for j, name in enumerate(columns)}
     observed_cols = [name for j, name in enumerate(columns) if not state.mask[:, j].any()]
-    index = PairIndex.build(state.mask)
-    targets = [j for j, rows in enumerate(index.rows) if len(rows) >= 2]
-    gram = gram_matrix(state.values, range(len(columns))).tolist()
+    records = {j: np.flatnonzero(state.mask[:, j]) for j in range(len(columns))}
+    targets = [j for j, rows in records.items() if len(rows) >= 2]
+    cumulative = list(itertools.accumulate(len(records[j]) * (len(records[j]) - 1) for j in targets))
+    gram = gram_matrix(values, range(len(columns))).tolist()
     predictors = {}
     for j in targets:
         name = columns[j]
@@ -627,61 +648,57 @@ def mcmc_refine(
             raise InsufficientDataError(f"only {n} records for {len(names) + 1} regression parameters")
         predictors[j] = names
     structural = structural_targets(edits, columns, predictors)
-    stats = PosteriorStats(
-        state.values, {j: [position[p] for p in predictors[j]] + [j] for j in targets if j not in structural}
-    )
+    # Model j regresses column j on design[j][:-1].
+    design = {j: [position[p] for p in predictors[j]] + [j] for j in targets if j not in structural}
     systems = PairSystems(state, edits, totals)
-    # The rows of the records with an imputed cell, as lists: steps read and
-    # replace these, and each checkpoint writes the moved ones back.
-    rows: list[list[float] | None] = [None] * n
-    imputed = np.flatnonzero(state.mask.any(axis=1))
-    for rec, row in zip(imputed.tolist(), state.values[imputed].tolist()):
-        rows[rec] = row
-    moved: set[int] = set()
     previous_cells: dict[int, np.ndarray] = {}
     counts = [{"accepted": 0, "fallbacks": 0, "moved": 0, "pinned": 0} for _ in columns]
     abs_moves = [0.0] * len(columns)
 
-    for iteration in range(1, iterations + 1):
-        s, t, j = select_pair(index, rng)
-        if j in structural or (system := systems.system(s, t, j)).compiled.pinned:
-            # The equalities fix the target given its predictors (its
-            # posterior is a point at the current value) or the key's do (its
-            # interval is a point the feasible current value meets, and a
-            # total then pins the partner): the step is the identity whatever
-            # the state, so it builds, draws and writes nothing.
-            counts[j]["accepted"] += 1
-            counts[j]["pinned"] += 1
+    done = 0
+    while done < iterations:
+        checkpoint = min(iterations, (done // checkpoint_every + 1) * checkpoint_every)
+        j = targets[bisect.bisect_right(cumulative, int(rng.integers(cumulative[-1])))]
+        pairs = min(len(records[j]) // 2, checkpoint - done)
+        done += pairs
+        count = counts[j]
+        if j in structural:
+            # The equalities fix the target given its predictors: its
+            # posterior is a point at the current value, and every update
+            # is the identity whatever the state.
+            count["accepted"] += pairs
+            count["pinned"] += pairs
         else:
-            try:
-                pair = PairStep(systems, system, rows, s, t)
-                row_s = rows[s]
-                current = row_s[j]
-                factor = gram_factor(stats.block(j), columns[j])
-                model = posterior_model(factor, row_s, stats.columns[j][:-1], n, rng)
-                new_rows = pair.complete(draw_truncated_posterior(model, pair.interval, rng))
-            except InfeasibleSystemError:
-                # The current point is always feasible, so the step can keep it.
-                counts[j]["fallbacks"] += 1
-            else:
-                counts[j]["accepted"] += 1
-                rows[s], rows[t] = new_rows
-                moved.update((s, t))
-                stats.move(pair.old, new_rows)
-                move = abs(new_rows[0][j] - current)
-                if move:
-                    counts[j]["moved"] += 1
-                    abs_moves[j] += move
+            drawn = rng.permutation(records[j])[: 2 * pairs]
+            # A key that pins the target gives it a point the feasible
+            # current value meets, and a total then pins the partner: the
+            # update is the identity, so it builds, draws and writes nothing.
+            groups = [group for group in systems.by_key(j, drawn[0::2], drawn[1::2]) if not group[0].compiled.pinned]
+            live = sum(len(s) for _, s, _ in groups)
+            count["accepted"] += pairs - live
+            count["pinned"] += pairs - live
+            if live:
+                factor = gram_factor(gram_matrix(values, design[j]).tolist(), columns[j])
+                beta, variance = draw_parameters(factor, n, rng)
+                update = update_pairs(systems, values, groups, beta, variance, design[j][:-1], rng)
+                ok = update.feasible
+                accepted = int(np.count_nonzero(ok))
+                count["accepted"] += accepted
+                count["fallbacks"] += live - accepted
+                s, new_s = update.s[ok], update.new_s[ok]
+                move = np.abs(new_s[:, j] - values[s, j])
+                count["moved"] += int(np.count_nonzero(move))
+                abs_moves[j] += float(move.sum())
+                values[s] = new_s
+                values[update.t[ok]] = update.new_t[ok]
 
-        if iteration % checkpoint_every == 0 or iteration == iterations:
-            if moved:
-                records = list(moved)
-                state.values[records] = [rows[rec] for rec in records]
-                moved.clear()
-            stats.rebuild(state.values)
-            validate(state.values, state, edits, totals)
-            exact = {j: j in structural or gram_factor(stats.block(j), columns[j])[2] == 0.0 for j in targets}
-            row = _checkpoint_row(state, iteration, previous_cells, counts, abs_moves, exact, systems)
+        if done == checkpoint:
+            validate(values, state, edits, totals)
+            exact = {
+                j: j in structural or gram_factor(gram_matrix(values, design[j]).tolist(), columns[j])[2] == 0.0
+                for j in targets
+            }
+            row = _checkpoint_row(state, done, previous_cells, counts, abs_moves, exact, systems)
             if not trace:
                 row["predictors"] = {columns[j]: predictors[j] for j in targets}
             trace.append(row)

@@ -11,12 +11,12 @@ inverting the truncated normal CDF at one uniform per cell
 :func:`cell_uniform` from the seed, the column and the record, so it does
 not depend on which other cells draw; :func:`cell_uniforms` gives the
 uniforms of many records of a column by running numpy's ``SeedSequence``
-hash for all of them at once as array arithmetic.  :func:`draw_ar_residual`
-is the chain's draw: the scalar form of the same log-space inverse CDF, at
-one uniform made from one raw word of the chain's generator.  The chain
-draws one cell per step, where a one-element array call costs over ten
-times the scalar one.  Both forms load ``scipy.special`` on their first
-call, through :func:`_special`, so that importing calimp loads no scipy.
+hash for all of them at once as array arithmetic.  The chain draws
+with the same function, at uniforms made from raw words of its own
+generator (:func:`generator_uniforms`).  :func:`draw_ar_residual` is the
+scalar form of the formula, for one cell at one raw word.  Both forms load
+``scipy.special`` on their first call, through :func:`_special`, so that
+importing calimp loads no scipy.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ def _uniform(word):
     interval of (0, 1); with 53 bits, ``k + 0.5`` would round to 2**53 at
     the top and give 1.0."""
     return ((word >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def generator_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniforms strictly inside (0, 1), one from each of the next
+    ``size`` raw 64-bit words of ``rng``'s bit generator, by
+    :func:`_uniform`'s mapping."""
+    return _uniform(rng.bit_generator.random_raw(size))
 
 
 def cell_uniform(seed: int, variable_index: int, record_index: int) -> float:
@@ -167,7 +174,8 @@ def draw_ar_residual(sigma: float, interval: Interval, rng: np.random.Generator)
     """One N(0, sigma^2) residual truncated to ``interval``, for ``sigma > 0``
     and an interval that is not a point: the exact inverse CDF at one
     uniform from one raw word of ``rng``, by :func:`_uniform`'s mapping.
-    The name is historical; ``perfbench/spans.py`` traces it.
+    Only the step chain of the tests and ``perfbench/spans.py`` read it;
+    the chain draws with :func:`truncated_normal`.
 
     In units of sigma, ``[a, b]`` with ``a + b > 0`` is reflected to
     ``[-b, -a]``, so ``y = Phi(x) / Phi(b)`` does not cancel; ``log y`` is

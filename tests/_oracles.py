@@ -5,9 +5,11 @@ feasibility is decided by complete lattice enumeration, regression
 calibration by solving the augmented normal equations directly, the
 zero-sum adjustment by active-set enumeration, bpmr residuals cell by
 cell from scalar ``SeedSequence`` calls and one-cell draws, the refinement
-chain's pair step by the per-record derivation, and random imputation
-instances are built truth-first so
-feasibility is a construction guarantee rather than an assumption.
+chain's pair update by the per-record derivation and term by term in
+plain Python (:class:`PairStep`), its sweeps by one-pair steps
+(:func:`step_chain`), and random imputation instances are built
+truth-first so feasibility is a construction guarantee rather than an
+assumption.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from calimp import fm
+from calimp import fm, mcmc
 from calimp.adjust import (
     AdjustmentProblem,
     _check_feasible,
@@ -532,3 +534,162 @@ def coupled_pair_step(data: DataMatrix, edits: EditSystem, totals, s: int, t: in
     except InfeasibleSystemError:
         return None
     return interval, rows
+
+
+def _terms(W: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Each row of ``W`` as its nonzero (position, coefficient) pairs."""
+    return [[(i, a) for i, a in enumerate(row) if a] for row in W.tolist()]
+
+
+def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
+    """A sparse row's value at ``z``, summed in term order."""
+    acc = 0.0
+    for i, a in terms:
+        acc += a * z[i]
+    return acc
+
+
+def scalar_complete(compiled: fm.CompiledInterval, value: float, y, current) -> list[float]:
+    """``fm.CompiledInterval.complete`` of one record in plain Python: the
+    slices in reverse elimination order, each keeping its variable's
+    current value clamped into the slice (crossed bounds meet at their
+    midpoint), then the substitutions."""
+    slices, substitutions, target = compiled._layout
+    values = list(current)
+    values[target] = value
+    for var, entries in slices:
+        lower, upper = -math.inf, math.inf
+        for at, c, others in entries:
+            rest = y[at]
+            for v, cv in others:
+                rest += cv * values[v]
+            bound = -rest / c
+            if c > 0:
+                if bound > lower:
+                    lower = bound
+            elif bound < upper:
+                upper = bound
+        if lower > upper:
+            lower = upper = 0.5 * (lower + upper)
+        values[var] = min(max(current[var], lower), upper)
+    for var, expr, at in substitutions:
+        acc = y[at]
+        for v, c in expr:
+            acc += c * values[v]
+        values[var] = acc
+    return values
+
+
+class PairStep:
+    """One pair update of the chain in plain Python, pair by pair: the
+    single-pair oracle of ``mcmc.update_pairs``.  ``system`` is the key's
+    (``mcmc.PairSystems.system``) and ``rows[s]`` and ``rows[t]`` the
+    records' current rows (lists, only read).  The target's interval is
+    computed on construction, from the key's bound rows evaluated term by
+    term on the step vector ``z = [x_s, (w_t/w_s) x_t, R/w_s, 1, w_t/w_s]``;
+    bounds that cross meet at their midpoint, whatever the width.
+    :meth:`complete` completes the pair at a target value and checks it,
+    on ``violation_matrix``'s margin, as the chain does."""
+
+    def __init__(self, systems, system, rows, s: int, t: int):
+        row_s, row_t = list(rows[s]), list(rows[t])
+        ps, pt = systems.pattern[s], systems.pattern[t]
+        self.systems, self.system = systems, system
+        self.w_s, self.w_t = w_s, w_t = float(systems.weights[s]), float(systems.weights[t])
+        self.old = (row_s, row_t)
+        self.patterns = (ps, pt)
+        self.ratio = ratio = w_t / w_s
+        p = len(row_s)
+        self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
+        self.shares = shares = {}
+        for c in range(p):
+            if ps & pt & systems.with_total & (1 << c):
+                shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
+                z[2 * p + c] = share / w_s
+
+        lower, upper = -math.inf, math.inf
+        for terms, c in zip(_terms(system.bound_rows), system.compiled.bound_coef.tolist()):
+            bound = -_dot(terms, z) / c
+            if c > 0:
+                if bound > lower:
+                    lower = bound
+            elif bound < upper:
+                upper = bound
+        if lower > upper:
+            lower = upper = 0.5 * (lower + upper)
+        self.interval = fm.Interval(lower, upper)
+
+    def complete(self, value: float) -> tuple[list[float], list[float]]:
+        """Both records' rows once the target holds ``value``: the other
+        unknowns keep their current values clamped into their slices, the
+        rest follow through the equalities, the coupled partners through
+        their shares.  A completion that misses an edit reading one of the
+        record's imputed columns by more than ``DEFAULT_TOL`` times that
+        record's largest magnitude over the referenced columns, or a share
+        by more than the larger of the two, raises
+        :class:`InfeasibleSystemError`."""
+        system, systems, ratio, z = self.system, self.systems, self.ratio, self.z
+        row_s, row_t = self.old
+        p = len(row_s)
+        positions = system.unknowns.tolist()
+        current = [z[i] for i in positions]
+        y = [_dot(terms, z) for terms in _terms(system.completion_rows)]
+        solved = scalar_complete(system.compiled, value, y, current)
+        new_s, new_t = list(row_s), list(row_t)
+        for i, v, old in zip(positions, solved, current):
+            if i < p:
+                new_s[i] = v
+            elif v != old:  # a kept value stays bit for bit
+                new_t[i - p] = v / ratio
+        for c, share in self.shares.items():
+            new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
+        referenced = systems.referenced.tolist()
+        margins = [DEFAULT_TOL * max([1.0, *(abs(row[c]) for c in referenced)]) for row in (new_s, new_t)]
+        for pattern, row, margin in zip(self.patterns, (new_s, new_t), margins):
+            for k in range(len(systems.b)):
+                terms = [(c, float(systems.A[k, c])) for c in range(p) if systems.A[k, c]]
+                if not any(pattern >> c & 1 for c, _ in terms):
+                    continue
+                r = float(systems.b[k])
+                for c, a in terms:
+                    r += a * row[c]
+                if abs(r) > margin if systems.is_eq[k] else r < -margin:
+                    raise InfeasibleSystemError(f"completed pair violates an edit (residual {r:.6g})")
+        margin = max(margins)
+        for c, share in self.shares.items():
+            r = self.w_s * new_s[c] + self.w_t * new_t[c] - share
+            if abs(r) > margin:
+                raise InfeasibleSystemError(f"completed pair misses its pair sum (residual {r:.6g})")
+        return new_s, new_t
+
+
+def step_chain(data: DataMatrix, edits: EditSystem, totals, iterations: int, seed: int, predictors) -> np.ndarray:
+    """The chain one pair at a time, as ``mcmc_refine`` ran before sweeps:
+    each step picks an (ordered pair, column) uniformly
+    (``mcmc.select_pair``), skips a structural target or a key that pins
+    the target, and otherwise draws the column's model from a fresh Gram
+    factor of the current values, the target inside its :class:`PairStep`
+    interval (``mcmc.draw_truncated_posterior``), and completes the pair,
+    keeping it where the completion fails.  ``predictors`` names every
+    re-drawn column's predictors.  Returns the final values."""
+    state = data.copy()
+    values, columns = state.values, list(state.columns)
+    rng = np.random.default_rng(seed)
+    index = mcmc.PairIndex.build(state.mask)
+    design = {columns.index(name): [columns.index(c) for c in names] for name, names in predictors.items()}
+    structural = mcmc.structural_targets(edits, columns, {j: predictors[columns[j]] for j in design})
+    systems = mcmc.PairSystems(state, edits, totals)
+    for _ in range(iterations):
+        s, t, j = mcmc.select_pair(index, rng)
+        if j in structural or (system := systems.system(s, t, j)).compiled.pinned:
+            continue
+        rows = {s: values[s].tolist(), t: values[t].tolist()}
+        step = PairStep(systems, system, rows, s, t)
+        cols = design[j] + [j]
+        factor = mcmc.gram_factor(mcmc.gram_matrix(values, cols).tolist(), columns[j])
+        model = mcmc.posterior_model(factor, rows[s], design[j], len(values), rng)
+        try:
+            values[[s, t]] = step.complete(mcmc.draw_truncated_posterior(model, step.interval, rng))
+        except InfeasibleSystemError:
+            pass
+    return values

@@ -30,6 +30,7 @@ from test_pair_systems import (
     SURVEY_COLUMNS,
     SURVEY_RULES,
     build,
+    loose_predictors,
     survey_blank_pair_below_zero,
     survey_near_zero_other,
     survey_truth,
@@ -64,6 +65,8 @@ CASES = {
     " --method mcmc --iterations 2000 --seed 5",
     "large-mcmc": "--data ../large.csv --edits ../survey.edits --totals ../large-totals.txt"
     " --mask ../large-mask.csv --method mcmc --iterations 2000 --seed 5",
+    "survey-predictors-mcmc": f"--data ../survey-truth.csv {SURVEY} --mask ../survey-mask.csv"
+    " --predictors ../survey.predictors --method mcmc --iterations 2000 --seed 5",
     "single-mcmc": f"--data ../survey-truth.csv {SURVEY} --mask ../survey-single-mask.csv"
     " --method mcmc --iterations 2000 --seed 5",
     "zero-remainder": "--data ../zero-remainder.csv --edits ../zero-remainder.edits"
@@ -125,6 +128,8 @@ def write_inputs(root):
     cio.write_mask(single, SURVEY_COLUMNS, root / "survey-single-mask.csv")
     cio.write_totals(dict(zip(SURVEY_COLUMNS, truth.sum(axis=0))), root / "survey-totals.txt")
     (root / "survey.edits").write_text(SURVEY_RULES)
+    predictors = loose_predictors(SURVEY_COLUMNS)
+    (root / "survey.predictors").write_text("".join(f"{name}: {', '.join(p)}\n" for name, p in predictors.items()))
 
     # Two records that validate accepts on their margin, 1e-9 times turnover.
     for name, case in (("near-zero", survey_near_zero_other), ("blank-pair", survey_blank_pair_below_zero)):
@@ -229,6 +234,21 @@ def test_survey_chain_on_default_predictors_is_exact(corpus):
     for name, entry in last["per_variable"].items():
         assert entry["pinned"] == entry["accepted"], (name, entry)
         assert entry["moved"] == 0 and entry["exact_fit"] is True, (name, entry)
+
+
+def test_predictors_file_moves_survey_cells(corpus):
+    # The chain of survey-mcmc with one predictor per target, read from a
+    # --predictors file: no balance fixes a target there, so cells that the
+    # default predictors leave in place move.
+    rows = diagnostics(corpus, "survey-predictors-mcmc")
+    assert rows[0]["predictors"] == loose_predictors(SURVEY_COLUMNS), rows[0]
+    last, default = rows[-1], diagnostics(corpus, "survey-mcmc")[-1]
+    assert last["accepted"] + last["fallbacks"] == 2000, last
+    assert last["pair_systems"]["compiled"] > 0, last
+    assert sum(entry["moved"] for entry in last["per_variable"].values()) > 0, last
+    assert all(entry["moved"] == 0 for entry in default["per_variable"].values()), default
+    first = corpus[HASH_SEEDS[0]]
+    assert first["survey-predictors-mcmc"][2] != first["survey-mcmc"][2]
 
 
 def test_chain_without_a_pair_writes_one_note(corpus):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import calimp
 from calimp import io as cio
@@ -74,6 +76,38 @@ class TestDatasetIO:
         assert back.values.tobytes() == data.values.tobytes()
         assert back.weights.tobytes() == data.weights.tobytes()
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cells=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=False),
+                st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-05, 1e-5 / 3, 123456789.0]),
+            ),
+            min_size=6, max_size=24,
+        ),
+        weighted=st.booleans(),
+    )
+    def test_write_matches_repr_of_every_float(self, tmp_path, cells, weighted):
+        # Every cell is written as repr(float(v)), NaN as NA, and the
+        # __weight column the same way, through csv's quoting, as a
+        # cell-by-cell writer would: -0.0, subnormals, 1e16 and 1e-05 too.
+        values = np.array(cells[: len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
+        weights = np.abs(values[:, 0]) + 0.5 if weighted else None
+        if weights is not None:
+            weights[~np.isfinite(weights) | (weights <= 0)] = 1.25
+        data = DataMatrix(np.nan_to_num(values, nan=1.0), np.isnan(values), ("a b", "c,d"), weights=weights)
+        path = tmp_path / "w.csv"
+        cio.write_dataset(data, path, missing_from_mask=True)
+        want = [["a b", "c,d"] + (["__weight"] if weighted and np.any(data.weights != 1.0) else [])]
+        for row, w in zip(np.where(data.mask, np.nan, data.values), data.weights):
+            cells_out = ["NA" if math.isnan(v) else repr(float(v)) for v in row]
+            want.append(cells_out + ([repr(float(w))] if len(want[0]) == 3 else []))
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle)) == want
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(want)
+        assert path.read_text() == buffer.getvalue()
+
     def test_masked_write_reblanks_cells(self, tmp_path):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
         mask = np.array([[False, True], [False, False]])
@@ -130,6 +164,25 @@ class TestTotalsConfigMask:
     def test_config_line_errors(self, tmp_path, text, line, message):
         with pytest.raises(DataFormatError, match=message) as info:
             cio.read_config(write(tmp_path, "c.cfg", text))
+        assert info.value.line == line
+
+    def test_predictors_parsing(self, tmp_path):
+        path = write(tmp_path, "p.txt", "# chain predictors\nx1: P\n\nx2 : P, x1  # two\nP:\n")
+        assert cio.read_predictors(path) == {"x1": ["P"], "x2": ["P", "x1"], "P": []}
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("x1: P\nx2 P\n", 2, "expected 'target: predictor, ...'"),
+            ("x1: P\n\n: P\n", 3, "missing target name"),
+            ("x1: P\n# x1: x2\nx1: x2\n", 3, "duplicate predictors for 'x1'"),
+            ("x1: P,, x2\n", 1, "empty predictor name for 'x1'"),
+            ("x1: P,\n", 1, "empty predictor name for 'x1'"),
+        ],
+    )
+    def test_predictors_line_errors(self, tmp_path, text, line, message):
+        with pytest.raises(DataFormatError, match=message) as info:
+            cio.read_predictors(write(tmp_path, "p.txt", text))
         assert info.value.line == line
 
     def test_dataset_and_mask_rows_are_read_alike(self, tmp_path):
@@ -328,6 +381,25 @@ class TestCli:
         out = cio.read_dataset(tmp_path / "mc.csv")
         totals = cio.read_totals(tmp_path / "totals.txt")
         assert float(out.values[:, 0].sum()) == pytest.approx(totals["x1"], rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1: x3\nx2 x3\n", "error: line 2: expected 'target: predictor, ...'"),
+            ("x1: x3, zz\n", "error: unknown predictor column(s) ['zz'] for target 'x1'"),
+            ("x1: x1\n", "error: target 'x1' cannot be its own predictor"),
+        ],
+    )
+    def test_bad_predictors_file_exits_2(self, tmp_path, capsys, text, message):
+        small_files(tmp_path, np.random.default_rng(3))
+        code = main([
+            "impute", "--data", str(tmp_path / "truth.csv"), "--mask", str(tmp_path / "mask.csv"),
+            "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
+            "--method", "mcmc", "--predictors", write(tmp_path, "p.txt", text), "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("case", ["large", "one_cell_per_column", "zero_iterations"])
     def test_chain_on_a_complete_file_exits_0(self, tmp_path, case):
@@ -534,6 +606,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "method, option",
         [(m, "--iterations") for m in ("upma", "bpma", "bpmr")]
+        + [(m, "--predictors") for m in ("upma", "bpma", "bpmr")]
         + [(m, "--mask") for m in ("upma", "bpma", "bpmr", "mcmc")]
         + [("mcmc", "--rounds")],
     )
@@ -545,6 +618,7 @@ class TestCli:
         small_files(tmp_path, np.random.default_rng(9))
         args = {
             "--iterations": ["data.csv", "--iterations", "40"],
+            "--predictors": ["data.csv", "--predictors", str(tmp_path / "no-such-predictors.txt")],
             "--mask": ["data.csv", "--mask", str(tmp_path / "no-such-mask.csv")],
             "--rounds": ["truth.csv", "--mask", str(tmp_path / "mask.csv"), "--rounds", "3"],
         }[option]

@@ -1,7 +1,5 @@
 import functools
 import math
-import os
-import sys
 import time
 
 import numpy as np
@@ -17,10 +15,8 @@ from calimp.mcmc import (
     GRAM_RTOL,
     McmcConfig,
     PairIndex,
-    PairStep,
     PairSystems,
     PosteriorModel,
-    PosteriorStats,
     draw_truncated_posterior,
     gram_factor,
     gram_matrix,
@@ -31,7 +27,7 @@ from calimp.mcmc import (
 )
 from calimp.pipeline import DataMatrix, ImputationConfig, impute, validate
 
-from _oracles import lstsq_posterior_fit, lstsq_posterior_model
+from _oracles import PairStep, lstsq_posterior_fit, lstsq_posterior_model
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -140,6 +136,11 @@ def study_start(sample_seed):
     pre, _ = impute(masked, edits, totals, ImputationConfig(
         "bpma", predictors=sim.STUDY_PREDICTORS, variable_order=sim.STUDY_ORDER))
     return pre, edits, totals
+
+
+def swept_column(systems, groups):
+    """The column a sweep's pair groups re-draw: their target ``s.<name>``."""
+    return systems.columns.index(groups[0][0].compiled.target[2:])
 
 
 def gram_fit(gram):
@@ -383,99 +384,92 @@ class TestPosteriorOracle:
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seeds, st.sampled_from(["study", "five"]))
     def test_maintained_statistics_match_a_fresh_fit_along_chains(self, seed, system):
+        # Every model a sweep draws, and every checkpoint's exact_fit flag,
+        # comes from gram_factor of a Gram matrix built on the chain's live
+        # values (not a copy that could go stale), and that factor agrees
+        # with lstsq on those values.  draw_parameters gets the factor just
+        # checked, once per sweep that updates a pair.  Before the chain's
+        # pair systems exist, the default predictors are picked by a factor
+        # of the input.
         rng = np.random.default_rng(seed)
         r = int(rng.integers(60, 200))
         if system == "study":
             pre, edits, totals = three_var_study_data(rng, r=r)
-            # x2 = P - x1: an exact fit, whose steps are skipped as structural.
+            # x2 = P - x1: an exact fit, whose sweeps are skipped as structural.
             predictors, structural = {"x1": ["P"], "x2": ["P", "x1"]}, {1}
         else:
             pre, edits, totals = five_var_data(rng, r=r)
             predictors, structural = None, set()  # the fully observed x2, x3 fix no target
-        checked = {"steps": 0, "checkpoints": 0, "skipped": 0, "structural": 0}
-        real_select, real_system, real_step = mcmc.select_pair, PairSystems.system, mcmc.PairStep
-        real_posterior, real_factor = mcmc.posterior_model, mcmc.gram_factor
-        real_rebuild = PosteriorStats.rebuild
-        live = {}
+        checked = {"sweeps": 0, "checkpoints": 0, "skipped": 0}
+        real_init, real_by_key, real_gram = PairSystems.__init__, PairSystems.by_key, mcmc.gram_matrix
+        real_factor, real_draw, real_validate = mcmc.gram_factor, mcmc.draw_parameters, mcmc.validate
+        live, factored = {}, set()
 
-        def counting_select(index, rng_):
-            s, t, j = real_select(index, rng_)
-            checked["structural"] += j in structural
-            return s, t, j
+        def recording_init(systems_, data_, *args):
+            live["values"] = data_.values  # the array the chain updates
+            real_init(systems_, data_, *args)
 
-        def counting_system(systems_, s, t, j):
-            assert j not in structural  # a structural step looks no key up
-            system = real_system(systems_, s, t, j)
-            checked["skipped"] += system.compiled.pinned
-            live.update(j=j)
-            return system
+        def checked_by_key(systems_, j, s, t):
+            assert j not in structural  # a structural sweep looks no key up
+            groups = real_by_key(systems_, j, s, t)
+            checked["skipped"] += sum(len(gs) for system_, gs, _ in groups if system_.compiled.pinned)
+            return groups
 
-        def recording_step(systems_, system, rows, s, t):
-            # The chain's values: its row lists where it keeps them (records
-            # with an imputed cell), the input elsewhere.
-            values = pre.values.copy()
-            for rec, row in enumerate(rows):
-                if row is not None:
-                    values[rec] = row
-            live.update(values=values, row=rows[s])
-            return real_step(systems_, system, rows, s, t)
+        def checked_gram(values, columns):
+            if "values" in live:
+                assert values is live["values"]
+                live.update(snapshot=values.copy(), columns=list(columns))
+                factored.add(columns[-1])
+            return real_gram(values, columns)
 
         def checked_factor(gram, target):
-            # Every step that draws, and every checkpoint, factors its
-            # model's block, which must be that of a fresh Gram on the
-            # current values (a stale one is not).  Before the statistics
-            # exist, the default predictors are picked by the same factor.
             factor = real_factor(gram, target)
-            if "stats" not in live:
-                return factor
-            columns = live["stats"].columns[pre.columns.index(target)]
-            assert_factor_of(factor, gram_matrix(live["values"], columns).tolist())
-            live.update(factor=factor, columns=columns)
+            if "columns" in live:
+                columns = live.pop("columns")
+                assert target == pre.columns[columns[-1]]
+                assert_matches_oracle(gram, live["snapshot"], columns[-1], columns[:-1])
+                live["factor"] = factor
             return factor
 
-        def checked_posterior(factor, row, predictors_, n, rng_):
-            # A step that draws the model passes the factor just checked and
-            # the row of the record re-drawing column j as it holds it.
-            assert factor is live["factor"] and row is live["row"] and n == len(live["values"])
-            assert [*predictors_, live["j"]] == live["columns"]
-            checked["steps"] += 1
-            return real_posterior(factor, row, predictors_, n, rng_)
+        def checked_draw(factor, n, rng_):
+            assert factor is live.pop("factor") and n == len(live["snapshot"])
+            checked["sweeps"] += 1
+            return real_draw(factor, n, rng_)
 
-        def checked_rebuild(stats_, values):
-            if hasattr(stats_, "gram"):  # a checkpoint, not the first build
-                for j, cols in stats_.columns.items():
-                    assert_matches_oracle(stats_.block(j), values, j, cols[:-1])
-                checked["checkpoints"] += 1
-            live.update(values=values.copy(), stats=stats_)
-            real_rebuild(stats_, values)
+        def counting_validate(values, *args):
+            checked["checkpoints"] += "values" in live
+            real_validate(values, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcmc, "select_pair", counting_select)
-            patch.setattr(PairSystems, "system", counting_system)
-            patch.setattr(mcmc, "PairStep", recording_step)
-            patch.setattr(mcmc, "posterior_model", checked_posterior)
+            patch.setattr(PairSystems, "__init__", recording_init)
+            patch.setattr(PairSystems, "by_key", checked_by_key)
+            patch.setattr(mcmc, "gram_matrix", checked_gram)
             patch.setattr(mcmc, "gram_factor", checked_factor)
-            patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
+            patch.setattr(mcmc, "draw_parameters", checked_draw)
+            patch.setattr(mcmc, "validate", counting_validate)
             _, trace = mcmc_refine(
                 pre, edits, totals,
                 McmcConfig(iterations=600, checkpoint_every=int(rng.integers(50, 300)),
                            seed=int(rng.integers(1000)), predictors=predictors),
             )
-        assert checked["steps"] > 0 and checked["checkpoints"] >= 2 and checked["skipped"] > 0
-        assert (checked["structural"] > 0) == bool(structural)
-        # The pinned steps are exactly the skipped ones, on pinned keys and on
-        # structural targets; every other step draws its model.
-        pinned = sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
-        assert pinned == checked["skipped"] + checked["structural"]
-        for j in structural:  # without a block, and exact
-            assert j not in live["stats"].columns
-            assert trace[-1]["per_variable"][pre.columns[j]]["exact_fit"] is True
+        assert checked["sweeps"] > 0 and checked["checkpoints"] >= 2 and checked["skipped"] > 0
+        # The pinned updates are exactly the skipped ones, on pinned keys and
+        # on structural targets; every other pair is updated at a drawn model.
+        per_variable = trace[-1]["per_variable"]
+        on_structural = sum(per_variable[pre.columns[j]]["pinned"] for j in structural)
+        assert (on_structural > 0) == bool(structural)
+        assert sum(entry["pinned"] for entry in per_variable.values()) == checked["skipped"] + on_structural
+        for j in structural:  # never factored, and exact
+            assert j not in factored
+            assert per_variable[pre.columns[j]]["exact_fit"] is True
 
     @pytest.mark.parametrize("system", ["study", "five_unread"])
     def test_maintained_blocks_match_a_fresh_gram_between_checkpoints(self, system):
-        # One run of moves with no checkpoint before the last step: each
-        # model's block of the one Gram must still be the Gram of its
-        # columns on the current values.
+        # One run of sweeps with no checkpoint before the last update: the
+        # Gram matrix each sweep factors is built on the chain's values as
+        # they stand after every earlier sweep's completions, the input with
+        # each accepted completion applied, and reads only its model's
+        # columns.
         rng = np.random.default_rng(23)
         if system == "study":
             pre, edits, totals = three_var_study_data(rng, r=150)
@@ -491,25 +485,33 @@ class TestPosteriorOracle:
             pre = DataMatrix(pre.values, mask, pre.columns)
             del totals["x2"]
             predictors, unread = None, 1
-        seen = []
-        real_rebuild = PosteriorStats.rebuild
+        tracked = pre.values.copy()
+        grams = []
+        real_gram, real_update = mcmc.gram_matrix, mcmc.update_pairs
 
-        def checked_rebuild(stats_, values):
-            if hasattr(stats_, "gram"):  # the one checkpoint, after the last step
-                assert unread not in stats_.read
-                for j, cols in stats_.columns.items():
-                    fresh = gram_matrix(values, cols)
-                    assert np.all(np.abs(np.array(stats_.block(j)) - fresh) <= GRAM_RTOL * np.abs(fresh))
-                seen.append(values.copy())
-            real_rebuild(stats_, values)
+        def checked_gram(values, columns):
+            if len(columns) < len(pre.columns):  # a model's columns, not the set-up's
+                assert unread not in columns
+                assert values.tobytes() == tracked.tobytes()
+                grams.append(list(columns))
+            return real_gram(values, columns)
+
+        def tracking_update(systems, values, *args):
+            update = real_update(systems, values, *args)
+            ok = update.feasible
+            tracked[update.s[ok]] = update.new_s[ok]
+            tracked[update.t[ok]] = update.new_t[ok]
+            return update
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PosteriorStats, "rebuild", checked_rebuild)
+            patch.setattr(mcmc, "gram_matrix", checked_gram)
+            patch.setattr(mcmc, "update_pairs", tracking_update)
             refined, trace = mcmc_refine(
                 pre, edits, totals,
                 McmcConfig(iterations=800, checkpoint_every=801, seed=4, predictors=predictors),
             )
-        assert len(seen) == 1 and len(trace) == 1
+        assert len(trace) == 1 and len(grams) > 10
+        assert refined.values.tobytes() == tracked.tobytes()
         assert sum(entry["moved"] for entry in trace[0]["per_variable"].values()) > 100
         if unread is not None:
             assert refined.values[record, unread] != pre.values[record, unread]
@@ -579,35 +581,40 @@ class TestMcmcRefine:
             assert (entry["moved"], entry["mean_abs_move"], entry["exact_fit"]) == (0, 0.0, True)
 
     def test_moved_matches_an_independent_count(self):
+        # A checkpoint after every update stops each sweep after one pair.
+        # The moves are counted from the states the checkpoints see: a
+        # pair's target cell that differs after its sweep moved.
         rng = np.random.default_rng(8)
         pre, edits, totals = three_var_study_data(rng, r=120)
-        steps, states, pairs = 60, [], []
-        real_select, real_validate = mcmc.select_pair, mcmc.validate
+        steps, states, pending = 100, [], []
+        moved = {"x1": 0, "x2": 0}
+        total_move = {"x1": 0.0, "x2": 0.0}
+        real_update, real_validate = mcmc.update_pairs, mcmc.validate
 
-        def recording_select(*args):
-            pairs.append(real_select(*args))
-            return pairs[-1]
+        def recording_update(systems, values, groups, *args):
+            j = swept_column(systems, groups)
+            pending.append((j, np.concatenate([gs for _, gs, _ in groups]), values.copy()))
+            return real_update(systems, values, groups, *args)
 
         def snapshotting_validate(values, *args):
             states.append(values.copy())
+            while pending:
+                j, s, before = pending.pop()
+                change = np.abs(values[s, j] - before[s, j])
+                moved[pre.columns[j]] += int(np.count_nonzero(change))
+                total_move[pre.columns[j]] += float(change.sum())
             real_validate(values, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcmc, "select_pair", recording_select)
+            patch.setattr(mcmc, "update_pairs", recording_update)
             patch.setattr(mcmc, "validate", snapshotting_validate)
             _, trace = mcmc_refine(
                 pre, edits, totals,
                 McmcConfig(iterations=steps, checkpoint_every=1, seed=4,
                            predictors={"x1": ["P"], "x2": ["P", "x1"]}),
             )
-        assert len(states) == steps + 1  # the input, then every step
-        moved = {"x1": 0, "x2": 0}
-        total_move = {"x1": 0.0, "x2": 0.0}
-        for (s, _, j), before, after in zip(pairs, states, states[1:]):
-            var = pre.columns[j]
-            if after[s, j] != before[s, j]:
-                moved[var] += 1
-                total_move[var] += abs(after[s, j] - before[s, j])
+        assert len(states) == steps + 1  # the input, then every update
+        assert [row["iteration"] for row in trace] == list(range(1, steps + 1))
         last = trace[-1]["per_variable"]
         assert sum(moved.values()) > 10
         for var in ("x1", "x2"):
@@ -826,124 +833,132 @@ class TestMcmcRefine:
         assert entry["exact_fit"] is False
 
     def test_steps_on_keys_that_pin_the_target_are_skipped(self):
-        # From the key lookup that finds its key pinned, or from the pair
-        # selection that picks the structural target x2 (x2 = P - x1 on its
-        # predictors), to the next pair selection (or checkpoint rebuild), a
-        # step builds no PairStep, factors no model, draws no posterior and
-        # calls no generator method; a structural step looks no key up
-        # either.  It counts as accepted and pinned, and it writes nothing:
-        # the chain's rows always equal the input with each completion
-        # applied.  The generator's methods are compiled, so the profiler
-        # sees none of them; the chain's generator records each attribute it
-        # is asked for.
+        # A sweep of the structural target x2 (x2 = P - x1 on its
+        # predictors) pairs no records and looks no key up.  A pair of an x1
+        # sweep whose key pins x1 never reaches update_pairs, and a sweep
+        # whose pairs all have such keys factors no model, draws nothing and
+        # asks the generator for nothing from its key lookup to the next
+        # sweep's column draw (or the checkpoint).  Skipped updates count as
+        # accepted and pinned and write nothing: the chain's values always
+        # equal the input with each accepted completion applied.  The
+        # generator's methods are compiled, so a proxy records each
+        # attribute the chain asks it for.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
-        select_code, system_code = mcmc.select_pair.__code__, PairSystems.system.__code__
-        closing = {select_code, PosteriorStats.rebuild.__code__}
-        watched = {system_code, PairStep.__init__.__code__, gram_factor.__code__, posterior_model.__code__}
-        window, calls, skipped, structural = [False], [], [0], [0]
+        window, calls, tracked = [False], [], pre.values.copy()
+        seen = {"sweeps": 0, "pairings": 0, "lookups": 0, "skipped": 0, "idle": 0}
+        real_by_key, real_update, real_validate = PairSystems.by_key, mcmc.update_pairs, mcmc.validate
+        watched = {}
 
-        def profile(frame, event, arg):
-            if event == "return" and frame.f_code is select_code:
-                window[0] = arg[2] == 1
-                structural[0] += arg[2] == 1
-            elif event == "return" and frame.f_code is system_code:
-                window[0] = arg.compiled.pinned
-                skipped[0] += arg.compiled.pinned
-            elif event == "call" and frame.f_code in closing:
-                window[0] = False
-            elif window[0] and event == "call" and frame.f_code in watched:
-                calls.append(frame.f_code.co_name)
+        def watch(name, fn):
+            def wrapper(*args):
+                if window[0]:
+                    calls.append(name)
+                return fn(*args)
+            watched[name] = wrapper
 
         class Generator:
             def __init__(self, rng):
                 self.rng = rng
 
             def __getattr__(self, name):
+                if name == "integers":  # the next sweep's column draw
+                    window[0] = False
+                    seen["sweeps"] += 1
+                elif name == "permutation":
+                    seen["pairings"] += 1
                 if window[0]:
                     calls.append(name)
                 return getattr(self.rng, name)
 
+        def checked_by_key(systems, j, s, t):
+            assert j != 1
+            seen["lookups"] += 1
+            groups = real_by_key(systems, j, s, t)
+            pinned = sum(len(gs) for system, gs, _ in groups if system.compiled.pinned)
+            seen["skipped"] += pinned
+            if pinned == len(s):
+                window[0] = True
+                seen["idle"] += 1
+            return groups
+
+        def checked_update(systems, values, groups, *args):
+            assert not window[0] and values.tobytes() == tracked.tobytes()
+            assert not any(system.compiled.pinned for system, _, _ in groups)
+            update = real_update(systems, values, groups, *args)
+            ok = update.feasible
+            tracked[update.s[ok]] = update.new_s[ok]
+            tracked[update.t[ok]] = update.new_t[ok]
+            return update
+
+        def closing_validate(values, *args):
+            window[0] = False
+            real_validate(values, *args)
+
+        watch("gram_matrix", mcmc.gram_matrix)
+        watch("gram_factor", mcmc.gram_factor)
+        watch("draw_parameters", mcmc.draw_parameters)
+        watch("update_pairs", checked_update)
         real_rng = np.random.default_rng
-        tracked = pre.values.copy()
-
-        class Step(PairStep):
-            def __init__(self, systems, system, rows, s, t):
-                for rec, row in enumerate(rows):
-                    if row is not None:
-                        assert np.array(row).tobytes() == tracked[rec].tobytes()
-                super().__init__(systems, system, rows, s, t)
-                self.records = [s, t]
-
-            def complete(self, value):
-                new = super().complete(value)
-                tracked[self.records] = new
-                return new
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcmc, "PairStep", Step)
+            for name, wrapper in watched.items():
+                patch.setattr(mcmc, name, wrapper)
+            patch.setattr(PairSystems, "by_key", checked_by_key)
+            patch.setattr(mcmc, "validate", closing_validate)
             patch.setattr(np.random, "default_rng", lambda seed: Generator(real_rng(seed)))
-            sys.setprofile(profile)
-            try:
-                out, trace = mcmc_refine(
-                    pre, edits, totals,
-                    McmcConfig(iterations=600, checkpoint_every=200, seed=2,
-                               predictors={"x1": ["P"], "x2": ["P", "x1"]}),
-                )
-            finally:
-                sys.setprofile(None)
+            out, trace = mcmc_refine(
+                pre, edits, totals,
+                McmcConfig(iterations=600, checkpoint_every=200, seed=2,
+                           predictors={"x1": ["P"], "x2": ["P", "x1"]}),
+            )
         assert calls == []
         assert out.values.tobytes() == tracked.tobytes()
-        entries = trace[-1]["per_variable"].values()
-        assert sum(entry["moved"] for entry in entries) > 50
-        assert skipped[0] > 200 and structural[0] > 200
-        assert sum(entry["pinned"] for entry in entries) == skipped[0] + structural[0]
-        assert trace[-1]["per_variable"]["x2"]["pinned"] == structural[0]
+        last = trace[-1]["per_variable"]
+        assert last["x1"]["moved"] > 50 and last["x2"]["moved"] == 0
+        # Structural sweeps pair nothing; every other sweep looks its keys up.
+        assert seen["sweeps"] > seen["pairings"] == seen["lookups"] > 0
+        assert seen["skipped"] > 100 and last["x2"]["pinned"] > 100
+        assert last["x2"]["pinned"] == last["x2"]["accepted"]
+        assert sum(entry["pinned"] for entry in last.values()) == seen["skipped"] + last["x2"]["pinned"]
         assert trace[-1]["accepted"] + trace[-1]["fallbacks"] == 600
 
     def test_step_on_an_interval_within_its_rounding_completes(self):
         # Five-column chains meet x1 or x4 cells at 0 whose interval is
         # [0, 0] or a few ulps wide, no wider than DEFAULT_TOL times its
-        # largest bound, on keys that do not pin them.  Such a step draws and completes like
-        # any other: its cell lands inside the interval, and a checkpoint
-        # right after it validates edits and totals.  Checkpoints rebuild
-        # the Gram statistics, so each run has a single one, at its end.
-        real_system, found, completed, step_of = PairSystems.system, [], [], {}
+        # largest bound, on keys that do not pin them.  Such an update draws
+        # and completes like any other: its cell lands inside the interval,
+        # and a chain cut right after its sweep validates edits and totals
+        # at its one checkpoint.
+        real_by_key, real_update = PairSystems.by_key, mcmc.update_pairs
+        found, done = [], [0]
 
-        def system(self, s, t, j):
-            step_of.update(step=step_of["step"] + 1, j=j)
-            return real_system(self, s, t, j)
-
-        def narrow(interval):
-            lower, upper = interval.lower, interval.upper
+        def narrow(lower, upper):
             return upper - lower <= DEFAULT_TOL * max(1.0, abs(lower), abs(upper)) < math.inf
 
-        class Step(PairStep):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.step, self.j, self.record = step_of["step"], step_of["j"], args[3]
-                if not found and narrow(self.interval):
-                    found.append((self.step, self.j))
+        def counting_by_key(self, j, s, t):
+            done[0] += len(s)  # no target is structural: every sweep looks its keys up
+            return real_by_key(self, j, s, t)
 
-            def complete(self, value):
-                new = super().complete(value)
-                if found and (self.step, self.j) == found[0]:
-                    completed.append((self.interval, value, self.record, new[0][self.j]))
-                return new
+        def finding_update(systems, values, groups, *args):
+            j = swept_column(systems, groups)
+            update = real_update(systems, values, groups, *args)
+            for i in range(len(update.s)):
+                if not found and narrow(update.lower[i], update.upper[i]):
+                    found.append((done[0], j, int(update.s[i]), update.lower[i], update.upper[i],
+                                  update.value[i], update.new_s[i, j], bool(update.feasible[i])))
+            return update
 
         for k in range(10):
             pre, edits, totals = five_var_data(np.random.default_rng(2000 + k), r=300)
-            step_of["step"] = 0
+            done[0] = 0
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(PairSystems, "system", system)
-                patch.setattr(mcmc, "PairStep", Step)
+                patch.setattr(PairSystems, "by_key", counting_by_key)
+                patch.setattr(mcmc, "update_pairs", finding_update)
                 mcmc_refine(pre, edits, totals, McmcConfig(iterations=4000, checkpoint_every=4000, seed=k))
             if found:
                 break
-        assert found, "no chain met a step on an interval within its rounding"
-        assert len(completed) == 1
-        interval, value, record, cell = completed[0]
-        assert interval.lower <= value == cell <= interval.upper
-        step, j = found[0]
+        assert found, "no chain met an update on an interval within its rounding"
+        step, j, record, lower, upper, value, cell, feasible = found[0]
+        assert feasible and lower <= value == cell <= upper
         out, trace = mcmc_refine(pre, edits, totals, McmcConfig(iterations=step, checkpoint_every=step, seed=k))
         assert len(trace) == 1 and (trace[0]["accepted"], trace[0]["fallbacks"]) == (step, 0)
         assert out.values[record, j] == cell
@@ -1067,52 +1082,38 @@ class TestMcmcRefine:
             flags = {name: entry["exact_fit"] for name, entry in row["per_variable"].items()}
             assert flags == {"x1": False, "x2": True, "P": False}
 
-    def test_chain_steps_make_no_numpy_call_but_draws(self):
-        # Between checkpoints a step works on the chain's row lists in plain
-        # Python: numpy is reached only for the Generator's draws (in
-        # posterior_model, its chi-square and normals and the tolist of the
-        # normals; in draw_ar_residual, one raw word of its bit generator and
-        # the scipy.special ufuncs log_ndtr and ndtri_exp, none of which the
-        # profile hook sees as a call), and to compile a key met for the
-        # first time.  Steps 1 .. n-1 are watched; the last step's window
-        # holds the one checkpoint.
+    def test_a_sweep_draws_one_model_and_one_array_of_targets(self):
+        # Each sweep that updates a pair builds one Gram matrix, factors it
+        # once, draws one model, and draws all its targets with at most one
+        # call of truncated_normal, at uniforms from one raw draw of the
+        # chain's generator; the checkpoints factor once per model for their
+        # exact_fit flags.  No update draws a cell on its own.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
-        numpy_dir = os.path.dirname(np.__file__)
-        select_code, compile_code = mcmc.select_pair.__code__, PairSystems._compile.__code__
-        posterior_code = posterior_model.__code__
-        draws = (np.random.Generator, np.random.BitGenerator)
-        steps, found, compiling = [0], [], set()
+        seen = {name: 0 for name in ("gram_factor", "draw_parameters", "truncated_normal", "generator_uniforms",
+                                     "draw_ar_residual", "draw_truncated_posterior", "update_pairs", "validate")}
+        patches = {}
+        for name in seen:
+            real = getattr(mcmc, name)
 
-        def profile(frame, event, arg):
-            if event == "call":
-                if frame.f_code is select_code:
-                    steps[0] += 1
-                elif frame.f_code is compile_code:
-                    compiling.add(steps[0])
-                elif frame.f_code.co_filename.startswith(numpy_dir):
-                    found.append((steps[0], frame.f_code.co_name))
-            elif event == "c_call":
-                owner = getattr(arg, "__self__", None)
-                if isinstance(owner, draws) or frame.f_code is posterior_code and arg.__name__ == "tolist":
-                    return
-                module = getattr(arg, "__module__", None) or ""
-                if isinstance(owner, (np.ndarray, np.generic)) or module.startswith("numpy"):
-                    found.append((steps[0], arg.__name__))
+            def counting(*args, _name=name, _real=real):
+                seen[_name] += 1
+                return _real(*args)
 
-        iterations = 400
-        sys.setprofile(profile)
-        try:
+            patches[name] = counting
+        iterations = 2000
+        with pytest.MonkeyPatch.context() as patch:
+            for name, counting in patches.items():
+                patch.setattr(mcmc, name, counting)
             _, trace = mcmc_refine(
                 pre, edits, totals,
-                McmcConfig(iterations=iterations, checkpoint_every=iterations, seed=2,
+                McmcConfig(iterations=iterations, checkpoint_every=500, seed=2,
                            predictors={"x1": ["P"], "x2": ["P", "x1"]}),
             )
-        finally:
-            sys.setprofile(None)
-        # x1's steps are the ones that can move; x2 = P - x1 is structural.
         last = trace[-1]["per_variable"]
         assert last["x1"]["moved"] >= 50 and last["x2"]["moved"] == 0
-        assert sum(entry["pinned"] for entry in last.values()) > 50
-        assert steps[0] == iterations and 0 < len(compiling) == trace[-1]["pair_systems"]["compiled"]
-        assert [call for call in found if 1 <= call[0] < iterations and call[0] not in compiling] == []
-        assert any(call[0] == iterations for call in found)  # the checkpoint is watched too
+        checkpoints = seen["validate"] - 1  # the input's check comes first
+        assert checkpoints == len(trace) == 4
+        assert seen["update_pairs"] == seen["draw_parameters"] == seen["gram_factor"] - checkpoints > 10
+        assert seen["truncated_normal"] == seen["generator_uniforms"] <= seen["update_pairs"]
+        assert seen["truncated_normal"] > 0
+        assert seen["draw_ar_residual"] == seen["draw_truncated_posterior"] == 0

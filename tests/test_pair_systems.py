@@ -1,16 +1,19 @@
 """The chain's compiled pair systems against the per-record step.
 
-``mcmc.PairSystems`` compiles each pair system once per key and evaluates
-it per step; ``_oracles.pair_step`` takes the same step through
+``mcmc.PairSystems`` compiles each pair system once per key, and
+``mcmc.update_pairs`` evaluates it on a sweep's pairs as arrays.
+``_oracles.PairStep`` evaluates the same rows one pair at a time in plain
+Python; ``_oracles.pair_step`` takes the same step through
 ``pair_constraint_system``, ``fm.admissible_interval`` and
 ``fm.back_substitute``, and ``_oracles.coupled_pair_step`` through the same
 functions on the system with the totals solved first; the step's sparse
 rows are also compared with ``fm.CompiledInterval.evaluate``, the numpy
-batch path, on the same constants.  The chains here are random walks
+batch path, on the same constants.  The walks here are random walks
 over consistent truth-first data: each step draws a value inside the
 compiled interval and applies the compiled completion.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,11 +23,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from calimp import mcmc
 from calimp.edits import DEFAULT_TOL, parse_edit_rules, record_scale, system_matrices, violation_matrix
 from calimp.errors import InfeasibleSystemError
-from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairStep, PairSystems, mcmc_refine, select_pair
+from calimp.fm import Interval
+from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
 
-from _oracles import coupled_pair_step, lstsq_posterior_fit, pair_step
-from test_mcmc import pair_example_data
+from _oracles import PairStep, coupled_pair_step, lstsq_posterior_fit, pair_step
+from test_mcmc import pair_example_data, swept_column
 
 RTOL = 1e-12
 
@@ -317,96 +321,166 @@ def test_compiled_step_matches_the_per_record_step(kind, weighted, seed):
 
 @pytest.mark.parametrize("kind", ["study", "five", "partial"])
 def test_chain_steps_match_the_per_record_step(kind):
-    # Inside mcmc_refine, with its own posterior draws.  A step whose key
-    # pins the target is skipped; evaluated here after all, on the chain's
-    # values, its interval is a point
-    # that admits the current value, and both oracles find that point and
-    # complete it to the pair's current rows.  A step on the study's
-    # structural x2 (x2 = P - x1 on its predictors) is skipped before any
-    # key lookup.  Every other step builds a PairStep that either completes
-    # or falls back.  The chain hands each PairStep its row lists (None for
-    # a record without imputed cells, which never changes); they must
-    # always be the input with every completion applied, so a skipped step
-    # writes nothing.  The five-column and survey targets take one
-    # predictor each: with the default predictors, the balances fix every
-    # one of them, and the chain would build no PairStep.
+    # Inside mcmc_refine, with its own posterior draws.  A pair of a sweep
+    # whose key pins the target is skipped; evaluated here after all, on
+    # the chain's values, its interval is a point that admits the current
+    # value, and both oracles find that point and complete it to the
+    # pair's current rows.  A sweep of the study's structural x2 (x2 = P -
+    # x1 on its predictors) looks no key up.  Every other pair of a sweep
+    # is updated by update_pairs, whose interval, at the value it drew, and
+    # whose completion or fallback agree with both oracles.  The chain's
+    # values at each sweep must be the input with every accepted
+    # completion applied, so a skipped pair writes nothing.  The
+    # five-column and survey targets take one predictor each: with the
+    # default predictors, the balances fix every one of them, and the
+    # chain would update no pair.
     rng = np.random.default_rng(29)
     data, edits, totals = build(kind, rng, weighted=True)
     if kind == "study":
         predictors, structural = {"x1": ["P"], "x2": ["P", "x1"]}, {1}
     else:
         predictors, structural = loose_predictors(data.columns), set()
-    real_select, real_system = mcmc.select_pair, PairSystems.system
+    real_by_key, real_update = PairSystems.by_key, mcmc.update_pairs
     tracked = data.values.copy()
-    checked, skipped, last, steps = [], [], {}, []
+    checked, skipped, fallbacks = [], [], []
 
-    def counting_select(index, rng_):
-        check_completed()
-        pair = real_select(index, rng_)
-        steps.append(pair[2] in structural)
-        return pair
+    def step_args(live, s, t, j):
+        return (DataMatrix(live, data.mask, data.columns, data.weights), edits, totals, s, t, data.columns[j])
 
-    def live_values(rows):
-        values = data.values.copy()
-        for rec, row in enumerate(rows):
-            if row is not None:
-                values[rec] = row
-            else:
-                assert not data.mask[rec].any()
-        return values
-
-    def step_args(s, t, j):
-        live = DataMatrix(tracked.copy(), data.mask, data.columns, data.weights)
-        return (live, edits, totals, s, t, data.columns[j])
-
-    def check_completed():
-        # Every PairStep goes on to complete (or falls back there): no step
-        # keeps its rows without drawing.
-        assert "step" not in last or last["completed"]
-        last.clear()
-
-    def checked_system(systems, s, t, j):
+    def checked_by_key(systems, j, s, t):
         assert j not in structural
-        system = real_system(systems, s, t, j)
-        last.update(records=[s, t], j=j)
-        if system.compiled.pinned:
-            step = PairStep(systems, system, tracked.tolist(), s, t)
-            current = tracked[s, j]
-            assert_admits_point(step.interval, current, scale_of(tracked[[s, t]]))
-            check_step(*step_args(s, t, j), step.interval, current, tracked[[s, t]])
-            skipped.append(current)
-        return system
+        groups = real_by_key(systems, j, s, t)
+        assert sorted(np.concatenate([gs for _, gs, _ in groups]).tolist()) == sorted(s.tolist())
+        for system, gs, gt in groups:
+            if not system.compiled.pinned:
+                continue
+            for a, b in zip(gs.tolist(), gt.tolist()):
+                step = PairStep(systems, system, tracked, a, b)
+                current = tracked[a, j]
+                assert_admits_point(step.interval, current, scale_of(tracked[[a, b]]))
+                check_step(*step_args(tracked.copy(), a, b, j), step.interval, current, tracked[[a, b]])
+                skipped.append(current)
+        return groups
 
-    class CheckedStep(PairStep):
-        def __init__(self, systems, system, rows, s, t):
-            assert live_values(rows).tobytes() == tracked.tobytes()
-            super().__init__(systems, system, rows, s, t)
-            last.update(step=self, args=step_args(s, t, last["j"]), completed=False)
-
-        def complete(self, value):
-            last["completed"] = True
-            try:
-                new = super().complete(value)
-            except InfeasibleSystemError:
-                check_step(*last["args"], None, value, None)
-                raise
-            check_step(*last["args"], self.interval, value, new)
-            tracked[last["records"]] = new
-            checked.append(value)
-            return new
+    def checked_update(systems, values, groups, *args):
+        j = swept_column(systems, groups)
+        assert values.tobytes() == tracked.tobytes()
+        assert not any(system.compiled.pinned for system, _, _ in groups)
+        live = values.copy()
+        update = real_update(systems, values, groups, *args)
+        for i, (a, b) in enumerate(zip(update.s.tolist(), update.t.tolist())):
+            if update.feasible[i]:
+                new = np.array([update.new_s[i], update.new_t[i]])
+                interval = Interval(update.lower[i], update.upper[i])
+                check_step(*step_args(live, a, b, j), interval, update.value[i], new)
+                tracked[[a, b]] = new
+                checked.append(update.value[i])
+            else:
+                check_step(*step_args(live, a, b, j), None, update.value[i], None)
+                fallbacks.append(update.value[i])
+        return update
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mcmc, "select_pair", counting_select)
-        patch.setattr(PairSystems, "system", checked_system)
-        patch.setattr(mcmc, "PairStep", CheckedStep)
+        patch.setattr(PairSystems, "by_key", checked_by_key)
+        patch.setattr(mcmc, "update_pairs", checked_update)
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=300, seed=3, predictors=predictors))
-    check_completed()
     assert out.values.tobytes() == tracked.tobytes()
-    assert len(steps) == 300
-    assert len(checked) + len(skipped) + sum(steps) == trace[-1]["accepted"] > 250
-    assert len(skipped) + sum(steps) == sum(entry["pinned"] for entry in trace[-1]["per_variable"].values())
+    last = trace[-1]
+    assert last["accepted"] + last["fallbacks"] == 300 and last["fallbacks"] == len(fallbacks)
+    on_structural = sum(last["per_variable"][data.columns[j]]["pinned"] for j in structural)
+    assert len(checked) + len(skipped) + on_structural == last["accepted"] > 250
+    assert len(skipped) + on_structural == sum(entry["pinned"] for entry in last["per_variable"].values())
     assert checked and skipped
-    assert (sum(steps) > 0) == bool(structural)
+    assert (on_structural > 0) == bool(structural)
+
+
+class RawWords:
+    """A generator stand-in whose bit generator hands out the given raw
+    words in order, for the scalar draw of ``draw_truncated_posterior``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = iter(words)
+
+    def random_raw(self):
+        return next(self._words)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal_weights", "unequal_weights"])
+def test_sweep_matches_the_single_pair_oracle(kind, weighted):
+    # Four random pairings of every column at the truth, at two states
+    # short chains leave and at an inconsistent state: update_pairs on the
+    # pairs of keys that do not pin the target, at one model (a least-squares fit on the next
+    # column, its residual variance or zero) against the PairStep oracle,
+    # pair by pair, at the same model and the same raw words of the
+    # generator.  Interval, drawn value and completion agree to 1e-12 of the
+    # pair's magnitude, and the update falls back exactly where the
+    # oracle's completion check fails.  The drawing pairs take the
+    # generator's words in the order update_pairs lists them.
+    rng = np.random.default_rng(59)
+    if kind == "large":  # two small imputed cells beside observed values near 1e10, all with totals
+        truth, mask, columns, edits, _ = large_case(rng, 120, small=("staff", "other"), with_totals=SURVEY_COLUMNS)
+        weights = rng.uniform(0.5, 4.0, 120) if weighted else np.ones(120)
+        data = DataMatrix(truth, mask, columns, weights)
+        totals = {name: float(weights @ truth[:, j]) for j, name in enumerate(columns)}
+    else:
+        data, edits, totals = build(kind, rng, weighted, r=120)
+    compared = {"pairs": 0, "drawn": 0, "fallbacks": 0}
+    states = [data]
+    for seed in (1, 2):  # states short chains leave
+        config = McmcConfig(iterations=300, seed=seed, predictors=loose_predictors(data.columns))
+        states.append(mcmc_refine(data, edits, totals, config)[0])
+    # The truth with a tenth of its imputed cells moved far off: many pairs
+    # there have crossed bounds or completions that fail.
+    off = data.copy()
+    cells = np.argwhere(off.mask)
+    for rec, col in cells[rng.random(len(cells)) < 0.1]:
+        off.values[rec, col] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * scale_of(off.values[rec])
+    states.append(off)
+    for state in states:
+        systems, values = PairSystems(state, edits, totals), state.values
+        for j, _ in itertools.product(range(len(data.columns)), range(4)):  # four pairings a column
+            records = rng.permutation(np.flatnonzero(state.mask[:, j]))
+            pairs = len(records) // 2
+            if not pairs:
+                continue
+            s, t = records[0 : 2 * pairs : 2], records[1 : 2 * pairs : 2]
+            groups = [group for group in systems.by_key(j, s, t) if not group[0].compiled.pinned]
+            if not groups:
+                continue
+            predictor = (j + 1) % len(state.columns)
+            coefficients = np.polynomial.polynomial.polyfit(values[:, predictor], values[:, j], 1)
+            residual = values[:, j] - coefficients[0] - coefficients[1] * values[:, predictor]
+            for variance in (float(residual @ residual) / len(residual), 0.0):
+                seed = int(rng.integers(2**32))
+                update = mcmc.update_pairs(
+                    systems, values, groups, coefficients.tolist(), variance, [predictor],
+                    np.random.default_rng(seed),
+                )
+                words = RawWords(np.random.default_rng(seed).bit_generator.random_raw(len(update.s)).tolist())
+                pair_systems = [system for system, gs, _ in groups for _ in gs]
+                for i, (a, b) in enumerate(zip(update.s.tolist(), update.t.tolist())):
+                    scale = scale_of(values[[a, b]])
+                    step = PairStep(systems, pair_systems[i], values, a, b)
+                    assert_close(update.lower[i], step.interval.lower, scale)
+                    assert_close(update.upper[i], step.interval.upper, scale)
+                    mean = coefficients[0] + values[a, predictor] * coefficients[1]
+                    model = mcmc.PosteriorModel(coefficients.tolist(), variance, mean)
+                    want = mcmc.draw_truncated_posterior(model, step.interval, words)
+                    assert_close(update.value[i], want, scale)
+                    compared["drawn"] += variance > 0 and not step.interval.is_point()
+                    try:
+                        new_s, new_t = step.complete(update.value[i])
+                    except InfeasibleSystemError:
+                        assert not update.feasible[i]
+                        compared["fallbacks"] += 1
+                        continue
+                    assert update.feasible[i]
+                    for got, want in zip(np.concatenate([update.new_s[i], update.new_t[i]]), new_s + new_t):
+                        assert_close(got, want, scale)
+                    compared["pairs"] += 1
+    assert compared["pairs"] > 25 and compared["drawn"] > 12
 
 
 def test_pinned_flag_matches_the_rank_oracle_on_every_survey_key():

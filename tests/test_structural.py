@@ -16,7 +16,6 @@ from calimp.edits import DEFAULT_TOL, parse_edit_rules
 from calimp.mcmc import (
     McmcConfig,
     PairIndex,
-    PairStep,
     PairSystems,
     draw_truncated_posterior,
     gram_factor,
@@ -27,7 +26,7 @@ from calimp.mcmc import (
     structural_targets,
 )
 
-from _oracles import random_imputation_instance
+from _oracles import PairStep, random_imputation_instance
 from test_pair_systems import FIVE_COLUMNS, STUDY_RULES, SURVEY_COLUMNS, build, loose_predictors, scale_of
 
 STUDY_PREDICTORS = {"x1": ["P"], "x2": ["P", "x1"]}
