@@ -375,12 +375,20 @@ def violation_matrix(
     """
     A, b, is_eq = system_matrices(system, columns)
     X = np.asarray(values, dtype=float)
-    if np.isnan(X).any():
-        # Zeros keep unknowns out of the scale; the mask drops their edits.
-        unknown = np.isnan(X)
-        return violation_matrix(system, np.where(unknown, 0.0, X), columns, tol) & ~(unknown @ (A != 0).T)
-    scale = record_scale(X[:, np.any(A != 0, axis=0)])
-    return violated(X @ A.T + b, is_eq, tol * scale[:, None])
+    unknown = np.isnan(X)
+    if not unknown.any():
+        return violations(A, b, is_eq, X, tol)[0]
+    # Zeros keep unknowns out of the scale; the mask drops their edits.
+    return violations(A, b, is_eq, np.where(unknown, 0.0, X), tol)[0] & ~(unknown @ (A != 0).T)
+
+
+def violations(A: np.ndarray, b: np.ndarray, is_eq: np.ndarray, X: np.ndarray, tol: float = DEFAULT_TOL):
+    """The rule of :func:`violation_matrix` on complete records ``X`` over
+    the columns of ``A`` (:func:`system_matrices`): the (records x edits)
+    matrix of violated edits, and each record's margin, ``tol`` times its
+    :func:`record_scale` over the columns some edit references."""
+    margin = tol * record_scale(X[:, np.any(A != 0, axis=0)])
+    return violated(X @ A.T + b, is_eq, margin[:, None]), margin
 
 
 def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -388,7 +396,9 @@ def reduced_constants(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray
 
     ``X`` holds one record per row over the columns of ``A`` (from
     :func:`system_matrices`), NaN where a value is unknown.  Returns the
-    reduced constants ``b + A x_known`` (records x edits), the numbers
-    :func:`reduce_system` folds one record at a time.
+    reduced constants ``b + A x_known`` (records x edits), all that the
+    compiled derivation (``fm.CompiledInterval``) reads of a record but
+    its margin scale.  :func:`reduce_system`, the tests' reference, folds
+    them one record at a time.
     """
     return np.where(np.isnan(X), 0.0, X) @ A.T + b

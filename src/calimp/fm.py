@@ -1,25 +1,25 @@
-"""Interval derivation for one missing cell by constraint projection.
+"""Interval derivation for missing cells by constraint projection.
 
 Equalities of a record's reduced edit system are removed by substitution,
 the remaining inequalities are projected variable by variable (combining
 every lower/upper bound pair on the eliminated variable), and the result
 is read off as an admissible interval for the target cell.  Every value
 inside the interval extends to a full assignment satisfying the original
-system, which :func:`back_substitute` reconstructs.
+system, which the completion reconstructs.
 
-:func:`compile_interval` performs the same derivation, back-substitution
-included, once for every record sharing an unknown-variable pattern; it is
-evaluated with array operations over many records or in plain Python for
-one (the refinement chain's record pairs).  It reads the matrix form of
-the system (:func:`calimp.edits.system_matrices`) and computes on
-coefficient lists over the unknowns sorted by name; the per-record
-functions, on the ``{name: coefficient}`` form of edits, remain its
-reference.
+:func:`compile_interval` makes the derivation's choices once for every
+record sharing an unknown-variable pattern, on the matrix form of the
+system (:func:`calimp.edits.system_matrices`); the resulting
+:class:`CompiledInterval` is evaluated with array operations over a
+pattern's records, or over the record pairs of the refinement chain.
+:func:`read_bounds` reads an interval off signed bound rows for both.
+The per-record functions (:func:`admissible_interval` through
+:func:`resolve_companions`), on the ``{name: coefficient}`` form of
+edits, are the tests' reference for it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -462,19 +462,24 @@ def _merge_parallel(rows: list[tuple[list[float], np.ndarray]]) -> list[tuple[li
 
 @dataclass(frozen=True)
 class CompiledInterval:
-    """:func:`admissible_interval` for every record with one unknown pattern.
+    """A target's admissible interval, and the completion of the other
+    unknowns once it is set, for all records with one unknown pattern.
 
-    Every symbolic choice of the derivation -- equality pivots, the
-    projection pairings, coefficient cleaning, duplicate signatures and
-    the elimination order -- depends only on which variables are unknown.
-    Compiling replays them once and keeps each derived row as a
-    combination of the original edits (one column per edit; equality
-    columns may carry either sign, inequality columns are nonnegative).
-    A record's derived constants are then those combinations applied to
-    its reduced constants ``d``, the edit constants with its known values
-    folded in (:func:`calimp.edits.reduced_constants`).  Its feasibility
-    is judged as in :func:`admissible_interval`, on the record's margin
-    scale (:func:`calimp.edits.record_scale`).
+    Equalities are substituted out, each consuming the unknown of its
+    largest coefficient magnitude but the target; the inequalities left
+    are projected out one variable at a time, the one in fewest rows
+    first, each pair of a lower and an upper bound on it combining into
+    one row; ties break by name.  Each choice depends only on which variables are unknown, so it
+    is made once, and a derived row keeps its coefficients over the
+    unknowns and its combination of the original edits (one column per
+    edit; equality columns may carry either sign, inequality columns are
+    nonnegative).  Parallel rows merge, keeping every distinct
+    combination.  A record's derived constants are the combinations
+    applied to its reduced constants ``d``
+    (:func:`calimp.edits.reduced_constants`), judged on its margin scale
+    (:func:`calimp.edits.record_scale`).  The per-record functions
+    (:func:`admissible_interval`, :func:`back_substitute`) are the tests'
+    reference.
 
     An edit whose variables are all known is not carried: the records'
     fully known edits must already pass
@@ -487,8 +492,8 @@ class CompiledInterval:
     #: equality in the target only, so a record's interval is a point (or
     #: empty).
     pinned: bool
-    #: The unknowns and the target, sorted by name; ``slices``,
-    #: ``substitutions`` and :meth:`complete` address them by position.
+    #: The unknowns and the target, sorted by name; the dense rows, the
+    #: ``*_var`` fields and :meth:`complete` address them by position.
     unknown: tuple[str, ...]
     #: Target coefficient and edit combination of each bound row.
     bound_coef: np.ndarray
@@ -501,44 +506,34 @@ class CompiledInterval:
     check_reason: tuple[str, ...]
     #: Each check row's mass: the sum of its combination's magnitudes.
     check_mass: np.ndarray
-    #: The compiled :func:`back_substitute`.  ``slices`` holds, per
-    #: projected variable in elimination order, its one-dimensional slice:
-    #: one (coefficient, other terms) entry per row of the system it was
-    #: projected from that involves it, whose constant is the matching row
-    #: of ``slice_comb``.  ``substitutions`` holds each equality pivot and
-    #: its expression in the variables left, whose constant is the matching
-    #: row of ``substitution_comb``.  Variables are positions in
-    #: ``unknown``; terms are (position, coefficient) pairs.
-    slices: tuple[tuple[int, tuple[tuple[float, tuple[tuple[int, float], ...]], ...]], ...]
+    #: The completion's dense rows over ``unknown``, each with the edit
+    #: combination of its constant.  Slice row k is a row, involving
+    #: ``slice_var[k]``, of the system that variable was projected from,
+    #: grouped by variable in elimination order; substitution row k gives
+    #: pivot ``substitution_var[k]`` (its own entry 0), in elimination order.
+    slice_var: np.ndarray
+    slice_coef: np.ndarray
     slice_comb: np.ndarray
-    substitutions: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+    substitution_var: np.ndarray
+    substitution_coef: np.ndarray
     substitution_comb: np.ndarray
 
     def _derive(self, D: np.ndarray, scale: np.ndarray):
         check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.outer(scale, self.check_mass))
-        bounds = -(D @ self.bound_comb.T) / self.bound_coef
-        lower = np.max(bounds, axis=1, where=self.bound_coef > 0, initial=NEG_INF)
-        upper = np.min(bounds, axis=1, where=self.bound_coef < 0, initial=POS_INF)
-        crossed = np.flatnonzero(lower > upper)
-        lo, hi = lower[crossed], upper[crossed]
-        snap = lo - hi <= DEFAULT_TOL * np.maximum(scale[crossed], np.maximum(np.abs(lo), np.abs(hi)))
-        lower[crossed[snap]] = upper[crossed[snap]] = 0.5 * (lo[snap] + hi[snap])
-        empty = np.zeros(D.shape[0], dtype=bool)
-        empty[crossed[~snap]] = True
-        return check_bad, bounds, lower, upper, empty
+        lower, upper, bounds = read_bounds(D @ self.bound_comb.T, self.bound_coef, scale)
+        return check_bad, bounds, lower, upper, lower > upper
 
     def evaluate(self, D: np.ndarray, scale: np.ndarray):
         """Bounds for records with reduced constants ``D`` (records x
         edits) and margin scales ``scale`` (one per record), plus a flag
-        per record for which the per-record derivation raises (see
+        per record with a violated check row or an empty interval (see
         :meth:`infeasibility`).  The records' fully known edits must hold
         to ``violation_matrix``'s margin; they are not checked here."""
         check_bad, _, lower, upper, empty = self._derive(D, scale)
         return lower, upper, check_bad.any(axis=1) | empty
 
     def infeasibility(self, edits: Sequence, d: np.ndarray, scale: float, record: int | None = None):
-        """The error the per-record derivation raises for one flagged record,
-        with reduced constants ``d`` and margin scale ``scale``: the first
+        """The error of one flagged record, with reduced constants ``d`` and margin scale ``scale``: the first
         violated derived check row, else the empty interval.  ``edits`` are
         the compiled system's edits, which the error names as its
         witnesses."""
@@ -563,51 +558,52 @@ class CompiledInterval:
             witness=(support(self.bound_comb[lo_row]), support(self.bound_comb[hi_row])),
         )
 
-    @functools.cached_property
-    def _layout(self):
-        slices, at = [], 0
-        for var, entries in self.slices:
-            slices.append((var, [(at + i, c, others) for i, (c, others) in enumerate(entries)]))
-            at += len(entries)
-        substitutions = [(var, expr, at + i) for i, (var, expr) in enumerate(self.substitutions)]
-        return slices[::-1], substitutions[::-1], self.unknown.index(self.target)
-
     def complete(self, value: np.ndarray, y: np.ndarray, current: np.ndarray) -> np.ndarray:
         """:func:`back_substitute` of many records at once, each with the
         target at its ``value`` and the rule that keeps each variable's
         ``current`` value, clamped into its slice.  Row i of ``current``
         and of the result lists record i's unknowns in :attr:`unknown`
         order, and row i of ``y`` holds its ``slice_comb`` rows, then its
-        ``substitution_comb`` rows, applied to its reduced constants.  A
-        slice whose bounds cross takes their midpoint, whatever the width,
-        and nothing here judges feasibility: the caller checks the
-        completed records against their edits.  Unknowns no edit
-        constrains keep their current value.  Each record's arithmetic is
-        that of a scalar loop over its terms, in term order."""
-        slices, substitutions, target = self._layout
+        ``substitution_comb`` rows, applied to its reduced constants.  In
+        reverse elimination order, each projected variable's slice rows
+        bound it at the values resolved so far, in one matrix product
+        (:func:`read_bounds`; crossed bounds meet at their midpoint,
+        whatever the width), and then each pivot takes its substitution
+        row's value.  Nothing here judges feasibility: the caller checks
+        the completed records against their edits.  Unknowns no edit
+        constrains keep their current value."""
         values = np.array(current, dtype=float)
-        values[:, target] = value
-        for var, entries in slices:
-            lower = np.full(len(values), NEG_INF)
-            upper = np.full(len(values), POS_INF)
-            for at, c, others in entries:
-                rest = y[:, at].copy()
-                for v, cv in others:
-                    rest += cv * values[:, v]
-                if c > 0:
-                    np.maximum(lower, -rest / c, out=lower)
-                else:
-                    np.minimum(upper, -rest / c, out=upper)
-            crossed = lower > upper
-            if crossed.any():
-                lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+        values[:, self.unknown.index(self.target)] = value
+        for var in dict.fromkeys(self.slice_var[::-1].tolist()):
+            at = np.flatnonzero(self.slice_var == var)
+            coef = self.slice_coef[at]
+            values[:, var] = 0.0  # drops var's own term from the product
+            lower, upper, _ = read_bounds(y[:, at] + values @ coef.T, coef[:, var])
             values[:, var] = np.minimum(np.maximum(current[:, var], lower), upper)
-        for var, expr, at in substitutions:
-            acc = y[:, at].copy()
-            for v, c in expr:
-                acc += c * values[:, v]
-            values[:, var] = acc
+        at = len(self.slice_var)
+        for k in range(len(self.substitution_var) - 1, -1, -1):
+            values[:, self.substitution_var[k]] = y[:, at + k] + values @ self.substitution_coef[k]
         return values
+
+
+def read_bounds(const: np.ndarray, coef: np.ndarray, scale: np.ndarray | None = None):
+    """Lower and upper bound per record i, and each row's bound, of a
+    variable ``x`` under rows ``coef[k] x + const[i, k] >= 0`` (``coef``
+    nonzero).  Crossed bounds meet at their midpoint; given the records'
+    margin scales ``scale``, only where they cross by at most
+    ``DEFAULT_TOL`` times the larger of the scale and their magnitudes
+    (as :func:`snap`), wider crossings staying as they are: empty."""
+    bounds = -const / coef
+    lower = np.max(bounds, axis=1, where=coef > 0, initial=NEG_INF)
+    upper = np.min(bounds, axis=1, where=coef < 0, initial=POS_INF)
+    crossed = np.flatnonzero(lower > upper)
+    if crossed.size:
+        lo, hi = lower[crossed], upper[crossed]
+        if scale is not None:
+            meet = lo - hi <= DEFAULT_TOL * np.maximum(scale[crossed], np.maximum(np.abs(lo), np.abs(hi)))
+            crossed, lo, hi = crossed[meet], lo[meet], hi[meet]
+        lower[crossed] = upper[crossed] = 0.5 * (lo + hi)
+    return lower, upper, bounds
 
 
 def snap(lower: float, upper: float, scale: float) -> tuple[float, float]:
@@ -624,18 +620,18 @@ def snap(lower: float, upper: float, scale: float) -> tuple[float, float]:
 def compile_interval(
     A: np.ndarray, is_eq: np.ndarray, names: Sequence[str], unknown: Collection[str], target: str
 ) -> CompiledInterval:
-    """Compile :func:`admissible_interval` and :func:`back_substitute` for
-    records whose unknown variables are ``unknown``.
+    """The :class:`CompiledInterval` of ``target`` for records whose
+    unknown variables are ``unknown``.
 
     ``A`` and ``is_eq`` are the full system's coefficient matrix and
     equality flags (:func:`calimp.edits.system_matrices`), and ``names``
     labels the columns of ``A``; a variable that no column carries is in
     no edit.  The known variables' values enter only through the reduced
-    constants at evaluation time.  Positions follow the names, so the
-    first extreme entry breaks ties by name, as in
-    :func:`eliminate_equalities` and :func:`_elimination_order`.  An edit
-    with no unknown variable is left out: its records must already meet it
-    to ``violation_matrix``'s margin.
+    constants at evaluation time.  The derivation computes on coefficient
+    lists over the unknowns sorted by name, so taking the first extreme
+    entry breaks ties by name.  An edit with no unknown variable is left
+    out: its records must already meet it to ``violation_matrix``'s
+    margin.
     """
     n = len(A)
     order = tuple(sorted({*unknown, target}))
@@ -648,7 +644,7 @@ def compile_interval(
     checks: list[tuple[np.ndarray, bool, str]] = []
 
     # Equalities, as in eliminate_equalities (each row has one combination).
-    stack: list[tuple[int, tuple[tuple[int, float], ...], np.ndarray]] = []
+    stack: list[tuple[int, list[float], np.ndarray]] = []
     pinned = False
     while (eq_pos := next((i for i, row in enumerate(work) if row[2]), None)) is not None:
         eq, eq_comb, _ = work.pop(eq_pos)
@@ -673,13 +669,13 @@ def compile_interval(
                     continue
             replaced.append((coeffs, comb, row_eq))
         work = replaced
-        stack.append((pivot, tuple((i, c) for i, c in enumerate(expr) if c and i != pivot), expr_comb))
+        expr[pivot] = 0.0
+        stack.append((pivot, expr, expr_comb))
 
     # Projection, as in fourier_motzkin_eliminate on the merged rows; the
     # next variable is the one in fewest rows, as in _elimination_order.
     rows = _merge_parallel([(coeffs, comb[None, :]) for coeffs, comb, _ in work])
-    slices: list[tuple[int, tuple]] = []
-    slice_comb: list[np.ndarray] = []
+    slices: list[tuple[int, list[float], np.ndarray]] = []
     while rows:
         counts = [sum(map(bool, column)) for column in zip(*(coeffs for coeffs, _ in rows))]
         counts[at] = 0
@@ -690,12 +686,7 @@ def compile_interval(
         uppers = [r for r in rows if r[0][var] < 0]
         # var's one-dimensional slice, as back_substitute reads it off the
         # system var is projected from.
-        entries = []
-        for coeffs, combs in lowers + uppers:
-            others = tuple((i, c) for i, c in enumerate(coeffs) if c and i != var)
-            entries.extend((coeffs[var], others) for _ in combs)
-            slice_comb.extend(combs)
-        slices.append((var, tuple(entries)))
+        slices.extend((var, coeffs, comb) for coeffs, combs in lowers + uppers for comb in combs)
         out = [r for r in rows if not r[0][var]]
         for (lo, lo_combs), (up, up_combs) in itertools.product(lowers, uppers):
             # var's own entry cancels exactly: -cu * cl + cl * cu.
@@ -712,8 +703,8 @@ def compile_interval(
     bound_coef = [coeffs[at] for coeffs, combs in rows for _ in combs]
     bound_comb = [comb for _, combs in rows for comb in combs]
 
-    def matrix(combs: list) -> np.ndarray:
-        return np.array(combs, dtype=float).reshape(len(combs), n)
+    def matrix(rows: list, width: int = n) -> np.ndarray:
+        return np.array(rows, dtype=float).reshape(len(rows), width)
 
     check_comb = matrix([c for c, _, _ in checks])
     return CompiledInterval(
@@ -726,8 +717,10 @@ def compile_interval(
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),
         check_mass=np.abs(check_comb).sum(axis=1),
-        slices=tuple(slices),
-        slice_comb=matrix(slice_comb),
-        substitutions=tuple((var, terms) for var, terms, _ in stack),
+        slice_var=np.array([var for var, _, _ in slices], dtype=np.intp),
+        slice_coef=matrix([coeffs for _, coeffs, _ in slices], len(order)),
+        slice_comb=matrix([comb for _, _, comb in slices]),
+        substitution_var=np.array([var for var, _, _ in stack], dtype=np.intp),
+        substitution_coef=matrix([expr for _, expr, _ in stack], len(order)),
         substitution_comb=matrix([expr_comb for _, _, expr_comb in stack]),
     )

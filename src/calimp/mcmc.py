@@ -55,10 +55,10 @@ import numpy as np
 
 from . import fm, metrics
 from .edits import (
-    DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices, violated,
+    Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices, violations,
 )
 from .errors import CalimpError, InsufficientDataError
-from .pipeline import DataMatrix, Totals, check_inputs, check_integer, validate
+from .pipeline import DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, validate
 from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
 from .residuals import draw_ar_residual, generator_uniforms, truncated_normal
 
@@ -229,8 +229,11 @@ class PairSystems:
     """The constraint systems of a chain's record pairs, compiled once per
     key into dense rows over a pair's step vector.
 
-    The system is :func:`pair_constraint_system`'s, with the totals'
-    equalities solved first.  A column imputed in both records that
+    A pair's unknowns are the imputed cells of its records s and t.  Its
+    constraints are both records' edits with their observed values folded
+    in, and, per column with a known total, the requirement that the
+    pair's imputed cells keep their current weighted sum.  Those sums'
+    equalities are solved first.  A column imputed in both records that
     carries a total (the coupled columns, V_T) keeps one unknown ``s.v``;
     its partner is ``t.v = (R_v - w_s s.v) / w_t``, where R_v is the pair's
     current weighted sum ``w_s x_s[v] + w_t x_t[v]``.  A column imputed in
@@ -247,23 +250,24 @@ class PairSystems:
     Every row reads the pair's step vector ``z = [x_s, (w_t/w_s) x_t,
     R/w_s, 1, w_t/w_s]``, with R the coupled columns' shares (0 in the
     other columns): the pair's current weighted sums, which the update
-    conserves.  ``compiled`` and ``hits`` count the pair lookups that
-    compiled their key's system and those that found it.
+    conserves.  Records are grouped by their pattern of imputed columns
+    (``pipeline._missing_patterns``), so a key follows from two pattern
+    ids.  ``compiled`` and ``hits`` count the pair lookups that compiled
+    their key's system and those that found it.
+    :func:`pair_constraint_system` builds one pair's system the per-record
+    way, without solving the sums first: the tests' reference.
     """
 
     def __init__(self, data: DataMatrix, edits: EditSystem, totals: Totals | None):
         self.columns = data.columns
         self.A, self.b, self.is_eq = system_matrices(edits, data.columns)
-        # violation_matrix's margin scale reads the columns some edit references.
-        self.referenced = np.flatnonzero(self.A.any(axis=0))
         self.has_total = np.array([name in (totals or {}) for name in data.columns], dtype=bool)
         self.with_total = sum(1 << j for j, name in enumerate(data.columns) if name in (totals or {}))
         self.mask = data.mask
         self.weights = data.weights
         # Each record's imputed columns as a bit mask, through the id of its
         # pattern among the distinct ones.
-        patterns, self.pattern_id = np.unique(data.mask, axis=0, return_inverse=True)
-        self.pattern_id = self.pattern_id.ravel()
+        patterns, self.pattern_id = _missing_patterns(data.mask)
         self.pattern_bits = [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in patterns]
         self.pattern = [self.pattern_bits[k] for k in self.pattern_id.tolist()]
         # Per record: the edits a completion is checked against, those that
@@ -362,19 +366,6 @@ class PairUpdates(NamedTuple):
     feasible: np.ndarray
 
 
-def _bounds(system: _KeySystem, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The target's interval for the pairs of one key with step vectors
-    ``Z``; bounds that cross meet at their midpoint, whatever the width."""
-    coef = system.compiled.bound_coef
-    bounds = -(Z @ system.bound_rows.T) / coef
-    lower = np.max(bounds, axis=1, where=coef > 0, initial=-math.inf)
-    upper = np.min(bounds, axis=1, where=coef < 0, initial=math.inf)
-    crossed = lower > upper
-    if crossed.any():
-        lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
-    return lower, upper
-
-
 def draw_targets(
     mean: np.ndarray, variance: float, lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -439,7 +430,7 @@ def update_pairs(
         start += len(gs)
     lower, upper = np.empty(len(s)), np.empty(len(s))
     for system, rows in spans:
-        lower[rows], upper[rows] = _bounds(system, Z[rows])
+        lower[rows], upper[rows], _ = fm.read_bounds(Z[rows] @ system.bound_rows.T, system.compiled.bound_coef)
     mean = np.full(len(s), float(coefficients[0]))
     for c, beta in zip(predictors, coefficients[1:]):
         mean += x_s[:, c] * beta
@@ -457,9 +448,7 @@ def update_pairs(
         new_t[rows, cols_t] = np.where(kept, new_t[rows, cols_t], solved_t / ratio[rows])
     new_t = np.where(coupled, (shares - w_s * new_s) / w_t, new_t)
 
-    completed = np.concatenate([new_s, new_t])
-    margin = DEFAULT_TOL * record_scale(completed[:, systems.referenced])
-    broken = violated(completed @ systems.A.T + systems.b, systems.is_eq, margin[:, None])
+    broken, margin = violations(systems.A, systems.b, systems.is_eq, np.concatenate([new_s, new_t]))
     broken = (broken & systems.checked[np.concatenate([s, t])]).any(axis=1)
     margin = np.maximum(margin[: len(s)], margin[len(s) :])
     missed = coupled & (np.abs(w_s * new_s + w_t * new_t - shares) > margin[:, None])

@@ -550,19 +550,23 @@ def _dot(terms: list[tuple[int, float]], z: list[float]) -> float:
 
 
 def scalar_complete(compiled: fm.CompiledInterval, value: float, y, current) -> list[float]:
-    """``fm.CompiledInterval.complete`` of one record in plain Python: the
-    slices in reverse elimination order, each keeping its variable's
-    current value clamped into the slice (crossed bounds meet at their
-    midpoint), then the substitutions."""
-    slices, substitutions, target = compiled._layout
+    """``fm.CompiledInterval.complete`` of one record in plain Python, term
+    by term: the slices in reverse elimination order, each keeping its
+    variable's current value clamped into the slice (crossed bounds meet
+    at their midpoint), then the substitutions in reverse order.  A slice
+    row's constant and a substitution's value sum their terms in
+    position order."""
+    slice_var, slice_coef = compiled.slice_var.tolist(), compiled.slice_coef.tolist()
     values = list(current)
-    values[target] = value
-    for var, entries in slices:
+    values[compiled.unknown.index(compiled.target)] = value
+    for var in dict.fromkeys(reversed(slice_var)):
         lower, upper = -math.inf, math.inf
-        for at, c, others in entries:
-            rest = y[at]
-            for v, cv in others:
-                rest += cv * values[v]
+        for k in (k for k, v in enumerate(slice_var) if v == var):
+            rest = y[k]
+            for i, c in enumerate(slice_coef[k]):
+                if c and i != var:
+                    rest += c * values[i]
+            c = slice_coef[k][var]
             bound = -rest / c
             if c > 0:
                 if bound > lower:
@@ -572,11 +576,13 @@ def scalar_complete(compiled: fm.CompiledInterval, value: float, y, current) -> 
         if lower > upper:
             lower = upper = 0.5 * (lower + upper)
         values[var] = min(max(current[var], lower), upper)
-    for var, expr, at in substitutions:
-        acc = y[at]
-        for v, c in expr:
-            acc += c * values[v]
-        values[var] = acc
+    pivots = compiled.substitution_var.tolist()
+    for k in reversed(range(len(pivots))):
+        acc = y[len(slice_var) + k]
+        for i, c in enumerate(compiled.substitution_coef[k].tolist()):
+            if c:
+                acc += c * values[i]
+        values[pivots[k]] = acc
     return values
 
 
@@ -643,7 +649,7 @@ class PairStep:
                 new_t[i - p] = v / ratio
         for c, share in self.shares.items():
             new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
-        referenced = systems.referenced.tolist()
+        referenced = np.flatnonzero(systems.A.any(axis=0)).tolist()
         margins = [DEFAULT_TOL * max([1.0, *(abs(row[c]) for c in referenced)]) for row in (new_s, new_t)]
         for pattern, row, margin in zip(self.patterns, (new_s, new_t), margins):
             for k in range(len(systems.b)):

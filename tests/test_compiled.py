@@ -20,7 +20,9 @@ from calimp.edits import (
 from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleRecordError, InfeasibleSystemError
 from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute
 
-from _oracles import GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system
+from _oracles import (
+    GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system, scalar_complete,
+)
 from test_pair_systems import (
     SURVEY_COLUMNS, SURVEY_RULES, survey_blank_pair_below_zero, survey_near_zero_other, survey_truth,
 )
@@ -484,24 +486,99 @@ def test_target_outside_every_edit_is_unbounded():
         assert diag[0]["intervals"] == {"count": 1, "degenerate": 0, "bounded": 0, "unbounded": 1, "patterns": 1}
 
 
+#: A survey record meeting every survey edit.
+SURVEY_RECORD = dict(zip(SURVEY_COLUMNS, (600.0, 300.0, 900.0, 200.0, 250.0, 100.0, 550.0, 350.0)))
+
+
+def survey_patterns():
+    """Every (unknown pattern, target) of the 8-variable survey system."""
+    names = parse_edit_rules(SURVEY_RULES).variables
+    for bits in range(1, 2 ** len(names)):
+        unknown = [v for j, v in enumerate(names) if bits >> j & 1]
+        for target in unknown:
+            yield unknown, target
+
+
 def test_compiled_pivots_and_projection_order_match_per_record_derivation():
     """On every (pattern, target) of the 8-variable survey system, the
     compiled equality pivots and projection order are the per-record
     derivation's: both break ties between equal coefficients and counts
     by name, which keeps the two derivations' arithmetic the same."""
     system = parse_edit_rules(SURVEY_RULES)
-    names = system.variables
-    record = dict(zip(SURVEY_COLUMNS, (600.0, 300.0, 900.0, 200.0, 250.0, 100.0, 550.0, 350.0)))
-    for bits in range(1, 2 ** len(names)):
-        unknown = [v for j, v in enumerate(names) if bits >> j & 1]
-        known = {v: x for v, x in record.items() if v not in unknown}
-        for target in unknown:
-            compiled = compile_for(system, unknown, target)
-            _, elimination = fm.admissible_interval(reduce_system(system, known), target)
-            pivots = [compiled.unknown[p] for p, _ in compiled.substitutions]
-            projected = [compiled.unknown[p] for p, _ in compiled.slices]
-            assert pivots == [v for v, _ in elimination.eq_subs], (unknown, target)
-            assert projected == [v for v, _ in elimination.fm_steps], (unknown, target)
+    for unknown, target in survey_patterns():
+        known = {v: x for v, x in SURVEY_RECORD.items() if v not in unknown}
+        compiled = compile_for(system, unknown, target)
+        _, elimination = fm.admissible_interval(reduce_system(system, known), target)
+        pivots = [compiled.unknown[p] for p in compiled.substitution_var]
+        projected = [compiled.unknown[p] for p in dict.fromkeys(compiled.slice_var.tolist())]
+        assert pivots == [v for v, _ in elimination.eq_subs], (unknown, target)
+        assert projected == [v for v, _ in elimination.fm_steps], (unknown, target)
+
+
+def values_inside(lower, upper, truth, rng, k=4):
+    """``k`` values per record inside ``[lower, upper]``: both finite ends
+    and random points between, a half-open side reaching 10 units past
+    the truth."""
+    lo = np.where(np.isfinite(lower), lower, np.minimum(truth, upper) - 10.0)
+    hi = np.where(np.isfinite(upper), upper, np.maximum(truth, lower) + 10.0)
+    u = np.column_stack([np.zeros_like(lo), np.ones_like(lo), rng.random((len(lo), k - 2))])
+    return np.minimum(np.maximum(lo[:, None] + u * (hi - lo)[:, None], lower[:, None]), upper[:, None])
+
+
+def assert_completes(system, compiled, X, rng):
+    """``compiled.complete`` of the records ``X`` (truths, one per row) at
+    values inside their intervals, with ``current`` at the truth: each
+    completion equals ``_oracles.scalar_complete`` to ``RTOL`` times the
+    record's magnitude, and the completed records pass
+    ``violation_matrix``.  Returns how many merged slice rows with two or
+    more combinations and pivots with two or more terms it met."""
+    A, b, _ = system_matrices(system, system.variables)
+    Xu = blanked(system, X, compiled.unknown)
+    D = reduced_constants(A, b, Xu)
+    lower, upper, bad = compiled.evaluate(D, record_scale(Xu[:, A.any(axis=0)]))
+    assert not bad.any()
+    cols = [system.variables.index(v) for v in compiled.unknown]
+    at = compiled.unknown.index(compiled.target)
+    value = values_inside(lower, upper, X[:, cols[at]], rng)
+    k = value.shape[1]
+    Y = np.repeat(D @ np.vstack([compiled.slice_comb, compiled.substitution_comb]).T, k, axis=0)
+    current = np.repeat(X[:, cols], k, axis=0)
+    solved = compiled.complete(value.ravel(), Y, current)
+    for i, (v, y, c, got) in enumerate(zip(value.ravel().tolist(), Y.tolist(), current.tolist(), solved)):
+        want = scalar_complete(compiled, v, y, c)
+        scale = max(1.0, float(np.abs(X[i // k]).max()), abs(v))
+        assert np.all(np.abs(got - want) <= RTOL * scale), (compiled.unknown, compiled.target, got, want)
+    completed = np.repeat(X, k, axis=0)
+    completed[:, cols] = solved
+    assert not violation_matrix(system, completed, system.variables).any(), (compiled.unknown, compiled.target)
+    coef = compiled.slice_coef
+    repeated = (compiled.slice_var[1:] == compiled.slice_var[:-1]) & (coef[1:] == coef[:-1]).all(axis=1)
+    return int(repeated.sum()), int(((compiled.substitution_coef != 0).sum(axis=1) >= 2).sum())
+
+
+def test_complete_matches_the_scalar_completion_on_every_survey_pattern():
+    """``CompiledInterval.complete`` on every (pattern, target) of the
+    survey system at a truth record, against the term-by-term completion.
+    The corpus holds the cases where the dense rows' matrix products sum
+    differently from a loop over terms: a merged slice row with two or
+    more combinations, and a pivot with two or more terms."""
+    system = parse_edit_rules(SURVEY_RULES)
+    X = np.array([[SURVEY_RECORD[v] for v in system.variables]])
+    rng = np.random.default_rng(0)
+    merged = pivots = 0
+    for unknown, target in survey_patterns():
+        m, p = assert_completes(system, compile_for(system, unknown, target), X, rng)
+        merged, pivots = merged + m, pivots + p
+    assert merged > 0 and pivots > 0, (merged, pivots)
+
+
+@examples
+@given(seeds)
+def test_complete_matches_the_scalar_completion_on_truth_first_systems(seed):
+    rng = np.random.default_rng(seed)
+    system, X = truth_first_system(rng)
+    unknown, target = random_pattern(rng, list(system.variables))
+    assert_completes(system, compile_for(system, unknown, target), X, rng)
 
 
 @examples
@@ -515,6 +592,9 @@ def test_column_order_does_not_change_the_compiled_derivation(seed):
     unknown, target = random_pattern(rng, list(system.variables))
     permuted = [system.variables[j] for j in rng.permutation(len(system.variables))]
     a, b = (compile_for(system, unknown, target, columns) for columns in (system.variables, permuted))
-    assert (a.unknown, a.substitutions, a.slices) == (b.unknown, b.substitutions, b.slices)
-    for name in ("bound_coef", "bound_comb", "check_comb", "slice_comb", "substitution_comb"):
+    assert a.unknown == b.unknown
+    for name in (
+        "bound_coef", "bound_comb", "check_comb", "slice_var", "slice_coef", "slice_comb",
+        "substitution_var", "substitution_coef", "substitution_comb",
+    ):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name

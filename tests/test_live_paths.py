@@ -1,0 +1,94 @@
+"""The live paths never call the per-record reference.
+
+``pipeline.impute`` derives intervals with the compiled derivation
+(``fm.compile_interval``) and draws residuals from ``cell_uniforms``;
+``mcmc.mcmc_refine`` runs in sweeps over compiled pair systems.  The
+per-record functions stay in calimp as the tests' reference, and
+``perfbench/spans.py`` traces them by name.  Here each of them is replaced,
+under every name calimp binds it to, by a function that raises, and impute
+(every method) and the chain run on the study and on the pair-system
+cases of ``test_pair_systems``.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from calimp import edits, fm, mcmc, residuals, sim
+from calimp.errors import CalimpError
+from calimp.mcmc import McmcConfig, mcmc_refine
+from calimp.pipeline import DataMatrix, ImputationConfig, impute
+
+from test_pair_systems import CASES, build, loose_predictors
+
+REFERENCE = (
+    (edits, "reduce_system"),
+    (fm, "admissible_interval"),
+    (fm, "back_substitute"),
+    (fm, "resolve_companions"),
+    (fm, "snap"),
+    (mcmc, "select_pair"),
+    (mcmc, "pair_constraint_system"),
+    (mcmc, "posterior_model"),
+    (mcmc, "draw_truncated_posterior"),
+    (residuals, "draw_ar_residual"),
+    (residuals, "cell_uniform"),
+)
+
+
+def forbidden(label):
+    def call(*args, **kwargs):
+        raise AssertionError(f"a live path called {label}")
+
+    return call
+
+
+@pytest.fixture
+def reference_forbidden(monkeypatch):
+    """Every reference function, under every calimp name bound to it,
+    raises; returns the names replaced."""
+    originals = [(getattr(module, name), f"{module.__name__}.{name}") for module, name in REFERENCE]
+    modules = [m for name, m in sorted(sys.modules.items()) if name == "calimp" or name.startswith("calimp.")]
+    replaced = []
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            for original, label in originals:
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden(label))
+                    replaced.append(f"{module.__name__}.{attr}")
+    return replaced
+
+
+def test_every_binding_is_replaced(reference_forbidden):
+    for module, name in REFERENCE:
+        assert f"{module.__name__}.{name}" in reference_forbidden
+    # Re-exports and aliases are bindings too.
+    for name in ("calimp.reduce_system", "calimp.mcmc.reduce_system", "calimp.residuals.cell_rng",
+                 "calimp.mcmc.draw_ar_residual", "calimp.select_pair"):
+        assert name in reference_forbidden
+    with pytest.raises(AssertionError, match="fm.snap"):
+        fm.snap(1.0, 0.0, 1.0)
+
+
+def test_study_replication_calls_no_reference(reference_forbidden):
+    config = sim.StudyConfig(population_size=4_000, sample_size=400, mcmc_iterations=3_000)
+    population, _ = sim.generate_population(config, np.random.default_rng(1234))
+    _, metrics = sim.run_replication(population, config, np.random.default_rng(1000), 0)
+    assert set(metrics) == set(config.methods)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_pair_system_cases_call_no_reference(reference_forbidden, kind):
+    data, system, totals = build(kind, np.random.default_rng(5), weighted=True)
+    given = DataMatrix(np.where(data.mask, np.nan, data.values), data.mask, data.columns, data.weights)
+    # The benchmarked methods need a total on every imputed column.
+    every_total = dict(zip(data.columns, (data.weights @ data.values).tolist()))
+    for method in ("upma", "bpma", "bpmr"):
+        try:
+            impute(given, system, None if method == "upma" else every_total, ImputationConfig(method, seed=3))
+        except CalimpError:
+            pass  # a failure on feasible input (ROADMAP item 1), not a reference call
+    config = McmcConfig(iterations=2_000, seed=3, predictors=loose_predictors(data.columns))
+    _, trace = mcmc_refine(data, system, totals, config)
+    assert trace[-1]["iteration"] == 2_000
