@@ -83,9 +83,9 @@ class EliminationRecord:
     ``eq_subs`` replays equality eliminations; ``fm_steps`` stores, for each
     projected variable, the inequality system as it stood just before the
     variable was projected out, so its one-dimensional range can be
-    recovered once later-eliminated variables are known.  Their crossed
-    bounds snap, and the completion is checked, on ``scale``, the system's
-    margin scale (:attr:`ReducedSystem.scale`).
+    recovered once later-eliminated variables are known.  Crossed bounds
+    of such a range meet at their midpoint, and the completion is checked
+    on ``scale``, the system's margin scale (:attr:`ReducedSystem.scale`).
     """
 
     target: str
@@ -288,10 +288,13 @@ def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> 
     Returns the interval together with the elimination record needed to
     complete the remaining variables afterwards.  A target not mentioned by
     any edit comes back unbounded.  Every feasibility decision is made on
-    the system's margin scale, to which its edits hold
-    (:attr:`ReducedSystem.scale`; 1 for a plain sequence of edits): derived
-    rows without variables as :func:`eliminate_equalities` says, crossed
-    bounds as :func:`snap` does.
+    the system's margin scale ``s``, to which its edits hold
+    (:attr:`ReducedSystem.scale`; 1 for a plain sequence of edits), and
+    each derived row's mass ``m`` (see :func:`eliminate_equalities`):
+    a derived row without variables holds to ``DEFAULT_TOL * s * m``, and
+    crossed bounds on the target meet, as :func:`read_bounds` rules, where
+    the rows loosened by that margin still overlap, at the midpoint clamped
+    into the overlap.
     """
     if not isinstance(system, ReducedSystem):
         system = ReducedSystem(tuple(system))
@@ -306,36 +309,41 @@ def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> 
         fm_steps.append((var, list(ineqs)))
         ineqs, masses = fourier_motzkin_eliminate(ineqs, var, masses, scale)
 
-    lower, upper = NEG_INF, POS_INF
+    # Every row left is in the target alone; ``loose`` is its bound with
+    # the row loosened by its margin.
+    lower, upper, lo_loose, hi_loose = NEG_INF, POS_INF, NEG_INF, POS_INF
     lo_witness = hi_witness = None
-    for edit in ineqs:
-        if not edit.coeffs:  # pragma: no cover - constant rows are checked on creation
-            continue
+    for edit, mass in zip(ineqs, masses):
         c = edit.coeffs[target]
         bound = -edit.constant / c
+        loose = bound - DEFAULT_TOL * scale * (mass / c)
         if c > 0:
+            lo_loose = max(lo_loose, loose)
             if bound > lower:
                 lower, lo_witness = bound, edit
         else:
+            hi_loose = min(hi_loose, loose)
             if bound < upper:
                 upper, hi_witness = bound, edit
-    try:
-        interval = Interval(*snap(lower, upper, scale))
-    except InfeasibleSystemError as err:
-        message = f"no admissible value for {target}: {err}"
-        raise InfeasibleSystemError(message, witness=(lo_witness, hi_witness)) from None
+    if lower > upper:
+        if lo_loose > hi_loose:
+            raise InfeasibleSystemError(
+                f"no admissible value for {target}: requires >= {lower:.6g} and <= {upper:.6g}",
+                witness=(lo_witness, hi_witness),
+            )
+        lower = upper = min(max(0.5 * (lower + upper), lo_loose), hi_loose)
     record = EliminationRecord(
         target=target,
-        interval=interval,
+        interval=Interval(lower, upper),
         eq_subs=eq_subs,
         fm_steps=fm_steps,
         system=system.edits,
         scale=scale,
     )
-    return interval, record
+    return record.interval, record
 
 
-def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float], scale: float) -> Interval:
+def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, float]) -> Interval:
     lower, upper = NEG_INF, POS_INF
     for edit in edits:
         if var not in edit.coeffs:
@@ -347,7 +355,9 @@ def _one_dim_interval(edits: Sequence[Edit], var: str, values: Mapping[str, floa
             lower = max(lower, bound)
         else:
             upper = min(upper, bound)
-    return Interval(*snap(lower, upper, scale))
+    if lower > upper:  # as CompiledInterval.complete: back_substitute's final check judges the record
+        lower = upper = 0.5 * (lower + upper)
+    return Interval(lower, upper)
 
 
 def back_substitute(
@@ -358,11 +368,13 @@ def back_substitute(
     """Complete a record from an assigned target value.
 
     Projected variables are resolved in reverse elimination order: each gets
-    its now one-dimensional admissible range and the value rule picks a
-    point in it (midpoint by default; samplers substitute their own rule).
-    Equality-eliminated variables then follow exactly.  The full assignment
-    is validated against the original system before returning, on the
-    larger of the record's scale and the assigned magnitudes.
+    its now one-dimensional admissible range (crossed bounds meet at their
+    midpoint) and the value rule picks a point in it (midpoint by default;
+    samplers substitute their own rule).  Equality-eliminated variables
+    then follow exactly.  The full assignment is validated against the
+    original system before returning, on the larger of the record's scale
+    and the assigned magnitudes: the one feasibility verdict of the
+    completion.
     """
     if record.target not in assigned:
         raise ValueError(f"assigned values must include the target {record.target!r}")
@@ -376,7 +388,7 @@ def back_substitute(
     for var, pre_system in reversed(record.fm_steps):
         if var in values:
             continue
-        interval = _one_dim_interval(pre_system, var, values, record.scale)
+        interval = _one_dim_interval(pre_system, var, values)
         values[var] = interval.clamp(rule(var, interval))
     for var, expr in reversed(record.eq_subs):
         # A variable can cancel out of every inequality and resurface only
@@ -495,9 +507,11 @@ class CompiledInterval:
     #: The unknowns and the target, sorted by name; the dense rows, the
     #: ``*_var`` fields and :meth:`complete` address them by position.
     unknown: tuple[str, ...]
-    #: Target coefficient and edit combination of each bound row.
+    #: Target coefficient, edit combination and mass (the sum of the
+    #: combination's magnitudes) of each bound row.
     bound_coef: np.ndarray
     bound_comb: np.ndarray
+    bound_mass: np.ndarray
     #: Derived rows without variables, with their equality flag and the
     #: message raised when a record violates one: the witness of an
     #: infeasible pattern.
@@ -520,7 +534,7 @@ class CompiledInterval:
 
     def _derive(self, D: np.ndarray, scale: np.ndarray):
         check_bad = violated(D @ self.check_comb.T, self.check_eq, DEFAULT_TOL * np.outer(scale, self.check_mass))
-        lower, upper, bounds = read_bounds(D @ self.bound_comb.T, self.bound_coef, scale)
+        lower, upper, bounds = read_bounds(D @ self.bound_comb.T, self.bound_coef, scale, self.bound_mass)
         return check_bad, bounds, lower, upper, lower > upper
 
     def evaluate(self, D: np.ndarray, scale: np.ndarray):
@@ -586,35 +600,32 @@ class CompiledInterval:
         return values
 
 
-def read_bounds(const: np.ndarray, coef: np.ndarray, scale: np.ndarray | None = None):
+def read_bounds(const: np.ndarray, coef: np.ndarray, scale: np.ndarray | None = None, mass: np.ndarray | None = None):
     """Lower and upper bound per record i, and each row's bound, of a
     variable ``x`` under rows ``coef[k] x + const[i, k] >= 0`` (``coef``
-    nonzero).  Crossed bounds meet at their midpoint; given the records'
-    margin scales ``scale``, only where they cross by at most
-    ``DEFAULT_TOL`` times the larger of the scale and their magnitudes
-    (as :func:`snap`), wider crossings staying as they are: empty."""
+    nonzero).  Crossed bounds meet at their midpoint.
+
+    Given the records' margin scales ``scale`` and the rows' masses
+    ``mass`` (:attr:`CompiledInterval.bound_mass`), a crossing is judged
+    as the check row one more projection step would derive: each row k
+    is loosened by its own margin, ``DEFAULT_TOL * scale * mass[k]``, and
+    the bounds meet only where the loosened rows still overlap, at the
+    midpoint clamped into that overlap; a wider crossing stays as it is:
+    empty.  The loosened rows are computed for crossed records only."""
     bounds = -const / coef
     lower = np.max(bounds, axis=1, where=coef > 0, initial=NEG_INF)
     upper = np.min(bounds, axis=1, where=coef < 0, initial=POS_INF)
     crossed = np.flatnonzero(lower > upper)
     if crossed.size:
-        lo, hi = lower[crossed], upper[crossed]
+        point = 0.5 * (lower[crossed] + upper[crossed])
         if scale is not None:
-            meet = lo - hi <= DEFAULT_TOL * np.maximum(scale[crossed], np.maximum(np.abs(lo), np.abs(hi)))
-            crossed, lo, hi = crossed[meet], lo[meet], hi[meet]
-        lower[crossed] = upper[crossed] = 0.5 * (lo + hi)
+            loose = bounds[crossed] - np.outer(DEFAULT_TOL * scale[crossed], mass / coef)
+            lo = np.max(loose, axis=1, where=coef > 0, initial=NEG_INF)
+            hi = np.min(loose, axis=1, where=coef < 0, initial=POS_INF)
+            meet = lo <= hi
+            crossed, point = crossed[meet], np.minimum(np.maximum(point[meet], lo[meet]), hi[meet])
+        lower[crossed] = upper[crossed] = point
     return lower, upper, bounds
-
-
-def snap(lower: float, upper: float, scale: float) -> tuple[float, float]:
-    """Bounds crossed by at most ``DEFAULT_TOL`` times the larger of
-    ``scale``, the margin scale their edits hold to, and their own
-    magnitudes meet at their midpoint; a wider crossing is infeasible."""
-    if lower > upper:
-        if lower - upper > DEFAULT_TOL * max(scale, abs(lower), abs(upper)):
-            raise InfeasibleSystemError(f"requires >= {lower:.6g} and <= {upper:.6g}")
-        lower = upper = 0.5 * (lower + upper)
-    return lower, upper
 
 
 def compile_interval(
@@ -700,19 +711,19 @@ def compile_interval(
                 checks.extend((comb, False, reason) for comb in combs)
         rows = _merge_parallel(out)
 
-    bound_coef = [coeffs[at] for coeffs, combs in rows for _ in combs]
-    bound_comb = [comb for _, combs in rows for comb in combs]
-
     def matrix(rows: list, width: int = n) -> np.ndarray:
         return np.array(rows, dtype=float).reshape(len(rows), width)
 
+    bound_coef = [coeffs[at] for coeffs, combs in rows for _ in combs]
+    bound_comb = matrix([comb for _, combs in rows for comb in combs])
     check_comb = matrix([c for c, _, _ in checks])
     return CompiledInterval(
         target=target,
         pinned=pinned,
         unknown=order,
         bound_coef=np.array(bound_coef, dtype=float),
-        bound_comb=matrix(bound_comb),
+        bound_comb=bound_comb,
+        bound_mass=np.abs(bound_comb).sum(axis=1),
         check_comb=check_comb,
         check_eq=np.array([e for _, e, _ in checks], dtype=bool),
         check_reason=tuple(r for _, _, r in checks),

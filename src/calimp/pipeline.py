@@ -19,7 +19,9 @@ variables as predictors.
 A step whose every interval is a point writes the points and skips the
 fit, the clip, the adjustment and the draw, which could only land on
 them; the checks made before a fit still run, and a benchmarked target
-whose points miss its total raises the adjustment's error.
+whose column, with the points written, misses its total by more than
+:func:`validate` allows (:func:`total_missed`) raises the adjustment's
+error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import adjust, fm, regression, residuals
-from .edits import DEFAULT_TOL, EditSystem, record_scale, reduced_constants, system_matrices, violation_matrix
+from .edits import EditSystem, record_scale, reduced_constants, system_matrices, violation_matrix
 from .errors import (
     CalimpError,
     InfeasibleRecordError,
@@ -197,17 +199,22 @@ def _check_log_scale(target, y, X_obs, X_mis, missing_total):
         )
 
 
-def _check_point_total(target, rnd, method, points, w, missing_total):
-    """Raise, as the step's adjustment would, when forced cells miss the
-    remainder of their column total by more than ``DEFAULT_TOL`` of its
-    scale: bpma's adjustment cannot sum to 0 within ``[gap, gap]``, and
-    bpmr's re-centering of draws on the points cannot sum to ``-gap``
-    within ``[0, 0]``."""
-    gap = float(np.sum(w * points)) - missing_total
-    if abs(gap) > DEFAULT_TOL * max(1.0, abs(missing_total), float(np.sum(np.abs(w * points)))):
-        need, reach = (0.0, gap) if method == "bpma" else (-gap, 0.0)
-        err = adjust.out_of_reach(need, reach, reach)
-        raise InfeasibleSystemError(f"variable {target!r}, round {rnd}: {err}") from err
+def total_missed(got: float, want: float) -> bool:
+    """Whether a weighted column sum ``got`` misses its total ``want`` by
+    more than ``TOTAL_RTOL`` times ``max(1, |want|)``: the total check of
+    :func:`validate`."""
+    return abs(got - want) > TOTAL_RTOL * max(1.0, abs(want))
+
+
+def _raise_point_total(target, rnd, method, gap):
+    """Raise what the step's adjustment would on forced cells whose
+    weighted sum misses the remainder of their column total by ``gap``:
+    bpma's adjustment cannot sum to 0 within ``[gap, gap]``, and bpmr's
+    re-centering of draws on the points cannot sum to ``-gap`` within
+    ``[0, 0]``."""
+    need, reach = (0.0, gap) if method == "bpma" else (-gap, 0.0)
+    err = adjust.out_of_reach(need, reach, reach)
+    raise InfeasibleSystemError(f"variable {target!r}, round {rnd}: {err}") from err
 
 
 def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, missing_total, log_scale):
@@ -444,9 +451,11 @@ def impute(
                 # clipped or adjusted onto these points.  The clip gives
                 # ``upper`` bit for bit; an adjustment gives p + (upper - p),
                 # which turns a zero point into +0.0.
-                if benchmarked:
-                    _check_point_total(target, rnd, config.method, upper, w_mis, missing_total)
                 final = upper if config.method == "upma" else upper + 0.0
+                # The column, points written, is judged as validate will.
+                current[rows, t] = final
+                if benchmarked and total_missed(float(data.weights @ current[:, t]), float(totals[target])):
+                    _raise_point_total(target, rnd, config.method, float(np.sum(w_mis * upper)) - missing_total)
                 used_names, dropped, fit_diag = [], [], None
                 adjustment_diag = {"skipped": "all points"}
             else:
@@ -523,5 +532,5 @@ def validate(values: np.ndarray, data: DataMatrix, edits: EditSystem, totals: To
         if totals and name in totals:
             got = float(data.weights @ values[:, j])
             want = float(totals[name])
-            if abs(got - want) > TOTAL_RTOL * max(1.0, abs(want)):
+            if total_missed(got, want):
                 raise CalimpError(f"column {name!r} sums to {got!r}, total is {want!r}")

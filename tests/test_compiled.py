@@ -24,7 +24,8 @@ from _oracles import (
     GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system, scalar_complete,
 )
 from test_pair_systems import (
-    SURVEY_COLUMNS, SURVEY_RULES, survey_blank_pair_below_zero, survey_near_zero_other, survey_truth,
+    BLANK_PAIR_MARGIN, SURVEY_COLUMNS, SURVEY_RULES, survey_blank_pair_below_zero, survey_near_zero_other,
+    survey_truth,
 )
 
 RTOL = 1e-12
@@ -220,23 +221,29 @@ def test_known_edit_within_validates_margin_is_accepted(method):
     # Record 0 meets its edits only to validate's margin, 1e-9 times
     # turnover = 5002 (5.0e-6): it observes other = -1e-6, whose own
     # magnitude would give a margin of 1e-9, or its blank staff and
-    # materials must sum to -4.5e-6, so their bounds cross by that much,
-    # where the bounds' own magnitudes would allow 4.5e-15.  The input
-    # check accepts the record, so no method refuses it: upma completes and
-    # its output validates; bpma and bpmr fail only on round 1's
-    # adjustment of costs, whose cells the balances all pin (a failure on
-    # feasible input that is still open).
-    for case in (survey_near_zero_other, survey_blank_pair_below_zero):
-        truth, mask, edits = case()
+    # materials must sum to -4.5e-6, or to 2.9 times the margin, so their
+    # bounds cross by that much, which the bound rows allow within their
+    # own margins (the record's margin times each row's mass), where the
+    # bounds' own magnitudes would allow 4.5e-15.  The input check accepts
+    # the record, so no method refuses it: upma completes and its output
+    # validates; bpma and bpmr fail only on round 1's adjustment of costs,
+    # whose cells the balances all pin (a failure on feasible input that
+    # is still open).
+    cases = {
+        "near-zero": survey_near_zero_other(),
+        "blank-pair": survey_blank_pair_below_zero(),
+        "blank-pair-wide": survey_blank_pair_below_zero(2.9 * BLANK_PAIR_MARGIN),
+    }
+    for name, (truth, mask, edits) in cases.items():
         data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
         totals = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
         check_inputs(data, edits, totals, None)
         try:
             out, _ = impute(data, edits, totals, ImputationConfig(method, seed=5))
         except CalimpError as err:
-            assert method != "upma", (case.__name__, err)
-            assert type(err.__cause__) is InfeasibleAdjustmentError, (case.__name__, err)
-            assert str(err).startswith("variable 'costs', round 1: "), (case.__name__, err)
+            assert method != "upma", (name, err)
+            assert type(err.__cause__) is InfeasibleAdjustmentError, (name, err)
+            assert str(err).startswith("variable 'costs', round 1: "), (name, err)
             continue
         assert not violation_matrix(edits, out.values, SURVEY_COLUMNS).any()
 
@@ -289,12 +296,14 @@ BLANK_PAIRS = (("staff", "materials"), ("staff", "other"))
 @given(seeds)
 def test_blank_pair_forced_just_below_zero_is_not_refused(seed):
     # One record leaves two costs cells blank and observes the third at
-    # costs plus 0.1 to 0.95 times validate's margin, so the blank pair
+    # costs plus 0.1 to 2.9 times validate's margin, so the blank pair
     # must sum to that much below 0, where their nonnegativity edits bound
     # them; every other cell of the record is observed and every equality
-    # holds.  The truth splits the shortfall evenly, which the input check
-    # accepts, so upma imputes the data: the bounds of each blank cell
-    # cross by less than the record's margin and meet at a point.
+    # holds.  The input check accepts the record, and it is feasible: each
+    # blank cell may lie a margin below 0 and the costs balance may miss
+    # by one more.  So upma imputes the data: the bounds of each blank
+    # cell cross by less than their rows' margins allow and meet at a
+    # point.
     rng = np.random.default_rng(seed)
     truth, edits = survey_truth(rng, 200)
     mask = rng.random(truth.shape) < 0.1
@@ -304,13 +313,55 @@ def test_blank_pair_forced_just_below_zero_is_not_refused(seed):
     (third,) = {col["staff"], col["materials"], col["other"]} - set(pair)
     mask[i] = False
     mask[i, pair] = True
-    shortfall = rng.uniform(0.1, 0.95) * DEFAULT_TOL * float(np.abs(truth[i][~mask[i]]).max())
+    shortfall = rng.uniform(0.1, 2.9) * DEFAULT_TOL * float(np.abs(truth[i][~mask[i]]).max())
     truth[i, third] = truth[i, col["costs"]] + shortfall
     truth[i, pair] = -0.5 * shortfall
     data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
     check_inputs(data, edits, None, None)
     out, _ = impute(data, edits, None, ImputationConfig("upma"))
     assert (out.values[i, pair] < 0).all()
+
+
+def values_or_error(run):
+    """The imputed values of ``run()``, or the ``CalimpError`` it raised."""
+    try:
+        return run()[0].values
+    except CalimpError as err:
+        return err
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.floats(0.0, 2.9, exclude_min=True), st.floats(3.1, 6.0, exclude_max=True)))
+def test_blank_pair_is_refused_only_past_its_rows_margins(monkeypatch, g):
+    # The blank pair of survey_blank_pair_below_zero forced g times the
+    # record's margin below 0.  Each bound row holds to its own margin, so
+    # the record is feasible up to g = 3: each blank cell a margin below 0,
+    # the costs balance missing by one more.  Up to 2.9, upma completes and
+    # its output validates, and bpma and bpmr stop, if at all, only on
+    # round 1's adjustment of costs (a failure on feasible input that is
+    # still open); from 3.1, every method refuses the record with an
+    # interval error and no other.  The per-record derivation gives the
+    # same values or the same error.
+    truth, mask, edits = survey_blank_pair_below_zero(g * BLANK_PAIR_MARGIN)
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+    every = dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+    for method in ("upma", "bpma", "bpmr"):
+        totals, config = None if method == "upma" else every, ImputationConfig(method, seed=5)
+        got = values_or_error(lambda: impute(data, edits, totals, config))
+        ref = values_or_error(lambda: run_with(monkeypatch, PerRecordIntervals, data, edits, totals, config))
+        if isinstance(got, CalimpError):
+            assert type(ref) is type(got) and str(ref) == str(got), (method, got, ref)
+            if g > 3:
+                assert type(got) is InfeasibleSystemError and got.__cause__ is None, (method, got)
+                assert str(got).startswith("record 0, variable 'materials': no admissible value"), (method, got)
+            else:
+                assert method != "upma", got
+                assert type(got.__cause__) is InfeasibleAdjustmentError, (method, got)
+                assert str(got).startswith("variable 'costs', round 1: "), (method, got)
+            continue
+        assert g < 3 and not isinstance(ref, CalimpError), (method, ref)
+        pipeline.validate(got, data, edits, totals)
+        assert np.all(np.abs(got - ref) <= RTOL * np.maximum(1.0, np.abs(ref))), method
 
 
 def test_impute_reports_first_infeasible_record():
@@ -484,6 +535,38 @@ def test_target_outside_every_edit_is_unbounded():
     for system in (EditSystem((), ()), EditSystem((Edit({"a": 1.0}, 0.0, EditKind.INEQUALITY),), ("a",))):
         _, diag = impute(data, system, None, ImputationConfig("upma"))
         assert diag[0]["intervals"] == {"count": 1, "degenerate": 0, "bounded": 0, "unbounded": 1, "patterns": 1}
+
+
+@pytest.mark.parametrize("width, point", [(1.0, -0.5), (2.5, -1.0), (3.5, None)])
+def test_crossed_bounds_meet_within_each_rows_margin(width, point):
+    # x >= 0 and y >= 0 with x + y = -width * DEFAULT_TOL, nothing known
+    # (margin scale 1): x's bounds are 0, from a row of mass 1, and -width
+    # * DEFAULT_TOL, from y >= 0 through the equality, of mass 2.  Each row
+    # may miss by DEFAULT_TOL times its mass, so the bounds meet up to a
+    # width of 3, at the midpoint clamped into [-1, 2 - width] * DEFAULT_TOL
+    # (at -1 for a width of 2.5); a wider crossing is empty.  The
+    # per-record derivation agrees, and without margins the bounds meet at
+    # the midpoint whatever the width.
+    system = EditSystem(
+        (Edit({"x": 1.0}, 0.0, EditKind.INEQUALITY), Edit({"y": 1.0}, 0.0, EditKind.INEQUALITY),
+         Edit({"x": 1.0, "y": 1.0}, width * DEFAULT_TOL, EditKind.EQUALITY)),
+        ("x", "y"),
+    )
+    A, b, is_eq = system_matrices(system, system.variables)
+    compiled = fm.compile_interval(A, is_eq, system.variables, ["x", "y"], "x")
+    assert compiled.bound_mass.tolist() == [1.0, 2.0]
+    D = reduced_constants(A, b, np.full((1, 2), np.nan))
+    lower, upper, bad = compiled.evaluate(D, np.ones(1))
+    anywhere, _, _ = fm.read_bounds(D @ compiled.bound_comb.T, compiled.bound_coef)
+    assert anywhere[0] == -0.5 * width * DEFAULT_TOL
+    if point is None:
+        assert bad[0] and (lower[0], upper[0]) == (0.0, -width * DEFAULT_TOL)
+        with pytest.raises(InfeasibleSystemError, match="no admissible value for x"):
+            fm.admissible_interval(system.edits, "x")
+        return
+    assert not bad[0] and lower[0] == upper[0] == pytest.approx(point * DEFAULT_TOL, rel=1e-12)
+    interval, _ = fm.admissible_interval(system.edits, "x")
+    assert (interval.lower, interval.upper) == (lower[0], upper[0])
 
 
 #: A survey record meeting every survey edit.

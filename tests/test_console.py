@@ -2,14 +2,14 @@
 interpreter's hash seed.
 
 One module fixture writes the inputs: a study run and its weighted copy,
-survey files, two survey files with a record on validate's margin, chain
-inputs on survey records near 1e10, blank cells whose calibrated
-predictions must sum to 0, and a chain from a record on validate's
-margin.  It then starts one fresh interpreter per hash seed, with
-RuntimeWarnings as errors, which runs ``calimp.cli.main`` on every case in
-turn.  Each case must end the same way under both hash seeds: exit code,
-stderr, output and diagnostics bytes.  The other tests read the diagnostics
-of the first run.
+survey files, survey files with a record on validate's margin and one
+with a record past what its edits allow, chain inputs on survey records
+near 1e10, blank cells whose calibrated predictions must sum to 0, and a
+chain from a record on validate's margin.  It then starts one fresh
+interpreter per hash seed, with RuntimeWarnings as errors, which runs
+``calimp.cli.main`` on every case in turn.  Each case must end the same
+way under both hash seeds: exit code, stderr, output and diagnostics
+bytes.  The other tests read the diagnostics of the first run.
 """
 
 import json
@@ -27,6 +27,7 @@ from calimp.pipeline import DataMatrix
 from test_io_cli import checkout_env
 from test_mcmc import chain_at_the_margin
 from test_pair_systems import (
+    BLANK_PAIR_MARGIN,
     SURVEY_COLUMNS,
     SURVEY_RULES,
     build,
@@ -60,6 +61,8 @@ CASES = {
     "survey-bpmr": f"--data ../survey.csv {SURVEY} --method bpmr --seed 5",
     "near-zero": "--data ../near-zero.csv --edits ../survey.edits --method upma",
     "blank-pair": "--data ../blank-pair.csv --edits ../survey.edits --method upma",
+    "blank-pair-wide": "--data ../blank-pair-wide.csv --edits ../survey.edits --method upma",
+    "blank-pair-infeasible": "--data ../blank-pair-infeasible.csv --edits ../survey.edits --method upma",
     "survey-known-upma": "--data ../survey-known.csv --edits ../survey.edits --method upma",
     "survey-mcmc": f"--data ../survey-truth.csv {SURVEY} --mask ../survey-mask.csv"
     " --method mcmc --iterations 2000 --seed 5",
@@ -74,7 +77,7 @@ CASES = {
     "margin-mcmc": "--data ../margin.csv --edits ../margin.edits --totals ../margin-totals.txt"
     " --mask ../margin-mask.csv --method mcmc --iterations 400 --seed 5",
 }
-EXIT_CODES = {"survey-upma": (0, 3), "survey-bpmr": (0, 3)}
+EXIT_CODES = {"survey-upma": (0, 3), "survey-bpmr": (0, 3), "blank-pair-infeasible": (3,)}
 
 # Runs every case it reads from stdin and prints each one's exit code and
 # stderr; an exception, a RuntimeWarning included, has exit code None.
@@ -131,9 +134,17 @@ def write_inputs(root):
     predictors = loose_predictors(SURVEY_COLUMNS)
     (root / "survey.predictors").write_text("".join(f"{name}: {', '.join(p)}\n" for name, p in predictors.items()))
 
-    # Two records that validate accepts on their margin, 1e-9 times turnover.
-    for name, case in (("near-zero", survey_near_zero_other), ("blank-pair", survey_blank_pair_below_zero)):
-        truth, mask, _ = case()
+    # Records that validate accepts on their margin, 1e-9 times turnover;
+    # blank-pair-wide forces its blank pair 1.5 margins below 0, which the
+    # bound rows' margins allow, and blank-pair-infeasible 3.2 margins,
+    # past the 3 they allow.
+    cases = {
+        "near-zero": survey_near_zero_other(),
+        "blank-pair": survey_blank_pair_below_zero(),
+        "blank-pair-wide": survey_blank_pair_below_zero(1.5 * BLANK_PAIR_MARGIN),
+        "blank-pair-infeasible": survey_blank_pair_below_zero(3.2 * BLANK_PAIR_MARGIN),
+    }
+    for name, (truth, mask, _) in cases.items():
         cio.write_dataset(DataMatrix(truth, mask, SURVEY_COLUMNS), root / f"{name}.csv", missing_from_mask=True)
 
     # Survey records near 1e10, whose default predictors the balances make
@@ -194,6 +205,12 @@ def test_seeded_run_is_byte_identical_under_two_hash_seeds(corpus, case):
     first, second = (corpus[seed][case] for seed in HASH_SEEDS)
     assert first[0] in EXIT_CODES.get(case, (0,)), first[1]
     assert first == second
+
+
+def test_blank_pair_past_its_rows_margins_names_the_cell(corpus):
+    code, stderr, out, _ = corpus[HASH_SEEDS[0]]["blank-pair-infeasible"]
+    assert code == 3 and out is None, stderr
+    assert "record 0, variable 'materials': no admissible value for materials" in stderr, stderr
 
 
 def test_bpmr_draws_every_cell_without_fallback(corpus):

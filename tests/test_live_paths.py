@@ -27,7 +27,6 @@ REFERENCE = (
     (fm, "admissible_interval"),
     (fm, "back_substitute"),
     (fm, "resolve_companions"),
-    (fm, "snap"),
     (mcmc, "select_pair"),
     (mcmc, "pair_constraint_system"),
     (mcmc, "posterior_model"),
@@ -67,8 +66,8 @@ def test_every_binding_is_replaced(reference_forbidden):
     for name in ("calimp.reduce_system", "calimp.mcmc.reduce_system", "calimp.residuals.cell_rng",
                  "calimp.mcmc.draw_ar_residual", "calimp.select_pair"):
         assert name in reference_forbidden
-    with pytest.raises(AssertionError, match="fm.snap"):
-        fm.snap(1.0, 0.0, 1.0)
+    with pytest.raises(AssertionError, match="fm.resolve_companions"):
+        fm.resolve_companions(None, {})
 
 
 def test_study_replication_calls_no_reference(reference_forbidden):

@@ -108,21 +108,29 @@ def survey_near_zero_other():
     return truth, mask, edits
 
 
-def survey_blank_pair_below_zero():
+#: Validate's margin on record 0 of :func:`survey_blank_pair_below_zero`:
+#: 1e-9 times its turnover, 5002.
+BLANK_PAIR_MARGIN = 5.002e-6
+
+
+def survey_blank_pair_below_zero(shortfall=4.5e-6):
     """The 300 survey records of :func:`survey_near_zero_other` whose record
     0 has ``turnover = 5002`` and ``costs = 2001``, ``profit`` rebalanced,
-    and observes ``other = 2001 + 4.5e-6``, with ``staff`` and
-    ``materials`` blanked.  Their sum is forced to -4.5e-6, 0.9 times
-    validate's margin (1e-9 times 5002) below the 0 their nonnegativity
-    edits allow; the truth has both at -2.25e-6, which validate accepts.
-    Returns the truth, the mask and the edits."""
+    and observes ``other = 2001 + shortfall``, with ``staff`` and
+    ``materials`` blanked.  Their sum is forced to ``-shortfall``, by
+    default 4.5e-6, 0.9 times validate's margin (:data:`BLANK_PAIR_MARGIN`)
+    below the 0 their nonnegativity edits allow; the truth has both at
+    ``-shortfall / 2``, which validate accepts up to a shortfall of twice
+    the margin.  Each blank cell may lie a margin below 0 and the ``costs``
+    balance may miss by one more, so the record is feasible up to three
+    times the margin.  Returns the truth, the mask and the edits."""
     rng = np.random.default_rng(3)
     truth, edits = survey_truth(rng, 300)
     mask = rng.random(truth.shape) < 0.15
     col = {name: j for j, name in enumerate(SURVEY_COLUMNS)}
     truth[0, col["costs"]] = 2001.0
-    truth[0, col["other"]] = 2001.0 + 4.5e-6
-    truth[0, [col["staff"], col["materials"]]] = -2.25e-6
+    truth[0, col["other"]] = 2001.0 + shortfall
+    truth[0, [col["staff"], col["materials"]]] = -0.5 * shortfall
     truth[0, col["profit"]] = truth[0, col["turnover"]] - truth[0, col["costs"]]
     mask[0] = False
     mask[0, [col["staff"], col["materials"]]] = True
@@ -529,10 +537,11 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
     # Every key a seeded walk meets, on feasible steps and on steps with one
     # cell of the pair moved far off (most of those infeasible): the sparse
     # rows' interval is CompiledInterval.evaluate's on the same constants,
-    # to 1e-12 of the pair's magnitude.  evaluate snaps crossed bounds on
-    # the pair's margin scale and flags a wider crossing empty; the step
-    # meets any crossing at its midpoint and leaves the verdict to its
-    # completion, which refuses that point.  The step reads no check row
+    # to 1e-12 of the pair's magnitude.  evaluate meets crossed bounds
+    # where each row holds to its own margin on the pair's margin scale
+    # and flags a wider crossing empty; the step meets any crossing at its
+    # midpoint and leaves the verdict to its completion, which refuses
+    # that point.  The step reads no check row
     # (its completion is checked instead), so evaluate may also flag a step
     # whose bounds do not cross.
     rng = np.random.default_rng(37)

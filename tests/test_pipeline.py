@@ -20,7 +20,7 @@ from calimp.pipeline import DataMatrix, ImputationConfig, _missing_patterns, che
 from calimp.regression import fit_ols
 
 from _oracles import per_cell_benchmarked_residuals, random_imputation_instance, scalar_cell_uniform
-from test_pair_systems import SURVEY_COLUMNS, survey_truth
+from test_pair_systems import SURVEY_COLUMNS, build, survey_truth
 
 THREE_VAR_RULES = """\
 x1 + x2 = x3
@@ -712,6 +712,33 @@ class TestAllPointTargets:
         assert isinstance(got.value.__cause__, InfeasibleAdjustmentError)
         shape = r"sum 0 lies outside the achievable range \[(\S+), \1\]" if method == "bpma" else r"\[0, 0\]$"
         assert re.search(shape, str(got.value))
+
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    def test_points_are_judged_by_validates_total_rule(self, method):
+        # The column's total moves by half of what validate allows, then by
+        # twice that: the points impute and validate, then raise the
+        # adjustment's error.
+        data, edits, totals = balance_points_data(np.random.default_rng(33))
+        allowed = pipeline.TOTAL_RTOL * max(1.0, abs(totals["x1"]))
+        near = {"x1": totals["x1"] + 0.5 * allowed}
+        out, _ = impute(data, edits, near, ImputationConfig(method, rounds=1))
+        pipeline.validate(out.values, data, edits, near)
+        with pytest.raises(InfeasibleSystemError) as err:
+            impute(data, edits, {"x1": totals["x1"] + 2.0 * allowed}, ImputationConfig(method, rounds=1))
+        assert isinstance(err.value.__cause__, InfeasibleAdjustmentError)
+
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    def test_points_near_1e10_meet_the_true_totals(self, method):
+        # Survey records near 1e10 whose blank 'other' cells the costs
+        # balance forces: their weighted sum misses the remainder of the
+        # true total by about 5e-5 from rounding, 7e-9 of the total, which
+        # validate accepts.
+        data, edits, _ = build("large", np.random.default_rng(5), weighted=True)
+        every = dict(zip(data.columns, (data.weights @ data.values).tolist()))
+        given = DataMatrix(np.where(data.mask, np.nan, data.values), data.mask, data.columns, data.weights)
+        out, diagnostics = impute(given, edits, every, ImputationConfig(method, seed=3))
+        pipeline.validate(out.values, given, edits, every)
+        assert [(row["variable"], row["adjustment"]) for row in diagnostics] == [("other", {"skipped": "all points"})] * 2
 
     def test_incomplete_predictor_still_raises_on_a_point_target(self):
         # x1 is forced wherever it is missing, but its predictor x2 is
