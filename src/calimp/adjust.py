@@ -13,7 +13,10 @@ By KKT the optimum is ``a_i = clip(lam, l_i - x_i, u_i - x_i)``, with
 those clips (a continuous quadratic knapsack; Helgason, Kennington & Lall
 1980).  ``zero_sum_interval_adjust`` solves it exactly in O(m log m): it
 sorts the bounds, finds the segment between breakpoints holding the root
-and solves for ``lam`` there in closed form.
+and solves for ``lam`` there in closed form.  A target beyond the box's
+:func:`reach` by more than ``DEFAULT_TOL`` times the problem's own scale
+raises :class:`InfeasibleAdjustmentError`; a nearer one is clamped into
+it.
 """
 
 from __future__ import annotations
@@ -62,25 +65,19 @@ def _shifted_target(problem: AdjustmentProblem, target_sum: float | None) -> flo
     return float(target_sum - np.sum(problem.weights * problem.predictions))
 
 
-def _check_feasible(problem: AdjustmentProblem, T: float, feasibility_scale: float = 1.0) -> float:
-    """Fail fast on an unreachable target; clamp a near miss within
-    ``DEFAULT_TOL`` of the problem's scale.
-
-    ``feasibility_scale`` lets callers whose targets were formed by
-    cancelling much larger quantities (for example column totals) widen the
-    roundoff allowance to the scale of those quantities.
-    """
-    w = problem.weights
-    lo = problem.lower - problem.predictions
-    hi = problem.upper - problem.predictions
+def reach(w, lo, hi) -> tuple[float, float]:
+    """The least and the most weighted sum ``sum w_i x_i`` over ``x_i`` in
+    ``[lo_i, hi_i]``: ``(sum w*lo, sum w*hi)``, infinite where a side is."""
     least = float(np.sum(np.where(np.isneginf(lo), -np.inf, w * lo)))
     most = float(np.sum(np.where(np.isposinf(hi), np.inf, w * hi)))
-    scale = max(
-        1.0,
-        feasibility_scale,
-        float(np.sum(np.abs(w * problem.predictions))),
-        abs(T),
-    )
+    return least, most
+
+
+def _check_feasible(problem: AdjustmentProblem, T: float) -> float:
+    """Fail fast on an unreachable target; clamp a near miss within
+    ``DEFAULT_TOL`` of the problem's scale."""
+    least, most = reach(problem.weights, problem.lower - problem.predictions, problem.upper - problem.predictions)
+    scale = max(1.0, float(np.sum(np.abs(problem.weights * problem.predictions))), abs(T))
     if T < least - DEFAULT_TOL * scale or T > most + DEFAULT_TOL * scale:
         raise out_of_reach(T, least, most)
     return float(np.clip(T, least, most))
@@ -98,7 +95,6 @@ def out_of_reach(T: float, least: float, most: float) -> InfeasibleAdjustmentErr
 def zero_sum_interval_adjust(
     problem: AdjustmentProblem,
     target_sum: float | None = None,
-    feasibility_scale: float = 1.0,
 ) -> np.ndarray:
     """Adjustment vector from the exact breakpoint solve.
 
@@ -108,7 +104,7 @@ def zero_sum_interval_adjust(
     residuals to zero).
     """
     T = _shifted_target(problem, target_sum)
-    T = _check_feasible(problem, T, feasibility_scale=feasibility_scale)
+    T = _check_feasible(problem, T)
     w = problem.weights
     lo = problem.lower - problem.predictions
     hi = problem.upper - problem.predictions

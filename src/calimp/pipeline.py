@@ -16,12 +16,14 @@ once the earlier targets hold their values gets a point interval at its
 own column's turn.  Later rounds re-impute each target with all other
 variables as predictors.
 
-A step whose every interval is a point writes the points and skips the
-fit, the clip, the adjustment and the draw, which could only land on
-them; the checks made before a fit still run, and a benchmarked target
-whose column, with the points written, misses its total by more than
-:func:`validate` allows (:func:`total_missed`) raises the adjustment's
-error.
+A benchmarked step is judged once, before its fit, by :func:`validate`'s
+total rule (:func:`total_missed`): the remainder of the column total,
+moved into the reach of the step's intervals (:func:`adjust.reach`), must
+leave the column within that rule, or the step raises the adjustment's
+error.  The adjustment then aims at the weighted sum nearest 0 that the
+intervals reach.  A step whose every interval is a point writes the
+points and skips the fit, the clip, the adjustment and the draw, which
+could only land on them; the checks made before a fit still run.
 """
 
 from __future__ import annotations
@@ -204,17 +206,6 @@ def total_missed(got: float, want: float) -> bool:
     more than ``TOTAL_RTOL`` times ``max(1, |want|)``: the total check of
     :func:`validate`."""
     return abs(got - want) > TOTAL_RTOL * max(1.0, abs(want))
-
-
-def _raise_point_total(target, rnd, method, gap):
-    """Raise what the step's adjustment would on forced cells whose
-    weighted sum misses the remainder of their column total by ``gap``:
-    bpma's adjustment cannot sum to 0 within ``[gap, gap]``, and bpmr's
-    re-centering of draws on the points cannot sum to ``-gap`` within
-    ``[0, 0]``."""
-    need, reach = (0.0, gap) if method == "bpma" else (-gap, 0.0)
-    err = adjust.out_of_reach(need, reach, reach)
-    raise InfeasibleSystemError(f"variable {target!r}, round {rnd}: {err}") from err
 
 
 def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, missing_total, log_scale):
@@ -441,10 +432,17 @@ def impute(
                 )
             w_mis = data.weights[rows]
             y, w_obs = current[obs, t], data.weights[obs]
-            missing_total = float(totals[target]) - float(np.sum(w_obs * y)) if benchmarked else None
+            observed_sum = float(np.sum(w_obs * y))
+            missing_total = float(totals[target]) - observed_sum if benchmarked else None
             if config.log_scale:
                 _check_log_scale(target, y, fit_rows, mis_rows, missing_total)
             lower, upper = derived.lower, derived.upper
+            if benchmarked:
+                # A benchmarked step's one feasibility decision, by validate's rule.
+                least, most = adjust.reach(w_mis, lower, upper)
+                if total_missed(observed_sum + float(np.clip(missing_total, least, most)), float(totals[target])):
+                    err = adjust.out_of_reach(0.0, least - missing_total, most - missing_total)
+                    raise InfeasibleSystemError(f"variable {target!r}, round {rnd}: {err}") from err
             residual_diag = None
             if np.array_equal(lower, upper):
                 # Every cell is forced, and a fit's predictions would be
@@ -452,10 +450,6 @@ def impute(
                 # ``upper`` bit for bit; an adjustment gives p + (upper - p),
                 # which turns a zero point into +0.0.
                 final = upper if config.method == "upma" else upper + 0.0
-                # The column, points written, is judged as validate will.
-                current[rows, t] = final
-                if benchmarked and total_missed(float(data.weights @ current[:, t]), float(totals[target])):
-                    _raise_point_total(target, rnd, config.method, float(np.sum(w_mis * upper)) - missing_total)
                 used_names, dropped, fit_diag = [], [], None
                 adjustment_diag = {"skipped": "all points"}
             else:
@@ -470,15 +464,12 @@ def impute(
                     # vector is the smallest zero-sum adjustment of the predictions.
                     sigma = math.sqrt(fit_diag["residual_variance"]) if config.method == "bpmr" else 0.0
                     uniforms = residuals.cell_uniforms(config.seed * 1_000_003 + rnd, t, rows) if sigma else None
-                    try:
-                        shift, stats = residuals.benchmarked_residuals(
-                            sigma, lower - predictions, upper - predictions, w_mis, uniforms,
-                            feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * predictions)))),
-                        )
-                    except InfeasibleSystemError as err:
-                        raise InfeasibleSystemError(
-                            f"variable {target!r}, round {rnd}: {err}", witness=getattr(err, "witness", None)
-                        ) from err
+                    # Aim at the weighted sum nearest 0 that the intervals reach.
+                    res_lower, res_upper = lower - predictions, upper - predictions
+                    shift, stats = residuals.benchmarked_residuals(
+                        sigma, res_lower, res_upper, w_mis, uniforms,
+                        target_sum=float(np.clip(0.0, *adjust.reach(w_mis, res_lower, res_upper))),
+                    )
                     if config.method == "bpmr":
                         residual_diag, solver_diag = stats, {}
                     else:

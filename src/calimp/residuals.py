@@ -3,7 +3,8 @@
 Residuals are mean-zero normal draws with the regression's residual
 standard deviation, truncated to each cell's admissible interval.  A
 drawn vector is then re-centered by the smallest adjustment keeping every
-cell inside its interval while its weighted sum becomes exactly zero.
+cell inside its interval while its weighted sum becomes a target, zero
+unless the intervals cannot reach it.
 
 :func:`benchmarked_residuals` draws all of a step's cells at once by
 inverting the truncated normal CDF at one uniform per cell
@@ -207,19 +208,23 @@ def benchmarked_residuals(
     upper,
     weights,
     uniforms,
-    feasibility_scale: float = 1.0,
+    target_sum: float = 0.0,
 ) -> tuple[np.ndarray, dict]:
-    """Interval-respecting residual vector with weighted sum exactly zero.
+    """Interval-respecting residual vector with weighted sum ``target_sum``
+    (0 unless given).
 
     Cell ``i`` may take residuals in ``[lower[i], upper[i]]``.  With
     ``sigma == 0`` every draw is 0, so the re-centering is the smallest
-    zero-sum adjustment into the intervals and ``uniforms`` is not read
-    (it may be ``None``); otherwise a point interval's draw is its value,
-    and every other cell ``i`` draws at ``uniforms[i]`` by
-    :func:`truncated_normal`.  Returns the vector and a small dict of
+    adjustment into the intervals with that weighted sum, and
+    ``uniforms`` is not read (it may be ``None``); otherwise a point
+    interval's draw is its value, and every other cell ``i`` draws at
+    ``uniforms[i]`` by :func:`truncated_normal`.  Returns the vector and a small dict of
     sampling statistics (``attempts``, the drawing cells, and
     ``fallbacks``, always 0), with the re-centering's
-    :func:`~calimp.adjust.adjustment_stats` merged in.
+    :func:`~calimp.adjust.adjustment_stats` merged in.  A ``target_sum``
+    the intervals cannot reach raises
+    :class:`~calimp.errors.InfeasibleAdjustmentError`; ``pipeline.impute``
+    passes the weighted sum nearest 0 that they reach.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -239,8 +244,6 @@ def benchmarked_residuals(
         upper=upper,
         weights=None if weights is None else np.asarray(weights, dtype=float),
     )
-    adjustment = zero_sum_interval_adjust(
-        problem, target_sum=0.0, feasibility_scale=feasibility_scale
-    )
+    adjustment = zero_sum_interval_adjust(problem, target_sum=target_sum)
     stats = {"attempts": drawing, "fallbacks": 0, **adjustment_stats(problem, adjustment)}
     return draws + adjustment, stats

@@ -288,7 +288,6 @@ def qp_reference_solve(
     problem: AdjustmentProblem,
     target_sum: float | None = None,
     tol: float = 1e-9,
-    feasibility_scale: float = 1.0,
 ) -> np.ndarray:
     """Independent solution by exhaustive active-set enumeration.
 
@@ -301,7 +300,7 @@ def qp_reference_solve(
     if m > ORACLE_MAX_SIZE:
         raise ValueError(f"reference solver handles at most {ORACLE_MAX_SIZE} cells, got {m}")
     T = _shifted_target(problem, target_sum)
-    T = _check_feasible(problem, T, feasibility_scale=feasibility_scale)
+    T = _check_feasible(problem, T)
     w = problem.weights
     lo = problem.lower - problem.predictions
     hi = problem.upper - problem.predictions
@@ -360,12 +359,12 @@ def scalar_truncated_normal(sigma, lower, upper, u) -> float:
     return float(truncated_normal(sigma, np.array([lower], float), np.array([upper], float), np.array([u], float))[0])
 
 
-def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibility_scale=1.0):
+def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, target_sum=0.0):
     """Residuals cell by cell: one ``fm.Interval`` and one uniform per
     cell, a zero draw for zero sigma (inside the interval or not), the
     point's value for a point interval, else one
-    :func:`scalar_truncated_normal` draw; then the same zero-sum
-    re-centering as :func:`calimp.residuals.benchmarked_residuals`."""
+    :func:`scalar_truncated_normal` draw; then the same re-centering to
+    ``target_sum`` as :func:`calimp.residuals.benchmarked_residuals`."""
     draws = np.empty(len(intervals))
     drawing = 0
     for i, (interval, u) in enumerate(zip(intervals, uniforms)):
@@ -382,7 +381,7 @@ def per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibil
         np.array([iv.upper for iv in intervals]),
         weights,
     )
-    adjustment = zero_sum_interval_adjust(problem, target_sum=0.0, feasibility_scale=feasibility_scale)
+    adjustment = zero_sum_interval_adjust(problem, target_sum=target_sum)
     return draws + adjustment, {"attempts": drawing, "fallbacks": 0, **adjustment_stats(problem, adjustment)}
 
 

@@ -4,8 +4,9 @@ interpreter's hash seed.
 One module fixture writes the inputs: a study run and its weighted copy,
 survey files, survey files with a record on validate's margin and one
 with a record past what its edits allow, chain inputs on survey records
-near 1e10, blank cells whose calibrated predictions must sum to 0, and a
-chain from a record on validate's margin.  It then starts one fresh
+near 1e10, blank cells whose calibrated predictions must sum to 0, a
+chain from a record on validate's margin, and blank cells whose total
+lies just past what they reach.  It then starts one fresh
 interpreter per hash seed, with RuntimeWarnings as errors, which runs
 ``calimp.cli.main`` on every case in turn.  Each case must end the same
 way under both hash seeds: exit code, stderr, output and diagnostics
@@ -36,7 +37,7 @@ from test_pair_systems import (
     survey_near_zero_other,
     survey_truth,
 )
-from test_pipeline import zero_remainder_case
+from test_pipeline import reach_edge_case, zero_remainder_case
 
 HASH_SEEDS = ("1", "2")
 STUDY_RULES = "x1 + x2 = P\nx1 >= x2\nP >= 3*x2\nx1 >= 0\nx2 >= 0\nP >= 0\n"
@@ -76,8 +77,15 @@ CASES = {
     " --totals ../zero-remainder-totals.txt --method bpma",
     "margin-mcmc": "--data ../margin.csv --edits ../margin.edits --totals ../margin-totals.txt"
     " --mask ../margin-mask.csv --method mcmc --iterations 400 --seed 5",
+    "total-past-reach": "--data ../past-reach.csv --edits ../past-reach.edits"
+    " --totals ../past-reach-totals.txt --method bpma",
 }
-EXIT_CODES = {"survey-upma": (0, 3), "survey-bpmr": (0, 3), "blank-pair-infeasible": (3,)}
+EXIT_CODES = {
+    "survey-upma": (0, 3),
+    "survey-bpmr": (0, 3),
+    "blank-pair-infeasible": (3,),
+    "total-past-reach": (3,),
+}
 
 # Runs every case it reads from stdin and prints each one's exit code and
 # stderr; an exception, a RuntimeWarning included, has exit code None.
@@ -166,6 +174,13 @@ def write_inputs(root):
     cio.write_mask(data.mask, data.columns, root / "margin-mask.csv")
     (root / "margin.edits").write_text(format_edit_rules(edits))
     cio.write_totals(totals, root / "margin-totals.txt")
+    # Blank cells whose total lies 1e-4 past what they reach: 13 times
+    # validate's allowance on a total near 760, though small beside the
+    # records' terms near 1e5.
+    data, edits, totals = reach_edge_case("cancelling")
+    cio.write_dataset(data, root / "past-reach.csv", missing_from_mask=True)
+    (root / "past-reach.edits").write_text(format_edit_rules(edits))
+    cio.write_totals({"y": totals["y"] + 1e-4}, root / "past-reach-totals.txt")
 
 
 def read(path):
@@ -211,6 +226,14 @@ def test_blank_pair_past_its_rows_margins_names_the_cell(corpus):
     code, stderr, out, _ = corpus[HASH_SEEDS[0]]["blank-pair-infeasible"]
     assert code == 3 and out is None, stderr
     assert "record 0, variable 'materials': no admissible value for materials" in stderr, stderr
+
+
+def test_total_past_reach_is_infeasible(corpus):
+    # The step's reach check refuses the total (exit 3) before validate
+    # could refuse the column (exit 2).
+    code, stderr, out, _ = corpus[HASH_SEEDS[0]]["total-past-reach"]
+    assert code == 3 and out is None, stderr
+    assert stderr.startswith("infeasible: variable 'y', round 1: required weighted adjustment sum 0"), stderr
 
 
 def test_bpmr_draws_every_cell_without_fallback(corpus):

@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from calimp import pipeline, regression, residuals
+from calimp import adjust, pipeline, regression, residuals
 from calimp.cli import main
 from calimp.edits import parse_edit_rules, check_record, violation_matrix
 from calimp.errors import (
+    CalimpError,
     InfeasibleAdjustmentError,
     InfeasibleRecordError,
     InfeasibleSystemError,
@@ -596,13 +598,13 @@ class TestBatchedSteps:
             assert records.tolist() == np.flatnonzero(data.mask[:, j]).tolist()
             return np.array([scalar_cell_uniform(seed, j, int(r)) for r in records])
 
-        def per_cell_residuals(sigma, lower, upper, weights, uniforms, feasibility_scale):
+        def per_cell_residuals(sigma, lower, upper, weights, uniforms, target_sum):
             # Uniforms are built only where residuals draw.
             assert (uniforms is None) == (sigma == 0.0)
             intervals = [Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
             if uniforms is None:
                 uniforms = [math.nan] * len(intervals)
-            return per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, feasibility_scale)
+            return per_cell_benchmarked_residuals(sigma, intervals, weights, uniforms, target_sum)
 
         monkeypatch.setattr(residuals, "cell_uniforms", per_cell_uniforms)
         monkeypatch.setattr(residuals, "benchmarked_residuals", per_cell_residuals)
@@ -629,6 +631,81 @@ def balance_points_data(rng, r=60):
     return data, parse_edit_rules("x1 + x2 = x3\n"), {"x1": float(w @ x1)}
 
 
+def reach_edge_case(kind):
+    """Records whose blank cells reach at most a known weighted sum, with
+    the total at which the remainder of their column is exactly that sum:
+
+    * ``points``: :func:`balance_points_data` at seed 33, every blank
+      ``x1`` forced by ``x1 + x2 = x3``;
+    * ``cancelling``: 40 records under ``y <= x`` with ``x = ±1e5``
+      (alternating) plus the row index and ``y = x - 1``, ``y`` blank in
+      the last 20, so a total near 760 sums terms near 1e5;
+    * ``large-observed``: 20 observed records under ``y <= x`` with ``x``
+      near 1e9 and 3 blank ``y`` cells in records with ``x = 1, 2, 3``,
+      ``y = x - 0.5``, so the blank cells are small beside a total near
+      2e10.
+
+    Returns the data, the edits and that total."""
+    if kind == "points":
+        return balance_points_data(np.random.default_rng(33))
+    if kind == "cancelling":
+        i = np.arange(40.0)
+        x = np.where(i % 2 == 0, 1e5, -1e5) + i
+        y, blank = x - 1.0, i >= 20
+    else:
+        x = np.concatenate([1e9 + 1e6 * np.arange(20.0), [1.0, 2.0, 3.0]])
+        y, blank = x - 0.5, np.arange(23) >= 20
+    mask = np.column_stack([blank, np.zeros_like(blank)])
+    total = float(np.sum(y[~blank]) + np.sum(x[blank]))
+    return make_data(np.column_stack([y, x]), mask, ("y", "x")), parse_edit_rules("y <= x\n"), {"y": total}
+
+
+def assert_judged_by_total_rule(kind, method, allowances):
+    """Move :func:`reach_edge_case`'s total past the reach of its blank
+    cells by ``allowances`` times what :func:`pipeline.validate` allows:
+    below one allowance the step imputes and its output validates; above
+    it the step raises exactly ``InfeasibleSystemError`` caused by
+    ``InfeasibleAdjustmentError`` (exit 3), never ``validate``'s bare
+    ``CalimpError`` (exit 2)."""
+    data, edits, totals = reach_edge_case(kind)
+    ((name, edge),) = totals.items()
+    moved = {name: edge + allowances * pipeline.TOTAL_RTOL * max(1.0, abs(edge))}
+    config = ImputationConfig(method, rounds=1, seed=4)
+    if allowances < 1.0:
+        out, _ = impute(data, edits, moved, config)
+        pipeline.validate(out.values, data, edits, moved)
+        return
+    with pytest.raises(CalimpError) as err:
+        impute(data, edits, moved, config)
+    assert type(err.value) is InfeasibleSystemError, err.value
+    assert isinstance(err.value.__cause__, InfeasibleAdjustmentError)
+
+
+REACH_EDGE_CASES = ("points", "cancelling", "large-observed")
+
+
+class TestTotalRule:
+    """A benchmarked step is judged once, before its fit, by validate's
+    total rule on the reach of its intervals."""
+
+    @pytest.mark.parametrize("kind", REACH_EDGE_CASES)
+    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
+    def test_steps_are_judged_by_validates_total_rule(self, method, kind):
+        assert_judged_by_total_rule(kind, method, 0.5)
+        assert_judged_by_total_rule(kind, method, 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(REACH_EDGE_CASES),
+        method=st.sampled_from(["bpma", "bpmr"]),
+        allowances=st.one_of(
+            st.floats(0.0, 0.9, exclude_min=True), st.floats(1.1, 10.0, exclude_max=True)
+        ),
+    )
+    def test_any_gap_is_judged_by_validates_total_rule(self, kind, method, allowances):
+        assert_judged_by_total_rule(kind, method, allowances)
+
+
 def forced_fit_column(data, edits, totals, method, seed=0):
     """The cells of the only target, x1, as a round-1 step that fits makes
     them: the predictions of a fit on x2 (which, unlike x2 and x3 together,
@@ -648,7 +725,8 @@ def forced_fit_column(data, edits, totals, method, seed=0):
     sigma = math.sqrt(fit_diag["residual_variance"]) if method == "bpmr" else 0.0
     uniforms = residuals.cell_uniforms(seed * 1_000_003 + 1, 0, rows) if sigma else None
     shift, _ = residuals.benchmarked_residuals(
-        sigma, lower - p, upper - p, w_mis, uniforms, feasibility_scale=max(1.0, float(np.sum(np.abs(w_mis * p)))),
+        sigma, lower - p, upper - p, w_mis, uniforms,
+        target_sum=float(np.clip(0.0, *adjust.reach(w_mis, lower - p, upper - p))),
     )
     return p + shift, derived
 
@@ -702,30 +780,21 @@ class TestAllPointTargets:
 
     @pytest.mark.parametrize("method", ["bpma", "bpmr"])
     def test_points_missing_their_total_raise_as_the_adjustment_would(self, method):
+        # Both methods raise the one message of the step's reach, in the
+        # adjustment's terms: the required sum 0 lies outside [d, d], d the
+        # points' weighted sum less the remainder of the column total.
         data, edits, totals = balance_points_data(np.random.default_rng(33))
         totals = {"x1": totals["x1"] + 100.0}
-        with pytest.raises(InfeasibleAdjustmentError) as want:
-            forced_fit_column(data, edits, totals, method)
+        rows, obs = np.flatnonzero(data.mask[:, 0]), np.flatnonzero(~data.mask[:, 0])
+        derived = pipeline._PatternCompiler(edits, data.columns).intervals(data.values, rows, "x1")
+        remainder = totals["x1"] - float(np.sum(data.weights[obs] * data.values[obs, 0]))
+        d = float(np.sum(data.weights[rows] * derived.upper)) - remainder
+        assert d == pytest.approx(-100.0)
         with pytest.raises(InfeasibleSystemError) as got:
             impute(data, edits, totals, ImputationConfig(method, rounds=1))
-        assert str(got.value) == f"variable 'x1', round 1: {want.value}"
+        assert str(got.value) == f"variable 'x1', round 1: {adjust.out_of_reach(0.0, d, d)}"
         assert isinstance(got.value.__cause__, InfeasibleAdjustmentError)
-        shape = r"sum 0 lies outside the achievable range \[(\S+), \1\]" if method == "bpma" else r"\[0, 0\]$"
-        assert re.search(shape, str(got.value))
-
-    @pytest.mark.parametrize("method", ["bpma", "bpmr"])
-    def test_points_are_judged_by_validates_total_rule(self, method):
-        # The column's total moves by half of what validate allows, then by
-        # twice that: the points impute and validate, then raise the
-        # adjustment's error.
-        data, edits, totals = balance_points_data(np.random.default_rng(33))
-        allowed = pipeline.TOTAL_RTOL * max(1.0, abs(totals["x1"]))
-        near = {"x1": totals["x1"] + 0.5 * allowed}
-        out, _ = impute(data, edits, near, ImputationConfig(method, rounds=1))
-        pipeline.validate(out.values, data, edits, near)
-        with pytest.raises(InfeasibleSystemError) as err:
-            impute(data, edits, {"x1": totals["x1"] + 2.0 * allowed}, ImputationConfig(method, rounds=1))
-        assert isinstance(err.value.__cause__, InfeasibleAdjustmentError)
+        assert re.search(r"sum 0 lies outside the achievable range \[(\S+), \1\]$", str(got.value))
 
     @pytest.mark.parametrize("method", ["bpma", "bpmr"])
     def test_points_near_1e10_meet_the_true_totals(self, method):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import kstest, norm, truncnorm
 
-from calimp.adjust import AdjustmentProblem, adjustment_stats, zero_sum_interval_adjust
+from calimp.adjust import AdjustmentProblem, adjustment_stats, reach, zero_sum_interval_adjust
 from calimp.errors import InfeasibleAdjustmentError
 from calimp.fm import Interval
 from calimp.residuals import (
@@ -401,18 +401,21 @@ def adjustment_problems(draw):
 @given(adjustment_problems())
 def test_zero_residuals_are_the_zero_sum_adjustment(problem):
     # bpma's adjustment of predictions x is bpmr's re-centering of zero
-    # residuals in the residual bounds [lower - x, upper - x], bit for bit.
+    # residuals in the residual bounds [lower - x, upper - x], bit for bit,
+    # aimed as impute aims it: at the weighted sum nearest 0 that the
+    # bounds reach.  Where the adjustment refuses 0, so does the
+    # re-centering, with the same message.
     x, lower, upper, weights = problem
     w = np.ones(x.size) if weights is None else weights
-    scale = max(1.0, float(np.sum(np.abs(w * x))))
     adjust_problem = AdjustmentProblem(x, lower, upper, weights)
     try:
         want = zero_sum_interval_adjust(adjust_problem)
     except InfeasibleAdjustmentError as err:
         with pytest.raises(InfeasibleAdjustmentError) as got:
-            benchmarked_residuals(0.0, lower - x, upper - x, weights, None, feasibility_scale=scale)
+            benchmarked_residuals(0.0, lower - x, upper - x, weights, None)
         assert str(got.value) == str(err)
         return
-    out, stats = benchmarked_residuals(0.0, lower - x, upper - x, weights, None, feasibility_scale=scale)
+    target = float(np.clip(0.0, *reach(w, lower - x, upper - x)))
+    out, stats = benchmarked_residuals(0.0, lower - x, upper - x, weights, None, target_sum=target)
     assert out.tobytes() == want.tobytes()
     assert stats == {"attempts": 0, "fallbacks": 0, **adjustment_stats(adjust_problem, want)}
