@@ -58,7 +58,9 @@ from .edits import (
     Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices, violations,
 )
 from .errors import CalimpError, InsufficientDataError
-from .pipeline import DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, validate
+from .pipeline import (
+    DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, structural_targets, validate,
+)
 from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
 from .residuals import draw_ar_residual, generator_uniforms, truncated_normal
 
@@ -526,27 +528,6 @@ def draw_truncated_posterior(
     if shifted.is_point():  # a narrow interval far from the mean
         return mean + shifted.lower
     return mean + draw_ar_residual(math.sqrt(model.variance), shifted, rng)
-
-
-def structural_targets(
-    edits: EditSystem, columns: Sequence[str], predictors: Mapping[int, Sequence[str]]
-) -> set[int]:
-    """The targets (positions in ``columns``) that the equality edits fix
-    once their predictors are known: with every column outside
-    ``predictors[j]`` unknown, eliminating the equalities leaves one in
-    target j only (``fm.CompiledInterval.pinned``, the rank condition of
-    a pinned key).  That may take a combination of equalities.  Every
-    record meets the equalities, so such a target's regression on its
-    predictors is exact: σ² = 0, and a step on it returns the current
-    value up to rounding.  Only equalities are read: a target that two inequalities
-    squeeze to a point (``x >= P``, ``x <= P``) is not structural."""
-    A, _, is_eq = system_matrices(edits, columns)
-    E, eq = A[is_eq], is_eq[is_eq]
-    return {
-        j
-        for j, names in predictors.items()
-        if fm.compile_interval(E, eq, columns, [c for c in columns if c not in names], columns[j]).pinned
-    }
 
 
 def _checkpoint_row(

@@ -14,7 +14,11 @@ predictions for the missing cells, and the predictions are made feasible:
 Each step writes only its target's column.  A cell that the edits force
 once the earlier targets hold their values gets a point interval at its
 own column's turn.  Later rounds re-impute each target with all other
-variables as predictors.
+variables as predictors, except a target that an equality edit fixes once
+the other variables are known (:func:`structural_targets`): that
+equality would give back its round-1 values, up to rounding, so its later
+steps derive, fit and write nothing, and :func:`validate` checks its
+column with the rest at the end.
 
 A benchmarked step is judged once, before its fit, by :func:`validate`'s
 total rule (:func:`total_missed`): the remainder of the column total,
@@ -364,6 +368,31 @@ def check_inputs(
         raise InfeasibleRecordError(message, record=i, edit_index=k, witness=edit)
 
 
+def structural_targets(
+    edits: EditSystem, columns: Sequence[str], predictors: Mapping[int, Sequence[str]]
+) -> set[int]:
+    """The targets (positions in ``columns``) that the equality edits fix
+    once their predictors are known: with every column outside
+    ``predictors[j]`` unknown, eliminating the equalities leaves one in
+    target j only (``fm.CompiledInterval.pinned``, the rank condition of
+    a pinned key).  That may take a combination of equalities.  Only
+    equalities are read: a target that two inequalities squeeze to a point
+    (``x >= P``, ``x <= P``) is not structural.
+
+    Every record that meets the equalities gives such a target back its
+    current value, up to rounding.  :func:`impute` asks with every other
+    column as predictors and skips these targets' steps after round 1;
+    ``mcmc.mcmc_refine`` asks with each target's chain predictors, whose
+    regression on them is exact (σ² = 0), and skips their updates."""
+    A, _, is_eq = system_matrices(edits, columns)
+    E, eq = A[is_eq], is_eq[is_eq]
+    return {
+        j
+        for j, names in predictors.items()
+        if fm.compile_interval(E, eq, columns, [c for c in columns if c not in names], columns[j]).pinned
+    }
+
+
 def impute(
     data: DataMatrix,
     edits: EditSystem,
@@ -401,12 +430,27 @@ def impute(
     col_idx = {name: j for j, name in enumerate(data.columns)}
     compiler = _PatternCompiler(edits, data.columns)
     imputed_so_far: list[str] = []
+    # After round 1 every other column is known, so an equality gives each
+    # of these targets back its current value: their later steps are skipped.
+    fixed = set()
+    if config.rounds > 1:
+        others = {col_idx[name]: [c for c in data.columns if c != name] for name in order}
+        fixed = structural_targets(edits, data.columns, others)
 
     for rnd in range(1, config.rounds + 1):
         for target in order:
             t = col_idx[target]
             rows = np.flatnonzero(data.mask[:, t])
             if rows.size == 0:
+                continue
+            if rnd > 1 and t in fixed:
+                n = int(rows.size)
+                diagnostics.append({
+                    "round": rnd, "variable": target, "n_missing": n, "predictors": [],
+                    "dropped_predictors": [], "fit": None,
+                    "intervals": {"count": n, "degenerate": n, "bounded": n, "unbounded": 0, "patterns": 0},
+                    "adjustment": {"skipped": "fixed by an equality"}, "residuals": None,
+                })
                 continue
             current[rows, t] = np.nan
             derived = compiler.intervals(current, rows, target)

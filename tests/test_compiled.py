@@ -7,6 +7,7 @@ feasibility oracle, and whole imputations run the per-record way.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -447,7 +448,9 @@ def forced_later_target_data():
 def test_each_step_writes_only_its_target_column(monkeypatch, case):
     """Between two steps' derivations, ``current`` changes only in the
     earlier step's target column and in the cells the later step blanks
-    in its own; after the last step, only in its target column."""
+    in its own; after the last step, only in its target column.  Round 2
+    derives only the targets in no equality (the forced case's y), and
+    every other target keeps its column as round 1 left it."""
     if case == "forced":
         data, system, totals = forced_later_target_data()
         config = ImputationConfig("bpma", variable_order=["x1", "y", "x2"])
@@ -465,7 +468,15 @@ def test_each_step_writes_only_its_target_column(monkeypatch, case):
             return super().intervals(current, rows, target)
 
     out, _ = run_with(monkeypatch, Recorder, data, system, totals, config)
-    assert len(seen) == 2 * len(pipeline.variable_order(data, config))
+    order = pipeline.variable_order(data, config)
+    in_equality = {v for edit in system.edits if edit.kind is EditKind.EQUALITY for v in edit.coeffs}
+    refitted = [name for name in order if name not in in_equality]
+    assert refitted == (["y"] if case == "forced" else [])
+    assert len(seen) == len(order) + len(refitted)
+    once, _ = impute(data, system, totals, replace(config, rounds=1))
+    for name in in_equality & set(order):
+        j = data.column_index(name)
+        assert out.values[:, j].tobytes() == once.values[:, j].tobytes(), name
     for k, (t, _, before) in enumerate(seen):
         after = seen[k + 1][2] if k + 1 < len(seen) else out.values
         changed = ~((before == after) | (np.isnan(before) & np.isnan(after)))

@@ -702,14 +702,19 @@ IMPUTE_LAYOUTS = {
 
 def check_impute_rows(rows, fitted):
     """x2 is missing only where x1 is, so round 1 fits x2; the balance then
-    forces every cell left, and each later step writes its points and the
-    skipped row."""
+    forces every cell of x1, whose step writes its points and the skipped
+    row.  Given the other columns the balance fixes both targets, so round
+    2 skips them, and each of its rows counts every cell a point."""
     assert layout(rows[0]) == fitted
     for row in rows[1:]:
         assert layout(row) == SKIPPED_LAYOUT
         assert row["predictors"] == row["dropped_predictors"] == []
-        assert row["adjustment"] == {"skipped": "all points"}
         assert row["intervals"]["degenerate"] == row["intervals"]["count"] == row["n_missing"]
+    assert rows[1]["adjustment"] == {"skipped": "all points"}
+    for row in rows[2:]:
+        n = row["n_missing"]
+        assert row["adjustment"] == {"skipped": "fixed by an equality"}
+        assert row["intervals"] == {"count": n, "degenerate": n, "bounded": n, "unbounded": 0, "patterns": 0}
 
 
 def diagnostics_rows(tmp_path, flags):

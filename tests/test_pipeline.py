@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp import adjust, pipeline, regression, residuals
+from calimp import adjust, fm, pipeline, regression, residuals, sim
 from calimp.cli import main
-from calimp.edits import parse_edit_rules, check_record, violation_matrix
+from calimp.edits import EditKind, parse_edit_rules, check_record, system_matrices, violation_matrix
 from calimp.errors import (
     CalimpError,
     InfeasibleAdjustmentError,
@@ -320,7 +320,10 @@ class TestBenchmarkedMethods:
         solver_keys = {"lambda", "at_lower", "at_upper"}
         assert any(row["fit"] for row in diagnostics)
         for row in diagnostics:
-            if row["fit"] is None:  # every cell forced: the points, no solve
+            if row["round"] > 1:  # x1 + x2 = x3 fixes both given x3
+                assert row["fit"] is None and row["residuals"] is None
+                assert row["adjustment"] == {"skipped": "fixed by an equality"}
+            elif row["fit"] is None:  # every cell forced: the points, no solve
                 assert row["intervals"]["degenerate"] == row["intervals"]["count"]
                 assert row["adjustment"] == {"skipped": "all points"} and row["residuals"] is None
             elif method == "bpma":
@@ -807,7 +810,9 @@ class TestAllPointTargets:
         given = DataMatrix(np.where(data.mask, np.nan, data.values), data.mask, data.columns, data.weights)
         out, diagnostics = impute(given, edits, every, ImputationConfig(method, seed=3))
         pipeline.validate(out.values, given, edits, every)
-        assert [(row["variable"], row["adjustment"]) for row in diagnostics] == [("other", {"skipped": "all points"})] * 2
+        assert [(row["variable"], row["adjustment"]) for row in diagnostics] == [
+            ("other", {"skipped": "all points"}), ("other", {"skipped": "fixed by an equality"}),
+        ]
 
     def test_incomplete_predictor_still_raises_on_a_point_target(self):
         # x1 is forced wherever it is missing, but its predictor x2 is
@@ -852,4 +857,88 @@ class TestAllPointTargets:
         assert not violation_matrix(edits, out.values, out.columns).any()
         assert float(w @ out.values[:, 2]) == pytest.approx(totals["t"], rel=1e-8)
         assert out.values[:, 2].tolist() == (a + b).tolist()
-        assert [row["adjustment"] for row in diagnostics] == [{"skipped": "all points"}] * 2
+        assert [row["adjustment"] for row in diagnostics] == [
+            {"skipped": "all points"}, {"skipped": "fixed by an equality"},
+        ]
+
+
+FIXED = {"skipped": "fixed by an equality"}
+
+
+class TestFixedTargets:
+    """From round 2 on every other column is known, so a target with a
+    nonzero coefficient in an equality is fixed by it: its later steps
+    derive, fit and write nothing, and its rows say so."""
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_study_round_two_writes_the_bytes_of_round_one(self, method):
+        config = sim.StudyConfig(population_size=2_000, sample_size=400)
+        population, _ = sim.generate_population(config, np.random.default_rng(40))
+        _, masked, totals = sim.draw_sample(population, config, np.random.default_rng(41))
+        totals = None if method == "upma" else totals
+        options = dict(seed=6, predictors=sim.STUDY_PREDICTORS, variable_order=sim.STUDY_ORDER)
+        twice, diagnostics = impute(masked, sim.study_edits(), totals, ImputationConfig(method, **options))
+        once, first = impute(masked, sim.study_edits(), totals, ImputationConfig(method, rounds=1, **options))
+        assert twice.values.tobytes() == once.values.tobytes()
+        assert diagnostics[:2] == first
+        assert [row["variable"] for row in diagnostics[2:]] == sim.STUDY_ORDER
+        for row in diagnostics[2:]:
+            n = row["n_missing"]
+            assert n > 0 and row == {
+                "round": 2, "variable": row["variable"], "n_missing": n, "predictors": [],
+                "dropped_predictors": [], "fit": None,
+                "intervals": {"count": n, "degenerate": n, "bounded": n, "unbounded": 0, "patterns": 0},
+                "adjustment": FIXED, "residuals": None,
+            }
+
+    @pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+    def test_a_target_in_no_equality_refits(self, method):
+        # y is in no equality: round 2 fits it on every other column (P is
+        # dropped, the sum of x1 and x2) and adjusts or draws as round 1 did.
+        rng = np.random.default_rng(42)
+        x1, x2 = rng.uniform(5.0, 50.0, 60), rng.uniform(5.0, 50.0, 60)
+        truth = np.column_stack([x1, x2, x1 + x2, 0.4 * (x1 + x2) + rng.uniform(0.0, 3.0, 60)])
+        mask = np.zeros(truth.shape, dtype=bool)
+        mask[:10, 0] = mask[5:15, 1] = mask[10:25, 3] = True
+        data = make_data(truth, mask, ("x1", "x2", "P", "y"))
+        edits = parse_edit_rules("x1 + x2 = P\nx1 >= 0\nx2 >= 0\ny >= 0\n")
+        totals = None if method == "upma" else dict(zip(data.columns, truth.sum(axis=0).tolist()))
+        out, diagnostics = impute(data, edits, totals, ImputationConfig(method, seed=5))
+        pipeline.validate(out.values, data, edits, totals)
+        assert [(row["round"], row["variable"]) for row in diagnostics] == [
+            (1, "x1"), (1, "x2"), (1, "y"), (2, "x1"), (2, "x2"), (2, "y"),
+        ]
+        assert [row["adjustment"] for row in diagnostics[3:5]] == [FIXED, FIXED]
+        refit = diagnostics[5]
+        assert refit["fit"] is not None and "skipped" not in refit["adjustment"]
+        assert sorted(refit["predictors"] + refit["dropped_predictors"]) == ["P", "x1", "x2"]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["upma", "bpma", "bpmr"]))
+    def test_skipping_agrees_with_the_unskipped_path(self, seed, method):
+        # The unskipped path is impute with no target found fixed.
+        data, edits, totals, _ = random_imputation_instance(np.random.default_rng(seed), max_records=200)
+        totals = None if method == "upma" else totals
+        config = ImputationConfig(method, seed=3)
+        order = variable_order(data, config)
+        A, _, is_eq = system_matrices(edits, data.columns)
+        pinned = {
+            name for name in order
+            if fm.compile_interval(A[is_eq], is_eq[is_eq], data.columns, [name], name).pinned
+        }
+        assert pinned == {v for e in edits.edits if e.kind is EditKind.EQUALITY for v in e.coeffs} & set(order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "structural_targets", lambda *args: set())
+            ref, ref_diagnostics = impute(data, edits, totals, config)
+        out, diagnostics = impute(data, edits, totals, config)
+        assert {row["variable"] for row in diagnostics if row["adjustment"] == FIXED} == pinned
+        assert [(row["round"], row["variable"]) for row in diagnostics] == [
+            (row["round"], row["variable"]) for row in ref_diagnostics
+        ]
+        for row, ref_row in zip(diagnostics, ref_diagnostics):
+            assert (row["adjustment"] == FIXED) == (row["round"] > 1 and row["variable"] in pinned)
+            if row["adjustment"] != FIXED:
+                assert row["intervals"]["count"] == ref_row["intervals"]["count"]
+        pipeline.validate(out.values, data, edits, totals)
+        assert np.array_equal(out.values[~data.mask], data.values[~data.mask])
+        assert np.all(np.abs(out.values - ref.values) <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))

@@ -1,7 +1,8 @@
 """Structural targets: the ones the equality edits fix given their predictors.
 
-``mcmc.structural_targets`` marks them before the chain starts, and the
-chain skips every step on them.  These tests pin which targets are
+``pipeline.structural_targets`` (importable from ``mcmc`` too) marks them
+before the chain starts, and the chain skips every step on them; impute
+asks the same function with every other column as predictors.  These tests pin which targets are
 structural, that their fit is exact, and that a full step on one, as the
 chain took it before the skip, draws nothing and moves nothing beyond the
 tolerance the edits hold to.
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp import mcmc
+from calimp import mcmc, pipeline
 from calimp.edits import DEFAULT_TOL, parse_edit_rules
 from calimp.mcmc import (
     McmcConfig,
@@ -41,6 +42,10 @@ def default_predictors(data, edits, totals):
 def structural_names(edits, columns, predictors):
     positions = {columns.index(name): names for name, names in predictors.items()}
     return {columns[j] for j in structural_targets(edits, columns, positions)}
+
+
+def test_one_rule_serves_impute_and_the_chain():
+    assert mcmc.structural_targets is pipeline.structural_targets
 
 
 def test_study_x2_on_p_and_x1_is_structural():
