@@ -544,7 +544,7 @@ class CompiledInterval:
         :meth:`infeasibility`).  The records' fully known edits must hold
         to ``violation_matrix``'s margin; they are not checked here."""
         check_bad, _, lower, upper, empty = self._derive(D, scale)
-        return lower, upper, check_bad.any(axis=1) | empty
+        return lower, upper, np.asfortranarray(check_bad).any(axis=1) | empty
 
     def infeasibility(self, edits: Sequence, d: np.ndarray, scale: float, record: int | None = None):
         """The error of one flagged record, with reduced constants ``d`` and margin scale ``scale``: the first
@@ -611,8 +611,10 @@ def read_bounds(const: np.ndarray, coef: np.ndarray, scale: np.ndarray | None = 
     is loosened by its own margin, ``DEFAULT_TOL * scale * mass[k]``, and
     the bounds meet only where the loosened rows still overlap, at the
     midpoint clamped into that overlap; a wider crossing stays as it is:
-    empty.  The loosened rows are computed for crossed records only."""
-    bounds = -const / coef
+    empty.  The loosened rows are computed for crossed records only.  The
+    bounds are laid out column-major, so each extreme reduces down the
+    records axis (see :func:`calimp.edits.record_scale`)."""
+    bounds = np.divide(-const, coef, order="F")
     lower = np.max(bounds, axis=1, where=coef > 0, initial=NEG_INF)
     upper = np.min(bounds, axis=1, where=coef < 0, initial=POS_INF)
     crossed = np.flatnonzero(lower > upper)

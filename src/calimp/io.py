@@ -21,6 +21,9 @@ from .pipeline import DataMatrix
 
 MISSING_MARKERS = ("", "NA")
 WEIGHT_COLUMN = "__weight"
+#: Rows :func:`write_dataset` formats at once: the floats of one block
+#: exist as Python objects together, so memory does not grow with the file.
+WRITE_BLOCK = 4096
 
 
 def _read_csv(handle: IO[str], empty: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
@@ -114,9 +117,13 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
         values = np.column_stack([values, data.weights])
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(list(data.columns) + ([WEIGHT_COLUMN] if with_weights else []))
-    # A float's repr needs no CSV quoting, and only NaN's contains "nan".
-    # Row by row, the floats of one row at a time exist as Python objects.
-    buf.writelines(",".join(map(repr, row.tolist())).replace("nan", "NA") + "\n" for row in values)
+    # A float's repr needs no CSV quoting, and only NaN's contains "nan":
+    # the header is written apart, so a column name keeps its "nan".  One
+    # format operation writes a block of rows.
+    line = ",".join(["%r"] * values.shape[1]) + "\n"
+    for start in range(0, len(values), WRITE_BLOCK):
+        block = values[start : start + WRITE_BLOCK]
+        buf.write((line * len(block) % tuple(block.ravel().tolist())).replace("nan", "NA"))
     Path(path).write_text(buf.getvalue())
 
 

@@ -55,7 +55,8 @@ import numpy as np
 
 from . import fm, metrics
 from .edits import (
-    Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices, violations,
+    Edit, EditKind, EditSystem, ReducedSystem, reads_flagged, record_scale, reduce_system, system_matrices,
+    violations,
 )
 from .errors import CalimpError, InsufficientDataError
 from .pipeline import (
@@ -274,7 +275,7 @@ class PairSystems:
         self.pattern = [self.pattern_bits[k] for k in self.pattern_id.tolist()]
         # Per record: the edits a completion is checked against, those that
         # read one of its imputed columns.
-        self.checked = data.mask @ (self.A != 0).T
+        self.checked = reads_flagged(data.mask, self.A)
         self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
         self.compiled = 0
         self.hits = 0
@@ -451,10 +452,11 @@ def update_pairs(
     new_t = np.where(coupled, (shares - w_s * new_s) / w_t, new_t)
 
     broken, margin = violations(systems.A, systems.b, systems.is_eq, np.concatenate([new_s, new_t]))
-    broken = (broken & systems.checked[np.concatenate([s, t])]).any(axis=1)
+    # Each any reduces down the records axis, on a column-major copy.
+    broken = np.asfortranarray(broken & systems.checked[np.concatenate([s, t])]).any(axis=1)
     margin = np.maximum(margin[: len(s)], margin[len(s) :])
     missed = coupled & (np.abs(w_s * new_s + w_t * new_t - shares) > margin[:, None])
-    feasible = ~(broken[: len(s)] | broken[len(s) :] | missed.any(axis=1))
+    feasible = ~(broken[: len(s)] | broken[len(s) :] | np.asfortranarray(missed).any(axis=1))
     return PairUpdates(s, t, lower, upper, value, new_s, new_t, feasible)
 
 
@@ -567,8 +569,9 @@ def mcmc_refine(
     The input must pass :func:`pipeline.check_inputs` (even with zero
     iterations), be complete and reproduce the totals (its mask marks the
     imputed cells).  With zero iterations, or no column of two imputed
-    cells, it comes back unchanged with an empty trace.  Consistency is
-    revalidated at every checkpoint.
+    cells, it comes back unchanged with an empty trace.  Every checkpoint
+    checks the chain's values against the input ``data`` with
+    :func:`pipeline.validate`.
 
     Each sweep of column j pairs j's imputed records at random (a record
     is left out when n_j is odd), draws j's model from a fresh Gram factor
@@ -663,7 +666,7 @@ def mcmc_refine(
                 values[update.t[ok]] = update.new_t[ok]
 
         if done == checkpoint:
-            validate(values, state, edits, totals)
+            validate(values, data, edits, totals)
             exact = {
                 j: j in structural or gram_factor(gram_matrix(values, design[j]).tolist(), columns[j])[2] == 0.0
                 for j in targets

@@ -548,21 +548,30 @@ def impute(
         raise CalimpError(
             f"internal error: cell ({int(i)}, {data.columns[int(j)]}) left unimputed"
         )
-    observed = ~data.mask
-    if not np.array_equal(current[observed], data.values[observed]):
-        raise CalimpError("internal error: an observed cell was modified")
     validate(current, data, edits, {name: totals[name] for name in missing_cols} if benchmarked else None)
     return DataMatrix(current, data.mask.copy(), data.columns, data.weights.copy()), diagnostics
 
 
 def validate(values: np.ndarray, data: DataMatrix, edits: EditSystem, totals: Totals | None) -> None:
-    """Raise :class:`CalimpError` unless every record of ``values`` (laid
-    out like ``data``) satisfies the edits and every total that names a
-    column of ``data`` is reproduced to ``TOTAL_RTOL``."""
-    bad = violation_matrix(edits, values, data.columns)
+    """Raise :class:`CalimpError` unless ``values``, a completion of the
+    input ``data`` laid out like it, keeps every cell that ``data.mask``
+    leaves observed, its records satisfy the edits and every total that
+    names a column of ``data`` is reproduced to ``TOTAL_RTOL``.
+
+    ``data`` is what :func:`check_inputs` passed, not an array that is
+    written in place: the first check compares ``values`` with it.  The
+    edits are then checked on the records with a masked cell only, and a
+    broken one is named by its index in ``data``.  A record without one
+    equals its record of ``data``, which :func:`check_inputs` passed under
+    the same rule (:func:`calimp.edits.violation_matrix`), so checking it
+    again could not fail."""
+    if not ((values == data.values) | data.mask).all():
+        raise CalimpError("internal error: an observed cell was modified")
+    rows = np.flatnonzero(np.asfortranarray(data.mask).any(axis=1))
+    bad = violation_matrix(edits, values[rows], data.columns)
     if bad.any():
         i, k = np.argwhere(bad)[0]
-        raise CalimpError(f"record {int(i)} violates edit {int(k)}")
+        raise CalimpError(f"record {int(rows[i])} violates edit {int(k)}")
     for j, name in enumerate(data.columns):
         if totals and name in totals:
             got = float(data.weights @ values[:, j])

@@ -698,3 +698,47 @@ def step_chain(data: DataMatrix, edits: EditSystem, totals, iterations: int, see
         except InfeasibleSystemError:
             pass
     return values
+
+
+# ---------------------------------------------------------------------------
+# Per-record kernels as first written: each reduction runs along a
+# record's C-ordered row, ``violated`` selects with ``np.where`` and the
+# unknown mask is a boolean product.  The column-major kernels of
+# ``edits`` and ``fm`` must give their bits.
+
+def row_record_scale(values: np.ndarray) -> np.ndarray:
+    return np.fmax.reduce(np.abs(values), axis=-1, initial=1.0)
+
+
+def where_violated(resid, is_eq, margin):
+    return np.where(is_eq, np.abs(resid) > margin, resid < -margin)
+
+
+def boolean_reads_flagged(flags: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return flags @ (A != 0).T
+
+
+def row_violation_matrix(system: EditSystem, values: np.ndarray, columns, tol: float = DEFAULT_TOL) -> np.ndarray:
+    A, b, is_eq = system_matrices(system, columns)
+    X = np.asarray(values, dtype=float)
+    unknown = np.isnan(X)
+    X = np.where(unknown, 0.0, X)
+    margin = tol * row_record_scale(X[:, np.any(A != 0, axis=0)])
+    return where_violated(X @ A.T + b, is_eq, margin[:, None]) & ~boolean_reads_flagged(unknown, A)
+
+
+def where_read_bounds(const, coef, scale=None, mass=None):
+    bounds = -const / coef
+    lower = np.max(bounds, axis=1, where=coef > 0, initial=-np.inf)
+    upper = np.min(bounds, axis=1, where=coef < 0, initial=np.inf)
+    crossed = np.flatnonzero(lower > upper)
+    if crossed.size:
+        point = 0.5 * (lower[crossed] + upper[crossed])
+        if scale is not None:
+            loose = bounds[crossed] - np.outer(DEFAULT_TOL * scale[crossed], mass / coef)
+            lo = np.max(loose, axis=1, where=coef > 0, initial=-np.inf)
+            hi = np.min(loose, axis=1, where=coef < 0, initial=np.inf)
+            meet = lo <= hi
+            crossed, point = crossed[meet], np.minimum(np.maximum(point[meet], lo[meet]), hi[meet])
+        lower[crossed] = upper[crossed] = point
+    return lower, upper, bounds

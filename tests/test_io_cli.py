@@ -116,6 +116,33 @@ class TestDatasetIO:
         cio.write_dataset(data, path, missing_from_mask=True)
         assert "NA" in path.read_text()
 
+    def test_header_keeps_nan_in_a_column_name(self, tmp_path):
+        # NaN becomes NA in the value rows only: a name containing "nan" stays.
+        data = DataMatrix(np.array([[0.5, np.nan], [np.nan, 2.0]]), np.array([[False, True], [True, False]]),
+                          ("nan_share", "banana"))
+        path = tmp_path / "n.csv"
+        cio.write_dataset(data, path)
+        assert path.read_text() == "nan_share,banana\n0.5,NA\nNA,2.0\n"
+        back = cio.read_dataset(path)
+        assert back.columns == ("nan_share", "banana") and back.mask.tolist() == data.mask.tolist()
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 13])
+    def test_blocks_join_into_one_file(self, tmp_path, monkeypatch, rows):
+        # Rows in several blocks, a short last block and no rows at all
+        # write the file that one block of every row writes.
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=(rows, 3)) * 1e3
+        mask = rng.random((rows, 3)) < 0.3
+        data = DataMatrix(np.where(mask, np.nan, values), mask, ("a", "b", "c"), weights=np.full(rows, 2.0))
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        cio.write_dataset(data, whole)
+        monkeypatch.setattr(cio, "WRITE_BLOCK", 3)
+        cio.write_dataset(data, blocked)
+        assert blocked.read_bytes() == whole.read_bytes()
+        lines = whole.read_text().splitlines()
+        width = 4 if rows else 3  # no record has a weight other than 1
+        assert len(lines) == rows + 1 and all(len(line.split(",")) == width for line in lines)
+
 
 class TestTotalsConfigMask:
     def test_totals_round_trip(self, tmp_path):

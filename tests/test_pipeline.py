@@ -212,6 +212,78 @@ class TestImputeBasics:
         assert not violation_matrix(edits, out.values, out.columns).any()
 
 
+class TestValidate:
+    """``validate`` checks a completion against the input it completes:
+    every observed cell, then the edits of the records with a masked cell,
+    then the totals."""
+
+    def test_broken_imputed_record_is_named_by_its_full_data_index(self):
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        truth = consistent_three_var_sample(np.random.default_rng(2), 12)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[[3, 7, 9], 1] = True
+        data = make_data(truth, mask, ("x1", "x2", "x3"))
+        done = truth.copy()
+        done[7, 1] += 1.0  # x1 + x2 = x3 (edit 0) fails in the second masked record
+        with pytest.raises(CalimpError, match=r"^record 7 violates edit 0$"):
+            pipeline.validate(done, data, edits, None)
+        pipeline.validate(truth, data, edits, None)
+
+    def test_edits_are_checked_on_the_masked_records_only(self, monkeypatch):
+        edits = parse_edit_rules(THREE_VAR_RULES)
+        truth = consistent_three_var_sample(np.random.default_rng(4), 40)
+        mask = np.zeros_like(truth, dtype=bool)
+        mask[[1, 5, 6, 30], [0, 1, 0, 2]] = True
+        data = make_data(truth, mask, ("x1", "x2", "x3"))
+        seen = []
+        real = pipeline.violation_matrix
+
+        def spy(system, values, columns, *args):
+            seen.append(np.array(values))
+            return real(system, values, columns, *args)
+
+        monkeypatch.setattr(pipeline, "violation_matrix", spy)
+        out, _ = impute(data, edits, None, ImputationConfig("upma"))
+        # check_inputs reads every record, validate the masked ones.
+        assert [len(v) for v in seen] == [40, 4]
+        assert seen[1].tobytes() == out.values[[1, 5, 6, 30]].tobytes()
+
+    def test_observed_cell_changed_inside_impute_is_caught(self, monkeypatch):
+        data, rules, totals = pinned_balance_data(np.random.default_rng(8))
+        edits = parse_edit_rules(rules)
+        real = pipeline._PatternCompiler.intervals
+        observed = int(np.flatnonzero(~data.mask.any(axis=1))[0])
+
+        def nudging(self, current, rows, target):
+            current[observed, 2] = np.nextafter(current[observed, 2], np.inf)
+            return real(self, current, rows, target)
+
+        monkeypatch.setattr(pipeline._PatternCompiler, "intervals", nudging)
+        with pytest.raises(CalimpError, match="^internal error: an observed cell was modified$") as info:
+            impute(data, edits, totals, ImputationConfig("bpma"))
+        assert info.traceback[-1].name == "validate"
+
+    def test_observed_cell_changed_in_the_chain_is_caught_at_its_checkpoint(self, monkeypatch):
+        from calimp import mcmc
+        from test_mcmc import three_var_study_data
+
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        before = pre.values.copy()
+        observed = np.argwhere(~pre.mask)[0]
+        real = mcmc.update_pairs
+
+        def nudging(systems, values, *args):
+            values[tuple(observed)] = np.nextafter(values[tuple(observed)], np.inf)
+            return real(systems, values, *args)
+
+        monkeypatch.setattr(mcmc, "update_pairs", nudging)
+        with pytest.raises(CalimpError, match="^internal error: an observed cell was modified$") as info:
+            mcmc.mcmc_refine(pre, edits, totals, McmcConfig(iterations=200, checkpoint_every=50, seed=1))
+        assert info.traceback[-1].name == "validate"
+        # The chain writes a copy: the input it is checked against is as given.
+        assert pre.values.tobytes() == before.tobytes()
+
+
 def zero_remainder_case(seed):
     """5,000 records of a mixed-sign ``y = 3x + noise``, x ~ N(0, 1e4),
     with ``y`` blank where a uniform falls below 0.6 and its total the sum
