@@ -121,7 +121,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _write_diagnostics(rows, path: Path) -> None:
-    with path.open("w") as handle:
+    with path.open("w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
 
@@ -141,7 +141,7 @@ def _cmd_impute(args) -> int:
     else:
         config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     data = cio.read_dataset(args.data)
-    edits = parse_edit_rules(Path(args.edits).read_text())
+    edits = parse_edit_rules(Path(args.edits).read_text(encoding=cio.ENCODING))
     totals = cio.read_totals(args.totals) if args.totals else None
     if totals:
         stray = [name for name in totals if name not in data.columns]

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import CalimpError, DataFormatError
 from .pipeline import DataMatrix
 
 MISSING_MARKERS = ("", "NA")
@@ -24,28 +25,79 @@ WEIGHT_COLUMN = "__weight"
 #: Rows :func:`write_dataset` formats at once: the floats of one block
 #: exist as Python objects together, so memory does not grow with the file.
 WRITE_BLOCK = 4096
+#: Rows :func:`read_dataset` and :func:`read_mask` convert at once.
+READ_BLOCK = 512
+#: Text inputs are read as UTF-8, past a leading byte-order mark, which
+#: spreadsheet exports often write; outputs are written as UTF-8.
+ENCODING = "utf-8-sig"
+
+#: A block of rows: its first row's line number, its rows as read, the
+#: number of its non-blank rows and their stripped fields (see
+#: :func:`_csv_blocks`).
+_Block = tuple[int, list[list[str]], int, list[str] | None]
 
 
-def _read_csv(handle: IO[str], empty: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+def _blank(raw: list[str]) -> bool:
+    return not raw or (len(raw) == 1 and not raw[0].strip())
+
+
+def _csv_blocks(handle: IO[str], empty: str) -> tuple[list[str], Iterator[_Block]]:
     """The stripped header of a CSV file and an iterator over its other
-    rows, one at a time: each row's line number and stripped fields.  Blank
-    rows are skipped; a row whose field count differs from the header's is
-    an error, as is a file without a header (message ``empty``)."""
+    rows in blocks of :data:`READ_BLOCK`.  A block is its first row's line
+    number, its rows as read, the number of its non-blank rows and their
+    stripped fields in file order; the fields are ``None`` where a
+    non-blank row's field count differs from the header's.  A file without
+    a header is an error (message ``empty``).
+
+    Line numbers count CSV records from 2, blank rows included.  A CSV
+    error ends the iteration only after the block of the rows read before
+    it, as a row-by-row read would meet those rows first."""
     reader = csv.reader(handle)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataFormatError(empty, line=1) from None
+    width = len(header)
 
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
-                raise DataFormatError(f"expected {len(header)} fields, found {len(raw)}", line=lineno)
-            yield lineno, [cell.strip() for cell in raw]
+    def blocks() -> Iterator[_Block]:
+        line = 2
+        while True:
+            block: list[list[str]] = []
+            failure = None
+            try:
+                block.extend(islice(reader, READ_BLOCK))
+            except csv.Error as err:
+                failure = err
+            if not block and failure is None:
+                return
+            rows = [raw for raw in block if not _blank(raw)]
+            cells = [cell.strip() for raw in rows for cell in raw] if set(map(len, rows)) <= {width} else None
+            yield line, block, len(rows), cells
+            if failure is not None:
+                raise failure
+            line += len(block)
 
-    return header, rows()
+    return header, blocks()
+
+
+def _first_error(
+    block: list[list[str]], line: int, width: int, check: Callable[[int, str], str | None]
+) -> DataFormatError:
+    """The error a row-by-row read meets first in a block that failed a
+    block check: rows in file order, a row's field count before its
+    cells, cells in column order.  ``check(i, cell)`` is the message for
+    the stripped field ``cell`` of column ``i``, or ``None`` if it is
+    valid.  This only names an error the block check has found."""
+    for lineno, raw in enumerate(block, start=line):
+        if _blank(raw):
+            continue
+        if len(raw) != width:
+            return DataFormatError(f"expected {width} fields, found {len(raw)}", line=lineno)
+        for i, cell in enumerate(raw):
+            message = check(i, cell.strip())
+            if message is not None:
+                return DataFormatError(message, line=lineno)
+    raise CalimpError("internal error: a block failed its check but none of its rows does")
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -53,13 +105,19 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def read_dataset(path: str | Path) -> DataMatrix:
-    """Load a dataset file; the mask reflects the missing markers."""
-    with Path(path).open(newline="") as handle:
-        header, records = _read_csv(handle, "empty file, expected a header row")
+    """Load a dataset file; the mask reflects the missing markers.
+
+    Each block of rows is converted with one ``np.array(..., dtype=float)``
+    after its markers become ``"nan"``: numpy converts a string with
+    Python's ``float``.  A block whose conversion fails, whose non-finite
+    values are not exactly its markers, or whose weights are not all
+    positive is scanned row by row for the error to report."""
+    with Path(path).open(newline="", encoding=ENCODING) as handle:
+        header, blocks = _csv_blocks(handle, "empty file, expected a header row")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataFormatError(f"duplicate header name(s) {dupes}", line=1)
@@ -67,42 +125,55 @@ def read_dataset(path: str | Path) -> DataMatrix:
             w_col = header.index(WEIGHT_COLUMN)
         except ValueError:
             w_col = None
-        columns = [h for i, h in enumerate(header) if i != w_col]
+        width = len(header)
 
-        rows: list[list[float]] = []
-        weights: list[float] = []
-        for lineno, cells in records:
-            out_row: list[float] = []
-            for i, cell in enumerate(cells):
-                if i == w_col:
-                    try:
-                        w = float(cell)
-                    except ValueError:
-                        raise DataFormatError(f"bad weight {cell!r}", line=lineno) from None
-                    if not math.isfinite(w) or w <= 0:
-                        raise DataFormatError(f"weights must be positive, got {cell!r}", line=lineno)
-                    weights.append(w)
-                    continue
-                if cell in MISSING_MARKERS:
-                    out_row.append(math.nan)
-                    continue
+        def cell_error(i: int, cell: str) -> str | None:
+            if i == w_col:
                 try:
-                    value = float(cell)
+                    w = float(cell)
                 except ValueError:
-                    raise DataFormatError(f"bad numeric field {cell!r}", line=lineno) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(f"non-finite value {cell!r}", line=lineno)
-                out_row.append(value)
-            rows.append(out_row)
-    if not rows:
+                    return f"bad weight {cell!r}"
+                return None if math.isfinite(w) and w > 0 else f"weights must be positive, got {cell!r}"
+            if cell in MISSING_MARKERS:
+                return None
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"bad numeric field {cell!r}"
+            return None if math.isfinite(value) else f"non-finite value {cell!r}"
+
+        parts: list[np.ndarray] = []
+        for line, block, n, cells in blocks:
+            table = None if cells is None else _float_block(cells, n, width)
+            if table is None or (w_col is not None and not (table[:, w_col] > 0).all()):
+                raise _first_error(block, line, width, cell_error)
+            if n:
+                parts.append(table)
+    if not parts:
         raise DataFormatError("no records")
-    values = np.array(rows, dtype=float)
+    table = np.concatenate(parts)
+    values = table if w_col is None else np.delete(table, w_col, axis=1)
     return DataMatrix(
         values=values,
         mask=np.isnan(values),
-        columns=tuple(columns),
-        weights=np.array(weights) if w_col is not None else None,
+        columns=tuple(h for i, h in enumerate(header) if i != w_col),
+        weights=table[:, w_col].copy() if w_col is not None else None,
     )
+
+
+def _float_block(cells: list[str], n: int, width: int) -> np.ndarray | None:
+    """The ``n`` by ``width`` floats of a block's stripped fields, markers
+    as NaN; ``None`` if a field is not a float, or if the non-finite
+    values are not exactly the markers."""
+    markers = sum(map(cells.count, MISSING_MARKERS))
+    if markers:
+        cells = ["nan" if cell in MISSING_MARKERS else cell for cell in cells]
+    try:
+        table = np.array(cells, dtype=float)
+    except ValueError:
+        return None
+    table = table.reshape(n, width)
+    return table if table.size - np.count_nonzero(np.isfinite(table)) == markers else None
 
 
 def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = False) -> None:
@@ -124,25 +195,30 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
     for start in range(0, len(values), WRITE_BLOCK):
         block = values[start : start + WRITE_BLOCK]
         buf.write((line * len(block) % tuple(block.ravel().tolist())).replace("nan", "NA"))
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _mask_cell_error(i: int, cell: str) -> str | None:
+    return None if cell in ("0", "1") else "mask cells must be 0 or 1"
 
 
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
     """Load a 0/1 mask file; optionally verify its header."""
-    with Path(path).open(newline="") as handle:
-        header, records = _read_csv(handle, "empty mask file")
+    with Path(path).open(newline="", encoding=ENCODING) as handle:
+        header, blocks = _csv_blocks(handle, "empty mask file")
         if columns is not None and header != list(columns):
             raise DataFormatError(
                 f"mask columns {header} do not match dataset columns {list(columns)}", line=1
             )
-        rows = []
-        for lineno, cells in records:
-            if any(cell not in ("0", "1") for cell in cells):
-                raise DataFormatError("mask cells must be 0 or 1", line=lineno)
-            rows.append([cell == "1" for cell in cells])
-    if not rows:
+        parts: list[np.ndarray] = []
+        for line, block, n, cells in blocks:
+            if cells is None or cells.count("0") + cells.count("1") != len(cells):
+                raise _first_error(block, line, len(header), _mask_cell_error)
+            if n:
+                parts.append(np.array(cells, dtype=str).reshape(n, len(header)) == "1")
+    if not parts:
         raise DataFormatError("no records in mask file")
-    return np.array(rows, dtype=bool)
+    return np.concatenate(parts)
 
 
 def write_mask(mask: np.ndarray, columns: Iterable[str], path: str | Path) -> None:
@@ -158,7 +234,7 @@ def _key_value_lines(
     without ``=``; ``missing`` is the message for an empty key and
     ``duplicate`` precedes a repeated key in its message."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding=ENCODING).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -190,7 +266,7 @@ def read_totals(path: str | Path) -> dict[str, float]:
 
 def write_totals(totals: Mapping[str, float], path: str | Path) -> None:
     lines = [f"{name} = {repr(float(value))}" for name, value in totals.items()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def read_predictors(path: str | Path) -> dict[str, list[str]]:
@@ -199,7 +275,7 @@ def read_predictors(path: str | Path) -> dict[str, list[str]]:
     intercept-only model.  The names are checked against the data where
     they are used (``pipeline.check_inputs``)."""
     predictors: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding=ENCODING).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

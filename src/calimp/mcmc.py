@@ -60,7 +60,7 @@ from .edits import (
 )
 from .errors import CalimpError, InsufficientDataError
 from .pipeline import (
-    DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, structural_targets, validate,
+    DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, check_totals, structural_targets, validate,
 )
 from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
 from .residuals import draw_ar_residual, generator_uniforms, truncated_normal
@@ -591,7 +591,8 @@ def mcmc_refine(
     check_inputs(data, edits, totals, config.predictors)
     if not data.is_complete():
         raise ValueError("refinement expects fully imputed data")
-    validate(data.values, data, edits, totals)
+    # check_inputs has checked every record's edits.
+    check_totals(data.values, data, totals)
 
     iterations = config.iterations if config.iterations is not None else 20 * int(data.mask.sum())
     checkpoint_every = config.checkpoint_every or max(1, iterations // 20)

@@ -572,6 +572,13 @@ def validate(values: np.ndarray, data: DataMatrix, edits: EditSystem, totals: To
     if bad.any():
         i, k = np.argwhere(bad)[0]
         raise CalimpError(f"record {int(rows[i])} violates edit {int(k)}")
+    check_totals(values, data, totals)
+
+
+def check_totals(values: np.ndarray, data: DataMatrix, totals: Totals | None) -> None:
+    """Raise :class:`CalimpError` unless every total that names a column of
+    ``data`` is reproduced by ``values``, weighted by ``data.weights``, by
+    :func:`total_missed`'s rule: the totals check of :func:`validate`."""
     for j, name in enumerate(data.columns):
         if totals and name in totals:
             got = float(data.weights @ values[:, j])

@@ -7,16 +7,19 @@ zero-sum adjustment by active-set enumeration, bpmr residuals cell by
 cell from scalar ``SeedSequence`` calls and one-cell draws, the refinement
 chain's pair update by the per-record derivation and term by term in
 plain Python (:class:`PairStep`), its sweeps by one-pair steps
-(:func:`step_chain`), and random imputation instances are built
-truth-first so feasibility is a construction guarantee rather than an
-assumption.
+(:func:`step_chain`), the dataset and mask files one cell at a time
+(:func:`cell_read_dataset`, :func:`cell_read_mask`), and random
+imputation instances are built truth-first so feasibility is a
+construction guarantee rather than an assumption.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -32,8 +35,9 @@ from calimp.edits import (
     DEFAULT_TOL, Edit, EditKind, EditSystem, ReducedSystem, record_scale, reduce_system, system_matrices,
     violation_matrix,
 )
-from calimp.errors import InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
+from calimp.errors import DataFormatError, InfeasibleAdjustmentError, InfeasibleSystemError, RankDeficiencyError
 from calimp.mcmc import pair_constraint_system
+from calimp.io import ENCODING, MISSING_MARKERS, WEIGHT_COLUMN
 from calimp.pipeline import DataMatrix
 from calimp.residuals import truncated_normal
 
@@ -742,3 +746,85 @@ def where_read_bounds(const, coef, scale=None, mass=None):
             crossed, point = crossed[meet], np.minimum(np.maximum(point[meet], lo[meet]), hi[meet])
         lower[crossed] = upper[crossed] = point
     return lower, upper, bounds
+
+
+def _cell_rows(handle, empty: str):
+    """The stripped header of a CSV file and its other rows one at a time,
+    each with its line number and stripped fields: blank rows skipped, a
+    field count that differs from the header's an error."""
+    reader = csv.reader(handle)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataFormatError(empty, line=1) from None
+
+    def rows():
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
+                continue
+            if len(raw) != len(header):
+                raise DataFormatError(f"expected {len(header)} fields, found {len(raw)}", line=lineno)
+            yield lineno, [cell.strip() for cell in raw]
+
+    return header, rows()
+
+
+def cell_read_dataset(path) -> DataMatrix:
+    """``io.read_dataset`` one cell at a time: strip, marker test,
+    ``float`` and a finiteness check per cell, the first error in file
+    order raised where it is met."""
+    with Path(path).open(newline="", encoding=ENCODING) as handle:
+        header, records = _cell_rows(handle, "empty file, expected a header row")
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise DataFormatError(f"duplicate header name(s) {dupes}", line=1)
+        w_col = header.index(WEIGHT_COLUMN) if WEIGHT_COLUMN in header else None
+        rows, weights = [], []
+        for lineno, cells in records:
+            out_row = []
+            for i, cell in enumerate(cells):
+                if i == w_col:
+                    try:
+                        w = float(cell)
+                    except ValueError:
+                        raise DataFormatError(f"bad weight {cell!r}", line=lineno) from None
+                    if not math.isfinite(w) or w <= 0:
+                        raise DataFormatError(f"weights must be positive, got {cell!r}", line=lineno)
+                    weights.append(w)
+                    continue
+                if cell in MISSING_MARKERS:
+                    out_row.append(math.nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataFormatError(f"bad numeric field {cell!r}", line=lineno) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(f"non-finite value {cell!r}", line=lineno)
+                out_row.append(value)
+            rows.append(out_row)
+    if not rows:
+        raise DataFormatError("no records")
+    values = np.array(rows, dtype=float)
+    return DataMatrix(
+        values=values,
+        mask=np.isnan(values),
+        columns=tuple(h for i, h in enumerate(header) if i != w_col),
+        weights=np.array(weights) if w_col is not None else None,
+    )
+
+
+def cell_read_mask(path, columns=None) -> np.ndarray:
+    """``io.read_mask`` one row at a time."""
+    with Path(path).open(newline="", encoding=ENCODING) as handle:
+        header, records = _cell_rows(handle, "empty mask file")
+        if columns is not None and header != list(columns):
+            raise DataFormatError(f"mask columns {header} do not match dataset columns {list(columns)}", line=1)
+        rows = []
+        for lineno, cells in records:
+            if any(cell not in ("0", "1") for cell in cells):
+                raise DataFormatError("mask cells must be 0 or 1", line=lineno)
+            rows.append([cell == "1" for cell in cells])
+    if not rows:
+        raise DataFormatError("no records in mask file")
+    return np.array(rows, dtype=bool)

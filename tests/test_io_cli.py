@@ -593,6 +593,36 @@ class TestCli:
             outputs.append((tmp_path / f"{tag}.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "inputs, argv",
+        [
+            (["data.csv", "rules.edits", "totals.txt"],
+             "impute --data {d}/data.csv --edits {d}/rules.edits --totals {d}/totals.txt --method bpma --out {d}/o.csv"),
+            (["truth.csv", "mask.csv", "rules.edits", "totals.txt", "predictors.txt"],
+             "impute --data {d}/truth.csv --mask {d}/mask.csv --edits {d}/rules.edits --totals {d}/totals.txt "
+             "--predictors {d}/predictors.txt --method mcmc --iterations 50 --seed 3 --out {d}/o.csv"),
+            (["study.cfg"], "simulate --config {d}/study.cfg --out {d}/run"),
+        ],
+        ids=["bpma", "mcmc", "simulate"],
+    )
+    def test_byte_order_mark_changes_no_output(self, tmp_path, inputs, argv):
+        # Spreadsheet exports often begin with a UTF-8 byte-order mark.  With
+        # one on every input, the first column, key or rule keeps its name,
+        # and every output has the bytes of the same run without it.
+        outputs = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            d = tmp_path / name
+            d.mkdir()
+            small_files(d, np.random.default_rng(7))
+            (d / "predictors.txt").write_text("x1: x3\n")
+            (d / "study.cfg").write_text("population_size = 400\nsample_size = 80\nreplications = 1\nseed = 9\n")
+            for f in inputs:
+                (d / f).write_bytes(mark + (d / f).read_bytes())
+            known = {p: p.read_bytes() for p in d.rglob("*")}
+            assert main(argv.format(d=d).split()) == 0
+            outputs.append({p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file() and p not in known})
+        assert outputs[0] == outputs[1] and outputs[0]
+
     def test_usage_error_on_unknown_method(self, tmp_path, capsys):
         code = main(["impute", "--data", "x", "--edits", "y", "--method", "zzz", "--out", "z"])
         assert code == 1

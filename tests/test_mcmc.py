@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import stats
 
-from calimp import mcmc, sim
+from calimp import mcmc, pipeline, sim
 from calimp.edits import DEFAULT_TOL, parse_edit_rules, violation_matrix
 from calimp.errors import CalimpError, InfeasibleRecordError, InsufficientDataError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
@@ -613,7 +613,7 @@ class TestMcmcRefine:
                 McmcConfig(iterations=steps, checkpoint_every=1, seed=4,
                            predictors={"x1": ["P"], "x2": ["P", "x1"]}),
             )
-        assert len(states) == steps + 1  # the input, then every update
+        assert len(states) == steps  # every update
         assert [row["iteration"] for row in trace] == list(range(1, steps + 1))
         last = trace[-1]["per_variable"]
         assert sum(moved.values()) > 10
@@ -702,6 +702,29 @@ class TestMcmcRefine:
         out, trace = mcmc_refine(data, edits, totals, McmcConfig(iterations=0))
         assert np.array_equal(out.values, data.values)
         assert trace == []
+
+    def test_input_edits_are_checked_once(self, monkeypatch):
+        # check_inputs checks every record of the input; the chain's start
+        # then checks its totals only.
+        pre, edits, totals = study_start(1)
+        seen = []
+        real = pipeline.violation_matrix
+
+        def spy(system, values, columns, *args):
+            seen.append(len(values))
+            return real(system, values, columns, *args)
+
+        monkeypatch.setattr(pipeline, "violation_matrix", spy)
+        out, trace = mcmc_refine(pre, edits, totals, McmcConfig(iterations=0))
+        assert seen == [len(pre.values)]
+        assert out.values.tobytes() == pre.values.tobytes() and trace == []
+
+    @pytest.mark.parametrize("iterations", [0, 50])
+    def test_input_that_misses_a_total_is_refused(self, iterations):
+        pre, edits, totals = three_var_study_data(np.random.default_rng(6), r=120)
+        got = float(pre.weights @ pre.values[:, 1])
+        with pytest.raises(CalimpError, match=rf"column 'x2' sums to {got!r}, total is {got + 1.0!r}"):
+            mcmc_refine(pre, edits, {**totals, "x2": got + 1.0}, McmcConfig(iterations=iterations))
 
     def test_chain_without_a_pair_returns_its_input(self):
         # One imputed cell kept in each of three columns: no column has two,
@@ -1090,7 +1113,8 @@ class TestMcmcRefine:
         # exact_fit flags.  No update draws a cell on its own.
         pre, edits, totals = three_var_study_data(np.random.default_rng(4), r=150)
         seen = {name: 0 for name in ("gram_factor", "draw_parameters", "truncated_normal", "generator_uniforms",
-                                     "draw_ar_residual", "draw_truncated_posterior", "update_pairs", "validate")}
+                                     "draw_ar_residual", "draw_truncated_posterior", "update_pairs", "validate",
+                                     "check_totals")}
         patches = {}
         for name in seen:
             real = getattr(mcmc, name)
@@ -1111,8 +1135,9 @@ class TestMcmcRefine:
             )
         last = trace[-1]["per_variable"]
         assert last["x1"]["moved"] >= 50 and last["x2"]["moved"] == 0
-        checkpoints = seen["validate"] - 1  # the input's check comes first
+        checkpoints = seen["validate"]
         assert checkpoints == len(trace) == 4
+        assert seen["check_totals"] == 1  # the input's totals, before the first update
         assert seen["update_pairs"] == seen["draw_parameters"] == seen["gram_factor"] - checkpoints > 10
         assert seen["truncated_normal"] == seen["generator_uniforms"] <= seen["update_pairs"]
         assert seen["truncated_normal"] > 0

@@ -1,0 +1,215 @@
+"""The block readers ``io.read_dataset`` and ``io.read_mask`` against the
+cell-by-cell reference readers of ``_oracles``: the same columns and the
+same bytes of values, mask and weights, or the same error message and
+line, whatever the quoting, padding, line endings, blank rows and block
+size."""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from calimp import io as cio
+from calimp.errors import DataFormatError
+from calimp.pipeline import DataMatrix
+
+from _oracles import cell_read_dataset, cell_read_mask
+
+NUMBERS = ["0", "-0", "1.5", "-2.25e3", "1_000", "١٢", "1e-400", "5e-324", ".5", "7.", "0.1", "2\n", "\r\n3"]
+MARKERS = ["", "NA", " NA ", "  ", "\t"]
+BAD_NUMBERS = ["foo", "nan", "-inf", "1e400", "Infinity", "1__0", "0x10", "1,5", "N A"]
+WEIGHTS = ["1", "2.5", " 0.75 ", "1e3"]
+BAD_WEIGHTS = ["0", "-1", "x", "", "NA", "inf", "nan"]
+BLOCK_SIZES = [1, 2, 3, cio.READ_BLOCK]
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except DataFormatError as err:
+        return str(err), err.line
+
+
+def assert_same_dataset(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.columns == want.columns
+    for a, b in ((got.values, want.values), (got.mask, want.mask)):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def assert_same_mask(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def field(draw, text):
+    """``text`` as a CSV field, quoted where it must be or where drawn."""
+    if any(ch in text for ch in ',"\r\n') or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def padded(draw, text):
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "  "]))
+
+
+@st.composite
+def csv_texts(draw, header, cell, width_errors):
+    """A CSV file: ``header``, then rows whose cells ``cell(draw, i)``
+    draws, blank and whitespace-only rows, rows of a wrong width where
+    ``width_errors``, one line ending, and maybe a byte-order mark."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(field(draw, padded(draw, name)) for name in header)]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "wide"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", '"  "'])))
+            continue
+        width = len(header)
+        if kind == "wide" and width_errors:
+            width = draw(st.integers(1, len(header) + 2).filter(lambda k: k != len(header)))
+        lines.append(",".join(field(draw, cell(draw, i % len(header))) for i in range(width)))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@st.composite
+def dataset_texts(draw, errors):
+    k = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(k)]
+    w_col = draw(st.none() | st.integers(0, k))
+    if w_col is not None:
+        header.insert(w_col, cio.WEIGHT_COLUMN)
+    numbers = NUMBERS * 4 + MARKERS + (BAD_NUMBERS if errors else [])
+    weights = WEIGHTS * 4 + (BAD_WEIGHTS if errors else [])
+
+    def cell(draw, i):
+        value = draw(st.sampled_from(weights if i == w_col else numbers))
+        return padded(draw, value) if value.strip() else value
+
+    return draw(csv_texts(header, cell, errors))
+
+
+@st.composite
+def mask_texts(draw, errors):
+    header = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    cells = ["0", "1"] * 4 + (["2", "x", "", "1.0"] if errors else [])
+    return header, draw(csv_texts(header, lambda draw, i: padded(draw, draw(st.sampled_from(cells))), errors))
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.booleans().flatmap(dataset_texts), block=st.sampled_from(BLOCK_SIZES))
+def test_dataset_matches_the_cell_reader(tmp_path, monkeypatch, text, block):
+    path = write(tmp_path, "d.csv", text)
+    monkeypatch.setattr(cio, "READ_BLOCK", block)
+    assert_same_dataset(outcome(cio.read_dataset, path), outcome(cell_read_dataset, path))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.booleans().flatmap(mask_texts), block=st.sampled_from(BLOCK_SIZES), named=st.booleans())
+def test_mask_matches_the_cell_reader(tmp_path, monkeypatch, case, block, named):
+    header, text = case
+    path = write(tmp_path, "m.csv", text)
+    monkeypatch.setattr(cio, "READ_BLOCK", block)
+    columns = header if named else None
+    assert_same_mask(outcome(cio.read_mask, path, columns), outcome(cell_read_mask, path, columns))
+
+
+@pytest.mark.parametrize("block", [1, 2, 512])
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("a,b\n1,2\n3,foo\n", "bad numeric field 'foo'", 3),
+        ("a\n1\n nan \n", "non-finite value 'nan'", 3),
+        ("a,b\n-inf,1\n", "non-finite value '-inf'", 2),
+        ("a,b\n1e400,1\n", "non-finite value '1e400'", 2),
+        ("a,b\n1,2\n\n1\n", "expected 2 fields, found 1", 4),
+        ("a,__weight\n1,x\n", "bad weight 'x'", 2),
+        ("a,__weight\n1,NA\n", "bad weight 'NA'", 2),
+        ("a,__weight\n1,1\n2,-1\n", "weights must be positive, got '-1'", 3),
+        ("a,__weight\n1,1\n2,inf\n", "weights must be positive, got 'inf'", 3),
+        # Two errors in one block: the first in file order is named.
+        ("a,b\n1,2\n3,4\n5,6\n7,x\n9,10\n11\n", "bad numeric field 'x'", 5),
+        ("a,b\n1,2\n3,4\n5,6\n7\n9,10\n11,x\n", "expected 2 fields, found 1", 5),
+        # Within a row, cells in column order, weights among them.
+        ("__weight,a\n0,foo\n", "weights must be positive, got '0'", 2),
+        ("a,__weight\nfoo,0\n", "bad numeric field 'foo'", 2),
+        # Lines count CSV records: a quoted newline is one, a blank row one.
+        ('a\n"1\n"\n\nfoo\n', "bad numeric field 'foo'", 4),
+        ("a,b\n", "no records", None),
+        ("", "empty file, expected a header row", 1),
+        ("a,a\n1,2\n", "duplicate header name(s) ['a']", 1),
+    ],
+)
+def test_dataset_errors_name_the_first_bad_field(tmp_path, monkeypatch, block, text, message, line):
+    path = write(tmp_path, "d.csv", text)
+    monkeypatch.setattr(cio, "READ_BLOCK", block)
+    with pytest.raises(DataFormatError) as info:
+        cio.read_dataset(path)
+    assert (str(info.value), info.value.line) == (f"line {line}: " * (line is not None) + message, line)
+    assert outcome(cell_read_dataset, path) == (str(info.value), line)
+
+
+@pytest.mark.parametrize("block", [1, 2, 512])
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("a,b\n0,1\n1,2\n", "mask cells must be 0 or 1", 3),
+        ("a,b\n0,1\n1,0,1\n0,x\n", "expected 2 fields, found 3", 3),
+        ("a,b\n0,1\n1, \n0,1,1\n", "mask cells must be 0 or 1", 3),
+        ("a,b\n\n", "no records in mask file", None),
+    ],
+)
+def test_mask_errors_name_the_first_bad_row(tmp_path, monkeypatch, block, text, message, line):
+    path = write(tmp_path, "m.csv", text)
+    monkeypatch.setattr(cio, "READ_BLOCK", block)
+    with pytest.raises(DataFormatError) as info:
+        cio.read_mask(path)
+    assert (str(info.value), info.value.line) == (f"line {line}: " * (line is not None) + message, line)
+    assert outcome(cell_read_mask, path) == (str(info.value), line)
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first):
+    # A field past csv's size limit stops the reader only where a
+    # row-by-row read meets it: a bad field before it, in the same block,
+    # is named first.
+    text = "a\n1\n" + ("foo\n" if bad_first else "2\n") + '"' + "9" * 200 + "\n"
+    path = write(tmp_path, "d.csv", text)
+    limit = csv.field_size_limit(100)
+    try:
+        for read in (cio.read_dataset, cell_read_dataset):
+            if bad_first:
+                with pytest.raises(DataFormatError, match="bad numeric field 'foo'") as info:
+                    read(path)
+                assert info.value.line == 3
+            else:
+                with pytest.raises(csv.Error, match="field larger than field limit"):
+                    read(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_written_files_of_many_blocks_read_back_as_the_cell_reader_reads_them(tmp_path):
+    rng = np.random.default_rng(40)
+    values = rng.normal(size=(3 * cio.READ_BLOCK + 7, 8)) * rng.lognormal(size=(1, 8)) * 1e3
+    mask = rng.random(values.shape) < 0.1
+    data = DataMatrix(np.where(mask, np.nan, values), mask, tuple("abcdefgh"), weights=rng.uniform(0.5, 3, len(values)))
+    path = tmp_path / "d.csv"
+    cio.write_dataset(data, path)
+    got = cio.read_dataset(path)
+    assert_same_dataset(got, cell_read_dataset(path))
+    assert got.values.tobytes() == data.values.tobytes() and got.weights.tobytes() == data.weights.tobytes()
+    assert got.values.flags.c_contiguous
