@@ -328,7 +328,7 @@ def admissible_interval(system: ReducedSystem | Sequence[Edit], target: str) -> 
     if lower > upper:
         if lo_loose > hi_loose:
             raise InfeasibleSystemError(
-                f"no admissible value for {target}: requires >= {lower:.6g} and <= {upper:.6g}",
+                f"no admissible value for {target}: requires >= {lower + 0.0:.6g} and <= {upper + 0.0:.6g}",
                 witness=(lo_witness, hi_witness),
             )
         lower = upper = min(max(0.5 * (lower + upper), lo_loose), hi_loose)
@@ -566,9 +566,10 @@ class CompiledInterval:
             )
         lo_row = int(np.argmax(np.where(self.bound_coef > 0, bounds[0], NEG_INF)))
         hi_row = int(np.argmin(np.where(self.bound_coef < 0, bounds[0], POS_INF)))
+        # Adding 0.0 folds a bound of -0.0 into 0.0, which prints as 0.
         return InfeasibleSystemError(
-            f"{prefix}no admissible value for {self.target}: requires >= {lower[0]:.6g} "
-            f"and <= {upper[0]:.6g}",
+            f"{prefix}no admissible value for {self.target}: requires >= {lower[0] + 0.0:.6g} "
+            f"and <= {upper[0] + 0.0:.6g}",
             witness=(support(self.bound_comb[lo_row]), support(self.bound_comb[hi_row])),
         )
 

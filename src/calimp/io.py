@@ -50,13 +50,17 @@ def _csv_blocks(handle: IO[str], empty: str) -> tuple[list[str], Iterator[_Block
     a header is an error (message ``empty``).
 
     Line numbers count CSV records from 2, blank rows included.  A CSV
-    error ends the iteration only after the block of the rows read before
-    it, as a row-by-row read would meet those rows first."""
+    error, such as a field past csv's size limit, is a
+    :class:`DataFormatError` at the line of the record it broke; it ends
+    the iteration only after the block of the rows read before it, as a
+    row-by-row read would meet those rows first."""
     reader = csv.reader(handle)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataFormatError(empty, line=1) from None
+    except csv.Error as err:
+        raise DataFormatError(str(err), line=1) from None
     width = len(header)
 
     def blocks() -> Iterator[_Block]:
@@ -73,9 +77,9 @@ def _csv_blocks(handle: IO[str], empty: str) -> tuple[list[str], Iterator[_Block
             rows = [raw for raw in block if not _blank(raw)]
             cells = [cell.strip() for raw in rows for cell in raw] if set(map(len, rows)) <= {width} else None
             yield line, block, len(rows), cells
-            if failure is not None:
-                raise failure
             line += len(block)
+            if failure is not None:
+                raise DataFormatError(str(failure), line=line) from None
 
     return header, blocks()
 

@@ -251,7 +251,8 @@ def _predict(y, X_obs, X_mis, w_obs, w_mis, pred_names, missing_total, log_scale
 @dataclass
 class _TargetIntervals:
     """Admissible intervals of one target for the records missing it, and
-    the number of unknown-pattern groups they were derived in."""
+    the number of unknown patterns among those records (not of the block
+    keys they were derived in)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -285,12 +286,22 @@ def _missing_patterns(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PatternCompiler:
-    """Interval derivations compiled once per (unknown pattern, target).
+    """Interval derivations compiled once per (block, target).
 
-    Records missing the target are grouped by which edit variables they
-    still lack; each group's bounds and feasibility checks are then array
-    expressions over its records, on each record's margin scale (see
-    :class:`fm.CompiledInterval`).
+    A record's block of the target is the set of its unknowns joined to
+    the target through edits that read an unknown (:meth:`blocks`); a
+    target in no edit has the empty block, and an unbounded interval.
+    Records missing the target are grouped by that block; each group's
+    bounds and feasibility checks are then array expressions over its
+    records, on each record's margin scale (see :class:`fm.CompiledInterval`).
+
+    The block gives the interval the whole unknown pattern would: rows
+    outside it share no unknown with rows inside it, so they never combine,
+    and the block's rows keep their relative order through every
+    substitution, projection and merge.  Its bound rows, their masses and
+    ``pinned`` are those of the pattern's derivation.  Only the check rows
+    of the record's other blocks drop out; each of those blocks holds an
+    unknown, so the step of its first target in round 1 checks it whole.
     An edit a record knows fully is not checked here: :func:`check_inputs`
     has checked the observed values, and each imputed value lies in an
     interval that keeps the edits.  The cache lives for one :func:`impute`
@@ -301,20 +312,38 @@ class _PatternCompiler:
         self.edits = edits
         self.cols = [columns.index(v) for v in edits.variables]
         self.A, self.b, self.is_eq = system_matrices(edits, edits.variables)
+        self.reads = (self.A != 0).astype(float)
         self.cache: dict[tuple[bytes, str], fm.CompiledInterval] = {}
+
+    def blocks(self, patterns: np.ndarray, target: str) -> np.ndarray:
+        """Each unknown pattern's block of ``target`` (patterns x edit
+        variables): from the target's column, take the pattern's unknowns
+        that an edit reading the block reads, until the block stops
+        growing.  Such an edit reads an unknown, a block variable, so no
+        edit that reads only known values joins two unknowns; a target in
+        no edit drops out, leaving the empty block.  All patterns grow at
+        once, as matrix products."""
+        R = self.reads
+        blocks = patterns & np.array([v == target for v in self.edits.variables], dtype=bool)
+        size = -1
+        while size != (size := np.count_nonzero(blocks)):
+            blocks = ((blocks @ R.T > 0) @ R > 0) & patterns
+        return blocks
 
     def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
         X = current[np.ix_(rows, self.cols)]
         patterns, inverse = _missing_patterns(np.isnan(X))
+        blocks, block_of = _missing_patterns(self.blocks(patterns, target))
+        inverse = block_of[inverse]
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         lower = np.empty(rows.size)
         upper = np.empty(rows.size)
         first_bad = None
-        for pattern, pos in zip(patterns, members):
-            key = (pattern.tobytes(), target)
+        for block, pos in zip(blocks, members):
+            key = (block.tobytes(), target)
             compiled = self.cache.get(key)
             if compiled is None:
-                unknown = [v for v, missing in zip(self.edits.variables, pattern) if missing]
+                unknown = [v for v, inside in zip(self.edits.variables, block) if inside]
                 compiled = fm.compile_interval(self.A, self.is_eq, self.edits.variables, unknown, target)
                 self.cache[key] = compiled
             Xp = X[pos]

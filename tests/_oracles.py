@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from functools import lru_cache
 from pathlib import Path
@@ -751,15 +752,24 @@ def where_read_bounds(const, coef, scale=None, mass=None):
 def _cell_rows(handle, empty: str):
     """The stripped header of a CSV file and its other rows one at a time,
     each with its line number and stripped fields: blank rows skipped, a
-    field count that differs from the header's an error."""
+    field count that differs from the header's an error, and a CSV error an
+    error at the line of the record it broke."""
     reader = csv.reader(handle)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataFormatError(empty, line=1) from None
+    except csv.Error as err:
+        raise DataFormatError(str(err), line=1) from None
 
     def rows():
-        for lineno, raw in enumerate(reader, start=2):
+        for lineno in itertools.count(2):
+            try:
+                raw = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as err:
+                raise DataFormatError(str(err), line=lineno) from None
             if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue
             if len(raw) != len(header):

@@ -692,3 +692,154 @@ def test_column_order_does_not_change_the_compiled_derivation(seed):
         "substitution_var", "substitution_coef", "substitution_comb",
     ):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Block keys: impute compiles a target's interval over its block of
+# unknowns, not over the record's whole unknown pattern.
+
+class FullKeys(pipeline._PatternCompiler):
+    """The compiler keyed on the whole unknown pattern: every pattern is
+    its own block."""
+
+    def blocks(self, patterns, target):
+        return patterns
+
+
+def walked_block(system, unknown, target):
+    """The unknowns joined to ``target`` through edits that read an
+    unknown, found one edit at a time; empty for a target in no edit."""
+    block = {target} & {v for edit in system.edits for v in edit.coeffs}
+    frontier = list(block)
+    while frontier:
+        v = frontier.pop()
+        for edit in system.edits:
+            if v in edit.coeffs:
+                joined = {u for u in edit.coeffs if u in unknown} - block
+                block |= joined
+                frontier.extend(joined)
+    return block
+
+
+def assert_block_key_matches_full_key(system, patterns, target, X):
+    """For each unknown pattern (a row of ``patterns`` over the system's
+    variables, all holding ``target``): the block that
+    ``_PatternCompiler.blocks`` finds for all of them at once is the walked
+    block, and the block key compiles the full key's bound rows, masses and
+    ``pinned``, and the full key's check rows of the block's own edits.  At
+    the records ``X`` with the pattern blanked, ``evaluate`` gives
+    byte-identical bounds and the same flags.  Returns how many blocks
+    are smaller than their pattern."""
+    names = system.variables
+    blocks = pipeline._PatternCompiler(system, names).blocks(patterns, target)
+    A, b, _ = system_matrices(system, names)
+    for pattern, block in zip(patterns, blocks):
+        unknown = [v for v, m in zip(names, pattern) if m]
+        inside = [v for v, m in zip(names, block) if m]
+        assert set(inside) == walked_block(system, unknown, target), (unknown, target)
+        full, cut = compile_for(system, unknown, target), compile_for(system, inside, target)
+        assert cut.pinned == full.pinned
+        for name in ("bound_coef", "bound_comb", "bound_mass"):
+            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes(), (unknown, target, name)
+        reads = {k for k, edit in enumerate(system.edits) if set(edit.coeffs) & set(inside)}
+        own = [q for q, comb in enumerate(full.check_comb) if set(np.flatnonzero(comb)) <= reads]
+        assert cut.check_comb.tobytes() == full.check_comb[own].tobytes(), (unknown, target)
+        assert cut.check_reason == tuple(full.check_reason[q] for q in own)
+        Xu = blanked(system, X, unknown)
+        D, S = reduced_constants(A, b, Xu), record_scale(Xu[:, A.any(axis=0)])
+        (lo_f, hi_f, bad_f), (lo_c, hi_c, bad_c) = full.evaluate(D, S), cut.evaluate(D, S)
+        assert lo_c.tobytes() == lo_f.tobytes() and hi_c.tobytes() == hi_f.tobytes(), (unknown, target)
+        assert np.array_equal(bad_c, bad_f), (unknown, target)
+    return int((blocks != patterns).any(axis=1).sum())
+
+
+def test_block_key_matches_the_full_key_on_every_survey_pattern():
+    """Every (pattern, target) of the 8-variable survey system, at truth
+    records; each target's patterns find their blocks in one call."""
+    system = parse_edit_rules(SURVEY_RULES)
+    names = system.variables
+    truth, _ = survey_truth(np.random.default_rng(0), 5)
+    X = np.vstack([[SURVEY_RECORD[v] for v in names], truth[:, [SURVEY_COLUMNS.index(v) for v in names]]])
+    bits = (np.arange(1, 2 ** len(names))[:, None] >> np.arange(len(names))) & 1 == 1
+    cut = sum(assert_block_key_matches_full_key(system, bits[bits[:, j]], target, X) for j, target in enumerate(names))
+    assert cut > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(seeds)
+def test_block_key_matches_the_full_key_on_random_instances(seed):
+    """The same comparison on ``random_imputation_instance`` systems, for
+    each unknown pattern of the data and a few random ones, at truth
+    records; and ``impute`` with block keys writes the bytes and the
+    diagnostics that full keys give."""
+    rng = np.random.default_rng(seed)
+    data, system, totals, truth = random_imputation_instance(rng, max_records=80)
+    assert system.variables == data.columns
+    patterns = np.unique(np.vstack([data.mask, rng.random((4, len(data.columns))) < 0.5]), axis=0)
+    for j, target in enumerate(system.variables):
+        assert_block_key_matches_full_key(system, patterns[patterns[:, j]], target, truth[:12])
+    for method in ("upma", "bpma"):
+        config = ImputationConfig(method, seed=3)
+        given_totals = None if method == "upma" else totals
+        out, diag = impute(data, system, given_totals, config)
+        with pytest.MonkeyPatch.context() as patch:
+            ref, ref_diag = run_with(patch, FullKeys, data, system, given_totals, config)
+        assert out.values.tobytes() == ref.values.tobytes(), method
+        assert diag == ref_diag, method
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+@pytest.mark.parametrize("method", ["upma", "bpma", "bpmr"])
+def test_block_keys_impute_the_survey_as_full_keys_do(monkeypatch, method, seed):
+    """Bytes and diagnostics, or the error text, of ``impute`` on survey
+    samples with 10% of cells blank are those of full keys.  At these seeds
+    bpma and bpmr complete some samples and refuse others in round 1."""
+    rng = np.random.default_rng(seed)
+    truth, edits = survey_truth(rng, 400)
+    mask = rng.random(truth.shape) < 0.1
+    data = DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS)
+    totals = None if method == "upma" else dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist()))
+    config = ImputationConfig(method, seed=4)
+    runs = []
+    for compiler in (pipeline._PatternCompiler, FullKeys):
+        try:
+            out, diag = run_with(monkeypatch, compiler, data, edits, totals, config)
+        except CalimpError as err:
+            runs.append(f"{type(err).__name__}: {err}")
+        else:
+            runs.append((out.values.tobytes(), diag))
+    assert runs[0] == runs[1]
+
+
+def test_an_infeasible_block_is_refused_at_its_own_first_step(monkeypatch):
+    # Record 1 lacks goods, services, staff and materials.  Its {staff,
+    # materials} block is infeasible: costs = 40 < other = 50.  The blocks
+    # of goods and services do not read it, so their steps pass record 1,
+    # and staff's step, still in round 1, refuses it.  The witness names
+    # only that block's edits: the costs balance, staff >= 0 and
+    # materials >= 0.  A bound of -0.0 prints as 0.
+    edits = parse_edit_rules(SURVEY_RULES)
+    values = np.array([
+        [60, 40, 100, 10, 20, 10, 40, 60],
+        [np.nan, np.nan, 100, np.nan, np.nan, 50, 40, 60],
+        [60, 40, 100, 20, 20, 10, 50, 50],
+    ])
+    data = DataMatrix(values, np.isnan(values), SURVEY_COLUMNS)
+    totals = {"goods": 180.0, "services": 120.0, "staff": 40.0, "materials": 60.0}
+    steps = []
+
+    class Recorder(pipeline._PatternCompiler):
+        def intervals(self, current, rows, target):
+            steps.append(target)
+            return super().intervals(current, rows, target)
+
+    for method in ("upma", "bpma", "bpmr"):
+        steps.clear()
+        with pytest.raises(InfeasibleSystemError) as info:
+            run_with(monkeypatch, Recorder, data, edits, None if method == "upma" else totals, ImputationConfig(method))
+        assert steps == ["goods", "services", "staff"], method
+        assert str(info.value) == (
+            "record 1, variable 'staff': no admissible value for staff: requires >= 0 and <= -10"
+        ), method
+        named = sorted({edits.edits.index(edit) for side in info.value.witness for edit in side})
+        assert named == [1, 5, 6], method

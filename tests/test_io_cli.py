@@ -301,6 +301,23 @@ class TestCli:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("x1,x2,P\n1,2,3\n\"" + "9" * 200_000, 3),
+        ("\"" + "9" * 200_000, 1),
+    ])
+    def test_field_past_the_csv_limit_exits_2_with_its_line(self, tmp_path, capsys, text, line):
+        # An unterminated quote runs past csv's 131,072-character field
+        # limit: a data error at the record it broke, not a traceback.
+        small_files(tmp_path, np.random.default_rng(0))
+        (tmp_path / "long.csv").write_text(text)
+        code = main([
+            "impute", "--data", str(tmp_path / "long.csv"), "--edits", str(tmp_path / "rules.edits"),
+            "--method", "upma", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert f"line {line}: field larger than field limit (131072)" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_impute_on_complete_data_is_identity(self, tmp_path):
         small_files(tmp_path, np.random.default_rng(1))
         code = main([

@@ -185,7 +185,7 @@ def test_mask_errors_name_the_first_bad_row(tmp_path, monkeypatch, block, text, 
 def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first):
     # A field past csv's size limit stops the reader only where a
     # row-by-row read meets it: a bad field before it, in the same block,
-    # is named first.
+    # is named first, and otherwise it is an error at its own line.
     text = "a\n1\n" + ("foo\n" if bad_first else "2\n") + '"' + "9" * 200 + "\n"
     path = write(tmp_path, "d.csv", text)
     limit = csv.field_size_limit(100)
@@ -196,7 +196,7 @@ def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first):
                     read(path)
                 assert info.value.line == 3
             else:
-                with pytest.raises(csv.Error, match="field larger than field limit"):
+                with pytest.raises(DataFormatError, match=r"^line 4: field larger than field limit \(100\)$"):
                     read(path)
     finally:
         csv.field_size_limit(limit)
