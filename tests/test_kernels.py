@@ -2,8 +2,9 @@
 
 ``edits.record_scale``, ``edits.violated``, ``edits.reads_flagged``,
 ``edits.violation_matrix`` and ``fm.read_bounds`` reduce down the
-records axis of column-major arrays; ``_oracles`` keeps the expressions
-that reduced along each record's row.  Max, min and any are exact, so
+records axis of column-major arrays (``violation_matrix`` one block of
+records at a time); ``_oracles`` keeps the expressions that reduced
+along each record's row.  Max, min and any are exact, so
 the outputs must match byte for byte, on C- and F-ordered inputs alike.
 
 Two cases of ``read_bounds`` are left to value equality.  The sign of a
@@ -17,6 +18,7 @@ lower bound is always -0.0 and a zero upper bound +0.0.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -81,15 +83,20 @@ def random_system(draw, p):
     return EditSystem(tuple(out), tuple(names))
 
 
+@pytest.mark.parametrize("block", [E.CHECK_BLOCK, 1, 2, 3])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(0, 12), p=st.integers(1, 5))
-def test_violation_matrix_and_unknown_mask_match(data, n, p):
+def test_violation_matrix_and_unknown_mask_match(block, data, n, p):
+    # Blocks of 1-3 records split up to 12 into several, the last short.
     system = random_system(data.draw, p)
     columns = [f"v{j}" for j in range(p)]
     values = laid_out(data.draw, (n, p), st.one_of(st.sampled_from([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0, 1e9]),
                                                     st.floats(-1e6, 1e6)))
-    with np.errstate(all="ignore"):
-        same_bits(E.violation_matrix(system, values, columns), row_violation_matrix(system, values, columns))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(E, "CHECK_BLOCK", block)
+        got = E.violation_matrix(system, values, columns)
+    assert got.flags.f_contiguous
+    same_bits(got, row_violation_matrix(system, values, columns))
     A = E.system_matrices(system, columns)[0]
     flags = np.isnan(values)
     same_bits(E.reads_flagged(flags, A), boolean_reads_flagged(flags, A))
