@@ -1,16 +1,7 @@
 """Imputation of numerical survey data under linear edits and known totals."""
 
 from .adjust import AdjustmentProblem, zero_sum_interval_adjust
-from .edits import (
-    Edit,
-    EditKind,
-    EditSystem,
-    ReducedSystem,
-    check_record,
-    format_edit_rules,
-    parse_edit_rules,
-    reduce_system,
-)
+from .edits import Edit, EditKind, EditSystem, check_record, format_edit_rules, parse_edit_rules
 from .errors import (
     CalimpError,
     DataFormatError,
@@ -21,25 +12,11 @@ from .errors import (
     InsufficientDataError,
     RankDeficiencyError,
 )
-from .fm import (
-    EliminationRecord,
-    Interval,
-    admissible_interval,
-    back_substitute,
-    eliminate_equalities,
-    fourier_motzkin_eliminate,
-)
-from .mcmc import McmcConfig, PosteriorModel, draw_truncated_posterior, mcmc_refine, pair_constraint_system, select_pair
+from .mcmc import McmcConfig, mcmc_refine
 from .metrics import MetricReport, d_l1, ks_statistic, std_pct_diff, weighted_pearson
 from .pipeline import DataMatrix, ImputationConfig, Totals, impute, variable_order
 from .regression import RegressionFit, fit_benchmarked, fit_ols, log_benchmark_correction
-from .residuals import (
-    benchmarked_residuals,
-    cell_rng,
-    cell_uniform,
-    cell_uniforms,
-    draw_ar_residual,
-)
+from .residuals import benchmarked_residuals, cell_uniforms
 from .sim import StudyConfig, StudyReport, apply_mcar, generate_population, run_study
 
 __version__ = "0.1.0"

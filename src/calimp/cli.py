@@ -126,6 +126,21 @@ def _write_diagnostics(rows, path: Path) -> None:
             handle.write(json.dumps(row) + "\n")
 
 
+def _write_outputs(result: DataMatrix, out: Path, diagnostics, diag_path: Path) -> None:
+    """Write the imputed data and its diagnostics, both or neither: a
+    failed write removes each file this call began to write."""
+    begun = [out]
+    try:
+        cio.write_dataset(result, out)
+        begun.append(diag_path)
+        _write_diagnostics(diagnostics, diag_path)
+    except BaseException:
+        for path in begun:
+            if path.is_file():
+                path.unlink()
+        raise
+
+
 def _cmd_impute(args) -> int:
     if args.method in ("bpma", "bpmr", "mcmc") and not args.totals:
         raise _UsageError(f"--method {args.method} requires --totals")
@@ -141,7 +156,7 @@ def _cmd_impute(args) -> int:
     else:
         config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
     data = cio.read_dataset(args.data)
-    edits = parse_edit_rules(Path(args.edits).read_text(encoding=cio.ENCODING))
+    edits = parse_edit_rules(cio.read_text(args.edits))
     totals = cio.read_totals(args.totals) if args.totals else None
     if totals:
         stray = [name for name in totals if name not in data.columns]
@@ -172,13 +187,11 @@ def _cmd_impute(args) -> int:
         if not trace:
             reason = "zero iterations" if args.iterations == 0 else "no column has two imputed cells"
             trace = [{"note": f"the chain took no step: {reason}"}]
-        cio.write_dataset(refined, out)
-        _write_diagnostics(diagnostics + trace, diag_path)
+        _write_outputs(refined, out, diagnostics + trace, diag_path)
         return EXIT_OK
 
     result, diagnostics = impute(data, edits, totals, config)
-    cio.write_dataset(result, out)
-    _write_diagnostics(diagnostics, diag_path)
+    _write_outputs(result, out, diagnostics, diag_path)
     return EXIT_OK
 
 

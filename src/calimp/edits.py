@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EditSyntaxError, InfeasibleRecordError
 
-#: Default relative tolerance for deciding whether an edit is satisfied.
+#: Relative tolerance of every edit check (see :func:`record_scale`).
 DEFAULT_TOL = 1e-9
 
 #: Relative threshold below which a coefficient is treated as exactly zero.
@@ -282,13 +282,13 @@ def format_edit_rules(system: EditSystem) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation and reduction
 
-def check_record(system: EditSystem, row: Mapping[str, float], tol: float = DEFAULT_TOL) -> list[int]:
+def check_record(system: EditSystem, row: Mapping[str, float]) -> list[int]:
     """Indices of the edits violated by a fully-assigned record."""
     missing = [v for v in system.variables if v not in row]
     if missing:
         raise ValueError(f"row is missing value(s) for {missing}")
     values = np.array([[row[v] for v in system.variables]], dtype=float)
-    return np.flatnonzero(violation_matrix(system, values, system.variables, tol)[0]).tolist()
+    return np.flatnonzero(violation_matrix(system, values, system.variables)[0]).tolist()
 
 
 def reduce_system(
@@ -372,17 +372,12 @@ def violated(resid: np.ndarray, is_eq: np.ndarray, margin: np.ndarray) -> np.nda
     return (resid < -margin) | (is_eq & (resid > margin))
 
 
-def violation_matrix(
-    system: EditSystem,
-    values: np.ndarray,
-    columns: Sequence[str],
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def violation_matrix(system: EditSystem, values: np.ndarray, columns: Sequence[str]) -> np.ndarray:
     """Boolean (records x edits) matrix of violated edits.
 
     NaN marks an unknown value: an edit is checked only for the records
-    that know all of its variables.  The margin is ``tol * max(1, max
-    |x_j|)`` over the record's known values of the variables some edit
+    that know all of its variables.  The margin is ``DEFAULT_TOL * max(1,
+    max |x_j|)`` over the record's known values of the variables some edit
     references (:func:`record_scale`).  The matrix is column-major, so a
     reduction per record, such as ``.any(axis=1)``, runs down its columns.
 
@@ -399,9 +394,9 @@ def violation_matrix(
         unknown = np.isnan(X[rows])
         if unknown.any():
             # Zeros keep unknowns out of the scale; the mask drops their edits.
-            bad[rows] = violations(A, b, is_eq, np.where(unknown, 0.0, X[rows]), tol)[0] & ~reads_flagged(unknown, A)
+            bad[rows] = violations(A, b, is_eq, np.where(unknown, 0.0, X[rows]))[0] & ~reads_flagged(unknown, A)
         else:
-            bad[rows] = violations(A, b, is_eq, X[rows], tol)[0]
+            bad[rows] = violations(A, b, is_eq, X[rows])[0]
     return bad
 
 
@@ -414,15 +409,15 @@ def reads_flagged(flags: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.greater(flags @ (A != 0).T.astype(float), 0.0, order="F")
 
 
-def violations(A: np.ndarray, b: np.ndarray, is_eq: np.ndarray, X: np.ndarray, tol: float = DEFAULT_TOL):
+def violations(A: np.ndarray, b: np.ndarray, is_eq: np.ndarray, X: np.ndarray):
     """The rule of :func:`violation_matrix` on complete records ``X`` over
     the columns of ``A`` (:func:`system_matrices`): the (records x edits)
-    matrix of violated edits, and each record's margin, ``tol`` times its
-    :func:`record_scale` over the columns some edit references.  The
-    matrix is laid out column-major: each comparison with a record's
+    matrix of violated edits, and each record's margin, ``DEFAULT_TOL``
+    times its :func:`record_scale` over the columns some edit references.
+    The matrix is laid out column-major: each comparison with a record's
     margin then runs down the records axis, not along a row of a few
     edits."""
-    margin = tol * record_scale(X[:, np.any(A != 0, axis=0)])
+    margin = DEFAULT_TOL * record_scale(X[:, np.any(A != 0, axis=0)])
     return violated(np.add(X @ A.T, b, order="F"), is_eq, margin[:, None]), margin
 
 

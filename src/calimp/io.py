@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
@@ -35,6 +36,37 @@ ENCODING = "utf-8-sig"
 #: number of its non-blank rows and their stripped fields (see
 #: :func:`_csv_blocks`).
 _Block = tuple[int, list[list[str]], int, list[str] | None]
+
+
+def _undecodable(path: str | Path, err: UnicodeDecodeError) -> DataFormatError:
+    """The error for a byte of ``path`` that is not UTF-8, at its line.  A
+    streamed read's offset counts from the decoder's chunk, so on this
+    path only the whole file is decoded again (a byte-order mark is UTF-8
+    too) and the newlines before the first bad byte counted."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = raw.count(b"\n", 0, whole.start) + 1
+        return DataFormatError(f"byte 0x{raw[whole.start]:02x} is not UTF-8 ({whole.reason})", line=line)
+    return DataFormatError(str(err))  # the file changed after the failed read
+
+
+@contextmanager
+def _open_text(path: str | Path) -> Iterator[IO[str]]:
+    """``path`` open as text, line endings as written; a byte that is not
+    UTF-8 is a :class:`DataFormatError` at its line."""
+    try:
+        with Path(path).open(newline="", encoding=ENCODING) as handle:
+            yield handle
+    except UnicodeDecodeError as err:
+        raise _undecodable(path, err) from None
+
+
+def read_text(path: str | Path) -> str:
+    """The whole text of ``path``, read as :func:`_open_text` reads it."""
+    with _open_text(path) as handle:
+        return handle.read()
 
 
 def _blank(raw: list[str]) -> bool:
@@ -120,7 +152,7 @@ def read_dataset(path: str | Path) -> DataMatrix:
     Python's ``float``.  A block whose conversion fails, whose non-finite
     values are not exactly its markers, or whose weights are not all
     positive is scanned row by row for the error to report."""
-    with Path(path).open(newline="", encoding=ENCODING) as handle:
+    with _open_text(path) as handle:
         header, blocks = _csv_blocks(handle, "empty file, expected a header row")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
@@ -208,7 +240,7 @@ def _mask_cell_error(i: int, cell: str) -> str | None:
 
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
     """Load a 0/1 mask file; optionally verify its header."""
-    with Path(path).open(newline="", encoding=ENCODING) as handle:
+    with _open_text(path) as handle:
         header, blocks = _csv_blocks(handle, "empty mask file")
         if columns is not None and header != list(columns):
             raise DataFormatError(
@@ -238,7 +270,7 @@ def _key_value_lines(
     without ``=``; ``missing`` is the message for an empty key and
     ``duplicate`` precedes a repeated key in its message."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding=ENCODING).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -279,7 +311,7 @@ def read_predictors(path: str | Path) -> dict[str, list[str]]:
     intercept-only model.  The names are checked against the data where
     they are used (``pipeline.check_inputs``)."""
     predictors: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding=ENCODING).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

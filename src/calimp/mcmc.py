@@ -62,7 +62,7 @@ from .errors import CalimpError, InsufficientDataError
 from .pipeline import (
     DataMatrix, Totals, _missing_patterns, check_inputs, check_integer, check_totals, structural_targets, validate,
 )
-from .regression import GRAM_RTOL, gram_factor, independent_predictors  # noqa: F401 (mcmc.GRAM_RTOL stays public)
+from .regression import gram_factor, independent_predictors
 from .residuals import draw_ar_residual, generator_uniforms, truncated_normal
 
 
@@ -197,16 +197,6 @@ def pair_constraint_system(
     return ReducedSystem(tuple(out), scale), cells
 
 
-def _bits(mask: int) -> list[int]:
-    """The column indices set in a bit mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _KeySystem(NamedTuple):
     """A key's compiled pair system as dense rows over the step vector
     ``z`` (see :class:`PairSystems`).  Where ``compiled.pinned``, the key's
@@ -255,8 +245,9 @@ class PairSystems:
     other columns): the pair's current weighted sums, which the update
     conserves.  Records are grouped by their pattern of imputed columns
     (``pipeline._missing_patterns``), so a key follows from two pattern
-    ids.  ``compiled`` and ``hits`` count the pair lookups that compiled
-    their key's system and those that found it.
+    ids, and :meth:`by_key` looks a sweep's pairs up by key.  ``compiled``
+    and ``hits`` count the pair lookups that compiled their key's system
+    and those that found it.
     :func:`pair_constraint_system` builds one pair's system the per-record
     way, without solving the sums first: the tests' reference.
     """
@@ -272,7 +263,6 @@ class PairSystems:
         # pattern among the distinct ones.
         patterns, self.pattern_id = _missing_patterns(data.mask)
         self.pattern_bits = [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in patterns]
-        self.pattern = [self.pattern_bits[k] for k in self.pattern_id.tolist()]
         # Per record: the edits a completion is checked against, those that
         # read one of its imputed columns.
         self.checked = reads_flagged(data.mask, self.A)
@@ -286,6 +276,8 @@ class PairSystems:
         A = self.A
         K, p = A.shape
         is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
+        in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
+        in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
         # s's rows over columns 0..p-1, t's over p..2p-1 with each coupled
         # column negated into s's; 0.0 - A keeps absent entries at +0.0.
         pair_A = np.zeros((2 * K, 2 * p))
@@ -293,11 +285,10 @@ class PairSystems:
         pair_A[K:, :p] = np.where(is_coupled, 0.0 - A, 0.0)
         pair_A[K:, p:] = np.where(is_coupled, 0.0, A)
         labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
-        unknown = [labels[c] for c in _bits(coupled | free_s)] + [labels[p + c] for c in _bits(free_t)]
+        # s's imputed columns, then t's free ones: a coupled t.v follows from s.v.
+        unknown = [labels[c] for c in np.flatnonzero(np.concatenate([in_s, in_t & ~is_coupled]))]
         compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
-        in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
-        in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
         M = np.zeros((2 * K, 3 * p + 2))
         M[:K, :p] = np.where(in_s, 0.0, A)
         M[:K, 3 * p] = self.b
@@ -315,42 +306,29 @@ class PairSystems:
             (np.flatnonzero(of_t), unknowns[of_t] - p),
         )
 
-    def _key(self, j: int, ps: int, pt: int) -> tuple[int, int, int, int]:
-        with_total = self.with_total
-        return (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
-
-    def _lookup(self, key: tuple[int, int, int, int], pairs: int) -> _KeySystem:
-        """The compiled system of ``key``, compiled when the key is first
-        met, for ``pairs`` pair lookups."""
-        system = self.systems.get(key)
-        if system is None:
-            system = self.systems[key] = self._compile(*key)
-            self.compiled += 1
-            pairs -= 1
-        self.hits += pairs
-        return system
-
-    def system(self, s: int, t: int, j: int) -> _KeySystem:
-        """The compiled system of records ``s`` and ``t`` re-drawing column
-        ``j`` of ``s``: its key's, compiled when the key is first met."""
-        return self._lookup(self._key(j, self.pattern[s], self.pattern[t]), 1)
-
     def by_key(self, j: int, s: np.ndarray, t: np.ndarray) -> list[tuple[_KeySystem, np.ndarray, np.ndarray]]:
         """The pairs ``(s[i], t[i])`` re-drawing column ``j``, grouped by
-        key: each key's system and its pairs' s and t, in their order.  A
-        key follows from the two records' pattern ids alone; each pair
-        counts as one lookup."""
-        count, bits = len(self.pattern_bits), self.pattern_bits
+        key: each key's system, compiled when the key is first met, and its
+        pairs' s and t, in their order.  A key follows from the two
+        records' pattern ids alone; each pair counts as one lookup."""
+        count, bits, with_total = len(self.pattern_bits), self.pattern_bits, self.with_total
         by_code: dict[int, list[int]] = {}
         for i, code in enumerate((self.pattern_id[s] * count + self.pattern_id[t]).tolist()):
             by_code.setdefault(code, []).append(i)
         by_key: dict[tuple[int, int, int, int], list[int]] = {}
         for code, at in by_code.items():
-            by_key.setdefault(self._key(j, bits[code // count], bits[code % count]), []).extend(at)
+            ps, pt = bits[code // count], bits[code % count]
+            by_key.setdefault((j, ps & pt & with_total, ps & ~with_total, pt & ~with_total), []).extend(at)
         groups = []
         for key, at in by_key.items():
             at.sort()
-            groups.append((self._lookup(key, len(at)), s[at], t[at]))
+            system = self.systems.get(key)
+            if system is None:
+                system = self.systems[key] = self._compile(*key)
+                self.compiled += 1
+                self.hits -= 1
+            self.hits += len(at)
+            groups.append((system, s[at], t[at]))
         return groups
 
 

@@ -590,10 +590,17 @@ def scalar_complete(compiled: fm.CompiledInterval, value: float, y, current) -> 
     return values
 
 
+def pair_system(systems: mcmc.PairSystems, s: int, t: int, j: int):
+    """The compiled system of records ``s`` and ``t`` re-drawing column
+    ``j`` of ``s``: ``mcmc.PairSystems.by_key`` on the one pair, which it
+    counts as one lookup."""
+    return systems.by_key(j, np.array([s]), np.array([t]))[0][0]
+
+
 class PairStep:
     """One pair update of the chain in plain Python, pair by pair: the
     single-pair oracle of ``mcmc.update_pairs``.  ``system`` is the key's
-    (``mcmc.PairSystems.system``) and ``rows[s]`` and ``rows[t]`` the
+    (:func:`pair_system`) and ``rows[s]`` and ``rows[t]`` the
     records' current rows (lists, only read).  The target's interval is
     computed on construction, from the key's bound rows evaluated term by
     term on the step vector ``z = [x_s, (w_t/w_s) x_t, R/w_s, 1, w_t/w_s]``;
@@ -603,17 +610,17 @@ class PairStep:
 
     def __init__(self, systems, system, rows, s: int, t: int):
         row_s, row_t = list(rows[s]), list(rows[t])
-        ps, pt = systems.pattern[s], systems.pattern[t]
+        imputed_s, imputed_t = systems.mask[s].tolist(), systems.mask[t].tolist()
         self.systems, self.system = systems, system
         self.w_s, self.w_t = w_s, w_t = float(systems.weights[s]), float(systems.weights[t])
         self.old = (row_s, row_t)
-        self.patterns = (ps, pt)
+        self.imputed = (imputed_s, imputed_t)
         self.ratio = ratio = w_t / w_s
         p = len(row_s)
         self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
         self.shares = shares = {}
         for c in range(p):
-            if ps & pt & systems.with_total & (1 << c):
+            if imputed_s[c] and imputed_t[c] and systems.has_total[c]:
                 shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
                 z[2 * p + c] = share / w_s
 
@@ -655,10 +662,10 @@ class PairStep:
             new_t[c] = (share - self.w_s * new_s[c]) / self.w_t
         referenced = np.flatnonzero(systems.A.any(axis=0)).tolist()
         margins = [DEFAULT_TOL * max([1.0, *(abs(row[c]) for c in referenced)]) for row in (new_s, new_t)]
-        for pattern, row, margin in zip(self.patterns, (new_s, new_t), margins):
+        for imputed, row, margin in zip(self.imputed, (new_s, new_t), margins):
             for k in range(len(systems.b)):
                 terms = [(c, float(systems.A[k, c])) for c in range(p) if systems.A[k, c]]
-                if not any(pattern >> c & 1 for c, _ in terms):
+                if not any(imputed[c] for c, _ in terms):
                     continue
                 r = float(systems.b[k])
                 for c, a in terms:
@@ -691,7 +698,7 @@ def step_chain(data: DataMatrix, edits: EditSystem, totals, iterations: int, see
     systems = mcmc.PairSystems(state, edits, totals)
     for _ in range(iterations):
         s, t, j = mcmc.select_pair(index, rng)
-        if j in structural or (system := systems.system(s, t, j)).compiled.pinned:
+        if j in structural or (system := pair_system(systems, s, t, j)).compiled.pinned:
             continue
         rows = {s: values[s].tolist(), t: values[t].tolist()}
         step = PairStep(systems, system, rows, s, t)

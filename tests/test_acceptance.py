@@ -104,7 +104,7 @@ def test_criterion_03_calibration_exactness_randomized():
         data, edits, totals, _ = random_imputation_instance(rng, max_records=500, max_cols=6)
         method = "bpma" if k % 2 == 0 else "bpmr"
         out, _ = impute(data, edits, totals, ImputationConfig(method, seed=k))
-        assert not violation_matrix(edits, out.values, out.columns, tol=1e-9).any()
+        assert not violation_matrix(edits, out.values, out.columns).any()
         for j, name in enumerate(out.columns):
             if data.mask[:, j].any():
                 got = float(np.sum(out.weights * out.values[:, j]))
@@ -274,7 +274,7 @@ def test_criterion_09_mcmc_consistency_invariant():
     elapsed = time.time() - t0
     # mcmc_refine revalidates edits and totals at every checkpoint and
     # would have raised on any violation; assert the end state again.
-    assert not violation_matrix(edits, refined.values, refined.columns, tol=1e-9).any()
+    assert not violation_matrix(edits, refined.values, refined.columns).any()
     for j, name in enumerate(refined.columns):
         got = float(refined.values[:, j].sum())
         assert abs(got - totals[name]) <= 1e-8 * max(1.0, abs(totals[name]))

@@ -79,12 +79,14 @@ CASES = {
     " --mask ../margin-mask.csv --method mcmc --iterations 400 --seed 5",
     "total-past-reach": "--data ../past-reach.csv --edits ../past-reach.edits"
     " --totals ../past-reach-totals.txt --method bpma",
+    "not-utf8": "--data ../not-utf8.csv --edits ../survey.edits --method upma",
 }
 EXIT_CODES = {
     "survey-upma": (0, 3),
     "survey-bpmr": (0, 3),
     "blank-pair-infeasible": (3,),
     "total-past-reach": (3,),
+    "not-utf8": (2,),
 }
 
 # Runs every case it reads from stdin and prints each one's exit code and
@@ -137,6 +139,11 @@ def write_inputs(root):
         single[np.flatnonzero(mask[:, j])[:1], j] = True
     cio.write_mask(mask, SURVEY_COLUMNS, root / "survey-mask.csv")
     cio.write_mask(single, SURVEY_COLUMNS, root / "survey-single-mask.csv")
+    # survey.csv with a byte that is not UTF-8 on line 250, past the
+    # reader's first 8 KB.
+    lines = (root / "survey.csv").read_bytes().split(b"\n")
+    lines[249] = b"\xff" + lines[249]
+    (root / "not-utf8.csv").write_bytes(b"\n".join(lines))
     cio.write_totals(dict(zip(SURVEY_COLUMNS, truth.sum(axis=0))), root / "survey-totals.txt")
     (root / "survey.edits").write_text(SURVEY_RULES)
     predictors = loose_predictors(SURVEY_COLUMNS)
@@ -234,6 +241,12 @@ def test_total_past_reach_is_infeasible(corpus):
     code, stderr, out, _ = corpus[HASH_SEEDS[0]]["total-past-reach"]
     assert code == 3 and out is None, stderr
     assert stderr.startswith("infeasible: variable 'y', round 1: required weighted adjustment sum 0"), stderr
+
+
+def test_byte_that_is_not_utf8_names_its_line(corpus):
+    code, stderr, out, diagnostics = corpus[HASH_SEEDS[0]]["not-utf8"]
+    assert (code, out, diagnostics) == (2, None, None), stderr
+    assert stderr == "error: line 250: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
 def test_bpmr_draws_every_cell_without_fallback(corpus):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import calimp
 from calimp import io as cio
 from calimp.cli import _study_config, main
+from calimp.edits import parse_edit_rules
 from calimp.errors import DataFormatError
 from calimp.pipeline import DataMatrix
 
@@ -738,6 +739,86 @@ FIT_KEYS = ["intercept", "slopes", "residual_variance", "n_obs"]
 CALIBRATED = ["missing_intercept", "missing_sum_target"]
 ADJUSTED = ["max_abs", "weighted_sum", "lambda", "at_lower", "at_upper"]
 CHAIN_VARIABLE_KEYS = ["mean", "std", "accepted", "fallbacks", "moved", "pinned", "mean_abs_move", "exact_fit"]
+
+
+#: Each text input's valid lines, 2,000 of them (past the reader's first
+#: 8 KB), and its reader.
+TEXT_INPUTS = {
+    "dataset": (["a,b,c"] + [f"{i}.25,{i}.5,{2 * i}.75" for i in range(1999)], cio.read_dataset),
+    "mask": (["a,b,c"] + ["0,1,0"] * 1999, cio.read_mask),
+    "totals": ([f"c{i} = {i}.5" for i in range(2000)], cio.read_totals),
+    "config": ([f"key{i} = value{i}" for i in range(2000)], cio.read_config),
+    "predictors": ([f"t{i}: a, b" for i in range(2000)], cio.read_predictors),
+    "edits": ([f"x{i} >= 0" for i in range(2000)], lambda path: parse_edit_rules(cio.read_text(path))),
+}
+
+
+def with_byte(lines, line, byte=b"\xff"):
+    """The file of ``lines`` with ``byte`` at the start of line ``line``."""
+    raw = [text.encode() for text in lines]
+    raw[line - 1] = byte + raw[line - 1]
+    return b"\n".join(raw) + b"\n"
+
+
+def late_line(lines):
+    """A line that starts past the first 8 KB of the file of ``lines``."""
+    offsets = np.cumsum([len(text) + 1 for text in lines])
+    return int(np.searchsorted(offsets, 10_000)) + 2
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_INPUTS))
+@pytest.mark.parametrize("where", ["header", "line 3", "late"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, kind, where):
+    # A streamed read's decoder counts its offset from its chunk; the
+    # error names the line of the first undecodable byte instead.
+    lines, read = TEXT_INPUTS[kind]
+    line = {"header": 1, "line 3": 3, "late": late_line(lines)}[where]
+    path = tmp_path / "input.txt"
+    path.write_bytes(with_byte(lines, line))
+    assert where != "late" or path.read_bytes().index(b"\xff") > 8192
+    with pytest.raises(DataFormatError, match="byte 0xff is not UTF-8") as info:
+        read(path)
+    assert info.value.line == line
+    path.write_bytes(b"\xef\xbb\xbf" + with_byte(lines, line, b"\xc3"))  # past a byte-order mark
+    with pytest.raises(DataFormatError, match="byte 0xc3 is not UTF-8") as info:
+        read(path)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("option", ["--data", "--edits", "--totals"])
+def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, option):
+    small_files(tmp_path, np.random.default_rng(0))
+    files = {"--data": tmp_path / "data.csv", "--edits": tmp_path / "rules.edits", "--totals": tmp_path / "totals.txt"}
+    lines = files[option].read_text().splitlines()
+    files[option].write_bytes(with_byte(lines, len(lines)))
+    argv = ["impute", "--method", "bpma", "--out", str(tmp_path / "out.csv")]
+    code = main(argv + [arg for option, path in files.items() for arg in (option, str(path))])
+    assert code == 2
+    assert f"error: line {len(lines)}: byte 0xff is not UTF-8 (invalid start byte)" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["upma", "bpma", "bpmr", "mcmc"])
+@pytest.mark.parametrize("missing", ["--out", "--diagnostics"])
+def test_run_that_fails_to_write_leaves_no_output(tmp_path, capsys, method, missing):
+    # A write into a missing directory exits 2; the file the other option
+    # names is not left behind, whichever of the two is written first.
+    small_files(tmp_path, np.random.default_rng(0))
+    out, diagnostics = tmp_path / "out.csv", tmp_path / "out.jsonl"
+    if missing == "--out":
+        out = tmp_path / "missing" / "out.csv"
+    else:
+        diagnostics = tmp_path / "missing" / "out.jsonl"
+    code = main([
+        "impute", "--data", str(tmp_path / "data.csv"), "--edits", str(tmp_path / "rules.edits"),
+        "--totals", str(tmp_path / "totals.txt"), "--method", method, "--seed", "1",
+        "--out", str(out), "--diagnostics", str(diagnostics),
+    ] + (["--iterations", "200"] if method == "mcmc" else []))
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists() and not diagnostics.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "mask.csv", "rules.edits", "totals.txt",
+                                                          "truth.csv"]
 
 
 def layout(row):

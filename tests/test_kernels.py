@@ -19,7 +19,7 @@ lower bound is always -0.0 and a zero upper bound +0.0.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from calimp import edits as E
@@ -83,21 +83,55 @@ def random_system(draw, p):
     return EditSystem(tuple(out), tuple(names))
 
 
+@st.composite
+def checked_records(draw):
+    """An edit system over p <= 5 columns and up to 12 records to check
+    against it, NaN marking unknowns."""
+    p = draw(st.integers(1, 5))
+    elements = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0, 1e9]), st.floats(-1e6, 1e6))
+    return random_system(draw, p), laid_out(draw, (draw(st.integers(0, 12)), p), elements)
+
+
+#: Two records ``[-1, 1e-9, 1e-9, 1e-9, 1e-9]`` leave ``v0 + v1 + v3 - v4 +
+#: 1 = 0`` (beside an all-ones edit) a residual of 1e-9, at its margin: a
+#: one-row block rounds it to 1.0000000827e-09 and the two-row product to
+#: 9.999999717e-10, so only the whole-matrix verdict is "holds".
+AT_MARGIN = (
+    EditSystem((Edit({f"v{j}": 1.0 for j in range(5)}, 0.0, EditKind.EQUALITY),
+                Edit({"v0": 1.0, "v1": 1.0, "v3": 1.0, "v4": -1.0}, 1.0, EditKind.EQUALITY)),
+               tuple(f"v{j}" for j in range(5))),
+    np.array([[-1.0, 1e-9, 1e-9, 1e-9, 1e-9]] * 2),
+)
+
+
 @pytest.mark.parametrize("block", [E.CHECK_BLOCK, 1, 2, 3])
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(0, 12), p=st.integers(1, 5))
-def test_violation_matrix_and_unknown_mask_match(block, data, n, p):
+@given(case=checked_records())
+@example(case=AT_MARGIN)
+def test_violation_matrix_and_unknown_mask_match(block, case):
     # Blocks of 1-3 records split up to 12 into several, the last short.
-    system = random_system(data.draw, p)
+    # Each block gives the bits of the row-axis oracle on that block.  A
+    # block's product may round a residual otherwise than the whole
+    # matrix's (BLAS takes a one-row block by another path), so against
+    # the whole-matrix oracle only the verdicts of residuals farther from
+    # their margin than such a rounding must agree.
+    system, values = case
+    n, p = values.shape
     columns = [f"v{j}" for j in range(p)]
-    values = laid_out(data.draw, (n, p), st.one_of(st.sampled_from([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0, 1e9]),
-                                                    st.floats(-1e6, 1e6)))
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(E, "CHECK_BLOCK", block)
         got = E.violation_matrix(system, values, columns)
+        blocks = [row_violation_matrix(system, values[i : i + block], columns) for i in range(0, n, block)]
+        whole = row_violation_matrix(system, values, columns)
     assert got.flags.f_contiguous
-    same_bits(got, row_violation_matrix(system, values, columns))
-    A = E.system_matrices(system, columns)[0]
+    same_bits(got, np.concatenate(blocks) if blocks else whole)
+    A, b, is_eq = E.system_matrices(system, columns)
+    X = np.where(np.isnan(values), 0.0, values)
+    resid = X @ A.T + b
+    margin = DEFAULT_TOL * row_record_scale(X[:, A.any(axis=0)])[:, None]
+    rounding = 4 * p * np.finfo(float).eps * (np.abs(X) @ np.abs(A).T + np.abs(b))
+    clear = (np.abs(resid - margin) > rounding) & (np.abs(resid + margin) > rounding)
+    assert np.array_equal(got[clear], whole[clear])
     flags = np.isnan(values)
     same_bits(E.reads_flagged(flags, A), boolean_reads_flagged(flags, A))
 

@@ -3,11 +3,12 @@
 ``pipeline.impute`` derives intervals with the compiled derivation
 (``fm.compile_interval``) and draws residuals from ``cell_uniforms``;
 ``mcmc.mcmc_refine`` runs in sweeps over compiled pair systems.  The
-per-record functions stay in calimp as the tests' reference, and
-``perfbench/spans.py`` traces them by name.  Here each of them is replaced,
-under every name calimp binds it to, by a function that raises, and impute
-(every method) and the chain run on the study and on the pair-system
-cases of ``test_pair_systems``.
+per-record functions stay in their modules as the tests' reference, and
+``perfbench/spans.py`` traces them by name; the package's top level does
+not export them.  Here each of them is replaced, under every name calimp
+binds it to, by a function that raises, and impute (every method), the
+chain and a survey impute through ``cli.main`` run on the study and on
+the pair-system cases of ``test_pair_systems``.
 """
 
 import sys
@@ -15,12 +16,13 @@ import sys
 import numpy as np
 import pytest
 
-from calimp import edits, fm, mcmc, residuals, sim
+import calimp
+from calimp import cli, edits, fm, io, mcmc, residuals, sim
 from calimp.errors import CalimpError
 from calimp.mcmc import McmcConfig, mcmc_refine
 from calimp.pipeline import DataMatrix, ImputationConfig, impute
 
-from test_pair_systems import CASES, build, loose_predictors
+from test_pair_systems import CASES, SURVEY_COLUMNS, SURVEY_RULES, build, loose_predictors, survey_truth
 
 REFERENCE = (
     (edits, "reduce_system"),
@@ -63,11 +65,39 @@ def test_every_binding_is_replaced(reference_forbidden):
     for module, name in REFERENCE:
         assert f"{module.__name__}.{name}" in reference_forbidden
     # Re-exports and aliases are bindings too.
-    for name in ("calimp.reduce_system", "calimp.mcmc.reduce_system", "calimp.residuals.cell_rng",
-                 "calimp.mcmc.draw_ar_residual", "calimp.select_pair"):
+    for name in ("calimp.mcmc.reduce_system", "calimp.residuals.cell_rng", "calimp.mcmc.draw_ar_residual"):
         assert name in reference_forbidden
     with pytest.raises(AssertionError, match="fm.resolve_companions"):
         fm.resolve_companions(None, {})
+
+
+def test_package_exports_no_reference():
+    # The reference stays in its modules, where the tests and perfbench
+    # reach it, but the package's top level binds none of it.
+    exported = list(vars(calimp).values())
+    for module, name in REFERENCE:
+        function = getattr(module, name)
+        assert callable(function)
+        assert not any(value is function for value in exported), f"calimp binds {module.__name__}.{name}"
+        assert not hasattr(calimp, name)
+
+
+def test_survey_cli_impute_calls_no_reference(reference_forbidden, tmp_path):
+    # cli.main reads the files, imputes and writes the output and its
+    # diagnostics.  upma: the benchmarked methods may refuse survey input
+    # (ROADMAP item 1), which would end the run before it writes.
+    rng = np.random.default_rng(11)
+    truth, _ = survey_truth(rng, 200)
+    mask = rng.random(truth.shape) < 0.15
+    io.write_dataset(DataMatrix(truth, mask, SURVEY_COLUMNS), tmp_path / "masked.csv", missing_from_mask=True)
+    (tmp_path / "rules.edits").write_text(SURVEY_RULES)
+    out = tmp_path / "imputed.csv"
+    code = cli.main(["impute", "--data", str(tmp_path / "masked.csv"), "--edits", str(tmp_path / "rules.edits"),
+                     "--method", "upma", "--seed", "3", "--out", str(out)])
+    assert code == 0 and (tmp_path / "imputed.csv.diag.jsonl").exists()
+    imputed = io.read_dataset(out)
+    assert imputed.is_complete() and not edits.violation_matrix(
+        edits.parse_edit_rules(SURVEY_RULES), imputed.values, imputed.columns).any()
 
 
 def test_study_replication_calls_no_reference(reference_forbidden):

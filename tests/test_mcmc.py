@@ -12,7 +12,6 @@ from calimp.edits import DEFAULT_TOL, parse_edit_rules, violation_matrix
 from calimp.errors import CalimpError, InfeasibleRecordError, InsufficientDataError, RankDeficiencyError
 from calimp.fm import Interval, admissible_interval
 from calimp.mcmc import (
-    GRAM_RTOL,
     McmcConfig,
     PairIndex,
     PairSystems,
@@ -26,8 +25,9 @@ from calimp.mcmc import (
     select_pair,
 )
 from calimp.pipeline import DataMatrix, ImputationConfig, impute, validate
+from calimp.regression import GRAM_RTOL
 
-from _oracles import PairStep, lstsq_posterior_fit, lstsq_posterior_model
+from _oracles import PairStep, lstsq_posterior_fit, lstsq_posterior_model, pair_system
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -1077,7 +1077,7 @@ class TestMcmcRefine:
         data = DataMatrix(values, mask, ("x1", "x2", "P"))
         systems = PairSystems(data, edits, None)
         for s, t in ((0, 1), (1, 0)):
-            system = systems.system(s, t, 1)
+            system = pair_system(systems, s, t, 1)
             assert system.compiled.pinned
             step = PairStep(systems, system, values.tolist(), s, t)
             assert step.interval.is_point()

@@ -21,13 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from calimp import mcmc
-from calimp.edits import DEFAULT_TOL, parse_edit_rules, record_scale, system_matrices, violation_matrix
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, record_scale, system_matrices, violated, violation_matrix
 from calimp.errors import InfeasibleSystemError
 from calimp.fm import Interval
-from calimp.mcmc import GRAM_RTOL, McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
+from calimp.mcmc import McmcConfig, PairIndex, PairSystems, mcmc_refine, select_pair
 from calimp.pipeline import DataMatrix
+from calimp.regression import GRAM_RTOL
 
-from _oracles import PairStep, coupled_pair_step, lstsq_posterior_fit, pair_step
+from _oracles import PairStep, coupled_pair_step, lstsq_posterior_fit, pair_step, pair_system
 from test_mcmc import pair_example_data, swept_column
 
 RTOL = 1e-12
@@ -74,6 +75,7 @@ def five_case(rng, r):
 def survey_truth(rng, n):
     """Whole-unit business records meeting every survey edit exactly."""
     edits = parse_edit_rules(SURVEY_RULES)
+    A, b, is_eq = system_matrices(edits, SURVEY_COLUMNS)
     out = np.empty((0, len(SURVEY_COLUMNS)))
     while len(out) < n:
         goods = np.floor(rng.lognormal(np.log(600.0), 1.0, n)) + 1.0
@@ -85,7 +87,7 @@ def survey_truth(rng, n):
         other = np.maximum(0.0, np.round(costs - staff - materials))
         costs = staff + materials + other
         batch = np.column_stack([goods, services, turnover, staff, materials, other, costs, turnover - costs])
-        out = np.vstack([out, batch[~violation_matrix(edits, batch, SURVEY_COLUMNS, tol=0.0).any(axis=1)]])
+        out = np.vstack([out, batch[~violated(batch @ A.T + b, is_eq, 0.0).any(axis=1)]])
     return out[:n], edits
 
 
@@ -280,7 +282,7 @@ def walk(data, edits, totals, rng, steps, oracles=True):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
         rows = state.values[[s, t]]
-        system = systems.system(s, t, j)
+        system = pair_system(systems, s, t, j)
         try:
             step = PairStep(systems, system, state.values.tolist(), s, t)
             if system.compiled.pinned:
@@ -557,11 +559,14 @@ def test_sparse_rows_match_the_numpy_evaluation(kind, weighted):
         if perturbed:
             cell = (rng.choice([s, t]), rng.integers(len(live.columns)))
             live.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0) * scale
-        step = PairStep(systems, systems.system(s, t, j), live.values.tolist(), s, t)
-        ps, pt, with_total = systems.pattern[s], systems.pattern[t], systems.with_total
+        system = pair_system(systems, s, t, j)
+        step = PairStep(systems, system, live.values.tolist(), s, t)
+        ps, pt = (sum(1 << c for c in np.flatnonzero(systems.mask[r]).tolist()) for r in (s, t))
+        with_total = systems.with_total
         key = (j, ps & pt & with_total, ps & ~with_total, pt & ~with_total)
+        assert systems.systems[key] is system
         seen.add(key)
-        lower, upper, bad = numpy_interval(live, edits, totals, s, t, systems.systems[key].compiled)
+        lower, upper, bad = numpy_interval(live, edits, totals, s, t, system.compiled)
         if lower > upper:
             assert bad and step.interval.is_point()
             assert_close(step.interval.lower, 0.5 * (lower + upper), scale)
@@ -610,7 +615,7 @@ def test_per_record_completion_is_checked_on_each_record_magnitude():
     for _ in range(200):
         s, t, j = select_pair(index, rng)
         var = state.columns[j]
-        step = PairStep(systems, systems.system(s, t, j), state.values.tolist(), s, t)
+        step = PairStep(systems, pair_system(systems, s, t, j), state.values.tolist(), s, t)
         value = draw(rng, step.interval, state.values[s, j], scale_of(state.values[[s, t]]))
         new = np.array(step.complete(value))
         full = pair_step(state, edits, totals, s, t, var, value)
@@ -654,7 +659,7 @@ def test_same_fallback_on_infeasible_pair_systems(kind):
             cell = (rec, rng.choice(np.flatnonzero(moved.mask[rec])))
             moved.values[cell] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * scale_of(data.values[[s, t]])
         try:
-            step = PairStep(systems, systems.system(s, t, j), moved.values.tolist(), s, t)
+            step = PairStep(systems, pair_system(systems, s, t, j), moved.values.tolist(), s, t)
             value = draw(rng, step.interval, moved.values[s, j], scale_of(moved.values[[s, t]]))
             interval, new = step.interval, step.complete(value)
         except InfeasibleSystemError:
@@ -679,7 +684,7 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P")), parse_edit_rules(STUDY_RULES)
     totals = {"x2": float(values[:, 1].sum())}
     systems = PairSystems(data, edits, totals)
-    step = PairStep(systems, systems.system(0, 1, 1), values.tolist(), 0, 1)
+    step = PairStep(systems, pair_system(systems, 0, 1, 1), values.tolist(), 0, 1)
     point = step.interval.lower
     assert step.interval.is_point() and abs(point - 0.1) == pytest.approx(5e-8, rel=1e-3)
     new_s, new_t = step.complete(point)
@@ -694,7 +699,7 @@ def test_worked_example_pair():
     data, edits, totals = pair_example_data()
     systems = PairSystems(data, edits, totals)
     assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
-    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
+    step = PairStep(systems, pair_system(systems, 0, 1, 4), data.values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
     assert (new_s[3], new_s[4], new_t[3], new_t[4]) == (55.0, 100.0, 10.0, 80.0)
@@ -702,8 +707,8 @@ def test_worked_example_pair():
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
     assert (systems.compiled, systems.hits) == (1, 0)
-    PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
-    PairStep(systems, systems.system(1, 0, 3), data.values.tolist(), 1, 0)
+    PairStep(systems, pair_system(systems, 0, 1, 4), data.values.tolist(), 0, 1)
+    PairStep(systems, pair_system(systems, 1, 0, 3), data.values.tolist(), 1, 0)
     assert (systems.compiled, systems.hits) == (2, 1)
     assert len(systems.systems) == 2
 
@@ -717,7 +722,7 @@ def test_completion_margin_ignores_columns_no_edit_references():
     mask[:, 0] = True
     data, edits = DataMatrix(values, mask, ("x1", "x2", "P", "Z")), parse_edit_rules(STUDY_RULES)
     systems = PairSystems(data, edits, {"x1": 120.0})
-    step = PairStep(systems, systems.system(0, 1, 0), values.tolist(), 0, 1)
+    step = PairStep(systems, pair_system(systems, 0, 1, 0), values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (70.0, 70.0)
     with pytest.raises(InfeasibleSystemError, match=r"violates an edit \(residual 1\)"):
         step.complete(71.0)
@@ -785,7 +790,7 @@ def test_infeasible_worked_example():
     data, edits, totals = pair_example_data()
     data.values[1, 4] -= 200.0
     systems = PairSystems(data, edits, totals)
-    step = PairStep(systems, systems.system(0, 1, 4), data.values.tolist(), 0, 1)
+    step = PairStep(systems, pair_system(systems, 0, 1, 4), data.values.tolist(), 0, 1)
     assert step.interval.is_point()
     with pytest.raises(InfeasibleSystemError):
         step.complete(step.interval.lower)

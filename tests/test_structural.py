@@ -27,7 +27,7 @@ from calimp.mcmc import (
     structural_targets,
 )
 
-from _oracles import PairStep, random_imputation_instance
+from _oracles import PairStep, pair_system, random_imputation_instance
 from test_pair_systems import FIVE_COLUMNS, STUDY_RULES, SURVEY_COLUMNS, build, loose_predictors, scale_of
 
 STUDY_PREDICTORS = {"x1": ["P"], "x2": ["P", "x1"]}
@@ -146,7 +146,7 @@ def test_a_full_step_on_a_structural_target_draws_nothing_and_holds(kind):
             generator = np.random.default_rng(k)
             before = generator.bit_generator.state
             cols = [columns.index(c) for c in predictors[columns[j]]] + [j]
-            step = PairStep(systems, systems.system(s, t, j), rows, s, t)
+            step = PairStep(systems, pair_system(systems, s, t, j), rows, s, t)
             margin = DEFAULT_TOL * scale_of(values[[s, t]])
             assert step.interval.lower - margin <= values[s, j] <= step.interval.upper + margin
             factor = gram_factor(gram_matrix(values, cols).tolist(), columns[j])
