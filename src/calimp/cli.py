@@ -79,6 +79,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _naming(paths, call, *args):
+    """``call(*args)``, its exit-2 error prefixed with the input ``paths`` it came from."""
+    try:
+        return call(*args)
+    except InfeasibleSystemError:
+        raise
+    except (CalimpError, ValueError) as err:
+        raise DataFormatError(f"{', '.join(str(path) for path in paths if path)}: {err}") from err
+
+
 def _study_config(path: str | None) -> sim.StudyConfig:
     if path is None:
         return sim.StudyConfig()
@@ -102,7 +112,7 @@ def _study_config(path: str | None) -> sim.StudyConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _study_config(args.config)
+    config = _naming([args.config], _study_config, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -151,19 +161,20 @@ def _cmd_impute(args) -> int:
             raise _UsageError(f"{option} applies to --method mcmc only")
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
     if args.method == "mcmc":
-        predictors = cio.read_predictors(args.predictors) if args.predictors else None
+        predictors = _naming([args.predictors], cio.read_predictors, args.predictors) if args.predictors else None
         config = McmcConfig(iterations=args.iterations, seed=args.seed, predictors=predictors)
     else:
         config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
-    data = cio.read_dataset(args.data)
-    edits = parse_edit_rules(cio.read_text(args.edits))
-    totals = cio.read_totals(args.totals) if args.totals else None
+    data = _naming([args.data], cio.read_dataset, args.data)
+    edits = _naming([args.edits], lambda: parse_edit_rules(cio.read_text(args.edits)))
+    totals = _naming([args.totals], cio.read_totals, args.totals) if args.totals else None
     if totals:
         stray = [name for name in totals if name not in data.columns]
         if stray:
-            raise DataFormatError(f"totals reference unknown column(s) {stray}")
+            raise DataFormatError(f"{args.totals}, {args.data}: totals reference unknown column(s) {stray}")
     out = Path(args.out)
     diag_path = Path(args.diagnostics) if args.diagnostics else out.with_name(out.name + ".diag.jsonl")
+    inputs = (args.data, args.edits, args.totals, args.mask, args.predictors)
 
     if args.method == "mcmc":
         diagnostics: list[dict] = []
@@ -172,25 +183,26 @@ def _cmd_impute(args) -> int:
                 raise _UsageError("--mask applies to complete data only; this input has missing cells")
             diagnostics.append({"note": "input has missing values; running bpma pre-imputation"})
             print("note: running bpma pre-imputation before the chain", file=sys.stderr)
-            pre, pre_diag = impute(data, edits, totals, ImputationConfig("bpma", seed=args.seed, **rounds))
+            bpma = ImputationConfig("bpma", seed=args.seed, **rounds)
+            pre, pre_diag = _naming(inputs, impute, data, edits, totals, bpma)
             diagnostics.extend(pre_diag)
         else:
             if not args.mask:
                 raise _UsageError("--method mcmc on complete data requires --mask")
             if args.rounds is not None:
                 raise _UsageError("--rounds applies to data with missing cells only; this input is complete")
-            mask = cio.read_mask(args.mask, data.columns)
+            mask = _naming([args.mask], cio.read_mask, args.mask, data.columns)
             if mask.shape != data.values.shape:
-                raise DataFormatError("mask shape does not match the dataset")
+                raise DataFormatError(f"{args.mask}, {args.data}: mask shape does not match the dataset")
             pre = DataMatrix(data.values.copy(), mask, data.columns, data.weights.copy())
-        refined, trace = mcmc_refine(pre, edits, totals, config)
+        refined, trace = _naming(inputs, mcmc_refine, pre, edits, totals, config)
         if not trace:
             reason = "zero iterations" if args.iterations == 0 else "no column has two imputed cells"
             trace = [{"note": f"the chain took no step: {reason}"}]
         _write_outputs(refined, out, diagnostics + trace, diag_path)
         return EXIT_OK
 
-    result, diagnostics = impute(data, edits, totals, config)
+    result, diagnostics = _naming(inputs, impute, data, edits, totals, config)
     _write_outputs(result, out, diagnostics, diag_path)
     return EXIT_OK
 
@@ -206,21 +218,21 @@ def _or_nan(metric, *columns) -> float:
 
 
 def _cmd_evaluate(args) -> int:
-    truth = cio.read_dataset(args.truth)
-    imputed = cio.read_dataset(args.imputed)
-    mask = cio.read_mask(args.mask, truth.columns)
+    truth = _naming([args.truth], cio.read_dataset, args.truth)
+    imputed = _naming([args.imputed], cio.read_dataset, args.imputed)
+    mask = _naming([args.mask], cio.read_mask, args.mask, truth.columns)
     if truth.columns != imputed.columns:
-        raise DataFormatError("truth and imputed files have different columns")
+        raise DataFormatError(f"{args.truth}, {args.imputed}: truth and imputed files have different columns")
     if truth.values.shape != imputed.values.shape:
-        raise DataFormatError("truth and imputed files have different shapes")
+        raise DataFormatError(f"{args.truth}, {args.imputed}: truth and imputed files have different shapes")
     if mask.shape != truth.values.shape:
-        raise DataFormatError("mask shape does not match the data")
+        raise DataFormatError(f"{args.mask}, {args.truth}: mask shape does not match the data")
     if not truth.is_complete():
-        raise DataFormatError("truth file has missing values")
+        raise DataFormatError(f"{args.truth}: truth file has missing values")
     if not imputed.is_complete():
-        raise DataFormatError("imputed file has missing values")
+        raise DataFormatError(f"{args.imputed}: imputed file has missing values")
     if not np.array_equal(truth.weights, imputed.weights):
-        raise DataFormatError("truth and imputed files have different weights")
+        raise DataFormatError(f"{args.truth}, {args.imputed}: truth and imputed files have different weights")
     weights = truth.weights
 
     per_variable: dict[str, dict[str, float]] = {}

@@ -12,6 +12,7 @@ record sharing an unknown-variable pattern, on the matrix form of the
 system (:func:`calimp.edits.system_matrices`); the resulting
 :class:`CompiledInterval` is evaluated with array operations over a
 pattern's records, or over the record pairs of the refinement chain.
+:class:`Derivations`, its one caller, compiles it once per block of unknowns.
 :func:`read_bounds` reads an interval off signed bound rows for both.
 The per-record functions (:func:`admissible_interval` through
 :func:`resolve_companions`), on the ``{name: coefficient}`` form of
@@ -738,3 +739,44 @@ def compile_interval(
         substitution_coef=matrix([expr for _, expr, _ in stack], len(order)),
         substitution_comb=matrix([expr_comb for _, _, expr_comb in stack]),
     )
+
+
+class Derivations:
+    """Every :class:`CompiledInterval` of one system ``A``, ``is_eq`` over
+    the variables ``names``, compiled once per (block, target) on first use.
+
+    A target's block (:meth:`blocks`) gives the interval its whole unknown
+    pattern would: rows outside it share no unknown with rows inside it, so
+    they never combine, and the block's rows keep their relative order
+    through every substitution, projection and merge.  Its bound rows,
+    their masses and ``pinned`` are those of the pattern's derivation; only
+    the check rows of the pattern's other blocks drop out.
+    """
+
+    def __init__(self, A: np.ndarray, is_eq: np.ndarray, names: Sequence[str]):
+        self.A, self.is_eq, self.names = A, is_eq, tuple(names)
+        self.reads = (A != 0).astype(float)
+        self.cache: dict[tuple[bytes, str], CompiledInterval] = {}
+
+    def blocks(self, patterns: np.ndarray, target: str) -> np.ndarray:
+        """Each unknown pattern's block of ``target`` (patterns x
+        ``names``): from the target, take the pattern's unknowns
+        that an edit reading the block reads, until the block stops
+        growing.  Such an edit reads an unknown, a block variable, so no
+        edit that reads only known values joins two unknowns; a target in
+        no edit is a block of its own.  All patterns grow at once, as
+        matrix products."""
+        R = self.reads
+        start = blocks = patterns & np.array([v == target for v in self.names], dtype=bool)
+        size = -1
+        while size != (size := np.count_nonzero(blocks)):
+            blocks = ((blocks @ R.T > 0) @ R > 0) & patterns | start
+        return blocks
+
+    def __call__(self, block: np.ndarray, target: str) -> CompiledInterval:
+        """``target``'s derivation over the unknowns ``block``, a row over ``names``."""
+        key = (block.tobytes(), target)
+        if key not in self.cache:
+            unknown = [v for v, inside in zip(self.names, block) if inside]
+            self.cache[key] = compile_interval(self.A, self.is_eq, self.names, unknown, target)
+        return self.cache[key]

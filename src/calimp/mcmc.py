@@ -208,7 +208,8 @@ class _KeySystem(NamedTuple):
     ``unknowns`` holds the position in ``z`` of each of
     ``compiled.unknown``: its column for one of record s, p plus its
     column for one of record t.  ``in_s`` and ``in_t`` list the unknowns'
-    positions among ``unknowns`` and their columns, record by record."""
+    positions among ``unknowns`` and their columns, record by record, and
+    ``coupled`` flags the coupled columns inside the target's block."""
 
     compiled: fm.CompiledInterval
     bound_rows: np.ndarray
@@ -216,6 +217,7 @@ class _KeySystem(NamedTuple):
     unknowns: np.ndarray
     in_s: tuple[np.ndarray, np.ndarray]
     in_t: tuple[np.ndarray, np.ndarray]
+    coupled: np.ndarray
 
 
 class PairSystems:
@@ -236,18 +238,20 @@ class PairSystems:
     every coefficient is an edit coefficient and weights and values enter
     only through the constants.  The key is therefore (target, V_T,
     s's imputed columns without a total, t's imputed columns without a
-    total).  A key's 2K x 2p coefficient matrix stacks s's edit rows, over
-    columns 0..p-1, on t's, over columns p..2p-1 but with each coupled
-    column negated into s's.
+    total).  The chain's one 2K x 2p pair matrix stacks s's edit rows, over
+    columns 0..p-1, on t's, over columns p..2p-1 but with each column that
+    has a total negated into s's; over a key's unknowns these are its
+    coefficients.  A key compiles over its target's block (``derive``), and
+    the pair's other cells are constants.
 
     Every row reads the pair's step vector ``z = [x_s, (w_t/w_s) x_t,
     R/w_s, 1, w_t/w_s]``, with R the coupled columns' shares (0 in the
     other columns): the pair's current weighted sums, which the update
     conserves.  Records are grouped by their pattern of imputed columns
     (``pipeline._missing_patterns``), so a key follows from two pattern
-    ids, and :meth:`by_key` looks a sweep's pairs up by key.  ``compiled``
-    and ``hits`` count the pair lookups that compiled their key's system
-    and those that found it.
+    ids, and :meth:`by_key` looks a sweep's pairs up by key.  ``systems``
+    holds each key met, and ``hits`` counts the pair lookups that found
+    their key's system.
     :func:`pair_constraint_system` builds one pair's system the per-record
     way, without solving the sums first: the tests' reference.
     """
@@ -266,33 +270,31 @@ class PairSystems:
         # Per record: the edits a completion is checked against, those that
         # read one of its imputed columns.
         self.checked = reads_flagged(data.mask, self.A)
+        # s's rows over columns 0..p-1, t's over p..2p-1 with each column
+        # that has a total negated into s's; 0.0 - A keeps absent entries at +0.0.
+        A, total = self.A, self.has_total
+        pair_A = np.block([[A, np.zeros_like(A)], [np.where(total, 0.0 - A, 0.0), np.where(total, 0.0, A)]])
+        labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
+        self.derive = fm.Derivations(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels)
         self.systems: dict[tuple[int, int, int, int], _KeySystem] = {}
-        self.compiled = 0
         self.hits = 0
 
     def _compile(self, j: int, coupled: int, free_s: int, free_t: int) -> _KeySystem:
         """The system of the key (``j``, ``coupled``, ``free_s``,
-        ``free_t``)."""
-        A = self.A
+        ``free_t``), over the target's block."""
+        A, labels = self.A, self.derive.names
         K, p = A.shape
-        is_coupled = np.array([coupled >> c & 1 for c in range(p)], dtype=bool)
-        in_s = np.array([(coupled | free_s) >> c & 1 for c in range(p)], dtype=bool)
-        in_t = np.array([(coupled | free_t) >> c & 1 for c in range(p)], dtype=bool)
-        # s's rows over columns 0..p-1, t's over p..2p-1 with each coupled
-        # column negated into s's; 0.0 - A keeps absent entries at +0.0.
-        pair_A = np.zeros((2 * K, 2 * p))
-        pair_A[:K, :p] = A
-        pair_A[K:, :p] = np.where(is_coupled, 0.0 - A, 0.0)
-        pair_A[K:, p:] = np.where(is_coupled, 0.0, A)
-        labels = [f"s.{v}" for v in self.columns] + [f"t.{v}" for v in self.columns]  # they order the unknowns
         # s's imputed columns, then t's free ones: a coupled t.v follows from s.v.
-        unknown = [labels[c] for c in np.flatnonzero(np.concatenate([in_s, in_t & ~is_coupled]))]
-        compiled = fm.compile_interval(pair_A, np.concatenate([self.is_eq, self.is_eq]), labels, unknown, labels[j])
+        pattern = np.array([[(coupled | free_s) >> c & 1 for c in range(p)] + [free_t >> c & 1 for c in range(p)]])
+        block = self.derive.blocks(pattern == 1, labels[j])[0]
+        compiled = self.derive(block, labels[j])
+        in_s, in_t = block[:p], block[p:]
+        is_coupled = in_s & self.has_total
         # Constants of the 2K rows from z = [x_s, (w_t/w_s) x_t, R / w_s, 1, w_t/w_s].
         M = np.zeros((2 * K, 3 * p + 2))
         M[:K, :p] = np.where(in_s, 0.0, A)
         M[:K, 3 * p] = self.b
-        M[K:, p : 2 * p] = np.where(in_t, 0.0, A)
+        M[K:, p : 2 * p] = np.where(in_t | is_coupled, 0.0, A)
         M[K:, 2 * p : 3 * p] = np.where(is_coupled, A, 0.0)
         M[K:, 3 * p + 1] = self.b
         unknowns = np.array([labels.index(v) for v in compiled.unknown], dtype=np.intp)
@@ -304,6 +306,7 @@ class PairSystems:
             unknowns,
             (np.flatnonzero(~of_t), unknowns[~of_t]),
             (np.flatnonzero(of_t), unknowns[of_t] - p),
+            is_coupled,
         )
 
     def by_key(self, j: int, s: np.ndarray, t: np.ndarray) -> list[tuple[_KeySystem, np.ndarray, np.ndarray]]:
@@ -325,7 +328,6 @@ class PairSystems:
             system = self.systems.get(key)
             if system is None:
                 system = self.systems[key] = self._compile(*key)
-                self.compiled += 1
                 self.hits -= 1
             self.hits += len(at)
             groups.append((system, s[at], t[at]))
@@ -401,7 +403,7 @@ def update_pairs(
     w_s, w_t = systems.weights[s, None], systems.weights[t, None]
     x_s, x_t = values[s], values[t]
     ratio = w_t / w_s
-    coupled = systems.mask[s] & systems.mask[t] & systems.has_total
+    coupled = np.concatenate([np.tile(system.coupled, (len(gs), 1)) for system, gs, _ in groups])
     shares = np.where(coupled, w_s * x_s + w_t * x_t, 0.0)
     Z = np.hstack([x_s, ratio * x_t, shares / w_s, np.ones_like(ratio), ratio])
 
@@ -531,7 +533,7 @@ def _checkpoint_row(
         "iteration": iteration,
         "per_variable": per_variable,
         **totals,
-        "pair_systems": {"compiled": systems.compiled, "hits": systems.hits},
+        "pair_systems": {"compiled": len(systems.systems), "hits": systems.hits},
     }
 
 
@@ -599,10 +601,11 @@ def mcmc_refine(
         if n <= len(names) + 1:  # before a factor of the too-small design finds it rank deficient
             raise InsufficientDataError(f"only {n} records for {len(names) + 1} regression parameters")
         predictors[j] = names
-    structural = structural_targets(edits, columns, predictors)
+    systems = PairSystems(state, edits, totals)
+    derive = fm.Derivations(systems.A, systems.is_eq, columns)
+    structural = {position[name] for name in structural_targets(derive, {columns[j]: predictors[j] for j in targets})}
     # Model j regresses column j on design[j][:-1].
     design = {j: [position[p] for p in predictors[j]] + [j] for j in targets if j not in structural}
-    systems = PairSystems(state, edits, totals)
     previous_cells: dict[int, np.ndarray] = {}
     counts = [{"accepted": 0, "fallbacks": 0, "moved": 0, "pinned": 0} for _ in columns]
     abs_moves = [0.0] * len(columns)

@@ -286,66 +286,38 @@ def _missing_patterns(missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PatternCompiler:
-    """Interval derivations compiled once per (block, target).
+    """Intervals of each target, derived once per block of unknowns.
 
-    A record's block of the target is the set of its unknowns joined to
-    the target through edits that read an unknown (:meth:`blocks`); a
-    target in no edit has the empty block, and an unbounded interval.
-    Records missing the target are grouped by that block; each group's
-    bounds and feasibility checks are then array expressions over its
-    records, on each record's margin scale (see :class:`fm.CompiledInterval`).
-
-    The block gives the interval the whole unknown pattern would: rows
-    outside it share no unknown with rows inside it, so they never combine,
-    and the block's rows keep their relative order through every
-    substitution, projection and merge.  Its bound rows, their masses and
-    ``pinned`` are those of the pattern's derivation.  Only the check rows
-    of the record's other blocks drop out; each of those blocks holds an
-    unknown, so the step of its first target in round 1 checks it whole.
-    An edit a record knows fully is not checked here: :func:`check_inputs`
-    has checked the observed values, and each imputed value lies in an
-    interval that keeps the edits.  The cache lives for one :func:`impute`
-    call.
+    Records missing the target are grouped by their block of it
+    (``fm.Derivations.blocks``); a target in no edit is a block of its
+    own, with an unbounded interval.  Each group's bounds and feasibility checks
+    are then array expressions over its records, on each record's margin
+    scale (see :class:`fm.CompiledInterval`).  Only the check rows of a
+    record's other blocks drop out; each of those blocks holds an unknown,
+    so the step of its first target in round 1 checks it whole.  An edit a
+    record knows fully is not checked here: :func:`check_inputs` has
+    checked the observed values, and each imputed value lies in an
+    interval that keeps the edits.  ``derive`` lives for one
+    :func:`impute` call.
     """
 
     def __init__(self, edits: EditSystem, columns: Sequence[str]):
         self.edits = edits
         self.cols = [columns.index(v) for v in edits.variables]
-        self.A, self.b, self.is_eq = system_matrices(edits, edits.variables)
-        self.reads = (self.A != 0).astype(float)
-        self.cache: dict[tuple[bytes, str], fm.CompiledInterval] = {}
-
-    def blocks(self, patterns: np.ndarray, target: str) -> np.ndarray:
-        """Each unknown pattern's block of ``target`` (patterns x edit
-        variables): from the target's column, take the pattern's unknowns
-        that an edit reading the block reads, until the block stops
-        growing.  Such an edit reads an unknown, a block variable, so no
-        edit that reads only known values joins two unknowns; a target in
-        no edit drops out, leaving the empty block.  All patterns grow at
-        once, as matrix products."""
-        R = self.reads
-        blocks = patterns & np.array([v == target for v in self.edits.variables], dtype=bool)
-        size = -1
-        while size != (size := np.count_nonzero(blocks)):
-            blocks = ((blocks @ R.T > 0) @ R > 0) & patterns
-        return blocks
+        self.A, self.b, is_eq = system_matrices(edits, edits.variables)
+        self.derive = fm.Derivations(self.A, is_eq, edits.variables)
 
     def intervals(self, current: np.ndarray, rows: np.ndarray, target: str) -> _TargetIntervals:
         X = current[np.ix_(rows, self.cols)]
         patterns, inverse = _missing_patterns(np.isnan(X))
-        blocks, block_of = _missing_patterns(self.blocks(patterns, target))
+        blocks, block_of = _missing_patterns(self.derive.blocks(patterns, target))
         inverse = block_of[inverse]
         members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
         lower = np.empty(rows.size)
         upper = np.empty(rows.size)
         first_bad = None
         for block, pos in zip(blocks, members):
-            key = (block.tobytes(), target)
-            compiled = self.cache.get(key)
-            if compiled is None:
-                unknown = [v for v, inside in zip(self.edits.variables, block) if inside]
-                compiled = fm.compile_interval(self.A, self.is_eq, self.edits.variables, unknown, target)
-                self.cache[key] = compiled
+            compiled = self.derive(block, target)
             Xp = X[pos]
             D, scale = reduced_constants(self.A, self.b, Xp), record_scale(Xp[:, self.A.any(axis=0)])
             lower[pos], upper[pos], bad = compiled.evaluate(D, scale)
@@ -397,28 +369,25 @@ def check_inputs(
         raise InfeasibleRecordError(message, record=i, edit_index=k, witness=edit)
 
 
-def structural_targets(
-    edits: EditSystem, columns: Sequence[str], predictors: Mapping[int, Sequence[str]]
-) -> set[int]:
-    """The targets (positions in ``columns``) that the equality edits fix
-    once their predictors are known: with every column outside
-    ``predictors[j]`` unknown, eliminating the equalities leaves one in
-    target j only (``fm.CompiledInterval.pinned``, the rank condition of
-    a pinned key).  That may take a combination of equalities.  Only
-    equalities are read: a target that two inequalities squeeze to a point
-    (``x >= P``, ``x <= P``) is not structural.
+def structural_targets(derive: fm.Derivations, predictors: Mapping[str, Sequence[str]]) -> set[str]:
+    """The targets that the equality edits fix once their predictors are
+    known: with every variable of ``derive`` outside ``predictors[target]``
+    unknown, the derivation over the target's block is
+    ``fm.CompiledInterval.pinned`` (the rank condition of a pinned key).
+    That may take a combination of equalities.  Inequalities never enter
+    the substitutions that set ``pinned``, so a target that two
+    inequalities squeeze to a point (``x >= P``, ``x <= P``) is not
+    structural; equalities outside the block never reach the target.
 
     Every record that meets the equalities gives such a target back its
     current value, up to rounding.  :func:`impute` asks with every other
     column as predictors and skips these targets' steps after round 1;
     ``mcmc.mcmc_refine`` asks with each target's chain predictors, whose
     regression on them is exact (σ² = 0), and skips their updates."""
-    A, _, is_eq = system_matrices(edits, columns)
-    E, eq = A[is_eq], is_eq[is_eq]
     return {
-        j
-        for j, names in predictors.items()
-        if fm.compile_interval(E, eq, columns, [c for c in columns if c not in names], columns[j]).pinned
+        target
+        for target, names in predictors.items()
+        if derive(derive.blocks(np.array([[v not in names for v in derive.names]], bool), target)[0], target).pinned
     }
 
 
@@ -463,8 +432,7 @@ def impute(
     # of these targets back its current value: their later steps are skipped.
     fixed = set()
     if config.rounds > 1:
-        others = {col_idx[name]: [c for c in data.columns if c != name] for name in order}
-        fixed = structural_targets(edits, data.columns, others)
+        fixed = structural_targets(compiler.derive, {name: [c for c in data.columns if c != name] for name in order})
 
     for rnd in range(1, config.rounds + 1):
         for target in order:
@@ -472,7 +440,7 @@ def impute(
             rows = np.flatnonzero(data.mask[:, t])
             if rows.size == 0:
                 continue
-            if rnd > 1 and t in fixed:
+            if rnd > 1 and target in fixed:
                 n = int(rows.size)
                 diagnostics.append({
                     "round": rnd, "variable": target, "n_missing": n, "predictors": [],

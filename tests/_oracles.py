@@ -21,6 +21,7 @@ import itertools
 import math
 from functools import lru_cache
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -205,12 +206,15 @@ class PerRecordIntervals:
     Each record missing the target is reduced with ``reduce_system`` and
     gets its interval from ``fm.admissible_interval``, one record at a
     time.  It has the interface of ``pipeline._PatternCompiler``, so a test
-    can substitute it and compare whole imputations.
+    can substitute it and compare whole imputations; its ``derive`` serves
+    only ``impute``'s structural rule, which it does not replace.
     """
 
     def __init__(self, edits: EditSystem, columns):
         self.edits = edits
         self.col_idx = {name: j for j, name in enumerate(columns)}
+        A, _, is_eq = system_matrices(edits, edits.variables)
+        self.derive = fm.Derivations(A, is_eq, edits.variables)
 
     def intervals(self, current, rows, target):
         intervals = []
@@ -244,6 +248,29 @@ class _PerRecordResult:
             "bounded": bounded,
             "unbounded": int(self.lower.size) - bounded,
         }
+
+
+def structural_targets(
+    edits: EditSystem, columns: Sequence[str], predictors: Mapping[int, Sequence[str]]
+) -> set[int]:
+    """The targets (positions in ``columns``) that the equality edits fix
+    once their predictors are known: with every column outside
+    ``predictors[j]`` unknown, eliminating the equalities leaves one in
+    target j only (``fm.CompiledInterval.pinned``, the rank condition of
+    a pinned key).  That may take a combination of equalities.  Only
+    equalities are read: a target that two inequalities squeeze to a point
+    (``x >= P``, ``x <= P``) is not structural.
+
+    The rule ``pipeline.structural_targets`` kept before it read the
+    derivation cache: one uncached compile of the equalities alone per
+    target, over every unknown.  It is the oracle of the cached rule."""
+    A, _, is_eq = system_matrices(edits, columns)
+    E, eq = A[is_eq], is_eq[is_eq]
+    return {
+        j
+        for j, names in predictors.items()
+        if fm.compile_interval(E, eq, columns, [c for c in columns if c not in names], columns[j]).pinned
+    }
 
 
 def lstsq_posterior_fit(values: np.ndarray, target: int, predictors) -> tuple[np.ndarray, float, bool]:
@@ -604,9 +631,11 @@ class PairStep:
     records' current rows (lists, only read).  The target's interval is
     computed on construction, from the key's bound rows evaluated term by
     term on the step vector ``z = [x_s, (w_t/w_s) x_t, R/w_s, 1, w_t/w_s]``;
-    bounds that cross meet at their midpoint, whatever the width.
-    :meth:`complete` completes the pair at a target value and checks it,
-    on ``violation_matrix``'s margin, as the chain does."""
+    bounds that cross meet at their midpoint, whatever the width.  The
+    shares are those of the coupled columns in the target's block
+    (``system.coupled``).  :meth:`complete` completes the pair at a target
+    value and checks it, on ``violation_matrix``'s margin, as the chain
+    does."""
 
     def __init__(self, systems, system, rows, s: int, t: int):
         row_s, row_t = list(rows[s]), list(rows[t])
@@ -620,7 +649,7 @@ class PairStep:
         self.z = z = row_s + [ratio * v for v in row_t] + [0.0] * p + [1.0, ratio]
         self.shares = shares = {}
         for c in range(p):
-            if imputed_s[c] and imputed_t[c] and systems.has_total[c]:
+            if system.coupled[c]:
                 shares[c] = share = w_s * row_s[c] + w_t * row_t[c]
                 z[2 * p + c] = share / w_s
 
@@ -694,8 +723,9 @@ def step_chain(data: DataMatrix, edits: EditSystem, totals, iterations: int, see
     rng = np.random.default_rng(seed)
     index = mcmc.PairIndex.build(state.mask)
     design = {columns.index(name): [columns.index(c) for c in names] for name, names in predictors.items()}
-    structural = mcmc.structural_targets(edits, columns, {j: predictors[columns[j]] for j in design})
     systems = mcmc.PairSystems(state, edits, totals)
+    derive = fm.Derivations(systems.A, systems.is_eq, columns)
+    structural = {columns.index(name) for name in mcmc.structural_targets(derive, predictors)}
     for _ in range(iterations):
         s, t, j = mcmc.select_pair(index, rng)
         if j in structural or (system := pair_system(systems, s, t, j)).compiled.pinned:

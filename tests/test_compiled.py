@@ -6,6 +6,7 @@ against the per-record derivation (intervals and errors), the lattice
 feasibility oracle, and whole imputations run the per-record way.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,14 +20,15 @@ from calimp.edits import (
     system_matrices, violation_matrix,
 )
 from calimp.errors import CalimpError, InfeasibleAdjustmentError, InfeasibleRecordError, InfeasibleSystemError
+from calimp.mcmc import PairSystems
 from calimp.pipeline import DataMatrix, ImputationConfig, check_inputs, impute
 
 from _oracles import (
     GridOracle, PerRecordIntervals, random_imputation_instance, random_inequality_system, scalar_complete,
 )
 from test_pair_systems import (
-    BLANK_PAIR_MARGIN, SURVEY_COLUMNS, SURVEY_RULES, survey_blank_pair_below_zero, survey_near_zero_other,
-    survey_truth,
+    BLANK_PAIR_MARGIN, CASES, SURVEY_COLUMNS, SURVEY_RULES, build, survey_blank_pair_below_zero,
+    survey_near_zero_other, survey_truth,
 )
 
 RTOL = 1e-12
@@ -695,21 +697,23 @@ def test_column_order_does_not_change_the_compiled_derivation(seed):
 
 
 # ---------------------------------------------------------------------------
-# Block keys: impute compiles a target's interval over its block of
-# unknowns, not over the record's whole unknown pattern.
+# Block keys: impute and the chain compile a target's interval over its
+# block of unknowns, not over the record's or the pair's whole unknown
+# pattern.
 
 class FullKeys(pipeline._PatternCompiler):
     """The compiler keyed on the whole unknown pattern: every pattern is
     its own block."""
 
-    def blocks(self, patterns, target):
-        return patterns
+    def __init__(self, edits, columns):
+        super().__init__(edits, columns)
+        self.derive.blocks = lambda patterns, target: patterns
 
 
 def walked_block(system, unknown, target):
     """The unknowns joined to ``target`` through edits that read an
-    unknown, found one edit at a time; empty for a target in no edit."""
-    block = {target} & {v for edit in system.edits for v in edit.coeffs}
+    unknown, found one edit at a time, and the target."""
+    block = {target}
     frontier = list(block)
     while frontier:
         v = frontier.pop()
@@ -721,26 +725,35 @@ def walked_block(system, unknown, target):
     return block
 
 
+def assert_block_compiles_as_pattern(derive, pattern, block, target):
+    """``derive`` over ``block`` has the bound rows, their masses and
+    ``pinned`` that it compiles over the whole ``pattern`` (rows over
+    ``derive.names``), byte for byte; returns both, the full one first."""
+    full, cut = derive(pattern, target), derive(block, target)
+    assert cut.pinned == full.pinned, (pattern, target)
+    for name in ("bound_coef", "bound_comb", "bound_mass"):
+        assert getattr(cut, name).tobytes() == getattr(full, name).tobytes(), (pattern, target, name)
+    return full, cut
+
+
 def assert_block_key_matches_full_key(system, patterns, target, X):
     """For each unknown pattern (a row of ``patterns`` over the system's
     variables, all holding ``target``): the block that
-    ``_PatternCompiler.blocks`` finds for all of them at once is the walked
+    ``fm.Derivations.blocks`` finds for all of them at once is the walked
     block, and the block key compiles the full key's bound rows, masses and
     ``pinned``, and the full key's check rows of the block's own edits.  At
     the records ``X`` with the pattern blanked, ``evaluate`` gives
     byte-identical bounds and the same flags.  Returns how many blocks
     are smaller than their pattern."""
     names = system.variables
-    blocks = pipeline._PatternCompiler(system, names).blocks(patterns, target)
-    A, b, _ = system_matrices(system, names)
+    A, b, is_eq = system_matrices(system, names)
+    derive = fm.Derivations(A, is_eq, names)
+    blocks = derive.blocks(patterns, target)
     for pattern, block in zip(patterns, blocks):
         unknown = [v for v, m in zip(names, pattern) if m]
         inside = [v for v, m in zip(names, block) if m]
         assert set(inside) == walked_block(system, unknown, target), (unknown, target)
-        full, cut = compile_for(system, unknown, target), compile_for(system, inside, target)
-        assert cut.pinned == full.pinned
-        for name in ("bound_coef", "bound_comb", "bound_mass"):
-            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes(), (unknown, target, name)
+        full, cut = assert_block_compiles_as_pattern(derive, pattern, block, target)
         reads = {k for k, edit in enumerate(system.edits) if set(edit.coeffs) & set(inside)}
         own = [q for q, comb in enumerate(full.check_comb) if set(np.flatnonzero(comb)) <= reads]
         assert cut.check_comb.tobytes() == full.check_comb[own].tobytes(), (unknown, target)
@@ -751,6 +764,25 @@ def assert_block_key_matches_full_key(system, patterns, target, X):
         assert lo_c.tobytes() == lo_f.tobytes() and hi_c.tobytes() == hi_f.tobytes(), (unknown, target)
         assert np.array_equal(bad_c, bad_f), (unknown, target)
     return int((blocks != patterns).any(axis=1).sum())
+
+
+def assert_pair_block_key_matches_full_key(systems, key):
+    """The chain's system of a pair key is its target's derivation over the
+    target's block: the one ``systems.derive`` caches for that block, with
+    the bound rows, masses and ``pinned`` of the key's whole pattern of
+    unknowns (s's imputed columns, then t's free ones).  Returns whether
+    the block is smaller than that pattern."""
+    j, coupled, free_s, free_t = key
+    p = len(systems.columns)
+    pattern = np.array([(coupled | free_s) >> c & 1 for c in range(p)] + [free_t >> c & 1 for c in range(p)]) == 1
+    system = systems.systems[key]
+    block = np.isin(np.arange(2 * p), system.unknowns)
+    assert not (block & ~pattern).any(), key
+    target = systems.derive.names[j]
+    assert system.compiled is systems.derive(block, target), key
+    assert_block_compiles_as_pattern(systems.derive, pattern, block, target)
+    assert system.coupled.tolist() == (block[:p] & systems.has_total).tolist(), key
+    return bool((block != pattern).any())
 
 
 def test_block_key_matches_the_full_key_on_every_survey_pattern():
@@ -786,6 +818,24 @@ def test_block_key_matches_the_full_key_on_random_instances(seed):
             ref, ref_diag = run_with(patch, FullKeys, data, system, given_totals, config)
         assert out.values.tobytes() == ref.values.tobytes(), method
         assert diag == ref_diag, method
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal_weights", "unequal_weights"])
+def test_pair_block_key_matches_the_full_key(kind, weighted):
+    """Every pair key that four random pairings of each column meet.  Only
+    a study pair always holds one block: its balance joins x1 and x2 in
+    each record, and their totals join the records."""
+    rng = np.random.default_rng(5)
+    data, edits, totals = build(kind, rng, weighted)
+    systems = PairSystems(data, edits, totals)
+    for j, _ in itertools.product(range(len(data.columns)), range(4)):
+        records = rng.permutation(np.flatnonzero(data.mask[:, j]))
+        pairs = len(records) // 2
+        systems.by_key(j, records[0 : 2 * pairs : 2], records[1 : 2 * pairs : 2])
+    cut = sum(assert_pair_block_key_matches_full_key(systems, key) for key in systems.systems)
+    assert systems.systems
+    assert (cut > 0) == (kind != "study"), cut
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])

@@ -246,7 +246,7 @@ def test_total_past_reach_is_infeasible(corpus):
 def test_byte_that_is_not_utf8_names_its_line(corpus):
     code, stderr, out, diagnostics = corpus[HASH_SEEDS[0]]["not-utf8"]
     assert (code, out, diagnostics) == (2, None, None), stderr
-    assert stderr == "error: line 250: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert stderr == "error: ../not-utf8.csv: line 250: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 
 def test_bpmr_draws_every_cell_without_fallback(corpus):

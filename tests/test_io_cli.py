@@ -430,20 +430,24 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("x1: x3\nx2 x3\n", "error: line 2: expected 'target: predictor, ...'"),
-            ("x1: x3, zz\n", "error: unknown predictor column(s) ['zz'] for target 'x1'"),
-            ("x1: x1\n", "error: target 'x1' cannot be its own predictor"),
+            ("x1: x3\nx2 x3\n", "error: {p}: line 2: expected 'target: predictor, ...'"),
+            ("x1: x3, zz\n", "error: {inputs}: unknown predictor column(s) ['zz'] for target 'x1'"),
+            ("x1: x1\n", "error: {inputs}: target 'x1' cannot be its own predictor"),
         ],
     )
     def test_bad_predictors_file_exits_2(self, tmp_path, capsys, text, message):
+        # A file's own error names it; a check of the chain's inputs against
+        # each other names them all.
         small_files(tmp_path, np.random.default_rng(3))
+        p = write(tmp_path, "p.txt", text)
+        inputs = ", ".join(str(tmp_path / name) for name in ("truth.csv", "rules.edits", "totals.txt", "mask.csv"))
         code = main([
             "impute", "--data", str(tmp_path / "truth.csv"), "--mask", str(tmp_path / "mask.csv"),
             "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
-            "--method", "mcmc", "--predictors", write(tmp_path, "p.txt", text), "--out", str(tmp_path / "o.csv"),
+            "--method", "mcmc", "--predictors", p, "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert message.format(p=p, inputs=f"{inputs}, {p}") in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("case", ["large", "one_cell_per_column", "zero_iterations"])
@@ -794,7 +798,8 @@ def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, option)
     argv = ["impute", "--method", "bpma", "--out", str(tmp_path / "out.csv")]
     code = main(argv + [arg for option, path in files.items() for arg in (option, str(path))])
     assert code == 2
-    assert f"error: line {len(lines)}: byte 0xff is not UTF-8 (invalid start byte)" in capsys.readouterr().err
+    message = f"error: {files[option]}: line {len(lines)}: byte 0xff is not UTF-8 (invalid start byte)"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -909,3 +914,45 @@ class TestDiagnosticsSchema:
             for entry in row["per_variable"].values():
                 assert list(entry) == CHAIN_VARIABLE_KEYS + ([] if k == 0 else ["ks_vs_prev"])
                 assert entry["exact_fit"] is False  # P is fully observed: no model is exact
+
+
+@pytest.mark.parametrize("case", ["totals", "edits", "predictors", "config", "totals-columns", "mask-shape",
+                                  "evaluate-columns", "data-edits"])
+def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
+    # Each input file's own error is prefixed with its path; a check across
+    # files names each of them.
+    small_files(tmp_path, np.random.default_rng(1))
+    data, edits, totals = (str(tmp_path / name) for name in ("data.csv", "rules.edits", "totals.txt"))
+    truth, mask = str(tmp_path / "truth.csv"), str(tmp_path / "mask.csv")
+    chain = ["impute", "--data", truth, "--edits", edits, "--totals", totals, "--method", "mcmc"]
+    if case == "totals":
+        bad = write(tmp_path, "bad.txt", "x1 = abc\n")
+        argv, message = ["impute", "--data", data, "--edits", edits, "--totals", bad, "--method", "bpma"], (
+            f"error: {bad}: line 1: bad total 'abc'")
+    elif case == "edits":
+        bad = write(tmp_path, "bad.edits", "x1 >= 0\nx1 + >= 2\n")
+        argv, message = ["impute", "--data", data, "--edits", bad, "--method", "upma"], f"error: {bad}: line 2, column 6: "
+    elif case == "predictors":
+        bad = write(tmp_path, "p.txt", "x1 x2\n")
+        argv, message = chain + ["--mask", mask, "--predictors", bad], f"error: {bad}: line 1: expected 'target: "
+    elif case == "config":
+        bad = write(tmp_path, "study.cfg", "population_size = 10\nsample_size = 20\n")
+        argv, message = ["simulate", "--config", bad], f"error: {bad}: sample size exceeds population size"
+    elif case == "totals-columns":
+        bad = write(tmp_path, "bad.txt", "x1 = 1\nzz = 2\n")
+        argv, message = ["impute", "--data", data, "--edits", edits, "--totals", bad, "--method", "bpma"], (
+            f"error: {bad}, {data}: totals reference unknown column(s) ['zz']")
+    elif case == "mask-shape":
+        bad = write(tmp_path, "bad-mask.csv", "x1,x2,x3\n0,0,1\n")
+        argv, message = chain + ["--mask", bad], f"error: {bad}, {truth}: mask shape does not match the dataset"
+    elif case == "evaluate-columns":
+        other = write(tmp_path, "other.csv", "a,b,c\n1,2,3\n")
+        argv, message = ["evaluate", "--truth", truth, "--imputed", other, "--mask", mask], (
+            f"error: {truth}, {other}: truth and imputed files have different columns")
+    else:
+        bad = write(tmp_path, "y.edits", "y >= 0\n")
+        argv, message = ["impute", "--data", data, "--edits", bad, "--method", "upma"], (
+            f"error: {data}, {bad}: edits reference column(s) not in the data: ['y']")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message), err

@@ -8,7 +8,9 @@ per-record functions stay in their modules as the tests' reference, and
 not export them.  Here each of them is replaced, under every name calimp
 binds it to, by a function that raises, and impute (every method), the
 chain and a survey impute through ``cli.main`` run on the study and on
-the pair-system cases of ``test_pair_systems``.
+the pair-system cases of ``test_pair_systems``.  Every derivation of the
+live paths, the structural rule's included, comes from the one cache,
+``fm.Derivations``.
 """
 
 import sys
@@ -121,3 +123,34 @@ def test_pair_system_cases_call_no_reference(reference_forbidden, kind):
     config = McmcConfig(iterations=2_000, seed=3, predictors=loose_predictors(data.columns))
     _, trace = mcmc_refine(data, system, totals, config)
     assert trace[-1]["iteration"] == 2_000
+
+
+def test_every_derivation_comes_from_the_one_cache(monkeypatch):
+    # fm.compile_interval, under every calimp name bound to it, records its
+    # caller's code while impute (every method, with rounds > 1, so with
+    # its structural rule), structural_targets itself and a chain run.
+    callers = []
+    original = fm.compile_interval
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return original(*args, **kwargs)
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "calimp" or name.startswith("calimp."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    data, system, totals = build("partial", np.random.default_rng(5), weighted=True)
+    given = DataMatrix(np.where(data.mask, np.nan, data.values), data.mask, data.columns, data.weights)
+    every_total = dict(zip(data.columns, (data.weights @ data.values).tolist()))
+    for method in ("upma", "bpma", "bpmr"):
+        try:
+            impute(given, system, None if method == "upma" else every_total, ImputationConfig(method, seed=3))
+        except CalimpError:
+            pass  # a failure on feasible input (ROADMAP item 1), after its derivations
+    A, _, is_eq = edits.system_matrices(system, data.columns)
+    mcmc.structural_targets(fm.Derivations(A, is_eq, data.columns), {"goods": ["turnover"]})
+    mcmc_refine(data, system, totals, McmcConfig(iterations=2_000, seed=3, predictors=loose_predictors(data.columns)))
+    assert len(callers) > 10
+    assert set(callers) == {fm.Derivations.__call__.__code__}

@@ -324,7 +324,7 @@ def test_compiled_step_matches_the_per_record_step(kind, weighted, seed):
     rng = np.random.default_rng(seed)
     data, edits, totals = build(kind, rng, weighted)
     seen, systems = walk(data, edits, totals, rng, steps=120)
-    assert systems.compiled + systems.hits == seen["steps"]
+    assert len(systems.systems) + systems.hits == seen["steps"]
     if kind == "study":
         assert seen["free"] == 0  # every study step is forced by equalities
 
@@ -402,6 +402,65 @@ def test_chain_steps_match_the_per_record_step(kind):
     assert len(skipped) + on_structural == sum(entry["pinned"] for entry in last["per_variable"].values())
     assert checked and skipped
     assert (on_structural > 0) == bool(structural)
+
+
+def pair_block(data, edits, totals, s, t, j):
+    """The cells of records ``s`` and ``t``, as (0 for s or 1 for t,
+    column), joined to ``(s, j)`` in the pair's per-record constraint
+    system (:func:`calimp.mcmc.pair_constraint_system`): through an edit of
+    either record that reads an imputed cell, or through a pair-sum
+    equality, which joins a coupled cell to its partner."""
+    system, _ = mcmc.pair_constraint_system(data, edits, totals, s, t)
+    block = {f"s.{data.columns[j]}"}
+    frontier = list(block)
+    while frontier:
+        v = frontier.pop()
+        for edit in system.edits:
+            if v in edit.coeffs:
+                joined = set(edit.coeffs) - block
+                block |= joined
+                frontier.extend(joined)
+    return {(int(v[0] == "t"), data.columns.index(v[2:])) for v in block}
+
+
+@pytest.mark.parametrize("kind", sorted(set(CASES) - {"large"}))
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal_weights", "unequal_weights"])
+def test_an_update_changes_only_its_targets_block(kind, weighted):
+    # Every accepted update of a chain on one-predictor models keeps each
+    # cell of its pair outside the target's block bit for bit, a coupled
+    # cell's partner included: only the block is derived and completed.
+    # Outside the study, some updated pairs hold imputed cells there.  (The
+    # large case's one imputed column is pinned by its edit: no update
+    # draws.)
+    data, edits, totals = build(kind, np.random.default_rng(5), weighted)
+    real_update = mcmc.update_pairs
+    blocks, seen = {}, {"accepted": 0, "beside": 0, "moved": []}
+
+    def checked_update(systems, values, groups, *args):
+        j = swept_column(systems, groups)
+        update = real_update(systems, values, groups, *args)
+        live = DataMatrix(values, data.mask, data.columns, data.weights)
+        for i in np.flatnonzero(update.feasible).tolist():
+            a, b = int(update.s[i]), int(update.t[i])
+            key = (j, data.mask[a].tobytes(), data.mask[b].tobytes())
+            if key not in blocks:
+                blocks[key] = pair_block(live, edits, totals, a, b, j)
+            outside = [(role, c) for role, rec in enumerate((a, b)) for c in np.flatnonzero(data.mask[rec]).tolist()
+                       if (role, c) not in blocks[key]]
+            new = (update.new_s[i], update.new_t[i])
+            old = (values[a], values[b])
+            seen["moved"] += [cell for cell in outside if new[cell[0]][cell[1]].tobytes() != old[cell[0]][cell[1]].tobytes()]
+            seen["accepted"] += 1
+            seen["beside"] += bool(outside)
+        return update
+
+    config = McmcConfig(iterations=3_000, seed=3, predictors=loose_predictors(data.columns))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcmc, "update_pairs", checked_update)
+        mcmc_refine(data, edits, totals, config)
+    assert seen["moved"] == []
+    assert seen["accepted"] > 0
+    assert (seen["beside"] > 0) == (kind != "study"), seen["beside"]
 
 
 class RawWords:
@@ -698,7 +757,7 @@ def test_bounds_crossed_within_the_pair_margin_meet_at_a_point():
 def test_worked_example_pair():
     data, edits, totals = pair_example_data()
     systems = PairSystems(data, edits, totals)
-    assert (systems.compiled, systems.hits, systems.systems) == (0, 0, {})  # filled lazily
+    assert (systems.hits, systems.systems) == (0, {})  # filled lazily
     step = PairStep(systems, pair_system(systems, 0, 1, 4), data.values.tolist(), 0, 1)
     assert (step.interval.lower, step.interval.upper) == (45.0, 110.0)
     new_s, new_t = step.complete(100.0)
@@ -706,11 +765,10 @@ def test_worked_example_pair():
     assert (new_s[2], new_t[0]) == (20.0, 15.0)  # kept: each record alone imputes its total column
     with pytest.raises(InfeasibleSystemError, match="violates an edit"):
         step.complete(200.0)  # t.x4 = -90: the completion check catches it
-    assert (systems.compiled, systems.hits) == (1, 0)
+    assert (len(systems.systems), systems.hits) == (1, 0)
     PairStep(systems, pair_system(systems, 0, 1, 4), data.values.tolist(), 0, 1)
     PairStep(systems, pair_system(systems, 1, 0, 3), data.values.tolist(), 1, 0)
-    assert (systems.compiled, systems.hits) == (2, 1)
-    assert len(systems.systems) == 2
+    assert (len(systems.systems), systems.hits) == (2, 1)
 
 
 def test_completion_margin_ignores_columns_no_edit_references():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp import adjust, fm, pipeline, regression, residuals, sim
+from calimp import adjust, pipeline, regression, residuals, sim
 from calimp.cli import main
-from calimp.edits import EditKind, parse_edit_rules, check_record, system_matrices, violation_matrix
+from calimp.edits import EditKind, parse_edit_rules, check_record, violation_matrix
 from calimp.errors import (
     CalimpError,
     InfeasibleAdjustmentError,
@@ -21,6 +21,7 @@ from calimp.mcmc import McmcConfig
 from calimp.pipeline import DataMatrix, ImputationConfig, _missing_patterns, check_inputs, impute, variable_order
 from calimp.regression import fit_ols
 
+import _oracles
 from _oracles import per_cell_benchmarked_residuals, random_imputation_instance, scalar_cell_uniform
 from test_pair_systems import SURVEY_COLUMNS, build, survey_truth
 
@@ -993,11 +994,8 @@ class TestFixedTargets:
         totals = None if method == "upma" else totals
         config = ImputationConfig(method, seed=3)
         order = variable_order(data, config)
-        A, _, is_eq = system_matrices(edits, data.columns)
-        pinned = {
-            name for name in order
-            if fm.compile_interval(A[is_eq], is_eq[is_eq], data.columns, [name], name).pinned
-        }
+        others = {data.column_index(name): [c for c in data.columns if c != name] for name in order}
+        pinned = {data.columns[j] for j in _oracles.structural_targets(edits, data.columns, others)}
         assert pinned == {v for e in edits.edits if e.kind is EditKind.EQUALITY for v in e.coeffs} & set(order)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "structural_targets", lambda *args: set())

@@ -3,17 +3,19 @@
 ``pipeline.structural_targets`` (importable from ``mcmc`` too) marks them
 before the chain starts, and the chain skips every step on them; impute
 asks the same function with every other column as predictors.  These tests pin which targets are
-structural, that their fit is exact, and that a full step on one, as the
-chain took it before the skip, draws nothing and moves nothing beyond the
-tolerance the edits hold to.
+structural, that the rule, read off the derivation cache, agrees with the
+uncached equality-only rule of ``_oracles.structural_targets``, that their
+fit is exact, and that a full step on one, as the chain took it before
+the skip, draws nothing and moves nothing beyond the tolerance the edits
+hold to.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from calimp import mcmc, pipeline
-from calimp.edits import DEFAULT_TOL, parse_edit_rules
+from calimp import fm, mcmc, pipeline
+from calimp.edits import DEFAULT_TOL, parse_edit_rules, system_matrices
 from calimp.mcmc import (
     McmcConfig,
     PairIndex,
@@ -27,8 +29,11 @@ from calimp.mcmc import (
     structural_targets,
 )
 
+import _oracles
 from _oracles import PairStep, pair_system, random_imputation_instance
-from test_pair_systems import FIVE_COLUMNS, STUDY_RULES, SURVEY_COLUMNS, build, loose_predictors, scale_of
+from test_pair_systems import (
+    FIVE_COLUMNS, FIVE_RULES, STUDY_RULES, SURVEY_COLUMNS, SURVEY_RULES, build, loose_predictors, scale_of,
+)
 
 STUDY_PREDICTORS = {"x1": ["P"], "x2": ["P", "x1"]}
 
@@ -40,8 +45,13 @@ def default_predictors(data, edits, totals):
 
 
 def structural_names(edits, columns, predictors):
+    A, _, is_eq = system_matrices(edits, columns)
+    return structural_targets(fm.Derivations(A, is_eq, columns), predictors)
+
+
+def oracle_names(edits, columns, predictors):
     positions = {columns.index(name): names for name, names in predictors.items()}
-    return {columns[j] for j in structural_targets(edits, columns, positions)}
+    return {columns[j] for j in _oracles.structural_targets(edits, columns, positions)}
 
 
 def test_one_rule_serves_impute_and_the_chain():
@@ -88,12 +98,51 @@ def test_a_structural_target_fits_its_predictors_exactly(seed):
     _, edits, _, truth = random_imputation_instance(rng, max_records=200)
     columns = list(edits.variables)
     predictors = {}
-    for j, name in enumerate(columns):
+    for name in columns:
         others = [c for c in columns if c != name]
-        predictors[j] = [c for c in others if rng.random() < 0.7]
-    for j in structural_targets(edits, columns, predictors):
-        cols = [columns.index(c) for c in predictors[j]] + [j]
-        assert gram_factor(gram_matrix(truth, cols).tolist(), columns[j])[2] == 0.0
+        predictors[name] = [c for c in others if rng.random() < 0.7]
+    for name in structural_names(edits, columns, predictors):
+        cols = [columns.index(c) for c in predictors[name] + [name]]
+        assert gram_factor(gram_matrix(truth, cols).tolist(), name)[2] == 0.0
+
+
+def random_predictors(rng, columns, sets):
+    """``sets`` random predictor maps over ``columns``: each target keeps
+    each other column with a probability drawn per map."""
+    maps = []
+    for _ in range(sets):
+        keep = rng.uniform(0.2, 1.0)
+        maps.append({name: [c for c in columns if c != name and rng.random() < keep] for name in columns})
+    return maps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1))
+def test_cached_rule_matches_the_equality_only_rule_on_random_instances(seed):
+    # One cache serves every predictor set of a system, as impute's and the
+    # chain's do; the block derivation reads the inequalities of the
+    # block too, which never change pinned.
+    rng = np.random.default_rng(seed)
+    _, edits, _, _ = random_imputation_instance(rng, max_records=40)
+    columns = list(edits.variables)
+    A, _, is_eq = system_matrices(edits, columns)
+    derive = fm.Derivations(A, is_eq, columns)
+    for predictors in random_predictors(rng, columns, 10):
+        assert structural_targets(derive, predictors) == oracle_names(edits, columns, predictors), predictors
+
+
+@pytest.mark.parametrize("rules, columns", [
+    (STUDY_RULES, ("x1", "x2", "P")), (FIVE_RULES, FIVE_COLUMNS), (SURVEY_RULES, SURVEY_COLUMNS),
+], ids=["study", "five", "survey"])
+def test_cached_rule_matches_the_equality_only_rule_on_fixed_systems(rules, columns):
+    edits = parse_edit_rules(rules)
+    rng = np.random.default_rng(len(columns))
+    structural = 0
+    for predictors in random_predictors(rng, list(columns), 40) + [{c: [o for o in columns if o != c] for c in columns}]:
+        found = structural_names(edits, columns, predictors)
+        assert found == oracle_names(edits, columns, predictors), predictors
+        structural += bool(found)
+    assert structural > 0
 
 
 def chain_states(data, edits, totals, predictors, seed):
@@ -130,7 +179,7 @@ def test_a_full_step_on_a_structural_target_draws_nothing_and_holds(kind):
     else:
         predictors, moving = default_predictors(data, edits, totals), loose_predictors(data.columns)
     columns = list(data.columns)
-    structural = structural_targets(edits, columns, {columns.index(c): p for c, p in predictors.items()})
+    structural = {columns.index(name) for name in structural_names(edits, columns, predictors)}
     assert structural
     index = PairIndex.build(data.mask)
     checked = 0
