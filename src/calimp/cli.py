@@ -23,6 +23,7 @@ from .errors import (
     DataFormatError,
     EditSyntaxError,
     InfeasibleSystemError,
+    InputCheckError,
 )
 from .mcmc import McmcConfig, mcmc_refine
 from .pipeline import DataMatrix, ImputationConfig, impute
@@ -79,14 +80,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _naming(paths, call, *args):
-    """``call(*args)``, its exit-2 error prefixed with the input ``paths`` it came from."""
+def _naming(paths: dict[str, str | None], call, *args):
+    """``call(*args)``, its exit-2 error prefixed with the paths of the
+    inputs it came from: ``paths`` maps each input kind given to ``call``
+    to its file, in the order to name them, and an
+    :class:`InputCheckError` narrows them to the kinds its check read."""
     try:
         return call(*args)
     except InfeasibleSystemError:
         raise
     except (CalimpError, ValueError) as err:
-        raise DataFormatError(f"{', '.join(str(path) for path in paths if path)}: {err}") from err
+        kinds = err.inputs if isinstance(err, InputCheckError) else paths
+        named = ", ".join(str(path) for kind, path in paths.items() if path and kind in kinds)
+        raise DataFormatError(f"{named}: {err}") from err
 
 
 def _study_config(path: str | None) -> sim.StudyConfig:
@@ -112,7 +118,7 @@ def _study_config(path: str | None) -> sim.StudyConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _naming([args.config], _study_config, args.config)
+    config = _naming({"config": args.config}, _study_config, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -161,20 +167,24 @@ def _cmd_impute(args) -> int:
             raise _UsageError(f"{option} applies to --method mcmc only")
     rounds = {} if args.rounds is None else {"rounds": args.rounds}
     if args.method == "mcmc":
-        predictors = _naming([args.predictors], cio.read_predictors, args.predictors) if args.predictors else None
+        predictors = None
+        if args.predictors:
+            predictors = _naming({"predictors": args.predictors}, cio.read_predictors, args.predictors)
         config = McmcConfig(iterations=args.iterations, seed=args.seed, predictors=predictors)
     else:
         config = ImputationConfig(args.method, seed=args.seed, log_scale=args.log_scale, **rounds)
-    data = _naming([args.data], cio.read_dataset, args.data)
-    edits = _naming([args.edits], lambda: parse_edit_rules(cio.read_text(args.edits)))
-    totals = _naming([args.totals], cio.read_totals, args.totals) if args.totals else None
+    data = _naming({"data": args.data}, cio.read_dataset, args.data)
+    edits = _naming({"edits": args.edits}, lambda: parse_edit_rules(cio.read_text(args.edits)))
+    totals = _naming({"totals": args.totals}, cio.read_totals, args.totals) if args.totals else None
     if totals:
         stray = [name for name in totals if name not in data.columns]
         if stray:
             raise DataFormatError(f"{args.totals}, {args.data}: totals reference unknown column(s) {stray}")
     out = Path(args.out)
     diag_path = Path(args.diagnostics) if args.diagnostics else out.with_name(out.name + ".diag.jsonl")
-    inputs = (args.data, args.edits, args.totals, args.mask, args.predictors)
+    inputs = {
+        "data": args.data, "edits": args.edits, "totals": args.totals, "mask": args.mask, "predictors": args.predictors,
+    }
 
     if args.method == "mcmc":
         diagnostics: list[dict] = []
@@ -191,7 +201,7 @@ def _cmd_impute(args) -> int:
                 raise _UsageError("--method mcmc on complete data requires --mask")
             if args.rounds is not None:
                 raise _UsageError("--rounds applies to data with missing cells only; this input is complete")
-            mask = _naming([args.mask], cio.read_mask, args.mask, data.columns)
+            mask = _naming({"mask": args.mask}, cio.read_mask, args.mask, data.columns)
             if mask.shape != data.values.shape:
                 raise DataFormatError(f"{args.mask}, {args.data}: mask shape does not match the dataset")
             pre = DataMatrix(data.values.copy(), mask, data.columns, data.weights.copy())
@@ -218,9 +228,9 @@ def _or_nan(metric, *columns) -> float:
 
 
 def _cmd_evaluate(args) -> int:
-    truth = _naming([args.truth], cio.read_dataset, args.truth)
-    imputed = _naming([args.imputed], cio.read_dataset, args.imputed)
-    mask = _naming([args.mask], cio.read_mask, args.mask, truth.columns)
+    truth = _naming({"truth": args.truth}, cio.read_dataset, args.truth)
+    imputed = _naming({"imputed": args.imputed}, cio.read_dataset, args.imputed)
+    mask = _naming({"mask": args.mask}, cio.read_mask, args.mask, truth.columns)
     if truth.columns != imputed.columns:
         raise DataFormatError(f"{args.truth}, {args.imputed}: truth and imputed files have different columns")
     if truth.values.shape != imputed.values.shape:

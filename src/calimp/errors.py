@@ -71,6 +71,17 @@ class InsufficientDataError(CalimpError):
     """Too few observations to fit the requested model."""
 
 
+class InputCheckError(ValueError):
+    """Inputs that do not fit each other, such as edits naming a column
+    the data lacks.  ``inputs`` names the kinds of input the check read
+    (``"data"``, ``"edits"``, ``"totals"``, ``"predictors"``), so that a
+    caller can name their files."""
+
+    def __init__(self, message: str, inputs: Sequence[str]):
+        self.inputs = tuple(inputs)
+        super().__init__(message)
+
+
 class DataFormatError(CalimpError):
     """A data, totals, or config file is malformed."""
 

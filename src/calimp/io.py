@@ -12,7 +12,7 @@ import csv
 import io as _io
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
 
@@ -23,10 +23,12 @@ from .pipeline import DataMatrix
 
 MISSING_MARKERS = ("", "NA")
 WEIGHT_COLUMN = "__weight"
-#: Rows :func:`write_dataset` formats at once: the floats of one block
-#: exist as Python objects together, so memory does not grow with the file.
-WRITE_BLOCK = 4096
-#: Rows :func:`read_dataset` and :func:`read_mask` convert at once.
+#: Rows :func:`write_dataset` formats at once: the arrays and floats of
+#: one block exist together, so memory does not grow with the file, and
+#: a block's arrays stay small enough for the processor's caches.
+WRITE_BLOCK = 512
+#: Lines (CSV records, where csv reads them) :func:`read_dataset` and
+#: :func:`read_mask` convert at once.
 READ_BLOCK = 512
 #: Text inputs are read as UTF-8, past a leading byte-order mark, which
 #: spreadsheet exports often write; outputs are written as UTF-8.
@@ -73,47 +75,43 @@ def _blank(raw: list[str]) -> bool:
     return not raw or (len(raw) == 1 and not raw[0].strip())
 
 
-def _csv_blocks(handle: IO[str], empty: str) -> tuple[list[str], Iterator[_Block]]:
-    """The stripped header of a CSV file and an iterator over its other
-    rows in blocks of :data:`READ_BLOCK`.  A block is its first row's line
-    number, its rows as read, the number of its non-blank rows and their
-    stripped fields in file order; the fields are ``None`` where a
-    non-blank row's field count differs from the header's.  A file without
-    a header is an error (message ``empty``).
-
-    Line numbers count CSV records from 2, blank rows included.  A CSV
-    error, such as a field past csv's size limit, is a
-    :class:`DataFormatError` at the line of the record it broke; it ends
-    the iteration only after the block of the rows read before it, as a
-    row-by-row read would meet those rows first."""
-    reader = csv.reader(handle)
+def _csv_header(reader: Iterator[list[str]], empty: str) -> list[str]:
+    """The stripped first row of a CSV file; a file without one is an
+    error (message ``empty``), and so is a CSV error in it, at line 1."""
     try:
-        header = [h.strip() for h in next(reader)]
+        return [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataFormatError(empty, line=1) from None
     except csv.Error as err:
         raise DataFormatError(str(err), line=1) from None
-    width = len(header)
 
-    def blocks() -> Iterator[_Block]:
-        line = 2
-        while True:
-            block: list[list[str]] = []
-            failure = None
-            try:
-                block.extend(islice(reader, READ_BLOCK))
-            except csv.Error as err:
-                failure = err
-            if not block and failure is None:
-                return
-            rows = [raw for raw in block if not _blank(raw)]
-            cells = [cell.strip() for raw in rows for cell in raw] if set(map(len, rows)) <= {width} else None
-            yield line, block, len(rows), cells
-            line += len(block)
-            if failure is not None:
-                raise DataFormatError(str(failure), line=line) from None
 
-    return header, blocks()
+def _csv_blocks(reader: Iterator[list[str]], width: int, line: int = 2) -> Iterator[_Block]:
+    """The rows of ``reader`` in blocks of :data:`READ_BLOCK`.  A block is
+    its first row's line number, its rows as read, the number of its
+    non-blank rows and their stripped fields in file order; the fields are
+    ``None`` where a non-blank row's field count differs from ``width``.
+
+    Line numbers count CSV records from ``line``, blank rows included.  A
+    CSV error, such as a field past csv's size limit, is a
+    :class:`DataFormatError` at the line of the record it broke; it ends
+    the iteration only after the block of the rows read before it, as a
+    row-by-row read would meet those rows first."""
+    while True:
+        block: list[list[str]] = []
+        failure = None
+        try:
+            block.extend(islice(reader, READ_BLOCK))
+        except csv.Error as err:
+            failure = err
+        if not block and failure is None:
+            return
+        rows = [raw for raw in block if not _blank(raw)]
+        cells = [cell.strip() for raw in rows for cell in raw] if set(map(len, rows)) <= {width} else None
+        yield line, block, len(rows), cells
+        line += len(block)
+        if failure is not None:
+            raise DataFormatError(str(failure), line=line) from None
 
 
 def _first_error(
@@ -147,13 +145,17 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -
 def read_dataset(path: str | Path) -> DataMatrix:
     """Load a dataset file; the mask reflects the missing markers.
 
-    Each block of rows is converted with one ``np.array(..., dtype=float)``
-    after its markers become ``"nan"``: numpy converts a string with
-    Python's ``float``.  A block whose conversion fails, whose non-finite
-    values are not exactly its markers, or whose weights are not all
-    positive is scanned row by row for the error to report."""
+    The rows after the header are read in blocks of :data:`READ_BLOCK`
+    lines, and each block is converted by one ``np.loadtxt`` call where
+    it can be (:func:`_c_block`).  numpy's C parser converts a field with
+    ``PyOS_string_to_double``, the routine behind Python's ``float``, so
+    the bits are the ones ``float`` gives.  A block it refuses goes
+    through ``csv`` fields and :func:`_float_block` instead, which read
+    everything ``float`` reads, and a block that fails there is scanned
+    row by row for the error to report.  A quoted field may span lines,
+    so from the first ``"`` on the rest of the file goes through ``csv``."""
     with _open_text(path) as handle:
-        header, blocks = _csv_blocks(handle, "empty file, expected a header row")
+        header = _csv_header(csv.reader(handle), "empty file, expected a header row")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataFormatError(f"duplicate header name(s) {dupes}", line=1)
@@ -178,13 +180,31 @@ def read_dataset(path: str | Path) -> DataMatrix:
                 return f"bad numeric field {cell!r}"
             return None if math.isfinite(value) else f"non-finite value {cell!r}"
 
+        def valid(table: np.ndarray | None) -> bool:
+            return table is not None and (w_col is None or bool((table[:, w_col] > 0).all()))
+
         parts: list[np.ndarray] = []
-        for line, block, n, cells in blocks:
-            table = None if cells is None else _float_block(cells, n, width)
-            if table is None or (w_col is not None and not (table[:, w_col] > 0).all()):
-                raise _first_error(block, line, width, cell_error)
-            if n:
+
+        def read_csv(blocks: Iterator[_Block]) -> None:
+            for line, block, n, cells in blocks:
+                table = None if cells is None else _float_block(cells, n, width)
+                if not valid(table):
+                    raise _first_error(block, line, width, cell_error)
+                if n:
+                    parts.append(table)
+
+        line = 2
+        while lines := list(islice(handle, READ_BLOCK)):
+            text = "".join(lines)
+            if '"' in text:
+                read_csv(_csv_blocks(csv.reader(chain(lines, handle)), width, line))
+                break
+            table = _c_block(text, lines, width)
+            if valid(table):
                 parts.append(table)
+            else:
+                read_csv(_csv_blocks(csv.reader(lines), width, line))
+            line += len(lines)
     if not parts:
         raise DataFormatError("no records")
     table = np.concatenate(parts)
@@ -195,6 +215,35 @@ def read_dataset(path: str | Path) -> DataMatrix:
         columns=tuple(h for i, h in enumerate(header) if i != w_col),
         weights=table[:, w_col].copy() if w_col is not None else None,
     )
+
+
+def _c_block(text: str, lines: list[str], width: int) -> np.ndarray | None:
+    """The floats of a block of raw lines without a quote, markers as NaN,
+    parsed by numpy's C reader; ``None`` where that parse may differ from
+    ``csv`` fields read with ``float``, which then read the block.
+
+    The parser strips the whitespace ``str.strip`` strips and skips empty
+    lines, as ``csv`` skips blank rows.  It refuses what ``float`` alone
+    reads (``1_000``, non-ASCII digits), empty fields, lone ``\\r`` line
+    ends and rows whose field count changes, whitespace-only ones
+    included; ``comments=None`` keeps it from dropping text after ``#``.
+    Each ``NA`` becomes `` nan``: the space makes ``-NA`` or ``1NA`` fail
+    to parse, so every NaN of an ``NA`` is a marker field, and a NaN or
+    infinity of any other field shows as one non-finite value too many.
+    A block of blank lines alone, and one with a line past ``csv``'s field
+    size limit, which ``csv`` refuses, are left to ``csv``."""
+    if text.isspace() or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(
+            _io.StringIO(text.replace("NA", " nan")),
+            delimiter=",", comments=None, quotechar=None, dtype=float, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != width or table.size - np.count_nonzero(np.isfinite(table)) != text.count("NA"):
+        return None
+    return table
 
 
 def _float_block(cells: list[str], n: int, width: int) -> np.ndarray | None:
@@ -216,7 +265,11 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
     """Write values (NaN as ``NA``); optionally re-blank the masked cells.
 
     The ``__weight`` column is included only when some weight differs
-    from 1.
+    from 1.  Every cell is written as ``repr`` writes its float
+    (:func:`_format_rows`), so a write/read round trip keeps every bit:
+    a whole number below 1e16 as its integer digits plus ``.0``, written
+    by array arithmetic, and every other cell by one ``%r`` format per
+    block of :data:`WRITE_BLOCK` rows.
     """
     with_weights = bool(np.any(data.weights != 1.0))
     values = np.where(data.mask, math.nan, data.values) if missing_from_mask else data.values
@@ -224,14 +277,47 @@ def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = 
         values = np.column_stack([values, data.weights])
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(list(data.columns) + ([WEIGHT_COLUMN] if with_weights else []))
-    # A float's repr needs no CSV quoting, and only NaN's contains "nan":
-    # the header is written apart, so a column name keeps its "nan".  One
-    # format operation writes a block of rows.
-    line = ",".join(["%r"] * values.shape[1]) + "\n"
-    for start in range(0, len(values), WRITE_BLOCK):
-        block = values[start : start + WRITE_BLOCK]
-        buf.write((line * len(block) % tuple(block.ravel().tolist())).replace("nan", "NA"))
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    with Path(path).open("wb") as handle:
+        handle.write(buf.getvalue().encode("utf-8"))
+        for start in range(0, len(values), WRITE_BLOCK):
+            handle.write(_format_rows(values[start : start + WRITE_BLOCK]))
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a block of rows: each cell as ``repr`` of its
+    float, NaN as ``NA``.
+
+    A cell is whole where ``v == trunc(v)``, ``|v| < 1e16`` and ``v`` is
+    not ``-0.0``; for exactly these floats ``repr`` is the integer's
+    digits plus ``.0`` (from 1e16 on it switches to exponent form).
+    Each cell gets a right-aligned slot of bytes: the whole cells their
+    sign, digits and ``.0``, the others ``%r``, each its ``,`` or line
+    end.  The slots without their zero padding are the template of one
+    ``%`` format over the other cells.  A float's repr needs no CSV
+    quoting, and only NaN's contains ``nan``."""
+    width = block.shape[1]
+    cells = block.ravel()
+    whole = (np.abs(cells) < 1e16) & (cells == np.trunc(cells)) & ((cells != 0) | ~np.signbit(cells))
+    if whole.any():
+        q = np.abs(np.where(whole, cells, 0)).astype(np.int64)
+        digits = len(str(q.max()))
+        slots = np.zeros((cells.size, digits + 4), np.uint8)  # sign, digits, ".0" or "%r", separator
+        slots[:, -3] = np.where(whole, ord("."), ord("%"))
+        slots[:, -2] = np.where(whole, ord("0"), ord("r"))
+        slots[:, -1] = ord(",")
+        slots[width - 1 :: width, -1] = ord("\n")
+        # From the units leftwards: a digit while the number lasts, then
+        # the sign of a negative one.
+        lead, sign = whole, whole & (cells < 0)
+        for col in range(digits, -1, -1):
+            q10 = q // 10
+            slots[:, col] = np.where(lead, (q - q10 * 10).astype(np.uint8) + ord("0"), np.where(sign, ord("-"), 0))
+            sign &= lead
+            lead, q = q10 > 0, q10
+        template = slots[slots != 0].tobytes().decode("ascii")
+    else:  # no whole cell: the plain row template, with no slot work
+        template = (",".join(["%r"] * width) + "\n") * len(block)
+    return (template % tuple(cells[~whole].tolist())).replace("nan", "NA").encode("ascii")
 
 
 def _mask_cell_error(i: int, cell: str) -> str | None:
@@ -241,13 +327,14 @@ def _mask_cell_error(i: int, cell: str) -> str | None:
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
     """Load a 0/1 mask file; optionally verify its header."""
     with _open_text(path) as handle:
-        header, blocks = _csv_blocks(handle, "empty mask file")
+        reader = csv.reader(handle)
+        header = _csv_header(reader, "empty mask file")
         if columns is not None and header != list(columns):
             raise DataFormatError(
                 f"mask columns {header} do not match dataset columns {list(columns)}", line=1
             )
         parts: list[np.ndarray] = []
-        for line, block, n, cells in blocks:
+        for line, block, n, cells in _csv_blocks(reader, len(header)):
             if cells is None or cells.count("0") + cells.count("1") != len(cells):
                 raise _first_error(block, line, len(header), _mask_cell_error)
             if n:

@@ -45,6 +45,7 @@ from .errors import (
     CalimpError,
     InfeasibleRecordError,
     InfeasibleSystemError,
+    InputCheckError,
     RankDeficiencyError,
 )
 
@@ -339,27 +340,27 @@ def check_inputs(
 ) -> None:
     """The input checks of :func:`impute` and ``mcmc.mcmc_refine``: edit
     variables, totals (which may name columns the data lacks) and the
-    predictor map raise ``ValueError``; the first record whose values
-    (observed, or for a chain also imputed) break an edit raises
-    :class:`InfeasibleRecordError`."""
+    predictor map raise :class:`InputCheckError` naming the inputs each
+    check read; the first record whose values (observed, or for a chain
+    also imputed) break an edit raises :class:`InfeasibleRecordError`."""
     unknown = [v for v in edits.variables if v not in data.columns]
     if unknown:
-        raise ValueError(f"edits reference column(s) not in the data: {unknown}")
+        raise InputCheckError(f"edits reference column(s) not in the data: {unknown}", ("edits", "data"))
     bad = [name for name, total in (totals or {}).items() if not math.isfinite(float(total))]
     if bad:
-        raise ValueError(f"non-finite total(s) for column(s) {bad}")
+        raise InputCheckError(f"non-finite total(s) for column(s) {bad}", ("totals",))
     for target, names in (predictors or {}).items():
         if target not in data.columns:
-            raise ValueError(f"predictors given for unknown column {target!r}")
+            raise InputCheckError(f"predictors given for unknown column {target!r}", ("predictors", "data"))
         names = list(names)
         bad = [p for p in names if p not in data.columns]
         if bad:
-            raise ValueError(f"unknown predictor column(s) {bad} for target {target!r}")
+            raise InputCheckError(f"unknown predictor column(s) {bad} for target {target!r}", ("predictors", "data"))
         if target in names:
-            raise ValueError(f"target {target!r} cannot be its own predictor")
+            raise InputCheckError(f"target {target!r} cannot be its own predictor", ("predictors",))
         repeated = sorted({p for p in names if names.count(p) > 1})
         if repeated:
-            raise ValueError(f"predictor(s) {repeated} listed twice for target {target!r}")
+            raise InputCheckError(f"predictor(s) {repeated} listed twice for target {target!r}", ("predictors",))
     bad = violation_matrix(edits, data.values, data.columns)
     if bad.any():
         i, k = np.argwhere(bad)[0].tolist()
@@ -417,7 +418,7 @@ def impute(
             raise ValueError(f"method {config.method!r} requires column totals")
         without = [name for name in missing_cols if name not in totals]
         if without:
-            raise ValueError(f"totals missing for column(s) with missing values: {without}")
+            raise InputCheckError(f"totals missing for column(s) with missing values: {without}", ("totals", "data"))
 
     order = variable_order(data, config)
     diagnostics: list[dict] = []

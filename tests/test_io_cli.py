@@ -19,7 +19,7 @@ from calimp.errors import DataFormatError
 from calimp.pipeline import DataMatrix
 
 from test_mcmc import FIVE_VAR_RULES, five_var_data
-from test_pair_systems import SURVEY_RULES, build
+from test_pair_systems import SURVEY_COLUMNS, SURVEY_RULES, build, survey_truth
 from test_pipeline import pinned_balance_data
 
 
@@ -77,29 +77,37 @@ class TestDatasetIO:
         assert back.values.tobytes() == data.values.tobytes()
         assert back.weights.tobytes() == data.weights.tobytes()
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         cells=st.lists(
             st.one_of(
                 st.floats(allow_nan=True, allow_infinity=False),
                 st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-05, 1e-5 / 3, 123456789.0]),
+                # Whole numbers, written as integer digits: up to 2**53 and
+                # past it to 1e16, where repr turns to exponent form.
+                st.integers(-(2**53), 2**53).map(float),
+                st.integers(-999, 999).map(float),
+                st.sampled_from([9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 0.0, -0.0, 2.0**53 + 2]),
             ),
             min_size=6, max_size=24,
         ),
-        weighted=st.booleans(),
+        weight_offset=st.sampled_from([None, 0.5, 1.0]),
+        block=st.sampled_from([1, 2, cio.WRITE_BLOCK]),
     )
-    def test_write_matches_repr_of_every_float(self, tmp_path, cells, weighted):
+    def test_write_matches_repr_of_every_float(self, tmp_path, monkeypatch, cells, weight_offset, block):
         # Every cell is written as repr(float(v)), NaN as NA, and the
         # __weight column the same way, through csv's quoting, as a
-        # cell-by-cell writer would: -0.0, subnormals, 1e16 and 1e-05 too.
+        # cell-by-cell writer would: -0.0, subnormals, 1e16 and 1e-05 too,
+        # whole and fractional cells mixed in one row and one block.
         values = np.array(cells[: len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
-        weights = np.abs(values[:, 0]) + 0.5 if weighted else None
+        weights = None if weight_offset is None else np.abs(values[:, 0]) + weight_offset
         if weights is not None:
             weights[~np.isfinite(weights) | (weights <= 0)] = 1.25
         data = DataMatrix(np.nan_to_num(values, nan=1.0), np.isnan(values), ("a b", "c,d"), weights=weights)
         path = tmp_path / "w.csv"
+        monkeypatch.setattr(cio, "WRITE_BLOCK", block)
         cio.write_dataset(data, path, missing_from_mask=True)
-        want = [["a b", "c,d"] + (["__weight"] if weighted and np.any(data.weights != 1.0) else [])]
+        want = [["a b", "c,d"] + (["__weight"] if weights is not None and np.any(data.weights != 1.0) else [])]
         for row, w in zip(np.where(data.mask, np.nan, data.values), data.weights):
             cells_out = ["NA" if math.isnan(v) else repr(float(v)) for v in row]
             want.append(cells_out + ([repr(float(w))] if len(want[0]) == 3 else []))
@@ -431,23 +439,25 @@ class TestCli:
         "text, message",
         [
             ("x1: x3\nx2 x3\n", "error: {p}: line 2: expected 'target: predictor, ...'"),
-            ("x1: x3, zz\n", "error: {inputs}: unknown predictor column(s) ['zz'] for target 'x1'"),
-            ("x1: x1\n", "error: {inputs}: target 'x1' cannot be its own predictor"),
+            ("x1: x3, zz\n", "error: {data}, {p}: unknown predictor column(s) ['zz'] for target 'x1'"),
+            ("zz: x3\n", "error: {data}, {p}: predictors given for unknown column 'zz'"),
+            ("x1: x1\n", "error: {p}: target 'x1' cannot be its own predictor"),
+            ("x1: x3, x3\n", "error: {p}: predictor(s) ['x3'] listed twice for target 'x1'"),
         ],
     )
     def test_bad_predictors_file_exits_2(self, tmp_path, capsys, text, message):
-        # A file's own error names it; a check of the chain's inputs against
-        # each other names them all.
+        # A file's own error names it; a check of the predictor map names
+        # the files it read: the predictors, and the dataset where the map
+        # names its columns.
         small_files(tmp_path, np.random.default_rng(3))
         p = write(tmp_path, "p.txt", text)
-        inputs = ", ".join(str(tmp_path / name) for name in ("truth.csv", "rules.edits", "totals.txt", "mask.csv"))
         code = main([
             "impute", "--data", str(tmp_path / "truth.csv"), "--mask", str(tmp_path / "mask.csv"),
             "--edits", str(tmp_path / "rules.edits"), "--totals", str(tmp_path / "totals.txt"),
             "--method", "mcmc", "--predictors", p, "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 2
-        assert message.format(p=p, inputs=f"{inputs}, {p}") in capsys.readouterr().err
+        assert capsys.readouterr().err == message.format(p=p, data=tmp_path / "truth.csv") + "\n"
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("case", ["large", "one_cell_per_column", "zero_iterations"])
@@ -917,7 +927,7 @@ class TestDiagnosticsSchema:
 
 
 @pytest.mark.parametrize("case", ["totals", "edits", "predictors", "config", "totals-columns", "mask-shape",
-                                  "evaluate-columns", "data-edits"])
+                                  "evaluate-columns", "data-edits", "totals-missing"])
 def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
     # Each input file's own error is prefixed with its path; a check across
     # files names each of them.
@@ -949,10 +959,95 @@ def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
         other = write(tmp_path, "other.csv", "a,b,c\n1,2,3\n")
         argv, message = ["evaluate", "--truth", truth, "--imputed", other, "--mask", mask], (
             f"error: {truth}, {other}: truth and imputed files have different columns")
-    else:
+    elif case == "data-edits":
         bad = write(tmp_path, "y.edits", "y >= 0\n")
         argv, message = ["impute", "--data", data, "--edits", bad, "--method", "upma"], (
             f"error: {data}, {bad}: edits reference column(s) not in the data: ['y']")
+    else:
+        # A check inside impute names only the files it read.
+        bad = write(tmp_path, "x1.txt", "x1 = 1\n")
+        argv, message = ["impute", "--data", data, "--edits", edits, "--totals", bad, "--method", "bpma"], (
+            f"error: {data}, {bad}: totals missing for column(s) with missing values: ['x2']")
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message), err
+
+
+def survey_file(tmp_path):
+    """A valid survey dataset of 30 whole-unit records, 10% of cells NA."""
+    truth, _ = survey_truth(np.random.default_rng(23), 30)
+    mask = np.random.default_rng(24).random(truth.shape) < 0.1
+    path = tmp_path / "survey.csv"
+    cio.write_dataset(DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS), path)
+    return path.read_bytes()
+
+
+@st.composite
+def mutated(draw, raw):
+    """``raw`` mutated, and the line a text error in it must name (``None``
+    where the mutation claims no line).  A mutation within a record line
+    touches that line only; a stray quote there opens a field that runs to
+    the end of the file, which still starts at that line."""
+    lines = raw.split(b"\n")[:-1]
+    kind = draw(st.sampled_from(["flip", "truncate", "quote", "nul", "bom", "crlf", "oversized", "duplicate", "drop"]))
+    at = draw(st.integers(2, len(lines)))
+    line = lines[at - 1]
+    cut = draw(st.integers(0, len(line)))
+    if kind == "flip":
+        byte = draw(st.sampled_from([b"x", b",", b".", b"-", b"e", b" ", b"9", b"\x7f", b"\xff", b"\xc3", b"\x80"]))
+        line = line[: min(cut, len(line) - 1)] + byte + line[min(cut, len(line) - 1) + 1 :]
+    elif kind == "truncate":
+        # Cut inside line ``at``: what is left of it is the last record.
+        return b"\n".join(lines[: at - 1] + [line[: max(cut, 1)]]), at
+    elif kind in ("quote", "nul"):
+        line = line[:cut] + (b'"' if kind == "quote" else b"\x00") + line[cut:]
+    elif kind == "bom":
+        # A byte-order mark before the header is skipped; before a record
+        # it is part of its first field.
+        at = draw(st.sampled_from([1, at]))
+        if at == 1:
+            return "\ufeff".encode() + raw, None
+        line = "\ufeff".encode() + line
+    elif kind == "crlf":
+        return raw.replace(b"\n", b"\r\n"), None
+    elif kind == "oversized":
+        fields = line.split(b",")
+        fields[cut % len(fields)] = b"1" + b"0" * csv.field_size_limit()
+        line = b",".join(fields)
+    else:
+        j = cut % len(SURVEY_COLUMNS)
+        rows = [row.split(b",") for row in lines]
+        rows = [row[: j + 1] + row[j:] if kind == "duplicate" else row[:j] + row[j + 1 :] for row in rows]
+        return b"".join(b",".join(row) + b"\n" for row in rows), 1 if kind == "duplicate" else None
+    return b"\n".join(lines[: at - 1] + [line] + lines[at:]) + b"\n", at
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_dataset_file_exits_0_2_or_3(tmp_path, capsys, data):
+    # ROADMAP item 23: a valid survey file, mutated, imputes (0), is refused
+    # as infeasible (3) or as bad input (2), and never raises.  On exit 2
+    # the message names the file, and an error in its text names the
+    # mutated line.  A file with CRLF line ends imputes to the same bytes.
+    raw = survey_file(tmp_path)
+    text, line = data.draw(mutated(raw))
+    edits = write(tmp_path, "survey.edits", SURVEY_RULES)
+
+    def run(name, content):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(content)
+        out = tmp_path / f"{name}-out.csv"
+        out.unlink(missing_ok=True)
+        code = main(["impute", "--data", str(path), "--edits", edits, "--method", "upma", "--out", str(out)])
+        return code, capsys.readouterr().err, out.read_bytes() if code == 0 else None
+
+    code, err, output = run("mutated", text)
+    assert code in (0, 2, 3), err
+    if code == 2:
+        path = str(tmp_path / "mutated.csv")
+        assert path in err, err
+        if line is not None and err.startswith(f"error: {path}: "):
+            assert err.startswith(f"error: {path}: line {line}: "), err
+    if text == raw.replace(b"\n", b"\r\n"):
+        valid_code, _, valid_output = run("valid", raw)
+        assert (code, output) == (valid_code, valid_output)

@@ -16,11 +16,19 @@ from calimp.pipeline import DataMatrix
 
 from _oracles import cell_read_dataset, cell_read_mask
 
-NUMBERS = ["0", "-0", "1.5", "-2.25e3", "1_000", "١٢", "1e-400", "5e-324", ".5", "7.", "0.1", "2\n", "\r\n3"]
-MARKERS = ["", "NA", " NA ", "  ", "\t"]
-BAD_NUMBERS = ["foo", "nan", "-inf", "1e400", "Infinity", "1__0", "0x10", "1,5", "N A"]
+# Fields numpy's C parse reads as ``float`` does, unicode whitespace
+# padding among them; fields only ``float`` reads, or that must be quoted;
+# markers (whitespace-only and empty fields are markers too); and fields
+# that are errors, among them NaN, infinities and NA inside a token.
+NUMBERS = ["0", "-0", "1.5", "-2.25e3", "1e-400", "5e-324", ".5", "7.", "0.1", "+4", "1\x0b", "\u30001\x85"]
+CSV_NUMBERS = ["1_000", "1_0", "١٢", "2\n", "\r\n3"]
+MARKERS = ["", "NA", " NA ", "\tNA", "  ", "\t"]
+BAD_NUMBERS = [
+    "foo", "nan", "NAN", "NaN", "-NA", "+NA", "1NA", "NAx", "N A", "-inf", "inf", "1e400", "Infinity",
+    "1__0", "0x10", "1,5", "1 2", "\x00",
+]
 WEIGHTS = ["1", "2.5", " 0.75 ", "1e3"]
-BAD_WEIGHTS = ["0", "-1", "x", "", "NA", "inf", "nan"]
+BAD_WEIGHTS = ["0", "-0", "-1", "1e-400", "x", "", "NA", "inf", "nan"]
 BLOCK_SIZES = [1, 2, 3, cio.READ_BLOCK]
 
 
@@ -48,33 +56,38 @@ def assert_same_mask(got, want):
     assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
-def field(draw, text):
-    """``text`` as a CSV field, quoted where it must be or where drawn."""
-    if any(ch in text for ch in ',"\r\n') or draw(st.booleans()):
+def field(draw, text, may_quote):
+    """``text`` as a CSV field, quoted where it must be, or where drawn if
+    ``may_quote``."""
+    if any(ch in text for ch in ',"\r\n') or (may_quote and draw(st.booleans())):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def padded(draw, text):
-    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "  "]))
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "  ", "\t"]))
 
 
 @st.composite
 def csv_texts(draw, header, cell, width_errors):
     """A CSV file: ``header``, then rows whose cells ``cell(draw, i)``
     draws, blank and whitespace-only rows, rows of a wrong width where
-    ``width_errors``, one line ending, and maybe a byte-order mark."""
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = [",".join(field(draw, padded(draw, name)) for name in header)]
-    for _ in range(draw(st.integers(1, 12))):
+    ``width_errors``, one line ending (``\\r`` alone too), and maybe a
+    byte-order mark.  Fields may be quoted from a drawn row on (0 is the
+    header), so the first quote can come in any block."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    count = draw(st.integers(1, 12))
+    quoted_from = draw(st.integers(0, count + 1))
+    lines = [",".join(field(draw, padded(draw, name), quoted_from == 0) for name in header)]
+    for row in range(1, count + 1):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "wide"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", '"  "'])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", '"  "'])))
             continue
         width = len(header)
         if kind == "wide" and width_errors:
             width = draw(st.integers(1, len(header) + 2).filter(lambda k: k != len(header)))
-        lines.append(",".join(field(draw, cell(draw, i % len(header))) for i in range(width)))
+        lines.append(",".join(field(draw, cell(draw, i % len(header)), row >= quoted_from) for i in range(width)))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
@@ -86,7 +99,7 @@ def dataset_texts(draw, errors):
     w_col = draw(st.none() | st.integers(0, k))
     if w_col is not None:
         header.insert(w_col, cio.WEIGHT_COLUMN)
-    numbers = NUMBERS * 4 + MARKERS + (BAD_NUMBERS if errors else [])
+    numbers = NUMBERS * 8 + CSV_NUMBERS + MARKERS + (BAD_NUMBERS if errors else [])
     weights = WEIGHTS * 4 + (BAD_WEIGHTS if errors else [])
 
     def cell(draw, i):
@@ -148,6 +161,14 @@ def test_mask_matches_the_cell_reader(tmp_path, monkeypatch, case, block, named)
         ("a,__weight\nfoo,0\n", "bad numeric field 'foo'", 2),
         # Lines count CSV records: a quoted newline is one, a blank row one.
         ('a\n"1\n"\n\nfoo\n', "bad numeric field 'foo'", 4),
+        # NA within a token, a NaN or an infinity is not a marker.
+        ("a,b\n1,NA\n2,-NA\n", "bad numeric field '-NA'", 3),
+        ("a,b\n1,NA\n2,1NA\n", "bad numeric field '1NA'", 3),
+        ("a,b\n1,NA\nNAN,2\n", "non-finite value 'NAN'", 3),
+        ("a,b\n1,NA\n2, inf\n", "non-finite value 'inf'", 3),
+        ("a,__weight\n1,1\n2,-0\n", "weights must be positive, got '-0'", 3),
+        # From a quote on, csv reads the rest, its lines counted on.
+        ('a\n1\n2\n"3\n"\n\nfoo\n', "bad numeric field 'foo'", 6),
         ("a,b\n", "no records", None),
         ("", "empty file, expected a header row", 1),
         ("a,a\n1,2\n", "duplicate header name(s) ['a']", 1),
@@ -181,12 +202,15 @@ def test_mask_errors_name_the_first_bad_row(tmp_path, monkeypatch, block, text, 
     assert outcome(cell_read_mask, path) == (str(info.value), line)
 
 
+@pytest.mark.parametrize("quoted", [True, False])
 @pytest.mark.parametrize("bad_first", [True, False])
-def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first):
+def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first, quoted):
     # A field past csv's size limit stops the reader only where a
     # row-by-row read meets it: a bad field before it, in the same block,
-    # is named first, and otherwise it is an error at its own line.
-    text = "a\n1\n" + ("foo\n" if bad_first else "2\n") + '"' + "9" * 200 + "\n"
+    # is named first, and otherwise it is an error at its own line.  An
+    # unquoted one, which numpy's parser would read as 0, is refused too.
+    field = '"' + "9" * 200 if quoted else "0." + "0" * 200
+    text = "a\n1\n" + ("foo\n" if bad_first else "2\n") + field + "\n"
     path = write(tmp_path, "d.csv", text)
     limit = csv.field_size_limit(100)
     try:
@@ -200,6 +224,33 @@ def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first):
                     read(path)
     finally:
         csv.field_size_limit(limit)
+
+
+def test_each_block_takes_the_parse_it_qualifies_for(tmp_path, monkeypatch):
+    # Blocks of two lines.  Numbers, NA and a blank line take numpy's C
+    # parse; a field only float reads (1_0) sends its block to csv fields;
+    # from the first quote on, csv reads the rest of the file.
+    path = write(tmp_path, "d.csv", 'a,b\n1,NA\n2,3\n1_0,2\n4,5\n6,7\n\n8,"9"\n10,11\n12,13\n')
+    monkeypatch.setattr(cio, "READ_BLOCK", 2)
+    parsed, refused, csv_rows = [], [], []
+    c_block, float_block = cio._c_block, cio._float_block
+
+    def spy_c_block(text, lines, width):
+        table = c_block(text, lines, width)
+        (refused if table is None else parsed).append(text)
+        return table
+
+    def spy_float_block(cells, n, width):
+        csv_rows.append(n)
+        return float_block(cells, n, width)
+
+    monkeypatch.setattr(cio, "_c_block", spy_c_block)
+    monkeypatch.setattr(cio, "_float_block", spy_float_block)
+    got = cio.read_dataset(path)
+    assert parsed == ["1,NA\n2,3\n", "6,7\n\n"]
+    assert refused == ["1_0,2\n4,5\n"]
+    assert csv_rows == [2, 2, 1]
+    assert_same_dataset(got, cell_read_dataset(path))
 
 
 def test_written_files_of_many_blocks_read_back_as_the_cell_reader_reads_them(tmp_path):
