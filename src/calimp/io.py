@@ -14,11 +14,11 @@ import math
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
-from .errors import CalimpError, DataFormatError
+from .errors import DataFormatError
 from .pipeline import DataMatrix
 
 MISSING_MARKERS = ("", "NA")
@@ -28,16 +28,16 @@ WEIGHT_COLUMN = "__weight"
 #: a block's arrays stay small enough for the processor's caches.
 WRITE_BLOCK = 512
 #: Lines (CSV records, where csv reads them) :func:`read_dataset` and
-#: :func:`read_mask` convert at once.
+#: :func:`read_mask` convert at once: numpy's C parse takes one block of
+#: raw lines, and the plain pass (:func:`_csv_rows`) yields its rows in
+#: lists of at most this many.
 READ_BLOCK = 512
 #: Text inputs are read as UTF-8, past a leading byte-order mark, which
 #: spreadsheet exports often write; outputs are written as UTF-8.
 ENCODING = "utf-8-sig"
 
-#: A block of rows: its first row's line number, its rows as read, the
-#: number of its non-blank rows and their stripped fields (see
-#: :func:`_csv_blocks`).
-_Block = tuple[int, list[list[str]], int, list[str] | None]
+
+_Cell = TypeVar("_Cell")
 
 
 def _undecodable(path: str | Path, err: UnicodeDecodeError) -> DataFormatError:
@@ -77,61 +77,80 @@ def _blank(raw: list[str]) -> bool:
 
 def _csv_header(reader: Iterator[list[str]], empty: str) -> list[str]:
     """The stripped first row of a CSV file; a file without one is an
-    error (message ``empty``), and so is a CSV error in it, at line 1."""
+    error (message ``empty``), and so are a CSV error in it and an empty
+    name, at line 1.  An empty line is one empty name, as a line of
+    spaces is."""
     try:
-        return [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(reader)] or [""]
     except StopIteration:
         raise DataFormatError(empty, line=1) from None
     except csv.Error as err:
         raise DataFormatError(str(err), line=1) from None
+    if "" in header:
+        raise DataFormatError(f"header field {header.index('') + 1} has no name", line=1)
+    return header
 
 
-def _csv_blocks(reader: Iterator[list[str]], width: int, line: int = 2) -> Iterator[_Block]:
-    """The rows of ``reader`` in blocks of :data:`READ_BLOCK`.  A block is
-    its first row's line number, its rows as read, the number of its
-    non-blank rows and their stripped fields in file order; the fields are
-    ``None`` where a non-blank row's field count differs from ``width``.
+def _csv_rows(
+    reader: Iterator[list[str]], cells: list[Callable[[str], _Cell]], line: int = 2
+) -> Iterator[list[list[_Cell]]]:
+    """The non-blank rows of ``reader`` in lists of at most
+    :data:`READ_BLOCK`, each stripped field converted by its column's
+    function in ``cells``, which raises a :class:`DataFormatError` without
+    a line for a bad field.  Line numbers count CSV records from ``line``, blank rows
+    included.  The first bad field count, field or CSV error (such as a
+    field past csv's size limit) in file order is a
+    :class:`DataFormatError` at the line of its record."""
+    width = len(cells)
+    rows: list[list[_Cell]] = []
+    line -= 1
+    try:
+        for raw in reader:
+            line += 1
+            if _blank(raw):
+                continue
+            if len(raw) != width:
+                raise DataFormatError(f"expected {width} fields, found {len(raw)}")
+            rows.append([cell(field.strip()) for cell, field in zip(cells, raw)])
+            if len(rows) == READ_BLOCK:
+                yield rows
+                rows = []
+    except csv.Error as err:  # raised by the record after the last one read
+        raise DataFormatError(str(err), line=line + 1) from None
+    except DataFormatError as err:  # a row's error, named at its line here
+        raise DataFormatError(str(err), line=line) from None
+    if rows:
+        yield rows
 
-    Line numbers count CSV records from ``line``, blank rows included.  A
-    CSV error, such as a field past csv's size limit, is a
-    :class:`DataFormatError` at the line of the record it broke; it ends
-    the iteration only after the block of the rows read before it, as a
-    row-by-row read would meet those rows first."""
-    while True:
-        block: list[list[str]] = []
-        failure = None
-        try:
-            block.extend(islice(reader, READ_BLOCK))
-        except csv.Error as err:
-            failure = err
-        if not block and failure is None:
-            return
-        rows = [raw for raw in block if not _blank(raw)]
-        cells = [cell.strip() for raw in rows for cell in raw] if set(map(len, rows)) <= {width} else None
-        yield line, block, len(rows), cells
-        line += len(block)
-        if failure is not None:
-            raise DataFormatError(str(failure), line=line) from None
+
+def _number(field: str) -> float:
+    """A dataset value: NaN for a missing marker, else a finite float."""
+    if field in MISSING_MARKERS:
+        return math.nan
+    try:
+        value = float(field)
+    except ValueError:
+        raise DataFormatError(f"bad numeric field {field!r}") from None
+    if math.isfinite(value):
+        return value
+    raise DataFormatError(f"non-finite value {field!r}")
 
 
-def _first_error(
-    block: list[list[str]], line: int, width: int, check: Callable[[int, str], str | None]
-) -> DataFormatError:
-    """The error a row-by-row read meets first in a block that failed a
-    block check: rows in file order, a row's field count before its
-    cells, cells in column order.  ``check(i, cell)`` is the message for
-    the stripped field ``cell`` of column ``i``, or ``None`` if it is
-    valid.  This only names an error the block check has found."""
-    for lineno, raw in enumerate(block, start=line):
-        if _blank(raw):
-            continue
-        if len(raw) != width:
-            return DataFormatError(f"expected {width} fields, found {len(raw)}", line=lineno)
-        for i, cell in enumerate(raw):
-            message = check(i, cell.strip())
-            if message is not None:
-                return DataFormatError(message, line=lineno)
-    raise CalimpError("internal error: a block failed its check but none of its rows does")
+def _weight(field: str) -> float:
+    """A record weight: a finite float greater than 0."""
+    try:
+        weight = float(field)
+    except ValueError:
+        raise DataFormatError(f"bad weight {field!r}") from None
+    if 0 < weight < math.inf:
+        return weight
+    raise DataFormatError(f"weights must be positive, got {field!r}")
+
+
+def _mask_cell(field: str) -> bool:
+    if field in ("0", "1"):
+        return field == "1"
+    raise DataFormatError("mask cells must be 0 or 1")
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -147,13 +166,15 @@ def read_dataset(path: str | Path) -> DataMatrix:
 
     The rows after the header are read in blocks of :data:`READ_BLOCK`
     lines, and each block is converted by one ``np.loadtxt`` call where
-    it can be (:func:`_c_block`).  numpy's C parser converts a field with
+    it can be (:func:`_c_block`): a block of plain numbers and ``NA``
+    markers.  numpy's C parser converts a field with
     ``PyOS_string_to_double``, the routine behind Python's ``float``, so
-    the bits are the ones ``float`` gives.  A block it refuses goes
-    through ``csv`` fields and :func:`_float_block` instead, which read
-    everything ``float`` reads, and a block that fails there is scanned
-    row by row for the error to report.  A quoted field may span lines,
-    so from the first ``"`` on the rest of the file goes through ``csv``."""
+    the bits are the ones ``float`` gives.  A block it refuses, such as
+    one with an empty-field marker, a field only ``float`` reads or an
+    error, goes through the plain pass instead (:func:`_csv_rows`): ``csv``
+    fields converted one at a time, up to the first error.  A quoted field
+    may span lines, so from the first ``"`` on the rest of the file goes
+    through the plain pass."""
     with _open_text(path) as handle:
         header = _csv_header(csv.reader(handle), "empty file, expected a header row")
         if len(set(header)) != len(header):
@@ -163,47 +184,18 @@ def read_dataset(path: str | Path) -> DataMatrix:
             w_col = header.index(WEIGHT_COLUMN)
         except ValueError:
             w_col = None
-        width = len(header)
-
-        def cell_error(i: int, cell: str) -> str | None:
-            if i == w_col:
-                try:
-                    w = float(cell)
-                except ValueError:
-                    return f"bad weight {cell!r}"
-                return None if math.isfinite(w) and w > 0 else f"weights must be positive, got {cell!r}"
-            if cell in MISSING_MARKERS:
-                return None
-            try:
-                value = float(cell)
-            except ValueError:
-                return f"bad numeric field {cell!r}"
-            return None if math.isfinite(value) else f"non-finite value {cell!r}"
-
-        def valid(table: np.ndarray | None) -> bool:
-            return table is not None and (w_col is None or bool((table[:, w_col] > 0).all()))
-
+        cells = [_weight if i == w_col else _number for i in range(len(header))]
         parts: list[np.ndarray] = []
-
-        def read_csv(blocks: Iterator[_Block]) -> None:
-            for line, block, n, cells in blocks:
-                table = None if cells is None else _float_block(cells, n, width)
-                if not valid(table):
-                    raise _first_error(block, line, width, cell_error)
-                if n:
-                    parts.append(table)
-
         line = 2
         while lines := list(islice(handle, READ_BLOCK)):
             text = "".join(lines)
-            if '"' in text:
-                read_csv(_csv_blocks(csv.reader(chain(lines, handle)), width, line))
-                break
-            table = _c_block(text, lines, width)
-            if valid(table):
+            quoted = '"' in text
+            table = None if quoted else _c_block(text, lines, len(header))
+            if table is not None and (w_col is None or (table[:, w_col] > 0).all()):
                 parts.append(table)
-            else:
-                read_csv(_csv_blocks(csv.reader(lines), width, line))
+            else:  # from a quote on, the plain pass reads the rest of the file
+                reader = csv.reader(chain(lines, handle) if quoted else lines)
+                parts.extend(np.array(rows, dtype=float) for rows in _csv_rows(reader, cells, line))
             line += len(lines)
     if not parts:
         raise DataFormatError("no records")
@@ -244,21 +236,6 @@ def _c_block(text: str, lines: list[str], width: int) -> np.ndarray | None:
     if table.shape[1] != width or table.size - np.count_nonzero(np.isfinite(table)) != text.count("NA"):
         return None
     return table
-
-
-def _float_block(cells: list[str], n: int, width: int) -> np.ndarray | None:
-    """The ``n`` by ``width`` floats of a block's stripped fields, markers
-    as NaN; ``None`` if a field is not a float, or if the non-finite
-    values are not exactly the markers."""
-    markers = sum(map(cells.count, MISSING_MARKERS))
-    if markers:
-        cells = ["nan" if cell in MISSING_MARKERS else cell for cell in cells]
-    try:
-        table = np.array(cells, dtype=float)
-    except ValueError:
-        return None
-    table = table.reshape(n, width)
-    return table if table.size - np.count_nonzero(np.isfinite(table)) == markers else None
 
 
 def write_dataset(data: DataMatrix, path: str | Path, missing_from_mask: bool = False) -> None:
@@ -320,12 +297,10 @@ def _format_rows(block: np.ndarray) -> bytes:
     return (template % tuple(cells[~whole].tolist())).replace("nan", "NA").encode("ascii")
 
 
-def _mask_cell_error(i: int, cell: str) -> str | None:
-    return None if cell in ("0", "1") else "mask cells must be 0 or 1"
-
-
 def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndarray:
-    """Load a 0/1 mask file; optionally verify its header."""
+    """Load a 0/1 mask file; optionally verify its header.  Its rows take
+    the plain pass (:func:`_csv_rows`), as a dataset block that numpy's C
+    parse refuses does."""
     with _open_text(path) as handle:
         reader = csv.reader(handle)
         header = _csv_header(reader, "empty mask file")
@@ -333,12 +308,7 @@ def read_mask(path: str | Path, columns: Iterable[str] | None = None) -> np.ndar
             raise DataFormatError(
                 f"mask columns {header} do not match dataset columns {list(columns)}", line=1
             )
-        parts: list[np.ndarray] = []
-        for line, block, n, cells in _csv_blocks(reader, len(header)):
-            if cells is None or cells.count("0") + cells.count("1") != len(cells):
-                raise _first_error(block, line, len(header), _mask_cell_error)
-            if n:
-                parts.append(np.array(cells, dtype=str).reshape(n, len(header)) == "1")
+        parts = [np.array(rows, dtype=bool) for rows in _csv_rows(reader, [_mask_cell] * len(header))]
     if not parts:
         raise DataFormatError("no records in mask file")
     return np.concatenate(parts)
@@ -350,20 +320,20 @@ def write_mask(mask: np.ndarray, columns: Iterable[str], path: str | Path) -> No
 
 
 def _key_value_lines(
-    path: str | Path, key: str, missing: str, duplicate: str
+    path: str | Path, separator: str, expected: str, missing: str, duplicate: str
 ) -> Iterator[tuple[int, str, str]]:
-    """Line number, key and value of each ``key = value`` line; text after
-    ``#`` is a comment.  ``key`` names the keys in the message for a line
-    without ``=``; ``missing`` is the message for an empty key and
-    ``duplicate`` precedes a repeated key in its message."""
+    """Line number, key and stripped value of each ``key <separator>
+    value`` line; text after ``#`` is a comment.  ``expected`` is the
+    message for a line without ``separator`` and ``missing`` the one for
+    an empty key; ``duplicate`` precedes a repeated key in its message."""
     seen: set[str] = set()
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise DataFormatError(f"expected '{key} = value'", line=lineno)
-        name, _, value = line.partition("=")
+        if separator not in line:
+            raise DataFormatError(expected, line=lineno)
+        name, _, value = line.partition(separator)
         name = name.strip()
         if not name:
             raise DataFormatError(missing, line=lineno)
@@ -376,7 +346,8 @@ def _key_value_lines(
 def read_totals(path: str | Path) -> dict[str, float]:
     """Lines of ``column = value``; comments start with ``#``."""
     totals: dict[str, float] = {}
-    for lineno, name, value in _key_value_lines(path, "column", "missing column name", "duplicate total for"):
+    lines = _key_value_lines(path, "=", "expected 'column = value'", "missing column name", "duplicate total for")
+    for lineno, name, value in lines:
         try:
             total = float(value)
         except ValueError:
@@ -397,20 +368,12 @@ def read_predictors(path: str | Path) -> dict[str, list[str]]:
     start with ``#``.  An empty list after the colon gives the target an
     intercept-only model.  The names are checked against the data where
     they are used (``pipeline.check_inputs``)."""
+    lines = _key_value_lines(
+        path, ":", "expected 'target: predictor, ...'", "missing target name", "duplicate predictors for"
+    )
     predictors: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise DataFormatError("expected 'target: predictor, ...'", line=lineno)
-        target, _, rest = line.partition(":")
-        target = target.strip()
-        if not target:
-            raise DataFormatError("missing target name", line=lineno)
-        if target in predictors:
-            raise DataFormatError(f"duplicate predictors for {target!r}", line=lineno)
-        names = [name.strip() for name in rest.split(",")] if rest.strip() else []
+    for lineno, target, rest in lines:
+        names = [name.strip() for name in rest.split(",")] if rest else []
         if not all(names):
             raise DataFormatError(f"empty predictor name for {target!r}", line=lineno)
         predictors[target] = names
@@ -419,4 +382,5 @@ def read_predictors(path: str | Path) -> dict[str, list[str]]:
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Plain ``key = value`` configuration lines; comments start with ``#``."""
-    return {name: value for _, name, value in _key_value_lines(path, "key", "missing key", "duplicate key")}
+    lines = _key_value_lines(path, "=", "expected 'key = value'", "missing key", "duplicate key")
+    return {name: value for _, name, value in lines}

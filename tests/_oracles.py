@@ -787,10 +787,11 @@ def where_read_bounds(const, coef, scale=None, mass=None):
 
 
 def _cell_rows(handle, empty: str):
-    """The stripped header of a CSV file and its other rows one at a time,
-    each with its line number and stripped fields: blank rows skipped, a
-    field count that differs from the header's an error, and a CSV error an
-    error at the line of the record it broke."""
+    """The stripped header of a CSV file, which names every field, and its
+    other rows one at a time, each with its line number and stripped
+    fields: blank rows skipped, a field count that differs from the
+    header's an error, and a CSV error an error at the line of the record
+    it broke."""
     reader = csv.reader(handle)
     try:
         header = [h.strip() for h in next(reader)]
@@ -798,6 +799,9 @@ def _cell_rows(handle, empty: str):
         raise DataFormatError(empty, line=1) from None
     except csv.Error as err:
         raise DataFormatError(str(err), line=1) from None
+    for i, name in enumerate(header or [""], start=1):
+        if not name:
+            raise DataFormatError(f"header field {i} has no name", line=1)
 
     def rows():
         for lineno in itertools.count(2):

@@ -182,6 +182,8 @@ class TestTotalsConfigMask:
             ("a = 1\n\n = 2\n", 3, "missing column name"),
             ("a = 1\n# a = 3\na = 2\n", 3, "duplicate total for 'a'"),
             ("a = 1\nb = x\n", 2, "bad total 'x'"),
+            # Each keyed file has its own separator.
+            ("a = 1\nb: 2\n", 2, "expected 'column = value'"),
         ],
     )
     def test_totals_line_errors(self, tmp_path, text, line, message):
@@ -214,6 +216,7 @@ class TestTotalsConfigMask:
             ("x1: P\n# x1: x2\nx1: x2\n", 3, "duplicate predictors for 'x1'"),
             ("x1: P,, x2\n", 1, "empty predictor name for 'x1'"),
             ("x1: P,\n", 1, "empty predictor name for 'x1'"),
+            ("x1: P\nx2 = P\n", 2, "expected 'target: predictor, ...'"),
         ],
     )
     def test_predictors_line_errors(self, tmp_path, text, line, message):
@@ -927,7 +930,8 @@ class TestDiagnosticsSchema:
 
 
 @pytest.mark.parametrize("case", ["totals", "edits", "predictors", "config", "totals-columns", "mask-shape",
-                                  "evaluate-columns", "data-edits", "totals-missing"])
+                                  "evaluate-columns", "data-edits", "totals-missing", "data-header",
+                                  "mask-header"])
 def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
     # Each input file's own error is prefixed with its path; a check across
     # files names each of them.
@@ -963,6 +967,15 @@ def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
         bad = write(tmp_path, "y.edits", "y >= 0\n")
         argv, message = ["impute", "--data", data, "--edits", bad, "--method", "upma"], (
             f"error: {data}, {bad}: edits reference column(s) not in the data: ['y']")
+    elif case == "data-header":
+        # A spreadsheet export's trailing commas leave a header field
+        # without a name.
+        bad = write(tmp_path, "trailing.csv", "x1,x2,x3,\n1,2,3,\n")
+        argv, message = ["impute", "--data", bad, "--edits", edits, "--method", "upma"], (
+            f"error: {bad}: line 1: header field 4 has no name")
+    elif case == "mask-header":
+        bad = write(tmp_path, "gap-mask.csv", "x1,x2,,x3\n0,0,0,1\n")
+        argv, message = chain + ["--mask", bad], f"error: {bad}: line 1: header field 3 has no name"
     else:
         # A check inside impute names only the files it read.
         bad = write(tmp_path, "x1.txt", "x1 = 1\n")
@@ -973,24 +986,34 @@ def test_every_exit_2_message_names_its_files(tmp_path, capsys, case):
     assert err.startswith(message), err
 
 
-def survey_file(tmp_path):
-    """A valid survey dataset of 30 whole-unit records, 10% of cells NA."""
+def survey_inputs(tmp_path):
+    """A valid survey dataset of 30 whole-unit records, 10% of cells NA,
+    and beside it the complete records, their mask, their column totals
+    and chain predictors, each file's bytes by name."""
     truth, _ = survey_truth(np.random.default_rng(23), 30)
     mask = np.random.default_rng(24).random(truth.shape) < 0.1
-    path = tmp_path / "survey.csv"
-    cio.write_dataset(DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS), path)
-    return path.read_bytes()
+    cio.write_dataset(DataMatrix(np.where(mask, np.nan, truth), mask, SURVEY_COLUMNS), tmp_path / "survey.csv")
+    cio.write_dataset(DataMatrix(truth, np.zeros_like(mask), SURVEY_COLUMNS), tmp_path / "truth.csv")
+    cio.write_mask(mask, SURVEY_COLUMNS, tmp_path / "mask.csv")
+    cio.write_totals(dict(zip(SURVEY_COLUMNS, truth.sum(axis=0).tolist())), tmp_path / "totals.txt")
+    write(tmp_path, "predictors.txt", "goods: services, staff\nmaterials: staff\nother: materials, staff\n")
+    names = ("survey.csv", "truth.csv", "mask.csv", "totals.txt", "predictors.txt")
+    return {name: (tmp_path / name).read_bytes() for name in names}
 
 
 @st.composite
-def mutated(draw, raw):
+def mutated(draw, raw, header=True):
     """``raw`` mutated, and the line a text error in it must name (``None``
-    where the mutation claims no line).  A mutation within a record line
-    touches that line only; a stray quote there opens a field that runs to
-    the end of the file, which still starts at that line."""
+    where the mutation claims no line).  ``raw`` is a CSV file whose
+    header line the mutations within a line leave alone and whose columns
+    "duplicate" and "drop" repeat and remove; or, where ``header`` is
+    false, a file of keyed lines (totals, predictors), whose lines they
+    repeat and remove.  A mutation within a line touches that line only;
+    a stray quote in a record opens a field that runs to the end of the
+    file, which still starts at that line."""
     lines = raw.split(b"\n")[:-1]
     kind = draw(st.sampled_from(["flip", "truncate", "quote", "nul", "bom", "crlf", "oversized", "duplicate", "drop"]))
-    at = draw(st.integers(2, len(lines)))
+    at = draw(st.integers(2 if header else 1, len(lines)))
     line = lines[at - 1]
     cut = draw(st.integers(0, len(line)))
     if kind == "flip":
@@ -1014,40 +1037,71 @@ def mutated(draw, raw):
         fields = line.split(b",")
         fields[cut % len(fields)] = b"1" + b"0" * csv.field_size_limit()
         line = b",".join(fields)
+    elif not header:
+        # A repeated line repeats its key, which the copy names.
+        copies = lines[at - 1 : at] * (2 if kind == "duplicate" else 0)
+        return b"".join(row + b"\n" for row in lines[: at - 1] + copies + lines[at:]), at + 1 if copies else None
     else:
-        j = cut % len(SURVEY_COLUMNS)
+        j = cut % len(lines[0].split(b","))
         rows = [row.split(b",") for row in lines]
         rows = [row[: j + 1] + row[j:] if kind == "duplicate" else row[:j] + row[j + 1 :] for row in rows]
         return b"".join(b",".join(row) + b"\n" for row in rows), 1 if kind == "duplicate" else None
     return b"\n".join(lines[: at - 1] + [line] + lines[at:]) + b"\n", at
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_a_mutated_dataset_file_exits_0_2_or_3(tmp_path, capsys, data):
-    # ROADMAP item 23: a valid survey file, mutated, imputes (0), is refused
-    # as infeasible (3) or as bad input (2), and never raises.  On exit 2
-    # the message names the file, and an error in its text names the
-    # mutated line.  A file with CRLF line ends imputes to the same bytes.
-    raw = survey_file(tmp_path)
-    text, line = data.draw(mutated(raw))
+CHAIN = ["--iterations", "20", "--seed", "3"]
+#: The call that reads each of :func:`survey_inputs`' files, named by file.
+MUTATED_CALLS = {
+    "survey.csv": ["--data", "survey.csv", "--method", "upma"],
+    "mask.csv": ["--data", "truth.csv", "--totals", "totals.txt", "--method", "mcmc", "--mask", "mask.csv", *CHAIN],
+    "totals.txt": ["--data", "survey.csv", "--totals", "totals.txt", "--method", "bpma"],
+    "predictors.txt": [
+        "--data", "truth.csv", "--totals", "totals.txt", "--method", "mcmc", "--mask", "mask.csv",
+        "--predictors", "predictors.txt", *CHAIN,
+    ],
+}
+
+
+def check_mutated_call(tmp_path, capsys, data, name):
+    """ROADMAP item 23: the input ``name`` of a valid survey call, mutated,
+    imputes (0), is refused as infeasible (3) or as bad input (2), and
+    never raises.  On exit 2 the message names the file, and an error in
+    its text names the mutated line.  A file with CRLF line ends imputes
+    to the same bytes."""
+    files = survey_inputs(tmp_path)
+    raw = files[name]
+    text, line = data.draw(mutated(raw, header=name.endswith(".csv")))
     edits = write(tmp_path, "survey.edits", SURVEY_RULES)
 
-    def run(name, content):
-        path = tmp_path / f"{name}.csv"
+    def run(prefix, content):
+        path = tmp_path / f"{prefix}-{name}"
         path.write_bytes(content)
-        out = tmp_path / f"{name}-out.csv"
+        out = tmp_path / f"{prefix}-out.csv"
         out.unlink(missing_ok=True)
-        code = main(["impute", "--data", str(path), "--edits", edits, "--method", "upma", "--out", str(out)])
+        args = [str(path if arg == name else tmp_path / arg) if arg in files else arg for arg in MUTATED_CALLS[name]]
+        code = main(["impute", "--edits", edits, *args, "--out", str(out)])
         return code, capsys.readouterr().err, out.read_bytes() if code == 0 else None
 
     code, err, output = run("mutated", text)
     assert code in (0, 2, 3), err
     if code == 2:
-        path = str(tmp_path / "mutated.csv")
+        path = str(tmp_path / f"mutated-{name}")
         assert path in err, err
         if line is not None and err.startswith(f"error: {path}: "):
             assert err.startswith(f"error: {path}: line {line}: "), err
     if text == raw.replace(b"\n", b"\r\n"):
         valid_code, _, valid_output = run("valid", raw)
         assert (code, output) == (valid_code, valid_output)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_dataset_file_exits_0_2_or_3(tmp_path, capsys, data):
+    check_mutated_call(tmp_path, capsys, data, "survey.csv")
+
+
+@pytest.mark.parametrize("name", ["mask.csv", "totals.txt", "predictors.txt"])
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_mask_totals_or_predictors_file_exits_0_2_or_3(tmp_path, capsys, name, data):
+    check_mutated_call(tmp_path, capsys, data, name)

@@ -92,10 +92,19 @@ def csv_texts(draw, header, cell, width_errors):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
+def names(draw, k):
+    """``k`` column names; now and then one is empty, which padding may
+    make whitespace only."""
+    header = [f"c{j}" for j in range(k)]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, k - 1))] = ""
+    return header
+
+
 @st.composite
 def dataset_texts(draw, errors):
     k = draw(st.integers(1, 4))
-    header = [f"c{j}" for j in range(k)]
+    header = names(draw, k)
     w_col = draw(st.none() | st.integers(0, k))
     if w_col is not None:
         header.insert(w_col, cio.WEIGHT_COLUMN)
@@ -111,7 +120,7 @@ def dataset_texts(draw, errors):
 
 @st.composite
 def mask_texts(draw, errors):
-    header = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    header = names(draw, draw(st.integers(1, 4)))
     cells = ["0", "1"] * 4 + (["2", "x", "", "1.0"] if errors else [])
     return header, draw(csv_texts(header, lambda draw, i: padded(draw, draw(st.sampled_from(cells))), errors))
 
@@ -172,6 +181,11 @@ def test_mask_matches_the_cell_reader(tmp_path, monkeypatch, case, block, named)
         ("a,b\n", "no records", None),
         ("", "empty file, expected a header row", 1),
         ("a,a\n1,2\n", "duplicate header name(s) ['a']", 1),
+        # Every header field names its column, before names are compared.
+        ("a,b,,c\n1,2,3,4\n", "header field 3 has no name", 1),
+        ("x1,x2,\n1,2,\n3,4,\n", "header field 3 has no name", 1),
+        (' , "" ,a\n1,2,3\n', "header field 1 has no name", 1),
+        ("\na,b\n1,2\n", "header field 1 has no name", 1),
     ],
 )
 def test_dataset_errors_name_the_first_bad_field(tmp_path, monkeypatch, block, text, message, line):
@@ -191,6 +205,7 @@ def test_dataset_errors_name_the_first_bad_field(tmp_path, monkeypatch, block, t
         ("a,b\n0,1\n1,0,1\n0,x\n", "expected 2 fields, found 3", 3),
         ("a,b\n0,1\n1, \n0,1,1\n", "mask cells must be 0 or 1", 3),
         ("a,b\n\n", "no records in mask file", None),
+        ("a,b,\n0,1,\n", "header field 3 has no name", 1),
     ],
 )
 def test_mask_errors_name_the_first_bad_row(tmp_path, monkeypatch, block, text, message, line):
@@ -228,24 +243,26 @@ def test_csv_error_comes_after_the_rows_before_it(tmp_path, bad_first, quoted):
 
 def test_each_block_takes_the_parse_it_qualifies_for(tmp_path, monkeypatch):
     # Blocks of two lines.  Numbers, NA and a blank line take numpy's C
-    # parse; a field only float reads (1_0) sends its block to csv fields;
-    # from the first quote on, csv reads the rest of the file.
+    # parse; a field only float reads (1_0) sends its block to the plain
+    # pass; from the first quote on, the plain pass reads the rest of the
+    # file, in lists of at most two rows.
     path = write(tmp_path, "d.csv", 'a,b\n1,NA\n2,3\n1_0,2\n4,5\n6,7\n\n8,"9"\n10,11\n12,13\n')
     monkeypatch.setattr(cio, "READ_BLOCK", 2)
     parsed, refused, csv_rows = [], [], []
-    c_block, float_block = cio._c_block, cio._float_block
+    c_block, plain_rows = cio._c_block, cio._csv_rows
 
     def spy_c_block(text, lines, width):
         table = c_block(text, lines, width)
         (refused if table is None else parsed).append(text)
         return table
 
-    def spy_float_block(cells, n, width):
-        csv_rows.append(n)
-        return float_block(cells, n, width)
+    def spy_csv_rows(reader, cells, line):
+        for rows in plain_rows(reader, cells, line):
+            csv_rows.append(len(rows))
+            yield rows
 
     monkeypatch.setattr(cio, "_c_block", spy_c_block)
-    monkeypatch.setattr(cio, "_float_block", spy_float_block)
+    monkeypatch.setattr(cio, "_csv_rows", spy_csv_rows)
     got = cio.read_dataset(path)
     assert parsed == ["1,NA\n2,3\n", "6,7\n\n"]
     assert refused == ["1_0,2\n4,5\n"]
