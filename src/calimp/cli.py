@@ -118,14 +118,17 @@ def _study_config(path: str | None) -> sim.StudyConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _naming({"config": args.config}, _study_config, args.config)
+    named = {"config": args.config}
+    config = _naming(named, _study_config, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     root = np.random.SeedSequence(config.seed)
     pop_ss, rep_ss = root.spawn(2)
-    population, pop_totals = sim.generate_population(config, np.random.default_rng(pop_ss))
-    truth, masked, totals = sim.draw_sample(population, config, np.random.default_rng(rep_ss))
+    # Each setting is checked on its own when read; whether they fit
+    # together shows only when the population and sample are drawn.
+    population, pop_totals = _naming(named, sim.generate_population, config, np.random.default_rng(pop_ss))
+    truth, masked, totals = _naming(named, sim.draw_sample, population, config, np.random.default_rng(rep_ss))
 
     cio.write_dataset(population, out / "population.csv")
     cio.write_dataset(truth, out / "sample.csv")

@@ -751,6 +751,11 @@ class Derivations:
     through every substitution, projection and merge.  Its bound rows,
     their masses and ``pinned`` are those of the pattern's derivation; only
     the check rows of the pattern's other blocks drop out.
+
+    This is the split of an edit system into independent blocks that
+    ``editrules`` makes before error localization (de Jonge & van der Loo,
+    ``blocks`` and ``separate``; de Waal, Pannekoek & Scholtus 2011,
+    *Handbook of Statistical Data Editing and Imputation*).
     """
 
     def __init__(self, A: np.ndarray, is_eq: np.ndarray, names: Sequence[str]):

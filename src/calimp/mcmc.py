@@ -27,6 +27,17 @@ on the stacked step vectors of its pairs, draws every target with one
 call of :func:`calimp.residuals.truncated_normal`, and completes and
 checks the pairs as arrays.
 
+Read the chain as data augmentation on the model and the imputed cells
+(Tanner & Wong 1987, "The calculation of posterior distributions by data
+augmentation"): a model draw is a draw of the model given the cells, and
+a pair update a move of the cells given the model.  If each update keeps
+the cells' law given the model, a model draw followed by any number of
+updates keeps the joint law, so a sweep keeps the chain's law.  Liu, Wong
+& Kong (1994, "Covariance structure of the Gibbs sampler") compare such
+blocked scans with one-at-a-time ones.  ``tests/test_sweep.py`` compares
+the final cells of seeded sweep chains with those of the one-pair
+reference chain, ``tests/_oracles.step_chain``.
+
 Most updates cannot move, and the target or the key alone says which.  A
 target that the equality edits fix once its predictors are known
 (:func:`structural_targets`) has a degenerate posterior, σ² = 0, and every

@@ -133,7 +133,12 @@ def gram_factor(gram: Sequence[Sequence[float]], target: str) -> tuple[list[list
 def independent_predictors(gram: Sequence[Sequence[float]], candidates: Sequence[int]) -> list[int]:
     """The ``candidates`` (column positions) the rank rule keeps after the
     intercept, in order, on the augmented Gram matrix over ``[1, every
-    column]`` as rows.  A kept set's factor repeats their pivots."""
+    column]`` as rows.  A kept set's factor repeats their pivots.
+
+    The rule is relative to each column's own diagonal, with no absolute
+    floor, so a predictor near 1e10 and one in 1e-3 units are ranked
+    alike, and a column that is only rounding residue beside larger ones
+    is kept: it is no combination of the others on its own scale."""
     kept = _factor_columns(gram, [0] + [c + 1 for c in candidates])[0]
     return [c - 1 for c in kept if c]
 
